@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test check race bench bench-sync bench-trace bench-sched chaos chaos-hang chaos-net chaos-disk chaos-load obs-demo psxd-demo
+.PHONY: build test check race bench bench-check bench-e2e bench-sync bench-sched chaos chaos-hang chaos-net chaos-disk chaos-load obs-demo psxd-demo
 
 build:
 	$(GO) build ./...
@@ -12,12 +12,16 @@ test: build
 
 # check is the pre-merge gate for the lock-free measurement path: vet,
 # then the race detector over the packages that share trace buffers,
-# then the v1↔v2 cross-read gate — every trace format pairing must read
-# back through the auto-detecting reader.
+# then the format gate. Nothing in tool or cmd writes v1 any more
+# (every write path is walked block by block), so v1 lives on only as
+# something the readers must keep opening: the checked-in v1 fixture,
+# v1 and v2 blocks mixed in one stream, and every writer/reader pairing
+# must read back through the auto-detecting reader.
 check:
 	$(GO) vet ./...
 	$(GO) test -race ./internal/perf ./internal/tool ./internal/collector
-	$(GO) test -count=1 ./internal/perf -run 'V2CrossRead|MixedStream|V2TornTail'
+	$(GO) test -count=1 ./internal/faultinject -run 'EveryWritePathWritesPSX2'
+	$(GO) test -count=1 ./internal/perf -run 'V1Fixture|V2CrossRead|MixedStream|V2TornTail'
 
 # chaos runs the deterministic fault-injection suite — panicking and
 # hung callbacks, failing/torn trace writes, forced chunk drops —
@@ -53,7 +57,7 @@ chaos-net:
 # quarantine only that run. Race detector + hard wall-clock cap.
 chaos-disk:
 	$(GO) test -race -count=1 -timeout 120s ./internal/faultinject -run 'ChaosDisk'
-	$(GO) test -race -count=1 -timeout 120s ./internal/ingest ./internal/perf -run 'Recover|Journal|Durable|Fsync|Retention|Manifest|Hello|Sync|Close|ValidStreamPrefix'
+	$(GO) test -race -count=1 -timeout 120s ./internal/ingest -run 'Recover|Journal|Durable|Fsync|Retention|Manifest|Hello|Sync|Close'
 	$(GO) test -race -count=1 -timeout 120s ./cmd/psxd
 
 # chaos-load runs the overload chaos suite for always-on profiling:
@@ -77,18 +81,27 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
+# bench-check compiles, vets and tests the pipeline benchmark harness.
+# bench/ is its own module, so `go build ./...` and `go test ./...` at
+# the root never see it; this is what catches a refactor that breaks a
+# function the harness pins (bench/README.md).
+bench-check:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
+
+# bench-e2e runs every workload of the pipeline benchmark once, briefly:
+# a smoke of the whole path from the recording thread to the report,
+# with the harness's own correctness checks. The per-layer probes
+# (perf.encode_*, perf.*_bytes_per_event, ...) are where the encodings
+# are compared; see bench/README.md.
+bench-e2e:
+	bash bench/run.sh --workload all --quick
+
 # bench-sync measures the synchronization core (barrier, reduction,
 # dynamic/guided scheduling) through the EPCC overheads harness and
 # writes the machine-readable artifact BENCH_sync.json.
 bench-sync:
 	$(GO) run ./cmd/overheads -sync -threads 8 -reps 10 -json BENCH_sync.json
-
-# bench-trace measures the trace storage encodings — v1 against the
-# compact v2 and v2+flate block formats — on a streamed EPCC trace and
-# writes the machine-readable artifact BENCH_trace.json (bytes/event,
-# recording-thread ns/event, writer-side encode ns/event).
-bench-trace:
-	$(GO) run ./cmd/overheads -trace -threads 4 -reps 5 -json BENCH_trace.json
 
 # bench-sched measures the schedules on irregular (uniform vs
 # zipf-skewed) per-iteration work — dynamic against the work-stealing

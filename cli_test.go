@@ -162,3 +162,52 @@ func TestCLICSVOutput(t *testing.T) {
 		"-bench", "EP", "-csv")
 	mustContain(t, out, "benchmark,config,off_ns", "EP,2,")
 }
+
+// TestCLIOmpprofEnvironment: ompprof takes its runtime configuration
+// and tool options from the environment through omp.ConfigFromEnv and
+// tool.OptionsFromEnv, so the documented OMP_* and GOMP_* knobs are
+// live, a flag beats its variable, and a malformed value ends the
+// invocation with status 2 and the variable's name.
+func TestCLIOmpprofEnvironment(t *testing.T) {
+	ompprof := func(env []string, args ...string) (string, int) {
+		cmd := exec.Command(filepath.Join(binaries(t), "ompprof"), args...)
+		cmd.Env = append(os.Environ(), env...)
+		out, err := cmd.CombinedOutput()
+		code := 0
+		if ee, ok := err.(*exec.ExitError); ok {
+			code = ee.ExitCode()
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		return string(out), code
+	}
+
+	out, code := ompprof([]string{"OMP_NUM_THREADS=3", "OMP_SCHEDULE=steal,4"}, "-sample", "0")
+	if code != 0 || !strings.Contains(out, "on 3 threads") {
+		t.Errorf("OMP_NUM_THREADS=3 (exit %d) did not size the team:\n%s", code, out)
+	}
+	out, code = ompprof([]string{"OMP_NUM_THREADS=3"}, "-sample", "0", "-threads", "2")
+	if code != 0 || !strings.Contains(out, "on 2 threads") {
+		t.Errorf("-threads 2 (exit %d) did not win over OMP_NUM_THREADS=3:\n%s", code, out)
+	}
+	// An empty value is an unset knob, not a malformed one.
+	if out, code = ompprof([]string{"GOMP_HANG_TIMEOUT=", "GOMP_TRACE_COMPRESS="}, "-sample", "0"); code != 0 {
+		t.Errorf("empty knobs failed the run (exit %d):\n%s", code, out)
+	}
+	for _, bad := range []string{
+		"OMP_SCHEDULE=fastest",
+		"OMP_WAIT_POLICY=sometimes",
+		"GOMP_STEAL_THRESHOLD=-1",
+		"GOMP_TRACE_COMPRESS=maybe",
+		"GOMP_INGEST_DURABLE=durable",
+		"GOMP_HANG_TIMEOUT=soon",
+		"GOMP_OVERHEAD_CEILING=150%",
+		"GOMP_SPILL_BYTES=64Q",
+	} {
+		out, code := ompprof([]string{bad}, "-sample", "0")
+		name := bad[:strings.IndexByte(bad, '=')]
+		if code != 2 || !strings.Contains(out, name) {
+			t.Errorf("%s: exit %d, want 2 with the variable named:\n%s", bad, code, out)
+		}
+	}
+}

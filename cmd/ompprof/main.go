@@ -27,53 +27,41 @@ import (
 )
 
 func main() {
+	// The environment is the OpenMP user's interface and supplies the
+	// flags' defaults; an explicit flag wins. Both go through the
+	// library's parsers, so a knob means here what it means to any other
+	// embedder, and a malformed value fails the invocation naming the
+	// variable instead of running with a silent default.
+	cfg, err := omp.ConfigFromEnv(omp.Config{NumThreads: 4}, lookupEnv)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ompprof:", err)
+		os.Exit(2)
+	}
+	opts, err := tool.OptionsFromEnv(tool.FullMeasurement(), lookupEnv)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ompprof:", err)
+		os.Exit(2)
+	}
+
 	workload := flag.String("workload", "pi", "workload: pi, or an NPB benchmark name")
 	classFlag := flag.String("class", "S", "problem class for NPB workloads")
-	threads := flag.Int("threads", 4, "OpenMP threads")
-	sample := flag.Duration("sample", time.Millisecond, "state sampler period (0 disables)")
+	flag.IntVar(&cfg.NumThreads, "threads", cfg.NumThreads, "OpenMP threads; defaults to $OMP_NUM_THREADS, then 4")
+	flag.DurationVar(&opts.SamplePeriod, "sample", time.Millisecond, "state sampler period (0 disables)")
 	traceDir := flag.String("trace", "", "directory to write per-thread binary traces into (at exit)")
-	streamDir := flag.String("stream", "", "directory to stream trace chunks into during the run")
-	ingestAddr := flag.String("ingest", os.Getenv("GOMP_INGEST_ADDR"), "ship trace chunks to a psxd ingestion daemon at this host:port during the run; defaults to $GOMP_INGEST_ADDR, empty disables")
-	ingestRun := flag.String("run", "", "run ID at the ingestion daemon (default host-pid-start)")
-	ingestDurable := flag.Bool("ingest-durable", os.Getenv("GOMP_INGEST_DURABLE") != "", "request durable acks from the ingestion daemon (chunks stay in the resend tail until on its disk); defaults to $GOMP_INGEST_DURABLE being set")
-	budget := flag.Duration("callback-budget", 0, "per-callback latency budget before the watchdog trips the breaker (0 disables)")
-	detachTimeout := flag.Duration("detach-timeout", 0, "bounded wait for in-flight callbacks at detach (0 waits forever)")
-	obsAddr := flag.String("obs", os.Getenv("GOMP_OBS_ADDR"), "serve the live observability plane (/metrics, /healthz, /state, /profile, /waits) on this host:port while attached; defaults to $GOMP_OBS_ADDR, empty disables")
-	hangTimeout := flag.Duration("hang-timeout", envDuration("GOMP_HANG_TIMEOUT"), "hang supervision: after this long with no progress, print a deadlock/no-progress diagnosis, salvage the trace prefix and exit nonzero; defaults to $GOMP_HANG_TIMEOUT, 0 disables")
-	hangDir := flag.String("hang-dir", os.Getenv("GOMP_HANG_DIR"), "directory to salvage the hang report and traces into; defaults to $GOMP_HANG_DIR, then the -stream directory")
-	ceiling := flag.String("overhead-ceiling", os.Getenv("GOMP_OVERHEAD_CEILING"), "arm the adaptive overhead governor: target max profiling overhead as a fraction (\"0.02\") or percentage (\"2%\") of wall time; defaults to $GOMP_OVERHEAD_CEILING, empty disables")
-	spillDir := flag.String("spill-dir", os.Getenv("GOMP_SPILL_DIR"), "store-and-forward spill directory: chunks detour to disk here while the ingest daemon is unreachable or overloaded, and replay on reconnect; defaults to $GOMP_SPILL_DIR, empty disables")
-	spillBytes := flag.String("spill-bytes", os.Getenv("GOMP_SPILL_BYTES"), "bound on the spill backlog: a positive byte count with optional K/M/G suffix (default 64M); defaults to $GOMP_SPILL_BYTES")
-	traceV2 := flag.Bool("trace-v2", envBool("GOMP_TRACE_V2"), "write trace blocks in the compact v2 (PSX2) encoding; defaults to $GOMP_TRACE_V2")
-	traceCompress := flag.Bool("trace-compress", envBool("GOMP_TRACE_COMPRESS"), "flate-compress sealed v2 trace blocks (implies -trace-v2); defaults to $GOMP_TRACE_COMPRESS")
+	flag.StringVar(&opts.StreamDir, "stream", "", "directory to stream trace chunks into during the run")
+	flag.StringVar(&opts.IngestAddr, "ingest", opts.IngestAddr, "ship trace chunks to a psxd ingestion daemon at this host:port during the run; defaults to $GOMP_INGEST_ADDR, empty disables")
+	flag.StringVar(&opts.IngestRun, "run", "", "run ID at the ingestion daemon (default host-pid-start)")
+	flag.BoolVar(&opts.IngestDurable, "ingest-durable", opts.IngestDurable, "request durable acks from the ingestion daemon (chunks stay in the resend tail until on its disk); defaults to $GOMP_INGEST_DURABLE")
+	flag.DurationVar(&opts.CallbackBudget, "callback-budget", 0, "per-callback latency budget before the watchdog trips the breaker (0 leaves $GOMP_CALLBACK_BUDGET in charge)")
+	flag.DurationVar(&opts.DetachTimeout, "detach-timeout", 0, "bounded wait for in-flight callbacks at detach (0 waits forever)")
+	flag.StringVar(&opts.ObsAddr, "obs", opts.ObsAddr, "serve the live observability plane (/metrics, /healthz, /state, /profile, /waits) on this host:port while attached; defaults to $GOMP_OBS_ADDR, empty disables")
+	flag.DurationVar(&opts.HangTimeout, "hang-timeout", opts.HangTimeout, "hang supervision: after this long with no progress, print a deadlock/no-progress diagnosis, salvage the trace prefix and exit nonzero; defaults to $GOMP_HANG_TIMEOUT, 0 disables")
+	flag.StringVar(&opts.HangDir, "hang-dir", opts.HangDir, "directory to salvage the hang report and traces into; defaults to $GOMP_HANG_DIR, then the -stream directory")
+	ceiling := flag.String("overhead-ceiling", "", "arm the adaptive overhead governor: target max profiling overhead as a fraction (\"0.02\") or percentage (\"2%\") of wall time; defaults to $GOMP_OVERHEAD_CEILING, unset disables")
+	flag.StringVar(&opts.SpillDir, "spill-dir", opts.SpillDir, "store-and-forward spill directory: chunks detour to disk here while the ingest daemon is unreachable or overloaded, and replay on reconnect; defaults to $GOMP_SPILL_DIR, empty disables")
+	spillBytes := flag.String("spill-bytes", "", "bound on the spill backlog: a positive byte count with optional K/M/G suffix (default 64M); defaults to $GOMP_SPILL_BYTES")
+	flag.BoolVar(&opts.TraceCompress, "trace-compress", opts.TraceCompress, "flate-compress the written trace blocks; defaults to $GOMP_TRACE_COMPRESS")
 	flag.Parse()
-
-	rt := omp.New(omp.Config{NumThreads: *threads})
-	defer rt.Close()
-	// Export the collector API symbol and discover it the way a real
-	// tool does.
-	if err := rt.RegisterSymbol(); err != nil {
-		fmt.Fprintln(os.Stderr, "ompprof:", err)
-		os.Exit(1)
-	}
-	opts := tool.FullMeasurement()
-	opts.SamplePeriod = *sample
-	opts.SampleThreads = *threads
-	opts.StreamDir = *streamDir
-	opts.IngestAddr = *ingestAddr
-	opts.IngestRun = *ingestRun
-	opts.IngestDurable = *ingestDurable
-	opts.CallbackBudget = *budget
-	opts.DetachTimeout = *detachTimeout
-	opts.ObsAddr = *obsAddr
-	opts.HangTimeout = *hangTimeout
-	opts.HangDir = *hangDir
-	opts.HangAbort = true // a hung profiled run must fail the invocation
-	opts.TraceV2 = *traceV2 || *traceCompress
-	opts.TraceCompress = *traceCompress
-	// The governor and spill knobs share their value syntax with the
-	// environment variables; a malformed value fails the invocation
-	// loudly rather than profiling ungoverned or unspooled.
 	if *ceiling != "" {
 		c, err := omp.ParseOverheadCeiling(*ceiling)
 		if err != nil {
@@ -82,7 +70,6 @@ func main() {
 		}
 		opts.OverheadCeiling = c
 	}
-	opts.SpillDir = *spillDir
 	if *spillBytes != "" {
 		n, err := tool.ParseSpillBytes(*spillBytes)
 		if err != nil {
@@ -90,6 +77,17 @@ func main() {
 			os.Exit(2)
 		}
 		opts.SpillBytes = n
+	}
+	opts.SampleThreads = cfg.NumThreads
+	opts.HangAbort = true // a hung profiled run must fail the invocation
+
+	rt := omp.New(cfg)
+	defer rt.Close()
+	// Export the collector API symbol and discover it the way a real
+	// tool does.
+	if err := rt.RegisterSymbol(); err != nil {
+		fmt.Fprintln(os.Stderr, "ompprof:", err)
+		os.Exit(1)
 	}
 	tl, err := tool.Attach(opts)
 	if err != nil {
@@ -112,22 +110,22 @@ func main() {
 	if err := tl.StreamError(); err != nil {
 		fmt.Fprintln(os.Stderr, "ompprof: warning: stream:", err)
 	}
-	if *streamDir != "" {
-		fmt.Printf("trace chunks streamed to %s\n", *streamDir)
+	if opts.StreamDir != "" {
+		fmt.Printf("trace chunks streamed to %s\n", opts.StreamDir)
 	}
-	if *ingestAddr != "" {
-		fmt.Printf("trace chunks shipped to psxd at %s\n", *ingestAddr)
+	if opts.IngestAddr != "" {
+		fmt.Printf("trace chunks shipped to psxd at %s\n", opts.IngestAddr)
 	}
 
 	rep := tl.Report()
-	fmt.Printf("workload %q on %d threads: %v\n\n", *workload, *threads, elapsed)
+	fmt.Printf("workload %q on %d threads: %v\n\n", *workload, cfg.NumThreads, elapsed)
 	if _, err := rep.WriteTo(os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "ompprof:", err)
 		os.Exit(1)
 	}
 	if rep.States != nil {
-		fmt.Printf("\nstate histogram (sampled every %v):\n", *sample)
-		for id := int32(0); id < int32(*threads); id++ {
+		fmt.Printf("\nstate histogram (sampled every %v):\n", opts.SamplePeriod)
+		for id := int32(0); id < int32(cfg.NumThreads); id++ {
 			if rep.States.Total(id) == 0 {
 				continue
 			}
@@ -166,31 +164,12 @@ func main() {
 	}
 }
 
-// envBool reports whether a boolean-valued environment variable is set
-// to anything but an explicit off value — matching the knob's documented
-// "set to enable" contract while letting "0"/"false" turn it back off.
-func envBool(name string) bool {
-	switch v := os.Getenv(name); v {
-	case "", "0", "false", "no", "off":
-		return false
-	default:
-		return true
-	}
-}
-
-// envDuration parses a duration-valued environment variable; unset or
-// malformed values mean zero (the feature stays off).
-func envDuration(name string) time.Duration {
+// lookupEnv is os.LookupEnv with an empty value meaning unset, so
+// `GOMP_OBS_ADDR= ompprof ...` turns a knob off instead of tripping the
+// typed parsers.
+func lookupEnv(name string) (string, bool) {
 	v := os.Getenv(name)
-	if v == "" {
-		return 0
-	}
-	d, err := time.ParseDuration(v)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ompprof: warning: ignoring %s=%q: %v\n", name, v, err)
-		return 0
-	}
-	return d
+	return v, v != ""
 }
 
 // runWorkload executes the selected workload on rt.

@@ -12,11 +12,6 @@
 // numbers to a machine-readable file (the BENCH_sync.json artifact the
 // bench-sync make target produces).
 //
-// With -trace it benchmarks the trace storage formats instead: an EPCC
-// workload is streamed to disk under the v1, v2 and v2+flate encodings,
-// and the bytes/event and encode ns/event of each are reported (the
-// BENCH_trace.json artifact the bench-trace make target produces).
-//
 // With -sched it runs the irregular schedbench variant instead: a loop
 // whose per-iteration work is uniform or zipf-skewed, scheduled
 // dynamically and with the work-stealing schedule, comparing the
@@ -28,7 +23,6 @@
 //
 //	overheads [-class S|W|A|B] [-reps 3] [-probe N]
 //	overheads -sync [-threads 8] [-reps 10] [-json BENCH_sync.json]
-//	overheads -trace [-threads 4] [-reps 5] [-json BENCH_trace.json]
 //	overheads -sched [-threads 8] [-reps 5] [-json BENCH_sched.json]
 package main
 
@@ -36,9 +30,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"path/filepath"
 	"runtime"
 	"time"
 
@@ -47,7 +39,6 @@ import (
 	"goomp/internal/experiments"
 	"goomp/internal/npb"
 	"goomp/internal/omp"
-	"goomp/internal/perf"
 	"goomp/internal/tool"
 )
 
@@ -144,175 +135,6 @@ func runSyncBench(threads, reps int, jsonPath string) error {
 		fmt.Printf("wrote %s\n", jsonPath)
 	}
 	return nil
-}
-
-// tracePoint is one trace-encoding measurement in the BENCH_trace.json
-// artifact: how many bytes each recorded event costs on disk and how
-// long the writer-side encode of it takes.
-type tracePoint struct {
-	Encoding      string  `json:"encoding"`
-	Samples       uint64  `json:"samples"`
-	Bytes         uint64  `json:"bytes"`
-	BytesPerEvent float64 `json:"bytes_per_event"`
-	// NsPerEvent is the recording-thread cost of one dispatched event
-	// with streaming attached under this encoding — the number that
-	// must stay flat, because all v2 encode work lives on the streamer
-	// goroutine, never the recording thread.
-	NsPerEvent float64 `json:"ns_per_event"`
-	// EncodeNsPerEvent is the writer-goroutine encode cost per event
-	// (the price of the compaction, paid off the hot path).
-	EncodeNsPerEvent float64 `json:"encode_ns_per_event"`
-}
-
-type traceReport struct {
-	Threads    int          `json:"threads"`
-	GoMaxProcs int          `json:"gomaxprocs"`
-	Results    []tracePoint `json:"results"`
-	// BytesReduction is v1 bytes/event over v2+flate bytes/event — the
-	// headline ≥3× compaction claim.
-	BytesReduction float64 `json:"bytes_reduction_v2_flate_vs_v1"`
-	// RecordRatio is v2+flate record ns/event over v1's; the encoding
-	// swap must leave the recording thread within noise of v1.
-	RecordRatio float64 `json:"record_ns_ratio_v2_flate_vs_v1"`
-}
-
-// traceWorkload drives the EPCC barrier and reduction kernels under the
-// attached tool so the streamed trace is a representative EPCC trace —
-// fork/join, implicit-barrier and join-site events at directive rates.
-func traceWorkload(rt *omp.RT) error {
-	s := epcc.NewSuite(rt)
-	s.OuterReps = 2
-	for _, name := range []string{"BARRIER", "REDUCTION"} {
-		d, err := epcc.Lookup(name)
-		if err != nil {
-			return err
-		}
-		s.Measure(d)
-	}
-	return nil
-}
-
-// streamEPCCRun runs the EPCC workload with full measurement streamed
-// into a fresh directory under the given encoding, and returns the
-// directory with its sealed per-thread trace files.
-func streamEPCCRun(threads int, enc perf.Encoding) (string, error) {
-	dir, err := os.MkdirTemp("", "bench-trace-")
-	if err != nil {
-		return "", err
-	}
-	rt := omp.New(omp.Config{NumThreads: threads})
-	defer rt.Close()
-	opts := tool.FullMeasurement()
-	opts.StreamDir = dir
-	opts.TraceV2 = enc.V2
-	opts.TraceCompress = enc.Flate
-	tl, err := tool.AttachRuntime(rt, opts)
-	if err != nil {
-		return "", err
-	}
-	workErr := traceWorkload(rt)
-	tl.Detach()
-	if workErr != nil {
-		return "", workErr
-	}
-	if err := tl.StreamError(); err != nil {
-		return "", err
-	}
-	return dir, nil
-}
-
-// measureDir sums the on-disk bytes and (via the skim counter) the
-// recorded samples across a stream directory's trace files.
-func measureDir(dir string) (bytes, samples uint64, err error) {
-	files, err := filepath.Glob(filepath.Join(dir, "trace.*.psxt"))
-	if err != nil {
-		return 0, 0, err
-	}
-	for _, path := range files {
-		st, err := os.Stat(path)
-		if err != nil {
-			return 0, 0, err
-		}
-		bytes += uint64(st.Size())
-		f, err := os.Open(path)
-		if err != nil {
-			return 0, 0, err
-		}
-		n, err := perf.CountStreamSamples(f)
-		f.Close()
-		if err != nil {
-			return 0, 0, err
-		}
-		samples += n
-	}
-	return bytes, samples, nil
-}
-
-// recordNsPerEvent times the recording hot path with streaming live
-// under one encoding: n events dispatched on one bound descriptor into
-// the relay, while the streamer encodes sealed chunks to disk off the
-// recording thread.
-func recordNsPerEvent(enc perf.Encoding, n int) (float64, error) {
-	dir, err := os.MkdirTemp("", "bench-trace-rec-")
-	if err != nil {
-		return 0, err
-	}
-	defer os.RemoveAll(dir)
-	col := collector.New()
-	opts := tool.FullMeasurement()
-	opts.SamplePeriod = 0 // isolate the dispatch path from sampler noise
-	opts.StreamDir = dir
-	opts.TraceV2 = enc.V2
-	opts.TraceCompress = enc.Flate
-	tl, err := tool.AttachCollector(col, opts)
-	if err != nil {
-		return 0, err
-	}
-	ti := collector.NewThreadInfo(0)
-	col.BindThread(ti)
-	// The dispatch loop is timed in small batches and the minimum batch
-	// taken: the relay hand-off is non-blocking, so any slow batch is
-	// the streamer goroutine (or GC) being scheduled over the recording
-	// loop — wall-clock interference, not recording-thread work — which
-	// matters on a single-CPU host where both share one core.
-	const batch = 1_000
-	var best time.Duration
-	for done := 0; done < n; done += batch {
-		start := time.Now()
-		for i := 0; i < batch; i++ {
-			col.Event(ti, collector.EventFork)
-		}
-		if d := time.Since(start); best == 0 || d < best {
-			best = d
-		}
-	}
-	tl.Detach()
-	if err := tl.StreamError(); err != nil {
-		return 0, err
-	}
-	return float64(best.Nanoseconds()) / float64(batch), nil
-}
-
-// encodeNsPerEvent times the writer-side encode of real trace buffers
-// under one encoding: reps full passes over every buffer, minimum
-// taken, divided by the sample count.
-func encodeNsPerEvent(bufs []*perf.TraceBuffer, total uint64, enc perf.Encoding, reps int) (float64, error) {
-	if total == 0 {
-		return 0, fmt.Errorf("no samples to encode")
-	}
-	var best time.Duration
-	for r := 0; r < reps; r++ {
-		start := time.Now()
-		for _, b := range bufs {
-			if err := perf.WriteTraceEnc(io.Discard, b, enc); err != nil {
-				return 0, err
-			}
-		}
-		if d := time.Since(start); r == 0 || d < best {
-			best = d
-		}
-	}
-	return float64(best.Nanoseconds()) / float64(total), nil
 }
 
 // schedPoint is one irregular-schedbench measurement in the
@@ -426,92 +248,6 @@ func runSchedBench(threads, reps int, jsonPath string) error {
 	return nil
 }
 
-// runTraceBench produces the BENCH_trace.json artifact: the same EPCC
-// workload streamed under v1, v2 and v2+flate, with per-encoding disk
-// cost and encode time per event.
-func runTraceBench(threads, reps int, jsonPath string) error {
-	encodings := []struct {
-		name string
-		enc  perf.Encoding
-	}{
-		{"v1", perf.Encoding{}},
-		{"v2", perf.Encoding{V2: true}},
-		{"v2+flate", perf.Encoding{V2: true, Flate: true}},
-	}
-	rep := traceReport{Threads: threads, GoMaxProcs: runtime.GOMAXPROCS(0)}
-	// The encode-time comparison replays one run's real buffers through
-	// each encoder, so all three timings cover identical samples.
-	var bufs []*perf.TraceBuffer
-	var bufSamples uint64
-	for _, e := range encodings {
-		dir, err := streamEPCCRun(threads, e.enc)
-		if err != nil {
-			return fmt.Errorf("%s run: %w", e.name, err)
-		}
-		bytes, samples, err := measureDir(dir)
-		if err == nil && samples == 0 {
-			err = fmt.Errorf("no samples recorded")
-		}
-		if err != nil {
-			os.RemoveAll(dir)
-			return fmt.Errorf("%s run: %w", e.name, err)
-		}
-		if bufs == nil {
-			files, _ := filepath.Glob(filepath.Join(dir, "trace.*.psxt"))
-			for _, path := range files {
-				f, err := os.Open(path)
-				if err != nil {
-					return err
-				}
-				b, err := perf.ReadTraceStream(f)
-				f.Close()
-				if err != nil {
-					return err
-				}
-				bufs = append(bufs, b)
-				bufSamples += uint64(b.Len())
-			}
-		}
-		os.RemoveAll(dir)
-		encodeNs, err := encodeNsPerEvent(bufs, bufSamples, e.enc, reps)
-		if err != nil {
-			return fmt.Errorf("%s encode: %w", e.name, err)
-		}
-		const recordEvents = 300_000
-		recordNs, err := recordNsPerEvent(e.enc, recordEvents)
-		if err != nil {
-			return fmt.Errorf("%s record: %w", e.name, err)
-		}
-		pt := tracePoint{
-			Encoding:         e.name,
-			Samples:          samples,
-			Bytes:            bytes,
-			BytesPerEvent:    float64(bytes) / float64(samples),
-			NsPerEvent:       recordNs,
-			EncodeNsPerEvent: encodeNs,
-		}
-		rep.Results = append(rep.Results, pt)
-		fmt.Printf("%-9s %8.2f bytes/event  %7.1f ns/event record  %8.1f ns/event encode  (%d samples, %d bytes)\n",
-			e.name, pt.BytesPerEvent, pt.NsPerEvent, pt.EncodeNsPerEvent, samples, bytes)
-	}
-	v1, v2f := rep.Results[0], rep.Results[len(rep.Results)-1]
-	rep.BytesReduction = v1.BytesPerEvent / v2f.BytesPerEvent
-	rep.RecordRatio = v2f.NsPerEvent / v1.NsPerEvent
-	fmt.Printf("v2+flate vs v1: %.2fx smaller on disk, %.2fx recording-thread cost\n",
-		rep.BytesReduction, rep.RecordRatio)
-	if jsonPath != "" {
-		buf, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonPath, append(buf, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", jsonPath)
-	}
-	return nil
-}
-
 func main() {
 	classFlag := flag.String("class", "W", "problem class: S, W, A or B")
 	reps := flag.Int("reps", 5, "timings per configuration (minimum taken)")
@@ -519,24 +255,14 @@ func main() {
 		"also measure the bare per-event record cost over N dispatched events")
 	syncBench := flag.Bool("sync", false,
 		"benchmark the synchronization core (barrier, reduction, schedules) instead")
-	traceBench := flag.Bool("trace", false,
-		"benchmark the trace storage encodings (v1, v2, v2+flate) instead")
 	schedBench := flag.Bool("sched", false,
 		"benchmark the schedules on irregular work (dynamic vs steal, uniform vs zipf) instead")
-	threads := flag.Int("threads", 8, "team size for -sync/-trace/-sched")
-	jsonPath := flag.String("json", "", "with -sync/-trace/-sched, write the results to this JSON file")
+	threads := flag.Int("threads", 8, "team size for -sync/-sched")
+	jsonPath := flag.String("json", "", "with -sync/-sched, write the results to this JSON file")
 	flag.Parse()
 
 	if *schedBench {
 		if err := runSchedBench(*threads, *reps, *jsonPath); err != nil {
-			fmt.Fprintln(os.Stderr, "overheads:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *traceBench {
-		if err := runTraceBench(*threads, *reps, *jsonPath); err != nil {
 			fmt.Fprintln(os.Stderr, "overheads:", err)
 			os.Exit(1)
 		}

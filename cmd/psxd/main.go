@@ -19,7 +19,7 @@
 //	psxd [-listen 127.0.0.1:9470] [-dir psxd-data] [-obs HOST:PORT]
 //	     [-queue 64] [-max-conns 128] [-fsync never|seal|every-N]
 //	     [-retain-bytes N] [-retain-age DUR] [-drain-timeout DUR]
-//	     [-heartbeat-timeout DUR] [-trace-v2=false]
+//	     [-heartbeat-timeout DUR]
 package main
 
 import (
@@ -55,7 +55,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	retainAge := fs.Duration("retain-age", 0, "GC completed runs idle longer than this (0 disables)")
 	housekeep := fs.Duration("housekeep", 0, "retention sweep period (0 means the default)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "bound on the shutdown drain: how long to wait for run writers to land and seal queued chunks (0 waits forever)")
-	traceV2 := fs.Bool("trace-v2", true, "accept compact v2 (PSX2) trace chunks; false refuses them with UNSUPPORTED so old readers downstream never see v2 bytes")
 	fs.Parse(args)
 
 	policy, err := ingest.ParseFsyncPolicy(*fsync)
@@ -74,7 +73,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		RetainBytes:       *retainBytes,
 		RetainAge:         *retainAge,
 		HousekeepInterval: *housekeep,
-		RefuseV2:          !*traceV2,
 	})
 	if err != nil {
 		fmt.Fprintln(stderr, "psxd:", err)

@@ -1,7 +1,9 @@
 package faultinject_test
 
 import (
-	"bytes"
+	"bufio"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -10,17 +12,21 @@ import (
 	"goomp/internal/faultinject"
 	"goomp/internal/ingest"
 	"goomp/internal/omp"
+	"goomp/internal/perf"
 	"goomp/internal/tool"
 )
 
-// The v2-encoding chaos regressions: the compact block format must
-// survive exactly the same network and disk failures as v1, because
-// the resend tail and the journal both carry the originally encoded
-// bytes — a chunk is never re-encoded after it is staged, so a replay
-// after any tear lands bit-for-bit what the local tee holds.
+// PSX2 is the only block format the tool writes. The first test pins
+// that for every write path; the chaos regressions after it re-run the
+// network and disk failures with flate on, because the resend tail and
+// the journal both carry the originally encoded bytes — a chunk is
+// never re-encoded after it is staged, so a replay after any tear must
+// land bit-for-bit what the local tee holds even though flate output
+// is not canonical.
 
-// requireV2Files asserts every trace file in dir opens with a v2 block
-// — the run really exercised the new encoding, not a silent fallback.
+// requireV2Files asserts that every block of every trace file in dir
+// is a PSX2 block. A hang-salvaged file ends in one PSXR report block,
+// which is not sample storage and ends the walk.
 func requireV2Files(t *testing.T, dir string) {
 	t.Helper()
 	files, _ := filepath.Glob(filepath.Join(dir, "trace.*.psxt"))
@@ -28,18 +34,134 @@ func requireV2Files(t *testing.T, dir string) {
 		t.Fatalf("no trace files in %s", dir)
 	}
 	for _, path := range files {
-		raw, err := os.ReadFile(path)
+		f, err := os.Open(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.HasPrefix(raw, []byte("PSX2")) {
-			t.Errorf("%s does not start with a v2 block", path)
+		br := bufio.NewReader(f)
+		blocks := 0
+		for {
+			head, _ := br.Peek(4)
+			if len(head) == 0 || string(head) == "PSXR" {
+				break
+			}
+			if !perf.IsV2Block(head) {
+				t.Errorf("%s: block %d starts %q, not a PSX2 block", path, blocks, head)
+				break
+			}
+			if _, err := perf.ReadTrace(br); err != nil {
+				t.Errorf("%s: block %d: %v", path, blocks, err)
+				break
+			}
+			blocks++
+		}
+		f.Close()
+		if blocks == 0 {
+			t.Errorf("%s holds no trace block", path)
 		}
 	}
 }
 
+// TestEveryWritePathWritesPSX2 drives each way the tool can put a
+// trace block somewhere — the streamed file, the network sink teed
+// with it and alone, the WriteTraces snapshot, and the hang handler's
+// salvage — under default options, and walks every block that landed.
+func TestEveryWritePathWritesPSX2(t *testing.T) {
+	srv, dataDir := startNetChaosServer(t)
+	for _, tc := range []struct {
+		name string
+		// run profiles a workload with opts, given a scratch directory,
+		// and returns the directories its blocks landed in.
+		run func(t *testing.T, rt *omp.RT, opts tool.Options, dir string) []string
+	}{
+		{"StreamDir", func(t *testing.T, rt *omp.RT, opts tool.Options, dir string) []string {
+			opts.StreamDir = dir
+			profile(t, rt, opts)
+			return []string{dir}
+		}},
+		{"IngestAddr tee", func(t *testing.T, rt *omp.RT, opts tool.Options, dir string) []string {
+			opts.StreamDir = dir
+			opts.IngestAddr = srv.Addr()
+			opts.IngestRun = "psx2-tee"
+			profile(t, rt, opts)
+			waitRunDone(t, srv, opts.IngestRun)
+			return []string{dir, filepath.Join(dataDir, opts.IngestRun)}
+		}},
+		{"IngestAddr net-only", func(t *testing.T, rt *omp.RT, opts tool.Options, dir string) []string {
+			opts.IngestAddr = srv.Addr()
+			opts.IngestRun = "psx2-net"
+			profile(t, rt, opts)
+			waitRunDone(t, srv, opts.IngestRun)
+			return []string{filepath.Join(dataDir, opts.IngestRun)}
+		}},
+		{"WriteTraces", func(t *testing.T, rt *omp.RT, opts tool.Options, dir string) []string {
+			tl := profile(t, rt, opts)
+			var files []*os.File
+			err := tl.WriteTraces(func(thread int32) (io.Writer, error) {
+				f, err := os.Create(filepath.Join(dir, fmt.Sprintf("trace.%d.psxt", thread)))
+				if err != nil {
+					return nil, err
+				}
+				files = append(files, f)
+				return f, nil
+			})
+			for _, f := range files {
+				f.Close()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			return []string{dir}
+		}},
+		{"hang salvage", func(t *testing.T, rt *omp.RT, _ tool.Options, dir string) []string {
+			tl, ch := attachSupervised(t, rt, dir)
+			defer tl.Detach()
+			runWorkload(t, rt, 20)
+			plan := faultinject.New(3)
+			plan.StallAt("before-barrier")
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				rt.Parallel(func(tc *omp.ThreadCtx) {
+					if tc.ThreadNum() == 0 {
+						plan.Stall("before-barrier")
+					}
+				})
+			}()
+			checkSalvage(t, dir, awaitHang(t, ch, time.Now()))
+			plan.Release()
+			<-done
+			return []string{dir}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := omp.New(omp.Config{NumThreads: 2})
+			defer rt.Close()
+			for _, dir := range tc.run(t, rt, tool.FullMeasurement(), t.TempDir()) {
+				requireV2Files(t, dir)
+			}
+		})
+	}
+}
+
+// profile attaches a tool with opts, runs enough regions to seal
+// several chunks per thread, and detaches.
+func profile(t *testing.T, rt *omp.RT, opts tool.Options) *tool.Tool {
+	t.Helper()
+	tl, err := tool.AttachRuntime(rt, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runWorkload(t, rt, 300)
+	tl.Detach()
+	if err := tl.StreamError(); err != nil {
+		t.Fatal(err)
+	}
+	return tl
+}
+
 // TestChaosNetMidChunkDisconnectV2 is the reconnect-mid-chunk
-// regression under v2+flate: a frame torn halfway onto the wire is
+// regression with flate on: a frame torn halfway onto the wire is
 // resent whole from the retained originally-encoded bytes on the next
 // connection, so the mirrored run directory stays byte-identical to
 // the local tee — a re-encode (even a semantically equal one) would
@@ -56,7 +178,6 @@ func TestChaosNetMidChunkDisconnectV2(t *testing.T) {
 	opts.StreamDir = localDir
 	opts.IngestAddr = srv.Addr()
 	opts.IngestRun = "torn-frame-v2"
-	opts.TraceV2 = true
 	opts.TraceCompress = true
 	plan.Apply(&opts)
 	tl, err := tool.AttachRuntime(rt, opts)
@@ -85,10 +206,10 @@ func TestChaosNetMidChunkDisconnectV2(t *testing.T) {
 }
 
 // TestChaosDiskCrashRestartMidChunkV2 re-runs the headline durability
-// scenario with compressed v2 blocks: the daemon dies mid-write of a
+// scenario with compressed blocks: the daemon dies mid-write of a
 // flate-compressed block, the restart replays the journal (whose CRCs
 // cover the encoded on-disk bytes, so a torn compressed tail fails
-// validation exactly like a torn v1 record run), and the durable sink
+// validation like any other torn block), and the durable sink
 // resends the staged originals until the mirror is byte-identical.
 func TestChaosDiskCrashRestartMidChunkV2(t *testing.T) {
 	plan := faultinject.New(29)
@@ -115,7 +236,6 @@ func TestChaosDiskCrashRestartMidChunkV2(t *testing.T) {
 	opts.IngestAddr = addr
 	opts.IngestRun = "crash-restart-v2"
 	opts.IngestDurable = true
-	opts.TraceV2 = true
 	opts.TraceCompress = true
 	tl, err := tool.AttachRuntime(rt, opts)
 	if err != nil {

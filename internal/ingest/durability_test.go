@@ -189,6 +189,8 @@ type hookFS struct {
 	syncErr func(path string) error // non-nil return fails the sync
 	block   chan struct{}           // non-nil: Sync waits here first
 	entered chan string             // non-nil: receives the path entering Sync
+
+	openAppendErr func(path string) error // non-nil return fails the open, nothing created
 }
 
 type hookFile struct {
@@ -206,6 +208,11 @@ func (h *hookFS) Create(p string) (File, error) {
 }
 
 func (h *hookFS) OpenAppend(p string) (File, error) {
+	if h.openAppendErr != nil {
+		if err := h.openAppendErr(p); err != nil {
+			return nil, err
+		}
+	}
 	f, err := osFS{}.OpenAppend(p)
 	if err != nil {
 		return nil, err
@@ -536,56 +543,154 @@ func TestRecoverCompleteManifestTrusted(t *testing.T) {
 	}
 }
 
-// TestRecoverLegacyDir: a pre-durability run directory (trace files,
-// no journal, no manifest) is salvaged by stream-parsing: the valid
-// prefix survives, the torn tail is truncated, and a journal plus
-// manifest are synthesized so the next recovery is exact.
-func TestRecoverLegacyDir(t *testing.T) {
+// TestRecoverIgnoresForeignDir: a directory of trace files with neither
+// manifest nor journal was not written by psxd. Recovery must leave it
+// byte-for-byte alone — torn tail included — and not register it.
+func TestRecoverIgnoresForeignDir(t *testing.T) {
 	dir := t.TempDir()
-	runDir := filepath.Join(dir, "legacy-run")
-	if err := os.MkdirAll(runDir, 0o755); err != nil {
+	foreign := filepath.Join(dir, "someones-streamdir")
+	if err := os.MkdirAll(foreign, 0o755); err != nil {
 		t.Fatal(err)
 	}
 	block := traceBlock(t, 0, 5)
-	good := append(append([]byte(nil), block...), block...)
-	torn := append(append([]byte(nil), good...), block[:len(block)/2]...)
-	if err := os.WriteFile(filepath.Join(runDir, "trace.0.psxt"), torn, 0o644); err != nil {
-		t.Fatal(err)
+	files := map[string][]byte{
+		"trace.0.psxt": append(append([]byte(nil), block...), block[:len(block)/2]...),
+		"trace.1.psxt": traceBlockV2(t, 1, 7, false),
+		"notes.txt":    []byte("not a trace"),
+	}
+	for name, data := range files {
+		if err := os.WriteFile(filepath.Join(foreign, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	srv, err := Serve("127.0.0.1:0", Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec := srv.Recovered(); rec.Salvaged != 1 {
-		t.Fatalf("recovery summary = %+v, want 1 salvaged", rec)
+	defer srv.Close()
+	if rec := srv.Recovered(); rec.Runs != 0 || rec.Salvaged != 0 {
+		t.Fatalf("recovery summary = %+v, want nothing recovered", rec)
 	}
-	if st, err := os.Stat(filepath.Join(runDir, "trace.0.psxt")); err != nil || st.Size() != int64(len(good)) {
-		t.Fatalf("legacy trace is %d bytes after salvage, want %d", st.Size(), len(good))
+	if runs := srv.Runs(); len(runs) != 0 {
+		t.Fatalf("foreign directory registered as a run: %+v", runs)
 	}
-	if _, err := os.Stat(filepath.Join(runDir, journalName)); err != nil {
-		t.Fatalf("no synthesized journal after legacy salvage: %v", err)
-	}
-	var ri RunInfo
-	for _, r := range srv.Runs() {
-		if r.ID == "legacy-run" {
-			ri = r
-		}
-	}
-	if !ri.Salvaged || ri.Samples != 10 {
-		t.Fatalf("legacy run = %+v, want salvaged with 10 samples", ri)
-	}
-	srv.Close()
-
-	// A second recovery over the synthesized journal must change
-	// nothing: the covered prefix is already exact.
-	srv2, err := Serve("127.0.0.1:0", Options{Dir: dir})
+	entries, err := os.ReadDir(foreign)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv2.Close()
-	if st, _ := os.Stat(filepath.Join(runDir, "trace.0.psxt")); st.Size() != int64(len(good)) {
-		t.Fatalf("second recovery moved the trace to %d bytes, want %d", st.Size(), len(good))
+	if len(entries) != len(files) {
+		t.Fatalf("directory holds %d entries after recovery, want the original %d", len(entries), len(files))
+	}
+	for name, want := range files {
+		got, err := os.ReadFile(filepath.Join(foreign, name))
+		if err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s changed under recovery (%d bytes, want %d; err %v)", name, len(got), len(want), err)
+		}
+	}
+}
+
+// TestRecoverCrashBeforeFirstJournalEntry: a durable run whose daemon
+// died between its first block write and that block's journal entry
+// leaves a stamped manifest, a whole valid block in trace.0.psxt and no
+// journal. The block was never acknowledged, so recovery must drop it,
+// hand the reconnecting client LastSeq 0, and store the resend once.
+// Both ways into that state are covered: written by hand, and produced
+// by a crash injected into a live daemon.
+func TestRecoverCrashBeforeFirstJournalEntry(t *testing.T) {
+	block := traceBlockV2(t, 0, 5, false)
+	for _, tc := range []struct {
+		name  string
+		crash func(t *testing.T, dir, run string)
+	}{
+		{"by hand", func(t *testing.T, dir, run string) {
+			runDir := filepath.Join(dir, run)
+			if err := os.MkdirAll(runDir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			m := &Manifest{ID: run, Host: "testhost", PID: 1, Started: time.Now(), Durable: true}
+			if err := writeManifest(osFS{}, runDir, m); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(runDir, "trace.0.psxt"), block, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"killed daemon", func(t *testing.T, dir, run string) {
+			// The first journal open is the crash point: the block is
+			// already in the trace file, its entry never gets written.
+			reached, killed := make(chan struct{}), make(chan struct{})
+			fs := &hookFS{openAppendErr: func(path string) error {
+				if filepath.Base(path) != journalName {
+					return nil
+				}
+				close(reached)
+				<-killed
+				return errors.New("daemon killed before the first journal entry")
+			}}
+			srv, err := Serve("127.0.0.1:0", Options{Dir: dir, FS: fs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			tc, ha := dialFlags(t, srv.Addr(), run, FlagDurable)
+			defer tc.close()
+			if ha.Code != CodeOK || ha.Flags&FlagDurable == 0 {
+				t.Fatalf("durable HELLO = %+v", ha)
+			}
+			if err := WriteFrame(tc.c, MsgChunk, EncodeChunk(Chunk{Seq: 1, Thread: 0, Samples: 5, Block: block})); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case <-reached:
+			case <-time.After(5 * time.Second):
+				t.Fatal("the daemon never reached the journal open")
+			}
+			srv.Kill()
+			close(killed)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			const run = "first-entry"
+			tc.crash(t, dir, run)
+			runDir := filepath.Join(dir, run)
+			if _, err := os.Stat(filepath.Join(runDir, journalName)); !os.IsNotExist(err) {
+				t.Fatalf("crash state has a journal (stat err %v): the scenario is not the one under test", err)
+			}
+			if got, err := os.ReadFile(filepath.Join(runDir, "trace.0.psxt")); err != nil || !bytes.Equal(got, block) {
+				t.Fatalf("crash state does not hold exactly the unjournaled block: %d bytes, err %v", len(got), err)
+			}
+
+			srv, err := Serve("127.0.0.1:0", Options{Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			if rec := srv.Recovered(); rec.Runs != 1 || rec.Salvaged != 1 {
+				t.Fatalf("recovery summary = %+v, want 1 run, salvaged", rec)
+			}
+			client, ha := dialFlags(t, srv.Addr(), run, FlagDurable)
+			defer client.close()
+			if ha.Code != CodeOK || ha.LastSeq != 0 {
+				t.Fatalf("HELLO-ACK after recovery = %+v, want LastSeq 0", ha)
+			}
+			if ack := client.send(MsgChunk, EncodeChunk(Chunk{Seq: 1, Thread: 0, Samples: 5, Block: block})); ack.Code != CodeOK || ack.Seq != 1 {
+				t.Fatalf("resend of seq 1 = %+v", ack)
+			}
+			got, err := os.ReadFile(filepath.Join(runDir, "trace.0.psxt"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, block) {
+				t.Fatalf("trace.0.psxt holds %d bytes after the resend, want the block exactly once (%d)", len(got), len(block))
+			}
+			for _, ri := range srv.Runs() {
+				if ri.ID == run && (ri.Chunks != 1 || ri.Samples != 5 || !ri.Durable) {
+					t.Fatalf("registry after the resend = %+v, want 1 durable chunk of 5 samples", ri)
+				}
+			}
+		})
 	}
 }
 
@@ -623,6 +728,16 @@ func TestRetentionGCOldestFirst(t *testing.T) {
 	tcOpen, _ := dialClient(t, srv.Addr(), "run-open")
 	defer tcOpen.close()
 	tcOpen.send(MsgChunk, EncodeChunk(Chunk{Seq: 1, Thread: 0, Samples: 5, Block: block}))
+	// A non-durable ack precedes the write: measure the directory only
+	// once the open run's block and journal entry are on disk.
+	waitFor(t, "run-open's chunk on disk", func() bool {
+		for _, ri := range srv.Runs() {
+			if ri.ID == "run-open" {
+				return ri.Chunks == 1
+			}
+		}
+		return false
+	})
 
 	size := func(run string) int64 { return dirBytes(filepath.Join(dir, run)) }
 	total := dirBytes(dir)

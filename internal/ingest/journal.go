@@ -171,9 +171,9 @@ type Manifest struct {
 	SealedThreads int64     `json:"sealed_threads"`
 
 	// Client-reported loss accounting from the BYE frame that sealed
-	// the run (zero for legacy clients and interrupted seals). Offline
-	// readers surface these so a run that degraded, dropped or spilled
-	// at the producing end says so in the report.
+	// the run (zero for interrupted seals). Offline readers surface
+	// these so a run that degraded, dropped or spilled at the producing
+	// end says so in the report.
 	ClientProduced       uint64 `json:"client_produced_chunks,omitempty"`
 	ClientDropped        uint64 `json:"client_dropped_chunks,omitempty"`
 	ClientDroppedSamples uint64 `json:"client_dropped_samples,omitempty"`
@@ -183,8 +183,7 @@ type Manifest struct {
 
 // ReadManifest loads a run directory's manifest. Offline readers
 // (tracedump, ompreport) use it to mark salvaged runs; a directory
-// without one (a plain StreamDir, or a pre-durability run) returns
-// os.ErrNotExist.
+// without one (a plain StreamDir) returns os.ErrNotExist.
 func ReadManifest(dir string) (*Manifest, error) {
 	data, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {

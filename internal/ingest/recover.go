@@ -6,8 +6,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-
-	"goomp/internal/perf"
 )
 
 // Startup recovery: a restarted daemon must be transparent to a
@@ -26,11 +24,12 @@ import (
 //     back to exactly what the valid prefix describes. The recovered
 //     lastSeq is what HELLO-ACK hands a reconnecting client, so the
 //     client resends precisely the tail that never reached disk.
-//   - A run directory with no journal (written by a pre-durability
-//     daemon) falls back to perf.ValidStreamPrefixLen block salvage,
-//     and a fresh journal is synthesized over the surviving prefix so
-//     the next recovery does not mistake those bytes for an unacked
-//     tail.
+//     A missing journal is an empty one — the run crashed between
+//     its HELLO stamp and its first journal entry, so every trace byte
+//     in the directory is an unacknowledged tail and goes; the client
+//     is handed LastSeq 0 and resends from the start.
+//   - A directory with neither manifest nor journal is not this
+//     daemon's: it is left untouched and unregistered.
 //
 // Every run recovered without a clean Complete manifest is marked
 // salvaged — in the registry, the manifest, and the obs plane.
@@ -66,7 +65,7 @@ func (s *Server) recoverRuns() error {
 }
 
 // recoverRun rebuilds one run's registry entry from its directory, or
-// returns nil for a directory holding no trace state at all.
+// returns nil for a directory psxd never stamped.
 func (s *Server) recoverRun(id, dir string) (*run, error) {
 	m, _ := ReadManifest(dir)
 	if m != nil && m.Complete && !m.Quarantined {
@@ -75,11 +74,12 @@ func (s *Server) recoverRun(id, dir string) (*run, error) {
 		return r, nil
 	}
 	jpath := filepath.Join(dir, journalName)
-	if _, err := os.Stat(jpath); err != nil {
-		if !os.IsNotExist(err) {
+	if m == nil {
+		if _, err := os.Stat(jpath); os.IsNotExist(err) {
+			return nil, nil
+		} else if err != nil {
 			return nil, err
 		}
-		return s.recoverLegacy(id, dir, m)
 	}
 	return s.recoverJournaled(id, dir, jpath, m)
 }
@@ -247,117 +247,6 @@ func (s *Server) recoverJournaled(id, dir, jpath string, m *Manifest) (*run, err
 	// Rewrite the manifest to match the recovered truth (including a
 	// BYE whose manifest seal the crash interrupted).
 	if err := writeManifest(s.fs, dir, r.manifest(complete)); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
-// recoverLegacy salvages a pre-durability run directory: per-file
-// torn-prefix truncation via the trace reader's salvage contract, plus
-// a synthesized journal describing the surviving bytes so the next
-// recovery keeps them.
-func (s *Server) recoverLegacy(id, dir string, m *Manifest) (*run, error) {
-	traceFiles, _ := filepath.Glob(filepath.Join(dir, "trace.*.psxt"))
-	if len(traceFiles) == 0 && m == nil {
-		return nil, nil // not a run directory
-	}
-	var journal File
-	appendEntry := func(e journalEntry) error {
-		if journal == nil {
-			f, err := s.fs.OpenAppend(filepath.Join(dir, journalName))
-			if err != nil {
-				return err
-			}
-			if err := writeJournalHeader(f); err != nil {
-				f.Close()
-				return err
-			}
-			journal = f
-		}
-		_, err := journal.Write(encodeJournalEntry(e))
-		return err
-	}
-	// One synthesized entry can describe at most what its uint32 length
-	// field holds, so a salvaged prefix is journaled as consecutive
-	// segments — a >= 4 GiB legacy file must not silently wrap into a
-	// self-inconsistent journal the next recovery would truncate away.
-	const legacySegLen = int64(1) << 30
-	var bytes, chunks, samples uint64
-	for _, path := range traceFiles {
-		th, ok := threadOfTraceFile(path)
-		if !ok {
-			continue
-		}
-		f, err := os.Open(path)
-		if err != nil {
-			continue
-		}
-		valid := perf.ValidStreamPrefixLen(f)
-		f.Close()
-		if valid == 0 {
-			os.Remove(path)
-			continue
-		}
-		if st, statErr := os.Stat(path); statErr == nil && st.Size() > valid {
-			if err := os.Truncate(path, valid); err != nil {
-				return nil, err
-			}
-		}
-		// The prefix is whole blocks, so the skim counter walks it
-		// exactly — handling v1 and v2 blocks alike without
-		// materializing the samples; the registry and journal carry the
-		// count forward.
-		var prefixSamples uint32
-		if f, err := os.Open(path); err == nil {
-			if n, err := perf.CountStreamSamples(f); err == nil {
-				prefixSamples = uint32(n)
-			}
-			f.Close()
-		}
-		// Seq 0 carries no ordering claim: the prefix predates the
-		// journal, it is simply known-good bytes. The samples ride on the
-		// first segment so replay sums them exactly once.
-		f, err = os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		for off := int64(0); off < valid; off += legacySegLen {
-			n := min(legacySegLen, valid-off)
-			crc, err := crcFileSegment(f, off, n)
-			if err != nil {
-				f.Close()
-				return nil, err
-			}
-			e := journalEntry{
-				Thread: th,
-				Kind:   journalChunk,
-				Offset: uint64(off),
-				Length: uint32(n),
-				CRC:    crc,
-			}
-			if off == 0 {
-				e.Samples = prefixSamples
-			}
-			if err := appendEntry(e); err != nil {
-				f.Close()
-				return nil, err
-			}
-			chunks++
-		}
-		f.Close()
-		bytes += uint64(valid)
-		samples += uint64(prefixSamples)
-	}
-	if journal != nil {
-		journal.Sync()
-		journal.Close()
-	}
-	r := s.recoveredEntry(id, dir, m)
-	r.salvaged = true
-	r.chunks.Store(chunks)
-	r.samples.Store(samples)
-	r.bytes.Store(bytes)
-	if err := writeManifest(s.fs, dir, r.manifest(false)); err != nil {
 		return nil, err
 	}
 	return r, nil

@@ -110,13 +110,6 @@ type Options struct {
 	// FS, when non-nil, interposes on every persisted byte (fault
 	// injection). Nil means the real filesystem.
 	FS FS
-
-	// RefuseV2 refuses chunks carrying compact v2 ("PSX2") trace
-	// blocks with CodeUnsupported — for a daemon fronting readers that
-	// predate the v2 format (psxd -trace-v2=false). The default
-	// accepts both formats; storage and recovery are format-agnostic
-	// (the journal checksums the encoded bytes as shipped).
-	RefuseV2 bool
 }
 
 // item is one unit of ingest work handed to a run's writer goroutine.
@@ -211,8 +204,8 @@ type run struct {
 
 	// Client-reported loss accounting from the BYE frame: what the
 	// producing process dropped, spilled to its store-and-forward log,
-	// and replayed before sealing the run. Zero for legacy clients and
-	// for runs whose BYE never arrived.
+	// and replayed before sealing the run. Zero for runs whose BYE never
+	// arrived.
 	clientProduced       atomic.Uint64
 	clientDropped        atomic.Uint64
 	clientDroppedSamples atomic.Uint64
@@ -597,11 +590,6 @@ func (s *Server) handleConn(c net.Conn) {
 			if err != nil {
 				s.badFrames.Add(1)
 				ack = Ack{Code: CodeBadFrame}
-				break
-			}
-			if s.opts.RefuseV2 && perf.IsV2Block(ck.Block) {
-				s.badFrames.Add(1)
-				ack = Ack{Seq: ck.Seq, Code: CodeUnsupported}
 				break
 			}
 			// The frame's declared sample count feeds the journal and the
@@ -1300,7 +1288,7 @@ type RunInfo struct {
 	Fsyncs         uint64    `json:"fsyncs,omitempty"`
 
 	// Client-reported loss accounting from the run's BYE (zero until
-	// the run completes, and for legacy clients).
+	// the run completes).
 	ClientProduced       uint64 `json:"client_produced_chunks,omitempty"`
 	ClientDropped        uint64 `json:"client_dropped_chunks,omitempty"`
 	ClientDroppedSamples uint64 `json:"client_dropped_samples,omitempty"`

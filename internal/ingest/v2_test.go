@@ -62,22 +62,3 @@ func TestChunkSampleCountCrossChecked(t *testing.T) {
 		t.Fatalf("sequence burned by refused frames: %v", ack.Code)
 	}
 }
-
-// TestRefuseV2Policy: a daemon running -trace-v2=false refuses PSX2
-// chunks with CodeUnsupported but keeps accepting v1.
-func TestRefuseV2Policy(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0", Options{Dir: t.TempDir(), RefuseV2: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	tc, _ := dialClient(t, srv.Addr(), "refusev2")
-	defer tc.close()
-
-	if ack := tc.send(MsgChunk, EncodeChunk(Chunk{Seq: 1, Thread: 0, Samples: 3, Block: traceBlock(t, 0, 3)})); ack.Code != CodeOK {
-		t.Fatalf("v1 refused under RefuseV2: %v", ack.Code)
-	}
-	if ack := tc.send(MsgChunk, EncodeChunk(Chunk{Seq: 2, Thread: 0, Samples: 3, Block: traceBlockV2(t, 0, 3, false)})); ack.Code != CodeUnsupported {
-		t.Fatalf("v2 not refused under RefuseV2: %v", ack.Code)
-	}
-}

@@ -167,8 +167,7 @@ type Seal struct {
 // acknowledged, so the counters are exact, not a snapshot of work in
 // flight. The server records them in the run registry and manifest so
 // offline readers (ompreport) can report what the client degraded or
-// spilled without access to the client process. A legacy 8-byte BYE
-// decodes with zero counters.
+// spilled without access to the client process.
 type Bye struct {
 	Seq            uint64
 	Produced       uint64 // chunks the client handed to its sink
@@ -359,21 +358,20 @@ func EncodeBye(y Bye) []byte {
 	return b
 }
 
-// DecodeBye parses a BYE payload; the legacy 8-byte form (sequence
-// only) is still accepted and yields zero loss counters.
+// DecodeBye parses a BYE payload: exactly the 48 bytes EncodeBye
+// produces.
 func DecodeBye(b []byte) (Bye, error) {
-	if len(b) != 8 && len(b) != 48 {
+	if len(b) != 48 {
 		return Bye{}, ErrBadFrame
 	}
-	y := Bye{Seq: binary.LittleEndian.Uint64(b)}
-	if len(b) == 48 {
-		y.Produced = binary.LittleEndian.Uint64(b[8:])
-		y.Dropped = binary.LittleEndian.Uint64(b[16:])
-		y.DroppedSamples = binary.LittleEndian.Uint64(b[24:])
-		y.Spilled = binary.LittleEndian.Uint64(b[32:])
-		y.Replayed = binary.LittleEndian.Uint64(b[40:])
-	}
-	return y, nil
+	return Bye{
+		Seq:            binary.LittleEndian.Uint64(b),
+		Produced:       binary.LittleEndian.Uint64(b[8:]),
+		Dropped:        binary.LittleEndian.Uint64(b[16:]),
+		DroppedSamples: binary.LittleEndian.Uint64(b[24:]),
+		Spilled:        binary.LittleEndian.Uint64(b[32:]),
+		Replayed:       binary.LittleEndian.Uint64(b[40:]),
+	}, nil
 }
 
 // EncodeAck renders a's payload.

@@ -60,7 +60,7 @@ func TestMessageRoundTrips(t *testing.T) {
 	if got, err := DecodeSeal(EncodeSeal(sl)); err != nil || got != sl {
 		t.Fatalf("seal round trip: %+v, %v", got, err)
 	}
-	y := Bye{Seq: 3}
+	y := Bye{Seq: 3, Produced: 10, Dropped: 2, DroppedSamples: 40, Spilled: 5, Replayed: 4}
 	if got, err := DecodeBye(EncodeBye(y)); err != nil || got != y {
 		t.Fatalf("bye round trip: %+v, %v", got, err)
 	}
@@ -104,6 +104,11 @@ func TestDecodeRejectsShortPayloads(t *testing.T) {
 	}
 	if _, err := DecodeBye(nil); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("short bye = %v", err)
+	}
+	// The sequence-only 8-byte BYE of the first protocol draft has no
+	// encoder; it is a malformed frame like any other wrong length.
+	if _, err := DecodeBye(EncodeBye(Bye{Seq: 3})[:8]); !errors.Is(err, ErrBadFrame) {
+		t.Errorf("8-byte bye = %v, want ErrBadFrame", err)
 	}
 	if _, err := DecodeAck(nil); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("short ack = %v", err)

@@ -148,16 +148,16 @@ func TestRTString(t *testing.T) {
 
 func TestParseBoolForms(t *testing.T) {
 	for _, v := range []string{"true", "1", "yes", "on", "TRUE", " On "} {
-		if b, err := parseBool(v); err != nil || !b {
-			t.Errorf("parseBool(%q) = %v, %v", v, b, err)
+		if b, err := ParseBool(v); err != nil || !b {
+			t.Errorf("ParseBool(%q) = %v, %v", v, b, err)
 		}
 	}
 	for _, v := range []string{"false", "0", "no", "off", "False"} {
-		if b, err := parseBool(v); err != nil || b {
-			t.Errorf("parseBool(%q) = %v, %v", v, b, err)
+		if b, err := ParseBool(v); err != nil || b {
+			t.Errorf("ParseBool(%q) = %v, %v", v, b, err)
 		}
 	}
-	if _, err := parseBool("sometimes"); err == nil {
+	if _, err := ParseBool("sometimes"); err == nil {
 		t.Error("bad boolean accepted")
 	}
 }

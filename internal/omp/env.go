@@ -59,7 +59,7 @@ func ConfigFromEnv(base Config, lookup func(string) (string, bool)) (Config, err
 		cfg.Chunk = chunk
 	}
 	if v, ok := lookup("OMP_NESTED"); ok {
-		b, err := parseBool(v)
+		b, err := ParseBool(v)
 		if err != nil {
 			return cfg, fmt.Errorf("omp: bad OMP_NESTED %q", v)
 		}
@@ -76,14 +76,14 @@ func ConfigFromEnv(base Config, lookup func(string) (string, bool)) (Config, err
 		}
 	}
 	if v, ok := lookup("GOMP_ATOMIC_EVENTS"); ok {
-		b, err := parseBool(v)
+		b, err := ParseBool(v)
 		if err != nil {
 			return cfg, fmt.Errorf("omp: bad GOMP_ATOMIC_EVENTS %q", v)
 		}
 		cfg.AtomicEvents = b
 	}
 	if v, ok := lookup("GOMP_LOOP_EVENTS"); ok {
-		b, err := parseBool(v)
+		b, err := ParseBool(v)
 		if err != nil {
 			return cfg, fmt.Errorf("omp: bad GOMP_LOOP_EVENTS %q", v)
 		}
@@ -187,7 +187,10 @@ func ParseSchedule(v string) (Schedule, int, error) {
 	return sched, chunk, nil
 }
 
-func parseBool(v string) (bool, error) {
+// ParseBool parses a boolean environment value: true/1/yes/on or
+// false/0/no/off, case-insensitive. Every OMP_* and GOMP_* boolean goes
+// through it, so the knobs share one truth table.
+func ParseBool(v string) (bool, error) {
 	switch strings.ToLower(strings.TrimSpace(v)) {
 	case "true", "1", "yes", "on":
 		return true, nil

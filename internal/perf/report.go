@@ -136,7 +136,7 @@ func precheckBlockSize(br *bufio.Reader, remaining int64) error {
 		return nil
 	}
 	switch {
-	case bytes.Equal(head[:4], traceV2Magic[:]):
+	case IsV2Block(head):
 		if len(head) < v2HeaderLen {
 			return nil
 		}
@@ -156,4 +156,16 @@ func precheckBlockSize(br *bufio.Reader, remaining int64) error {
 		}
 	}
 	return nil
+}
+
+// countingReader counts the bytes pulled from the underlying reader.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
 }

@@ -2,7 +2,6 @@ package perf
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -589,7 +588,7 @@ func ReadTrace(r io.Reader) (*TraceBuffer, error) {
 		}
 		return nil, err
 	}
-	if bytes.Equal(head, traceV2Magic[:]) {
+	if IsV2Block(head) {
 		return readTraceV2(br)
 	}
 	return readTraceV1(br)

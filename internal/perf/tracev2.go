@@ -9,7 +9,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"strings"
 )
 
 // Trace format v2: the compact block encoding that keeps always-on
@@ -71,36 +70,17 @@ const (
 	v2HeaderLen = 48
 )
 
-// Encoding selects the block format trace writers emit. The zero value
-// is the fixed-width v1 format every reader has always understood; V2
-// selects the compact columnar format, and Flate additionally deflates
-// each v2 block's payload. Readers auto-detect the format per block,
-// so traces may freely mix v1 and v2 blocks in one stream.
+// Encoding selects the block format WriteTraceEnc and EncodeWith
+// emit. The zero value is the fixed-width v1 format, which nothing in
+// tool or cmd writes any more: it stays as the reference writer that
+// tests, fuzz seeds and the benchmark's v1-versus-v2 probes compare
+// against, and as the producer of the v1 blocks every reader must keep
+// opening. V2 selects the compact columnar format, and Flate
+// additionally deflates each v2 block's payload. Readers auto-detect
+// the format per block, so a stream may mix v1 and v2 blocks.
 type Encoding struct {
 	V2    bool
 	Flate bool
-}
-
-// EncodingFromEnv builds an Encoding from the GOMP_TRACE_V2 and
-// GOMP_TRACE_COMPRESS environment knobs (1/true/yes/on enable;
-// compression implies v2).
-func EncodingFromEnv() Encoding {
-	enc := Encoding{
-		V2:    envTrue(os.Getenv("GOMP_TRACE_V2")),
-		Flate: envTrue(os.Getenv("GOMP_TRACE_COMPRESS")),
-	}
-	if enc.Flate {
-		enc.V2 = true
-	}
-	return enc
-}
-
-func envTrue(v string) bool {
-	switch strings.ToLower(v) {
-	case "1", "true", "yes", "on":
-		return true
-	}
-	return false
 }
 
 // ErrCountMismatch reports a trace block whose header-declared sample
@@ -503,7 +483,7 @@ func CountStreamSamples(r io.Reader) (uint64, error) {
 			if _, err := readHangReport(br); err != nil {
 				return total, err
 			}
-		case bytes.Equal(head, traceV2Magic[:]):
+		case IsV2Block(head):
 			n, err := skimBlockV2(br)
 			if err != nil {
 				return total, err
@@ -621,8 +601,8 @@ func discard(br *bufio.Reader, n int64) error {
 }
 
 // asBufReader returns r itself when it already is a *bufio.Reader (so
-// byte accounting like ValidStreamPrefixLen's keeps working across
-// nested readers) and wraps it otherwise.
+// a multi-block reader's lookahead is not stranded in a nested buffer)
+// and wraps it otherwise.
 func asBufReader(r io.Reader) *bufio.Reader {
 	if br, ok := r.(*bufio.Reader); ok {
 		return br

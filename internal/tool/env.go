@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"time"
 
 	"goomp/internal/omp"
 )
@@ -17,6 +18,15 @@ import (
 //	GOMP_SPILL_DIR=path        store-and-forward spill directory for
 //	                           the ingest sink
 //	GOMP_SPILL_BYTES=n[K|M|G]  bound on the spill backlog (default 64M)
+//	GOMP_INGEST_ADDR=host:port ship trace chunks to a psxd daemon
+//	GOMP_INGEST_DURABLE=bool   ask the daemon for durable acks
+//	GOMP_TRACE_COMPRESS=bool   deflate written trace blocks
+//	GOMP_OBS_ADDR=host:port    serve the observability plane
+//	GOMP_HANG_TIMEOUT=duration no-progress window of the hang supervisor
+//	GOMP_HANG_DIR=path         where a hang report and salvage go
+//
+// Booleans take the omp.ParseBool spellings (true/1/yes/on,
+// false/0/no/off).
 
 // OptionsFromEnv parses the tool's GOMP_* variables from lookup
 // (typically os.LookupEnv) over the given base options.
@@ -38,6 +48,36 @@ func OptionsFromEnv(base Options, lookup func(string) (string, bool)) (Options, 
 			return opts, err
 		}
 		opts.SpillBytes = n
+	}
+	if v, ok := lookup("GOMP_INGEST_ADDR"); ok {
+		opts.IngestAddr = strings.TrimSpace(v)
+	}
+	if v, ok := lookup("GOMP_INGEST_DURABLE"); ok {
+		b, err := omp.ParseBool(v)
+		if err != nil {
+			return opts, fmt.Errorf("tool: bad GOMP_INGEST_DURABLE %q", v)
+		}
+		opts.IngestDurable = b
+	}
+	if v, ok := lookup("GOMP_TRACE_COMPRESS"); ok {
+		b, err := omp.ParseBool(v)
+		if err != nil {
+			return opts, fmt.Errorf("tool: bad GOMP_TRACE_COMPRESS %q", v)
+		}
+		opts.TraceCompress = b
+	}
+	if v, ok := lookup("GOMP_OBS_ADDR"); ok {
+		opts.ObsAddr = strings.TrimSpace(v)
+	}
+	if v, ok := lookup("GOMP_HANG_TIMEOUT"); ok {
+		d, err := time.ParseDuration(strings.TrimSpace(v))
+		if err != nil || d < 0 {
+			return opts, fmt.Errorf("tool: bad GOMP_HANG_TIMEOUT %q", v)
+		}
+		opts.HangTimeout = d
+	}
+	if v, ok := lookup("GOMP_HANG_DIR"); ok {
+		opts.HangDir = strings.TrimSpace(v)
 	}
 	return opts, nil
 }

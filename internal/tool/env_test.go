@@ -1,8 +1,10 @@
 package tool
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 )
 
 func lookupMap(m map[string]string) func(string) (string, bool) {
@@ -17,18 +19,33 @@ func TestOptionsFromEnv(t *testing.T) {
 		"GOMP_OVERHEAD_CEILING": "2%",
 		"GOMP_SPILL_DIR":        "/tmp/spill",
 		"GOMP_SPILL_BYTES":      "64M",
+		"GOMP_INGEST_ADDR":      "127.0.0.1:9470",
+		"GOMP_INGEST_DURABLE":   "on",
+		"GOMP_TRACE_COMPRESS":   "1",
+		"GOMP_OBS_ADDR":         "127.0.0.1:9471",
+		"GOMP_HANG_TIMEOUT":     "30s",
+		"GOMP_HANG_DIR":         "/tmp/hang",
 	}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.OverheadCeiling != 0.02 {
-		t.Errorf("ceiling = %v", opts.OverheadCeiling)
+	want := Options{
+		OverheadCeiling: 0.02, SpillDir: "/tmp/spill", SpillBytes: 64 << 20,
+		IngestAddr: "127.0.0.1:9470", IngestDurable: true, TraceCompress: true,
+		ObsAddr: "127.0.0.1:9471", HangTimeout: 30 * time.Second, HangDir: "/tmp/hang",
 	}
-	if opts.SpillDir != "/tmp/spill" {
-		t.Errorf("spill dir = %q", opts.SpillDir)
+	if !reflect.DeepEqual(opts, want) {
+		t.Errorf("options = %+v, want %+v", opts, want)
 	}
-	if opts.SpillBytes != 64<<20 {
-		t.Errorf("spill bytes = %d", opts.SpillBytes)
+
+	// An explicit off spelling turns a boolean off over a base that had
+	// it on.
+	opts, err = OptionsFromEnv(Options{IngestDurable: true, TraceCompress: true}, lookupMap(map[string]string{
+		"GOMP_INGEST_DURABLE": "0",
+		"GOMP_TRACE_COMPRESS": "off",
+	}))
+	if err != nil || opts.IngestDurable || opts.TraceCompress {
+		t.Errorf("off spellings: %+v, %v", opts, err)
 	}
 }
 
@@ -54,6 +71,10 @@ func TestOptionsFromEnvErrors(t *testing.T) {
 		{"GOMP_SPILL_BYTES": "-1"},
 		{"GOMP_SPILL_BYTES": "64Q"},
 		{"GOMP_SPILL_BYTES": "many"},
+		{"GOMP_INGEST_DURABLE": "durable"},
+		{"GOMP_TRACE_COMPRESS": "maybe"},
+		{"GOMP_HANG_TIMEOUT": "soon"},
+		{"GOMP_HANG_TIMEOUT": "-1s"},
 	}
 	for _, env := range bad {
 		_, err := OptionsFromEnv(Options{}, lookupMap(env))

@@ -89,9 +89,8 @@ type retainedBlock struct {
 type streamer struct {
 	t        *Tool
 	dir      string
-	fileSink bool          // dir != "": write local per-thread trace files
-	net      *netSink      // nil unless Options.IngestAddr is set
-	enc      perf.Encoding // block format for sealed chunks and residue
+	fileSink bool     // dir != "": write local per-thread trace files
+	net      *netSink // nil unless Options.IngestAddr is set
 	relay    chan *perf.SealedChunk
 	files    map[int32]*streamFile
 	seqs     map[int32]int // per-thread chunk sequence, for the drop hook
@@ -128,15 +127,10 @@ func startStreamer(t *Tool, dir string) (*streamer, error) {
 			return nil, fmt.Errorf("tool: stream dir: %w", err)
 		}
 	}
-	enc := perf.Encoding{V2: t.opts.TraceV2, Flate: t.opts.TraceCompress}
-	if enc.Flate {
-		enc.V2 = true // compression exists only inside v2 blocks
-	}
 	s := &streamer{
 		t:          t,
 		dir:        dir,
 		fileSink:   dir != "",
-		enc:        enc,
 		relay:      make(chan *perf.SealedChunk, relayCapacity),
 		files:      make(map[int32]*streamFile),
 		seqs:       make(map[int32]int),
@@ -193,7 +187,7 @@ func (s *streamer) writeChunk(sc *perf.SealedChunk) {
 		return
 	}
 	var staged bytes.Buffer
-	if err := sc.EncodeWith(&staged, s.enc); err != nil {
+	if err := sc.EncodeWith(&staged, s.t.encoding()); err != nil {
 		// Encoding into a memory buffer failing is not a per-file
 		// condition a retry can cure: discard with accounting.
 		s.discardedChunks.Add(1)
@@ -370,7 +364,7 @@ func (s *streamer) writeResidue(tb threadBuf, sf *streamFile, quiesced bool) {
 		return
 	}
 	var staged bytes.Buffer
-	if err := perf.WriteTraceEnc(&staged, src, s.enc); err != nil {
+	if err := perf.WriteTraceEnc(&staged, src, s.t.encoding()); err != nil {
 		s.errs = append(s.errs, fmt.Errorf("tool: stream thread %d: residue encode: %w", tb.id, err))
 		return
 	}

@@ -18,7 +18,6 @@ func TestStreamingStorage(t *testing.T) {
 	defer rt.Close()
 	opts := FullMeasurement()
 	opts.StreamDir = dir
-	opts.FlushInterval = 2 * time.Millisecond
 	tl, err := AttachRuntime(rt, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +86,6 @@ func TestStreamingJoinStacksSurviveChunking(t *testing.T) {
 	defer rt.Close()
 	opts := FullMeasurement()
 	opts.StreamDir = dir
-	opts.FlushInterval = time.Millisecond
 	tl, err := AttachRuntime(rt, opts)
 	if err != nil {
 		t.Fatal(err)

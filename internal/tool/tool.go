@@ -141,19 +141,12 @@ type Options struct {
 	// suffixes).
 	SpillBytes int64
 
-	// TraceV2 streams and writes trace blocks in the compact v2 format
-	// (delta-of-timestamp zigzag-varint columns plus a per-block stack
-	// dictionary) instead of the fixed-width v1 records. Readers
-	// auto-detect the format per block, so consumers — tracedump,
-	// ompreport, psxd ingestion and recovery — need no configuration.
-	// All encoding work happens on the writer/streamer goroutine, never
-	// on a recording thread. cmd front-ends default it from
-	// GOMP_TRACE_V2.
-	TraceV2 bool
-
-	// TraceCompress additionally deflates each v2 block's payload with
-	// compress/flate (implies TraceV2). cmd front-ends default it from
-	// GOMP_TRACE_COMPRESS.
+	// TraceCompress deflates each written trace block's payload with
+	// compress/flate. Every block the tool writes — streamed chunks,
+	// shipped chunks, WriteTraces snapshots, hang salvage — is in the
+	// compact PSX2 format, encoded on the writer/streamer goroutine,
+	// never on a recording thread; readers detect the format per block.
+	// cmd front-ends default it from GOMP_TRACE_COMPRESS.
 	TraceCompress bool
 
 	// DialIngest overrides how the network sink dials the ingestion
@@ -164,11 +157,6 @@ type Options struct {
 	// frame queue depth (fault injection and tests; chaos suites shrink
 	// it to saturate the queue cheaply). Zero means the default 256.
 	IngestPendingDepth int
-
-	// FlushInterval is retained for compatibility but no longer used:
-	// streaming is chunk-driven (each filled chunk is handed to the
-	// writer immediately), not timer-driven.
-	FlushInterval time.Duration
 
 	// MaxSamplesPerSite enables selective collection (§VI): after this
 	// many stored samples for one static parallel region (identified
@@ -1068,6 +1056,12 @@ func (t *Tool) Report() *Report {
 	return r
 }
 
+// encoding is the block format of everything the tool writes: PSX2,
+// deflated when Options.TraceCompress asks.
+func (t *Tool) encoding() perf.Encoding {
+	return perf.Encoding{V2: true, Flate: t.opts.TraceCompress}
+}
+
 // WriteTraces serializes every per-thread buffer through write, which
 // receives the thread ID and must return the destination stream. When
 // a thread number has several buffers (transient true-nested
@@ -1087,11 +1081,7 @@ func (t *Tool) WriteTraces(write func(thread int32) (io.Writer, error)) error {
 			}
 			writers[tb.id] = w
 		}
-		enc := perf.Encoding{V2: t.opts.TraceV2, Flate: t.opts.TraceCompress}
-		if enc.Flate {
-			enc.V2 = true
-		}
-		if err := perf.WriteTraceEnc(w, tb.buf, enc); err != nil {
+		if err := perf.WriteTraceEnc(w, tb.buf, t.encoding()); err != nil {
 			return err
 		}
 	}

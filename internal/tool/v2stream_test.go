@@ -11,9 +11,9 @@ import (
 	. "goomp/internal/tool"
 )
 
-// TestStreamV2RoundTrip streams a run in each v2 mode and reads the
+// TestStreamV2RoundTrip streams a run plain and deflated and reads the
 // directory back through the auto-detecting reader: every dispatched
-// sample must come back, and the files must actually hold v2 blocks.
+// sample must come back, and the files must hold v2 blocks.
 func TestStreamV2RoundTrip(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -25,7 +25,6 @@ func TestStreamV2RoundTrip(t *testing.T) {
 			dir := t.TempDir()
 			opts := FullMeasurement()
 			opts.StreamDir = dir
-			opts.TraceV2 = true
 			opts.TraceCompress = tc.compress
 			tl, err := AttachRuntime(rt, opts)
 			if err != nil {
@@ -55,7 +54,7 @@ func TestStreamV2RoundTrip(t *testing.T) {
 }
 
 // TestStreamV2DegradedRecoveryAtStop re-runs the degraded-thread
-// recovery scenario under v2+flate: the retained backlog is replayed
+// recovery scenario with flate on: the retained backlog is replayed
 // from the originally staged block bytes (never re-encoded), so the
 // recovered file must hold every dispatched sample.
 func TestStreamV2DegradedRecoveryAtStop(t *testing.T) {
@@ -67,7 +66,6 @@ func TestStreamV2DegradedRecoveryAtStop(t *testing.T) {
 	dir := t.TempDir()
 	opts := FullMeasurement()
 	opts.StreamDir = dir
-	opts.TraceV2 = true
 	opts.TraceCompress = true
 	plan.Apply(&opts)
 	tl, err := AttachRuntime(rt, opts)
