@@ -11,15 +11,16 @@ test: build
 	$(GO) test ./...
 
 # check is the pre-merge gate for the lock-free measurement path: vet,
-# then the race detector over the packages that share trace buffers,
-# then the format gate. Nothing in tool or cmd writes v1 any more
+# then the race detector over the packages that share trace buffers
+# and over ingest (its writer and connection handlers share each run's
+# ack path), then the format gate. Nothing in tool or cmd writes v1 any more
 # (every write path is walked block by block), so v1 lives on only as
 # something the readers must keep opening: the checked-in v1 fixture,
 # v1 and v2 blocks mixed in one stream, and every writer/reader pairing
 # must read back through the auto-detecting reader.
 check:
 	$(GO) vet ./...
-	$(GO) test -race ./internal/perf ./internal/tool ./internal/collector
+	$(GO) test -race ./internal/perf ./internal/tool ./internal/collector ./internal/ingest
 	$(GO) test -count=1 ./internal/faultinject -run 'EveryWritePathWritesPSX2'
 	$(GO) test -count=1 ./internal/perf -run 'V1Fixture|V2CrossRead|MixedStream|V2TornTail'
 

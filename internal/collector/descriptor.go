@@ -134,13 +134,6 @@ func (t *ThreadInfo) WaitID(k WaitKind) uint64 {
 	return t.waitIDs[k].Load()
 }
 
-// CurrentWaitID returns the wait ID associated with the thread's
-// current state, or zero when the state carries none. A get-state
-// request returns this value after the state in the response payload.
-func (t *ThreadInfo) CurrentWaitID() uint64 {
-	return t.WaitID(t.State().Wait())
-}
-
 // SetTeam installs the team descriptor for the region the thread is
 // about to execute; the runtime calls it at fork and clears it (nil)
 // after join for slave threads.

@@ -165,9 +165,6 @@ func (m *CostMeter) Record() int64 { return m.record.Load() }
 // Stack returns the accumulated callstack-capture time.
 func (m *CostMeter) Stack() int64 { return m.stack.Load() }
 
-// Sampler returns the accumulated sampler time.
-func (m *CostMeter) Sampler() int64 { return m.sampler.Load() }
-
 // Total returns the accumulated profiling cost across components.
 func (m *CostMeter) Total() int64 {
 	return m.record.Load() + m.stack.Load() + m.sampler.Load()

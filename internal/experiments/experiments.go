@@ -93,17 +93,6 @@ type Figure5Params struct {
 	ToolOptions  tool.Options
 }
 
-// DefaultFigure5 mirrors the paper: all eight benchmarks at 1, 2, 4
-// and 8 threads, full measurement.
-func DefaultFigure5(class npb.Class) Figure5Params {
-	return Figure5Params{
-		Class:        class,
-		ThreadCounts: []int{1, 2, 4, 8},
-		Reps:         3,
-		ToolOptions:  tool.FullMeasurement(),
-	}
-}
-
 // Figure5 measures NPB3.2-OMP profiling overhead: each benchmark runs
 // with the collector detached and attached, and the percentage
 // increase in wall time is the figure's bar.
@@ -218,12 +207,6 @@ type Figure6Params struct {
 	Reps        int
 	Benchmarks  []string
 	ToolOptions tool.Options
-}
-
-// DefaultFigure6 mirrors the paper: the three MZ benchmarks over the
-// four decompositions.
-func DefaultFigure6(class npb.Class) Figure6Params {
-	return Figure6Params{Class: class, Reps: 3, ToolOptions: tool.FullMeasurement()}
 }
 
 // Figure6 measures hybrid profiling overhead for every decomposition.

@@ -56,7 +56,6 @@ const (
 	KindConnTear
 	KindAckDelay
 	KindDiskFull
-	KindSyncError
 	KindSlowSync
 	KindCrashWrite
 	KindCrashRename
@@ -94,8 +93,6 @@ func (k Kind) String() string {
 		return "ack-delay"
 	case KindDiskFull:
 		return "disk-full"
-	case KindSyncError:
-		return "sync-error"
 	case KindSlowSync:
 		return "slow-sync"
 	case KindCrashWrite:
@@ -124,7 +121,7 @@ func (r Record) String() string {
 		return fmt.Sprintf("%s %s invocation %d", r.Kind, r.Event, r.Index)
 	case KindMsgDrop, KindMsgDelay, KindStall,
 		KindDialError, KindConnCut, KindConnTear, KindAckDelay,
-		KindDiskFull, KindSyncError, KindSlowSync, KindCrashWrite, KindCrashRename:
+		KindDiskFull, KindSlowSync, KindCrashWrite, KindCrashRename:
 		return fmt.Sprintf("%s %s", r.Kind, r.Point)
 	default:
 		return fmt.Sprintf("%s thread %d index %d", r.Kind, r.Thread, r.Index)
@@ -168,7 +165,6 @@ type Plan struct {
 	torn          map[writeKey]bool          // first attempt fails mid-write
 	opens         map[int32]int              // open attempts to fail per thread
 	opened        map[int32]int              // open attempts seen per thread
-	drops         map[writeKey]bool          // chunk sequences to drop
 	writeRate     float64                    // seed-hashed transient-error rate
 	dropEvery     int                        // drop every nth chunk per thread
 	msgs          []msgRule                  // mpi message drop/delay rules
@@ -200,7 +196,6 @@ func New(seed int64) *Plan {
 		torn:      make(map[writeKey]bool),
 		opens:     make(map[int32]int),
 		opened:    make(map[int32]int),
-		drops:     make(map[writeKey]bool),
 		stalls:    make(map[string]bool),
 		cuts:      make(map[int]int),
 		tears:     make(map[int]int),
@@ -283,14 +278,6 @@ func (p *Plan) WriteErrorRate(rate float64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.writeRate = rate
-}
-
-// DropChunkAt forces the streamed chunk with the given per-thread
-// sequence number to be discarded before it is written.
-func (p *Plan) DropChunkAt(thread int32, seq uint64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.drops[writeKey{thread, seq}] = true
 }
 
 // DropEveryNth forces every nth streamed chunk (per thread, 1-based)
@@ -412,10 +399,7 @@ func (p *Plan) openFault(thread int32) bool {
 func (p *Plan) DropChunk(thread int32, seq int) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	drop := p.drops[writeKey{thread, uint64(seq)}]
-	if !drop && p.dropEvery > 0 && (seq+1)%p.dropEvery == 0 {
-		drop = true
-	}
+	drop := p.dropEvery > 0 && (seq+1)%p.dropEvery == 0
 	if drop {
 		p.fired = append(p.fired, Record{Kind: KindChunkDrop, Thread: thread, Index: uint64(seq)})
 	}

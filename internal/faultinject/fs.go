@@ -21,14 +21,12 @@ import (
 //     paths only), the graceful-degradation case — the run must be
 //     quarantined with the typed INGEST_STORAGE code while other runs
 //     keep flowing.
-//   - FailSyncAt / SlowSync: EIO on the nth fsync, or a stalled fsync
-//     — the cases behind durable-ack downgrades and bounded drains.
-//   - TearWriteFS: the nth write lands only half its bytes, the torn
-//     block recovery must CRC away.
+//   - SlowSync: a stalled fsync — the case bounded drains exist for.
 //   - CrashOnWrite / CrashOnRename: half-write (or rename-point)
 //     faults that synchronously fire the plan's OnCrash hook — tests
 //     point it at Server.Kill so the "daemon died right here" disk
 //     state is exact and deterministic, before any error can be acked.
+//     The half-written block really lands: recovery must CRC it away.
 //
 // The faults shape only what reaches disk; recovery always reads the
 // real filesystem back.
@@ -37,7 +35,7 @@ import (
 type fsRule struct {
 	kind  Kind
 	match string // path substring; "" matches every path
-	nth   int    // 1-based matching-op index (write or sync rules)
+	nth   int    // 1-based matching-write index (crash-write)
 	bytes int64  // byte budget (disk-full)
 	delay time.Duration
 	after bool // crash-rename: crash after the rename commits
@@ -60,28 +58,12 @@ func (p *Plan) DiskFullAfter(match string, n int64) {
 	p.fsRules = append(p.fsRules, &fsRule{kind: KindDiskFull, match: match, bytes: n})
 }
 
-// FailSyncAt makes the nth (1-based) Sync of a matching file fail with
-// EIO.
-func (p *Plan) FailSyncAt(match string, nth int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.fsRules = append(p.fsRules, &fsRule{kind: KindSyncError, match: match, nth: nth})
-}
-
 // SlowSync makes every Sync of a matching file take at least d — the
 // stalled-disk case bounded drains exist for.
 func (p *Plan) SlowSync(match string, d time.Duration) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.fsRules = append(p.fsRules, &fsRule{kind: KindSlowSync, match: match, delay: d})
-}
-
-// TearWriteFS makes the nth (1-based) write to a matching file land
-// only half its bytes before failing.
-func (p *Plan) TearWriteFS(match string, nth int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.fsRules = append(p.fsRules, &fsRule{kind: KindTornWrite, match: match, nth: nth})
 }
 
 // CrashOnWrite makes the nth (1-based) write to a matching file tear
@@ -154,13 +136,11 @@ type faultFile struct {
 	inner *os.File
 }
 
-// fsAction is one write/sync decision, resolved under the plan lock
-// but executed outside it (the crash hook takes server locks).
+// fsAction is one write decision, resolved under the plan lock but
+// executed outside it (the crash hook takes server locks).
 type fsAction struct {
-	kind  Kind
-	delay time.Duration
-	err   error
-	crash bool
+	kind Kind
+	err  error
 }
 
 func (f *faultFile) Write(b []byte) (int, error) {
@@ -168,28 +148,22 @@ func (f *faultFile) Write(b []byte) (int, error) {
 	switch act.kind {
 	case KindDiskFull:
 		return 0, act.err
-	case KindTornWrite, KindCrashWrite:
+	case KindCrashWrite:
 		n := len(b) / 2
 		if n == 0 && len(b) > 0 {
 			n = 1
 		}
 		// The partial bytes really land: recovery must CRC them away.
 		f.inner.Write(b[:n])
-		if act.crash {
-			f.p.fireCrash()
-		}
+		f.p.fireCrash()
 		return n, act.err
 	}
 	return f.inner.Write(b)
 }
 
 func (f *faultFile) Sync() error {
-	act := f.p.syncFSFault(f.path)
-	if act.delay > 0 {
-		time.Sleep(act.delay)
-	}
-	if act.err != nil {
-		return act.err
+	if d := f.p.syncDelay(f.path); d > 0 {
+		time.Sleep(d)
 	}
 	return f.inner.Sync()
 }
@@ -214,16 +188,16 @@ func (p *Plan) writeFSFault(path string, size int) fsAction {
 					err: fmt.Errorf("write %s: %w: %w", base, syscall.ENOSPC, ErrInjected)}
 			}
 			r.written += int64(size)
-		case KindTornWrite, KindCrashWrite:
+		case KindCrashWrite:
 			if r.spent {
 				continue
 			}
 			r.seen++
 			if r.seen == r.nth {
 				r.spent = true
-				p.fired = append(p.fired, Record{Kind: r.kind,
+				p.fired = append(p.fired, Record{Kind: KindCrashWrite,
 					Point: fmt.Sprintf("%s write %d", base, r.nth)})
-				return fsAction{kind: r.kind, crash: r.kind == KindCrashWrite,
+				return fsAction{kind: KindCrashWrite,
 					err: fmt.Errorf("write %s: torn: %w", base, ErrInjected)}
 			}
 		}
@@ -231,37 +205,19 @@ func (p *Plan) writeFSFault(path string, size int) fsAction {
 	return fsAction{}
 }
 
-// syncFSFault resolves the fate of one fsync under the plan lock.
-func (p *Plan) syncFSFault(path string) fsAction {
+// syncDelay resolves, under the plan lock, how long one fsync stalls.
+func (p *Plan) syncDelay(path string) time.Duration {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	base := filepath.Base(path)
-	var act fsAction
+	var delay time.Duration
 	for _, r := range p.fsRules {
-		if !r.matches(path) {
-			continue
-		}
-		switch r.kind {
-		case KindSlowSync:
+		if r.kind == KindSlowSync && r.matches(path) {
 			p.fired = append(p.fired, Record{Kind: KindSlowSync,
-				Point: fmt.Sprintf("%s sync", base)})
-			if r.delay > act.delay {
-				act.delay = r.delay
-			}
-		case KindSyncError:
-			if r.spent {
-				continue
-			}
-			r.seen++
-			if r.seen == r.nth {
-				r.spent = true
-				p.fired = append(p.fired, Record{Kind: KindSyncError,
-					Point: fmt.Sprintf("%s sync %d", base, r.nth)})
-				act.err = fmt.Errorf("sync %s: %w: %w", base, syscall.EIO, ErrInjected)
-			}
+				Point: fmt.Sprintf("%s sync", filepath.Base(path))})
+			delay = max(delay, r.delay)
 		}
 	}
-	return act
+	return delay
 }
 
 // renameFault reports whether a crash-rename rule covers newpath.

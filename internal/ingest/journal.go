@@ -174,11 +174,7 @@ type Manifest struct {
 	// the run (zero for interrupted seals). Offline readers surface
 	// these so a run that degraded, dropped or spilled at the producing
 	// end says so in the report.
-	ClientProduced       uint64 `json:"client_produced_chunks,omitempty"`
-	ClientDropped        uint64 `json:"client_dropped_chunks,omitempty"`
-	ClientDroppedSamples uint64 `json:"client_dropped_samples,omitempty"`
-	ClientSpilled        uint64 `json:"client_spilled_chunks,omitempty"`
-	ClientReplayed       uint64 `json:"client_replayed_chunks,omitempty"`
+	ClientLoss
 }
 
 // ReadManifest loads a run directory's manifest. Offline readers

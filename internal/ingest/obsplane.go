@@ -2,11 +2,9 @@ package ingest
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
-	"sort"
 	"time"
 
 	"goomp/internal/collector"
@@ -102,55 +100,31 @@ func (s *Server) startObs(addr string) (*obs.Server, error) {
 		"Bytes under the data dir at the last housekeeping scan.",
 		func() float64 { return float64(s.storedBytes.Load()) })
 
-	reg.CounterSeries("goomp_ingest_run_chunks_total",
-		"Trace blocks written per run.",
-		func(emit obs.Emit) {
+	for _, c := range []struct {
+		name, help string
+		field      func(*RunInfo) uint64
+	}{
+		{"goomp_ingest_run_chunks_total", "Trace blocks written per run.",
+			func(ri *RunInfo) uint64 { return ri.Chunks }},
+		{"goomp_ingest_run_samples_total", "Trace samples written per run.",
+			func(ri *RunInfo) uint64 { return ri.Samples }},
+		{"goomp_ingest_run_bytes_total", "Trace bytes written per run.",
+			func(ri *RunInfo) uint64 { return ri.Bytes }},
+		{"goomp_ingest_run_dropped_chunks_total", "Blocks dropped per run (queue overflow past the backpressure window, or a write failure).",
+			func(ri *RunInfo) uint64 { return ri.DroppedChunks }},
+		{"goomp_ingest_run_dropped_samples_total", "Samples inside dropped blocks, per run.",
+			func(ri *RunInfo) uint64 { return ri.DroppedSamples }},
+		{"goomp_ingest_run_storage_chunks_total", "Blocks refused or lost to a storage failure (INGEST_STORAGE), per run.",
+			func(ri *RunInfo) uint64 { return ri.StorageChunks }},
+		{"goomp_ingest_run_storage_samples_total", "Samples inside storage-refused blocks, per run.",
+			func(ri *RunInfo) uint64 { return ri.StorageSamples }},
+	} {
+		reg.CounterSeries(c.name, c.help, func(emit obs.Emit) {
 			for _, ri := range s.Runs() {
-				emit(float64(ri.Chunks), obs.Label{Name: "run", Value: ri.ID})
+				emit(float64(c.field(&ri)), obs.Label{Name: "run", Value: ri.ID})
 			}
 		})
-	reg.CounterSeries("goomp_ingest_run_samples_total",
-		"Trace samples written per run.",
-		func(emit obs.Emit) {
-			for _, ri := range s.Runs() {
-				emit(float64(ri.Samples), obs.Label{Name: "run", Value: ri.ID})
-			}
-		})
-	reg.CounterSeries("goomp_ingest_run_bytes_total",
-		"Trace bytes written per run.",
-		func(emit obs.Emit) {
-			for _, ri := range s.Runs() {
-				emit(float64(ri.Bytes), obs.Label{Name: "run", Value: ri.ID})
-			}
-		})
-	reg.CounterSeries("goomp_ingest_run_dropped_chunks_total",
-		"Blocks dropped per run (queue overflow past the backpressure window, or a write failure).",
-		func(emit obs.Emit) {
-			for _, ri := range s.Runs() {
-				emit(float64(ri.DroppedChunks), obs.Label{Name: "run", Value: ri.ID})
-			}
-		})
-	reg.CounterSeries("goomp_ingest_run_dropped_samples_total",
-		"Samples inside dropped blocks, per run.",
-		func(emit obs.Emit) {
-			for _, ri := range s.Runs() {
-				emit(float64(ri.DroppedSamples), obs.Label{Name: "run", Value: ri.ID})
-			}
-		})
-	reg.CounterSeries("goomp_ingest_run_storage_chunks_total",
-		"Blocks refused or lost to a storage failure (INGEST_STORAGE), per run.",
-		func(emit obs.Emit) {
-			for _, ri := range s.Runs() {
-				emit(float64(ri.StorageChunks), obs.Label{Name: "run", Value: ri.ID})
-			}
-		})
-	reg.CounterSeries("goomp_ingest_run_storage_samples_total",
-		"Samples inside storage-refused blocks, per run.",
-		func(emit obs.Emit) {
-			for _, ri := range s.Runs() {
-				emit(float64(ri.StorageSamples), obs.Label{Name: "run", Value: ri.ID})
-			}
-		})
+	}
 
 	return obs.Serve(addr, obs.Config{
 		Registry: reg,
@@ -177,7 +151,7 @@ func (s *Server) handleRuns(w http.ResponseWriter, _ *http.Request) {
 // are merged across files and runs.
 func (s *Server) handleProfile(w http.ResponseWriter, req *http.Request) {
 	want := req.URL.Query().Get("run")
-	bySite := make(map[uint64]*perf.RegionSiteStats)
+	bySite := make(perf.RegionSiteSet)
 	resp := struct {
 		Runs    int              `json:"runs"`
 		Files   int              `json:"files"`
@@ -211,48 +185,13 @@ func (s *Server) handleProfile(w http.ResponseWriter, req *http.Request) {
 			samples := buf.Samples()
 			resp.Files++
 			resp.Samples += len(samples)
-			for _, st := range perf.RegionProfileBySite(samples,
-				int32(collector.EventFork), int32(collector.EventJoin)) {
-				agg := bySite[st.Site]
-				if agg == nil {
-					c := st
-					bySite[st.Site] = &c
-					continue
-				}
-				agg.Calls += st.Calls
-				agg.TotalTime += st.TotalTime
-				if st.MinTime < agg.MinTime {
-					agg.MinTime = st.MinTime
-				}
-				if st.MaxTime > agg.MaxTime {
-					agg.MaxTime = st.MaxTime
-				}
-			}
+			bySite.Merge(perf.RegionProfileBySite(samples,
+				int32(collector.EventFork), int32(collector.EventJoin)))
 		}
 	}
-	sites := make([]*perf.RegionSiteStats, 0, len(bySite))
-	for _, st := range bySite {
-		sites = append(sites, st)
-	}
-	sort.Slice(sites, func(i, j int) bool {
-		if sites[i].TotalTime != sites[j].TotalTime {
-			return sites[i].TotalTime > sites[j].TotalTime
-		}
-		return sites[i].Site < sites[j].Site
-	})
-	for _, st := range sites {
-		mean := time.Duration(0)
-		if st.Calls > 0 {
-			mean = st.TotalTime / time.Duration(st.Calls)
-		}
-		resp.Sites = append(resp.Sites, obs.RegionSite{
-			Site:    fmt.Sprintf("%#x", st.Site),
-			Calls:   st.Calls,
-			TotalNs: int64(st.TotalTime),
-			MeanNs:  int64(mean),
-			MinNs:   int64(st.MinTime),
-			MaxNs:   int64(st.MaxTime),
-		})
+	for _, st := range bySite.Sorted() {
+		resp.Sites = append(resp.Sites,
+			obs.NewRegionSite(st.Site, st.Calls, st.TotalTime, st.MinTime, st.MaxTime))
 	}
 	writeJSON(w, resp)
 }

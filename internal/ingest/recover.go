@@ -100,11 +100,7 @@ func (s *Server) recoveredEntry(id, dir string, m *Manifest) *run {
 		r.samples.Store(m.Samples)
 		r.bytes.Store(m.Bytes)
 		r.sealedThreads.Store(m.SealedThreads)
-		r.clientProduced.Store(m.ClientProduced)
-		r.clientDropped.Store(m.ClientDropped)
-		r.clientDroppedSamples.Store(m.ClientDroppedSamples)
-		r.clientSpilled.Store(m.ClientSpilled)
-		r.clientReplayed.Store(m.ClientReplayed)
+		r.client.Store(&m.ClientLoss)
 	} else {
 		r = s.newRun(id, "", 0, false)
 		if st, err := os.Stat(dir); err == nil {

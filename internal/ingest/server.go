@@ -121,9 +121,9 @@ type item struct {
 	seal    bool
 	bye     bool
 
-	// byeStats is the client's final loss accounting carried on a BYE
+	// loss is the client's final loss accounting carried on a BYE
 	// frame; the writer records it in the registry and manifest.
-	byeStats Bye
+	loss ClientLoss
 
 	// ackOnly marks a durable-mode duplicate whose data item is already
 	// ahead in the queue: nothing to write, but the ack must still wait
@@ -204,13 +204,9 @@ type run struct {
 
 	// Client-reported loss accounting from the BYE frame: what the
 	// producing process dropped, spilled to its store-and-forward log,
-	// and replayed before sealing the run. Zero for runs whose BYE never
-	// arrived.
-	clientProduced       atomic.Uint64
-	clientDropped        atomic.Uint64
-	clientDroppedSamples atomic.Uint64
-	clientSpilled        atomic.Uint64
-	clientReplayed       atomic.Uint64
+	// and replayed before sealing the run. Never nil; all zero for runs
+	// whose BYE never arrived.
+	client atomic.Pointer[ClientLoss]
 
 	errMu sync.Mutex
 	errs  []error
@@ -621,7 +617,7 @@ func (s *Server) handleConn(c net.Conn) {
 				break
 			}
 			ack = Ack{Seq: y.Seq, Code: s.accept(r, y.Seq,
-				item{seq: y.Seq, bye: true, byeStats: y, sender: durableSender(r, cs)})}
+				item{seq: y.Seq, bye: true, loss: y.Loss(), sender: durableSender(r, cs)})}
 		case MsgHeartbeat:
 			s.heartbeats.Add(1)
 			ack = Ack{Code: CodeOK}
@@ -806,6 +802,7 @@ func (s *Server) newRun(id, host string, pid uint64, durable bool) *run {
 		dirty:   make(map[int32]bool),
 	}
 	r.lastSeen.Store(time.Now().UnixNano())
+	r.client.Store(&ClientLoss{})
 	return r
 }
 
@@ -833,12 +830,7 @@ func (r *run) manifest(complete bool) *Manifest {
 		Samples:       r.samples.Load(),
 		Bytes:         r.bytes.Load(),
 		SealedThreads: r.sealedThreads.Load(),
-
-		ClientProduced:       r.clientProduced.Load(),
-		ClientDropped:        r.clientDropped.Load(),
-		ClientDroppedSamples: r.clientDroppedSamples.Load(),
-		ClientSpilled:        r.clientSpilled.Load(),
-		ClientReplayed:       r.clientReplayed.Load(),
+		ClientLoss:    *r.client.Load(),
 	}
 }
 
@@ -1068,11 +1060,7 @@ func (r *run) applySeal(it item) Code {
 // its directory is a finished artifact the GC may reclaim.
 func (r *run) applyBye(it item) Code {
 	code := CodeOK
-	r.clientProduced.Store(it.byeStats.Produced)
-	r.clientDropped.Store(it.byeStats.Dropped)
-	r.clientDroppedSamples.Store(it.byeStats.DroppedSamples)
-	r.clientSpilled.Store(it.byeStats.Spilled)
-	r.clientReplayed.Store(it.byeStats.Replayed)
+	r.client.Store(&it.loss)
 	if !r.broken {
 		if err := r.journalAppend(journalEntry{Seq: it.seq, Kind: journalBye}); err != nil {
 			r.quarantine(fmt.Errorf("ingest: run %s: journal bye: %w", r.id, err))
@@ -1289,11 +1277,7 @@ type RunInfo struct {
 
 	// Client-reported loss accounting from the run's BYE (zero until
 	// the run completes).
-	ClientProduced       uint64 `json:"client_produced_chunks,omitempty"`
-	ClientDropped        uint64 `json:"client_dropped_chunks,omitempty"`
-	ClientDroppedSamples uint64 `json:"client_dropped_samples,omitempty"`
-	ClientSpilled        uint64 `json:"client_spilled_chunks,omitempty"`
-	ClientReplayed       uint64 `json:"client_replayed_chunks,omitempty"`
+	ClientLoss
 }
 
 // Runs returns the registry snapshot, sorted by run ID.
@@ -1330,12 +1314,7 @@ func (s *Server) Runs() []RunInfo {
 			StorageChunks:  r.storageChunks.Load(),
 			StorageSamples: r.storageSamples.Load(),
 			Fsyncs:         r.fsyncs.Load(),
-
-			ClientProduced:       r.clientProduced.Load(),
-			ClientDropped:        r.clientDropped.Load(),
-			ClientDroppedSamples: r.clientDroppedSamples.Load(),
-			ClientSpilled:        r.clientSpilled.Load(),
-			ClientReplayed:       r.clientReplayed.Load(),
+			ClientLoss:     *r.client.Load(),
 		})
 	}
 	return out

@@ -177,6 +177,30 @@ type Bye struct {
 	Replayed       uint64 // spilled chunks later delivered and acked
 }
 
+// ClientLoss is the BYE's loss accounting in the form the run registry
+// holds, MANIFEST.json persists and /runs serves: one value carried
+// whole from the frame to each of them (embedded, so the JSON keys sit
+// at the top level of Manifest and RunInfo). All zero for a run whose
+// BYE never arrived.
+type ClientLoss struct {
+	ClientProduced       uint64 `json:"client_produced_chunks,omitempty"`
+	ClientDropped        uint64 `json:"client_dropped_chunks,omitempty"`
+	ClientDroppedSamples uint64 `json:"client_dropped_samples,omitempty"`
+	ClientSpilled        uint64 `json:"client_spilled_chunks,omitempty"`
+	ClientReplayed       uint64 `json:"client_replayed_chunks,omitempty"`
+}
+
+// Loss is the frame's accounting without its sequence number.
+func (y Bye) Loss() ClientLoss {
+	return ClientLoss{
+		ClientProduced:       y.Produced,
+		ClientDropped:        y.Dropped,
+		ClientDroppedSamples: y.DroppedSamples,
+		ClientSpilled:        y.Spilled,
+		ClientReplayed:       y.Replayed,
+	}
+}
+
 // Ack answers one data frame.
 type Ack struct {
 	Seq  uint64

@@ -64,6 +64,22 @@ type RegionSite struct {
 	TaskSteals  int `json:"task_steals,omitempty"`
 }
 
+// NewRegionSite renders one region site's aggregate as a /profile row
+// (steal attribution left zero).
+func NewRegionSite(site uint64, calls int, total, lo, hi time.Duration) RegionSite {
+	row := RegionSite{
+		Site:    fmt.Sprintf("%#x", site),
+		Calls:   calls,
+		TotalNs: int64(total),
+		MinNs:   int64(lo),
+		MaxNs:   int64(hi),
+	}
+	if calls > 0 {
+		row.MeanNs = int64(total / time.Duration(calls))
+	}
+	return row
+}
+
 // ProfileSnapshot is the /profile response body: the gap-free region
 // profile reconstructed from the tool's buffer snapshots at request
 // time. Samples counts the trace samples the snapshot saw (while

@@ -145,7 +145,7 @@ type RegionSiteStats struct {
 // one row per parallel region of the source program, with its
 // invocation count — the per-region view a profile presents.
 func RegionProfileBySite(samples []Sample, forkEvent, joinEvent int32) []RegionSiteStats {
-	bySite := make(map[uint64]*RegionSiteStats)
+	bySite := make(RegionSiteSet)
 	ForkJoinDurations(samples, forkEvent, joinEvent, func(s *Sample, d time.Duration) {
 		st := bySite[s.Site]
 		if st == nil {
@@ -161,11 +161,45 @@ func RegionProfileBySite(samples []Sample, forkEvent, joinEvent int32) []RegionS
 			st.MaxTime = d
 		}
 	})
-	out := make([]RegionSiteStats, 0, len(bySite))
-	for _, st := range bySite {
+	return bySite.Sorted()
+}
+
+// RegionSiteSet accumulates per-site statistics across sample streams
+// that must each be paired fork→join on their own (one buffer or one
+// trace file is one descriptor's time-ordered stream; concatenating
+// two before pairing could mismatch) — the merged view both obs
+// planes serve at /profile.
+type RegionSiteSet map[uint64]*RegionSiteStats
+
+// Merge folds one stream's per-site statistics into the set.
+func (m RegionSiteSet) Merge(stats []RegionSiteStats) {
+	for _, st := range stats {
+		agg := m[st.Site]
+		if agg == nil {
+			c := st
+			m[st.Site] = &c
+			continue
+		}
+		agg.Calls += st.Calls
+		agg.TotalTime += st.TotalTime
+		agg.MinTime = min(agg.MinTime, st.MinTime)
+		agg.MaxTime = max(agg.MaxTime, st.MaxTime)
+	}
+}
+
+// Sorted returns the set's rows by total time, largest first, ties by
+// site so the order is reproducible.
+func (m RegionSiteSet) Sorted() []RegionSiteStats {
+	out := make([]RegionSiteStats, 0, len(m))
+	for _, st := range m {
 		out = append(out, *st)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].TotalTime > out[j].TotalTime })
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].TotalTime != out[j].TotalTime {
+			return out[i].TotalTime > out[j].TotalTime
+		}
+		return out[i].Site < out[j].Site
+	})
 	return out
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,6 +30,11 @@ import (
 //     reconnect the server reports the last sequence it accepted and
 //     the sink resends only the tail beyond it. A frame torn by a
 //     mid-chunk disconnect was never acked, so it is resent whole.
+//   - An OK ack is cumulative: it settles every frame up to its
+//     sequence number. A non-OK ack settles only its own frame — a
+//     durable daemon nacks from its connection handler at once but
+//     acks OK only after the group commit, so a nack can overtake the
+//     OK acks of older frames, and those must stay in the tail.
 //   - When the server stays dead the sink degrades instead of growing:
 //     the bounded pending queue is the in-memory retention path. With
 //     Options.SpillDir set, everything beyond the queue spills to a
@@ -43,17 +49,26 @@ import (
 //     ack from the server, or the spill engaging at all, signals
 //     backpressure so the governor can step the measurement down
 //     instead of producing data the system cannot move.
+//   - Every chunk ship takes is settled exactly once, by settle, into
+//     one bucket of the sink's ledger (ledger.go):
+//     produced == shipped + replayed + dropped + storage + spill-pending.
 
 const (
-	netPendingDepth = 256             // bounded outgoing frame queue
-	netWindow       = 64              // max unacked frames in flight
-	netDialTimeout  = 2 * time.Second // dial + HELLO handshake bound
-	netWriteTimeout = 2 * time.Second // per-frame write bound
-	netAckWait      = 2 * time.Second // blocking ack wait at a full window
-	netBackoffCap   = 2 * time.Second // reconnect backoff cap
-	netHeartbeat    = time.Second     // idle keepalive period
-	netFlushGrace   = 3 * time.Second // stop-time flush deadline
+	netPendingDepth = 256                   // bounded outgoing frame queue
+	netWindow       = 64                    // max unacked frames in flight
+	netDialTimeout  = 2 * time.Second       // dial + HELLO handshake bound
+	netWriteTimeout = 2 * time.Second       // per-frame write bound
+	netAckWait      = 2 * time.Second       // ack wait at a full window or while flushing
+	netBackoff0     = 25 * time.Millisecond // first reconnect backoff step
+	netBackoffCap   = 2 * time.Second       // reconnect backoff cap
+	netHeartbeat    = time.Second           // idle keepalive period
+	netFlushGrace   = 3 * time.Second       // stop-time flush deadline
 )
+
+// codeUndelivered is what settle is told for a chunk the sink gives up
+// on by itself (never on the wire): like any non-OK, non-storage ack
+// it lands in the dropped bucket.
+const codeUndelivered ingest.Code = ^ingest.Code(0)
 
 // netItem is one queued wire frame. spilled marks a frame that took
 // the on-disk detour: its eventual ack counts as replayed, not
@@ -69,10 +84,9 @@ type netItem struct {
 
 // netSink is the connection manager plus bounded shipping queue.
 type netSink struct {
-	addr     string
-	hello    ingest.Hello
-	dial     func(addr string) (net.Conn, error)
-	backoff0 time.Duration
+	addr  string
+	hello ingest.Hello
+	dial  func(addr string) (net.Conn, error)
 
 	pending chan *netItem
 	closing chan struct{} // shutdown requested: flush then exit
@@ -84,36 +98,18 @@ type netSink struct {
 
 	seq atomic.Uint64 // last assigned sequence number
 
-	// Exact accounting, read by Report and the obs plane. The chunk
-	// conservation invariant, checked by tests and printable from
-	// Report: produced == shipped + dropped + storage + replayed +
-	// spill-pending (the backlog still on disk at shutdown).
-	produced        atomic.Uint64 // chunks handed to ship()
-	producedSamples atomic.Uint64
-	shipped         atomic.Uint64 // chunks acked CodeOK by the server
-	dropped         atomic.Uint64 // chunks never delivered (overflow, nack, unflushed)
-	droppedSamples  atomic.Uint64
-	storageChunks   atomic.Uint64 // chunks refused with INGEST_STORAGE (run quarantined)
-	storageSamples  atomic.Uint64
-	replayed        atomic.Uint64 // spilled chunks later acked CodeOK
-	replayedSamples atomic.Uint64
-	overloadedAcks  atomic.Uint64 // INGEST_OVERLOADED acks seen (governor input)
-	connects        atomic.Uint64 // successful connections (reconnects = connects-1)
-	durableGranted  atomic.Bool   // server granted FlagDurable on the last HELLO
+	led            ledger        // every chunk ship takes, settled exactly once
+	overloadedAcks atomic.Uint64 // INGEST_OVERLOADED acks seen (governor input)
+	connects       atomic.Uint64 // successful connections (reconnects = connects-1)
 }
 
 // startNetSink builds and starts the sink's sender goroutine. gov may
 // be nil (no overhead governor).
 func startNetSink(opts *Options, gov *degrade.Governor) (*netSink, error) {
+	host, _ := os.Hostname()
 	run := opts.IngestRun
 	if run == "" {
-		host, _ := os.Hostname()
 		run = fmt.Sprintf("%s-%d-%d", host, os.Getpid(), time.Now().UnixNano())
-	}
-	host, _ := os.Hostname()
-	backoff := opts.StreamBackoff
-	if backoff <= 0 {
-		backoff = 25 * time.Millisecond
 	}
 	var flags uint32
 	if opts.IngestDurable {
@@ -135,12 +131,20 @@ func startNetSink(opts *Options, gov *degrade.Governor) (*netSink, error) {
 			PID:     uint64(os.Getpid()),
 			Flags:   flags,
 		},
-		dial:     opts.DialIngest,
-		backoff0: backoff,
-		pending:  make(chan *netItem, depth),
-		closing:  make(chan struct{}),
-		done:     make(chan struct{}),
-		gov:      gov,
+		dial:    opts.DialIngest,
+		pending: make(chan *netItem, depth),
+		closing: make(chan struct{}),
+		done:    make(chan struct{}),
+		gov:     gov,
+		led: ledger{
+			name:    "ingest produced",
+			buckets: []bucket{shipped, replayed, dropped, storage},
+		},
+	}
+	if n.dial == nil {
+		n.dial = func(addr string) (net.Conn, error) {
+			return net.DialTimeout("tcp", addr, netDialTimeout)
+		}
 	}
 	if opts.SpillDir != "" {
 		sp, err := newSpillLog(opts.SpillDir, opts.SpillBytes)
@@ -148,6 +152,7 @@ func startNetSink(opts *Options, gov *degrade.Governor) (*netSink, error) {
 			return nil, err
 		}
 		n.spill = sp
+		n.led.held = sp.pendingCounts
 	}
 	n.wg.Add(1)
 	go n.loop()
@@ -159,16 +164,14 @@ func startNetSink(opts *Options, gov *degrade.Governor) (*netSink, error) {
 // spill dir is configured, and only past the spill bound (or without
 // one) is the block dropped, with exact accounting either way.
 func (n *netSink) ship(thread int32, samples uint32, block []byte) {
-	it := &netItem{
+	n.led.take(samples)
+	n.enqueue(&netItem{
 		kind:    ingest.MsgChunk,
 		seq:     n.seq.Add(1),
 		thread:  thread,
 		samples: samples,
 		block:   block,
-	}
-	n.produced.Add(1)
-	n.producedSamples.Add(uint64(samples))
-	n.enqueue(it)
+	})
 }
 
 // seal queues a thread's end-of-stream marker.
@@ -177,41 +180,59 @@ func (n *netSink) seal(thread int32) {
 }
 
 // enqueue routes one frame, preserving global sequence order across
-// the two paths: while the spill backlog is non-empty every new frame
-// must follow it to disk (the sender drains the channel before the
-// spill, and frames enter the channel only when the spill is empty, so
-// every channel frame is older than every spilled frame). A frame that
-// fits neither the queue nor the spill is dropped with accounting.
+// the two paths: a frame enters the channel only while the spill
+// backlog is empty, and the sender (next) empties the channel before
+// it touches the spill, so every channel frame is older than every
+// spilled frame. A frame that fits neither is dropped with accounting.
 func (n *netSink) enqueue(it *netItem) {
-	if n.spill != nil && n.spill.pending() > 0 {
-		if n.spill.add(it) {
+	overflow := false
+	if n.spill == nil || n.spill.pending() == 0 {
+		select {
+		case n.pending <- it:
 			return
+		default:
+			overflow = true
 		}
-		n.dropFrame(it)
+	}
+	if !n.park(it) {
+		n.settle(it, codeUndelivered)
 		return
 	}
-	select {
-	case n.pending <- it:
-	default:
-		if n.spill != nil && n.spill.add(it) {
-			// The spill engaging is itself a congestion signal: the
-			// in-memory queue was not enough.
-			if n.gov != nil {
-				n.gov.Backpressure()
-			}
-			return
-		}
-		n.dropFrame(it)
+	if overflow && n.gov != nil {
+		// The spill engaging is itself a congestion signal: the
+		// in-memory queue was not enough.
+		n.gov.Backpressure()
 	}
 }
 
-// dropFrame accounts one undeliverable frame (chunks only; control
-// frames carry no data to lose).
-func (n *netSink) dropFrame(it *netItem) {
-	if it.kind == ingest.MsgChunk {
-		n.dropped.Add(1)
-		n.droppedSamples.Add(uint64(it.samples))
+// park stores one frame in the spill log; false means there is no log,
+// it is full, or its disk failed.
+func (n *netSink) park(it *netItem) bool {
+	return n.spill != nil && n.spill.add(it)
+}
+
+// settle books where one frame ended up; every path that lets go of a
+// frame calls it, exactly once per frame. OK means delivered and
+// acknowledged — replayed if the chunk took the spill detour, shipped
+// otherwise. INGEST_STORAGE means the daemon's disk failed and the run
+// is quarantined there: its own bucket, because the loss is a disk and
+// not the network. Anything else (an overloaded or sealed nack, queue
+// overflow, a corrupt spill entry, the flush grace expiring) is a
+// drop. Control frames carry no data to lose.
+func (n *netSink) settle(it *netItem, code ingest.Code) {
+	if it.kind != ingest.MsgChunk {
+		return
 	}
+	b := dropped
+	switch {
+	case code == ingest.CodeOK && it.spilled:
+		b = replayed
+	case code == ingest.CodeOK:
+		b = shipped
+	case code == ingest.CodeStorage:
+		b = storage
+	}
+	n.led.settle(b, it.samples)
 }
 
 // shutdown asks the sender to flush and waits out the grace period;
@@ -242,346 +263,218 @@ func (n *netSink) shutdown() {
 	}
 }
 
+// wire is one live connection: frames go out through c, and a reader
+// goroutine turns the server's ack stream into a channel the sender
+// selects on. The frame format stays ingest's business.
+type wire struct {
+	c    net.Conn
+	acks chan ingest.Ack // closed by the reader when the connection dies
+}
+
+// readAcks is the connection's reader goroutine: plain blocking reads
+// until the connection fails or close severs it.
+func (w *wire) readAcks(br *bufio.Reader) {
+	defer close(w.acks)
+	for {
+		kind, payload, err := ingest.ReadFrame(br)
+		if err != nil {
+			return
+		}
+		if kind != ingest.MsgAck {
+			continue
+		}
+		// Seq 0 answers a heartbeat (or a frame the server could not
+		// parse far enough to name): nothing in the tail to settle.
+		if a, err := ingest.DecodeAck(payload); err == nil && a.Seq != 0 {
+			w.acks <- a
+		}
+	}
+}
+
+// close severs the connection and waits the reader out; draining lets
+// a reader blocked on a full channel reach the closed socket. Acks
+// dropped here are not lost: their frames stay in the unacked tail and
+// the next HELLO-ACK (or the resend) settles them.
+func (w *wire) close() {
+	w.c.Close()
+	for range w.acks {
+	}
+}
+
+// closed reports whether a signal channel has been closed.
+func closed(ch <-chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	default:
+		return false
+	}
+}
+
 // loop is the sender: connect with interruptible capped backoff,
-// resend the unacknowledged tail, then pump pending frames while
-// polling acks, keeping at most netWindow frames in flight.
+// resend the unacknowledged tail, then send the next frame while the
+// window has room and otherwise wait — for an ack, a new frame, the
+// heartbeat tick or a shutdown signal — keeping at most netWindow
+// frames in flight.
 func (n *netSink) loop() {
 	defer n.wg.Done()
-	var conn net.Conn
-	var br *bufio.Reader
+	var conn *wire
 	var unacked []*netItem
-	backoff := n.backoff0
-	closingSeen := false
+	backoff := netBackoff0
+	closing := false
 	byeSent := false
 	hb := time.NewTicker(netHeartbeat)
 	defer hb.Stop()
+	ackWait := time.NewTimer(netAckWait)
+	defer ackWait.Stop()
 
-	closeConn := func() {
+	hangUp := func() {
 		if conn != nil {
-			conn.Close()
-			conn, br = nil, nil
+			conn.close()
+			conn = nil
 		}
 	}
-	defer closeConn()
-
-	giveUp := func() {
-		closeConn()
-		n.spillOrDrop(unacked)
-		unacked = nil
-		for {
-			select {
-			case it := <-n.pending:
-				n.spillOrDrop([]*netItem{it})
-			default:
-				return
-			}
-		}
-	}
+	defer hangUp()
 
 	for {
-		select {
-		case <-n.done:
-			giveUp()
+		if closed(n.done) {
+			hangUp()
+			n.giveUp(unacked)
 			return
-		default:
 		}
-		if !closingSeen {
-			select {
-			case <-n.closing:
-				closingSeen = true
-			default:
-			}
+		closing = closing || closed(n.closing)
+		// The shutdown stage still ahead: before it the waits below
+		// collapse the moment closing is signalled; while flushing only
+		// the hard stop interrupts, so the flush keeps its pacing.
+		stop := n.closing
+		if closing {
+			stop = n.done
 		}
 
 		if conn == nil {
-			c, r, lastSeq, err := n.connect()
+			c, lastSeq, err := n.connect()
 			if err != nil {
-				if closingSeen && len(unacked) == 0 && len(n.pending) == 0 {
-					if byeSent || (n.spill != nil && n.spill.pending() > 0) {
-						// The spilled backlog (if any) stays on disk as the
-						// spilled-pending remainder; only in-memory frames
-						// are at stake here, and there are none left. A run
-						// with a backlog is incomplete either way, so the
-						// BYE is not worth waiting for.
-						return
-					}
-					// Everything delivered but the BYE still owed: keep
-					// retrying (bounded by the flush grace) so the server
-					// can seal the run complete.
+				// With nothing left in memory a flush may stop here: after
+				// the BYE there is nothing to say, and a spilled backlog
+				// stays on disk as the spill-pending remainder (the run is
+				// incomplete either way, so the BYE is not worth waiting
+				// for). Everything delivered but the BYE still owed: keep
+				// retrying, bounded by the flush grace, so the server can
+				// seal the run complete.
+				if closing && len(unacked) == 0 && len(n.pending) == 0 &&
+					(byeSent || (n.spill != nil && n.spill.pending() > 0)) {
+					return
 				}
-				backoff = n.waitRetry(backoff, closingSeen)
+				backoff = waitBackoff(stop, backoff, netBackoffCap)
 				continue
 			}
-			conn, br = c, r
-			backoff = n.backoff0
+			conn = c
+			backoff = netBackoff0
 			n.connects.Add(1)
-			// Drop the prefix the server already accepted on an earlier
-			// connection, then resend the rest of the tail in order.
-			unacked = n.trimAcked(unacked, lastSeq)
-			ok := true
+			// The HELLO-ACK is one cumulative OK ack for everything the
+			// server accepted on earlier connections; the rest of the
+			// tail is resent in order.
+			unacked = n.acked(unacked, ingest.Ack{Seq: lastSeq, Code: ingest.CodeOK})
 			for _, it := range unacked {
 				if err := n.send(conn, it); err != nil {
-					closeConn()
-					ok = false
+					hangUp()
 					break
 				}
 			}
-			if !ok {
-				continue
-			}
-		}
-
-		if len(unacked) >= netWindow || (closingSeen && len(unacked) > 0 && len(n.pending) == 0) {
-			// Window full (or flushing): block for the next ack, bounded.
-			// A timeout is treated as a dead connection; the resend path
-			// makes that safe.
-			var err error
-			unacked, err = n.awaitAck(conn, br, unacked, netAckWait)
-			if err != nil {
-				closeConn()
-			}
-			continue
-		}
-		var err error
-		if unacked, err = n.drainAcks(conn, br, unacked); err != nil {
-			closeConn()
 			continue
 		}
 
-		if closingSeen {
-			select {
-			case it := <-n.pending:
-				unacked = append(unacked, it)
-				if err := n.send(conn, it); err != nil {
-					closeConn()
+		var it *netItem
+		if len(unacked) < netWindow {
+			it = n.next()
+			if it == nil && closing && len(unacked) == 0 {
+				if byeSent {
+					return // everything flushed, BYE included
 				}
-			default:
-				// Channel drained; replay the spilled backlog next (it is
-				// strictly newer than anything the channel held).
-				if it := n.spillNext(); it != nil {
-					unacked = append(unacked, it)
-					if err := n.send(conn, it); err != nil {
-						closeConn()
-					}
-					continue
-				}
-				if len(unacked) == 0 {
-					if byeSent {
-						return // everything flushed, BYE included
-					}
-					// Every data frame is acked, so the loss accounting
-					// is final: send the BYE that carries it and wait
-					// out its ack.
-					it := &netItem{kind: ingest.MsgBye, seq: n.seq.Add(1)}
-					byeSent = true
-					unacked = append(unacked, it)
-					if err := n.send(conn, it); err != nil {
-						closeConn()
-					}
-				}
+				// Every data frame is settled, so the loss accounting is
+				// final: send the BYE that carries it.
+				it = &netItem{kind: ingest.MsgBye, seq: n.seq.Add(1)}
+				byeSent = true
 			}
-			continue
 		}
-		if n.spill != nil && n.spill.pending() > 0 {
-			// Store-and-forward replay: drain the (older) channel frames
-			// first, then ship from disk. New frames keep routing to the
-			// spill until it is empty, so order is preserved.
-			select {
-			case it := <-n.pending:
-				unacked = append(unacked, it)
-				if err := n.send(conn, it); err != nil {
-					closeConn()
-				}
-			default:
-				if it := n.spillNext(); it != nil {
-					unacked = append(unacked, it)
-					if err := n.send(conn, it); err != nil {
-						closeConn()
+		if it == nil {
+			// Nothing to send right now. At a full window, or while
+			// flushing, the only way forward is an ack: bound that wait
+			// and treat a timeout as a dead connection (the resend path
+			// makes that safe). Otherwise a new frame may arrive too; the
+			// spill is empty here (next just said so), so a frame off the
+			// channel is still the oldest one there is.
+			var timeout <-chan time.Time
+			pending := n.pending
+			if len(unacked) >= netWindow || closing {
+				if !ackWait.Stop() {
+					select {
+					case <-ackWait.C:
+					default:
 					}
 				}
+				ackWait.Reset(netAckWait)
+				timeout, pending = ackWait.C, nil
 			}
-			continue
+			select {
+			case a, ok := <-conn.acks:
+				if ok {
+					unacked = n.acked(unacked, a)
+				} else {
+					hangUp()
+				}
+			case it = <-pending:
+			case <-timeout:
+				hangUp()
+			case <-hb.C:
+				if err := conn.write(ingest.MsgHeartbeat, nil); err != nil {
+					hangUp()
+				}
+			case <-stop:
+			}
 		}
-		select {
-		case it := <-n.pending:
+		if it != nil {
 			unacked = append(unacked, it)
 			if err := n.send(conn, it); err != nil {
-				closeConn()
+				hangUp()
 			}
-		case <-hb.C:
-			if err := n.sendHeartbeat(conn); err != nil {
-				closeConn()
-			}
-		case <-n.closing:
-			closingSeen = true
-		case <-n.done:
-			giveUp()
-			return
 		}
 	}
 }
 
-// spillNext pops the oldest spilled frame, if any, folding entries the
-// log had to skip (CRC or read failure) into the drop accounting so
-// conservation stays exact.
-func (n *netSink) spillNext() *netItem {
-	if n.spill == nil {
-		return nil
+// next picks the frame that follows everything already sent, without
+// waiting: the pending channel first, then the spill backlog (see
+// enqueue for why that is sequence order). Spill entries that fail
+// their CRC are settled as drops on the way.
+func (n *netSink) next() *netItem {
+	select {
+	case it := <-n.pending:
+		return it
+	default:
 	}
-	it, corruptChunks, corruptSamples := n.spill.next()
-	if corruptChunks > 0 {
-		n.dropped.Add(corruptChunks)
-		n.droppedSamples.Add(corruptSamples)
-	}
-	return it
-}
-
-// connect performs one dial + HELLO handshake attempt.
-func (n *netSink) connect() (net.Conn, *bufio.Reader, uint64, error) {
-	dial := n.dial
-	if dial == nil {
-		dial = func(addr string) (net.Conn, error) {
-			return net.DialTimeout("tcp", addr, netDialTimeout)
+	for n.spill != nil {
+		it, intact := n.spill.next()
+		if it == nil || intact {
+			return it
 		}
+		n.settle(it, codeUndelivered)
 	}
-	c, err := dial(n.addr)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	c.SetDeadline(time.Now().Add(netDialTimeout))
-	if err := ingest.WriteFrame(c, ingest.MsgHello, ingest.EncodeHello(n.hello)); err != nil {
-		c.Close()
-		return nil, nil, 0, err
-	}
-	br := bufio.NewReader(c)
-	kind, payload, err := ingest.ReadFrame(br)
-	if err != nil {
-		c.Close()
-		return nil, nil, 0, err
-	}
-	if kind != ingest.MsgHelloAck {
-		c.Close()
-		return nil, nil, 0, fmt.Errorf("tool: ingest: unexpected frame kind %d for HELLO", kind)
-	}
-	ha, err := ingest.DecodeHelloAck(payload)
-	if err != nil {
-		c.Close()
-		return nil, nil, 0, err
-	}
-	if ha.Code != ingest.CodeOK {
-		c.Close()
-		return nil, nil, 0, fmt.Errorf("tool: ingest: server refused HELLO: %v", ha.Code)
-	}
-	n.durableGranted.Store(ha.Flags&ingest.FlagDurable != 0)
-	c.SetDeadline(time.Time{})
-	return c, br, ha.LastSeq, nil
+	return nil
 }
 
-// waitRetry sleeps one backoff step via the streamer's shared
-// interruptible waitBackoff helper and returns the next capped step.
-// Before shutdown the wait collapses the moment closing is signalled;
-// while flushing (closing already seen) only the hard-stop channel
-// interrupts, so the flush keeps its backoff pacing.
-func (n *netSink) waitRetry(d time.Duration, closingSeen bool) time.Duration {
-	ch := n.closing
-	if closingSeen {
-		ch = n.done
-	}
-	return waitBackoff(ch, d, netBackoffCap)
-}
-
-// send writes one data frame whole, bounded.
-func (n *netSink) send(conn net.Conn, it *netItem) error {
-	conn.SetWriteDeadline(time.Now().Add(netWriteTimeout))
-	switch it.kind {
-	case ingest.MsgChunk:
-		return ingest.WriteFrame(conn, ingest.MsgChunk, ingest.EncodeChunk(ingest.Chunk{
-			Seq:     it.seq,
-			Thread:  it.thread,
-			Samples: it.samples,
-			Block:   it.block,
-		}))
-	case ingest.MsgSeal:
-		return ingest.WriteFrame(conn, ingest.MsgSeal,
-			ingest.EncodeSeal(ingest.Seal{Seq: it.seq, Thread: it.thread}))
-	case ingest.MsgBye:
-		// The sender only synthesizes the BYE once every data frame is
-		// acked, so these counters are the run's final accounting (and
-		// re-encoding on a resend reads the same values).
-		var spilled uint64
-		if n.spill != nil {
-			spilled, _ = n.spill.stats()
+// acked applies one ack to the unacked tail. OK is cumulative; a
+// non-OK ack settles only the frame it names and leaves older frames
+// waiting for their own acks.
+func (n *netSink) acked(unacked []*netItem, a ingest.Ack) []*netItem {
+	if a.Code == ingest.CodeOK {
+		i := 0
+		for i < len(unacked) && unacked[i].seq <= a.Seq {
+			n.settle(unacked[i], ingest.CodeOK)
+			i++
 		}
-		return ingest.WriteFrame(conn, ingest.MsgBye,
-			ingest.EncodeBye(ingest.Bye{
-				Seq:            it.seq,
-				Produced:       n.produced.Load(),
-				Dropped:        n.dropped.Load(),
-				DroppedSamples: n.droppedSamples.Load(),
-				Spilled:        spilled,
-				Replayed:       n.replayed.Load(),
-			}))
+		return unacked[i:]
 	}
-	return fmt.Errorf("tool: ingest: unknown frame kind %d", it.kind)
-}
-
-func (n *netSink) sendHeartbeat(conn net.Conn) error {
-	conn.SetWriteDeadline(time.Now().Add(netWriteTimeout))
-	return ingest.WriteFrame(conn, ingest.MsgHeartbeat, nil)
-}
-
-// awaitAck blocks for one ack (bounded by wait) and applies it.
-func (n *netSink) awaitAck(conn net.Conn, br *bufio.Reader, unacked []*netItem, wait time.Duration) ([]*netItem, error) {
-	conn.SetReadDeadline(time.Now().Add(wait))
-	kind, payload, err := ingest.ReadFrame(br)
-	if err != nil {
-		return unacked, err
-	}
-	return n.applyAck(kind, payload, unacked), nil
-}
-
-// drainAcks consumes every ack already buffered or immediately
-// readable, without blocking the send path. The fill step peeks with
-// an immediate deadline so a frame is only ever consumed from the
-// buffer once it is complete — a partial frame stays buffered and the
-// stream keeps its framing.
-func (n *netSink) drainAcks(conn net.Conn, br *bufio.Reader, unacked []*netItem) ([]*netItem, error) {
-	conn.SetReadDeadline(time.Now().Add(time.Millisecond))
-	br.Peek(5) // best-effort fill; timeout just means nothing new
-	conn.SetReadDeadline(time.Time{})
-	for br.Buffered() >= 4 {
-		head, err := br.Peek(4)
-		if err != nil {
-			return unacked, nil
-		}
-		need := 4 + int(uint32(head[0])|uint32(head[1])<<8|uint32(head[2])<<16|uint32(head[3])<<24)
-		if need > br.Buffered() {
-			return unacked, nil
-		}
-		kind, payload, err := ingest.ReadFrame(br)
-		if err != nil {
-			return unacked, err
-		}
-		unacked = n.applyAck(kind, payload, unacked)
-	}
-	return unacked, nil
-}
-
-// applyAck applies one server frame to the unacked tail with exact
-// accounting: CodeOK ships the chunk; INGEST_STORAGE means the run's
-// server-side storage failed and the chunk lands in its own typed
-// bucket (the run is quarantined — the loss is a disk, not the
-// network); anything else (an overloaded drop, a sealed run) counts as
-// a generic drop.
-func (n *netSink) applyAck(kind uint8, payload []byte, unacked []*netItem) []*netItem {
-	if kind != ingest.MsgAck {
-		return unacked
-	}
-	ack, err := ingest.DecodeAck(payload)
-	if err != nil || ack.Seq == 0 {
-		return unacked // heartbeat ack or junk
-	}
-	if ack.Code == ingest.CodeOverloaded {
+	if a.Code == ingest.CodeOverloaded {
 		// The server's bounded ingest queue overflowed: downstream is
 		// congested, and the governor (when armed) should step the
 		// measurement down rather than keep producing into the wall.
@@ -590,66 +483,120 @@ func (n *netSink) applyAck(kind uint8, payload []byte, unacked []*netItem) []*ne
 			n.gov.Backpressure()
 		}
 	}
-	for len(unacked) > 0 && unacked[0].seq <= ack.Seq {
-		it := unacked[0]
-		unacked = unacked[1:]
-		if it.kind != ingest.MsgChunk {
-			continue
-		}
-		if it.seq == ack.Seq && ack.Code != ingest.CodeOK {
-			if ack.Code == ingest.CodeStorage {
-				n.storageChunks.Add(1)
-				n.storageSamples.Add(uint64(it.samples))
-			} else {
-				n.dropped.Add(1)
-				n.droppedSamples.Add(uint64(it.samples))
-			}
-			continue
-		}
-		if it.spilled {
-			n.replayed.Add(1)
-			n.replayedSamples.Add(uint64(it.samples))
-		} else {
-			n.shipped.Add(1)
-		}
+	i := slices.IndexFunc(unacked, func(it *netItem) bool { return it.seq == a.Seq })
+	if i < 0 {
+		return unacked
 	}
-	return unacked
+	n.settle(unacked[i], a.Code)
+	return slices.Delete(unacked, i, i+1)
 }
 
-// trimAcked drops the prefix the server already accepted (reported in
-// its HELLO-ACK) and counts those chunks as shipped (or replayed, for
-// chunks that took the spill detour).
-func (n *netSink) trimAcked(unacked []*netItem, lastSeq uint64) []*netItem {
-	for len(unacked) > 0 && unacked[0].seq <= lastSeq {
-		if it := unacked[0]; it.kind == ingest.MsgChunk {
-			if it.spilled {
-				n.replayed.Add(1)
-				n.replayedSamples.Add(uint64(it.samples))
-			} else {
-				n.shipped.Add(1)
-			}
+// giveUp is the terminal path for the in-memory frames the flush grace
+// expired on: chunks are parked in the spill log — they stay on disk,
+// accounted as spill-pending, instead of vanishing — and what the log
+// cannot take is dropped. This runs after the sender has stopped
+// replaying, so the out-of-order tail it may write is post-mortem
+// evidence only: a later process never replays another run's spill
+// files.
+func (n *netSink) giveUp(unacked []*netItem) {
+	abandon := func(it *netItem) {
+		if it.kind != ingest.MsgChunk || !n.park(it) {
+			n.settle(it, codeUndelivered)
 		}
-		unacked = unacked[1:]
 	}
-	return unacked
+	for _, it := range unacked {
+		abandon(it)
+	}
+	for {
+		select {
+		case it := <-n.pending:
+			abandon(it)
+		default:
+			return
+		}
+	}
 }
 
-// spillOrDrop is the terminal path for in-memory frames the flush
-// grace expired on: chunks are parked in the spill log — they stay on
-// disk, accounted as spilled-pending, instead of vanishing — and only
-// what the log cannot take is dropped. Control frames carry no data to
-// lose. This runs after the sender has stopped replaying, so the
-// out-of-order tail it may write is post-mortem evidence only: a later
-// process never replays another run's spill files.
-func (n *netSink) spillOrDrop(items []*netItem) {
-	for _, it := range items {
-		if it.kind != ingest.MsgChunk {
-			continue
-		}
-		if n.spill != nil && n.spill.add(it) {
-			continue
-		}
-		n.dropped.Add(1)
-		n.droppedSamples.Add(uint64(it.samples))
+// connect performs one dial + HELLO handshake attempt and starts the
+// connection's ack reader.
+func (n *netSink) connect() (*wire, uint64, error) {
+	c, err := n.dial(n.addr)
+	if err != nil {
+		return nil, 0, err
 	}
+	br := bufio.NewReader(c)
+	lastSeq, err := handshake(c, br, n.hello)
+	if err != nil {
+		c.Close()
+		return nil, 0, err
+	}
+	// One ack per frame in flight, so the reader never waits on the
+	// sender in normal operation.
+	conn := &wire{c: c, acks: make(chan ingest.Ack, netWindow)}
+	go conn.readAcks(br)
+	return conn, lastSeq, nil
+}
+
+// handshake sends HELLO and reads the HELLO-ACK, bounded, returning
+// the last sequence number the server has accepted for this run.
+func handshake(c net.Conn, br *bufio.Reader, h ingest.Hello) (uint64, error) {
+	c.SetDeadline(time.Now().Add(netDialTimeout))
+	defer c.SetDeadline(time.Time{})
+	if err := ingest.WriteFrame(c, ingest.MsgHello, ingest.EncodeHello(h)); err != nil {
+		return 0, err
+	}
+	kind, payload, err := ingest.ReadFrame(br)
+	if err != nil {
+		return 0, err
+	}
+	if kind != ingest.MsgHelloAck {
+		return 0, fmt.Errorf("tool: ingest: unexpected frame kind %d for HELLO", kind)
+	}
+	ha, err := ingest.DecodeHelloAck(payload)
+	if err != nil {
+		return 0, err
+	}
+	if ha.Code != ingest.CodeOK {
+		return 0, fmt.Errorf("tool: ingest: server refused HELLO: %v", ha.Code)
+	}
+	return ha.LastSeq, nil
+}
+
+// write sends one frame whole, bounded.
+func (w *wire) write(kind uint8, payload []byte) error {
+	w.c.SetWriteDeadline(time.Now().Add(netWriteTimeout))
+	return ingest.WriteFrame(w.c, kind, payload)
+}
+
+// send encodes and writes one data frame.
+func (n *netSink) send(conn *wire, it *netItem) error {
+	switch it.kind {
+	case ingest.MsgChunk:
+		return conn.write(ingest.MsgChunk, ingest.EncodeChunk(ingest.Chunk{
+			Seq:     it.seq,
+			Thread:  it.thread,
+			Samples: it.samples,
+			Block:   it.block,
+		}))
+	case ingest.MsgSeal:
+		return conn.write(ingest.MsgSeal,
+			ingest.EncodeSeal(ingest.Seal{Seq: it.seq, Thread: it.thread}))
+	case ingest.MsgBye:
+		return conn.write(ingest.MsgBye, ingest.EncodeBye(n.bye(it.seq)))
+	}
+	return fmt.Errorf("tool: ingest: unknown frame kind %d", it.kind)
+}
+
+// bye is the ledger's wire form. The sender only synthesizes the BYE
+// once every data frame is settled, so these counters are the run's
+// final accounting (and re-encoding on a resend reads the same values).
+func (n *netSink) bye(seq uint64) ingest.Bye {
+	y := ingest.Bye{Seq: seq}
+	y.Produced, _ = n.led.taken.load()
+	y.Dropped, y.DroppedSamples = n.led.settled[dropped].load()
+	y.Replayed, _ = n.led.settled[replayed].load()
+	if n.spill != nil {
+		y.Spilled, _ = n.spill.stats()
+	}
+	return y
 }

@@ -155,20 +155,20 @@ func (t *Tool) startObs(addr string) (*obs.Server, error) {
 			func() float64 { return float64(s.retries.Load()) })
 		reg.CounterFunc("goomp_stream_discarded_chunks_total",
 			"Trace blocks the streaming storage gave up on after retries.",
-			func() float64 { return float64(s.discardedChunks.Load()) })
+			func() float64 { return float64(s.led.settled[discarded].chunks.Load()) })
 		reg.CounterFunc("goomp_stream_discarded_samples_total",
 			"Samples inside discarded trace blocks.",
-			func() float64 { return float64(s.discardedSamples.Load()) })
+			func() float64 { return float64(s.led.settled[discarded].samples.Load()) })
 		reg.CounterFunc("goomp_stream_forced_drops_total",
 			"Chunks discarded by the DropChunk fault-injection hook.",
-			func() float64 { return float64(s.forcedDrops.Load()) })
+			func() float64 { return float64(s.led.settled[forced].chunks.Load()) })
 		reg.GaugeFunc("goomp_stream_degraded_threads",
 			"Threads whose trace file failed permanently and fell back to in-memory retention.",
 			func() float64 { return float64(s.degraded.Load()) })
 		if n := s.net; n != nil {
 			reg.CounterFunc("goomp_ingest_produced_chunks_total",
 				"Trace blocks handed to the network sink.",
-				func() float64 { return float64(n.produced.Load()) })
+				func() float64 { return float64(n.led.taken.chunks.Load()) })
 			reg.CounterFunc("goomp_ingest_overloaded_acks_total",
 				"INGEST_OVERLOADED acks from the daemon (backpressure fed to the governor).",
 				func() float64 { return float64(n.overloadedAcks.Load()) })
@@ -178,7 +178,7 @@ func (t *Tool) startObs(addr string) (*obs.Server, error) {
 					func() float64 { c, _ := sp.stats(); return float64(c) })
 				reg.CounterFunc("goomp_spill_replayed_chunks_total",
 					"Spilled trace blocks delivered and acknowledged after replay.",
-					func() float64 { return float64(n.replayed.Load()) })
+					func() float64 { return float64(n.led.settled[replayed].chunks.Load()) })
 				reg.GaugeFunc("goomp_spill_pending_chunks",
 					"Trace blocks currently queued on the spill log's disk backlog.",
 					func() float64 { c, _ := sp.pendingCounts(); return float64(c) })
@@ -272,71 +272,27 @@ func (t *Tool) obsProfile() obs.ProfileSnapshot {
 	// each buffer is one descriptor's time-ordered stream, but distinct
 	// buffers can carry the same thread number (transient nested
 	// descriptors), so concatenating them before pairing could mismatch.
-	bySite := make(map[uint64]*perf.RegionSiteStats)
-	stealsBySite := make(map[uint64]*perf.StealSiteStats)
+	bySite := make(perf.RegionSiteSet)
+	stealsBySite := make(map[uint64]perf.StealSiteStats)
 	for _, tb := range t.snapshotBuffers() {
 		samples := tb.buf.Samples()
 		snap.Samples += len(samples)
-		for _, st := range perf.RegionProfileBySite(samples,
-			int32(collector.EventFork), int32(collector.EventJoin)) {
-			agg := bySite[st.Site]
-			if agg == nil {
-				c := st
-				bySite[st.Site] = &c
-				continue
-			}
-			agg.Calls += st.Calls
-			agg.TotalTime += st.TotalTime
-			if st.MinTime < agg.MinTime {
-				agg.MinTime = st.MinTime
-			}
-			if st.MaxTime > agg.MaxTime {
-				agg.MaxTime = st.MaxTime
-			}
-		}
+		bySite.Merge(perf.RegionProfileBySite(samples,
+			int32(collector.EventFork), int32(collector.EventJoin)))
 		for _, st := range perf.StealProfileBySite(samples,
 			int32(collector.EventChunkSteal), int32(collector.EventTaskSteal)) {
 			agg := stealsBySite[st.Site]
-			if agg == nil {
-				c := st
-				stealsBySite[st.Site] = &c
-				continue
-			}
 			agg.ChunkSteals += st.ChunkSteals
 			agg.TaskSteals += st.TaskSteals
+			stealsBySite[st.Site] = agg
+			snap.ChunkSteals += st.ChunkSteals
+			snap.TaskSteals += st.TaskSteals
 		}
 	}
-	for _, st := range stealsBySite {
-		snap.ChunkSteals += st.ChunkSteals
-		snap.TaskSteals += st.TaskSteals
-	}
-	sites := make([]*perf.RegionSiteStats, 0, len(bySite))
-	for _, st := range bySite {
-		sites = append(sites, st)
-	}
-	sort.Slice(sites, func(i, j int) bool {
-		if sites[i].TotalTime != sites[j].TotalTime {
-			return sites[i].TotalTime > sites[j].TotalTime
-		}
-		return sites[i].Site < sites[j].Site
-	})
-	for _, st := range sites {
-		mean := time.Duration(0)
-		if st.Calls > 0 {
-			mean = st.TotalTime / time.Duration(st.Calls)
-		}
-		row := obs.RegionSite{
-			Site:    fmt.Sprintf("%#x", st.Site),
-			Calls:   st.Calls,
-			TotalNs: int64(st.TotalTime),
-			MeanNs:  int64(mean),
-			MinNs:   int64(st.MinTime),
-			MaxNs:   int64(st.MaxTime),
-		}
-		if ss := stealsBySite[st.Site]; ss != nil {
-			row.ChunkSteals = ss.ChunkSteals
-			row.TaskSteals = ss.TaskSteals
-		}
+	for _, st := range bySite.Sorted() {
+		row := obs.NewRegionSite(st.Site, st.Calls, st.TotalTime, st.MinTime, st.MaxTime)
+		row.ChunkSteals = stealsBySite[st.Site].ChunkSteals
+		row.TaskSteals = stealsBySite[st.Site].TaskSteals
 		snap.Sites = append(snap.Sites, row)
 	}
 	return snap

@@ -6,7 +6,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -55,7 +54,6 @@ const (
 
 // spillSeg is one on-disk segment file.
 type spillSeg struct {
-	idx    int
 	path   string
 	f      *os.File
 	size   int64
@@ -63,15 +61,13 @@ type spillSeg struct {
 	sealed bool // writer rotated past it; delete when refs hits 0
 }
 
-// spillEntry locates one frame inside a segment.
+// spillEntry is one parked frame — its header fields, marked spilled,
+// the block left on disk — and where in which segment the block is.
 type spillEntry struct {
-	kind    uint8
-	seq     uint64
-	thread  int32
-	samples uint32
-	seg     *spillSeg
-	off     int64 // offset of the block bytes (past header+crc)
-	length  uint32
+	netItem
+	seg    *spillSeg
+	off    int64 // offset of the block bytes (past header+crc)
+	length uint32
 }
 
 // spillLog is the bounded segment log.
@@ -159,15 +155,9 @@ func (l *spillLog) add(it *netItem) bool {
 	seg.size = off + need
 	seg.refs++
 	l.bytes += need
-	l.queue = append(l.queue, spillEntry{
-		kind:    it.kind,
-		seq:     it.seq,
-		thread:  it.thread,
-		samples: it.samples,
-		seg:     seg,
-		off:     off + spillEntryHeader + 4,
-		length:  uint32(len(it.block)),
-	})
+	e := spillEntry{netItem: *it, seg: seg, off: off + spillEntryHeader + 4, length: uint32(len(it.block))}
+	e.block, e.spilled = nil, true
+	l.queue = append(l.queue, e)
 	// A frame re-parked at shutdown after it already took the spill
 	// detour once (popped, sent, never acked) keeps its original count.
 	if it.kind == ingest.MsgChunk && !it.spilled {
@@ -199,52 +189,39 @@ func (l *spillLog) segmentLocked() (*spillSeg, error) {
 		os.Remove(path)
 		return nil, err
 	}
-	l.cur = &spillSeg{idx: l.nextIdx, path: path, f: f, size: int64(len(hdr))}
+	l.cur = &spillSeg{path: path, f: f, size: int64(len(hdr))}
 	l.nextIdx++
 	return l.cur, nil
 }
 
 // next pops the oldest pending frame, reading and CRC-verifying its
-// block. A corrupt entry is skipped — reported in the returned drop
-// deltas so the caller folds it into the standard loss accounting —
-// and the next one tried; a nil item means the log is empty.
-func (l *spillLog) next() (it *netItem, corruptChunks, corruptSamples uint64) {
+// block; nil means the log is empty. intact false is an entry that
+// failed its read or CRC: it is returned without a block so the caller
+// can settle it as lost, and the caller asks again for the one after.
+func (l *spillLog) next() (it *netItem, intact bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for len(l.queue) > 0 {
-		e := l.queue[0]
-		l.queue = l.queue[1:]
-		l.bytes -= int64(spillEntryHeader+4) + int64(e.length)
-		block := make([]byte, e.length)
-		var hdr [spillEntryHeader + 4]byte
-		ok := true
-		if _, err := e.seg.f.ReadAt(hdr[:], e.off-spillEntryHeader-4); err != nil {
-			ok = false
-		} else if _, err := e.seg.f.ReadAt(block, e.off); err != nil && e.length > 0 {
-			ok = false
-		} else {
+	if len(l.queue) == 0 {
+		return nil, false
+	}
+	e := l.queue[0]
+	l.queue = l.queue[1:]
+	l.bytes -= int64(spillEntryHeader+4) + int64(e.length)
+	it = &e.netItem
+	block := make([]byte, e.length)
+	var hdr [spillEntryHeader + 4]byte
+	if _, err := e.seg.f.ReadAt(hdr[:], e.off-spillEntryHeader-4); err == nil {
+		if _, err := e.seg.f.ReadAt(block, e.off); err == nil || e.length == 0 {
 			crc := crc32.ChecksumIEEE(hdr[:spillEntryHeader])
 			crc = crc32.Update(crc, crc32.IEEETable, block)
-			ok = crc == binary.LittleEndian.Uint32(hdr[spillEntryHeader:])
+			intact = crc == binary.LittleEndian.Uint32(hdr[spillEntryHeader:])
 		}
-		l.releaseLocked(e.seg)
-		if !ok {
-			if e.kind == ingest.MsgChunk {
-				corruptChunks++
-				corruptSamples += uint64(e.samples)
-			}
-			continue
-		}
-		return &netItem{
-			kind:    e.kind,
-			seq:     e.seq,
-			thread:  e.thread,
-			samples: e.samples,
-			block:   block,
-			spilled: true,
-		}, corruptChunks, corruptSamples
 	}
-	return nil, corruptChunks, corruptSamples
+	l.releaseLocked(e.seg)
+	if intact {
+		it.block = block
+	}
+	return it, intact
 }
 
 // releaseLocked drops one reference; a sealed segment with no pending
@@ -285,13 +262,6 @@ func (l *spillLog) stats() (spilledChunks, spilledSamples uint64) {
 	return l.spilledChunks, l.spilledSamples
 }
 
-// err returns the first disk failure, if any.
-func (l *spillLog) err() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.failed
-}
-
 // close releases file handles. Fully consumed segments are removed;
 // segments still holding pending entries stay on disk (the
 // spilled-pending backlog is evidence, not garbage). The descriptor
@@ -299,25 +269,17 @@ func (l *spillLog) err() error {
 func (l *spillLog) close() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	segs := make(map[int]*spillSeg)
+	if l.cur != nil && l.cur.refs == 0 {
+		l.cur.f.Close()
+		os.Remove(l.cur.path)
+	}
+	l.cur = nil
+	held := make(map[*spillSeg]bool)
 	for _, e := range l.queue {
-		segs[e.seg.idx] = e.seg
+		held[e.seg] = true
 	}
-	if l.cur != nil {
-		l.cur.sealed = true
-		if l.cur.refs == 0 && segs[l.cur.idx] == nil {
-			l.cur.f.Close()
-			os.Remove(l.cur.path)
-		}
-		l.cur = nil
-	}
-	idxs := make([]int, 0, len(segs))
-	for i := range segs {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
-	for _, i := range idxs {
-		segs[i].f.Close()
+	for seg := range held {
+		seg.f.Close()
 	}
 	l.failed = fmt.Errorf("tool: spill log closed")
 }

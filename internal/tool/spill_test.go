@@ -33,9 +33,9 @@ func TestSpillRoundtripInOrder(t *testing.T) {
 		t.Fatalf("spilled chunks = %d", got)
 	}
 	for i := 1; i <= 5; i++ {
-		it, cc, cs := l.next()
-		if cc != 0 || cs != 0 {
-			t.Fatalf("corrupt deltas %d/%d on a clean log", cc, cs)
+		it, intact := l.next()
+		if it != nil && !intact {
+			t.Fatalf("entry %d reported corrupt on a clean log", it.seq)
 		}
 		if it == nil || it.seq != uint64(i) {
 			t.Fatalf("pop %d = %+v", i, it)
@@ -48,7 +48,7 @@ func TestSpillRoundtripInOrder(t *testing.T) {
 			t.Fatalf("pop %d block mismatch (%d bytes)", i, len(it.block))
 		}
 	}
-	if it, _, _ := l.next(); it != nil {
+	if it, _ := l.next(); it != nil {
 		t.Fatalf("drained log popped %+v", it)
 	}
 	if l.pending() != 0 {
@@ -80,18 +80,19 @@ func TestSpillCRCCorruptionSkipped(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	it, cc, cs := l.next()
-	if it == nil || it.seq != 1 {
-		t.Fatalf("first pop = %+v", it)
+	it, intact := l.next()
+	if it == nil || it.seq != 1 || !intact {
+		t.Fatalf("first pop = %+v (intact %v)", it, intact)
 	}
-	// The corrupt entry is skipped with exact drop deltas and the next
-	// good one returned.
-	it, cc, cs = l.next()
-	if it == nil || it.seq != 3 {
-		t.Fatalf("pop after corruption = %+v", it)
+	// The corrupt entry comes back block-less, carrying exactly what the
+	// caller must settle as lost, and the one after it is good again.
+	it, intact = l.next()
+	if it == nil || it.seq != 2 || intact || it.block != nil || it.samples != 64 {
+		t.Fatalf("corrupt pop = %+v (intact %v), want seq 2, 64 samples, no block", it, intact)
 	}
-	if cc != 1 || cs != 64 {
-		t.Fatalf("corrupt deltas = %d chunks/%d samples, want 1/64", cc, cs)
+	it, intact = l.next()
+	if it == nil || it.seq != 3 || !intact {
+		t.Fatalf("pop after corruption = %+v (intact %v)", it, intact)
 	}
 }
 
@@ -107,7 +108,7 @@ func TestSpillByteCapRefuses(t *testing.T) {
 		t.Fatal("add past the byte cap accepted")
 	}
 	// Draining frees budget for new frames.
-	if it, _, _ := l.next(); it == nil || it.seq != 1 {
+	if it, _ := l.next(); it == nil || it.seq != 1 {
 		t.Fatal("drain failed")
 	}
 	if !l.add(chunkItem(3, 3, 512)) {
@@ -145,7 +146,7 @@ func TestSpillSegmentRotationAndReclaim(t *testing.T) {
 		t.Fatalf("%d segment(s) after %d MiB, want rotation", got, n)
 	}
 	for i := 1; i <= n; i++ {
-		if it, _, _ := l.next(); it == nil || it.seq != uint64(i) {
+		if it, _ := l.next(); it == nil || it.seq != uint64(i) {
 			t.Fatalf("pop %d failed", i)
 		}
 	}
@@ -202,10 +203,10 @@ func TestSpillNeverClobbersEarlierProcess(t *testing.T) {
 	if err != nil || string(data) != "PSXL\x01leftover" {
 		t.Fatalf("leftover segment modified: %q, %v", data, err)
 	}
-	if it, _, _ := l.next(); it == nil || it.seq != 1 || len(it.block) != 64 {
+	if it, _ := l.next(); it == nil || it.seq != 1 || len(it.block) != 64 {
 		t.Fatalf("pop = %+v; leftover data must not be replayed", it)
 	}
-	if it, _, _ := l.next(); it != nil {
+	if it, _ := l.next(); it != nil {
 		t.Fatalf("leftover entry replayed: %+v", it)
 	}
 }
@@ -216,7 +217,7 @@ func TestSpillReAddAfterPopKeepsCountsExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.add(chunkItem(1, 1, 128))
-	it, _, _ := l.next()
+	it, _ := l.next()
 	if it == nil {
 		t.Fatal("pop failed")
 	}

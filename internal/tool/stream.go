@@ -45,9 +45,11 @@ const relayCapacity = 64
 // are discarded with accounting.
 const degradedRetain = 64
 
-// Stream retry defaults; Options.StreamRetries/StreamBackoff override.
+// The streaming writer's retry policy for transient I/O errors: up to
+// streamRetries retries per block, starting at Options.StreamBackoff
+// (default below) and doubling up to the cap.
 const (
-	defaultStreamRetries = 3
+	streamRetries        = 3
 	defaultStreamBackoff = time.Millisecond
 	maxStreamBackoff     = 50 * time.Millisecond
 )
@@ -66,13 +68,13 @@ type streamFile struct {
 	// sink already shipped (and the journal already checksummed), and
 	// with v2's per-block stack dictionary a re-encode is not
 	// guaranteed byte-identical.
-	retained []retainedBlock
+	retained []stagedBlock
 }
 
-// retainedBlock is one staged-but-unwritten trace block and its sample
-// count (for discard accounting).
-type retainedBlock struct {
-	samples int
+// stagedBlock is one encoded trace block and its sample count (for the
+// ledger).
+type stagedBlock struct {
+	samples uint32
 	block   []byte
 }
 
@@ -95,20 +97,16 @@ type streamer struct {
 	files    map[int32]*streamFile
 	seqs     map[int32]int // per-thread chunk sequence, for the drop hook
 
-	open       func(path string) (io.WriteCloser, error)
-	drop       func(thread int32, seq int) bool
-	retryLimit int
-	backoff    time.Duration
+	open    func(path string) (io.WriteCloser, error)
+	drop    func(thread int32, seq int) bool
+	backoff time.Duration
 
-	// Degradation accounting, exact: every chunk the streamer gives up
-	// on is counted here (and nowhere else). Atomics because Report
-	// reads them while the writer goroutine runs.
-	retries           atomic.Uint64 // transient-error retries performed
-	discardedChunks   atomic.Uint64 // chunks/blocks abandoned after retries + recovery
-	discardedSamples  atomic.Uint64 // samples inside those blocks
-	forcedDrops       atomic.Uint64 // chunks dropped by the DropChunk hook
-	forcedDropSamples atomic.Uint64
-	degraded          atomic.Int64 // threads that entered degraded mode
+	// led books every chunk and residue block the streamer takes:
+	// staged == written + discarded + forced (+ passed, when there is no
+	// file sink and the network sink's own ledger carries the block).
+	led      ledger
+	retries  atomic.Uint64 // transient-error retries performed
+	degraded atomic.Int64  // threads that entered degraded mode
 
 	// finalDropped/finalRelayDropped capture each buffer's drop
 	// counters at stop, before Drain consumes them, so Report keeps
@@ -128,17 +126,20 @@ func startStreamer(t *Tool, dir string) (*streamer, error) {
 		}
 	}
 	s := &streamer{
-		t:          t,
-		dir:        dir,
-		fileSink:   dir != "",
-		relay:      make(chan *perf.SealedChunk, relayCapacity),
-		files:      make(map[int32]*streamFile),
-		seqs:       make(map[int32]int),
-		open:       t.opts.OpenTraceFile,
-		drop:       t.opts.DropChunk,
-		retryLimit: t.opts.StreamRetries,
-		backoff:    t.opts.StreamBackoff,
-		done:       make(chan struct{}),
+		t:        t,
+		dir:      dir,
+		fileSink: dir != "",
+		relay:    make(chan *perf.SealedChunk, relayCapacity),
+		files:    make(map[int32]*streamFile),
+		seqs:     make(map[int32]int),
+		open:     t.opts.OpenTraceFile,
+		drop:     t.opts.DropChunk,
+		backoff:  t.opts.StreamBackoff,
+		led: ledger{
+			name:    "stream staged",
+			buckets: []bucket{written, discarded, forced, passed},
+		},
+		done: make(chan struct{}),
 	}
 	if t.opts.IngestAddr != "" {
 		n, err := startNetSink(&t.opts, t.gov)
@@ -149,9 +150,6 @@ func startStreamer(t *Tool, dir string) (*streamer, error) {
 	}
 	if s.open == nil {
 		s.open = func(path string) (io.WriteCloser, error) { return os.Create(path) }
-	}
-	if s.retryLimit <= 0 {
-		s.retryLimit = defaultStreamRetries
 	}
 	if s.backoff <= 0 {
 		s.backoff = defaultStreamBackoff
@@ -173,45 +171,55 @@ func (s *streamer) loop() {
 	}
 }
 
-// writeChunk appends one sealed chunk to its thread's trace file,
-// creating the file on first use. Failures degrade only this thread:
-// the chunk is retained for the stop-time recovery attempt (or
-// discarded with accounting once the backlog bound is hit).
+// writeChunk encodes one sealed chunk and stores it, unless the
+// DropChunk hook claims it first.
 func (s *streamer) writeChunk(sc *perf.SealedChunk) {
 	thread := sc.Thread()
 	seq := s.seqs[thread]
 	s.seqs[thread] = seq + 1
+	samples := uint32(sc.Len())
+	s.led.take(samples)
 	if s.drop != nil && s.drop(thread, seq) {
-		s.forcedDrops.Add(1)
-		s.forcedDropSamples.Add(uint64(sc.Len()))
+		s.led.settle(forced, samples)
 		return
 	}
 	var staged bytes.Buffer
 	if err := sc.EncodeWith(&staged, s.t.encoding()); err != nil {
 		// Encoding into a memory buffer failing is not a per-file
 		// condition a retry can cure: discard with accounting.
-		s.discardedChunks.Add(1)
-		s.discardedSamples.Add(uint64(sc.Len()))
+		s.discard(samples)
 		return
 	}
-	// Both sinks see the exact same staged bytes: the server's per-run
-	// file and the local trace file stay byte-identical.
+	s.store(thread, stagedBlock{samples: samples, block: staged.Bytes()})
+}
+
+// store hands one staged block to the sinks. Both see the exact same
+// bytes: the server's per-run file and the local trace file stay
+// byte-identical. The file is created on first use, and a failure
+// degrades only this thread: the block is retained for the stop-time
+// recovery attempt (or discarded with accounting once the backlog
+// bound is hit).
+func (s *streamer) store(thread int32, blk stagedBlock) {
 	if s.net != nil {
-		s.net.ship(thread, uint32(sc.Len()), staged.Bytes())
+		s.net.ship(thread, blk.samples, blk.block)
 	}
 	if !s.fileSink {
+		s.led.settle(passed, blk.samples)
 		return
 	}
 	sf := s.file(thread)
-	if sf.err != nil {
-		s.retain(sf, sc.Len(), staged.Bytes())
-		return
-	}
-	if err := s.writeBlock(sf, staged.Bytes()); err != nil {
+	if sf.err == nil {
+		err := s.writeBlock(sf, blk)
+		if err == nil {
+			return
+		}
 		s.fail(thread, sf, err)
-		s.retain(sf, sc.Len(), staged.Bytes())
 	}
+	s.retain(sf, blk)
 }
+
+// discard books one block the streamer gives up on.
+func (s *streamer) discard(samples uint32) { s.led.settle(discarded, samples) }
 
 // file returns (creating if needed) the per-thread file state. A
 // failed open degrades the thread but still returns usable state so
@@ -230,12 +238,12 @@ func (s *streamer) file(thread int32) *streamFile {
 			sf.w = w
 			return sf
 		}
-		if attempt >= s.retryLimit {
+		if attempt >= streamRetries {
 			s.fail(thread, sf, fmt.Errorf("open: %w", err))
 			return sf
 		}
 		s.retries.Add(1)
-		backoff = s.sleep(backoff)
+		backoff = waitBackoff(s.done, backoff, maxStreamBackoff)
 	}
 }
 
@@ -243,22 +251,24 @@ func (s *streamer) file(thread int32) *streamFile {
 // retrying clean failures (zero bytes written) with capped backoff. A
 // partial write is not retried: the file now holds a torn block, and
 // appending again would corrupt the prefix ReadTraceStream recovers.
-func (s *streamer) writeBlock(sf *streamFile, b []byte) error {
+// Success is the one place a block is booked as written.
+func (s *streamer) writeBlock(sf *streamFile, blk stagedBlock) error {
 	backoff := s.backoff
 	for attempt := 0; ; attempt++ {
-		n, err := sf.w.Write(b)
+		n, err := sf.w.Write(blk.block)
 		if err == nil {
+			s.led.settle(written, blk.samples)
 			return nil
 		}
 		if n > 0 {
 			sf.torn = true
-			return fmt.Errorf("torn write (%d/%d bytes): %w", n, len(b), err)
+			return fmt.Errorf("torn write (%d/%d bytes): %w", n, len(blk.block), err)
 		}
-		if attempt >= s.retryLimit {
+		if attempt >= streamRetries {
 			return err
 		}
 		s.retries.Add(1)
-		backoff = s.sleep(backoff)
+		backoff = waitBackoff(s.done, backoff, maxStreamBackoff)
 	}
 }
 
@@ -281,14 +291,6 @@ func waitBackoff(done <-chan struct{}, backoff, limit time.Duration) time.Durati
 	return backoff
 }
 
-// sleep waits one backoff step (writer goroutine only — OpenMP threads
-// never block on the stream) and returns the next, capped step. The
-// wait aborts as soon as stop closes s.done, so a detach never stalls
-// behind retries × backoff of accumulated sleeping.
-func (s *streamer) sleep(backoff time.Duration) time.Duration {
-	return waitBackoff(s.done, backoff, maxStreamBackoff)
-}
-
 // fail moves a thread's file into degraded mode and records why.
 func (s *streamer) fail(thread int32, sf *streamFile, err error) {
 	if sf.err == nil {
@@ -301,13 +303,12 @@ func (s *streamer) fail(thread int32, sf *streamFile, err error) {
 // retain holds the staged bytes a degraded thread could not write,
 // bounded; beyond the bound the block is discarded with exact
 // accounting.
-func (s *streamer) retain(sf *streamFile, samples int, block []byte) {
+func (s *streamer) retain(sf *streamFile, blk stagedBlock) {
 	if len(sf.retained) < degradedRetain {
-		sf.retained = append(sf.retained, retainedBlock{samples: samples, block: block})
+		sf.retained = append(sf.retained, blk)
 		return
 	}
-	s.discardedChunks.Add(1)
-	s.discardedSamples.Add(uint64(samples))
+	s.discard(blk.samples)
 }
 
 // flushRetained makes one recovery attempt for a degraded thread's
@@ -329,7 +330,7 @@ func (s *streamer) flushRetained(thread int32, sf *streamFile) {
 		for i, rb := range sf.retained {
 			// Replay the originally staged bytes verbatim — the same bytes
 			// the network sink shipped for this chunk — never a re-encode.
-			if err := s.writeBlock(sf, rb.block); err != nil {
+			if err := s.writeBlock(sf, rb); err != nil {
 				s.fail(thread, sf, fmt.Errorf("retained flush: %w", err))
 				sf.retained = sf.retained[i:]
 				flushed = false
@@ -343,17 +344,20 @@ func (s *streamer) flushRetained(thread int32, sf *streamFile) {
 		}
 	}
 	for _, rb := range sf.retained {
-		s.discardedChunks.Add(1)
-		s.discardedSamples.Add(uint64(rb.samples))
+		s.discard(rb.samples)
 	}
 	sf.retained = nil
 }
 
-// writeResidue flushes one buffer's not-yet-relayed samples as a final
+// writeResidue stores one buffer's not-yet-relayed samples as a final
 // block. With the collector quiescent the buffer is drained (writer
 // handoff); with a wedged callback still running it falls back to the
-// concurrency-safe snapshot write and leaves the buffer untouched.
-func (s *streamer) writeResidue(tb threadBuf, sf *streamFile, quiesced bool) {
+// concurrency-safe snapshot and leaves the buffer untouched. A residue
+// the file sink cannot write joins the thread's retained backlog, so
+// stop's last flushRetained gives it the same recovery attempt
+// (reopening a file whose open failed during the run) before it is
+// discarded.
+func (s *streamer) writeResidue(tb threadBuf, quiesced bool) {
 	src := tb.buf
 	if quiesced {
 		s.finalDropped.Add(src.Dropped())
@@ -363,35 +367,15 @@ func (s *streamer) writeResidue(tb threadBuf, sf *streamFile, quiesced bool) {
 	if src.Len() == 0 && src.NumStacks() == 0 && src.Dropped() == 0 {
 		return
 	}
+	samples := uint32(src.Len())
+	s.led.take(samples)
 	var staged bytes.Buffer
 	if err := perf.WriteTraceEnc(&staged, src, s.t.encoding()); err != nil {
 		s.errs = append(s.errs, fmt.Errorf("tool: stream thread %d: residue encode: %w", tb.id, err))
+		s.discard(samples)
 		return
 	}
-	if s.net != nil {
-		s.net.ship(tb.id, uint32(src.Len()), staged.Bytes())
-	}
-	if !s.fileSink {
-		return
-	}
-	if sf.w == nil && !sf.torn {
-		// Last-chance reopen for a thread whose open failed during the
-		// run (flushRetained only reopens when it has a backlog).
-		if w, err := s.open(sf.path); err == nil {
-			sf.w = w
-			sf.err = nil
-		}
-	}
-	if sf.err != nil || sf.w == nil || sf.torn {
-		s.discardedChunks.Add(1)
-		s.discardedSamples.Add(uint64(src.Len()))
-		return
-	}
-	if err := s.writeBlock(sf, staged.Bytes()); err != nil {
-		s.fail(tb.id, sf, fmt.Errorf("residue: %w", err))
-		s.discardedChunks.Add(1)
-		s.discardedSamples.Add(uint64(src.Len()))
-	}
+	s.store(tb.id, stagedBlock{samples: samples, block: staged.Bytes()})
 }
 
 // stop shuts down the writer goroutine, drains the chunks still queued
@@ -417,14 +401,12 @@ func (s *streamer) stop(quiesced bool) error {
 	}
 	seen := make(map[int32]bool)
 	for _, tb := range s.t.snapshotBuffers() {
-		var sf *streamFile
 		if s.fileSink {
-			sf = s.file(tb.id)
 			// Replay the retained backlog first so blocks stay in append
 			// order, then the residue.
-			s.flushRetained(tb.id, sf)
+			s.flushRetained(tb.id, s.file(tb.id))
 		}
-		s.writeResidue(tb, sf, quiesced)
+		s.writeResidue(tb, quiesced)
 		seen[tb.id] = true
 	}
 	if s.net != nil {
@@ -445,7 +427,7 @@ func (s *streamer) stop(quiesced bool) error {
 		s.net.shutdown()
 	}
 	for thread, sf := range s.files {
-		s.flushRetained(thread, sf) // files whose buffer never resurfaced
+		s.flushRetained(thread, sf) // unwritable residues, and files whose buffer never resurfaced
 		if sf.w != nil {
 			if err := sf.w.Close(); err != nil {
 				s.errs = append(s.errs, fmt.Errorf("tool: stream close thread %d: %w", thread, err))
@@ -453,5 +435,10 @@ func (s *streamer) stop(quiesced bool) error {
 		}
 	}
 	s.files = nil
+	// Every goroutine that settles has stopped: check the books.
+	s.errs = append(s.errs, s.led.balance())
+	if s.net != nil {
+		s.errs = append(s.errs, s.net.led.balance())
+	}
 	return errors.Join(s.errs...)
 }

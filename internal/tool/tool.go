@@ -197,11 +197,9 @@ type Options struct {
 	// forced-drop counters (fault injection).
 	DropChunk func(thread int32, seq int) bool
 
-	// StreamRetries and StreamBackoff tune the streaming writer's
-	// retry policy for transient I/O errors: up to StreamRetries
-	// retries per block, starting at StreamBackoff and doubling with a
-	// cap. Zero values take the defaults (3 retries, 1ms).
-	StreamRetries int
+	// StreamBackoff is the first step of the streaming writer's retry
+	// backoff for transient file I/O errors (three retries per block,
+	// doubling with a cap). Zero means 1ms.
 	StreamBackoff time.Duration
 
 	// HangTimeout, when nonzero, starts the hang supervisor at attach:
@@ -1017,21 +1015,15 @@ func (t *Tool) Report() *Report {
 		r.Dropped += s.finalDropped.Load()
 		r.RelayDropped += s.finalRelayDropped.Load()
 		r.StreamRetries = s.retries.Load()
-		r.StreamDiscardedChunks = s.discardedChunks.Load()
-		r.StreamDiscardedSamples = s.discardedSamples.Load()
-		r.ForcedDrops = s.forcedDrops.Load()
-		r.ForcedDropSamples = s.forcedDropSamples.Load()
+		r.StreamDiscardedChunks, r.StreamDiscardedSamples = s.led.settled[discarded].load()
+		r.ForcedDrops, r.ForcedDropSamples = s.led.settled[forced].load()
 		r.DegradedThreads = int(s.degraded.Load())
 		if n := s.net; n != nil {
-			r.IngestShippedChunks = n.shipped.Load()
-			r.IngestDroppedChunks = n.dropped.Load()
-			r.IngestDroppedSamples = n.droppedSamples.Load()
-			r.IngestStorageChunks = n.storageChunks.Load()
-			r.IngestStorageSamples = n.storageSamples.Load()
-			r.IngestProducedChunks = n.produced.Load()
-			r.IngestProducedSamples = n.producedSamples.Load()
-			r.IngestReplayedChunks = n.replayed.Load()
-			r.IngestReplayedSamples = n.replayedSamples.Load()
+			r.IngestProducedChunks, r.IngestProducedSamples = n.led.taken.load()
+			r.IngestShippedChunks, _ = n.led.settled[shipped].load()
+			r.IngestDroppedChunks, r.IngestDroppedSamples = n.led.settled[dropped].load()
+			r.IngestStorageChunks, r.IngestStorageSamples = n.led.settled[storage].load()
+			r.IngestReplayedChunks, r.IngestReplayedSamples = n.led.settled[replayed].load()
 			r.IngestOverloadedAcks = n.overloadedAcks.Load()
 			if sp := n.spill; sp != nil {
 				r.IngestSpilledChunks, r.IngestSpilledSamples = sp.stats()
@@ -1090,102 +1082,77 @@ func (t *Tool) WriteTraces(write func(thread int32) (io.Writer, error)) error {
 
 // WriteReport renders the report as text.
 func (r *Report) WriteTo(w io.Writer) (int64, error) {
+	// p prints until the first write error and is a no-op after it.
 	var n int64
-	p := func(format string, args ...any) error {
-		m, err := fmt.Fprintf(w, format, args...)
+	var err error
+	p := func(format string, args ...any) {
+		if err != nil {
+			return
+		}
+		var m int
+		m, err = fmt.Fprintf(w, format, args...)
 		n += int64(m)
-		return err
 	}
-	if err := p("collector tool report\n"); err != nil {
-		return n, err
-	}
+	p("collector tool report\n")
 	events := make([]collector.Event, 0, len(r.Events))
 	for e := range r.Events {
 		events = append(events, e)
 	}
 	sort.Slice(events, func(i, j int) bool { return events[i] < events[j] })
 	for _, e := range events {
-		if err := p("  %-32s %d\n", e, r.Events[e]); err != nil {
-			return n, err
-		}
+		p("  %-32s %d\n", e, r.Events[e])
 	}
-	if err := p("  samples stored: %d (dropped %d)\n", r.Samples, r.Dropped); err != nil {
-		return n, err
-	}
+	p("  samples stored: %d (dropped %d)\n", r.Samples, r.Dropped)
 	if r.RelayDropped > 0 || r.StreamRetries > 0 || r.StreamDiscardedChunks > 0 ||
 		r.ForcedDrops > 0 || r.DegradedThreads > 0 {
-		if err := p("  stream: %d retries, %d relay-dropped chunks, %d discarded chunks (%d samples), %d forced drops (%d samples), %d degraded threads\n",
+		p("  stream: %d retries, %d relay-dropped chunks, %d discarded chunks (%d samples), %d forced drops (%d samples), %d degraded threads\n",
 			r.StreamRetries, r.RelayDropped, r.StreamDiscardedChunks,
 			r.StreamDiscardedSamples, r.ForcedDrops, r.ForcedDropSamples,
-			r.DegradedThreads); err != nil {
-			return n, err
-		}
+			r.DegradedThreads)
 	}
 	if r.IngestShippedChunks > 0 || r.IngestDroppedChunks > 0 || r.IngestReconnects > 0 {
-		if err := p("  ingest: %d produced chunks, %d shipped, %d dropped (%d samples), %d reconnects, %d overloaded acks\n",
+		p("  ingest: %d produced chunks, %d shipped, %d dropped (%d samples), %d reconnects, %d overloaded acks\n",
 			r.IngestProducedChunks, r.IngestShippedChunks, r.IngestDroppedChunks,
-			r.IngestDroppedSamples, r.IngestReconnects, r.IngestOverloadedAcks); err != nil {
-			return n, err
-		}
+			r.IngestDroppedSamples, r.IngestReconnects, r.IngestOverloadedAcks)
 	}
 	if r.IngestSpilledChunks > 0 || r.IngestSpillPendingChunks > 0 {
-		if err := p("  spill: %d chunks (%d samples) spilled to disk, %d (%d samples) replayed and acked, %d (%d samples) still pending on disk\n",
+		p("  spill: %d chunks (%d samples) spilled to disk, %d (%d samples) replayed and acked, %d (%d samples) still pending on disk\n",
 			r.IngestSpilledChunks, r.IngestSpilledSamples,
 			r.IngestReplayedChunks, r.IngestReplayedSamples,
-			r.IngestSpillPendingChunks, r.IngestSpillPendingSamples); err != nil {
-			return n, err
-		}
+			r.IngestSpillPendingChunks, r.IngestSpillPendingSamples)
 	}
 	if r.GovernorCeiling > 0 {
-		if err := p("  governor: level %s, overhead %.4f (ceiling %.4f), %d transitions\n",
-			r.GovernorLevel, r.GovernorRatio, r.GovernorCeiling, len(r.GovernorSteps)); err != nil {
-			return n, err
-		}
+		p("  governor: level %s, overhead %.4f (ceiling %.4f), %d transitions\n",
+			r.GovernorLevel, r.GovernorRatio, r.GovernorCeiling, len(r.GovernorSteps))
 		for _, tr := range r.GovernorSteps {
-			if err := p("    %s\n", tr); err != nil {
-				return n, err
-			}
+			p("    %s\n", tr)
 		}
 	}
 	if r.IngestStorageChunks > 0 {
-		if err := p("  ingest storage: %d chunks (%d samples) refused INGEST_STORAGE (run quarantined server-side)\n",
-			r.IngestStorageChunks, r.IngestStorageSamples); err != nil {
-			return n, err
-		}
+		p("  ingest storage: %d chunks (%d samples) refused INGEST_STORAGE (run quarantined server-side)\n",
+			r.IngestStorageChunks, r.IngestStorageSamples)
 	}
 	if r.Health != nil && !r.Health.Healthy() {
-		if err := p("  %s\n", r.Health); err != nil {
-			return n, err
-		}
+		p("  %s\n", r.Health)
 	}
 	for _, w := range r.Wedged {
-		if err := p("  wedged at detach: %s (running %v)\n", w.Event, w.Age); err != nil {
-			return n, err
-		}
+		p("  wedged at detach: %s (running %v)\n", w.Event, w.Age)
 	}
 	if len(r.Regions) > 0 {
-		if err := p("  parallel regions timed: %d\n", len(r.Regions)); err != nil {
-			return n, err
-		}
+		p("  parallel regions timed: %d\n", len(r.Regions))
 	}
 	for i, s := range r.JoinSites {
 		if i >= 10 {
 			break
 		}
-		if err := p("  join site %s:%d (%s) ×%d\n",
-			s.Leaf.File, s.Leaf.Line, s.Leaf.Func, s.Count); err != nil {
-			return n, err
-		}
+		p("  join site %s:%d (%s) ×%d\n",
+			s.Leaf.File, s.Leaf.Line, s.Leaf.Func, s.Count)
 	}
 	if r.Hang != "" {
-		if err := p("  WARNING: run hung; data above is the salvaged gap-free prefix\n"); err != nil {
-			return n, err
-		}
+		p("  WARNING: run hung; data above is the salvaged gap-free prefix\n")
 		for _, line := range strings.Split(strings.TrimRight(r.Hang, "\n"), "\n") {
-			if err := p("  | %s\n", line); err != nil {
-				return n, err
-			}
+			p("  | %s\n", line)
 		}
 	}
-	return n, nil
+	return n, err
 }
