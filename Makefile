@@ -17,12 +17,17 @@ test: build
 # (every write path is walked block by block), so v1 lives on only as
 # something the readers must keep opening: the checked-in v1 fixture,
 # v1 and v2 blocks mixed in one stream, and every writer/reader pairing
-# must read back through the auto-detecting reader.
+# must read back through the auto-detecting reader. Last, the
+# allocation guards: what psxd's per-chunk count check, the trace
+# reader and Timelines may allocate per sample. They skip themselves
+# under -race (the detector changes what an allocation costs), so this
+# is the run that enforces them.
 check:
 	$(GO) vet ./...
 	$(GO) test -race ./internal/perf ./internal/tool ./internal/collector ./internal/ingest
 	$(GO) test -count=1 ./internal/faultinject -run 'EveryWritePathWritesPSX2'
 	$(GO) test -count=1 ./internal/perf -run 'V1Fixture|V2CrossRead|MixedStream|V2TornTail'
+	$(GO) test -count=1 ./internal/perf ./internal/analysis -run 'Alloc'
 
 # chaos runs the deterministic fault-injection suite — panicking and
 # hung callbacks, failing/torn trace writes, forced chunk drops —

@@ -73,44 +73,104 @@ type Timeline struct {
 	Unbalanced int
 }
 
+// timed is all Timelines reads of a sample, so it is all it copies.
+type timed struct {
+	time  int64
+	event collector.Event
+}
+
+// threadRecords is one thread's share of the trace while Timelines
+// regroups it: first a count, then exactly that many records.
+type threadRecords struct {
+	thread   int32
+	n        int     // records counted
+	begins   int     // of which open an interval: the most it can have
+	recs     []timed // filled to n in trace order
+	unsorted bool    // some record is earlier than the one before it
+}
+
+// inTimeline reports whether a sample is thread activity: sampler
+// records carry no event, and governor transitions ride on a
+// pseudo-thread as trace metadata.
+func inTimeline(s *perf.Sample) bool {
+	return s.Event >= 0 && collector.Event(s.Event) != collector.EventGovernor
+}
+
 // Timelines reconstructs one timeline per thread from trace samples.
 // Samples may be unsorted; they are ordered by time per thread.
 // Nesting is handled with a per-thread stack (a lock wait inside a
 // worksharing loop closes before the loop does).
 func Timelines(samples []perf.Sample) []Timeline {
-	byThread := make(map[int32][]perf.Sample)
-	for _, s := range samples {
-		if s.Event < 0 {
+	// Count first, so that every thread's records and intervals are
+	// allocated once at their final size. A trace is runs of one
+	// thread's samples (a file per thread, a chunk per block), so the
+	// thread of the previous sample is looked up once per run.
+	index := make(map[int32]int)
+	var threads []threadRecords
+	cur := -1
+	lookup := func(th int32) {
+		if cur >= 0 && threads[cur].thread == th {
+			return
+		}
+		i, ok := index[th]
+		if !ok {
+			i = len(threads)
+			index[th] = i
+			threads = append(threads, threadRecords{thread: th})
+		}
+		cur = i
+	}
+	for i := range samples {
+		s := &samples[i]
+		if !inTimeline(s) {
 			continue
 		}
-		// Governor transitions ride on a pseudo-thread; they are trace
-		// metadata, not thread activity.
-		if collector.Event(s.Event) == collector.EventGovernor {
+		lookup(s.Thread)
+		threads[cur].n++
+		if IsBegin(collector.Event(s.Event)) {
+			threads[cur].begins++
+		}
+	}
+	total := 0
+	for i := range threads {
+		total += threads[i].n
+	}
+	all := make([]timed, total)
+	for i := range threads {
+		t := &threads[i]
+		t.recs, all = all[:0:t.n], all[t.n:]
+	}
+	for i := range samples {
+		s := &samples[i]
+		if !inTimeline(s) {
 			continue
 		}
-		byThread[s.Thread] = append(byThread[s.Thread], s)
+		lookup(s.Thread)
+		t := &threads[cur]
+		if n := len(t.recs); n > 0 && s.Time < t.recs[n-1].time {
+			t.unsorted = true
+		}
+		t.recs = append(t.recs, timed{s.Time, collector.Event(s.Event)})
 	}
-	threads := make([]int32, 0, len(byThread))
-	for th := range byThread {
-		threads = append(threads, th)
-	}
-	sort.Slice(threads, func(i, j int) bool { return threads[i] < threads[j] })
+	sort.Slice(threads, func(i, j int) bool { return threads[i].thread < threads[j].thread })
 
 	out := make([]Timeline, 0, len(threads))
-	for _, th := range threads {
-		ss := byThread[th]
-		sort.SliceStable(ss, func(i, j int) bool { return ss[i].Time < ss[j].Time })
-		tl := Timeline{Thread: th}
-		var stack []Interval
-		var last int64
-		for _, s := range ss {
-			last = s.Time
-			e := collector.Event(s.Event)
+	var stack []Interval
+	for i := range threads {
+		t := &threads[i]
+		if t.unsorted {
+			sort.SliceStable(t.recs, func(i, j int) bool { return t.recs[i].time < t.recs[j].time })
+		}
+		tl := Timeline{Thread: t.thread}
+		// Every interval comes from one begin record.
+		ivs := make([]Interval, 0, t.begins)
+		stack = stack[:0]
+		for _, r := range t.recs {
 			switch {
-			case IsBegin(e):
-				stack = append(stack, Interval{Kind: e, Start: s.Time})
-			case IsEnd(e):
-				want := endToBegin[e]
+			case IsBegin(r.event):
+				stack = append(stack, Interval{Kind: r.event, Start: r.time})
+			case IsEnd(r.event):
+				want := endToBegin[r.event]
 				// Pop to the matching open, tolerating mismatches by
 				// discarding inner unbalanced opens.
 				matched := false
@@ -118,8 +178,8 @@ func Timelines(samples []perf.Sample) []Timeline {
 					top := stack[len(stack)-1]
 					stack = stack[:len(stack)-1]
 					if top.Kind == want {
-						top.End = s.Time
-						tl.Intervals = append(tl.Intervals, top)
+						top.End = r.time
+						ivs = append(ivs, top)
 						matched = true
 						break
 					}
@@ -132,13 +192,14 @@ func Timelines(samples []perf.Sample) []Timeline {
 		}
 		// Close dangling opens at the final sample time.
 		for _, iv := range stack {
-			iv.End = last
-			tl.Intervals = append(tl.Intervals, iv)
+			iv.End = t.recs[len(t.recs)-1].time
+			ivs = append(ivs, iv)
 			tl.Unbalanced++
 		}
-		sort.Slice(tl.Intervals, func(i, j int) bool {
-			return tl.Intervals[i].Start < tl.Intervals[j].Start
-		})
+		if len(ivs) > 0 {
+			sort.Slice(ivs, func(i, j int) bool { return ivs[i].Start < ivs[j].Start })
+			tl.Intervals = ivs
+		}
 		out = append(out, tl)
 	}
 	return out

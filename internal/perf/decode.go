@@ -1,0 +1,334 @@
+package perf
+
+import (
+	"bufio"
+	"bytes"
+	"compress/flate"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
+	"io"
+)
+
+// blockDecoder reads the trace blocks of one stream into one
+// destination buffer. Reading a block has two halves that never
+// overlap: the stage functions parse and validate the whole block into
+// scratch the decoder owns and reuses from block to block, touching
+// nothing of the destination; commit, reached only by a block that
+// passed every check, interns the staged stacks and appends the staged
+// samples. A block that fails therefore leaves the destination exactly
+// as the blocks before it made it — the salvage contract of
+// ReadTraceStream — and each sample is materialised once, in the
+// buffer the caller keeps.
+type blockDecoder struct {
+	br  *bufio.Reader // the stream; blocks are consumed from it in order
+	dst *TraceBuffer  // starts empty: stacks counts what commit interned into it
+
+	// The staged block, valid from a successful stage to its commit.
+	samples []Sample  // stack IDs index the block's own stack table
+	pcs     []uintptr // the block's stacks, end to end
+	ends    []int     // stack i is pcs[ends[i-1]:ends[i]]
+	dropped uint64
+
+	stacks int32 // stacks committed so far: the next block's ID base
+
+	// The v2 payload of the block being staged.
+	limit    io.LimitedReader // bounds what stored and raw may take
+	stored   bytes.Buffer     // the declared extent, as the stream holds it
+	deflated bytes.Reader     // stored, for the inflater to read
+	inflate  io.ReadCloser    // made by the first flate block
+	raw      bytes.Buffer     // the inflated payload of a flate block
+}
+
+// readBlock consumes the block at the head of the stream, whose four
+// magic bytes the caller has seen buffered, and appends it to dst.
+func (d *blockDecoder) readBlock() error {
+	head, _ := d.br.Peek(4)
+	var err error
+	if IsV2Block(head) {
+		err = d.stageV2()
+	} else {
+		err = d.stageV1()
+	}
+	if err == nil {
+		d.commit()
+	}
+	return err
+}
+
+// commit moves the staged block into dst: the stacks first, so that
+// the IDs the samples are rebased to exist before any sample names
+// them. It is the only place the reader writes to its destination.
+func (d *blockDecoder) commit() {
+	start := 0
+	for _, end := range d.ends {
+		d.dst.InternStack(d.pcs[start:end])
+		start = end
+	}
+	d.dst.appendSamples(d.samples, d.stacks)
+	d.stacks += int32(len(d.ends))
+	d.dst.dropped.Add(d.dropped)
+}
+
+// u32 and u64 consume one little-endian v1 field. Past its header a
+// v1 block has no finer diagnosis than "malformed".
+func (d *blockDecoder) u32() (uint32, error) {
+	b, err := d.br.Peek(4)
+	if err != nil {
+		return 0, ErrBadTrace
+	}
+	v := binary.LittleEndian.Uint32(b)
+	d.br.Discard(4)
+	return v, nil
+}
+
+func (d *blockDecoder) u64() (uint64, error) {
+	b, err := d.br.Peek(8)
+	if err != nil {
+		return 0, ErrBadTrace
+	}
+	v := binary.LittleEndian.Uint64(b)
+	d.br.Discard(8)
+	return v, nil
+}
+
+// stageV1 parses one fixed-width PSXT block (magic included). A block
+// torn inside its 16-byte header reports the bare io error, as
+// io.ReadFull over the header would; everything after is ErrBadTrace.
+func (d *blockDecoder) stageV1() error {
+	hdr, err := d.br.Peek(16)
+	if len(hdr) >= 4 && !bytes.Equal(hdr[:4], traceMagic[:]) {
+		return ErrBadTrace
+	}
+	if err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return err
+	}
+	ver := binary.LittleEndian.Uint32(hdr[4:8])
+	ns := binary.LittleEndian.Uint64(hdr[8:16])
+	d.br.Discard(16)
+	if ver != traceVersion {
+		return fmt.Errorf("perf: unsupported trace version %d", ver)
+	}
+	if ns > maxReasonable {
+		return ErrBadTrace
+	}
+	// The declared counts are untrusted until the records actually
+	// parse, so the scratch grows with the bytes present, never from a
+	// header (a truncated stream fails fast below).
+	d.samples = d.samples[:0]
+	for i := uint64(0); i < ns; i++ {
+		rec, err := d.br.Peek(sampleRecordLen)
+		if err != nil {
+			return ErrBadTrace
+		}
+		d.samples = append(d.samples, Sample{
+			Time:    int64(binary.LittleEndian.Uint64(rec[0:8])),
+			Thread:  int32(binary.LittleEndian.Uint32(rec[8:12])),
+			Event:   int32(binary.LittleEndian.Uint32(rec[12:16])),
+			State:   int32(binary.LittleEndian.Uint32(rec[16:20])),
+			Region:  binary.LittleEndian.Uint64(rec[20:28]),
+			Site:    binary.LittleEndian.Uint64(rec[28:36]),
+			StackID: int32(binary.LittleEndian.Uint32(rec[36:40])),
+		})
+		d.br.Discard(sampleRecordLen)
+	}
+	nst, err := d.u64()
+	if err != nil || nst > maxReasonable {
+		return ErrBadTrace
+	}
+	d.pcs, d.ends = d.pcs[:0], d.ends[:0]
+	for i := uint64(0); i < nst; i++ {
+		depth, err := d.u32()
+		if err != nil || depth > maxStackDepth {
+			return ErrBadTrace
+		}
+		for j := uint32(0); j < depth; j++ {
+			pc, err := d.u64()
+			if err != nil {
+				return err
+			}
+			d.pcs = append(d.pcs, uintptr(pc))
+		}
+		d.ends = append(d.ends, len(d.pcs))
+	}
+	d.dropped, err = d.u64()
+	return err
+}
+
+// varints is a run of zigzag varints and how far it has been decoded.
+// (An offset, not a shrinking slice: storing a slice through the
+// receiver would put a GC write barrier on every value.)
+type varints struct {
+	buf []byte
+	off int
+}
+
+// uvarint decodes the next value as it is stored; ok is false when the
+// run ends, or overflows, before the value does.
+func (p *varints) uvarint() (u uint64, ok bool) {
+	u, n := binary.Uvarint(p.buf[p.off:])
+	if n <= 0 {
+		return 0, false
+	}
+	p.off += n
+	return u, true
+}
+
+// next decodes the next value as a zigzag-mapped signed one. Most are
+// one byte (a thread, event or state; a region or site that repeats),
+// so that case does not go through the general loop.
+func (p *varints) next() (v int64, ok bool) {
+	if p.off < len(p.buf) && p.buf[p.off] < 0x80 {
+		b := p.buf[p.off]
+		p.off++
+		return unzigzag(uint64(b)), true
+	}
+	u, ok := p.uvarint()
+	return unzigzag(u), ok
+}
+
+var errTruncatedV2 = fmt.Errorf("%w: truncated v2 payload", ErrBadTrace)
+
+// stageV2 parses one PSX2 block (magic included), validating it in the
+// order the format allows: the declared extent must be present, its
+// CRC must match, and only then is it decoded — to exactly the
+// declared sample and stack counts, every stack index inside the
+// dictionary. Nothing is sized from the header: the scratch grows with
+// the bytes that actually arrive.
+func (d *blockDecoder) stageV2() error {
+	hdr, err := d.br.Peek(v2HeaderLen)
+	if err != nil {
+		return fmt.Errorf("%w: truncated v2 header", ErrBadTrace)
+	}
+	if v := binary.LittleEndian.Uint32(hdr[4:8]); v != traceV2Version {
+		return fmt.Errorf("perf: unsupported v2 trace version %d", v)
+	}
+	flags := binary.LittleEndian.Uint32(hdr[8:12])
+	ns := binary.LittleEndian.Uint64(hdr[12:20])
+	nst := binary.LittleEndian.Uint64(hdr[20:28])
+	d.dropped = binary.LittleEndian.Uint64(hdr[28:36])
+	plen := binary.LittleEndian.Uint64(hdr[36:44])
+	wantCRC := binary.LittleEndian.Uint32(hdr[44:48])
+	d.br.Discard(v2HeaderLen)
+	if ns > maxReasonable || nst > maxReasonable || plen > maxV2Payload {
+		return ErrBadTrace
+	}
+
+	d.stored.Reset()
+	d.limit = io.LimitedReader{R: d.br, N: int64(plen)}
+	if _, err := d.stored.ReadFrom(&d.limit); err != nil || d.limit.N != 0 {
+		return errTruncatedV2
+	}
+	if crc32.ChecksumIEEE(d.stored.Bytes()) != wantCRC {
+		return fmt.Errorf("%w: v2 payload checksum mismatch", ErrBadTrace)
+	}
+	p := varints{buf: d.stored.Bytes()}
+	if flags&flagV2Flate != 0 {
+		// The inflater holds nothing but memory, so it is reused and
+		// never closed. Inflation stops one byte past the longest
+		// payload the declared counts could need: a longer one is
+		// refused below without being held.
+		d.deflated.Reset(d.stored.Bytes())
+		if d.inflate == nil {
+			d.inflate = flate.NewReader(&d.deflated)
+		} else if err := d.inflate.(flate.Resetter).Reset(&d.deflated, nil); err != nil {
+			return err
+		}
+		const perSample, perStack = 7 * binary.MaxVarintLen64, (1 + maxStackDepth) * binary.MaxVarintLen64
+		d.raw.Reset()
+		d.limit = io.LimitedReader{R: d.inflate, N: int64(ns*perSample+nst*perStack) + 1}
+		if _, err := d.raw.ReadFrom(&d.limit); err != nil {
+			return errTruncatedV2
+		}
+		p.buf = d.raw.Bytes()
+	}
+
+	// One pass per column, each filling its field of the staged
+	// samples; the first column sizes the scratch.
+	d.samples = d.samples[:0]
+	var t int64
+	for i := uint64(0); i < ns; i++ {
+		v, ok := p.next()
+		if !ok {
+			return errTruncatedV2
+		}
+		t += v
+		d.samples = append(d.samples, Sample{Time: t})
+	}
+	ss := d.samples
+	var th int64
+	for i := range ss {
+		v, ok := p.next()
+		if !ok {
+			return errTruncatedV2
+		}
+		th += v
+		ss[i].Thread = int32(th)
+	}
+	for i := range ss {
+		v, ok := p.next()
+		if !ok {
+			return errTruncatedV2
+		}
+		ss[i].Event = int32(v)
+	}
+	for i := range ss {
+		v, ok := p.next()
+		if !ok {
+			return errTruncatedV2
+		}
+		ss[i].State = int32(v)
+	}
+	var region, site uint64
+	for i := range ss {
+		v, ok := p.next()
+		if !ok {
+			return errTruncatedV2
+		}
+		region += uint64(v)
+		ss[i].Region = region
+	}
+	for i := range ss {
+		v, ok := p.next()
+		if !ok {
+			return errTruncatedV2
+		}
+		site += uint64(v)
+		ss[i].Site = site
+	}
+	for i := range ss {
+		id, ok := p.next()
+		if !ok {
+			return errTruncatedV2
+		}
+		if id != int64(NoStack) && (id < 0 || uint64(id) >= nst) {
+			return fmt.Errorf("%w: v2 stack index out of dictionary range", ErrBadTrace)
+		}
+		ss[i].StackID = int32(id)
+	}
+
+	d.pcs, d.ends = d.pcs[:0], d.ends[:0]
+	for i := uint64(0); i < nst; i++ {
+		depth, ok := p.uvarint()
+		if !ok || depth > maxStackDepth {
+			return fmt.Errorf("%w: bad v2 stack entry", ErrBadTrace)
+		}
+		var pc uint64
+		for j := uint64(0); j < depth; j++ {
+			v, ok := p.next()
+			if !ok {
+				return errTruncatedV2
+			}
+			pc += uint64(v)
+			d.pcs = append(d.pcs, uintptr(pc))
+		}
+		d.ends = append(d.ends, len(d.pcs))
+	}
+	if p.off != len(p.buf) {
+		return fmt.Errorf("%w: v2 payload larger than declared counts", ErrBadTrace)
+	}
+	return nil
+}

@@ -78,20 +78,23 @@ func ReadTraceStreamReports(r io.Reader) (*TraceBuffer, []string, error) {
 	total, sized := streamRemaining(r)
 	cr := &countingReader{r: r}
 	br := bufio.NewReader(cr)
-	merged := NewTraceBuffer(0, 0)
+	d := &blockDecoder{br: br, dst: NewTraceBuffer(0, 0)}
 	var reports []string
 	for {
 		head, err := br.Peek(4)
-		if len(head) == 0 && err != nil {
+		if len(head) < 4 {
 			if err == io.EOF {
-				return merged, reports, nil
+				err = nil
+				if len(head) > 0 {
+					err = fmt.Errorf("%w: truncated block", ErrBadTrace)
+				}
 			}
-			return merged, reports, err
+			return d.dst, reports, err
 		}
 		if bytes.Equal(head, reportMagic[:]) {
 			text, err := readHangReport(br)
 			if err != nil {
-				return merged, reports, err
+				return d.dst, reports, err
 			}
 			reports = append(reports, text)
 			continue
@@ -101,27 +104,15 @@ func ReadTraceStreamReports(r io.Reader) (*TraceBuffer, []string, error) {
 			// what it still holds; the rest is what this block may use.
 			remaining := total - (cr.n - int64(br.Buffered()))
 			if err := precheckBlockSize(br, remaining); err != nil {
-				return merged, reports, err
+				return d.dst, reports, err
 			}
 		}
-		block, err := ReadTrace(br)
-		if err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		if err := d.readBlock(); err != nil {
+			if errors.Is(err, io.ErrUnexpectedEOF) {
 				err = fmt.Errorf("%w: truncated block", ErrBadTrace)
 			}
-			return merged, reports, err
+			return d.dst, reports, err
 		}
-		base := int32(merged.NumStacks())
-		block.ForEachStack(func(_ int32, pcs []uintptr) {
-			merged.InternStack(pcs)
-		})
-		for _, s := range block.Samples() {
-			if s.StackID != NoStack {
-				s.StackID += base
-			}
-			merged.Append(s)
-		}
-		merged.dropped.Add(block.Dropped())
 	}
 }
 

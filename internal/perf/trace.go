@@ -4,8 +4,8 @@ import (
 	"bufio"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
+	"runtime"
 	"sync/atomic"
 )
 
@@ -28,6 +28,9 @@ const NoStack int32 = -1
 // preallocation, of atomic publication to snapshot readers, and of
 // hand-off to the streaming writer.
 const ChunkSamples = 256
+
+// callstackDepth is the most frames AppendCallstack captures.
+const callstackDepth = 32
 
 // cacheLinePad separates writer-private state from cross-thread
 // counters inside the hot structs. Buffers are per-P/per-thread by
@@ -99,11 +102,12 @@ func (s *SealedChunk) Encode(w io.Writer) error {
 // TraceBuffer stores samples and interned callstacks for one thread.
 //
 // Buffers are strictly single-writer: only the owning thread may call
-// Append, AppendStacked or InternStack. The hot path is wait-free — a
-// limit check, a cursor bump, and one release-store; no lock and no
-// allocation until a chunk fills. Readers (Samples, Stack, Len,
-// WriteTrace, the streamer) take a consistent snapshot through the
-// atomically published chunk list without ever blocking the writer.
+// Append, AppendStacked, AppendCallstack or InternStack. The hot path
+// is wait-free — a limit check, a cursor bump, and one release-store;
+// no lock and no allocation until a chunk fills. Readers (Samples,
+// Stack, Len, WriteTrace, the streamer) take a consistent snapshot
+// through the atomically published chunk list without ever blocking
+// the writer.
 //
 // Drain and Reset bypass the writer's cursors and therefore require
 // the writer to be quiescent (no concurrent append); the tool
@@ -125,7 +129,12 @@ type TraceBuffer struct {
 	// consumer falls behind the chunk is discarded and accounted.
 	relay  chan<- *SealedChunk
 	thread int32
-	_      [cacheLinePad - 44 - 4]byte // Report polls the drop counters below
+
+	// callers is where AppendCallstack captures a stack before
+	// interning it: four whole cache lines, so the padding below still
+	// ends the writer's part on a line boundary.
+	callers [callstackDepth]uintptr
+	_       [cacheLinePad - 44 - 4]byte // Report polls the drop counters below
 
 	dropped    atomic.Uint64 // samples lost to the limit or a full relay
 	relayDrops atomic.Uint64 // sealed chunks discarded on a full relay
@@ -174,6 +183,32 @@ func (b *TraceBuffer) Append(s Sample) {
 	b.retained++
 }
 
+// appendSamples is Append over a run of samples, a chunk's worth at a
+// time, with stackBase added to every stack ID: how the trace reader
+// commits a decoded block. It takes no notice of the limit, so it is
+// for buffers made without one. Owning thread only.
+func (b *TraceBuffer) appendSamples(ss []Sample, stackBase int32) {
+	for len(ss) > 0 {
+		c := b.active
+		if c.wn == ChunkSamples {
+			c = b.seal()
+		}
+		dst := c.samples[c.wn:]
+		n := copy(dst, ss)
+		if stackBase != 0 {
+			for i := range dst[:n] {
+				if dst[i].StackID != NoStack {
+					dst[i].StackID += stackBase
+				}
+			}
+		}
+		c.wn += int32(n)
+		c.n.Store(c.wn) // release: publish the run
+		b.retained += n
+		ss = ss[n:]
+	}
+}
+
 // AppendStacked records a sample together with its callstack, interning
 // the stack only if the sample is actually recorded — a sample dropped
 // at the limit must not leak a retained stack. The stack and the sample
@@ -184,6 +219,25 @@ func (b *TraceBuffer) AppendStacked(s Sample, pcs []uintptr) {
 		b.dropped.Add(1)
 		return
 	}
+	b.appendStacked(s, pcs)
+}
+
+// AppendCallstack is AppendStacked(s, Callstack(skip, 32)) without the
+// intermediate slice: the stack is captured into scratch the single
+// writer owns, and only its exact-length interned copy is allocated. A
+// sample dropped at the limit captures nothing. Owning thread only.
+func (b *TraceBuffer) AppendCallstack(s Sample, skip int) {
+	if b.limit > 0 && b.retained >= b.limit {
+		b.dropped.Add(1)
+		return
+	}
+	n := runtime.Callers(skip+2, b.callers[:])
+	b.appendStacked(s, b.callers[:n])
+}
+
+// appendStacked interns a copy of pcs and records s against it; the
+// caller has checked the limit.
+func (b *TraceBuffer) appendStacked(s Sample, pcs []uintptr) {
 	c := b.active
 	if c.wn == ChunkSamples || c.wns == ChunkSamples {
 		c = b.seal()
@@ -571,136 +625,27 @@ func writeBlock(w io.Writer, views []chunkView, base0 int32, dropped uint64) err
 // ReadTrace deserializes one trace block written by WriteTrace,
 // WriteTraceEnc or SealedChunk.EncodeWith, auto-detecting the block
 // format (fixed-width v1 "PSXT" or compact v2 "PSX2") from its magic.
+// A caller reading block after block passes a *bufio.Reader (of the
+// default size or more), which is then read directly and left at the
+// next block.
 func ReadTrace(r io.Reader) (*TraceBuffer, error) {
-	br := asBufReader(r)
-	head, err := br.Peek(4)
+	d := &blockDecoder{br: bufio.NewReader(r), dst: NewTraceBuffer(0, 0)}
+	head, err := d.br.Peek(4)
 	if len(head) < 4 {
-		// Mirror io.ReadFull on the old magic read: EOF with no bytes,
+		// Mirror io.ReadFull over the magic: EOF with no bytes,
 		// ErrUnexpectedEOF on a partial header.
-		if len(head) == 0 {
-			if err == nil || err == io.EOF {
-				return nil, io.EOF
-			}
+		if err != io.EOF {
 			return nil, err
 		}
-		if err == nil || err == io.EOF {
-			return nil, io.ErrUnexpectedEOF
+		if len(head) > 0 {
+			err = io.ErrUnexpectedEOF
 		}
 		return nil, err
 	}
-	if IsV2Block(head) {
-		return readTraceV2(br)
-	}
-	return readTraceV1(br)
-}
-
-// readTraceV1 consumes one fixed-width PSXT block (magic included).
-func readTraceV1(br *bufio.Reader) (*TraceBuffer, error) {
-	var scratch [8]byte
-	get32 := func() (uint32, error) {
-		if _, err := io.ReadFull(br, scratch[:4]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint32(scratch[:4]), nil
-	}
-	get64 := func() (uint64, error) {
-		if _, err := io.ReadFull(br, scratch[:8]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint64(scratch[:8]), nil
-	}
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
+	if err := d.readBlock(); err != nil {
 		return nil, err
 	}
-	if magic != traceMagic {
-		return nil, ErrBadTrace
-	}
-	ver, err := get32()
-	if err != nil {
-		return nil, err
-	}
-	if ver != traceVersion {
-		return nil, fmt.Errorf("perf: unsupported trace version %d", ver)
-	}
-	ns, err := get64()
-	if err != nil {
-		return nil, err
-	}
-	if ns > maxReasonable {
-		return nil, ErrBadTrace
-	}
-	// Preallocate conservatively: the declared count is untrusted
-	// until the records actually parse, so a corrupt header must not
-	// drive a huge allocation (a truncated stream fails fast below).
-	prealloc := int(ns)
-	if prealloc > 1<<16 {
-		prealloc = 1 << 16
-	}
-	b := NewTraceBuffer(prealloc, 0)
-	for i := uint64(0); i < ns; i++ {
-		var s Sample
-		t, err := get64()
-		if err != nil {
-			return nil, ErrBadTrace
-		}
-		s.Time = int64(t)
-		v, err := get32()
-		if err != nil {
-			return nil, ErrBadTrace
-		}
-		s.Thread = int32(v)
-		if v, err = get32(); err != nil {
-			return nil, ErrBadTrace
-		}
-		s.Event = int32(v)
-		if v, err = get32(); err != nil {
-			return nil, ErrBadTrace
-		}
-		s.State = int32(v)
-		if s.Region, err = get64(); err != nil {
-			return nil, ErrBadTrace
-		}
-		if s.Site, err = get64(); err != nil {
-			return nil, ErrBadTrace
-		}
-		if v, err = get32(); err != nil {
-			return nil, ErrBadTrace
-		}
-		s.StackID = int32(v)
-		b.Append(s)
-	}
-	nst, err := get64()
-	if err != nil {
-		return nil, ErrBadTrace
-	}
-	if nst > maxReasonable {
-		return nil, ErrBadTrace
-	}
-	for i := uint64(0); i < nst; i++ {
-		depth, err := get32()
-		if err != nil {
-			return nil, ErrBadTrace
-		}
-		if depth > maxStackDepth {
-			return nil, ErrBadTrace
-		}
-		st := make([]uintptr, depth)
-		for j := range st {
-			pc, err := get64()
-			if err != nil {
-				return nil, ErrBadTrace
-			}
-			st[j] = uintptr(pc)
-		}
-		b.InternStack(st)
-	}
-	dropped, err := get64()
-	if err != nil {
-		return nil, ErrBadTrace
-	}
-	b.dropped.Store(dropped)
-	return b, nil
+	return d.dst, nil
 }
 
 // ReadTraceStream reads a concatenation of trace blocks (as produced

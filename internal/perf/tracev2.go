@@ -9,6 +9,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"sync"
 )
 
 // Trace format v2: the compact block encoding that keeps always-on
@@ -263,195 +264,6 @@ func writeBlockV2(w io.Writer, views []chunkView, base0 int32, dropped uint64, c
 	return err
 }
 
-// crcReader checksums the bytes it passes through.
-type crcReader struct {
-	r   io.Reader
-	crc uint32
-}
-
-func (c *crcReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.crc = crc32.Update(c.crc, crc32.IEEETable, p[:n])
-	return n, err
-}
-
-// readTraceV2 consumes one PSX2 block (magic included) from br. The
-// payload is decoded streaming — no header-sized allocation happens
-// before the bytes actually parse — and validated three ways: the
-// declared extent must be present, its CRC must match, and it must
-// decode to exactly the declared sample and stack counts.
-func readTraceV2(br *bufio.Reader) (*TraceBuffer, error) {
-	var hdr [v2HeaderLen]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("%w: truncated v2 header", ErrBadTrace)
-	}
-	if !bytes.Equal(hdr[:4], traceV2Magic[:]) {
-		return nil, ErrBadTrace
-	}
-	if v := binary.LittleEndian.Uint32(hdr[4:8]); v != traceV2Version {
-		return nil, fmt.Errorf("perf: unsupported v2 trace version %d", v)
-	}
-	flags := binary.LittleEndian.Uint32(hdr[8:12])
-	ns := binary.LittleEndian.Uint64(hdr[12:20])
-	nst := binary.LittleEndian.Uint64(hdr[20:28])
-	dropped := binary.LittleEndian.Uint64(hdr[28:36])
-	plen := binary.LittleEndian.Uint64(hdr[36:44])
-	wantCRC := binary.LittleEndian.Uint32(hdr[44:48])
-	if ns > maxReasonable || nst > maxReasonable || plen > maxV2Payload {
-		return nil, ErrBadTrace
-	}
-
-	lr := &io.LimitedReader{R: br, N: int64(plen)}
-	cr := &crcReader{r: lr}
-	var src io.Reader = cr
-	if flags&flagV2Flate != 0 {
-		fr := flate.NewReader(cr)
-		defer fr.Close()
-		src = fr
-	}
-	pr := bufio.NewReader(src)
-	getv := func() (uint64, error) { return binary.ReadUvarint(pr) }
-
-	prealloc := int(ns)
-	if prealloc > 1<<16 {
-		prealloc = 1 << 16
-	}
-	cap32 := func(n uint64) int {
-		if n < 1<<16 {
-			return int(n)
-		}
-		return 1 << 16
-	}
-	times := make([]int64, 0, cap32(ns))
-	var prev int64
-	for i := uint64(0); i < ns; i++ {
-		u, err := getv()
-		if err != nil {
-			return nil, fmt.Errorf("%w: truncated v2 payload", ErrBadTrace)
-		}
-		prev += unzigzag(u)
-		times = append(times, prev)
-	}
-	col32 := func() ([]int32, error) {
-		out := make([]int32, 0, cap32(ns))
-		var p int64
-		for i := uint64(0); i < ns; i++ {
-			u, err := getv()
-			if err != nil {
-				return nil, fmt.Errorf("%w: truncated v2 payload", ErrBadTrace)
-			}
-			p += unzigzag(u)
-			out = append(out, int32(p))
-		}
-		return out, nil
-	}
-	threads, err := col32()
-	if err != nil {
-		return nil, err
-	}
-	colRaw32 := func() ([]int32, error) {
-		out := make([]int32, 0, cap32(ns))
-		for i := uint64(0); i < ns; i++ {
-			u, err := getv()
-			if err != nil {
-				return nil, fmt.Errorf("%w: truncated v2 payload", ErrBadTrace)
-			}
-			out = append(out, int32(unzigzag(u)))
-		}
-		return out, nil
-	}
-	events, err := colRaw32()
-	if err != nil {
-		return nil, err
-	}
-	states, err := colRaw32()
-	if err != nil {
-		return nil, err
-	}
-	col64 := func() ([]uint64, error) {
-		out := make([]uint64, 0, cap32(ns))
-		var p uint64
-		for i := uint64(0); i < ns; i++ {
-			u, err := getv()
-			if err != nil {
-				return nil, fmt.Errorf("%w: truncated v2 payload", ErrBadTrace)
-			}
-			p += uint64(unzigzag(u))
-			out = append(out, p)
-		}
-		return out, nil
-	}
-	regions, err := col64()
-	if err != nil {
-		return nil, err
-	}
-	sites, err := col64()
-	if err != nil {
-		return nil, err
-	}
-	stackIDs := make([]int32, 0, cap32(ns))
-	for i := uint64(0); i < ns; i++ {
-		u, err := getv()
-		if err != nil {
-			return nil, fmt.Errorf("%w: truncated v2 payload", ErrBadTrace)
-		}
-		id := unzigzag(u)
-		if id != int64(NoStack) && (id < 0 || uint64(id) >= nst) {
-			return nil, fmt.Errorf("%w: v2 stack index out of dictionary range", ErrBadTrace)
-		}
-		stackIDs = append(stackIDs, int32(id))
-	}
-
-	b := NewTraceBuffer(prealloc, 0)
-	for i := uint64(0); i < nst; i++ {
-		depth, err := getv()
-		if err != nil || depth > maxStackDepth {
-			return nil, fmt.Errorf("%w: bad v2 stack entry", ErrBadTrace)
-		}
-		st := make([]uintptr, depth)
-		var pcprev uint64
-		for j := range st {
-			u, err := getv()
-			if err != nil {
-				return nil, fmt.Errorf("%w: truncated v2 stack", ErrBadTrace)
-			}
-			pcprev += uint64(unzigzag(u))
-			st[j] = uintptr(pcprev)
-		}
-		b.InternStack(st)
-	}
-
-	// The payload must decode to exactly the declared counts: no
-	// decoded bytes may remain, the declared extent must be fully
-	// present, and its checksum must match.
-	if _, err := pr.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("%w: v2 payload larger than declared counts", ErrBadTrace)
-	}
-	if _, err := io.Copy(io.Discard, cr); err != nil {
-		return nil, fmt.Errorf("%w: truncated v2 payload", ErrBadTrace)
-	}
-	if lr.N != 0 {
-		return nil, fmt.Errorf("%w: truncated v2 payload", ErrBadTrace)
-	}
-	if cr.crc != wantCRC {
-		return nil, fmt.Errorf("%w: v2 payload checksum mismatch", ErrBadTrace)
-	}
-
-	for i := range times {
-		b.Append(Sample{
-			Time:    times[i],
-			Thread:  threads[i],
-			Event:   events[i],
-			State:   states[i],
-			Region:  regions[i],
-			Site:    sites[i],
-			StackID: stackIDs[i],
-		})
-	}
-	b.dropped.Store(dropped)
-	return b, nil
-}
-
 // CountStreamSamples walks a stream of concatenated trace blocks (v1,
 // v2, and PSXR report blocks in any mix) and returns the total sample
 // count they declare, validating each block's structure along the way
@@ -465,7 +277,10 @@ func readTraceV2(br *bufio.Reader) (*TraceBuffer, error) {
 // returns the count of the gap-free prefix alongside an error wrapping
 // ErrBadTrace.
 func CountStreamSamples(r io.Reader) (uint64, error) {
-	br := asBufReader(r)
+	// bufio.NewReader returns r itself when it already is a reader of
+	// the default size or more, so a caller going block by block does
+	// not strand its lookahead in a second buffer.
+	br := bufio.NewReader(r)
 	var total uint64
 	for {
 		head, err := br.Peek(4)
@@ -506,16 +321,40 @@ func CountStreamSamples(r io.Reader) (uint64, error) {
 // block, or any concatenation), validating the bytes fully — a torn or
 // corrupt block is an error, never a partial count. Ingest-side
 // consumers use it to cross-check a frame's header-declared count
-// against the bytes it actually carries.
+// against the bytes it actually carries, once per chunk and from every
+// connection at once, so the readers it walks the bytes with are
+// pooled rather than made per call.
 func BlockSamples(block []byte) (uint64, error) {
-	return CountStreamSamples(bytes.NewReader(block))
+	s := skimReaders.Get().(*skimReader)
+	s.src.Reset(block)
+	s.br.Reset(&s.src)
+	n, err := CountStreamSamples(s.br)
+	s.src.Reset(nil) // the pool must not keep the caller's frame alive
+	skimReaders.Put(s)
+	return n, err
 }
+
+// skimReader is a buffered reader over a byte slice, both reusable.
+type skimReader struct {
+	src bytes.Reader
+	br  *bufio.Reader
+}
+
+var skimReaders = sync.Pool{New: func() any {
+	s := new(skimReader)
+	s.br = bufio.NewReader(&s.src)
+	return s
+}}
+
+// The skim routines read through Peek and Discard only: headers are
+// parsed, and payloads checksummed, in the reader's own buffer, so
+// counting a block allocates nothing.
 
 // skimBlockV1 consumes one v1 PSXT block without materializing it and
 // returns its declared sample count.
 func skimBlockV1(br *bufio.Reader) (uint64, error) {
-	var hdr [16]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	hdr, err := br.Peek(16)
+	if err != nil {
 		return 0, fmt.Errorf("%w: truncated block", ErrBadTrace)
 	}
 	if !bytes.Equal(hdr[:4], traceMagic[:]) {
@@ -528,41 +367,39 @@ func skimBlockV1(br *bufio.Reader) (uint64, error) {
 	if ns > maxReasonable {
 		return 0, ErrBadTrace
 	}
-	if err := discard(br, int64(ns)*sampleRecordLen); err != nil {
+	if err := discard(br, 16+int64(ns)*sampleRecordLen); err != nil {
 		return 0, err
 	}
-	var f [8]byte
-	if _, err := io.ReadFull(br, f[:]); err != nil {
+	f, err := br.Peek(8)
+	if err != nil {
 		return 0, fmt.Errorf("%w: truncated block", ErrBadTrace)
 	}
-	nst := binary.LittleEndian.Uint64(f[:])
+	nst := binary.LittleEndian.Uint64(f)
 	if nst > maxReasonable {
 		return 0, ErrBadTrace
 	}
+	br.Discard(8)
 	for i := uint64(0); i < nst; i++ {
-		var d [4]byte
-		if _, err := io.ReadFull(br, d[:]); err != nil {
+		f, err := br.Peek(4)
+		if err != nil {
 			return 0, fmt.Errorf("%w: truncated block", ErrBadTrace)
 		}
-		depth := binary.LittleEndian.Uint32(d[:])
+		depth := binary.LittleEndian.Uint32(f)
 		if depth > maxStackDepth {
 			return 0, ErrBadTrace
 		}
-		if err := discard(br, int64(depth)*8); err != nil {
+		if err := discard(br, 4+int64(depth)*8); err != nil {
 			return 0, err
 		}
 	}
-	if _, err := io.ReadFull(br, f[:]); err != nil { // dropped
-		return 0, fmt.Errorf("%w: truncated block", ErrBadTrace)
-	}
-	return ns, nil
+	return ns, discard(br, 8) // dropped
 }
 
 // skimBlockV2 consumes one v2 PSX2 block, verifying the payload extent
 // and checksum, and returns its declared sample count.
 func skimBlockV2(br *bufio.Reader) (uint64, error) {
-	var hdr [v2HeaderLen]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	hdr, err := br.Peek(v2HeaderLen)
+	if err != nil {
 		return 0, fmt.Errorf("%w: truncated v2 header", ErrBadTrace)
 	}
 	ns := binary.LittleEndian.Uint64(hdr[12:20])
@@ -572,20 +409,16 @@ func skimBlockV2(br *bufio.Reader) (uint64, error) {
 	if ns > maxReasonable || nst > maxReasonable || plen > maxV2Payload {
 		return 0, ErrBadTrace
 	}
+	br.Discard(v2HeaderLen)
 	crc := uint32(0)
-	remaining := int64(plen)
-	var buf [4096]byte
-	for remaining > 0 {
-		n := int64(len(buf))
-		if remaining < n {
-			n = remaining
-		}
-		m, err := io.ReadFull(br, buf[:n])
-		crc = crc32.Update(crc, crc32.IEEETable, buf[:m])
-		if err != nil {
+	for remaining := int(plen); remaining > 0; {
+		buf, _ := br.Peek(min(remaining, br.Size()))
+		if len(buf) == 0 {
 			return 0, fmt.Errorf("%w: truncated v2 payload", ErrBadTrace)
 		}
-		remaining -= int64(m)
+		crc = crc32.Update(crc, crc32.IEEETable, buf)
+		br.Discard(len(buf))
+		remaining -= len(buf)
 	}
 	if crc != wantCRC {
 		return 0, fmt.Errorf("%w: v2 payload checksum mismatch", ErrBadTrace)
@@ -594,20 +427,10 @@ func skimBlockV2(br *bufio.Reader) (uint64, error) {
 }
 
 func discard(br *bufio.Reader, n int64) error {
-	if _, err := io.CopyN(io.Discard, br, n); err != nil {
+	if m, _ := br.Discard(int(n)); int64(m) != n {
 		return fmt.Errorf("%w: truncated block", ErrBadTrace)
 	}
 	return nil
-}
-
-// asBufReader returns r itself when it already is a *bufio.Reader (so
-// a multi-block reader's lookahead is not stranded in a nested buffer)
-// and wraps it otherwise.
-func asBufReader(r io.Reader) *bufio.Reader {
-	if br, ok := r.(*bufio.Reader); ok {
-		return br
-	}
-	return bufio.NewReader(r)
 }
 
 // streamRemaining reports how many bytes remain in r when r exposes

@@ -518,7 +518,7 @@ func (t *Tool) callback(e collector.Event, ti *collector.ThreadInfo) {
 	}
 	if t.opts.JoinStacks && e == collector.EventJoin &&
 		(gov == nil || lvl < degrade.LevelNoStacks) {
-		buf.AppendStacked(sample, perf.Callstack(1, 32))
+		buf.AppendCallstack(sample, 1)
 		if gov != nil {
 			// The sample's own timestamp doubles as the cost clock: the
 			// stack path is charged whole, since the capture dominates it.
