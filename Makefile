@@ -11,7 +11,10 @@ test: build
 	$(GO) test ./...
 
 # check is the pre-merge gate for the lock-free measurement path: vet,
-# then the race detector over the packages that share trace buffers
+# then the race detector over the packages that share trace buffers —
+# perf and tool at one, two and four Ps, because the single-writer
+# publish and the chunk-recycle gate are protocols between goroutines
+# and a schedule one width never produces is a schedule never checked —
 # and over ingest (its writer and connection handlers share each run's
 # ack path), then the format gate. Nothing in tool or cmd writes v1 any more
 # (every write path is walked block by block), so v1 lives on only as
@@ -19,15 +22,18 @@ test: build
 # v1 and v2 blocks mixed in one stream, and every writer/reader pairing
 # must read back through the auto-detecting reader. Last, the
 # allocation guards: what psxd's per-chunk count check, the trace
-# reader and Timelines may allocate per sample. They skip themselves
+# reader and Timelines may allocate per sample, and what a chunk may
+# allocate on its way from the recording thread through the encoder and
+# the sender's frame to psxd's writer. They skip themselves
 # under -race (the detector changes what an allocation costs), so this
 # is the run that enforces them.
 check:
 	$(GO) vet ./...
-	$(GO) test -race ./internal/perf ./internal/tool ./internal/collector ./internal/ingest
+	$(GO) test -race -cpu 1,2,4 ./internal/perf ./internal/tool
+	$(GO) test -race ./internal/collector ./internal/ingest
 	$(GO) test -count=1 ./internal/faultinject -run 'EveryWritePathWritesPSX2'
 	$(GO) test -count=1 ./internal/perf -run 'V1Fixture|V2CrossRead|MixedStream|V2TornTail'
-	$(GO) test -count=1 ./internal/perf ./internal/analysis -run 'Alloc'
+	$(GO) test -count=1 ./internal/perf ./internal/analysis ./internal/tool ./internal/ingest -run 'Alloc'
 
 # chaos runs the deterministic fault-injection suite — panicking and
 # hung callbacks, failing/torn trace writes, forced chunk drops —

@@ -46,7 +46,7 @@ func TestJournalEntryRoundTrip(t *testing.T) {
 		Seq: 42, Thread: 3, Kind: journalChunk,
 		Offset: 1 << 33, Length: 9000, Samples: 256, CRC: 0xdeadbeef,
 	}
-	b := encodeJournalEntry(want)
+	b := appendJournalEntry(nil, want)
 	if len(b) != journalEntryLen {
 		t.Fatalf("entry is %d bytes, want %d", len(b), journalEntryLen)
 	}
@@ -82,7 +82,7 @@ func TestReplayJournalTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seq := uint64(1); seq <= 3; seq++ {
-		if _, err := f.Write(encodeJournalEntry(journalEntry{
+		if _, err := f.Write(appendJournalEntry(nil, journalEntry{
 			Seq: seq, Kind: journalChunk, Length: 100, Samples: 5,
 		})); err != nil {
 			t.Fatal(err)

@@ -71,19 +71,18 @@ type journalEntry struct {
 	CRC     uint32 // CRC32 (IEEE) of the block bytes (chunk only)
 }
 
-// encodeJournalEntry renders e as one fixed-width record, entry CRC
+// appendJournalEntry appends e as one fixed-width record, entry CRC
 // included, sized for a single append Write.
-func encodeJournalEntry(e journalEntry) []byte {
-	b := make([]byte, journalEntryLen)
-	binary.LittleEndian.PutUint64(b[0:], e.Seq)
-	binary.LittleEndian.PutUint32(b[8:], uint32(e.Thread))
-	b[12] = e.Kind
-	binary.LittleEndian.PutUint64(b[13:], e.Offset)
-	binary.LittleEndian.PutUint32(b[21:], e.Length)
-	binary.LittleEndian.PutUint32(b[25:], e.Samples)
-	binary.LittleEndian.PutUint32(b[29:], e.CRC)
-	binary.LittleEndian.PutUint32(b[33:], crc32.ChecksumIEEE(b[:33]))
-	return b
+func appendJournalEntry(dst []byte, e journalEntry) []byte {
+	at := len(dst)
+	dst = binary.LittleEndian.AppendUint64(dst, e.Seq)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(e.Thread))
+	dst = append(dst, e.Kind)
+	dst = binary.LittleEndian.AppendUint64(dst, e.Offset)
+	dst = binary.LittleEndian.AppendUint32(dst, e.Length)
+	dst = binary.LittleEndian.AppendUint32(dst, e.Samples)
+	dst = binary.LittleEndian.AppendUint32(dst, e.CRC)
+	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[at:]))
 }
 
 // decodeJournalEntry parses one record, verifying the entry CRC.

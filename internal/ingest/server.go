@@ -121,6 +121,11 @@ type item struct {
 	seal    bool
 	bye     bool
 
+	// body, on a chunk, is the pooled frame body block aliases. It
+	// travels with the item: the writer puts it back once the block is
+	// written and checksummed.
+	body *[]byte
+
 	// loss is the client's final loss accounting carried on a BYE
 	// frame; the writer records it in the registry and manifest.
 	loss ClientLoss
@@ -185,6 +190,7 @@ type run struct {
 	sizes        map[int32]int64 // current byte length per open file
 	dirty        map[int32]bool  // written since last sync
 	journal      File
+	journalEntry []byte // the entry being written; reused
 	journalSize  int64
 	journalDirty bool
 	journaledSeq uint64 // highest sequence appended to the journal
@@ -521,6 +527,10 @@ func (cs *connSender) sendAck(a Ack) error {
 func (s *Server) handleConn(c net.Conn) {
 	cs := &connSender{s: s, c: c}
 	br := bufio.NewReader(c)
+	// Frames are read into one pooled body, over and over; only a chunk
+	// that is enqueued takes its body along, and the handler a fresh one.
+	body := frameBodies.Get().(*[]byte)
+	defer func() { frameBodies.Put(body) }()
 	// Server-side heartbeat deadline: clients send a heartbeat every
 	// second while idle, so a connection that produces nothing readable
 	// for the timeout is half-open — the peer is gone without a FIN. A
@@ -528,7 +538,7 @@ func (s *Server) handleConn(c net.Conn) {
 	// instead of holding both forever; the reap is loss-free because
 	// nothing unacked is forgotten — a live client reconnects and
 	// resumes from the acked sequence.
-	kind, payload, err := s.readFrameDeadline(c, br)
+	kind, payload, err := s.readFrameDeadline(c, br, body)
 	if err != nil {
 		return
 	}
@@ -573,7 +583,7 @@ func (s *Server) handleConn(c net.Conn) {
 		return
 	}
 	for {
-		kind, payload, err := s.readFrameDeadline(c, br)
+		kind, payload, err := s.readFrameDeadline(c, br, body)
 		if err != nil {
 			return
 		}
@@ -598,8 +608,12 @@ func (s *Server) handleConn(c net.Conn) {
 				ack = Ack{Seq: ck.Seq, Code: CodeBadFrame}
 				break
 			}
-			ack = Ack{Seq: ck.Seq, Code: s.accept(r, ck.Seq,
-				item{seq: ck.Seq, thread: ck.Thread, samples: ck.Samples, block: ck.Block, sender: durableSender(r, cs)})}
+			code, queued := s.accept(r, ck.Seq,
+				item{seq: ck.Seq, thread: ck.Thread, samples: ck.Samples, block: ck.Block, body: body, sender: durableSender(r, cs)})
+			ack = Ack{Seq: ck.Seq, Code: code}
+			if queued {
+				body = frameBodies.Get().(*[]byte) // the writer has ours now
+			}
 		case MsgSeal:
 			sl, err := DecodeSeal(payload)
 			if err != nil {
@@ -607,8 +621,9 @@ func (s *Server) handleConn(c net.Conn) {
 				ack = Ack{Code: CodeBadFrame}
 				break
 			}
-			ack = Ack{Seq: sl.Seq, Code: s.accept(r, sl.Seq,
-				item{seq: sl.Seq, thread: sl.Thread, seal: true, sender: durableSender(r, cs)})}
+			code, _ := s.accept(r, sl.Seq,
+				item{seq: sl.Seq, thread: sl.Thread, seal: true, sender: durableSender(r, cs)})
+			ack = Ack{Seq: sl.Seq, Code: code}
 		case MsgBye:
 			y, err := DecodeBye(payload)
 			if err != nil {
@@ -616,8 +631,9 @@ func (s *Server) handleConn(c net.Conn) {
 				ack = Ack{Code: CodeBadFrame}
 				break
 			}
-			ack = Ack{Seq: y.Seq, Code: s.accept(r, y.Seq,
-				item{seq: y.Seq, bye: true, loss: y.Loss(), sender: durableSender(r, cs)})}
+			code, _ := s.accept(r, y.Seq,
+				item{seq: y.Seq, bye: true, loss: y.Loss(), sender: durableSender(r, cs)})
+			ack = Ack{Seq: y.Seq, Code: code}
 		case MsgHeartbeat:
 			s.heartbeats.Add(1)
 			ack = Ack{Code: CodeOK}
@@ -636,13 +652,13 @@ func (s *Server) handleConn(c net.Conn) {
 	}
 }
 
-// readFrameDeadline reads one frame under the heartbeat deadline; a
-// timed-out read is a reaped half-open connection.
-func (s *Server) readFrameDeadline(c net.Conn, br *bufio.Reader) (uint8, []byte, error) {
+// readFrameDeadline reads one frame into *body under the heartbeat
+// deadline; a timed-out read is a reaped half-open connection.
+func (s *Server) readFrameDeadline(c net.Conn, br *bufio.Reader, body *[]byte) (uint8, []byte, error) {
 	if d := s.opts.HeartbeatTimeout; d > 0 {
 		c.SetReadDeadline(time.Now().Add(d))
 	}
-	kind, payload, err := ReadFrame(br)
+	kind, payload, err := readFrameInto(br, body)
 	if err != nil {
 		var ne net.Error
 		if errors.As(err, &ne) && ne.Timeout() {
@@ -668,13 +684,14 @@ func durableSender(r *run, cs *connSender) *connSender {
 // covering group commit), refused with CodeStorage (the run is
 // quarantined), or dropped after the bounded backpressure wait
 // (CodeOverloaded, exact accounting, sequence does not advance so a
-// future resend could still land it).
-func (s *Server) accept(r *run, seq uint64, it item) Code {
+// future resend could still land it). queued reports the enqueued case:
+// the writer has it, and with it a chunk's frame body.
+func (s *Server) accept(r *run, seq uint64, it item) (code Code, queued bool) {
 	r.seqMu.Lock()
 	defer r.seqMu.Unlock()
 	if r.gone {
 		// The GC freed this run; its incarnation is over.
-		return CodeSealed
+		return CodeSealed, false
 	}
 	if seq != 0 && seq <= r.lastSeq.Load() {
 		s.duplicates.Add(1)
@@ -685,14 +702,14 @@ func (s *Server) accept(r *run, seq uint64, it item) Code {
 			// it, so ride the queue as an ack-only marker.
 			ao := item{seq: seq, ackOnly: true, sender: it.sender}
 			if !r.enqueue(ao, s) {
-				return CodeOverloaded
+				return CodeOverloaded, false
 			}
-			return codeDeferred
+			return codeDeferred, false
 		}
-		return CodeOK
+		return CodeOK, false
 	}
 	if r.complete.Load() && !it.bye {
-		return CodeSealed
+		return CodeSealed, false
 	}
 	if r.quarantined.Load() && !it.bye && !it.seal {
 		// Storage is gone for this run; refuse with the typed code so the
@@ -700,20 +717,20 @@ func (s *Server) accept(r *run, seq uint64, it item) Code {
 		// drops) and other runs keep flowing.
 		r.storageChunks.Add(1)
 		r.storageSamples.Add(uint64(it.samples))
-		return CodeStorage
+		return CodeStorage, false
 	}
 	if !r.enqueue(it, s) {
 		r.droppedChunks.Add(1)
 		r.droppedSamples.Add(uint64(it.samples))
-		return CodeOverloaded
+		return CodeOverloaded, false
 	}
 	if seq != 0 {
 		r.lastSeq.Store(seq)
 	}
 	if it.sender != nil {
-		return codeDeferred
+		return codeDeferred, true
 	}
-	return CodeOK
+	return CodeOK, true
 }
 
 // enqueue places it on the run's queue, stalling up to the
@@ -866,8 +883,9 @@ func sanitizeRunID(id string) string {
 // refuses everything after.
 func (r *run) writer() {
 	defer r.wg.Done()
+	var batch []item // reused batch after batch: commitBatch clears what it holds
 	for {
-		var batch []item
+		batch = batch[:0]
 		closed := false
 		select {
 		case it, ok := <-r.q:
@@ -905,8 +923,12 @@ func (r *run) writer() {
 // commitBatch applies one batch: write, group-commit sync, ack.
 func (r *run) commitBatch(batch []item) {
 	var acks []deferredAck
-	for _, it := range batch {
+	for i, it := range batch {
 		code := r.apply(it)
+		if it.body != nil {
+			frameBodies.Put(it.body) // written and checksummed, or refused: done with the bytes
+		}
+		batch[i] = item{}
 		if it.sender != nil {
 			acks = append(acks, deferredAck{
 				sender:  it.sender,
@@ -1141,7 +1163,8 @@ func (r *run) journalAppend(e journalEntry) error {
 			r.journalSize = journalHeaderLen
 		}
 	}
-	if _, err := r.journal.Write(encodeJournalEntry(e)); err != nil {
+	r.journalEntry = appendJournalEntry(r.journalEntry[:0], e)
+	if _, err := r.journal.Write(r.journalEntry); err != nil {
 		return err
 	}
 	r.journalSize += journalEntryLen

@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 )
 
 // ProtoVersion is the wire protocol version a HELLO declares. A server
@@ -207,6 +208,14 @@ type Ack struct {
 	Code Code
 }
 
+// Two pools, kept apart because their sizes differ a hundredfold: the
+// scratch WriteFrame assembles a frame in (mostly acks), and the bodies
+// psxd reads frames into, which travel with a chunk to the run's writer.
+var (
+	frameScratch = sync.Pool{New: func() any { return new([]byte) }}
+	frameBodies  = sync.Pool{New: func() any { return new([]byte) }}
+)
+
 // WriteFrame writes one frame as a single Write call, so a transport
 // failure either loses the frame whole or tears it mid-write — the
 // same single-write discipline the file streamer uses for its blocks.
@@ -214,17 +223,30 @@ func WriteFrame(w io.Writer, kind uint8, payload []byte) error {
 	if len(payload)+1 > maxFrameLen {
 		return fmt.Errorf("%w: oversized payload (%d bytes)", ErrBadFrame, len(payload))
 	}
-	buf := make([]byte, 5+len(payload))
-	binary.LittleEndian.PutUint32(buf[:4], uint32(1+len(payload)))
-	buf[4] = kind
-	copy(buf[5:], payload)
-	_, err := w.Write(buf)
+	buf := frameScratch.Get().(*[]byte)
+	defer frameScratch.Put(buf)
+	*buf = append(appendFrameHeader((*buf)[:0], kind, len(payload)), payload...)
+	_, err := w.Write(*buf)
 	return err
+}
+
+// appendFrameHeader appends the length prefix and kind byte of a frame
+// whose payload is n bytes.
+func appendFrameHeader(dst []byte, kind uint8, n int) []byte {
+	return append(binary.LittleEndian.AppendUint32(dst, uint32(1+n)), kind)
 }
 
 // ReadFrame reads one frame. io.EOF at a frame boundary is returned
 // verbatim (a clean close); a partial frame yields ErrUnexpectedEOF.
+// The payload is the caller's.
 func ReadFrame(r io.Reader) (kind uint8, payload []byte, err error) {
+	var body []byte
+	return readFrameInto(r, &body)
+}
+
+// readFrameInto is ReadFrame with the frame body read into *body, which
+// is grown to fit and which the payload aliases.
+func readFrameInto(r io.Reader, body *[]byte) (kind uint8, payload []byte, err error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
@@ -233,14 +255,17 @@ func ReadFrame(r io.Reader) (kind uint8, payload []byte, err error) {
 	if n < 1 || n > maxFrameLen {
 		return 0, nil, fmt.Errorf("%w: frame length %d", ErrBadFrame, n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
+	if uint32(cap(*body)) < n {
+		*body = make([]byte, n)
+	}
+	*body = (*body)[:n]
+	if _, err := io.ReadFull(r, *body); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
 		return 0, nil, err
 	}
-	return body[0], body[1:], nil
+	return (*body)[0], (*body)[1:], nil
 }
 
 // Payload encoders. Strings are uint16-length-prefixed; integers are
@@ -334,11 +359,22 @@ func DecodeHelloAck(b []byte) (HelloAck, error) {
 
 // EncodeChunk renders c's payload.
 func EncodeChunk(c Chunk) []byte {
-	b := make([]byte, 0, 16+len(c.Block))
+	return appendChunk(make([]byte, 0, 16+len(c.Block)), c)
+}
+
+func appendChunk(b []byte, c Chunk) []byte {
 	b = binary.LittleEndian.AppendUint64(b, c.Seq)
 	b = binary.LittleEndian.AppendUint32(b, uint32(c.Thread))
 	b = binary.LittleEndian.AppendUint32(b, c.Samples)
 	return append(b, c.Block...)
+}
+
+// AppendChunkFrame appends c as one whole CHUNK frame — the bytes
+// WriteFrame(w, MsgChunk, EncodeChunk(c)) writes — for a sender that
+// keeps its own frame buffer and writes them with one Write. It does
+// not check the frame bound: a block of one chunk is far below it.
+func AppendChunkFrame(dst []byte, c Chunk) []byte {
+	return appendChunk(appendFrameHeader(dst, MsgChunk, 16+len(c.Block)), c)
 }
 
 // DecodeChunk parses a CHUNK payload. The returned Block aliases b.
@@ -400,7 +436,7 @@ func DecodeBye(b []byte) (Bye, error) {
 
 // EncodeAck renders a's payload.
 func EncodeAck(a Ack) []byte {
-	b := binary.LittleEndian.AppendUint64(nil, a.Seq)
+	b := binary.LittleEndian.AppendUint64(make([]byte, 0, 12), a.Seq)
 	return binary.LittleEndian.AppendUint32(b, uint32(a.Code))
 }
 

@@ -143,3 +143,41 @@ func TestSanitizeRunID(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendChunkFrame: the append-style helper produces the bytes
+// WriteFrame puts on the wire for the same chunk, after whatever the
+// buffer already holds.
+func TestAppendChunkFrame(t *testing.T) {
+	ck := Chunk{Seq: 1 << 40, Thread: -2, Samples: 256, Block: bytes.Repeat([]byte("block"), 500)}
+	var want bytes.Buffer
+	if err := WriteFrame(&want, MsgChunk, EncodeChunk(ck)); err != nil {
+		t.Fatal(err)
+	}
+	got := AppendChunkFrame([]byte("prefix"), ck)
+	if !bytes.Equal(got, append([]byte("prefix"), want.Bytes()...)) {
+		t.Fatalf("AppendChunkFrame: %d bytes; WriteFrame wrote %d", len(got), want.Len())
+	}
+}
+
+// TestReadFrameOwnership: WriteFrame and psxd's connection handlers
+// share pooled buffers among themselves, never with a ReadFrame caller:
+// a payload it returned stays intact whatever is read or written next.
+func TestReadFrameOwnership(t *testing.T) {
+	var buf bytes.Buffer
+	first := bytes.Repeat([]byte{0xaa}, 300)
+	WriteFrame(&buf, MsgChunk, first)
+	WriteFrame(&buf, MsgChunk, bytes.Repeat([]byte{0xbb}, 300))
+	_, kept, err := ReadFrame(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := frameBodies.Get().(*[]byte)
+	if _, _, err := readFrameInto(&buf, body); err != nil {
+		t.Fatal(err)
+	}
+	frameBodies.Put(body)
+	WriteFrame(io.Discard, MsgChunk, bytes.Repeat([]byte{0xcc}, 300))
+	if !bytes.Equal(kept, first) {
+		t.Fatal("a payload ReadFrame returned was overwritten")
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"runtime"
 	"testing"
+	"unsafe"
 )
 
 // allocatedBytes returns the heap bytes f allocates, from a collected
@@ -79,5 +80,97 @@ func TestAllocReadTraceStream(t *testing.T) {
 	})
 	if per := float64(got) / (blocks * ChunkSamples); per > ceiling {
 		t.Fatalf("ReadTraceStream allocates %.0f B/sample, ceiling %d", per, ceiling)
+	}
+}
+
+// TestAllocAppendCallstack: recording a join whose call path the chunk
+// already holds captures into the buffer's own scratch and stores the
+// sample only.
+func TestAllocAppendCallstack(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation guards run without the race detector")
+	}
+	b := NewTraceBuffer(ChunkSamples, 0)
+	record := func() { b.AppendCallstack(Sample{Time: 1}, 0) }
+	record() // warm-up: the chunk makes its stack table and arena
+	if avg := testing.AllocsPerRun(200, record); avg != 0 {
+		t.Fatalf("AppendCallstack allocates %.2f times per repeated path, want 0", avg)
+	}
+	// Three paths lead to record: from here, and from AllocsPerRun's
+	// own warm-up call and its loop.
+	if b.Len() != 202 || b.NumStacks() != 3 {
+		t.Fatalf("%d samples, %d stacks; want 202, 3", b.Len(), b.NumStacks())
+	}
+}
+
+// TestAllocSealEncode: with the free list primed, a chunk's way from
+// the recording thread to its PSX2 block allocates the block and next
+// to nothing else — the chunk, its stack table and arena come off the
+// free list, the encoder's scratch is its own. The block is charged at
+// the size class the allocator rounds its exact length up to, which is
+// what the heap statistics count.
+func TestAllocSealEncode(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation guards run without the race detector")
+	}
+	const rounds, slack = 100, 128 // bytes per chunk beside the block
+	for _, deflate := range []bool{false, true} {
+		relay := NewRelay(4)
+		b := NewTraceBuffer(1, 0)
+		b.SetRelay(relay, 0)
+		var enc BlockEncoder
+		var blocks uint64
+		next := int64(0)
+		round := func() {
+			for i := 0; i < ChunkSamples; i++ {
+				next++
+				s := Sample{Time: next * 1100, Event: int32(i % 5), Region: uint64(next / 19), StackID: NoStack}
+				if i%19 == 0 {
+					b.AppendCallstack(s, 0)
+				} else {
+					b.Append(s)
+				}
+			}
+			select {
+			case sc := <-relay.C:
+				block, err := enc.EncodeChunk(sc, deflate)
+				sc.Release()
+				if err != nil {
+					t.Fatal(err)
+				}
+				blocks += uint64(cap(append([]byte(nil), block...)))
+			default: // the first round only fills the first chunk
+			}
+		}
+		for i := 0; i < 4; i++ {
+			round()
+		}
+		blocks = 0
+		got := allocatedBytes(func() {
+			for i := 0; i < rounds; i++ {
+				round()
+			}
+		})
+		got -= blocks // the size-class probe above allocates each block's size once more
+		t.Logf("deflate=%v: %d B per sealed chunk beside its %d B block", deflate, (int64(got)-int64(blocks))/rounds, blocks/rounds)
+		if got > blocks+rounds*slack {
+			t.Fatalf("deflate=%v: %d B per sealed chunk beside its %d B block, ceiling %d",
+				deflate, (got-blocks)/rounds, blocks/rounds, slack)
+		}
+	}
+}
+
+// TestChunkLayout: what recycling and the per-chunk call paths added to
+// a chunk lives in what used to be padding. The chunk is no larger than
+// it was (the reader's chunks are the same 128-byte objects), and the
+// counters readers poll are still a cache line away from the writer's
+// cursors.
+func TestChunkLayout(t *testing.T) {
+	var c chunk
+	if size := unsafe.Sizeof(c); size > 128 {
+		t.Errorf("chunk is %d bytes, want at most 128", size)
+	}
+	if w, r := unsafe.Offsetof(c.wns), unsafe.Offsetof(c.n); w >= cacheLinePad || r < cacheLinePad {
+		t.Errorf("wns at %d and n at %d share a cache line", w, r)
 	}
 }

@@ -380,9 +380,11 @@ func TestForkJoinDurationsInterleaved(t *testing.T) {
 func TestSiteProfiles(t *testing.T) {
 	b := NewTraceBuffer(0, 0)
 	// Real stacks from this test: leaves must resolve to this function.
-	// Capture from one line so both stacks share a leaf site.
+	// Capture from one line so both stacks share a leaf site. A site
+	// counts the samples that reference its stacks, as the tool records
+	// them: every stack with its join sample.
 	for i := 0; i < 2; i++ {
-		b.InternStack(Callstack(0, 16))
+		b.AppendStacked(Sample{Time: int64(i)}, Callstack(0, 16))
 	}
 	s := NewStripper()
 	// The testing prefix is stripped by default, so retain this test's

@@ -229,28 +229,46 @@ type SiteProfile struct {
 	Count int
 }
 
-// SiteProfiles resolves every stack in the buffer, strips it to the
-// user model with s, and tallies leaf frames.
+// SiteProfiles counts, for every stack in the buffer, the samples that
+// reference it (a call path is stored once per chunk, however many
+// joins took it), resolves each referenced stack once, strips it to
+// the user model with s, and tallies the counts by leaf frame.
 func SiteProfiles(b *TraceBuffer, s *Stripper) []SiteProfile {
 	type key struct {
 		fn   string
 		file string
 		line int
 	}
+	st := b.enter() // one bracket: the samples and the stacks of one snapshot
+	defer b.exit()
+	views, _ := snapshot(st)
+	refs := make(map[int32]int)
+	for _, v := range views {
+		for i := range v.c.samples[:v.n] {
+			if id := v.c.samples[i].StackID; id != NoStack {
+				refs[id]++
+			}
+		}
+	}
 	tally := make(map[key]*SiteProfile)
-	for id := int32(0); int(id) < b.NumStacks(); id++ {
-		frames := Resolve(b.Stack(id))
-		leaf, ok := s.Leaf(frames)
-		if !ok {
-			continue
+	for _, v := range views {
+		for i, pcs := range v.stacks() {
+			n := refs[v.c.stackBase+int32(i)]
+			if n == 0 {
+				continue
+			}
+			leaf, ok := s.Leaf(Resolve(pcs))
+			if !ok {
+				continue
+			}
+			k := key{leaf.Func, leaf.File, leaf.Line}
+			sp := tally[k]
+			if sp == nil {
+				sp = &SiteProfile{Leaf: leaf}
+				tally[k] = sp
+			}
+			sp.Count += n
 		}
-		k := key{leaf.Func, leaf.File, leaf.Line}
-		sp := tally[k]
-		if sp == nil {
-			sp = &SiteProfile{Leaf: leaf}
-			tally[k] = sp
-		}
-		sp.Count++
 	}
 	out := make([]SiteProfile, 0, len(tally))
 	for _, sp := range tally {

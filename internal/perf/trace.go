@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"runtime"
+	"slices"
 	"sync/atomic"
 )
 
@@ -32,6 +33,9 @@ const ChunkSamples = 256
 // callstackDepth is the most frames AppendCallstack captures.
 const callstackDepth = 32
 
+// arenaSlab is what a chunk's PC arena starts at: 16 full stacks.
+const arenaSlab = 16 * callstackDepth
+
 // cacheLinePad separates writer-private state from cross-thread
 // counters inside the hot structs. Buffers are per-P/per-thread by
 // construction; the padding removes the residual false sharing between
@@ -44,7 +48,9 @@ const cacheLinePad = 64
 // publishes each entry with a release-store of the corresponding count;
 // snapshot readers acquire-load the counts and may read only the
 // published prefixes. A chunk is never written again once the writer
-// has moved past it, so sealed chunks are immutable.
+// has moved past it, so sealed chunks are immutable — until a relaying
+// buffer's consumer has encoded one and Release has shown that no
+// reader can still hold it; then it is reset and filled again.
 type chunk struct {
 	samples []Sample    // len == ChunkSamples, allocated at creation
 	stacks  [][]uintptr // len == ChunkSamples, allocated on first stack
@@ -59,8 +65,15 @@ type chunk struct {
 
 	// Keep the published counters off the writer's cursor line: the
 	// owning thread stores wn/wns every append while snapshot readers
-	// spin loading n/nStacks.
-	_ [cacheLinePad - 12]byte
+	// spin loading n/nStacks. What separates them is put to use, so
+	// that the chunk is as large as it was: paths is AppendCallstack's
+	// (writer-private, made on its first stack and recycled with the
+	// chunk), state is the one-chunk list a relaying buffer publishes
+	// while this chunk is its active one (made by the first seal to
+	// activate the chunk, never changed after).
+	paths *pathTable
+	state bufState
+	_     [cacheLinePad - 12 - 36]byte // 36: the two above, aligned
 
 	n       atomic.Int32 // published sample count
 	nStacks atomic.Int32 // published stack count
@@ -68,6 +81,33 @@ type chunk struct {
 
 func newChunk() *chunk {
 	return &chunk{samples: make([]Sample, ChunkSamples)}
+}
+
+// stackTable returns the chunk's stack table, made on the first stack.
+func (c *chunk) stackTable() [][]uintptr {
+	if c.stacks == nil {
+		c.stacks = make([][]uintptr, ChunkSamples)
+	}
+	return c.stacks
+}
+
+// pathTable is how AppendCallstack stores a call path once per chunk:
+// its stacks are sub-slices of the arena pcs, and sums[i], the top half
+// of hashPCs of stacks[i], goes in front of the comparison (an
+// AppendStacked or InternStack entry has none and is never matched).
+type pathTable struct {
+	pcs  []uintptr
+	sums [ChunkSamples]uint32
+}
+
+// hashPCs hashes a call path: multiply-xor over whole PCs, so the high
+// bits depend on every bit of every PC.
+func hashPCs(pcs []uintptr) uint64 {
+	h := uint64(len(pcs))
+	for _, pc := range pcs {
+		h = (h ^ uint64(pc)) * 0x9E3779B97F4A7C15
+	}
+	return h
 }
 
 // bufState is the atomically published chunk list. The slice header is
@@ -78,11 +118,26 @@ type bufState struct {
 	chunks []*chunk
 }
 
+// Relay is the bounded hand-off between one attachment's recording
+// threads and its streaming consumer: sealed chunks travel over C, and
+// released ones come back over a free list of the same bound.
+type Relay struct {
+	C    chan *SealedChunk
+	free chan *chunk
+}
+
+// NewRelay returns a relay that queues up to n sealed chunks.
+func NewRelay(n int) *Relay {
+	return &Relay{C: make(chan *SealedChunk, n), free: make(chan *chunk, n)}
+}
+
 // SealedChunk is a full chunk handed off from the owning thread to the
-// streaming writer. Its counts are final.
+// streaming writer. Its counts are final. The consumer owns it until it
+// calls Release, and must not touch it afterwards.
 type SealedChunk struct {
 	thread int32
 	c      *chunk
+	b      *TraceBuffer
 }
 
 // Thread returns the thread tag the buffer was given in SetRelay.
@@ -91,12 +146,25 @@ func (s *SealedChunk) Thread() int32 { return s.thread }
 // Len returns the number of samples in the sealed chunk.
 func (s *SealedChunk) Len() int { return int(s.c.n.Load()) }
 
-// Encode writes the chunk as one self-contained trace block (stack IDs
-// rebased to the chunk's own table) suitable for ReadTraceStream.
-func (s *SealedChunk) Encode(w io.Writer) error {
-	c := s.c
-	return writeBlock(w, []chunkView{{c: c, n: c.n.Load(), nst: c.nStacks.Load()}},
-		c.stackBase, 0)
+// views is the chunk as the block writers take it.
+func (s *SealedChunk) views() []chunkView {
+	return []chunkView{{c: s.c, n: s.c.n.Load(), nst: s.c.nStacks.Load()}}
+}
+
+// Release gives the chunk back for reuse. seal published the state
+// that no longer lists the chunk before it sent the chunk here, and
+// every reader loads the state inside its bracket: one that can still
+// see the chunk entered before that publish and has not left, so
+// readers == 0 now means there is none, and any later reader loads a
+// state without it. Otherwise, or with the free list full, the chunk
+// is left to the collector.
+func (s *SealedChunk) Release() {
+	if s.b.readers.Load() == 0 {
+		select {
+		case s.b.relay.free <- s.c:
+		default:
+		}
+	}
 }
 
 // TraceBuffer stores samples and interned callstacks for one thread.
@@ -107,15 +175,17 @@ func (s *SealedChunk) Encode(w io.Writer) error {
 // no lock and no allocation until a chunk fills. Readers (Samples,
 // Stack, Len, WriteTrace, the streamer) take a consistent snapshot
 // through the atomically published chunk list without ever blocking
-// the writer.
+// the writer; each loads the list and uses it inside one reader bracket
+// (enter/exit), which is what lets a relaying buffer recycle chunks.
 //
 // Drain and Reset bypass the writer's cursors and therefore require
 // the writer to be quiescent (no concurrent append); the tool
 // guarantees this by unregistering events and waiting for in-flight
 // callbacks before its final flush.
 type TraceBuffer struct {
-	state atomic.Pointer[bufState]
-	_     [cacheLinePad - 8]byte // readers load state; keep it off the writer's line
+	state   atomic.Pointer[bufState]
+	readers atomic.Int32            // readers inside their bracket
+	_       [cacheLinePad - 12]byte // readers' side; keep it off the writer's line
 
 	// Writer-private fields, touched only by the owning thread.
 	active   *chunk // the chunk being filled
@@ -127,7 +197,7 @@ type TraceBuffer struct {
 	// relay, when set, receives full chunks for write-behind storage;
 	// thread tags them for the consumer. The push never blocks: if the
 	// consumer falls behind the chunk is discarded and accounted.
-	relay  chan<- *SealedChunk
+	relay  *Relay
 	thread int32
 
 	// callers is where AppendCallstack captures a stack before
@@ -144,7 +214,9 @@ type TraceBuffer struct {
 // (rounded up to whole chunks). If limit > 0, the buffer stops
 // recording (counting drops) once it retains limit entries; interned
 // callstacks count toward the limit like samples, so the limit bounds
-// measurement memory as a whole.
+// measurement memory as a whole: a sample costs 1 and a newly stored
+// stack 1; a sample whose call path AppendCallstack finds already in
+// the chunk costs only its own 1.
 func NewTraceBuffer(capacity, limit int) *TraceBuffer {
 	nchunks := (capacity + ChunkSamples - 1) / ChunkSamples
 	if nchunks < 1 {
@@ -159,13 +231,22 @@ func NewTraceBuffer(capacity, limit int) *TraceBuffer {
 	return b
 }
 
-// SetRelay routes every filled chunk to ch, tagged with thread. It must
+// SetRelay routes every filled chunk to r, tagged with thread. It must
 // be called before the first append; the streamer configures buffers at
 // creation.
-func (b *TraceBuffer) SetRelay(ch chan<- *SealedChunk, thread int32) {
-	b.relay = ch
+func (b *TraceBuffer) SetRelay(r *Relay, thread int32) {
+	b.relay = r
 	b.thread = thread
 }
+
+// enter opens a reader bracket and returns the chunk list to use inside
+// it, none of whose chunks is recycled before exit closes it.
+func (b *TraceBuffer) enter() *bufState {
+	b.readers.Add(1)
+	return b.state.Load()
+}
+
+func (b *TraceBuffer) exit() { b.readers.Add(-1) }
 
 // Append records a sample. Owning thread only.
 func (b *TraceBuffer) Append(s Sample) {
@@ -222,17 +303,46 @@ func (b *TraceBuffer) AppendStacked(s Sample, pcs []uintptr) {
 	b.appendStacked(s, pcs)
 }
 
-// AppendCallstack is AppendStacked(s, Callstack(skip, 32)) without the
-// intermediate slice: the stack is captured into scratch the single
-// writer owns, and only its exact-length interned copy is allocated. A
-// sample dropped at the limit captures nothing. Owning thread only.
+// AppendCallstack is AppendStacked(s, Callstack(skip, 32)) with each
+// call path stored once per chunk: the stack is captured into scratch
+// the single writer owns and looked up among the chunk's stacks; a path
+// already there costs the sample only, a new one is copied into the
+// chunk's arena. A sample dropped at the limit captures nothing. Owning
+// thread only.
 func (b *TraceBuffer) AppendCallstack(s Sample, skip int) {
 	if b.limit > 0 && b.retained >= b.limit {
 		b.dropped.Add(1)
 		return
 	}
-	n := runtime.Callers(skip+2, b.callers[:])
-	b.appendStacked(s, b.callers[:n])
+	pcs := b.callers[:runtime.Callers(skip+2, b.callers[:])]
+	c := b.active
+	if c.wn == ChunkSamples || c.wns == ChunkSamples {
+		c = b.seal()
+	}
+	sum := uint32(hashPCs(pcs) >> 32)
+	p := c.paths
+	if p == nil {
+		p = &pathTable{pcs: make([]uintptr, 0, arenaSlab)}
+		c.paths = p
+	}
+	for i, st := range c.stacks[:c.wns] {
+		if p.sums[i] == sum && slices.Equal(st, pcs) {
+			s.StackID = c.stackBase + int32(i)
+			c.samples[c.wn] = s
+			c.wn++
+			c.n.Store(c.wn) // release: the stack was published before
+			b.retained++
+			return
+		}
+	}
+	if cap(p.pcs)-len(p.pcs) < len(pcs) {
+		// A new slab; the stacks already published keep the old one.
+		p.pcs = make([]uintptr, 0, 2*cap(p.pcs))
+	}
+	at := len(p.pcs)
+	p.pcs = append(p.pcs, pcs...)
+	p.sums[c.wns] = sum
+	b.publishStacked(c, s, p.pcs[at:len(p.pcs):len(p.pcs)])
 }
 
 // appendStacked interns a copy of pcs and records s against it; the
@@ -242,12 +352,14 @@ func (b *TraceBuffer) appendStacked(s Sample, pcs []uintptr) {
 	if c.wn == ChunkSamples || c.wns == ChunkSamples {
 		c = b.seal()
 	}
-	if c.stacks == nil {
-		c.stacks = make([][]uintptr, ChunkSamples)
-	}
 	cp := make([]uintptr, len(pcs))
 	copy(cp, pcs)
-	c.stacks[c.wns] = cp
+	b.publishStacked(c, s, cp)
+}
+
+// publishStacked records s against st, a stack the chunk now owns.
+func (b *TraceBuffer) publishStacked(c *chunk, s Sample, st []uintptr) {
+	c.stackTable()[c.wns] = st
 	s.StackID = c.stackBase + c.wns
 	c.wns++
 	c.nStacks.Store(c.wns) // release: publish the stack first
@@ -271,12 +383,9 @@ func (b *TraceBuffer) InternStack(pcs []uintptr) int32 {
 	if c.wns == ChunkSamples {
 		c = b.seal()
 	}
-	if c.stacks == nil {
-		c.stacks = make([][]uintptr, ChunkSamples)
-	}
 	cp := make([]uintptr, len(pcs))
 	copy(cp, pcs)
-	c.stacks[c.wns] = cp
+	c.stackTable()[c.wns] = cp
 	id := c.stackBase + c.wns
 	c.wns++
 	c.nStacks.Store(c.wns)
@@ -285,29 +394,48 @@ func (b *TraceBuffer) InternStack(pcs []uintptr) int32 {
 }
 
 // seal retires the active chunk and returns a fresh active chunk. With
-// a relay configured the full chunk is handed to the consumer (or
-// dropped, with accounting, if the consumer is behind); otherwise the
-// writer advances into the next preallocated chunk or grows the list.
+// a relay configured that one comes off the free list (a new one if it
+// is empty, never a wait) and the full chunk is handed to the consumer
+// (or dropped, with accounting, if the consumer is behind); otherwise
+// the writer advances into the next preallocated chunk or grows the list.
 func (b *TraceBuffer) seal() *chunk {
 	old := b.active
-	st := b.state.Load()
 	if b.relay != nil {
+		var nc *chunk
 		select {
-		case b.relay <- &SealedChunk{thread: b.thread, c: old}:
+		case nc = <-b.relay.free:
+			nc.wn, nc.wns = 0, 0
+			nc.n.Store(0)
+			nc.nStacks.Store(0)
+			if nc.paths != nil {
+				nc.paths.pcs = nc.paths.pcs[:0]
+			}
+		default:
+			nc = newChunk()
+		}
+		nc.stackBase = old.stackBase + old.wns
+		if nc.state.chunks == nil {
+			nc.state.chunks = []*chunk{nc}
+		}
+		// Publish before the push: once the consumer has the old chunk,
+		// no state that lists it can be loaded any more (see Release).
+		b.state.Store(&nc.state)
+		b.retained -= int(old.wn) + int(old.wns)
+		b.active = nc
+		b.wc = 0
+		sc := &SealedChunk{thread: b.thread, c: old, b: b}
+		select {
+		case b.relay.C <- sc: // the consumer's from here on
 		default:
 			// Bounded hand-off is full: discard rather than stall the
 			// OpenMP thread, and account the loss explicitly.
 			b.relayDrops.Add(1)
 			b.dropped.Add(uint64(old.wn))
+			sc.Release()
 		}
-		b.retained -= int(old.wn) + int(old.wns)
-		nc := newChunk()
-		nc.stackBase = old.stackBase + old.wns
-		b.state.Store(&bufState{chunks: []*chunk{nc}})
-		b.active = nc
-		b.wc = 0
 		return nc
 	}
+	st := b.state.Load()
 	if b.wc+1 < len(st.chunks) {
 		nc := st.chunks[b.wc+1]
 		nc.stackBase = old.stackBase + old.wns
@@ -343,13 +471,22 @@ type chunkView struct {
 	nst int32
 }
 
+// stacks returns the captured stacks; the writer makes the table on
+// the first stack, so it is read only behind a nonzero count.
+func (v chunkView) stacks() [][]uintptr {
+	if v.nst == 0 {
+		return nil
+	}
+	return v.c.stacks[:v.nst]
+}
+
 // snapshot captures a consistent view of the buffer and the global
 // stack ID of its first captured stack slot. All sample counts are
 // read before any stack count: a stack is published before the sample
 // that references it, so every stack referenced by a captured sample
-// is itself captured.
-func (b *TraceBuffer) snapshot() ([]chunkView, int32) {
-	st := b.state.Load()
+// is itself captured. The views are good for as long as the bracket st
+// was loaded in stays open.
+func snapshot(st *bufState) ([]chunkView, int32) {
 	views := make([]chunkView, len(st.chunks))
 	for i, c := range st.chunks {
 		views[i] = chunkView{c: c, n: c.n.Load()}
@@ -363,7 +500,8 @@ func (b *TraceBuffer) snapshot() ([]chunkView, int32) {
 // Samples returns a snapshot copy of the recorded samples; it is safe
 // to call while the owning thread is still appending.
 func (b *TraceBuffer) Samples() []Sample {
-	st := b.state.Load()
+	st := b.enter()
+	defer b.exit()
 	total := 0
 	ns := make([]int32, len(st.chunks))
 	for i, c := range st.chunks {
@@ -379,7 +517,8 @@ func (b *TraceBuffer) Samples() []Sample {
 
 // Len returns the number of recorded samples without copying them.
 func (b *TraceBuffer) Len() int {
-	st := b.state.Load()
+	st := b.enter()
+	defer b.exit()
 	total := 0
 	for _, c := range st.chunks {
 		total += int(c.n.Load())
@@ -394,7 +533,8 @@ func (b *TraceBuffer) Stack(id int32) []uintptr {
 	if id < 0 {
 		return nil
 	}
-	st := b.state.Load()
+	st := b.enter()
+	defer b.exit()
 	for _, c := range st.chunks {
 		k := c.nStacks.Load()
 		if k == 0 {
@@ -413,7 +553,8 @@ func (b *TraceBuffer) Stack(id int32) []uintptr {
 // ForEachStack calls fn for every interned stack in a snapshot, in
 // global-ID order. fn must not modify or retain pcs.
 func (b *TraceBuffer) ForEachStack(fn func(id int32, pcs []uintptr)) {
-	st := b.state.Load()
+	st := b.enter()
+	defer b.exit()
 	for _, c := range st.chunks {
 		k := c.nStacks.Load()
 		for i := int32(0); i < k; i++ {
@@ -424,7 +565,8 @@ func (b *TraceBuffer) ForEachStack(fn func(id int32, pcs []uintptr)) {
 
 // NumStacks returns the number of interned callstacks currently held.
 func (b *TraceBuffer) NumStacks() int {
-	st := b.state.Load()
+	st := b.enter()
+	defer b.exit()
 	total := 0
 	for _, c := range st.chunks {
 		total += int(c.nStacks.Load())
@@ -530,12 +672,14 @@ var ErrBadTrace = errors.New("perf: malformed trace stream")
 // published chunk list, so it may run concurrently with appends.
 // Stack IDs are rebased to the snapshot's own zero-based table.
 func WriteTrace(w io.Writer, b *TraceBuffer) error {
-	views, base0 := b.snapshot()
+	st := b.enter()
+	defer b.exit()
+	views, base0 := snapshot(st)
 	return writeBlock(w, views, base0, b.dropped.Load())
 }
 
 // writeBlock serializes one trace block from chunk views: the shared
-// backend of WriteTrace and SealedChunk.Encode. Sample stack IDs are
+// backend of WriteTrace and the tests' SealedChunk.Encode. Stack IDs are
 // rebased by base0; IDs falling outside the captured stack table (a
 // stack shipped in an earlier block) degrade to NoStack.
 func writeBlock(w io.Writer, views []chunkView, base0 int32, dropped uint64) error {
@@ -623,7 +767,7 @@ func writeBlock(w io.Writer, views []chunkView, base0 int32, dropped uint64) err
 }
 
 // ReadTrace deserializes one trace block written by WriteTrace,
-// WriteTraceEnc or SealedChunk.EncodeWith, auto-detecting the block
+// WriteTraceEnc or a BlockEncoder, auto-detecting the block
 // format (fixed-width v1 "PSXT" or compact v2 "PSX2") from its magic.
 // A caller reading block after block passes a *bufio.Reader (of the
 // default size or more), which is then read directly and left at the

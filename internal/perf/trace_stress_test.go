@@ -2,6 +2,7 @@ package perf
 
 import (
 	"bytes"
+	"io"
 	"sync"
 	"testing"
 )
@@ -67,13 +68,20 @@ func TestSnapshotWhileAppending(t *testing.T) {
 	}
 }
 
+// Encode writes the chunk as one self-contained v1 trace block (stack
+// IDs rebased to the chunk's own table): the reference the tests read
+// back; the tool encodes chunks with a BlockEncoder.
+func (s *SealedChunk) Encode(w io.Writer) error {
+	return writeBlock(w, s.views(), s.c.stackBase, 0)
+}
+
 // TestRelayNoLossNoDuplicate streams sealed chunks to a live consumer
 // while the writer appends at full rate, then accounts for every
 // sample exactly once across the encoded chunks and the final residue:
 // nothing lost, nothing double-flushed.
 func TestRelayNoLossNoDuplicate(t *testing.T) {
 	const n = 40_000
-	relay := make(chan *SealedChunk, 256)
+	relay := NewRelay(256)
 	b := NewTraceBuffer(1, 0)
 	b.SetRelay(relay, 7)
 
@@ -86,7 +94,7 @@ func TestRelayNoLossNoDuplicate(t *testing.T) {
 		defer wg.Done()
 		for {
 			select {
-			case sc := <-relay:
+			case sc := <-relay.C:
 				if sc.Thread() != 7 {
 					t.Errorf("chunk thread = %d, want 7", sc.Thread())
 				}
@@ -114,7 +122,7 @@ func TestRelayNoLossNoDuplicate(t *testing.T) {
 	// Drain what the consumer had not picked up yet, then the residue.
 	for {
 		select {
-		case sc := <-relay:
+		case sc := <-relay.C:
 			consumed += sc.Len()
 			if err := sc.Encode(&stream); err != nil {
 				t.Fatal(err)
@@ -159,7 +167,7 @@ func TestRelayNoLossNoDuplicate(t *testing.T) {
 // relay: the retained samples, the chunks parked in the channel, and
 // the drop counter must account for every append exactly.
 func TestRelayDropAccountingExact(t *testing.T) {
-	relay := make(chan *SealedChunk, 2)
+	relay := NewRelay(2)
 	b := NewTraceBuffer(1, 0)
 	b.SetRelay(relay, 0)
 	const n = 10 * ChunkSamples
@@ -170,7 +178,7 @@ func TestRelayDropAccountingExact(t *testing.T) {
 	inChannel := 0
 	for {
 		select {
-		case sc := <-relay:
+		case sc := <-relay.C:
 			inChannel += sc.Len()
 			continue
 		default:

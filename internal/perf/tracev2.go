@@ -9,6 +9,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 	"sync"
 )
 
@@ -71,14 +72,14 @@ const (
 	v2HeaderLen = 48
 )
 
-// Encoding selects the block format WriteTraceEnc and EncodeWith
-// emit. The zero value is the fixed-width v1 format, which nothing in
-// tool or cmd writes any more: it stays as the reference writer that
-// tests, fuzz seeds and the benchmark's v1-versus-v2 probes compare
-// against, and as the producer of the v1 blocks every reader must keep
-// opening. V2 selects the compact columnar format, and Flate
-// additionally deflates each v2 block's payload. Readers auto-detect
-// the format per block, so a stream may mix v1 and v2 blocks.
+// Encoding selects the block format WriteTraceEnc emits. The zero
+// value is the fixed-width v1 format, which nothing in tool or cmd
+// writes any more: it stays as the reference writer that tests, fuzz
+// seeds and the benchmark's v1-versus-v2 probes compare against, and as
+// the producer of the v1 blocks every reader must keep opening. V2
+// selects the compact columnar format, and Flate additionally deflates
+// each v2 block's payload. Readers auto-detect the format per block, so
+// a stream may mix v1 and v2 blocks.
 type Encoding struct {
 	V2    bool
 	Flate bool
@@ -91,27 +92,26 @@ type Encoding struct {
 // the damage precisely.
 var ErrCountMismatch = fmt.Errorf("%w: declared sample count disagrees with payload length", ErrBadTrace)
 
-// EncodeWith writes the chunk as one self-contained trace block in the
-// given encoding (stack IDs rebased to the chunk's own table), suitable
-// for ReadTraceStream. EncodeWith with a zero Encoding is Encode.
-func (s *SealedChunk) EncodeWith(w io.Writer, enc Encoding) error {
-	if !enc.V2 {
-		return s.Encode(w)
-	}
-	c := s.c
-	return writeBlockV2(w, []chunkView{{c: c, n: c.n.Load(), nst: c.nStacks.Load()}},
-		c.stackBase, 0, enc.Flate)
-}
-
 // WriteTraceEnc serializes a snapshot of the buffer to w in the given
 // encoding; WriteTraceEnc with a zero Encoding is WriteTrace.
 func WriteTraceEnc(w io.Writer, b *TraceBuffer, enc Encoding) error {
 	if !enc.V2 {
 		return WriteTrace(w, b)
 	}
-	views, base0 := b.snapshot()
-	return writeBlockV2(w, views, base0, b.dropped.Load(), enc.Flate)
+	e := blockEncoders.Get().(*BlockEncoder)
+	defer blockEncoders.Put(e)
+	st := b.enter()
+	views, base0 := snapshot(st)
+	block, err := e.encode(views, base0, b.dropped.Load(), enc.Flate)
+	b.exit() // the block is the encoder's own bytes: the write needs no chunk
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(block)
+	return err
 }
+
+var blockEncoders = sync.Pool{New: func() any { return new(BlockEncoder) }}
 
 // IsV2Block reports whether b begins with a v2 trace block header.
 func IsV2Block(b []byte) bool {
@@ -124,144 +124,161 @@ func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// writeBlockV2 serializes one v2 trace block from chunk views: the
-// compact twin of writeBlock. Sample stack IDs are rebased by base0
-// and remapped into the block's deduplicated dictionary; IDs falling
-// outside the captured stack table degrade to NoStack, exactly as in
-// v1.
-func writeBlockV2(w io.Writer, views []chunkView, base0 int32, dropped uint64, compress bool) error {
+// BlockEncoder writes v2 blocks, one after another, out of scratch it
+// owns and reuses: the block's bytes, the stack dictionary and its index
+// and, when blocks are deflated, one flate.Writer. The zero value is
+// ready; an encoder serves one goroutine at a time.
+type BlockEncoder struct {
+	raw    []byte           // header and columnar payload
+	z      bytes.Buffer     // header and the payload deflated
+	zw     *flate.Writer    // made by the first deflated block
+	dict   [][]uintptr      // distinct stacks, in order of first appearance
+	index  map[uint64]int32 // hashPCs (stepped past collisions) → dict entry
+	toDict []int32          // captured stack → dict entry
+}
+
+// EncodeChunk returns the sealed chunk as one self-contained PSX2 block
+// (stack IDs rebased to the chunk's own table), deflated if asked: a
+// new slice of the block's length, the only thing it allocates.
+func (e *BlockEncoder) EncodeChunk(s *SealedChunk, deflate bool) ([]byte, error) {
+	block, err := e.encode(s.views(), s.c.stackBase, 0, deflate)
+	return bytes.Clone(block), err
+}
+
+// encode builds one v2 trace block from chunk views, the compact twin
+// of writeBlock, in scratch the next call overwrites. Sample stack IDs
+// are rebased by base0 and remapped into the block's deduplicated
+// dictionary; IDs outside the captured stack table degrade to NoStack,
+// as in v1.
+func (e *BlockEncoder) encode(views []chunkView, base0 int32, dropped uint64, deflate bool) ([]byte, error) {
 	var nsamples, nstacks uint64
 	for _, v := range views {
 		nsamples += uint64(v.n)
 		nstacks += uint64(v.nst)
 	}
 
-	// Deduplicate the block's stacks into a dictionary: join-heavy
-	// traces intern the same few callstacks over and over, so the
-	// dictionary collapses them to one entry plus small indices.
-	dict := make([][]uintptr, 0, nstacks)
-	index := make(map[string]int32, nstacks)
-	toDict := make([]int32, 0, nstacks)
-	var keyBuf []byte
+	// Deduplicate the block's stacks into a dictionary: AppendStacked
+	// interns the same few callstacks over and over, and the dictionary
+	// collapses them to one entry plus small indices. A hash another
+	// stack has taken is stepped.
+	if e.index == nil {
+		e.index = make(map[uint64]int32)
+	}
+	clear(e.index)
+	e.dict, e.toDict = e.dict[:0], e.toDict[:0]
 	for _, v := range views {
-		for i := int32(0); i < v.nst; i++ {
-			st := v.c.stacks[i]
-			keyBuf = keyBuf[:0]
-			for _, pc := range st {
-				keyBuf = binary.LittleEndian.AppendUint64(keyBuf, uint64(pc))
+		for _, st := range v.stacks() {
+			h := hashPCs(st)
+			id, ok := e.index[h]
+			for ok && !slices.Equal(e.dict[id], st) {
+				h++
+				id, ok = e.index[h]
 			}
-			id, ok := index[string(keyBuf)]
 			if !ok {
-				id = int32(len(dict))
-				dict = append(dict, st)
-				index[string(keyBuf)] = id
+				id = int32(len(e.dict))
+				e.dict = append(e.dict, st)
+				e.index[h] = id
 			}
-			toDict = append(toDict, id)
+			e.toDict = append(e.toDict, id)
 		}
 	}
 
-	var raw bytes.Buffer
-	var scratch [binary.MaxVarintLen64]byte
-	putv := func(u uint64) {
-		raw.Write(scratch[:binary.PutUvarint(scratch[:], u)])
-	}
+	raw := append(e.raw[:0], traceV2Magic[:]...)
+	raw = binary.LittleEndian.AppendUint32(raw, traceV2Version)
+	raw = binary.LittleEndian.AppendUint32(raw, 0) // flags
+	raw = binary.LittleEndian.AppendUint64(raw, nsamples)
+	raw = binary.LittleEndian.AppendUint64(raw, uint64(len(e.dict)))
+	raw = binary.LittleEndian.AppendUint64(raw, dropped)
+	raw = append(raw, make([]byte, 12)...) // payload length and CRC: known at the end
 	// One pass per column: within a column the deltas stay small, so
 	// each varint stays short.
 	var prev int64
 	for _, v := range views {
-		for i := int32(0); i < v.n; i++ {
+		for i := range v.c.samples[:v.n] {
 			t := v.c.samples[i].Time
-			putv(zigzag(t - prev))
+			raw = binary.AppendUvarint(raw, zigzag(t-prev))
 			prev = t
 		}
 	}
 	prev = 0
 	for _, v := range views {
-		for i := int32(0); i < v.n; i++ {
+		for i := range v.c.samples[:v.n] {
 			th := int64(v.c.samples[i].Thread)
-			putv(zigzag(th - prev))
+			raw = binary.AppendUvarint(raw, zigzag(th-prev))
 			prev = th
 		}
 	}
 	for _, v := range views {
-		for i := int32(0); i < v.n; i++ {
-			putv(zigzag(int64(v.c.samples[i].Event)))
+		for i := range v.c.samples[:v.n] {
+			raw = binary.AppendUvarint(raw, zigzag(int64(v.c.samples[i].Event)))
 		}
 	}
 	for _, v := range views {
-		for i := int32(0); i < v.n; i++ {
-			putv(zigzag(int64(v.c.samples[i].State)))
+		for i := range v.c.samples[:v.n] {
+			raw = binary.AppendUvarint(raw, zigzag(int64(v.c.samples[i].State)))
 		}
 	}
 	var uprev uint64
 	for _, v := range views {
-		for i := int32(0); i < v.n; i++ {
+		for i := range v.c.samples[:v.n] {
 			r := v.c.samples[i].Region
-			putv(zigzag(int64(r - uprev))) // two's-complement delta: wrap-safe
+			raw = binary.AppendUvarint(raw, zigzag(int64(r-uprev))) // two's-complement delta: wrap-safe
 			uprev = r
 		}
 	}
 	uprev = 0
 	for _, v := range views {
-		for i := int32(0); i < v.n; i++ {
+		for i := range v.c.samples[:v.n] {
 			st := v.c.samples[i].Site
-			putv(zigzag(int64(st - uprev)))
+			raw = binary.AppendUvarint(raw, zigzag(int64(st-uprev)))
 			uprev = st
 		}
 	}
 	for _, v := range views {
-		for i := int32(0); i < v.n; i++ {
+		for i := range v.c.samples[:v.n] {
 			sid := v.c.samples[i].StackID
 			out := int64(NoStack)
 			if sid != NoStack {
 				if rel := sid - base0; rel >= 0 && uint64(rel) < nstacks {
-					out = int64(toDict[rel])
+					out = int64(e.toDict[rel])
 				}
 			}
-			putv(zigzag(out))
+			raw = binary.AppendUvarint(raw, zigzag(out))
 		}
 	}
-	for _, st := range dict {
-		putv(uint64(len(st)))
+	for _, st := range e.dict {
+		raw = binary.AppendUvarint(raw, uint64(len(st)))
 		var pcprev uint64
 		for _, pc := range st {
-			putv(zigzag(int64(uint64(pc) - pcprev)))
+			raw = binary.AppendUvarint(raw, zigzag(int64(uint64(pc)-pcprev)))
 			pcprev = uint64(pc)
 		}
 	}
+	e.raw = raw
+	clear(e.dict) // scratch must not keep the caller's stacks alive
 
-	stored := raw.Bytes()
-	var flags uint32
-	if compress {
-		var zb bytes.Buffer
-		zw, err := flate.NewWriter(&zb, flate.BestSpeed)
-		if err != nil {
-			return err
+	block := raw
+	if deflate {
+		e.z.Reset()
+		e.z.Write(raw[:v2HeaderLen])
+		if e.zw == nil {
+			e.zw, _ = flate.NewWriter(&e.z, flate.BestSpeed) // the level is valid
+		} else {
+			e.zw.Reset(&e.z)
 		}
-		if _, err := zw.Write(stored); err != nil {
-			return err
+		if _, err := e.zw.Write(raw[v2HeaderLen:]); err != nil {
+			return nil, err
 		}
-		if err := zw.Close(); err != nil {
-			return err
+		if err := e.zw.Close(); err != nil {
+			return nil, err
 		}
-		stored = zb.Bytes()
-		flags |= flagV2Flate
+		block = e.z.Bytes()
+		binary.LittleEndian.PutUint32(block[8:12], flagV2Flate)
 	}
-
-	var hdr [v2HeaderLen]byte
-	copy(hdr[:4], traceV2Magic[:])
-	binary.LittleEndian.PutUint32(hdr[4:8], traceV2Version)
-	binary.LittleEndian.PutUint32(hdr[8:12], flags)
-	binary.LittleEndian.PutUint64(hdr[12:20], nsamples)
-	binary.LittleEndian.PutUint64(hdr[20:28], uint64(len(dict)))
-	binary.LittleEndian.PutUint64(hdr[28:36], dropped)
-	binary.LittleEndian.PutUint64(hdr[36:44], uint64(len(stored)))
-	binary.LittleEndian.PutUint32(hdr[44:48], crc32.ChecksumIEEE(stored))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(stored)
-	return err
+	stored := block[v2HeaderLen:]
+	binary.LittleEndian.PutUint64(block[36:44], uint64(len(stored)))
+	binary.LittleEndian.PutUint32(block[44:48], crc32.ChecksumIEEE(stored))
+	return block, nil
 }
 
 // CountStreamSamples walks a stream of concatenated trace blocks (v1,

@@ -96,7 +96,8 @@ type netSink struct {
 	spill *spillLog         // nil unless Options.SpillDir is set
 	gov   *degrade.Governor // nil unless the overhead governor is on
 
-	seq atomic.Uint64 // last assigned sequence number
+	seq   atomic.Uint64 // last assigned sequence number
+	frame []byte        // the sender's CHUNK frame buffer, reused frame after frame
 
 	led            ledger        // every chunk ship takes, settled exactly once
 	overloadedAcks atomic.Uint64 // INGEST_OVERLOADED acks seen (governor input)
@@ -568,16 +569,20 @@ func (w *wire) write(kind uint8, payload []byte) error {
 	return ingest.WriteFrame(w.c, kind, payload)
 }
 
-// send encodes and writes one data frame.
+// send encodes and writes one data frame. A chunk's block is copied
+// once, into the frame buffer the sender goroutine owns.
 func (n *netSink) send(conn *wire, it *netItem) error {
 	switch it.kind {
 	case ingest.MsgChunk:
-		return conn.write(ingest.MsgChunk, ingest.EncodeChunk(ingest.Chunk{
+		n.frame = ingest.AppendChunkFrame(n.frame[:0], ingest.Chunk{
 			Seq:     it.seq,
 			Thread:  it.thread,
 			Samples: it.samples,
 			Block:   it.block,
-		}))
+		})
+		conn.c.SetWriteDeadline(time.Now().Add(netWriteTimeout))
+		_, err := conn.c.Write(n.frame)
+		return err
 	case ingest.MsgSeal:
 		return conn.write(ingest.MsgSeal,
 			ingest.EncodeSeal(ingest.Seal{Seq: it.seq, Thread: it.thread}))

@@ -35,7 +35,8 @@ import (
 // cannot be written is discarded with exact chunk/sample accounting.
 // One thread's failure never touches another thread's file.
 
-// relayCapacity bounds the chunk hand-off channel. At ChunkSamples
+// relayCapacity bounds the chunk hand-off channel, and with it the free
+// list of encoded chunks the buffers fill again. At ChunkSamples
 // samples per chunk this queues up to ~16k samples of backlog before
 // the buffers start dropping.
 const relayCapacity = 64
@@ -93,7 +94,8 @@ type streamer struct {
 	dir      string
 	fileSink bool     // dir != "": write local per-thread trace files
 	net      *netSink // nil unless Options.IngestAddr is set
-	relay    chan *perf.SealedChunk
+	relay    *perf.Relay
+	enc      perf.BlockEncoder // writer goroutine's; stop's once that has exited
 	files    map[int32]*streamFile
 	seqs     map[int32]int // per-thread chunk sequence, for the drop hook
 
@@ -129,7 +131,7 @@ func startStreamer(t *Tool, dir string) (*streamer, error) {
 		t:        t,
 		dir:      dir,
 		fileSink: dir != "",
-		relay:    make(chan *perf.SealedChunk, relayCapacity),
+		relay:    perf.NewRelay(relayCapacity),
 		files:    make(map[int32]*streamFile),
 		seqs:     make(map[int32]int),
 		open:     t.opts.OpenTraceFile,
@@ -163,7 +165,7 @@ func (s *streamer) loop() {
 	defer s.wg.Done()
 	for {
 		select {
-		case sc := <-s.relay:
+		case sc := <-s.relay.C:
 			s.writeChunk(sc)
 		case <-s.done:
 			return
@@ -172,7 +174,8 @@ func (s *streamer) loop() {
 }
 
 // writeChunk encodes one sealed chunk and stores it, unless the
-// DropChunk hook claims it first.
+// DropChunk hook claims it first. Either way the chunk goes back to its
+// buffer: the block is the one copy the sinks hold.
 func (s *streamer) writeChunk(sc *perf.SealedChunk) {
 	thread := sc.Thread()
 	seq := s.seqs[thread]
@@ -181,16 +184,18 @@ func (s *streamer) writeChunk(sc *perf.SealedChunk) {
 	s.led.take(samples)
 	if s.drop != nil && s.drop(thread, seq) {
 		s.led.settle(forced, samples)
+		sc.Release()
 		return
 	}
-	var staged bytes.Buffer
-	if err := sc.EncodeWith(&staged, s.t.encoding()); err != nil {
-		// Encoding into a memory buffer failing is not a per-file
-		// condition a retry can cure: discard with accounting.
+	block, err := s.enc.EncodeChunk(sc, s.t.opts.TraceCompress)
+	sc.Release()
+	if err != nil {
+		// Encoding into memory failing is not a per-file condition a
+		// retry can cure: discard with accounting.
 		s.discard(samples)
 		return
 	}
-	s.store(thread, stagedBlock{samples: samples, block: staged.Bytes()})
+	s.store(thread, stagedBlock{samples: samples, block: block})
 }
 
 // store hands one staged block to the sinks. Both see the exact same
@@ -392,7 +397,7 @@ func (s *streamer) stop(quiesced bool) error {
 	s.wg.Wait()
 	for {
 		select {
-		case sc := <-s.relay:
+		case sc := <-s.relay.C:
 			s.writeChunk(sc)
 			continue
 		default:
