@@ -11,12 +11,13 @@ test: build
 	$(GO) test ./...
 
 # check is the pre-merge gate for the lock-free measurement path: vet,
-# then the race detector over the packages that share trace buffers —
-# perf and tool at one, two and four Ps, because the single-writer
-# publish and the chunk-recycle gate are protocols between goroutines
-# and a schedule one width never produces is a schedule never checked —
-# and over ingest (its writer and connection handlers share each run's
-# ack path), then the format gate. Nothing in tool or cmd writes v1 any more
+# then the race detector over the packages a recorded event passes
+# through — omp, collector, perf and tool, at one, two and four Ps,
+# because the single-writer publish, the chunk-recycle gate and the
+# region path a descriptor carries from fork to join are protocols
+# between goroutines and a schedule one width never produces is a
+# schedule never checked — and over ingest (its writer and connection
+# handlers share each run's ack path), then the format gate. Nothing in tool or cmd writes v1 any more
 # (every write path is walked block by block), so v1 lives on only as
 # something the readers must keep opening: the checked-in v1 fixture,
 # v1 and v2 blocks mixed in one stream, and every writer/reader pairing
@@ -29,11 +30,11 @@ test: build
 # is the run that enforces them.
 check:
 	$(GO) vet ./...
-	$(GO) test -race -cpu 1,2,4 ./internal/perf ./internal/tool
-	$(GO) test -race ./internal/collector ./internal/ingest
+	$(GO) test -race -cpu 1,2,4 ./internal/omp ./internal/collector ./internal/perf ./internal/tool
+	$(GO) test -race ./internal/ingest
 	$(GO) test -count=1 ./internal/faultinject -run 'EveryWritePathWritesPSX2'
 	$(GO) test -count=1 ./internal/perf -run 'V1Fixture|V2CrossRead|MixedStream|V2TornTail'
-	$(GO) test -count=1 ./internal/perf ./internal/analysis ./internal/tool ./internal/ingest -run 'Alloc'
+	$(GO) test -count=1 ./internal/omp ./internal/perf ./internal/analysis ./internal/tool ./internal/ingest -run 'Alloc'
 
 # chaos runs the deterministic fault-injection suite — panicking and
 # hung callbacks, failing/torn trace writes, forced chunk drops —

@@ -26,6 +26,7 @@ import (
 
 	"goomp/internal/collector"
 	"goomp/internal/dl"
+	"goomp/internal/perf"
 )
 
 // Config holds the runtime's internal control variables (the OpenMP
@@ -292,9 +293,13 @@ func (r *RT) noteSite(pc uintptr) {
 	r.siteMu.Lock()
 	s := r.sites[pc]
 	if s == nil {
+		// pc is a return address: resolved as a frame it is the line of
+		// the call, where FuncForPC(pc).FileLine(pc) names whatever the
+		// instruction after the call belongs to — the next statement, or
+		// the header of the enclosing loop.
 		file, line := "?", 0
-		if fn := runtime.FuncForPC(pc); fn != nil {
-			file, line = fn.FileLine(pc)
+		if fr := perf.Resolve([]uintptr{pc})[0]; fr.File != "" {
+			file, line = fr.File, fr.Line
 		}
 		s = &RegionSite{PC: pc, File: file, Line: line}
 		r.sites[pc] = s
@@ -332,28 +337,47 @@ func (r *RT) ensureWorkers(n int) {
 // must be called from serial (non-region) context; inside a region use
 // ThreadCtx.Parallel for a nested region.
 func (r *RT) Parallel(fn func(tc *ThreadCtx)) {
-	r.parallel(callerPC(), 0, fn)
+	r.parallel(r.walkSite(r.masterParallel), 0, fn)
 }
 
 // ParallelN runs fn as a parallel region with a team of n threads
 // (n <= 0 means the configured default).
 func (r *RT) ParallelN(n int, fn func(tc *ThreadCtx)) {
-	r.parallel(callerPC(), n, fn)
+	r.parallel(r.walkSite(r.masterParallel), n, fn)
 }
 
 // ParallelFor is the combined "parallel for" construct: it forks a team
 // and statically distributes iterations [0, n) over it.
 func (r *RT) ParallelFor(n int, body func(tc *ThreadCtx, i int)) {
-	r.parallel(callerPC(), 0, func(tc *ThreadCtx) {
+	r.parallel(r.walkSite(r.masterParallel), 0, func(tc *ThreadCtx) {
 		tc.For(n, func(i int) { body(tc, i) })
 	})
 }
 
-func callerPC() uintptr {
-	var pcs [1]uintptr
-	// Skip runtime.Callers, callerPC and the exported wrapper: the site
-	// is the user's call.
-	if runtime.Callers(3, pcs[:]) == 0 {
+// walkSite is the one walk a region's entry makes, called directly by
+// the exported entry point so that the frames to skip are
+// runtime.Callers, walkSite and that entry point: the first PC is the
+// user's call, the region's site. With no tool asking that is the
+// whole walk. When an attached tool records joins against region paths
+// (collector.RegionPaths) the walk carries on to the goroutine's root,
+// into td — the descriptor the region's join will be raised on — whose
+// scratch is the encountering thread's own; the join callback then has
+// the path without unwinding again, through eight more frames of ours,
+// from inside the callback. Either way td's path is set for this
+// region: a path left by an earlier one must not outlive it.
+func (r *RT) walkSite(td *collector.ThreadInfo) uintptr {
+	path := td.RegionPath()
+	if !r.col.RegionPaths() {
+		path.Set(0, 0)
+		var site [1]uintptr // stays zero if there is no caller to find
+		runtime.Callers(3, site[:])
+		return site[0]
+	}
+	t0 := perf.Cycles()
+	pcs := path.Scratch()
+	n := runtime.Callers(3, pcs)
+	path.Set(n, perf.Cycles()-t0)
+	if n == 0 {
 		return 0
 	}
 	return pcs[0]
@@ -576,6 +600,13 @@ func (tc *ThreadCtx) Parallel(n int, fn func(tc *ThreadCtx)) {
 	if n <= 0 {
 		n = r.cfg.NumThreads
 	}
+	// The nested region's site and path come from the same walk as a
+	// top-level region's. It borrows the encountering thread's
+	// descriptor, whose path belongs to the region that thread has open
+	// (the master's, or an outer nested one), so that path is set aside
+	// until this region has joined.
+	outerPath := *tc.td.RegionPath()
+	site := r.walkSite(tc.td)
 	// True nesting: a fork event is generated whenever a nested
 	// parallel region and its OpenMP threads are created.
 	r.col.Event(tc.td, collector.EventFork)
@@ -583,6 +614,7 @@ func (tc *ThreadCtx) Parallel(n int, fn func(tc *ThreadCtx)) {
 		RegionID:       r.regionSeq.Add(1),
 		ParentRegionID: tc.team.info.RegionID,
 		Size:           int32(n),
+		SitePC:         site,
 	}
 	team := newTeam(r, n, info)
 	var wg sync.WaitGroup
@@ -611,6 +643,7 @@ func (tc *ThreadCtx) Parallel(n int, fn func(tc *ThreadCtx)) {
 	wg.Wait()
 	tc.td.SetTeam(prevTeam)
 	r.col.Event(tc.td, collector.EventJoin)
+	*tc.td.RegionPath() = outerPath
 	if p := team.firstPanic(); p != nil {
 		panic(p)
 	}

@@ -253,6 +253,51 @@ func TestAppendCallstackDedup(t *testing.T) {
 	}
 }
 
+// TestAppendPathSharesTheStore: a supplied path and an unwound one go
+// through one lookup into one table — the same PCs either way are one
+// stack — the chunk copies what it is given, and the buffer says which
+// way its stack samples came.
+func TestAppendPathSharesTheStore(t *testing.T) {
+	b := NewTraceBuffer(ChunkSamples, 0)
+	b.AppendCallstack(Sample{Time: 0}, 0)
+	b.AppendCallstack(Sample{Time: 1}, 0) // another line: another path
+	scratch := b.Stack(0)
+	want := slices.Clone(scratch)
+	b.AppendPath(Sample{Time: 2}, scratch)
+	scratch[0]++ // the caller's scratch moves on
+	b.AppendPath(Sample{Time: 3}, scratch)
+	b.AppendPath(Sample{Time: 4}, want)
+	if got := b.NumStacks(); got != 3 {
+		t.Fatalf("%d stacks, want 3: two unwound, one of them supplied again, one new", got)
+	}
+	ss := b.Samples()
+	if ids := []int32{ss[0].StackID, ss[1].StackID, ss[2].StackID, ss[3].StackID, ss[4].StackID}; !slices.Equal(ids, []int32{0, 1, 0, 2, 0}) {
+		t.Fatalf("stack IDs %v, want [0 1 0 2 0]", ids)
+	}
+	if !slices.Equal(b.Stack(0), want) || !slices.Equal(b.Stack(2), scratch) {
+		t.Fatal("a stored path changed with its caller's scratch")
+	}
+	if supplied, unwound := b.PathRoutes(); supplied != 3 || unwound != 2 {
+		t.Fatalf("routes: %d supplied, %d unwound; want 3, 2", supplied, unwound)
+	}
+
+	limited := NewTraceBuffer(0, 3)
+	for i := 0; i < 5; i++ {
+		limited.AppendPath(Sample{Time: int64(i)}, want)
+	}
+	if supplied, _ := limited.PathRoutes(); limited.Len() != 2 || limited.Dropped() != 3 || supplied != 2 {
+		t.Fatalf("at the limit: %d samples, %d dropped, %d supplied; want 2, 3, 2", limited.Len(), limited.Dropped(), supplied)
+	}
+	b.Drain()
+	if supplied, unwound := b.PathRoutes(); supplied != 3 || unwound != 2 {
+		t.Fatal("a drain lost the route counts")
+	}
+	b.Reset()
+	if supplied, unwound := b.PathRoutes(); supplied != 0 || unwound != 0 {
+		t.Fatal("a reset kept the route counts")
+	}
+}
+
 //go:noinline
 func via0(f func()) { f() }
 

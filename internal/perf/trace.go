@@ -170,7 +170,7 @@ func (s *SealedChunk) Release() {
 // TraceBuffer stores samples and interned callstacks for one thread.
 //
 // Buffers are strictly single-writer: only the owning thread may call
-// Append, AppendStacked, AppendCallstack or InternStack. The hot path
+// Append, AppendStacked, AppendCallstack, AppendPath or InternStack. The hot path
 // is wait-free — a limit check, a cursor bump, and one release-store;
 // no lock and no allocation until a chunk fills. Readers (Samples,
 // Stack, Len, WriteTrace, the streamer) take a consistent snapshot
@@ -208,6 +208,12 @@ type TraceBuffer struct {
 
 	dropped    atomic.Uint64 // samples lost to the limit or a full relay
 	relayDrops atomic.Uint64 // sealed chunks discarded on a full relay
+
+	// Which way the stacked samples came: walked by AppendCallstack, or
+	// handed to AppendPath. Only the owning thread adds, once per stack
+	// sample; Drain leaves them, so they outlive a streamer's flushes.
+	unwound  atomic.Uint64
+	supplied atomic.Uint64
 }
 
 // NewTraceBuffer returns a buffer preallocated for capacity samples
@@ -305,16 +311,35 @@ func (b *TraceBuffer) AppendStacked(s Sample, pcs []uintptr) {
 
 // AppendCallstack is AppendStacked(s, Callstack(skip, 32)) with each
 // call path stored once per chunk: the stack is captured into scratch
-// the single writer owns and looked up among the chunk's stacks; a path
-// already there costs the sample only, a new one is copied into the
-// chunk's arena. A sample dropped at the limit captures nothing. Owning
-// thread only.
+// the single writer owns and recorded as AppendPath records one. A
+// sample dropped at the limit captures nothing. Owning thread only.
 func (b *TraceBuffer) AppendCallstack(s Sample, skip int) {
 	if b.limit > 0 && b.retained >= b.limit {
 		b.dropped.Add(1)
 		return
 	}
-	pcs := b.callers[:runtime.Callers(skip+2, b.callers[:])]
+	b.unwound.Add(1)
+	b.appendPath(s, b.callers[:runtime.Callers(skip+2, b.callers[:])])
+}
+
+// AppendPath records s against a call path somebody else walked — the
+// OpenMP runtime, at the entry of the region s is the join of — storing
+// the path once per chunk: it is looked up among the chunk's stacks; a
+// path already there costs the sample only, a new one is copied into
+// the chunk's arena, so pcs may be the caller's scratch. Owning thread
+// only.
+func (b *TraceBuffer) AppendPath(s Sample, pcs []uintptr) {
+	if b.limit > 0 && b.retained >= b.limit {
+		b.dropped.Add(1)
+		return
+	}
+	b.supplied.Add(1)
+	b.appendPath(s, pcs)
+}
+
+// appendPath is the store behind AppendCallstack and AppendPath; the
+// caller has checked the limit.
+func (b *TraceBuffer) appendPath(s Sample, pcs []uintptr) {
 	c := b.active
 	if c.wn == ChunkSamples || c.wns == ChunkSamples {
 		c = b.seal()
@@ -582,12 +607,21 @@ func (b *TraceBuffer) Dropped() uint64 { return b.dropped.Load() }
 // the streaming consumer fell behind.
 func (b *TraceBuffer) RelayDropped() uint64 { return b.relayDrops.Load() }
 
+// PathRoutes returns how many samples AppendPath recorded against a
+// path its caller supplied and how many AppendCallstack unwound the
+// stack for, since the buffer was made or Reset.
+func (b *TraceBuffer) PathRoutes() (supplied, unwound uint64) {
+	return b.supplied.Load(), b.unwound.Load()
+}
+
 // Reset clears the buffer, retaining its chunk count. Like the append
 // operations it belongs to the writer: it must not race with them.
 func (b *TraceBuffer) Reset() {
 	b.reset(len(b.state.Load().chunks))
 	b.dropped.Store(0)
 	b.relayDrops.Store(0)
+	b.unwound.Store(0)
+	b.supplied.Store(0)
 }
 
 func (b *TraceBuffer) reset(nchunks int) {
