@@ -12,12 +12,13 @@ test: build
 
 # check is the pre-merge gate for the lock-free measurement path: vet,
 # then the race detector over the packages a recorded event passes
-# through — omp, collector, perf and tool, at one, two and four Ps,
-# because the single-writer publish, the chunk-recycle gate and the
-# region path a descriptor carries from fork to join are protocols
-# between goroutines and a schedule one width never produces is a
-# schedule never checked — and over ingest (its writer and connection
-# handlers share each run's ack path), then the format gate. Nothing in tool or cmd writes v1 any more
+# through — omp, collector, perf, tool and ingest, at one, two and four
+# Ps, because the single-writer publish, the chunk-recycle gate, the
+# region path a descriptor carries from fork to join and psxd's
+# per-run trio of connection handlers, writer and housekeeper (one
+# ledger and one ack path between them) are protocols between
+# goroutines, and a schedule one width never produces is a schedule
+# never checked — then the format gate. Nothing in tool or cmd writes v1 any more
 # (every write path is walked block by block), so v1 lives on only as
 # something the readers must keep opening: the checked-in v1 fixture,
 # v1 and v2 blocks mixed in one stream, and every writer/reader pairing
@@ -30,8 +31,7 @@ test: build
 # is the run that enforces them.
 check:
 	$(GO) vet ./...
-	$(GO) test -race -cpu 1,2,4 ./internal/omp ./internal/collector ./internal/perf ./internal/tool
-	$(GO) test -race ./internal/ingest
+	$(GO) test -race -cpu 1,2,4 ./internal/omp ./internal/collector ./internal/perf ./internal/tool ./internal/ingest
 	$(GO) test -count=1 ./internal/faultinject -run 'EveryWritePathWritesPSX2'
 	$(GO) test -count=1 ./internal/perf -run 'V1Fixture|V2CrossRead|MixedStream|V2TornTail'
 	$(GO) test -count=1 ./internal/omp ./internal/perf ./internal/analysis ./internal/tool ./internal/ingest -run 'Alloc'

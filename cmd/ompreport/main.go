@@ -192,21 +192,21 @@ func main() {
 func printDegradationSummary(samples []perf.Sample, captureDropped uint64, manifests map[string]*ingest.Manifest) {
 	steps := analysis.GovernorSteps(samples)
 	var clientDropped, clientDroppedSamples, spilled, replayed uint64
-	var serverDropped uint64
+	// What psxd stamped when it closed its books against the client's
+	// BYE: absent when they closed.
+	var unstored ingest.Unstored
 	for _, m := range manifests {
 		clientDropped += m.ClientDropped
 		clientDroppedSamples += m.ClientDroppedSamples
 		spilled += m.ClientSpilled
 		replayed += m.ClientReplayed
-		// Server-side drops live in the daemon's registry, not the
-		// manifest; the manifest's stored-chunk count against the
-		// client's produced count exposes the same gap.
-		if m.ClientProduced > m.Chunks+m.ClientDropped {
-			serverDropped += m.ClientProduced - m.Chunks - m.ClientDropped
+		if u := m.Unstored; u != nil {
+			unstored.Storage += u.Storage
+			unstored.Unaccounted += u.Unaccounted
 		}
 	}
 	if len(steps) == 0 && captureDropped == 0 && clientDropped == 0 &&
-		spilled == 0 && serverDropped == 0 {
+		spilled == 0 && unstored == (ingest.Unstored{}) {
 		return
 	}
 	fmt.Println("DEGRADATION & LOSS SUMMARY")
@@ -224,9 +224,8 @@ func printDegradationSummary(samples []perf.Sample, captureDropped uint64, manif
 			fmt.Printf("         %d spilled chunks were not delivered by run end\n", spilled-replayed)
 		}
 	}
-	if serverDropped > 0 {
-		fmt.Printf("  ingest: %d produced chunks missing from storage (daemon drops or storage refusals)\n",
-			serverDropped)
+	if unstored != (ingest.Unstored{}) {
+		fmt.Printf("  ingest: %v\n", unstored)
 	}
 	if len(steps) > 0 {
 		final := analysis.FinalGovernorLevel(steps)

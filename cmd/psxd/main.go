@@ -17,9 +17,9 @@
 // Usage:
 //
 //	psxd [-listen 127.0.0.1:9470] [-dir psxd-data] [-obs HOST:PORT]
-//	     [-queue 64] [-max-conns 128] [-fsync never|seal|every-N]
-//	     [-retain-bytes N] [-retain-age DUR] [-drain-timeout DUR]
-//	     [-heartbeat-timeout DUR]
+//	     [-queue 64] [-max-conns 128] [-backpressure DUR]
+//	     [-fsync never|seal|every-N] [-retain-bytes N] [-retain-age DUR]
+//	     [-housekeep DUR] [-drain-timeout DUR] [-heartbeat-timeout DUR]
 package main
 
 import (
@@ -112,9 +112,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if ri.Quarantined {
 			state += ", quarantined"
 		}
-		fmt.Fprintf(stdout, "run %s (%s): %d chunks, %d samples, %d bytes, %d dropped, age %s\n",
+		unstored := "" // what closing the books against the client's BYE left over
+		if ri.Unstored != nil {
+			unstored = "; " + ri.Unstored.String()
+		}
+		fmt.Fprintf(stdout, "run %s (%s): %d chunks, %d samples, %d bytes, %d dropped, age %s%s\n",
 			ri.ID, state, ri.Chunks, ri.Samples, ri.Bytes, ri.DroppedChunks,
-			time.Since(ri.Started).Round(time.Millisecond))
+			time.Since(ri.Started).Round(time.Millisecond), unstored)
 	}
 	return exit
 }

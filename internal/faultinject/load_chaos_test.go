@@ -258,4 +258,19 @@ func TestChaosLoadBurstFlood(t *testing.T) {
 		t.Errorf("manifest records %d dropped chunks, client counted %d",
 			m.ClientDropped, rep.IngestDroppedChunks)
 	}
+	// Both ends kept books and psxd closed them across the wire: what
+	// it shed is in the client's dropped count, so nothing is left over,
+	// and each side's own ledger balances.
+	if m.Unstored != nil || ri.Unstored != nil {
+		t.Errorf("books did not close at BYE: manifest %+v, /runs %+v", m.Unstored, ri.Unstored)
+	}
+	if ri.DroppedChunks == 0 {
+		t.Error("psxd's ledger booked nothing shed")
+	}
+	if err := tl.StreamError(); err != nil {
+		t.Errorf("client ledgers: %v", err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Errorf("psxd ledgers: %v", err)
+	}
 }

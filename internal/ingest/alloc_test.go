@@ -53,7 +53,10 @@ func TestAllocServerChunk(t *testing.T) {
 			// A non-durable ack says accepted; wait for written too, so
 			// the bodies in flight stay the two or three a steady state
 			// has instead of growing with the queue.
-			for r.chunks.Load() != seq {
+			for {
+				if written, _ := r.led.Settled(committed); written == seq {
+					break
+				}
 				time.Sleep(20 * time.Microsecond)
 			}
 		}

@@ -896,11 +896,12 @@ func TestBatchDowngradeWhenByeSyncFails(t *testing.T) {
 	defer srv.Close()
 
 	r := srv.newRun("batch-bye-run", "h", 1, true)
-	if err := os.MkdirAll(r.dir, 0o755); err != nil {
+	if err := os.MkdirAll(r.st.dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
 	cs, acks := pipeAcks(t, srv)
 	block := traceBlock(t, 0, 5)
+	r.led.Take(5) // the session's half of the chunk's bookkeeping
 	r.commitBatch([]item{
 		{seq: 5, thread: 0, samples: 5, block: block, sender: cs},
 		{seq: 6, bye: true, sender: cs},
@@ -916,11 +917,24 @@ func TestBatchDowngradeWhenByeSyncFails(t *testing.T) {
 	if got[6] != CodeStorage {
 		t.Errorf("bye ack = %v, want INGEST_STORAGE", got[6])
 	}
-	if !r.quarantined.Load() {
+	if !r.st.broken.Load() {
 		t.Error("run not quarantined after the BYE sync failure")
 	}
-	if n := r.storageChunks.Load(); n != 1 {
-		t.Errorf("storage-refused chunks = %d, want 1 (the downgraded chunk)", n)
+	// The downgraded chunk is storage and only storage, and the BYE
+	// sealed its manifest over those books — not over the ones the chunk
+	// was in before the batch's sync outcome was final.
+	wantBucket(t, r, storage, "storage", 1, 5)
+	wantBucket(t, r, committed, "committed", 0, 0)
+	if err := r.led.Balance(); err != nil {
+		t.Error(err)
+	}
+	m, err := ReadManifest(r.st.dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !m.Complete || !m.Quarantined || m.Chunks != 0 || m.Samples != 0 {
+		t.Errorf("sealed manifest: complete=%v quarantined=%v chunks=%d samples=%d, want true, true, 0, 0",
+			m.Complete, m.Quarantined, m.Chunks, m.Samples)
 	}
 }
 
@@ -938,11 +952,12 @@ func TestBatchDowngradeWhenSealSyncFails(t *testing.T) {
 	defer srv.Close()
 
 	r := srv.newRun("batch-seal-run", "h", 1, true)
-	if err := os.MkdirAll(r.dir, 0o755); err != nil {
+	if err := os.MkdirAll(r.st.dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
 	cs, acks := pipeAcks(t, srv)
 	block := traceBlock(t, 0, 5)
+	r.led.Take(5)
 	r.commitBatch([]item{
 		{seq: 7, thread: 0, samples: 5, block: block, sender: cs},
 		{seq: 8, thread: 1, seal: true, sender: cs},
@@ -958,8 +973,13 @@ func TestBatchDowngradeWhenSealSyncFails(t *testing.T) {
 	if got[8] != CodeStorage {
 		t.Errorf("seal ack = %v, want INGEST_STORAGE", got[8])
 	}
-	if !r.quarantined.Load() {
+	if !r.st.broken.Load() {
 		t.Error("run not quarantined after the seal sync failure")
+	}
+	wantBucket(t, r, storage, "storage", 1, 5)
+	wantBucket(t, r, committed, "committed", 0, 0)
+	if err := r.led.Balance(); err != nil {
+		t.Error(err)
 	}
 }
 

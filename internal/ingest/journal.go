@@ -36,6 +36,7 @@ import (
 const (
 	journalName  = "journal.psxj"
 	manifestName = "MANIFEST.json"
+	traceNameFmt = "trace.%d.psxt" // a thread's data file
 )
 
 var journalMagic = [4]byte{'P', 'S', 'X', 'J'}
@@ -269,11 +270,12 @@ func (p FsyncPolicy) String() string {
 	return "seal"
 }
 
-// crcReaderAt computes the CRC32 of length bytes at offset in f,
-// streaming so a large block never needs a whole-block allocation.
+// crcFileSegment computes the CRC32 of the length bytes at offset in f
+// — all of them: a file that ends short is an error — streaming so a
+// large block never needs a whole-block allocation.
 func crcFileSegment(f *os.File, offset int64, length int64) (uint32, error) {
 	h := crc32.NewIEEE()
-	if _, err := io.Copy(h, io.NewSectionReader(f, offset, length)); err != nil {
+	if _, err := io.CopyN(h, io.NewSectionReader(f, offset, length), length); err != nil {
 		return 0, err
 	}
 	return h.Sum32(), nil

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 )
 
 // Startup recovery: a restarted daemon must be transparent to a
@@ -70,6 +68,12 @@ func (s *Server) recoverRun(id, dir string) (*run, error) {
 	m, _ := ReadManifest(dir)
 	if m != nil && m.Complete && !m.Quarantined {
 		r := s.recoveredEntry(id, dir, m)
+		r.salvaged = m.Salvaged
+		r.lastSeq.Store(m.LastSeq)
+		r.st.syncedSeq.Store(m.LastSeq)
+		r.led.Restore(committed, m.Chunks, m.Samples)
+		r.st.bytes.Store(m.Bytes)
+		r.st.sealedThreads.Store(m.SealedThreads)
 		r.complete.Store(true)
 		return r, nil
 	}
@@ -84,29 +88,21 @@ func (s *Server) recoverRun(id, dir string) (*run, error) {
 	return s.recoverJournaled(id, dir, jpath, m)
 }
 
-// recoveredEntry builds a run from its manifest identity (or defaults
-// when none survived).
+// recoveredEntry builds a run with its manifest's identity (or
+// defaults when none survived) and empty books.
 func (s *Server) recoveredEntry(id, dir string, m *Manifest) *run {
-	var r *run
-	if m != nil {
-		r = s.newRun(id, m.Host, m.PID, m.Durable)
-		if !m.Started.IsZero() {
-			r.started = m.Started
-		}
-		r.salvaged = m.Salvaged
-		r.lastSeq.Store(m.LastSeq)
-		r.durableSeq.Store(m.LastSeq)
-		r.chunks.Store(m.Chunks)
-		r.samples.Store(m.Samples)
-		r.bytes.Store(m.Bytes)
-		r.sealedThreads.Store(m.SealedThreads)
-		r.client.Store(&m.ClientLoss)
-	} else {
-		r = s.newRun(id, "", 0, false)
+	if m == nil {
+		r := s.newRun(id, "", 0, false)
 		if st, err := os.Stat(dir); err == nil {
 			r.started = st.ModTime()
 		}
+		return r
 	}
+	r := s.newRun(id, m.Host, m.PID, m.Durable)
+	if !m.Started.IsZero() {
+		r.started = m.Started
+	}
+	r.client.Store(&m.ClientLoss)
 	return r
 }
 
@@ -117,146 +113,113 @@ func (s *Server) recoverJournaled(id, dir, jpath string, m *Manifest) (*run, err
 	if err != nil {
 		return nil, err
 	}
+	r := s.recoveredEntry(id, dir, m)
+	r.salvaged = true
+	valid, extent := r.replay(entries)
+	if err := truncateRun(dir, jpath, journalHeaderLen+int64(valid)*journalEntryLen, extent); err != nil {
+		return nil, err
+	}
+	if m != nil && m.Complete {
+		// A quarantined seal: the BYE happened (the manifest's rename is
+		// proof), only its durability is suspect. The truncation restored
+		// the journal-backed truth, and the run stays complete — readable,
+		// resealable, and reclaimable. Its books are closed again over
+		// what survived: the storage and shed tallies of the incarnation
+		// that broke were in memory only, so what it lost now shows as
+		// unaccounted.
+		r.complete.Store(true)
+		r.reconcile(m.ClientLoss)
+	}
+	// Rewrite the manifest to match the recovered truth (including a
+	// BYE whose manifest seal the crash interrupted: that one carries no
+	// client count to reconcile against).
+	if err := r.st.writeManifest(r.manifest(r.complete.Load())); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// replay checks the journal's entries against the data files and books
+// the valid prefix into r (its chunks restored to the ledger as
+// committed, its last sequence the resume point). It returns how many
+// entries that prefix has and the data it covers per thread. A file
+// that is gone, a torn data write and a block corrupted on disk are
+// one boundary: that entry and everything after it is invalid.
+func (r *run) replay(entries []journalEntry) (valid int, extent map[int32]int64) {
 	open := make(map[int32]*os.File)
 	defer func() {
 		for _, f := range open {
 			f.Close()
 		}
 	}()
-	fileFor := func(thread int32) (*os.File, int64, error) {
-		if f, ok := open[thread]; ok {
-			st, err := f.Stat()
-			if err != nil {
-				return nil, 0, err
+	intact := func(e journalEntry) bool {
+		f, ok := open[e.Thread]
+		if !ok {
+			var err error
+			if f, err = os.Open(filepath.Join(r.st.dir, fmt.Sprintf(traceNameFmt, e.Thread))); err != nil {
+				return false
 			}
-			return f, st.Size(), nil
+			open[e.Thread] = f
 		}
-		f, err := os.Open(filepath.Join(dir, fmt.Sprintf("trace.%d.psxt", thread)))
-		if err != nil {
-			return nil, 0, err
-		}
-		open[thread] = f
-		st, err := f.Stat()
-		if err != nil {
-			return nil, 0, err
-		}
-		return f, st.Size(), nil
+		crc, err := crcFileSegment(f, int64(e.Offset), int64(e.Length))
+		return err == nil && crc == e.CRC
 	}
-
-	extent := make(map[int32]int64) // valid data coverage per thread
-	var (
-		lastSeq  uint64
-		sealed   int64
-		complete bool
-		chunks   uint64
-		samples  uint64
-		bytes    uint64
-	)
-	validJournal := int64(journalHeaderLen)
+	extent = make(map[int32]int64)
+	var lastSeq uint64
+scan:
 	for _, e := range entries {
-		if e.Kind == journalChunk {
-			f, size, err := fileFor(e.Thread)
-			if err != nil {
-				break // file gone or unreadable: the journal ends here
+		switch e.Kind {
+		case journalChunk:
+			if !intact(e) {
+				break scan
 			}
-			end := int64(e.Offset) + int64(e.Length)
-			if size < end {
-				break // torn data write: this entry and everything after is invalid
-			}
-			crc, err := crcFileSegment(f, int64(e.Offset), int64(e.Length))
-			if err != nil || crc != e.CRC {
-				break // block corrupted on disk: same boundary
-			}
-			if end > extent[e.Thread] {
-				extent[e.Thread] = end
-			}
-			chunks++
-			samples += uint64(e.Samples)
-			bytes += uint64(e.Length)
-		} else {
-			if e.Kind == journalSeal {
-				sealed++
-			}
-			if e.Kind == journalBye {
-				complete = true
-			}
+			extent[e.Thread] = max(extent[e.Thread], int64(e.Offset)+int64(e.Length))
+			r.led.Restore(committed, 1, uint64(e.Samples))
+			r.st.bytes.Add(uint64(e.Length))
+		case journalSeal:
+			r.st.sealedThreads.Add(1)
+		case journalBye:
+			r.complete.Store(true)
 		}
-		if e.Seq > lastSeq {
-			lastSeq = e.Seq
-		}
-		validJournal += journalEntryLen
+		lastSeq = max(lastSeq, e.Seq)
+		valid++
 	}
-	for _, f := range open {
-		f.Close()
-	}
-	clear(open)
-	if m != nil && m.Complete {
-		// A quarantined seal: the BYE happened (the manifest's rename is
-		// proof), only its durability is suspect. The truncation below
-		// restores the journal-backed truth, and the run stays complete —
-		// readable, resealable, and reclaimable.
-		complete = true
-	}
+	r.lastSeq.Store(lastSeq)
+	r.st.journaledSeq = lastSeq
+	r.st.syncedSeq.Store(lastSeq)
+	return valid, extent
+}
 
-	// Truncate the journal to its validated prefix, then every trace
-	// file to exactly the bytes the surviving journal describes. A file
-	// the journal never mentions is an unacked tail in its entirety.
+// truncateRun cuts the journal to its validated prefix, then every
+// trace file to exactly the bytes the surviving journal describes. A
+// file the journal never mentions is an unacked tail in its entirety.
+func truncateRun(dir, jpath string, validJournal int64, extent map[int32]int64) error {
 	if st, err := os.Stat(jpath); err == nil && st.Size() > validJournal {
 		if err := os.Truncate(jpath, validJournal); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	traceFiles, _ := filepath.Glob(filepath.Join(dir, "trace.*.psxt"))
 	for _, path := range traceFiles {
-		th, ok := threadOfTraceFile(path)
-		if !ok {
+		var th int32
+		if _, err := fmt.Sscanf(filepath.Base(path), traceNameFmt, &th); err != nil {
 			continue
 		}
 		want := extent[th]
-		st, err := os.Stat(path)
-		if err != nil {
+		if st, err := os.Stat(path); err != nil || st.Size() <= want {
 			continue
 		}
-		if st.Size() <= want {
-			continue
-		}
+		var err error
 		if want == 0 {
-			if err := os.Remove(path); err != nil {
-				return nil, err
-			}
-			continue
+			err = os.Remove(path)
+		} else {
+			err = os.Truncate(path, want)
 		}
-		if err := os.Truncate(path, want); err != nil {
-			return nil, err
+		if err != nil {
+			return err
 		}
 	}
-
-	r := s.recoveredEntry(id, dir, m)
-	r.salvaged = true
-	r.lastSeq.Store(lastSeq)
-	r.durableSeq.Store(lastSeq)
-	r.chunks.Store(chunks)
-	r.samples.Store(samples)
-	r.bytes.Store(bytes)
-	r.sealedThreads.Store(sealed)
-	r.complete.Store(complete)
-	// Rewrite the manifest to match the recovered truth (including a
-	// BYE whose manifest seal the crash interrupted).
-	if err := writeManifest(s.fs, dir, r.manifest(complete)); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
-// threadOfTraceFile parses N out of ".../trace.N.psxt".
-func threadOfTraceFile(path string) (int32, bool) {
-	name := filepath.Base(path)
-	name = strings.TrimSuffix(strings.TrimPrefix(name, "trace."), ".psxt")
-	n, err := strconv.ParseInt(name, 10, 32)
-	if err != nil {
-		return 0, false
-	}
-	return int32(n), true
+	return nil
 }
 
 // RecoverySummary describes what startup recovery found, for the

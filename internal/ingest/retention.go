@@ -5,6 +5,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"time"
 )
@@ -21,7 +22,7 @@ import (
 // housekeeper is the retention goroutine: one scan per interval until
 // shutdown.
 func (s *Server) housekeeper() {
-	defer s.houseWG.Done()
+	defer s.wg.Done()
 	t := time.NewTicker(s.opts.HousekeepInterval)
 	defer t.Stop()
 	for {
@@ -67,14 +68,7 @@ func (s *Server) Housekeep() {
 // completeOldestFirst snapshots the GC candidates: complete runs,
 // oldest start first.
 func (s *Server) completeOldestFirst() []*run {
-	s.mu.Lock()
-	out := make([]*run, 0, len(s.runs))
-	for _, r := range s.runs {
-		if r.complete.Load() {
-			out = append(out, r)
-		}
-	}
-	s.mu.Unlock()
+	out := slices.DeleteFunc(s.snapshot(), func(r *run) bool { return !r.complete.Load() })
 	sort.Slice(out, func(i, j int) bool {
 		if !out[i].started.Equal(out[j].started) {
 			return out[i].started.Before(out[j].started)
@@ -101,9 +95,9 @@ func (s *Server) gcRun(r *run) int64 {
 	s.mu.Lock()
 	delete(s.runs, r.id)
 	s.mu.Unlock()
-	freed := dirBytes(r.dir)
-	if err := os.RemoveAll(r.dir); err != nil {
-		r.recordErr(fmt.Errorf("ingest: gc run %s: %w", r.id, err))
+	freed := dirBytes(r.st.dir)
+	if err := os.RemoveAll(r.st.dir); err != nil {
+		r.st.recordErr(fmt.Errorf("ingest: gc run %s: %w", r.id, err))
 		return 0
 	}
 	s.gcRuns.Add(1)

@@ -189,6 +189,10 @@ type ClientLoss struct {
 	ClientDroppedSamples uint64 `json:"client_dropped_samples,omitempty"`
 	ClientSpilled        uint64 `json:"client_spilled_chunks,omitempty"`
 	ClientReplayed       uint64 `json:"client_replayed_chunks,omitempty"`
+
+	// Unstored is not the client's: psxd appends what closing its own
+	// books against these counts left over (absent when they closed).
+	Unstored *Unstored `json:"unstored,omitempty"`
 }
 
 // Loss is the frame's accounting without its sequence number.

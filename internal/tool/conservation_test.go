@@ -159,6 +159,17 @@ func TestSpillReplayZeroLossConservation(t *testing.T) {
 		t.Errorf("manifest client accounting %+v does not match report (produced %d spilled %d replayed %d)",
 			m, rep.IngestProducedChunks, rep.IngestSpilledChunks, rep.IngestReplayedChunks)
 	}
+	// Both ends kept books and psxd closed them across the wire at the
+	// BYE: no remainder stamped, and each side's own ledger balances.
+	if m.Unstored != nil || ri.Unstored != nil {
+		t.Errorf("books did not close at BYE: manifest %+v, /runs %+v", m.Unstored, ri.Unstored)
+	}
+	if err := tl.StreamError(); err != nil {
+		t.Errorf("client ledgers: %v", err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Errorf("psxd ledgers: %v", err)
+	}
 }
 
 // TestOutagePermanentSpillPendingConservation never lets the sink

@@ -10,16 +10,13 @@ import (
 
 func TestLedgerBalance(t *testing.T) {
 	held := uint64(0)
-	l := ledger{
-		name:    "ingest produced",
-		buckets: []bucket{shipped, replayed, dropped, storage},
-		held:    func() (uint64, uint64) { return held, held * 10 },
-	}
-	if err := l.balance(); err != nil {
+	l := ingest.NewLedger("ingest produced", "shipped", "replayed", "dropped", "storage")
+	l.Held = func() (uint64, uint64) { return held, held * 10 }
+	if err := l.Balance(); err != nil {
 		t.Fatalf("empty ledger: %v", err)
 	}
-	l.take(10)
-	err := l.balance()
+	l.Take(10)
+	err := l.Balance()
 	if err == nil {
 		t.Fatal("a chunk produced and never settled balanced")
 	}
@@ -29,16 +26,16 @@ func TestLedgerBalance(t *testing.T) {
 		}
 	}
 	held = 1 // parked on disk: kept, not lost
-	if err := l.balance(); err != nil {
+	if err := l.Balance(); err != nil {
 		t.Fatalf("held chunk: %v", err)
 	}
 	held = 0
-	l.settle(dropped, 10)
-	if err := l.balance(); err != nil {
+	l.Settle(dropped, 10)
+	if err := l.Balance(); err != nil {
 		t.Fatalf("settled chunk: %v", err)
 	}
-	l.settle(shipped, 10)
-	if err := l.balance(); err == nil {
+	l.Settle(shipped, 10)
+	if err := l.Balance(); err == nil {
 		t.Fatal("a chunk settled twice balanced")
 	}
 }
@@ -78,26 +75,26 @@ func TestDetachChecksTheBooks(t *testing.T) {
 	if err := tl.StreamError(); err != nil {
 		t.Fatalf("healthy tee run: %v", err)
 	}
-	file, net := &tl.stream.led, &tl.stream.net.led
-	if staged, _ := file.taken.load(); staged == 0 {
+	file, net := tl.stream.led, tl.stream.net.led
+	if staged, _ := file.Taken(); staged == 0 {
 		t.Fatal("file ledger took nothing")
-	} else if w, _ := file.settled[written].load(); w != staged {
+	} else if w, _ := file.Settled(written); w != staged {
 		t.Errorf("file ledger: staged %d, written %d", staged, w)
 	}
-	if produced, _ := net.taken.load(); produced == 0 {
+	if produced, _ := net.Taken(); produced == 0 {
 		t.Fatal("network ledger took nothing")
-	} else if s, _ := net.settled[shipped].load(); s != produced {
+	} else if s, _ := net.Settled(shipped); s != produced {
 		t.Errorf("network ledger: produced %d, shipped %d", produced, s)
 	}
-	if err := file.balance(); err != nil {
+	if err := file.Balance(); err != nil {
 		t.Error(err)
 	}
-	if err := net.balance(); err != nil {
+	if err := net.Balance(); err != nil {
 		t.Error(err)
 	}
 
 	tl = teeRun(t)
-	tl.stream.net.led.take(7) // produced, never settled
+	tl.stream.net.led.Take(7) // produced, never settled
 	tl.Detach()
 	err := tl.StreamError()
 	if err == nil || !strings.Contains(err.Error(), "ledger out of balance: ingest produced") {

@@ -50,7 +50,7 @@ import (
 //     backpressure so the governor can step the measurement down
 //     instead of producing data the system cannot move.
 //   - Every chunk ship takes is settled exactly once, by settle, into
-//     one bucket of the sink's ledger (ledger.go):
+//     one bucket of the sink's ledger (ingest.Ledger):
 //     produced == shipped + replayed + dropped + storage + spill-pending.
 
 const (
@@ -69,6 +69,16 @@ const (
 // on by itself (never on the wire): like any non-OK, non-storage ack
 // it lands in the dropped bucket.
 const codeUndelivered ingest.Code = ^ingest.Code(0)
+
+// The network sink's ledger buckets: the terminal fates of a chunk it
+// took. Nothing but settle moves them; Report, the obs plane and the
+// BYE frame read them.
+const (
+	shipped  ingest.Bucket = iota // acked CodeOK straight from memory
+	replayed                      // acked CodeOK after the spill detour
+	dropped                       // never delivered: overflow, nack, corrupt spill entry, unflushed at stop
+	storage                       // refused INGEST_STORAGE: the daemon's disk failed, not the network
+)
 
 // netItem is one queued wire frame. spilled marks a frame that took
 // the on-disk detour: its eventual ack counts as replayed, not
@@ -99,9 +109,9 @@ type netSink struct {
 	seq   atomic.Uint64 // last assigned sequence number
 	frame []byte        // the sender's CHUNK frame buffer, reused frame after frame
 
-	led            ledger        // every chunk ship takes, settled exactly once
-	overloadedAcks atomic.Uint64 // INGEST_OVERLOADED acks seen (governor input)
-	connects       atomic.Uint64 // successful connections (reconnects = connects-1)
+	led            *ingest.Ledger // every chunk ship takes, settled exactly once
+	overloadedAcks atomic.Uint64  // INGEST_OVERLOADED acks seen (governor input)
+	connects       atomic.Uint64  // successful connections (reconnects = connects-1)
 }
 
 // startNetSink builds and starts the sink's sender goroutine. gov may
@@ -137,10 +147,7 @@ func startNetSink(opts *Options, gov *degrade.Governor) (*netSink, error) {
 		closing: make(chan struct{}),
 		done:    make(chan struct{}),
 		gov:     gov,
-		led: ledger{
-			name:    "ingest produced",
-			buckets: []bucket{shipped, replayed, dropped, storage},
-		},
+		led:     ingest.NewLedger("ingest produced", "shipped", "replayed", "dropped", "storage"),
 	}
 	if n.dial == nil {
 		n.dial = func(addr string) (net.Conn, error) {
@@ -153,7 +160,7 @@ func startNetSink(opts *Options, gov *degrade.Governor) (*netSink, error) {
 			return nil, err
 		}
 		n.spill = sp
-		n.led.held = sp.pendingCounts
+		n.led.Held = sp.pendingCounts
 	}
 	n.wg.Add(1)
 	go n.loop()
@@ -165,7 +172,7 @@ func startNetSink(opts *Options, gov *degrade.Governor) (*netSink, error) {
 // spill dir is configured, and only past the spill bound (or without
 // one) is the block dropped, with exact accounting either way.
 func (n *netSink) ship(thread int32, samples uint32, block []byte) {
-	n.led.take(samples)
+	n.led.Take(samples)
 	n.enqueue(&netItem{
 		kind:    ingest.MsgChunk,
 		seq:     n.seq.Add(1),
@@ -233,7 +240,7 @@ func (n *netSink) settle(it *netItem, code ingest.Code) {
 	case code == ingest.CodeStorage:
 		b = storage
 	}
-	n.led.settle(b, it.samples)
+	n.led.Settle(b, it.samples)
 }
 
 // shutdown asks the sender to flush and waits out the grace period;
@@ -597,9 +604,9 @@ func (n *netSink) send(conn *wire, it *netItem) error {
 // final accounting (and re-encoding on a resend reads the same values).
 func (n *netSink) bye(seq uint64) ingest.Bye {
 	y := ingest.Bye{Seq: seq}
-	y.Produced, _ = n.led.taken.load()
-	y.Dropped, y.DroppedSamples = n.led.settled[dropped].load()
-	y.Replayed, _ = n.led.settled[replayed].load()
+	y.Produced, _ = n.led.Taken()
+	y.Dropped, y.DroppedSamples = n.led.Settled(dropped)
+	y.Replayed, _ = n.led.Settled(replayed)
 	if n.spill != nil {
 		y.Spilled, _ = n.spill.stats()
 	}

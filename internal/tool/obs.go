@@ -155,33 +155,33 @@ func (t *Tool) startObs(addr string) (*obs.Server, error) {
 			func() float64 { return float64(s.retries.Load()) })
 		reg.CounterFunc("goomp_stream_discarded_chunks_total",
 			"Trace blocks the streaming storage gave up on after retries.",
-			func() float64 { return float64(s.led.settled[discarded].chunks.Load()) })
+			func() float64 { return chunksOf(s.led.Settled(discarded)) })
 		reg.CounterFunc("goomp_stream_discarded_samples_total",
 			"Samples inside discarded trace blocks.",
-			func() float64 { return float64(s.led.settled[discarded].samples.Load()) })
+			func() float64 { return samplesOf(s.led.Settled(discarded)) })
 		reg.CounterFunc("goomp_stream_forced_drops_total",
 			"Chunks discarded by the DropChunk fault-injection hook.",
-			func() float64 { return float64(s.led.settled[forced].chunks.Load()) })
+			func() float64 { return chunksOf(s.led.Settled(forced)) })
 		reg.GaugeFunc("goomp_stream_degraded_threads",
 			"Threads whose trace file failed permanently and fell back to in-memory retention.",
 			func() float64 { return float64(s.degraded.Load()) })
 		if n := s.net; n != nil {
 			reg.CounterFunc("goomp_ingest_produced_chunks_total",
 				"Trace blocks handed to the network sink.",
-				func() float64 { return float64(n.led.taken.chunks.Load()) })
+				func() float64 { return chunksOf(n.led.Taken()) })
 			reg.CounterFunc("goomp_ingest_overloaded_acks_total",
 				"INGEST_OVERLOADED acks from the daemon (backpressure fed to the governor).",
 				func() float64 { return float64(n.overloadedAcks.Load()) })
 			if sp := n.spill; sp != nil {
 				reg.CounterFunc("goomp_spill_chunks_total",
 					"Trace blocks spilled to the store-and-forward segment log.",
-					func() float64 { c, _ := sp.stats(); return float64(c) })
+					func() float64 { return chunksOf(sp.stats()) })
 				reg.CounterFunc("goomp_spill_replayed_chunks_total",
 					"Spilled trace blocks delivered and acknowledged after replay.",
-					func() float64 { return float64(n.led.settled[replayed].chunks.Load()) })
+					func() float64 { return chunksOf(n.led.Settled(replayed)) })
 				reg.GaugeFunc("goomp_spill_pending_chunks",
 					"Trace blocks currently queued on the spill log's disk backlog.",
-					func() float64 { c, _ := sp.pendingCounts(); return float64(c) })
+					func() float64 { return chunksOf(sp.pendingCounts()) })
 			}
 		}
 	}
@@ -217,6 +217,10 @@ func (t *Tool) startObs(addr string) (*obs.Server, error) {
 	}
 	return obs.Serve(addr, cfg)
 }
+
+// chunksOf and samplesOf pick one half of a tally for a metric.
+func chunksOf(chunks, _ uint64) float64   { return float64(chunks) }
+func samplesOf(_, samples uint64) float64 { return float64(samples) }
 
 // obsHealth renders the collector's fault-isolation snapshot for
 // /healthz.

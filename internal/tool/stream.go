@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"goomp/internal/ingest"
 	"goomp/internal/perf"
 )
 
@@ -106,7 +107,7 @@ type streamer struct {
 	// led books every chunk and residue block the streamer takes:
 	// staged == written + discarded + forced (+ passed, when there is no
 	// file sink and the network sink's own ledger carries the block).
-	led      ledger
+	led      *ingest.Ledger
 	retries  atomic.Uint64 // transient-error retries performed
 	degraded atomic.Int64  // threads that entered degraded mode
 
@@ -120,6 +121,14 @@ type streamer struct {
 	done chan struct{}
 	wg   sync.WaitGroup
 }
+
+// The streamer's ledger buckets.
+const (
+	written   ingest.Bucket = iota // on disk in the thread's local trace file
+	discarded                      // given up on after retries and the stop-time recovery attempt
+	forced                         // dropped by the DropChunk fault-injection hook
+	passed                         // no file sink configured: the network sink's ledger answers for it
+)
 
 func startStreamer(t *Tool, dir string) (*streamer, error) {
 	if dir != "" {
@@ -137,11 +146,8 @@ func startStreamer(t *Tool, dir string) (*streamer, error) {
 		open:     t.opts.OpenTraceFile,
 		drop:     t.opts.DropChunk,
 		backoff:  t.opts.StreamBackoff,
-		led: ledger{
-			name:    "stream staged",
-			buckets: []bucket{written, discarded, forced, passed},
-		},
-		done: make(chan struct{}),
+		led:      ingest.NewLedger("stream staged", "written", "discarded", "forced", "passed"),
+		done:     make(chan struct{}),
 	}
 	if t.opts.IngestAddr != "" {
 		n, err := startNetSink(&t.opts, t.gov)
@@ -181,9 +187,9 @@ func (s *streamer) writeChunk(sc *perf.SealedChunk) {
 	seq := s.seqs[thread]
 	s.seqs[thread] = seq + 1
 	samples := uint32(sc.Len())
-	s.led.take(samples)
+	s.led.Take(samples)
 	if s.drop != nil && s.drop(thread, seq) {
-		s.led.settle(forced, samples)
+		s.led.Settle(forced, samples)
 		sc.Release()
 		return
 	}
@@ -209,7 +215,7 @@ func (s *streamer) store(thread int32, blk stagedBlock) {
 		s.net.ship(thread, blk.samples, blk.block)
 	}
 	if !s.fileSink {
-		s.led.settle(passed, blk.samples)
+		s.led.Settle(passed, blk.samples)
 		return
 	}
 	sf := s.file(thread)
@@ -224,7 +230,7 @@ func (s *streamer) store(thread int32, blk stagedBlock) {
 }
 
 // discard books one block the streamer gives up on.
-func (s *streamer) discard(samples uint32) { s.led.settle(discarded, samples) }
+func (s *streamer) discard(samples uint32) { s.led.Settle(discarded, samples) }
 
 // file returns (creating if needed) the per-thread file state. A
 // failed open degrades the thread but still returns usable state so
@@ -262,7 +268,7 @@ func (s *streamer) writeBlock(sf *streamFile, blk stagedBlock) error {
 	for attempt := 0; ; attempt++ {
 		n, err := sf.w.Write(blk.block)
 		if err == nil {
-			s.led.settle(written, blk.samples)
+			s.led.Settle(written, blk.samples)
 			return nil
 		}
 		if n > 0 {
@@ -373,7 +379,7 @@ func (s *streamer) writeResidue(tb threadBuf, quiesced bool) {
 		return
 	}
 	samples := uint32(src.Len())
-	s.led.take(samples)
+	s.led.Take(samples)
 	var staged bytes.Buffer
 	if err := perf.WriteTraceEnc(&staged, src, s.t.encoding()); err != nil {
 		s.errs = append(s.errs, fmt.Errorf("tool: stream thread %d: residue encode: %w", tb.id, err))
@@ -441,9 +447,9 @@ func (s *streamer) stop(quiesced bool) error {
 	}
 	s.files = nil
 	// Every goroutine that settles has stopped: check the books.
-	s.errs = append(s.errs, s.led.balance())
+	s.errs = append(s.errs, s.led.Balance())
 	if s.net != nil {
-		s.errs = append(s.errs, s.net.led.balance())
+		s.errs = append(s.errs, s.net.led.Balance())
 	}
 	return errors.Join(s.errs...)
 }

@@ -1070,15 +1070,15 @@ func (t *Tool) Report() *Report {
 		r.Dropped += s.finalDropped.Load()
 		r.RelayDropped += s.finalRelayDropped.Load()
 		r.StreamRetries = s.retries.Load()
-		r.StreamDiscardedChunks, r.StreamDiscardedSamples = s.led.settled[discarded].load()
-		r.ForcedDrops, r.ForcedDropSamples = s.led.settled[forced].load()
+		r.StreamDiscardedChunks, r.StreamDiscardedSamples = s.led.Settled(discarded)
+		r.ForcedDrops, r.ForcedDropSamples = s.led.Settled(forced)
 		r.DegradedThreads = int(s.degraded.Load())
 		if n := s.net; n != nil {
-			r.IngestProducedChunks, r.IngestProducedSamples = n.led.taken.load()
-			r.IngestShippedChunks, _ = n.led.settled[shipped].load()
-			r.IngestDroppedChunks, r.IngestDroppedSamples = n.led.settled[dropped].load()
-			r.IngestStorageChunks, r.IngestStorageSamples = n.led.settled[storage].load()
-			r.IngestReplayedChunks, r.IngestReplayedSamples = n.led.settled[replayed].load()
+			r.IngestProducedChunks, r.IngestProducedSamples = n.led.Taken()
+			r.IngestShippedChunks, _ = n.led.Settled(shipped)
+			r.IngestDroppedChunks, r.IngestDroppedSamples = n.led.Settled(dropped)
+			r.IngestStorageChunks, r.IngestStorageSamples = n.led.Settled(storage)
+			r.IngestReplayedChunks, r.IngestReplayedSamples = n.led.Settled(replayed)
 			r.IngestOverloadedAcks = n.overloadedAcks.Load()
 			if sp := n.spill; sp != nil {
 				r.IngestSpilledChunks, r.IngestSpilledSamples = sp.stats()
