@@ -295,13 +295,14 @@ func BenchmarkAblationQueue(b *testing.B) {
 	b.Run("global", func(b *testing.B) { run(b, true) })
 }
 
-// BenchmarkAblationBarrier compares the blocking and spinning team
-// barriers.
+// BenchmarkAblationBarrier compares the team barrier under the
+// passive and active wait policies: the same spin-then-park barrier
+// at spin budgets 256 and 4096.
 func BenchmarkAblationBarrier(b *testing.B) {
 	for _, spin := range []bool{false, true} {
-		name := "blocking"
+		name := "passive"
 		if spin {
-			name = "spinning"
+			name = "active"
 		}
 		b.Run(name, func(b *testing.B) {
 			rt := omp.New(omp.Config{NumThreads: 4, SpinBarrier: spin})

@@ -256,13 +256,13 @@ func TestChaosHangBarrierNoShow(t *testing.T) {
 	}
 }
 
-// TestChaosHangNoFalsePositive oversubscribes a guided loop over a
-// deep tree barrier, with every mpi delivery delayed, for well past
-// the hang timeout: slow progress is progress, and the watchdog must
-// stay silent.
+// TestChaosHangNoFalsePositive oversubscribes a guided loop and its
+// barriers on a 16-thread team, with every mpi delivery delayed, for
+// well past the hang timeout: slow progress is progress, and the
+// watchdog must stay silent.
 func TestChaosHangNoFalsePositive(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	rt := omp.New(omp.Config{NumThreads: 16, TreeBarrierThreshold: 2})
+	rt := omp.New(omp.Config{NumThreads: 16})
 	defer rt.Close()
 	tl, ch := attachSupervised(t, rt, t.TempDir())
 	defer tl.Detach()

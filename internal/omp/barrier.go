@@ -5,83 +5,27 @@ import (
 	"sync/atomic"
 )
 
-// Synchronization-core tuning constants. The barrier topology and the
-// waiter policy are picked per team in newTeamBarrier; DESIGN.md
-// "Synchronization topology" discusses the choices.
+// Team-barrier tuning constants. DESIGN.md "Synchronization topology"
+// gives the sweep that left one barrier and the wait policy as its
+// only input.
 const (
 	// cacheLinePad is the assumed cache-line size used to pad
 	// per-waiter slots and hot counters against false sharing.
 	cacheLinePad = 64
 
-	// barrierFanIn is the arity of the combining tree barrier: thread
-	// i's children are threads i*fanIn+1 .. i*fanIn+fanIn. Four keeps
-	// the tree depth at 2 for teams up to 20 while spreading arrival
-	// traffic over size/4 counters instead of one.
-	barrierFanIn = 4
-
-	// defaultTreeThreshold is the team size above which the tree
-	// barrier replaces the central one. Small teams fit one cache line
-	// of arrival traffic; the tree only pays off once several waiters
-	// would otherwise hammer the same line.
-	defaultTreeThreshold = 4
-
-	// defaultActiveSpin / defaultPassiveSpin bound the hybrid waiter's
-	// spin phase (flag checks before parking) for
-	// OMP_WAIT_POLICY=active and =passive. Passive still spins
-	// briefly: barriers are usually released within a few microseconds
-	// and a park/unpark round trip costs more than the residual spin.
-	defaultActiveSpin  = 4096
-	defaultPassiveSpin = 256
+	// activeSpin / passiveSpin bound the waiter's spin phase (flag
+	// checks before parking) for OMP_WAIT_POLICY=active and =passive.
+	// Passive still spins briefly: barriers are usually released
+	// within a few microseconds and a park/unpark round trip costs
+	// more than the residual spin.
+	activeSpin  = 4096
+	passiveSpin = 256
 
 	// spinYieldMask: the spin phase yields to the scheduler every
 	// (mask+1)-th check, so a waiting thread cannot starve the
 	// releasing thread off the CPU when the team is oversubscribed.
 	spinYieldMask = 3
 )
-
-// effectiveSpin resolves the configured spin budget for a team.
-func effectiveSpin(cfg Config, size int) int {
-	spin := cfg.BarrierSpin
-	if spin == 0 {
-		if cfg.SpinBarrier {
-			spin = defaultActiveSpin
-		} else {
-			spin = defaultPassiveSpin
-		}
-	}
-	if spin < 0 {
-		spin = 0
-	}
-	return spin
-}
-
-// newTeamBarrier picks the barrier implementation for a team: a
-// combining tree above the size threshold, otherwise the central
-// hybrid spin barrier; both honor the wait policy through the spin
-// budget. BarrierSpin < 0 (never spin) selects the central blocking
-// (condition-variable) barrier for non-tree teams. With the threshold
-// left at its default the tree also requires GOMAXPROCS > 1: the tree
-// exists to spread arrival traffic across cache lines, and on a
-// single P its extra release hop is pure scheduling latency. combine
-// is invoked by the releasing thread once per episode, after every
-// thread has arrived and before any is released — the hook pending
-// reductions are flushed through.
-func newTeamBarrier(size int, cfg Config, combine func()) barrier {
-	thr := cfg.TreeBarrierThreshold
-	if thr == 0 {
-		thr = defaultTreeThreshold
-		if runtime.GOMAXPROCS(0) == 1 {
-			thr = -1
-		}
-	}
-	if thr > 0 && size > thr {
-		return newTreeBarrier(size, effectiveSpin(cfg, size), combine)
-	}
-	if cfg.BarrierSpin < 0 {
-		return newBlockingBarrier(size, combine)
-	}
-	return newSpinBarrier(size, effectiveSpin(cfg, size), combine)
-}
 
 // waitcell is one waiter's park slot: a release-generation flag the
 // waiter spins on briefly and a channel it parks on when the spin
@@ -93,12 +37,6 @@ type waitcell struct {
 	parked atomic.Uint32 // nonzero while the waiter may be parked on ch
 	ch     chan struct{}
 	_      [cacheLinePad - 16]byte
-}
-
-func initWaitcells(cells []waitcell) {
-	for i := range cells {
-		cells[i].ch = make(chan struct{}, 1)
-	}
 }
 
 // reached reports whether generation gen has been released. Flags are
@@ -153,5 +91,75 @@ func (w *waitcell) await(gen uint32, spin int, cancelled *atomic.Bool) {
 			return
 		}
 		<-w.ch
+	}
+}
+
+// spinBarrier is the team barrier, the only one: one arrival counter,
+// per-waiter cache-line-padded release flags, and the hybrid
+// bounded-spin-then-park waiter. A waiter that exhausts its spin
+// budget parks on its own cell, so an oversubscribed team (threads >
+// GOMAXPROCS) makes progress without burning whole scheduler quanta,
+// while a team on dedicated cores is released within the spin phase
+// and never pays a park/unpark round trip.
+//
+// await takes the caller's thread number to address its cell. The
+// last arriver runs the team's combine hook (the reduction flush)
+// after every thread has arrived and before any is released. cancel
+// releases all current and future waiters (a region body panicked).
+type spinBarrier struct {
+	size    int
+	spin    int
+	combine func()
+
+	count atomic.Int64 // arrivals this episode (hot: own line)
+	_     [cacheLinePad - 8]byte
+
+	epoch     atomic.Uint32 // completed episodes
+	cancelled atomic.Bool
+	_         [cacheLinePad - 5]byte
+
+	cells []waitcell // per-waiter padded release flags
+}
+
+func newSpinBarrier(size, spin int, combine func()) *spinBarrier {
+	b := &spinBarrier{size: size, spin: spin, combine: combine,
+		cells: make([]waitcell, size)}
+	for i := range b.cells {
+		b.cells[i].ch = make(chan struct{}, 1)
+	}
+	return b
+}
+
+func (b *spinBarrier) await(tid int) {
+	if b.cancelled.Load() {
+		return
+	}
+	// The episode this arrival belongs to: epoch cannot advance past
+	// the current episode until this thread's arrival is counted, so
+	// the pre-arrival read is stable.
+	gen := b.epoch.Load() + 1
+	if b.count.Add(1) == int64(b.size) {
+		// Last arriver: the team is quiescent — run the combine hook,
+		// re-arm the counter, publish the episode and release every
+		// waiter through its own cell.
+		if !b.cancelled.Load() && b.combine != nil {
+			b.combine()
+		}
+		b.count.Store(0)
+		b.epoch.Store(gen)
+		for i := range b.cells {
+			if i != tid {
+				b.cells[i].wake(gen)
+			}
+		}
+		return
+	}
+	b.cells[tid].await(gen, b.spin, &b.cancelled)
+}
+
+func (b *spinBarrier) cancel() {
+	b.cancelled.Store(true)
+	for i := range b.cells {
+		b.cells[i].interrupt()
 	}
 }

@@ -17,7 +17,7 @@ import (
 //	OMP_NUM_THREADS=n            team size
 //	OMP_SCHEDULE=kind[,chunk]    schedule for ScheduleRuntime loops
 //	OMP_NESTED=true|false        true nested parallel regions
-//	OMP_WAIT_POLICY=active|passive   spinning vs blocking barriers
+//	OMP_WAIT_POLICY=active|passive   barrier spin budget before parking
 //
 // Extension variables for the collector behaviour:
 //
@@ -25,10 +25,6 @@ import (
 //	GOMP_LOOP_EVENTS=true|false      worksharing loop events (§VI)
 //	GOMP_CALLBACK_BUDGET=duration    callback watchdog budget (e.g. 100us)
 //	GOMP_WATCHDOG_SAMPLE=n           watchdog sampling interval
-//	GOMP_TREE_THRESHOLD=n            team size above which barriers use the
-//	                                 combining tree (0 default, <0 never)
-//	GOMP_BARRIER_SPIN=n              barrier waiter spin budget before
-//	                                 parking (0 policy default, <0 none)
 //	GOMP_STEAL_THRESHOLD=n           dynamic loops with >= n iterations
 //	                                 run under the steal schedule
 //	                                 (0 disables the fast path)
@@ -102,20 +98,6 @@ func ConfigFromEnv(base Config, lookup func(string) (string, bool)) (Config, err
 			return cfg, fmt.Errorf("omp: bad GOMP_WATCHDOG_SAMPLE %q", v)
 		}
 		cfg.WatchdogSample = n
-	}
-	if v, ok := lookup("GOMP_TREE_THRESHOLD"); ok {
-		n, err := strconv.Atoi(strings.TrimSpace(v))
-		if err != nil {
-			return cfg, fmt.Errorf("omp: bad GOMP_TREE_THRESHOLD %q", v)
-		}
-		cfg.TreeBarrierThreshold = n
-	}
-	if v, ok := lookup("GOMP_BARRIER_SPIN"); ok {
-		n, err := strconv.Atoi(strings.TrimSpace(v))
-		if err != nil {
-			return cfg, fmt.Errorf("omp: bad GOMP_BARRIER_SPIN %q", v)
-		}
-		cfg.BarrierSpin = n
 	}
 	if v, ok := lookup("GOMP_STEAL_THRESHOLD"); ok {
 		n, err := strconv.Atoi(strings.TrimSpace(v))

@@ -57,24 +57,11 @@ type Config struct {
 	LoopEvents bool
 
 	// SpinBarrier selects the active wait policy
-	// (OMP_WAIT_POLICY=active): barrier waiters use a larger bounded
-	// spin budget before parking. The waiter always parks eventually,
-	// so oversubscribed teams cannot live-lock; see BarrierSpin.
+	// (OMP_WAIT_POLICY=active): barrier waiters spin for a larger
+	// bounded budget (4096 flag checks, passive 256) before parking.
+	// The waiter always parks eventually, so oversubscribed teams
+	// cannot live-lock.
 	SpinBarrier bool
-
-	// TreeBarrierThreshold is the team size above which team barriers
-	// use the fixed-degree combining tree instead of a central
-	// barrier. Zero selects the default (4); negative disables the
-	// tree barrier entirely. GOMP_TREE_THRESHOLD overrides it.
-	TreeBarrierThreshold int
-
-	// BarrierSpin bounds the hybrid barrier waiter's spin phase: the
-	// number of release-flag checks (yielding periodically) before the
-	// waiter parks. Zero selects the policy default (active 4096,
-	// passive 256); negative means never spin — central teams fall
-	// back to the blocking (condition-variable) barrier and tree
-	// waiters park immediately. GOMP_BARRIER_SPIN overrides it.
-	BarrierSpin int
 
 	// Schedule and Chunk are the ICVs consulted by ScheduleRuntime
 	// loops.

@@ -246,6 +246,64 @@ func TestScheduleCoverageProperty(t *testing.T) {
 	}
 }
 
+// TestGuidedChunkSequence pins the exact chunk sequence a
+// single-threaded guided loop hands out: each claim takes
+// remaining/(2p) iterations, clamped below by the chunk size, so the
+// sequence is deterministic for p=1. Regressions in the claim
+// arithmetic (batching must never change guided boundaries) show up as
+// a different table.
+func TestGuidedChunkSequence(t *testing.T) {
+	type span struct{ lo, hi int }
+	cases := []struct {
+		name  string
+		n     int
+		chunk int
+		want  []span
+	}{
+		{
+			// Halving sequence down to single iterations.
+			name: "n10-chunk1", n: 10, chunk: 1,
+			want: []span{{0, 5}, {5, 7}, {7, 8}, {8, 9}, {9, 10}},
+		},
+		{
+			// A chunk larger than the whole loop: one clamped claim.
+			name: "chunk-exceeds-n", n: 5, chunk: 8,
+			want: []span{{0, 5}},
+		},
+		{
+			// Min-chunk clamping: once remaining/(2p) drops below the
+			// chunk size, claims stay at chunk granularity (the final
+			// claim is truncated at n).
+			name: "n16-chunk3-clamp", n: 16, chunk: 3,
+			want: []span{{0, 8}, {8, 12}, {12, 15}, {15, 16}},
+		},
+		{
+			// Zero iterations: no chunks at all.
+			name: "empty", n: 0, chunk: 4,
+			want: nil,
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			r := newRT(t, Config{NumThreads: 1})
+			var got []span
+			r.Parallel(func(tc *ThreadCtx) {
+				tc.ForSched(c.n, ScheduleGuided, c.chunk, func(lo, hi int) {
+					got = append(got, span{lo, hi})
+				})
+			})
+			if len(got) != len(c.want) {
+				t.Fatalf("chunk sequence %v, want %v", got, c.want)
+			}
+			for i := range got {
+				if got[i] != c.want[i] {
+					t.Fatalf("chunk %d = %v, want %v (full: %v)", i, got[i], c.want[i], got)
+				}
+			}
+		})
+	}
+}
+
 func TestConsecutiveWorksharingLoops(t *testing.T) {
 	// Descriptor sequence numbers must stay aligned across threads over
 	// many constructs, including nowait ones.
@@ -294,18 +352,20 @@ func TestConsecutiveWorksharingLoops(t *testing.T) {
 	}
 }
 
-func TestBarrierPhases(t *testing.T) {
-	// After each barrier, every thread must observe the full previous
-	// phase: a data race across phases would show as a torn counter.
-	r := newRT(t, Config{NumThreads: 4})
+// runBarrierPhases is the cross-phase visibility check: after each
+// barrier, every thread must observe the full previous phase — a data
+// race across phases would show as a torn counter.
+func runBarrierPhases(t *testing.T, threads int) {
+	t.Helper()
+	r := newRT(t, Config{NumThreads: threads})
 	const phases = 25
 	var counter atomic.Int64
-	fail := make(chan string, 4)
+	fail := make(chan string, threads)
 	r.Parallel(func(tc *ThreadCtx) {
 		for p := 1; p <= phases; p++ {
 			counter.Add(1)
 			tc.Barrier()
-			if got := counter.Load(); got != int64(4*p) {
+			if got := counter.Load(); got != int64(threads*p) {
 				select {
 				case fail <- "phase tear":
 				default:
@@ -320,6 +380,8 @@ func TestBarrierPhases(t *testing.T) {
 	default:
 	}
 }
+
+func TestBarrierPhases(t *testing.T) { runBarrierPhases(t, 4) }
 
 func TestSpinBarrier(t *testing.T) {
 	r := newRT(t, Config{NumThreads: 4, SpinBarrier: true})

@@ -6,12 +6,17 @@ import (
 	"testing"
 )
 
-// EPCC-style synchronization overhead benchmarks: the acceptance
-// numbers for the scalable synchronization core (tree barrier,
-// combining reductions, batched loop scheduling). Before/after values
-// at 8 threads are recorded in EXPERIMENTS.md and BENCH_sync.json.
+// EPCC-style synchronization overhead benchmarks for the team barrier,
+// combining reductions and batched loop scheduling. EXPERIMENTS.md
+// "Synchronization core" holds the barrier sweep (threads × GOMAXPROCS)
+// that left one barrier; its surviving rows are regenerated with
+//
+//	go test -run NONE -bench 'BenchmarkBarrier' -cpu 1,2,4 -count 5 ./internal/omp
+//
+// (BenchmarkBarrier is the passive column, BenchmarkBarrierSpin the
+// active one).
 
-var syncBenchTeams = []int{2, 4, 8}
+var syncBenchTeams = []int{2, 4, 8, 16}
 
 // BenchmarkBarrier measures the per-episode cost of the explicit
 // barrier construct, the EPCC BARRIER directive: every thread of the

@@ -32,7 +32,7 @@ type Team struct {
 	size int
 	info *collector.TeamInfo
 
-	barrier barrier
+	barrier *spinBarrier
 
 	// Worksharing constructs are identified by their per-thread
 	// sequence number: every thread in a team executes the same
@@ -144,7 +144,11 @@ func newTeam(r *RT, size int, info *collector.TeamInfo) *Team {
 		t.ring[i].ready.Store(start)
 		t.ring[i].free.Store(start)
 	}
-	t.barrier = newTeamBarrier(size, r.cfg, t.flushReductions)
+	spin := passiveSpin
+	if r.cfg.SpinBarrier {
+		spin = activeSpin
+	}
+	t.barrier = newSpinBarrier(size, spin, t.flushReductions)
 	t.tasks.deq = r.getTaskDeques(size)
 	return t
 }
@@ -181,9 +185,8 @@ func (tc *ThreadCtx) barrierImpl(state collector.State, begin, end collector.Eve
 	}
 	tc.td.EnterWait(state)
 	tc.rt.col.Event(tc.td, begin)
-	// All three barrier topologies (central spin, combining tree,
-	// condition-variable) funnel through await, so this is the single
-	// supervision point for barrier waits.
+	// Every team barrier wait goes through this one await, so this is
+	// the single supervision point for barrier waits.
 	s := super.Enabled()
 	var tok uint64
 	if s != nil {
@@ -198,69 +201,4 @@ func (tc *ThreadCtx) barrierImpl(state collector.State, begin, end collector.Eve
 	}
 	tc.rt.col.Event(tc.td, end)
 	tc.td.SetState(collector.StateWorking)
-}
-
-// barrier is a reusable team barrier; await takes the caller's thread
-// number so topological implementations can address per-thread slots.
-// cancel releases all current and future waiters (used when a region
-// body panics). Implementations run the team's combine hook on the
-// releasing thread, after the last arrival and before any release.
-type barrier interface {
-	await(tid int)
-	cancel()
-}
-
-// blockingBarrier is a central sense-reversing barrier that blocks
-// waiters on a condition variable, selected with BarrierSpin < 0
-// (never spin): a blocked waiter frees its core immediately, at the
-// cost of a park/unpark round trip per episode. The arrival count
-// sits on its own cache line so waiters re-checking the sense after
-// wakeup do not collide with arrivals of the next episode.
-type blockingBarrier struct {
-	mu        sync.Mutex
-	cond      *sync.Cond
-	size      int
-	combine   func()
-	_         [cacheLinePad]byte
-	count     int
-	_         [cacheLinePad - 8]byte
-	sense     bool
-	cancelled bool
-}
-
-func newBlockingBarrier(size int, combine func()) *blockingBarrier {
-	b := &blockingBarrier{size: size, combine: combine}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-func (b *blockingBarrier) await(int) {
-	b.mu.Lock()
-	if b.cancelled {
-		b.mu.Unlock()
-		return
-	}
-	sense := b.sense
-	b.count++
-	if b.count == b.size {
-		if b.combine != nil {
-			b.combine()
-		}
-		b.count = 0
-		b.sense = !sense
-		b.cond.Broadcast()
-		b.mu.Unlock()
-		return
-	}
-	for b.sense == sense && !b.cancelled {
-		b.cond.Wait()
-	}
-	b.mu.Unlock()
-}
-
-func (b *blockingBarrier) cancel() {
-	b.mu.Lock()
-	b.cancelled = true
-	b.cond.Broadcast()
-	b.mu.Unlock()
 }
