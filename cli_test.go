@@ -190,6 +190,16 @@ func TestCLIOmpprofEnvironment(t *testing.T) {
 	if code != 0 || !strings.Contains(out, "on 2 threads") {
 		t.Errorf("-threads 2 (exit %d) did not win over OMP_NUM_THREADS=3:\n%s", code, out)
 	}
+	// A flag's zero is a value too: -callback-budget 0 disarms the
+	// watchdog the environment armed.
+	armed := []string{"GOMP_CALLBACK_BUDGET=1ns", "GOMP_WATCHDOG_SAMPLE=1"}
+	const trip = "breaker trip OMP_EVENT_FORK after"
+	if out, code = ompprof(armed, "-workload", "EP", "-class", "S", "-sample", "0"); code != 0 || !strings.Contains(out, trip) {
+		t.Errorf("GOMP_CALLBACK_BUDGET=1ns (exit %d) did not trip the breaker:\n%s", code, out)
+	}
+	if out, code = ompprof(armed, "-workload", "EP", "-class", "S", "-sample", "0", "-callback-budget", "0"); code != 0 || strings.Contains(out, trip) {
+		t.Errorf("-callback-budget 0 (exit %d) did not disarm GOMP_CALLBACK_BUDGET=1ns:\n%s", code, out)
+	}
 	// An empty value is an unset knob, not a malformed one.
 	if out, code = ompprof([]string{"GOMP_HANG_TIMEOUT=", "GOMP_TRACE_COMPRESS="}, "-sample", "0"); code != 0 {
 		t.Errorf("empty knobs failed the run (exit %d):\n%s", code, out)
@@ -197,7 +207,7 @@ func TestCLIOmpprofEnvironment(t *testing.T) {
 	for _, bad := range []string{
 		"OMP_SCHEDULE=fastest",
 		"OMP_WAIT_POLICY=sometimes",
-		"GOMP_STEAL_THRESHOLD=-1",
+		"GOMP_CALLBACK_BUDGET=soon",
 		"GOMP_TRACE_COMPRESS=maybe",
 		"GOMP_INGEST_DURABLE=durable",
 		"GOMP_HANG_TIMEOUT=soon",

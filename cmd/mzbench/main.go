@@ -13,35 +13,31 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"goomp/internal/experiments"
 	"goomp/internal/npb"
 	"goomp/internal/tool"
 )
 
-// envDuration parses a duration-valued environment variable; unset or
-// malformed values mean zero (supervision stays off).
-func envDuration(name string) time.Duration {
-	v := os.Getenv(name)
-	if v == "" {
-		return 0
-	}
-	d, err := time.ParseDuration(v)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mzbench: warning: ignoring %s=%q: %v\n", name, v, err)
-		return 0
-	}
-	return d
-}
-
 func main() {
+	// GOMP_HANG_TIMEOUT goes through the tool's own parser, so it means
+	// here what it means to ompprof. Only that value is taken: every
+	// rank attaches its own tool, and one obs or ingest address cannot
+	// serve them all.
+	env, err := tool.OptionsFromEnv(tool.Options{}, func(name string) (string, bool) {
+		v := os.Getenv(name)
+		return v, v != ""
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "mzbench:", err)
+		os.Exit(2)
+	}
 	classFlag := flag.String("class", "W", "problem class: S, W, A or B")
 	reps := flag.Int("reps", 3, "timings per configuration (minimum taken)")
 	benchFlag := flag.String("bench", "", "comma-separated benchmark subset (default all)")
 	csvOut := flag.Bool("csv", false, "emit the figure rows as CSV and exit")
 	tablesOnly := flag.Bool("tables", false, "print Table II only (skip overhead timing)")
-	hangTimeout := flag.Duration("hang-timeout", envDuration("GOMP_HANG_TIMEOUT"), "hang supervision for the hybrid runs: diagnose and abort after this long with no progress; defaults to $GOMP_HANG_TIMEOUT, 0 disables")
+	hangTimeout := flag.Duration("hang-timeout", env.HangTimeout, "hang supervision for the hybrid runs: diagnose and abort after this long with no progress; defaults to $GOMP_HANG_TIMEOUT, 0 disables")
 	flag.Parse()
 
 	class := npb.Class((*classFlag)[0])
@@ -63,7 +59,6 @@ func main() {
 	}
 	topts := tool.FullMeasurement()
 	topts.HangTimeout = *hangTimeout
-	topts.HangAbort = true // a wedged hybrid run must fail the invocation
 	rows, err := experiments.Figure6(experiments.Figure6Params{
 		Class:       class,
 		Reps:        *reps,

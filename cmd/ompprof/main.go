@@ -52,7 +52,7 @@ func main() {
 	flag.StringVar(&opts.IngestAddr, "ingest", opts.IngestAddr, "ship trace chunks to a psxd ingestion daemon at this host:port during the run; defaults to $GOMP_INGEST_ADDR, empty disables")
 	flag.StringVar(&opts.IngestRun, "run", "", "run ID at the ingestion daemon (default host-pid-start)")
 	flag.BoolVar(&opts.IngestDurable, "ingest-durable", opts.IngestDurable, "request durable acks from the ingestion daemon (chunks stay in the resend tail until on its disk); defaults to $GOMP_INGEST_DURABLE")
-	flag.DurationVar(&opts.CallbackBudget, "callback-budget", 0, "per-callback latency budget before the watchdog trips the breaker (0 leaves $GOMP_CALLBACK_BUDGET in charge)")
+	flag.DurationVar(&cfg.CallbackBudget, "callback-budget", cfg.CallbackBudget, "per-callback latency budget before the watchdog trips the breaker; defaults to $GOMP_CALLBACK_BUDGET, 0 disarms")
 	flag.DurationVar(&opts.DetachTimeout, "detach-timeout", 0, "bounded wait for in-flight callbacks at detach (0 waits forever)")
 	flag.StringVar(&opts.ObsAddr, "obs", opts.ObsAddr, "serve the live observability plane (/metrics, /healthz, /state, /profile, /waits) on this host:port while attached; defaults to $GOMP_OBS_ADDR, empty disables")
 	flag.DurationVar(&opts.HangTimeout, "hang-timeout", opts.HangTimeout, "hang supervision: after this long with no progress, print a deadlock/no-progress diagnosis, salvage the trace prefix and exit nonzero; defaults to $GOMP_HANG_TIMEOUT, 0 disables")
@@ -63,7 +63,7 @@ func main() {
 	flag.BoolVar(&opts.TraceCompress, "trace-compress", opts.TraceCompress, "flate-compress the written trace blocks; defaults to $GOMP_TRACE_COMPRESS")
 	flag.Parse()
 	if *ceiling != "" {
-		c, err := omp.ParseOverheadCeiling(*ceiling)
+		c, err := tool.ParseOverheadCeiling(*ceiling)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "ompprof: -overhead-ceiling:", err)
 			os.Exit(2)
@@ -78,8 +78,6 @@ func main() {
 		}
 		opts.SpillBytes = n
 	}
-	opts.SampleThreads = cfg.NumThreads
-	opts.HangAbort = true // a hung profiled run must fail the invocation
 
 	rt := omp.New(cfg)
 	defer rt.Close()

@@ -69,9 +69,8 @@ func main() {
 	defer rt.Close()
 
 	tl, err := tool.AttachRuntime(rt, tool.Options{
-		Measure:       true,
-		SamplePeriod:  200 * time.Microsecond,
-		SampleThreads: 4,
+		Measure:      true,
+		SamplePeriod: 200 * time.Microsecond,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -146,16 +146,6 @@ func sampleMaskFor(n int) uint64 {
 	return p - 1
 }
 
-// SetCallbackBudget arms (or with zero disarms) the callback watchdog
-// on a live collector. Tools use it at attach time when the runtime
-// was created without a budget.
-func (c *Collector) SetCallbackBudget(d time.Duration) { c.budget.Store(int64(d)) }
-
-// CallbackBudget returns the armed watchdog budget (zero = disarmed).
-func (c *Collector) CallbackBudget() time.Duration {
-	return time.Duration(c.budget.Load())
-}
-
 // invoke runs cb with panic containment: a panicking callback is
 // recorded and auto-unregistered, and the panic never unwinds into the
 // OpenMP thread that dispatched the event.

@@ -84,9 +84,6 @@ func (l Level) String() string {
 	return levelNames[l]
 }
 
-// NumLevels is the number of ladder rungs.
-func NumLevels() int { return int(numLevels) }
-
 // SamplerScale is the factor LevelReducedSampler (and above) applies
 // to the state sampler's period.
 const SamplerScale = 4

@@ -48,12 +48,12 @@ func TestStepsDownUnderSustainedOverload(t *testing.T) {
 	if got := g.Level(); got != LevelCountersOnly {
 		t.Fatalf("level = %v, want %v", got, LevelCountersOnly)
 	}
-	if got := g.StepsDown(); got != uint64(NumLevels()-1) {
-		t.Fatalf("stepsDown = %d, want %d (one per rung, saturating)", got, NumLevels()-1)
+	if got := g.StepsDown(); got != uint64(int(numLevels)-1) {
+		t.Fatalf("stepsDown = %d, want %d (one per rung, saturating)", got, int(numLevels)-1)
 	}
 	steps := g.Steps()
-	if len(steps) != NumLevels()-1 {
-		t.Fatalf("transitions = %d, want %d", len(steps), NumLevels()-1)
+	if len(steps) != int(numLevels)-1 {
+		t.Fatalf("transitions = %d, want %d", len(steps), int(numLevels)-1)
 	}
 	for i, tr := range steps {
 		if tr.From != Level(i) || tr.To != Level(i+1) || tr.Reason != ReasonOverCeiling {

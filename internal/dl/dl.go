@@ -11,7 +11,6 @@ package dl
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -52,17 +51,4 @@ func Lookup(name string) (any, bool) {
 	defer mu.RUnlock()
 	v, ok := symbols[name]
 	return v, ok
-}
-
-// Names returns the registered symbol names in sorted order; useful for
-// diagnostics ("nm" over the simulated process image).
-func Names() []string {
-	mu.RLock()
-	defer mu.RUnlock()
-	out := make([]string, 0, len(symbols))
-	for name := range symbols {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }

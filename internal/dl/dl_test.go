@@ -33,28 +33,6 @@ func TestRegisterNil(t *testing.T) {
 	}
 }
 
-func TestNamesSorted(t *testing.T) {
-	for _, n := range []string{"test_z", "test_a", "test_m"} {
-		if err := Register(n, n); err != nil {
-			t.Fatal(err)
-		}
-		defer Unregister(n)
-	}
-	names := Names()
-	pos := map[string]int{}
-	for i, n := range names {
-		pos[n] = i
-		if i > 0 && names[i-1] > n {
-			t.Fatalf("names not sorted: %v", names)
-		}
-	}
-	for _, n := range []string{"test_a", "test_m", "test_z"} {
-		if _, ok := pos[n]; !ok {
-			t.Errorf("missing %q in %v", n, names)
-		}
-	}
-}
-
 func TestConcurrentAccess(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

@@ -123,16 +123,6 @@ func Directives() []Directive {
 	}
 }
 
-// DirectiveNames lists the directive names in suite order.
-func DirectiveNames() []string {
-	ds := Directives()
-	names := make([]string, len(ds))
-	for i, d := range ds {
-		names[i] = d.Name
-	}
-	return names
-}
-
 var sink omp.AtomicFloat64
 
 // reference runs the construct-free inner loop: each thread executes

@@ -77,10 +77,9 @@ func TestMeasureAllCoversSuite(t *testing.T) {
 	if len(res) != len(Directives()) {
 		t.Fatalf("got %d results, want %d", len(res), len(Directives()))
 	}
-	names := DirectiveNames()
-	for i, r := range res {
-		if r.Directive != names[i] {
-			t.Errorf("result %d is %q, want %q", i, r.Directive, names[i])
+	for i, d := range Directives() {
+		if res[i].Directive != d.Name {
+			t.Errorf("result %d is %q, want %q", i, res[i].Directive, d.Name)
 		}
 	}
 }

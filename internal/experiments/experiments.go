@@ -370,13 +370,8 @@ func decompRow(name, cfg string, off, cb, full time.Duration) DecompositionRow {
 	return row
 }
 
-// Figure4 regenerates the EPCC experiment at each thread count; it is
-// a thin wrapper over epcc.Compare.
-func Figure4(threadCounts []int, inner, outer, delay int) (map[int][]epcc.OverheadRow, error) {
-	return Figure4Tool(threadCounts, inner, outer, delay, nil)
-}
-
-// Figure4Tool is Figure4 with explicit tool options for the "on"
+// Figure4Tool regenerates the EPCC experiment at each thread count
+// through epcc.Compare, with explicit tool options for the "on"
 // measurements — how the benchmark drivers enable the observability
 // plane during a run. Nil opts means the paper's full measurement.
 func Figure4Tool(threadCounts []int, inner, outer, delay int, opts *tool.Options) (map[int][]epcc.OverheadRow, error) {

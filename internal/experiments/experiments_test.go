@@ -128,7 +128,7 @@ func TestDecompositionSmall(t *testing.T) {
 }
 
 func TestFigure4Small(t *testing.T) {
-	out, err := Figure4([]int{2}, 8, 1, 8)
+	out, err := Figure4Tool([]int{2}, 8, 1, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -306,7 +306,7 @@ func TestChaosHangNoFalsePositive(t *testing.T) {
 }
 
 // TestChaosHangAbortExitsNonzero re-execs the test binary into a
-// supervised AB-BA deadlock with HangAbort set and asserts the whole
+// supervised AB-BA deadlock with no OnHang and asserts the whole
 // process contract: stderr carries the report, the exit status is
 // nonzero, and the salvage is on disk.
 func TestChaosHangAbortExitsNonzero(t *testing.T) {
@@ -336,14 +336,13 @@ func TestChaosHangAbortExitsNonzero(t *testing.T) {
 }
 
 // hangAbortHelper is the subprocess body: a supervised AB-BA deadlock
-// with HangAbort, called on the main test goroutine so the process
+// with no OnHang, called on the main test goroutine so the process
 // truly wedges until the handler exits it.
 func hangAbortHelper() {
 	rt := omp.New(omp.Config{NumThreads: 2})
 	opts := tool.FullMeasurement()
 	opts.HangTimeout = hangTimeout
 	opts.HangDir = os.Getenv("GOOMP_HANG_DIR")
-	opts.HangAbort = true
 	if _, err := tool.AttachRuntime(rt, opts); err != nil {
 		os.Exit(3)
 	}

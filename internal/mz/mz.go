@@ -128,15 +128,6 @@ func (r Result) RegionCallsRank0() uint64 {
 	return r.RegionCallsPerRank[0]
 }
 
-// TotalRegionCalls sums region calls over all ranks.
-func (r Result) TotalRegionCalls() uint64 {
-	var t uint64
-	for _, c := range r.RegionCallsPerRank {
-		t += c
-	}
-	return t
-}
-
 // zoneSeed gives every zone a deterministic forcing seed independent
 // of the rank decomposition.
 func zoneSeed(zone int) uint64 {

@@ -104,8 +104,12 @@ func TestRegionCallsMatchStructure(t *testing.T) {
 	if res.RegionCallsRank0() != want {
 		t.Errorf("rank0 calls = %d, want %d", res.RegionCallsRank0(), want)
 	}
-	if res.TotalRegionCalls() != 2*want {
-		t.Errorf("total = %d, want %d", res.TotalRegionCalls(), 2*want)
+	var total uint64
+	for _, c := range res.RegionCallsPerRank {
+		total += c
+	}
+	if total != 2*want {
+		t.Errorf("total = %d, want %d", total, 2*want)
 	}
 }
 

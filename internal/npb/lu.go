@@ -216,11 +216,6 @@ func RunLUHP(rt *omp.RT, class Class) Result {
 	return runLU(rt, class, true).Result
 }
 
-// RunLUFull exposes the detailed results of either variant.
-func RunLUFull(rt *omp.RT, class Class, hyperplane bool) LUResult {
-	return runLU(rt, class, hyperplane)
-}
-
 func runLU(rt *omp.RT, class Class, hyperplane bool) LUResult {
 	p := luParamsFor(class)
 	s := newLUState(rt, p)

@@ -67,7 +67,7 @@ func TestPipelinedSweepThreadCounts(t *testing.T) {
 func TestLUResidualHistory(t *testing.T) {
 	rt := omp.New(omp.Config{NumThreads: 2})
 	defer rt.Close()
-	res := RunLUFull(rt, ClassS, false)
+	res := runLU(rt, ClassS, false)
 	if !res.Verified {
 		t.Fatalf("LU failed: %v -> %v", res.InitialResidual, res.FinalResidual)
 	}

@@ -25,13 +25,9 @@ import (
 //	GOMP_LOOP_EVENTS=true|false      worksharing loop events (§VI)
 //	GOMP_CALLBACK_BUDGET=duration    callback watchdog budget (e.g. 100us)
 //	GOMP_WATCHDOG_SAMPLE=n           watchdog sampling interval
-//	GOMP_STEAL_THRESHOLD=n           dynamic loops with >= n iterations
-//	                                 run under the steal schedule
-//	                                 (0 disables the fast path)
-//	GOMP_OVERHEAD_CEILING=x          target max profiling overhead for a
-//	                                 governed tool attachment, as a
-//	                                 fraction ("0.02") or percentage
-//	                                 ("2%") of wall time
+//
+// What the tool measures and what that may cost (GOMP_OVERHEAD_CEILING
+// and the other tool knobs) is the tool's to parse: tool.OptionsFromEnv.
 
 // ConfigFromEnv parses the OpenMP environment variables from lookup
 // (typically os.LookupEnv) over the given base configuration. Unset
@@ -99,44 +95,7 @@ func ConfigFromEnv(base Config, lookup func(string) (string, bool)) (Config, err
 		}
 		cfg.WatchdogSample = n
 	}
-	if v, ok := lookup("GOMP_STEAL_THRESHOLD"); ok {
-		n, err := strconv.Atoi(strings.TrimSpace(v))
-		if err != nil || n < 0 {
-			return cfg, fmt.Errorf("omp: bad GOMP_STEAL_THRESHOLD %q", v)
-		}
-		cfg.StealThreshold = n
-	}
-	if v, ok := lookup("GOMP_OVERHEAD_CEILING"); ok {
-		c, err := ParseOverheadCeiling(v)
-		if err != nil {
-			return cfg, err
-		}
-		cfg.OverheadCeiling = c
-	}
 	return cfg, nil
-}
-
-// ParseOverheadCeiling parses a GOMP_OVERHEAD_CEILING value: a
-// fraction of wall time like "0.02", or a percentage like "2%", in
-// (0, 1] (equivalently (0%, 100%]). A malformed or out-of-range value
-// is an error naming the variable and the accepted forms — never a
-// silent fallback to an ungoverned run.
-func ParseOverheadCeiling(v string) (float64, error) {
-	s := strings.TrimSpace(v)
-	scale := 1.0
-	if strings.HasSuffix(s, "%") {
-		s = strings.TrimSpace(strings.TrimSuffix(s, "%"))
-		scale = 0.01
-	}
-	f, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return 0, fmt.Errorf("omp: bad GOMP_OVERHEAD_CEILING %q (want a fraction like 0.02 or a percentage like 2%%)", v)
-	}
-	f *= scale
-	if f <= 0 || f > 1 {
-		return 0, fmt.Errorf("omp: bad GOMP_OVERHEAD_CEILING %q (must be in (0, 1], e.g. 0.02 or 2%%)", v)
-	}
-	return f, nil
 }
 
 // ParseSchedule parses an OMP_SCHEDULE value: "kind" or "kind,chunk"

@@ -68,8 +68,6 @@ func TestConfigFromEnvErrors(t *testing.T) {
 		{"OMP_WAIT_POLICY": "spinny"},
 		{"GOMP_ATOMIC_EVENTS": "2"},
 		{"GOMP_LOOP_EVENTS": "nah"},
-		{"GOMP_STEAL_THRESHOLD": "-1"},
-		{"GOMP_STEAL_THRESHOLD": "lots"},
 	}
 	for _, env := range bad {
 		if _, err := ConfigFromEnv(Config{}, envLookup(env)); err == nil {
@@ -136,19 +134,6 @@ func TestScheduleStringBounds(t *testing.T) {
 	}
 }
 
-func TestConfigFromEnvStealThreshold(t *testing.T) {
-	cfg, err := ConfigFromEnv(Config{}, envLookup(map[string]string{
-		"OMP_SCHEDULE":         "steal,2",
-		"GOMP_STEAL_THRESHOLD": " 4096 ",
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Schedule != ScheduleSteal || cfg.Chunk != 2 || cfg.StealThreshold != 4096 {
-		t.Errorf("steal env wrong: %+v", cfg)
-	}
-}
-
 // An env-configured steal schedule actually drives a loop: every
 // iteration runs exactly once under schedule(runtime).
 func TestEnvConfiguredStealRuns(t *testing.T) {
@@ -197,67 +182,6 @@ func TestEnvConfiguredRuntimeRuns(t *testing.T) {
 	for i, c := range counts {
 		if c != 1 {
 			t.Fatalf("iteration %d ran %d times", i, c)
-		}
-	}
-}
-
-func TestParseOverheadCeiling(t *testing.T) {
-	cases := []struct {
-		in   string
-		want float64
-		ok   bool
-	}{
-		{"0.02", 0.02, true},
-		{" 0.5 ", 0.5, true},
-		{"1", 1, true},
-		{"2%", 0.02, true},
-		{"100%", 1, true},
-		{" 5 % ", 0.05, true},
-		{"0", 0, false},
-		{"0%", 0, false},
-		{"-0.1", 0, false},
-		{"1.5", 0, false},
-		{"150%", 0, false},
-		{"lots", 0, false},
-		{"%", 0, false},
-		{"", 0, false},
-	}
-	for _, c := range cases {
-		got, err := ParseOverheadCeiling(c.in)
-		if c.ok {
-			if err != nil || got != c.want {
-				t.Errorf("ParseOverheadCeiling(%q) = %v, %v; want %v", c.in, got, err, c.want)
-			}
-			continue
-		}
-		if err == nil {
-			t.Errorf("ParseOverheadCeiling(%q) accepted as %v", c.in, got)
-			continue
-		}
-		// The error must name the knob, matching the OMP_SCHEDULE style:
-		// a typo is diagnosable from the message alone.
-		if !strings.Contains(err.Error(), "GOMP_OVERHEAD_CEILING") || !strings.Contains(err.Error(), c.in) {
-			t.Errorf("ParseOverheadCeiling(%q) error does not name the knob and value: %v", c.in, err)
-		}
-	}
-}
-
-func TestConfigFromEnvOverheadCeiling(t *testing.T) {
-	cfg, err := ConfigFromEnv(Config{}, envLookup(map[string]string{
-		"GOMP_OVERHEAD_CEILING": "2%",
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.OverheadCeiling != 0.02 {
-		t.Errorf("ceiling = %v", cfg.OverheadCeiling)
-	}
-	// Malformed values are errors, never silent defaults.
-	for _, v := range []string{"0", "nope", "120%"} {
-		if _, err := ConfigFromEnv(Config{}, envLookup(map[string]string{
-			"GOMP_OVERHEAD_CEILING": v,
-		})); err == nil {
-			t.Errorf("GOMP_OVERHEAD_CEILING=%q accepted", v)
 		}
 	}
 }

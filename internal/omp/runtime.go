@@ -68,15 +68,6 @@ type Config struct {
 	Schedule Schedule
 	Chunk    int
 
-	// StealThreshold opts dynamic loops into the work-stealing
-	// schedule: a ScheduleDynamic loop with at least this many
-	// iterations runs under ScheduleSteal (identical chunk boundaries,
-	// per-thread deques with steal-half rebalancing; see steal.go).
-	// Zero (the default) disables the fast path, keeping dynamic
-	// loops' event streams bit-identical to earlier releases.
-	// GOMP_STEAL_THRESHOLD overrides it.
-	StealThreshold int
-
 	// CallbackBudget arms the collector's callback watchdog: a sampled
 	// event dispatch that observes a tool callback running longer than
 	// this budget trips a circuit breaker that pauses event generation.
@@ -88,15 +79,6 @@ type Config struct {
 	// is timed. Zero keeps the collector default; 1 times every
 	// dispatch.
 	WatchdogSample int
-
-	// OverheadCeiling is the target maximum profiling overhead as a
-	// fraction of wall time in (0, 1], consumed by a tool attaching
-	// with tool.AttachRuntime: it arms the tool's overhead governor,
-	// which enforces the ceiling by degrading the measurement (sampler
-	// rate, stack capture, shed events, counters-only) rather than
-	// letting cost grow unbounded. Zero (the default) leaves profiling
-	// ungoverned. GOMP_OVERHEAD_CEILING overrides it ("0.02" or "2%").
-	OverheadCeiling float64
 }
 
 // RT is an OpenMP runtime instance: a thread pool, its collector, and

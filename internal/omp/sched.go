@@ -261,14 +261,6 @@ func (tc *ThreadCtx) ForSchedNoWait(n int, sched Schedule, chunk int, body func(
 	if chunk <= 0 && sched != ScheduleStatic {
 		chunk = 1
 	}
-	// Opt-in fast path: above the threshold a dynamic loop runs under
-	// the steal schedule. Legal because the chunk boundaries are
-	// bit-identical (see steal.go); off by default (threshold 0).
-	if sched == ScheduleDynamic {
-		if t := tc.rt.cfg.StealThreshold; t > 0 && n >= t {
-			sched = ScheduleSteal
-		}
-	}
 	// Loops too large for the packed deque word degrade to dynamic:
 	// same boundaries, shared-counter claiming.
 	if sched == ScheduleSteal && (n+chunk-1)/chunk >= maxStealChunks {

@@ -32,10 +32,8 @@ import (
 // Chunk boundaries are identical to schedule(dynamic) with the same
 // chunk size — every body invocation is [k*chunk, min((k+1)*chunk, n))
 // — only the chunk-to-thread assignment differs, which OpenMP leaves
-// unspecified. That makes the opt-in dynamic fast path
-// (Config.StealThreshold / GOMP_STEAL_THRESHOLD) legal: above the
-// threshold a dynamic loop silently runs under steal with bit-identical
-// boundaries.
+// unspecified. That is what lets a steal loop too large for the packed
+// deque word degrade to dynamic without changing a body's boundaries.
 
 // chunkDeque is one thread's range of unclaimed schedule chunks,
 // packed lo|hi<<32 in chunk units. Padded so owner pops on one deque

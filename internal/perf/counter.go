@@ -14,54 +14,6 @@ var epoch = time.Now()
 // process-local epoch.
 func Cycles() int64 { return int64(time.Since(epoch)) }
 
-// Stopwatch accumulates elapsed intervals, like PerfSuite's timing
-// API: Start/Stop pairs add to the total; nested or unbalanced stops
-// are the caller's bug and panic loudly.
-type Stopwatch struct {
-	total   time.Duration
-	started int64 // counter value at Start, -1 when stopped
-	running bool
-	laps    int
-}
-
-// NewStopwatch returns a stopped stopwatch.
-func NewStopwatch() *Stopwatch { return &Stopwatch{started: -1} }
-
-// Start begins an interval.
-func (s *Stopwatch) Start() {
-	if s.running {
-		panic("perf: Stopwatch.Start while running")
-	}
-	s.running = true
-	s.started = Cycles()
-}
-
-// Stop ends the interval and adds it to the total.
-func (s *Stopwatch) Stop() {
-	if !s.running {
-		panic("perf: Stopwatch.Stop while stopped")
-	}
-	s.total += time.Duration(Cycles() - s.started)
-	s.running = false
-	s.laps++
-}
-
-// Total returns the accumulated time over all completed intervals.
-func (s *Stopwatch) Total() time.Duration { return s.total }
-
-// Laps returns the number of completed Start/Stop intervals.
-func (s *Stopwatch) Laps() int { return s.laps }
-
-// Reset zeroes the stopwatch. Resetting while running would silently
-// discard the live interval and desync Laps/Total, so it panics like
-// the other misuse paths.
-func (s *Stopwatch) Reset() {
-	if s.running {
-		panic("perf: Stopwatch.Reset while running")
-	}
-	*s = Stopwatch{started: -1}
-}
-
 // Time runs fn and returns its wall-clock duration on the counter.
 func Time(fn func()) time.Duration {
 	t0 := Cycles()

@@ -95,44 +95,6 @@ func TestCyclesMonotonic(t *testing.T) {
 	}
 }
 
-func TestStopwatch(t *testing.T) {
-	sw := NewStopwatch()
-	sw.Start()
-	time.Sleep(2 * time.Millisecond)
-	sw.Stop()
-	if sw.Total() < time.Millisecond {
-		t.Errorf("total = %v, want >= 1ms", sw.Total())
-	}
-	if sw.Laps() != 1 {
-		t.Errorf("laps = %d, want 1", sw.Laps())
-	}
-	sw.Reset()
-	if sw.Total() != 0 || sw.Laps() != 0 {
-		t.Error("reset did not clear")
-	}
-}
-
-func TestStopwatchMisusePanics(t *testing.T) {
-	sw := NewStopwatch()
-	mustPanic := func(name string, fn func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
-			}
-		}()
-		fn()
-	}
-	mustPanic("stop while stopped", sw.Stop)
-	sw.Start()
-	mustPanic("start while running", sw.Start)
-	mustPanic("reset while running", sw.Reset)
-	// Reset must not have clobbered the live interval.
-	sw.Stop()
-	if sw.Laps() != 1 {
-		t.Errorf("laps after failed reset = %d, want 1", sw.Laps())
-	}
-}
-
 func TestTimeHelper(t *testing.T) {
 	d := Time(func() { time.Sleep(time.Millisecond) })
 	if d < 500*time.Microsecond {

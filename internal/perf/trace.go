@@ -575,19 +575,6 @@ func (b *TraceBuffer) Stack(id int32) []uintptr {
 	return nil
 }
 
-// ForEachStack calls fn for every interned stack in a snapshot, in
-// global-ID order. fn must not modify or retain pcs.
-func (b *TraceBuffer) ForEachStack(fn func(id int32, pcs []uintptr)) {
-	st := b.enter()
-	defer b.exit()
-	for _, c := range st.chunks {
-		k := c.nStacks.Load()
-		for i := int32(0); i < k; i++ {
-			fn(c.stackBase+i, c.stacks[i])
-		}
-	}
-}
-
 // NumStacks returns the number of interned callstacks currently held.
 func (b *TraceBuffer) NumStacks() int {
 	st := b.enter()

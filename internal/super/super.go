@@ -132,8 +132,6 @@ type Options struct {
 	// registered/cleared, no resource acquired/released, no Note) with
 	// at least one thread blocked before the watchdog fires. Required.
 	Timeout time.Duration
-	// Poll overrides the watchdog polling interval (default Timeout/4).
-	Poll time.Duration
 	// OnHang receives the report, exactly once, from the watchdog
 	// goroutine. Required.
 	OnHang func(*HangReport)
@@ -174,12 +172,6 @@ func Start(opts Options) (*Supervisor, error) {
 	}
 	if opts.OnHang == nil {
 		return nil, fmt.Errorf("super: OnHang is required")
-	}
-	if opts.Poll <= 0 {
-		opts.Poll = opts.Timeout / 4
-	}
-	if opts.Poll < time.Millisecond {
-		opts.Poll = time.Millisecond
 	}
 	s := &Supervisor{
 		opts:   opts,
@@ -354,7 +346,7 @@ func join(parts []string, sep string) string {
 // wait record has been parked for >= Timeout.
 func (s *Supervisor) watchdog() {
 	defer s.wg.Done()
-	t := time.NewTicker(s.opts.Poll)
+	t := time.NewTicker(max(s.opts.Timeout/4, time.Millisecond))
 	defer t.Stop()
 	last := s.progress.Load()
 	flatSince := time.Now()

@@ -11,7 +11,11 @@ import (
 
 // Tool-side environment knobs, following the omp.ConfigFromEnv
 // discipline: unset variables leave the base value, malformed values
-// return an error naming the variable — never a silent default.
+// return an error naming the variable — never a silent default. Each
+// GOMP_* variable has one parser: what the runtime enforces (thread
+// count, schedule, event toggles, the callback watchdog) is
+// omp.ConfigFromEnv's, what the tool measures and may spend is read
+// here and nowhere else.
 //
 //	GOMP_OVERHEAD_CEILING=x    arm the overhead governor (fraction
 //	                           "0.02" or percentage "2%" of wall time)
@@ -33,7 +37,7 @@ import (
 func OptionsFromEnv(base Options, lookup func(string) (string, bool)) (Options, error) {
 	opts := base
 	if v, ok := lookup("GOMP_OVERHEAD_CEILING"); ok {
-		c, err := omp.ParseOverheadCeiling(v)
+		c, err := ParseOverheadCeiling(v)
 		if err != nil {
 			return opts, err
 		}
@@ -80,6 +84,29 @@ func OptionsFromEnv(base Options, lookup func(string) (string, bool)) (Options, 
 		opts.HangDir = strings.TrimSpace(v)
 	}
 	return opts, nil
+}
+
+// ParseOverheadCeiling parses a GOMP_OVERHEAD_CEILING value: a
+// fraction of wall time like "0.02", or a percentage like "2%", in
+// (0, 1] (equivalently (0%, 100%]). A malformed or out-of-range value
+// is an error naming the variable and the accepted forms — never a
+// silent fallback to an ungoverned run.
+func ParseOverheadCeiling(v string) (float64, error) {
+	s := strings.TrimSpace(v)
+	scale := 1.0
+	if strings.HasSuffix(s, "%") {
+		s = strings.TrimSpace(strings.TrimSuffix(s, "%"))
+		scale = 0.01
+	}
+	f, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return 0, fmt.Errorf("tool: bad GOMP_OVERHEAD_CEILING %q (want a fraction like 0.02 or a percentage like 2%%)", v)
+	}
+	f *= scale
+	if f <= 0 || f > 1 {
+		return 0, fmt.Errorf("tool: bad GOMP_OVERHEAD_CEILING %q (must be in (0, 1], e.g. 0.02 or 2%%)", v)
+	}
+	return f, nil
 }
 
 // ParseSpillBytes parses a GOMP_SPILL_BYTES value: a positive byte

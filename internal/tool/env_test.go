@@ -90,6 +90,47 @@ func TestOptionsFromEnvErrors(t *testing.T) {
 	}
 }
 
+func TestParseOverheadCeiling(t *testing.T) {
+	cases := []struct {
+		in   string
+		want float64
+		ok   bool
+	}{
+		{"0.02", 0.02, true},
+		{" 0.5 ", 0.5, true},
+		{"1", 1, true},
+		{"2%", 0.02, true},
+		{"100%", 1, true},
+		{" 5 % ", 0.05, true},
+		{"0", 0, false},
+		{"0%", 0, false},
+		{"-0.1", 0, false},
+		{"1.5", 0, false},
+		{"150%", 0, false},
+		{"lots", 0, false},
+		{"%", 0, false},
+		{"", 0, false},
+	}
+	for _, c := range cases {
+		got, err := ParseOverheadCeiling(c.in)
+		if c.ok {
+			if err != nil || got != c.want {
+				t.Errorf("ParseOverheadCeiling(%q) = %v, %v; want %v", c.in, got, err, c.want)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("ParseOverheadCeiling(%q) accepted as %v", c.in, got)
+			continue
+		}
+		// The error must name the knob, matching the OMP_SCHEDULE style:
+		// a typo is diagnosable from the message alone.
+		if !strings.Contains(err.Error(), "GOMP_OVERHEAD_CEILING") || !strings.Contains(err.Error(), c.in) {
+			t.Errorf("ParseOverheadCeiling(%q) error does not name the knob and value: %v", c.in, err)
+		}
+	}
+}
+
 func TestParseSpillBytes(t *testing.T) {
 	cases := []struct {
 		in   string

@@ -20,13 +20,14 @@ import (
 // force-detach with a bounded quiesce — the blocked threads will never
 // finish their callbacks, so an unbounded wait would hang the handler
 // the same way the program hung — then salvage the gap-free trace
-// prefix plus the report to disk, and only then abort if asked.
+// prefix plus the report to disk, and only then abort (unless a test
+// took the report through OnHang).
 
 // osExit is swapped out by the subprocess abort tests.
 var osExit = os.Exit
 
 // hangAbortCode is the nonzero status a supervised hung run exits
-// with (HangAbort), so CI fails fast instead of timing out.
+// with, so CI fails fast instead of timing out.
 const hangAbortCode = 2
 
 // hangDetachBound caps the quiesce wait during a hang detach when the
@@ -42,7 +43,7 @@ func (t *Tool) hangDetected(rep *super.HangReport) {
 	// asked through a fresh private queue because the hang may hold
 	// the tool's other queues.
 	q := t.col.NewQueue()
-	for _, id := range t.liveThreadIDs(0) {
+	for _, id := range t.liveThreadIDs() {
 		st, wait, ec := collector.QueryState(q, id)
 		if ec != collector.ErrOK {
 			continue
@@ -70,9 +71,7 @@ func (t *Tool) hangDetected(rep *super.HangReport) {
 		t.opts.OnHang(text)
 		return
 	}
-	if t.opts.HangAbort {
-		osExit(hangAbortCode)
-	}
+	osExit(hangAbortCode)
 }
 
 // salvage writes the hang diagnosis next to the trace data. While

@@ -183,17 +183,17 @@ func TestIngestNetOnlyMode(t *testing.T) {
 	}
 }
 
-// TestDetachPromptWithFailingOpenerAndLargeBackoff is the regression
-// test for the uninterruptible streamer sleep: with a permanently
-// failing OpenTraceFile and a large StreamBackoff, Detach used to
-// stall for retries × backoff because the retry sleep could not
-// observe the stop signal. It must now return promptly.
+// TestDetachPromptWithFailingOpenerAndLargeBackoff: with a permanently
+// failing OpenTraceFile, the writer goroutine sits in its open-retry
+// backoff when Detach lands; Detach must still return promptly, and the
+// failure must surface as a stream error and a degraded thread. That a
+// large backoff step cannot stall Detach either is pinned on the wait
+// itself, by TestDetachPromptBackoffWait.
 func TestDetachPromptWithFailingOpenerAndLargeBackoff(t *testing.T) {
 	rt := omp.New(omp.Config{NumThreads: 2})
 	defer rt.Close()
 	opts := FullMeasurement()
 	opts.StreamDir = t.TempDir()
-	opts.StreamBackoff = 10 * time.Second
 	opts.OpenTraceFile = func(path string) (io.WriteCloser, error) {
 		return nil, fmt.Errorf("injected: open %s always fails", path)
 	}
@@ -209,7 +209,7 @@ func TestDetachPromptWithFailingOpenerAndLargeBackoff(t *testing.T) {
 	start := time.Now()
 	tl.Detach()
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("Detach took %v with a failing opener and 10s backoff; the retry sleep is not interruptible", elapsed)
+		t.Fatalf("Detach took %v with a failing opener; the retry sleep is not interruptible", elapsed)
 	}
 	if err := tl.StreamError(); err == nil {
 		t.Error("permanently failing opener reported no stream error")

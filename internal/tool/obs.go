@@ -30,7 +30,7 @@ func (t *Tool) startObs(addr string) (*obs.Server, error) {
 		func() float64 { return time.Since(t.attachedAt).Seconds() })
 	reg.GaugeFunc("goomp_tool_threads",
 		"Bound thread descriptors currently known to the collector.",
-		func() float64 { return float64(len(t.liveThreadIDs(0))) })
+		func() float64 { return float64(len(t.liveThreadIDs())) })
 
 	reg.CounterSeries("goomp_events_total",
 		"Event callback dispatches per registered event.",
@@ -253,7 +253,7 @@ func (t *Tool) obsState() obs.StateSnapshot {
 	var snap obs.StateSnapshot
 	t.obsMu.Lock()
 	defer t.obsMu.Unlock()
-	for _, id := range t.liveThreadIDs(0) {
+	for _, id := range t.liveThreadIDs() {
 		st, wait, ec := collector.QueryState(t.obsQ, id)
 		if ec != collector.ErrOK {
 			continue

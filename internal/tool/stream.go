@@ -48,12 +48,12 @@ const relayCapacity = 64
 const degradedRetain = 64
 
 // The streaming writer's retry policy for transient I/O errors: up to
-// streamRetries retries per block, starting at Options.StreamBackoff
-// (default below) and doubling up to the cap.
+// streamRetries retries per block, starting at streamBackoff and
+// doubling up to the cap.
 const (
-	streamRetries        = 3
-	defaultStreamBackoff = time.Millisecond
-	maxStreamBackoff     = 50 * time.Millisecond
+	streamRetries    = 3
+	streamBackoff    = time.Millisecond
+	streamBackoffCap = 50 * time.Millisecond
 )
 
 // streamFile is the per-thread file state. It is touched only by the
@@ -100,9 +100,8 @@ type streamer struct {
 	files    map[int32]*streamFile
 	seqs     map[int32]int // per-thread chunk sequence, for the drop hook
 
-	open    func(path string) (io.WriteCloser, error)
-	drop    func(thread int32, seq int) bool
-	backoff time.Duration
+	open func(path string) (io.WriteCloser, error)
+	drop func(thread int32, seq int) bool
 
 	// led books every chunk and residue block the streamer takes:
 	// staged == written + discarded + forced (+ passed, when there is no
@@ -145,7 +144,6 @@ func startStreamer(t *Tool, dir string) (*streamer, error) {
 		seqs:     make(map[int32]int),
 		open:     t.opts.OpenTraceFile,
 		drop:     t.opts.DropChunk,
-		backoff:  t.opts.StreamBackoff,
 		led:      ingest.NewLedger("stream staged", "written", "discarded", "forced", "passed"),
 		done:     make(chan struct{}),
 	}
@@ -158,9 +156,6 @@ func startStreamer(t *Tool, dir string) (*streamer, error) {
 	}
 	if s.open == nil {
 		s.open = func(path string) (io.WriteCloser, error) { return os.Create(path) }
-	}
-	if s.backoff <= 0 {
-		s.backoff = defaultStreamBackoff
 	}
 	s.wg.Add(1)
 	go s.loop()
@@ -242,7 +237,7 @@ func (s *streamer) file(thread int32) *streamFile {
 	}
 	sf = &streamFile{path: filepath.Join(s.dir, fmt.Sprintf("trace.%d.psxt", thread))}
 	s.files[thread] = sf
-	backoff := s.backoff
+	backoff := streamBackoff
 	for attempt := 0; ; attempt++ {
 		w, err := s.open(sf.path)
 		if err == nil {
@@ -254,7 +249,7 @@ func (s *streamer) file(thread int32) *streamFile {
 			return sf
 		}
 		s.retries.Add(1)
-		backoff = waitBackoff(s.done, backoff, maxStreamBackoff)
+		backoff = waitBackoff(s.done, backoff, streamBackoffCap)
 	}
 }
 
@@ -264,7 +259,7 @@ func (s *streamer) file(thread int32) *streamFile {
 // appending again would corrupt the prefix ReadTraceStream recovers.
 // Success is the one place a block is booked as written.
 func (s *streamer) writeBlock(sf *streamFile, blk stagedBlock) error {
-	backoff := s.backoff
+	backoff := streamBackoff
 	for attempt := 0; ; attempt++ {
 		n, err := sf.w.Write(blk.block)
 		if err == nil {
@@ -279,7 +274,7 @@ func (s *streamer) writeBlock(sf *streamFile, blk stagedBlock) error {
 			return err
 		}
 		s.retries.Add(1)
-		backoff = waitBackoff(s.done, backoff, maxStreamBackoff)
+		backoff = waitBackoff(s.done, backoff, streamBackoffCap)
 	}
 }
 

@@ -70,16 +70,10 @@ type Options struct {
 	// SamplePeriod, when nonzero, runs an asynchronous sampler that
 	// polls every thread's state through the collector API at this
 	// period and builds a state histogram. This exercises the
-	// get-state request path from outside any OpenMP thread.
+	// get-state request path from outside any OpenMP thread. Each tick
+	// queries every thread bound in the collector's descriptor table at
+	// that moment, so teams grown after attach are observed too.
 	SamplePeriod time.Duration
-
-	// SampleThreads is a floor on how many thread IDs the sampler
-	// polls: IDs 0..SampleThreads-1 are always queried, plus every
-	// thread currently bound in the collector's descriptor table — so
-	// teams grown after attach (SetNumThreads, larger teams) are
-	// observed without reattaching. Zero defaults to the runtime's
-	// configured thread count when attaching to an *omp.RT, else 1.
-	SampleThreads int
 
 	// ObsAddr, when set, serves the observability plane ("host:port";
 	// ":0" picks a free port, readable via ObsURL) for the lifetime of
@@ -189,12 +183,6 @@ type Options struct {
 	// concurrency-safe snapshots instead of buffer drains.
 	DetachTimeout time.Duration
 
-	// CallbackBudget arms the collector's callback watchdog at attach:
-	// a sampled dispatch that observes a callback running over this
-	// budget trips the circuit breaker, pausing event generation until
-	// a resume request. Zero leaves the watchdog disarmed.
-	CallbackBudget time.Duration
-
 	// OpenTraceFile overrides how the streaming storage opens each
 	// per-thread trace file (fault injection and tests). Nil means
 	// os.Create.
@@ -211,20 +199,16 @@ type Options struct {
 	// forced-drop counters (fault injection).
 	DropChunk func(thread int32, seq int) bool
 
-	// StreamBackoff is the first step of the streaming writer's retry
-	// backoff for transient file I/O errors (three retries per block,
-	// doubling with a cap). Zero means 1ms.
-	StreamBackoff time.Duration
-
 	// HangTimeout, when nonzero, starts the hang supervisor at attach:
 	// every blocking wait in omp and mpi registers a wait record, and
 	// after this long with no global progress the watchdog builds the
 	// wait-for graph, prints a hang report (deadlock cycle or
 	// no-progress verdict, per-thread wait sites, collector states),
 	// force-detaches the tool so the gap-free trace prefix is salvaged
-	// to disk, and — with HangAbort — exits nonzero. Off by default;
-	// cmd front-ends default it from GOMP_HANG_TIMEOUT. Only one
-	// supervised tool may be attached per process.
+	// to disk, and — unless OnHang is set — exits with status 2, so a
+	// hung run fails CI fast instead of timing the job out. Off by
+	// default; cmd front-ends default it from GOMP_HANG_TIMEOUT. Only
+	// one supervised tool may be attached per process.
 	HangTimeout time.Duration
 
 	// HangDir is where the hang handler salvages: the rendered report
@@ -235,13 +219,8 @@ type Options struct {
 	// PSXR block (perf.ReadTraceStreamReports reads it back).
 	HangDir string
 
-	// HangAbort makes the hang handler exit the process with status 2
-	// after salvaging, so a hung run fails CI fast instead of timing
-	// the job out.
-	HangAbort bool
-
 	// OnHang, when set, is called with the rendered hang report after
-	// salvage, instead of the HangAbort exit (tests).
+	// salvage, instead of the exit (tests).
 	OnHang func(report string)
 }
 
@@ -357,12 +336,6 @@ func Attach(opts Options) (*Tool, error) {
 // symbol lookup; useful when several runtimes coexist (e.g. one per
 // simulated MPI rank).
 func AttachRuntime(rt *omp.RT, opts Options) (*Tool, error) {
-	if opts.SampleThreads == 0 {
-		opts.SampleThreads = rt.Config().NumThreads
-	}
-	if opts.OverheadCeiling == 0 {
-		opts.OverheadCeiling = rt.Config().OverheadCeiling
-	}
 	return AttachCollector(rt.Collector(), opts)
 }
 
@@ -372,9 +345,6 @@ func AttachRuntime(rt *omp.RT, opts Options) (*Tool, error) {
 func AttachCollector(col *collector.Collector, opts Options) (*Tool, error) {
 	if opts.BufferCap == 0 {
 		opts.BufferCap = 1 << 12
-	}
-	if opts.SampleThreads <= 0 {
-		opts.SampleThreads = 1
 	}
 	t := &Tool{
 		col:        col,
@@ -387,9 +357,6 @@ func AttachCollector(col *collector.Collector, opts Options) (*Tool, error) {
 	}
 	empty := make([]*perf.TraceBuffer, 0)
 	t.byID.Store(&empty)
-	if opts.CallbackBudget > 0 {
-		col.SetCallbackBudget(opts.CallbackBudget)
-	}
 	if ec := collector.Control(t.q, collector.ReqStart); ec != collector.ErrOK {
 		return nil, fmt.Errorf("tool: start request failed: %v", ec)
 	}
@@ -444,7 +411,7 @@ func AttachCollector(col *collector.Collector, opts Options) (*Tool, error) {
 		slices.Contains(events, collector.EventJoin)
 	col.SetRegionPaths(t.wantPaths)
 	if opts.SamplePeriod > 0 {
-		t.sampler = startSampler(t, opts.SamplePeriod, opts.SampleThreads)
+		t.sampler = startSampler(t, opts.SamplePeriod)
 	}
 	if opts.HangTimeout > 0 {
 		sup, err := super.Start(super.Options{
@@ -836,7 +803,7 @@ type sampler struct {
 	wg   sync.WaitGroup
 }
 
-func startSampler(t *Tool, period time.Duration, floor int) *sampler {
+func startSampler(t *Tool, period time.Duration) *sampler {
 	s := &sampler{done: make(chan struct{})}
 	s.wg.Add(1)
 	go func() {
@@ -875,7 +842,7 @@ func startSampler(t *Tool, period time.Duration, floor int) *sampler {
 				// One batched request sequence covers the whole set —
 				// one queue hand-off per tick, not per thread — and the
 				// histogram lock is taken once for all observations.
-				wire, obs = collector.QueryStateBatch(q, t.liveThreadIDs(floor), wire, obs)
+				wire, obs = collector.QueryStateBatch(q, t.liveThreadIDs(), wire, obs)
 				t.mu.Lock()
 				for _, o := range obs {
 					if o.EC == collector.ErrOK {
@@ -893,29 +860,18 @@ func startSampler(t *Tool, period time.Duration, floor int) *sampler {
 }
 
 // liveThreadIDs returns the sorted, deduplicated bound thread numbers
-// currently present in the collector's descriptor table, extended to
-// cover at least IDs 0..floor-1 (the master binds two descriptors with
-// ID 0; transient nested descriptors carry -1 and have no queryable
-// number).
-func (t *Tool) liveThreadIDs(floor int) []int32 {
-	seen := make(map[int32]struct{})
+// currently present in the collector's descriptor table (the master
+// binds two descriptors with ID 0; transient nested descriptors carry
+// -1 and have no queryable number).
+func (t *Tool) liveThreadIDs() []int32 {
 	var ids []int32
-	add := func(id int32) {
-		if _, ok := seen[id]; !ok {
-			seen[id] = struct{}{}
-			ids = append(ids, id)
-		}
-	}
 	for _, ti := range t.col.Threads() {
 		if ti.ID >= 0 {
-			add(ti.ID)
+			ids = append(ids, ti.ID)
 		}
 	}
-	for id := int32(0); id < int32(floor); id++ {
-		add(id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }
 
 func (s *sampler) stop() {
