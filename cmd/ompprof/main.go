@@ -9,7 +9,8 @@
 //
 //	ompprof [-workload pi|EP|CG|MG|FT|BT|SP|LU|LU-HP] [-class S|W|A|B]
 //	        [-threads 4] [-sample 1ms] [-trace DIR] [-obs HOST:PORT]
-//	        [-overhead-ceiling 2%] [-spill-dir DIR] [-spill-bytes 64M]
+//	        [-stream DIR] [-ingest HOST:PORT] [-overhead-ceiling 2%]
+//	        [-spill-bytes 64M]
 package main
 
 import (
@@ -58,8 +59,7 @@ func main() {
 	flag.DurationVar(&opts.HangTimeout, "hang-timeout", opts.HangTimeout, "hang supervision: after this long with no progress, print a deadlock/no-progress diagnosis, salvage the trace prefix and exit nonzero; defaults to $GOMP_HANG_TIMEOUT, 0 disables")
 	flag.StringVar(&opts.HangDir, "hang-dir", opts.HangDir, "directory to salvage the hang report and traces into; defaults to $GOMP_HANG_DIR, then the -stream directory")
 	ceiling := flag.String("overhead-ceiling", "", "arm the adaptive overhead governor: target max profiling overhead as a fraction (\"0.02\") or percentage (\"2%\") of wall time; defaults to $GOMP_OVERHEAD_CEILING, unset disables")
-	flag.StringVar(&opts.SpillDir, "spill-dir", opts.SpillDir, "store-and-forward spill directory: chunks detour to disk here while the ingest daemon is unreachable or overloaded, and replay on reconnect; defaults to $GOMP_SPILL_DIR, empty disables")
-	spillBytes := flag.String("spill-bytes", "", "bound on the spill backlog: a positive byte count with optional K/M/G suffix (default 64M); defaults to $GOMP_SPILL_BYTES")
+	spillBytes := flag.String("spill-bytes", "", "with -stream and -ingest both set, chunks the ingest daemon cannot take detour to the local trace files and replay on reconnect; this bounds that backlog: a positive byte count with optional K/M/G suffix (default 64M); defaults to $GOMP_SPILL_BYTES")
 	flag.BoolVar(&opts.TraceCompress, "trace-compress", opts.TraceCompress, "flate-compress the written trace blocks; defaults to $GOMP_TRACE_COMPRESS")
 	flag.Parse()
 	if *ceiling != "" {

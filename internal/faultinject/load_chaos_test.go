@@ -113,7 +113,6 @@ func TestChaosLoadOutageSpillReplay(t *testing.T) {
 	opts.IngestAddr = srv.Addr()
 	opts.IngestRun = "outage-spill"
 	opts.IngestPendingDepth = 2 // tiny queue: the outage overruns it fast
-	opts.SpillDir = t.TempDir()
 	plan.Apply(&opts)
 	tl, err := tool.AttachRuntime(rt, opts)
 	if err != nil {

@@ -64,8 +64,9 @@ func requireV2Files(t *testing.T, dir string) {
 
 // TestEveryWritePathWritesPSX2 drives each way the tool can put a
 // trace block somewhere — the streamed file, the network sink teed
-// with it and alone, the WriteTraces snapshot, and the hang handler's
-// salvage — under default options, and walks every block that landed.
+// with it (also through an outage that spills) and alone, the
+// WriteTraces snapshot, and the hang handler's salvage — under default
+// options, and walks every block that landed.
 func TestEveryWritePathWritesPSX2(t *testing.T) {
 	srv, dataDir := startNetChaosServer(t)
 	for _, tc := range []struct {
@@ -85,6 +86,45 @@ func TestEveryWritePathWritesPSX2(t *testing.T) {
 			opts.IngestRun = "psx2-tee"
 			profile(t, rt, opts)
 			waitRunDone(t, srv, opts.IngestRun)
+			return []string{dir, filepath.Join(dataDir, opts.IngestRun)}
+		}},
+		{"IngestAddr tee through an outage", func(t *testing.T, rt *omp.RT, opts tool.Options, dir string) []string {
+			// The daemon is gone for the first six dials and the queue
+			// holds two frames, so the backlog spills. The spill writes
+			// nothing of its own: the local directory holds the trace
+			// files and no other format.
+			plan := faultinject.New(41)
+			plan.FailDialRange(1, 6)
+			opts.StreamDir = dir
+			opts.IngestAddr = srv.Addr()
+			opts.IngestRun = "psx2-outage"
+			opts.IngestPendingDepth = 2
+			opts.DialIngest = plan.Dialer(nil)
+			tl, err := tool.AttachRuntime(rt, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			deadline := time.Now().Add(30 * time.Second)
+			for tl.Report().IngestSpilledChunks == 0 {
+				if time.Now().After(deadline) {
+					t.Fatal("spill never engaged during the outage")
+				}
+				runWorkload(t, rt, 50)
+			}
+			tl.Detach()
+			if err := tl.StreamError(); err != nil {
+				t.Fatal(err)
+			}
+			waitRunDone(t, srv, opts.IngestRun)
+			ents, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range ents {
+				if ok, _ := filepath.Match("trace.*.psxt", e.Name()); !ok {
+					t.Errorf("the spill left %s in the stream directory", e.Name())
+				}
+			}
 			return []string{dir, filepath.Join(dataDir, opts.IngestRun)}
 		}},
 		{"IngestAddr net-only", func(t *testing.T, rt *omp.RT, opts tool.Options, dir string) []string {

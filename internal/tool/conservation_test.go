@@ -3,15 +3,18 @@ package tool_test
 import (
 	"bytes"
 	"errors"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"goomp/internal/ingest"
 	"goomp/internal/omp"
+	"goomp/internal/perf"
 	. "goomp/internal/tool"
 )
 
@@ -77,7 +80,6 @@ func TestSpillReplayZeroLossConservation(t *testing.T) {
 	opts.IngestAddr = srv.Addr()
 	opts.IngestRun = "spill-replay"
 	opts.IngestPendingDepth = 2 // tiny queue: the outage overruns it fast
-	opts.SpillDir = t.TempDir()
 	opts.DialIngest = outageDialer(&down)
 	tl, err := AttachRuntime(rt, opts)
 	if err != nil {
@@ -175,7 +177,8 @@ func TestSpillReplayZeroLossConservation(t *testing.T) {
 // TestOutagePermanentSpillPendingConservation never lets the sink
 // connect at all: at detach every produced chunk must sit on disk as
 // spilled-pending — zero dropped — and the conservation equation must
-// balance with only the pending term.
+// balance with only the pending term. The backlog on disk is the trace
+// files: the samples they hold are the samples pending.
 func TestOutagePermanentSpillPendingConservation(t *testing.T) {
 	var down atomic.Bool
 	down.Store(true)
@@ -186,7 +189,7 @@ func TestOutagePermanentSpillPendingConservation(t *testing.T) {
 	opts.IngestAddr = "127.0.0.1:1" // never reachable; dialer refuses anyway
 	opts.IngestRun = "never-up"
 	opts.IngestPendingDepth = 2
-	opts.SpillDir = t.TempDir()
+	opts.StreamDir = t.TempDir()
 	opts.DialIngest = outageDialer(&down)
 	tl, err := AttachRuntime(rt, opts)
 	if err != nil {
@@ -214,17 +217,180 @@ func TestOutagePermanentSpillPendingConservation(t *testing.T) {
 			rep.IngestSpillPendingChunks, rep.IngestProducedChunks)
 	}
 	// The backlog is real files on disk, not just counters.
-	ents, err := os.ReadDir(opts.SpillDir)
+	files, err := perf.FindTraceFiles(opts.StreamDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	found := false
-	for _, e := range ents {
-		if filepath.Ext(e.Name()) == ".psxl" {
-			found = true
+	var onDisk uint64
+	for _, path := range files {
+		onDisk += streamSamples(t, path)
+	}
+	if onDisk != rep.IngestSpillPendingSamples {
+		t.Fatalf("trace files hold %d samples, spill-pending %d", onDisk, rep.IngestSpillPendingSamples)
+	}
+}
+
+// streamSamples counts the samples in the trace file at path; a file
+// that was never written holds none.
+func streamSamples(t *testing.T, path string) uint64 {
+	t.Helper()
+	f, err := os.Open(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return 0
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	n, err := perf.CountStreamSamples(f)
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return n
+}
+
+// outage runs regions until the sink, with its connection held down,
+// has spilled, then brings the connection back and runs more.
+func outage(t *testing.T, rt *omp.RT, tl *Tool, down *atomic.Bool) {
+	t.Helper()
+	run := func() {
+		for i := 0; i < 50; i++ {
+			rt.Parallel(func(tc *omp.ThreadCtx) {})
 		}
 	}
-	if !found {
-		t.Fatal("no spill segment files on disk at shutdown")
+	run()
+	down.Store(true)
+	deadline := time.Now().Add(30 * time.Second)
+	for tl.Report().IngestSpilledChunks == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("spill never engaged during the outage")
+		}
+		run()
+	}
+	down.Store(false)
+	run()
+}
+
+// sameFile fails the test unless the two files hold the same bytes.
+func sameFile(t *testing.T, local, remote string) {
+	t.Helper()
+	a, err := os.ReadFile(local)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(remote)
+	if err != nil {
+		t.Fatalf("server side of %s: %v", filepath.Base(local), err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Errorf("%s: server copy (%d bytes) differs from local (%d bytes)",
+			filepath.Base(local), len(b), len(a))
+	}
+}
+
+// TestSpillReplayCompressed is the outage with flate-compressed blocks.
+// Replay reads every parked block back from its trace file and checks
+// it as a PSX2 block, so a deflated block must pass that check, and the
+// server's copy must stay byte-identical to the tee.
+func TestSpillReplayCompressed(t *testing.T) {
+	srv, dataDir := startIngestServer(t)
+	localDir := t.TempDir()
+	var down atomic.Bool
+
+	rt := omp.New(omp.Config{NumThreads: 2})
+	defer rt.Close()
+	opts := FullMeasurement()
+	opts.StreamDir = localDir
+	opts.IngestAddr = srv.Addr()
+	opts.IngestRun = "spill-flate"
+	opts.IngestPendingDepth = 2
+	opts.TraceCompress = true
+	opts.DialIngest = outageDialer(&down)
+	tl, err := AttachRuntime(rt, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outage(t, rt, tl, &down)
+	tl.Detach()
+
+	rep := tl.Report()
+	checkConservation(t, rep)
+	if rep.IngestDroppedChunks != 0 || rep.IngestSpillPendingChunks != 0 ||
+		rep.IngestReplayedChunks != rep.IngestSpilledChunks {
+		t.Fatalf("compressed replay lost data: spilled %d, replayed %d, dropped %d, pending %d",
+			rep.IngestSpilledChunks, rep.IngestReplayedChunks,
+			rep.IngestDroppedChunks, rep.IngestSpillPendingChunks)
+	}
+	waitRunComplete(t, srv, "spill-flate")
+	files, err := perf.FindTraceFiles(localDir)
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no local stream files: %v", err)
+	}
+	for _, path := range files {
+		sameFile(t, path, filepath.Join(dataDir, "spill-flate", filepath.Base(path)))
+	}
+	if err := tl.StreamError(); err != nil {
+		t.Errorf("client ledgers: %v", err)
+	}
+}
+
+// TestSpillSkipsDegradedThread: thread 0's trace file never opens, so
+// its blocks are not on local disk and the spill has nothing to point
+// at. Through an outage thread 0's overflow is dropped, thread 1's
+// spills and replays, and the books still close.
+func TestSpillSkipsDegradedThread(t *testing.T) {
+	srv, dataDir := startIngestServer(t)
+	localDir := t.TempDir()
+	var down atomic.Bool
+
+	rt := omp.New(omp.Config{NumThreads: 2})
+	defer rt.Close()
+	opts := FullMeasurement()
+	opts.StreamDir = localDir
+	opts.IngestAddr = srv.Addr()
+	opts.IngestRun = "spill-degraded"
+	opts.IngestPendingDepth = 2
+	opts.DialIngest = outageDialer(&down)
+	opts.OpenTraceFile = func(path string) (io.WriteCloser, error) {
+		if filepath.Base(path) == "trace.0.psxt" {
+			return nil, errors.New("injected: thread 0's trace file never opens")
+		}
+		return os.Create(path)
+	}
+	tl, err := AttachRuntime(rt, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outage(t, rt, tl, &down)
+	tl.Detach()
+
+	rep := tl.Report()
+	checkConservation(t, rep)
+	if rep.DegradedThreads != 1 {
+		t.Errorf("%d degraded threads, want 1", rep.DegradedThreads)
+	}
+	if rep.IngestDroppedChunks == 0 {
+		t.Error("thread 0's overflow was not dropped")
+	}
+	if rep.IngestSpillPendingChunks != 0 || rep.IngestReplayedChunks != rep.IngestSpilledChunks {
+		t.Errorf("spilled %d, replayed %d, pending %d: thread 1's detour must deliver everything",
+			rep.IngestSpilledChunks, rep.IngestReplayedChunks, rep.IngestSpillPendingChunks)
+	}
+	waitRunComplete(t, srv, "spill-degraded")
+	runDir := filepath.Join(dataDir, "spill-degraded")
+	// Thread 1 lost nothing: the server's copy is its local file.
+	sameFile(t, filepath.Join(localDir, "trace.1.psxt"), filepath.Join(runDir, "trace.1.psxt"))
+	// Every drop is thread 0's: the file sink discarded all of thread
+	// 0's samples, and what of them the server lacks the sink dropped.
+	if got := streamSamples(t, filepath.Join(runDir, "trace.0.psxt")) + rep.IngestDroppedSamples; got != rep.StreamDiscardedSamples {
+		t.Errorf("thread 0: server %d + dropped %d samples, want the %d it staged",
+			got-rep.IngestDroppedSamples, rep.IngestDroppedSamples, rep.StreamDiscardedSamples)
+	}
+	err = tl.StreamError()
+	if err == nil || !strings.Contains(err.Error(), "never opens") {
+		t.Errorf("stream error %v does not name the open failure", err)
+	}
+	if err != nil && strings.Contains(err.Error(), "ledger out of balance") {
+		t.Errorf("ledger imbalance: %v", err)
 	}
 }

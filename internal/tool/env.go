@@ -19,9 +19,8 @@ import (
 //
 //	GOMP_OVERHEAD_CEILING=x    arm the overhead governor (fraction
 //	                           "0.02" or percentage "2%" of wall time)
-//	GOMP_SPILL_DIR=path        store-and-forward spill directory for
-//	                           the ingest sink
-//	GOMP_SPILL_BYTES=n[K|M|G]  bound on the spill backlog (default 64M)
+//	GOMP_SPILL_BYTES=n[K|M|G]  bound on the spill backlog when a file
+//	                           sink tees the ingest sink (default 64M)
 //	GOMP_INGEST_ADDR=host:port ship trace chunks to a psxd daemon
 //	GOMP_INGEST_DURABLE=bool   ask the daemon for durable acks
 //	GOMP_TRACE_COMPRESS=bool   deflate written trace blocks
@@ -42,9 +41,6 @@ func OptionsFromEnv(base Options, lookup func(string) (string, bool)) (Options, 
 			return opts, err
 		}
 		opts.OverheadCeiling = c
-	}
-	if v, ok := lookup("GOMP_SPILL_DIR"); ok {
-		opts.SpillDir = strings.TrimSpace(v)
 	}
 	if v, ok := lookup("GOMP_SPILL_BYTES"); ok {
 		n, err := ParseSpillBytes(v)

@@ -17,7 +17,6 @@ func lookupMap(m map[string]string) func(string) (string, bool) {
 func TestOptionsFromEnv(t *testing.T) {
 	opts, err := OptionsFromEnv(Options{}, lookupMap(map[string]string{
 		"GOMP_OVERHEAD_CEILING": "2%",
-		"GOMP_SPILL_DIR":        "/tmp/spill",
 		"GOMP_SPILL_BYTES":      "64M",
 		"GOMP_INGEST_ADDR":      "127.0.0.1:9470",
 		"GOMP_INGEST_DURABLE":   "on",
@@ -30,7 +29,7 @@ func TestOptionsFromEnv(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := Options{
-		OverheadCeiling: 0.02, SpillDir: "/tmp/spill", SpillBytes: 64 << 20,
+		OverheadCeiling: 0.02, SpillBytes: 64 << 20,
 		IngestAddr: "127.0.0.1:9470", IngestDurable: true, TraceCompress: true,
 		ObsAddr: "127.0.0.1:9471", HangTimeout: 30 * time.Second, HangDir: "/tmp/hang",
 	}
@@ -50,12 +49,12 @@ func TestOptionsFromEnv(t *testing.T) {
 }
 
 func TestOptionsFromEnvDefaultsPreserved(t *testing.T) {
-	base := Options{OverheadCeiling: 0.1, SpillDir: "keep", SpillBytes: 123}
+	base := Options{OverheadCeiling: 0.1, HangDir: "keep", SpillBytes: 123}
 	opts, err := OptionsFromEnv(base, lookupMap(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.OverheadCeiling != 0.1 || opts.SpillDir != "keep" || opts.SpillBytes != 123 {
+	if opts.OverheadCeiling != 0.1 || opts.HangDir != "keep" || opts.SpillBytes != 123 {
 		t.Errorf("empty env changed options: %+v", opts)
 	}
 }

@@ -89,7 +89,7 @@ func (t *Tool) salvage(reportDir string, streaming bool, text string) {
 	} else {
 		var files []*os.File
 		err := t.WriteTraces(func(thread int32) (io.Writer, error) {
-			f, err := os.Create(filepath.Join(traceDir, fmt.Sprintf("trace.%d.psxt", thread)))
+			f, err := os.Create(tracePath(traceDir, thread))
 			if err != nil {
 				return nil, err
 			}

@@ -37,14 +37,14 @@ import (
 //     OK acks of older frames, and those must stay in the tail.
 //   - When the server stays dead the sink degrades instead of growing:
 //     the bounded pending queue is the in-memory retention path. With
-//     Options.SpillDir set, everything beyond the queue spills to a
-//     bounded CRC-guarded on-disk segment log (store-and-forward) and
-//     replays in sequence order on reconnect — an outage longer than
+//     a file sink configured alongside (Options.StreamDir), the staged
+//     bytes are on local disk regardless, so everything beyond the
+//     queue spills — an index into the trace files, store-and-forward —
+//     and replays in sequence order on reconnect: an outage longer than
 //     the queue degrades to disk, not to loss. Only past the spill
-//     bound (or without a spill dir) are frames discarded, with exact
-//     accounting. With a file sink configured alongside, the same
-//     staged bytes are on local disk regardless — the network edge
-//     only ever adds delivery, never risk.
+//     bound, for a block not on local disk, or without a file sink are
+//     frames discarded, with exact accounting. The network edge only
+//     ever adds delivery, never risk.
 //   - Downstream congestion feeds the overhead governor: an OVERLOADED
 //     ack from the server, or the spill engaging at all, signals
 //     backpressure so the governor can step the measurement down
@@ -76,13 +76,15 @@ const codeUndelivered ingest.Code = ^ingest.Code(0)
 const (
 	shipped  ingest.Bucket = iota // acked CodeOK straight from memory
 	replayed                      // acked CodeOK after the spill detour
-	dropped                       // never delivered: overflow, nack, corrupt spill entry, unflushed at stop
+	dropped                       // never delivered: overflow, nack, parked block failing its check, unflushed at stop
 	storage                       // refused INGEST_STORAGE: the daemon's disk failed, not the network
 )
 
 // netItem is one queued wire frame. spilled marks a frame that took
 // the on-disk detour: its eventual ack counts as replayed, not
-// shipped, so the conservation equation separates the two paths.
+// shipped, so the conservation equation separates the two paths. off
+// is where a chunk's block sits in its thread's local trace file, −1
+// when it is not on local disk.
 type netItem struct {
 	kind    uint8
 	seq     uint64
@@ -90,6 +92,7 @@ type netItem struct {
 	samples uint32
 	block   []byte
 	spilled bool
+	off     int64
 }
 
 // netSink is the connection manager plus bounded shipping queue.
@@ -103,7 +106,7 @@ type netSink struct {
 	done    chan struct{} // flush grace expired: drop and exit
 	wg      sync.WaitGroup
 
-	spill *spillLog         // nil unless Options.SpillDir is set
+	spill *spillIndex       // nil unless a file sink (Options.StreamDir) is set
 	gov   *degrade.Governor // nil unless the overhead governor is on
 
 	seq   atomic.Uint64 // last assigned sequence number
@@ -116,7 +119,7 @@ type netSink struct {
 
 // startNetSink builds and starts the sink's sender goroutine. gov may
 // be nil (no overhead governor).
-func startNetSink(opts *Options, gov *degrade.Governor) (*netSink, error) {
+func startNetSink(opts *Options, gov *degrade.Governor) *netSink {
 	host, _ := os.Hostname()
 	run := opts.IngestRun
 	if run == "" {
@@ -154,24 +157,21 @@ func startNetSink(opts *Options, gov *degrade.Governor) (*netSink, error) {
 			return net.DialTimeout("tcp", addr, netDialTimeout)
 		}
 	}
-	if opts.SpillDir != "" {
-		sp, err := newSpillLog(opts.SpillDir, opts.SpillBytes)
-		if err != nil {
-			return nil, err
-		}
-		n.spill = sp
-		n.led.Held = sp.pendingCounts
+	if opts.StreamDir != "" {
+		n.spill = newSpillIndex(opts.StreamDir, opts.SpillBytes)
+		n.led.Held = n.spill.pendingCounts
 	}
 	n.wg.Add(1)
 	go n.loop()
-	return n, nil
+	return n
 }
 
-// ship queues one staged trace block. Called only from the streamer's
-// writer goroutine; never blocks — a full queue spills to disk when a
-// spill dir is configured, and only past the spill bound (or without
-// one) is the block dropped, with exact accounting either way.
-func (n *netSink) ship(thread int32, samples uint32, block []byte) {
+// ship queues one staged trace block; off is where the file sink wrote
+// it (−1: not on local disk). Called only from the streamer's writer
+// goroutine; never blocks — a full queue spills when the block is in a
+// local trace file, and only past the spill bound (or without one) is
+// the block dropped, with exact accounting either way.
+func (n *netSink) ship(thread int32, samples uint32, block []byte, off int64) {
 	n.led.Take(samples)
 	n.enqueue(&netItem{
 		kind:    ingest.MsgChunk,
@@ -179,6 +179,7 @@ func (n *netSink) ship(thread int32, samples uint32, block []byte) {
 		thread:  thread,
 		samples: samples,
 		block:   block,
+		off:     off,
 	})
 }
 
@@ -213,8 +214,8 @@ func (n *netSink) enqueue(it *netItem) {
 	}
 }
 
-// park stores one frame in the spill log; false means there is no log,
-// it is full, or its disk failed.
+// park indexes one frame in the spill; false means there is no spill,
+// it is full, or the chunk is not on local disk.
 func (n *netSink) park(it *netItem) bool {
 	return n.spill != nil && n.spill.add(it)
 }
@@ -225,8 +226,8 @@ func (n *netSink) park(it *netItem) bool {
 // otherwise. INGEST_STORAGE means the daemon's disk failed and the run
 // is quarantined there: its own bucket, because the loss is a disk and
 // not the network. Anything else (an overloaded or sealed nack, queue
-// overflow, a corrupt spill entry, the flush grace expiring) is a
-// drop. Control frames carry no data to lose.
+// overflow, a parked block failing its check, the flush grace
+// expiring) is a drop. Control frames carry no data to lose.
 func (n *netSink) settle(it *netItem, code ingest.Code) {
 	if it.kind != ingest.MsgChunk {
 		return
@@ -265,8 +266,8 @@ func (n *netSink) shutdown() {
 		<-finished
 	}
 	if n.spill != nil {
-		// The sender is gone; release handles. Whatever is still queued
-		// stays on disk and is accounted as spilled-pending, not lost.
+		// The sender is gone; release handles. Whatever is still parked
+		// stays in the trace files and is accounted as spilled-pending.
 		n.spill.close()
 	}
 }
@@ -452,8 +453,8 @@ func (n *netSink) loop() {
 
 // next picks the frame that follows everything already sent, without
 // waiting: the pending channel first, then the spill backlog (see
-// enqueue for why that is sequence order). Spill entries that fail
-// their CRC are settled as drops on the way.
+// enqueue for why that is sequence order). Parked blocks that fail
+// their check are settled as drops on the way.
 func (n *netSink) next() *netItem {
 	select {
 	case it := <-n.pending:
@@ -500,12 +501,11 @@ func (n *netSink) acked(unacked []*netItem, a ingest.Ack) []*netItem {
 }
 
 // giveUp is the terminal path for the in-memory frames the flush grace
-// expired on: chunks are parked in the spill log — they stay on disk,
-// accounted as spill-pending, instead of vanishing — and what the log
-// cannot take is dropped. This runs after the sender has stopped
-// replaying, so the out-of-order tail it may write is post-mortem
-// evidence only: a later process never replays another run's spill
-// files.
+// expired on: chunks are parked in the spill — they stay in the trace
+// files, accounted as spill-pending, instead of vanishing — and what the
+// spill cannot take is dropped. This runs after the sender has stopped
+// replaying, so the order it parks them in no longer matters: nothing
+// replays the index after the sink shuts down.
 func (n *netSink) giveUp(unacked []*netItem) {
 	abandon := func(it *netItem) {
 		if it.kind != ingest.MsgChunk || !n.park(it) {

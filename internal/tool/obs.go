@@ -174,13 +174,13 @@ func (t *Tool) startObs(addr string) (*obs.Server, error) {
 				func() float64 { return float64(n.overloadedAcks.Load()) })
 			if sp := n.spill; sp != nil {
 				reg.CounterFunc("goomp_spill_chunks_total",
-					"Trace blocks spilled to the store-and-forward segment log.",
+					"Trace blocks parked in the store-and-forward spill (indexed in the local trace files).",
 					func() float64 { return chunksOf(sp.stats()) })
 				reg.CounterFunc("goomp_spill_replayed_chunks_total",
-					"Spilled trace blocks delivered and acknowledged after replay.",
+					"Spilled trace blocks read back from the trace files, delivered and acknowledged.",
 					func() float64 { return chunksOf(n.led.Settled(replayed)) })
 				reg.GaugeFunc("goomp_spill_pending_chunks",
-					"Trace blocks currently queued on the spill log's disk backlog.",
+					"Trace blocks currently parked in the spill, waiting for replay.",
 					func() float64 { return chunksOf(sp.pendingCounts()) })
 			}
 		}

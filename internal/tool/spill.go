@@ -1,162 +1,85 @@
 package tool
 
 import (
-	"encoding/binary"
-	"fmt"
-	"hash/crc32"
 	"os"
-	"path/filepath"
-	"strconv"
-	"strings"
 	"sync"
 
 	"goomp/internal/ingest"
+	"goomp/internal/perf"
 )
 
 // Store-and-forward spill: when the psxd daemon is unreachable (or
-// slow) past the in-memory pending queue, the network sink spills
-// frames to a bounded on-disk segment log instead of dropping them,
-// and replays them in sequence order once the connection comes back.
-// An outage longer than the queue then degrades to disk, not to loss.
+// slow) past the in-memory pending queue, the network sink parks frames
+// in the spill instead of dropping them, and replays them in sequence
+// order once the connection comes back. An outage longer than the queue
+// then degrades to disk, not to loss.
 //
-// The log follows the journal discipline of the ingest daemon's
-// durable storage: append-only segments, every entry CRC-guarded, a
-// reader that drops a corrupt entry instead of trusting it. It is
-// deliberately simpler than the daemon's journal in one way — it is a
-// queue for this process's lifetime, not cross-restart durability:
-// entries that are still pending at shutdown remain on disk (and are
-// accounted as spilled-pending, never silently lost), but a new run
-// never replays another process's leftovers.
+// The spill writes nothing. It is armed only when a file sink sits
+// behind the network sink, and every block the network sink ships has
+// already been appended to its thread's trace file — the same staged
+// bytes. So a parked chunk is an index entry: its header fields plus
+// where its block sits in that file. Replay preads the block and checks
+// it with perf.BlockSamples (PSX2 extent, payload CRC, declared count);
+// a block that fails is handed back without one, to be settled as lost.
+// A chunk whose file write failed (a degraded thread) has no offset and
+// cannot be parked.
 //
 // Concurrency: the writer is the streamer goroutine (through ship and
-// seal), the reader is the sink's sender goroutine. A mutex protects
-// the descriptor queue and segment table; the descriptor for an entry
-// is published only after its Write call has returned, so the reader's
-// pread never observes a partially written entry.
+// seal), the reader is the sink's sender goroutine. A mutex protects the
+// index queue; the read handles are the sender's alone, and close runs
+// only after the sender has exited.
 
-const (
-	// spillSegBytes rotates segments so consumed data is reclaimed
-	// incrementally: a segment's file is deleted as soon as the writer
-	// has rotated past it and the reader has drained its entries.
-	spillSegBytes = 4 << 20
-
-	// defaultSpillBytes bounds the pending backlog when
-	// Options.SpillBytes is zero.
-	defaultSpillBytes = 64 << 20
-
-	spillMagic   = "PSXL"
-	spillVersion = 1
-
-	// spillEntryHeader is kind(1) + seq(8) + thread(4) + samples(4) +
-	// length(4), followed by crc(4) over header+block, then the block.
-	spillEntryHeader = 21
-)
-
-// spillSeg is one on-disk segment file.
-type spillSeg struct {
-	path   string
-	f      *os.File
-	size   int64
-	refs   int  // pending entries still referencing this segment
-	sealed bool // writer rotated past it; delete when refs hits 0
-}
+// defaultSpillBytes bounds the parked block bytes when
+// Options.SpillBytes is zero.
+const defaultSpillBytes = 64 << 20
 
 // spillEntry is one parked frame — its header fields, marked spilled,
-// the block left on disk — and where in which segment the block is.
+// the block left in the trace file — and the block's length there.
 type spillEntry struct {
 	netItem
-	seg    *spillSeg
-	off    int64 // offset of the block bytes (past header+crc)
-	length uint32
+	length int
 }
 
-// spillLog is the bounded segment log.
-type spillLog struct {
+// spillIndex is the bounded index of parked frames.
+type spillIndex struct {
 	dir      string
 	maxBytes int64
+	files    map[int32]*os.File // one read handle per thread, opened at first replay
 
-	mu      sync.Mutex
-	cur     *spillSeg
-	nextIdx int
-	queue   []spillEntry
-	bytes   int64 // payload bytes pending on disk
-	failed  error // first disk failure; spill refuses further adds
+	mu     sync.Mutex
+	queue  []spillEntry
+	bytes  int64 // block bytes parked
+	closed bool
 
 	spilledChunks  uint64 // cumulative chunks ever spilled
 	spilledSamples uint64
 }
 
-// newSpillLog opens (creating) the spill directory. Existing segment
-// files from an earlier process are left alone; numbering continues
-// past them so nothing is clobbered.
-func newSpillLog(dir string, maxBytes int64) (*spillLog, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("tool: spill dir: %w", err)
-	}
+// newSpillIndex indexes into the trace files the file sink writes in
+// dir.
+func newSpillIndex(dir string, maxBytes int64) *spillIndex {
 	if maxBytes <= 0 {
 		maxBytes = defaultSpillBytes
 	}
-	l := &spillLog{dir: dir, maxBytes: maxBytes}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("tool: spill dir: %w", err)
-	}
-	for _, e := range ents {
-		name := e.Name()
-		if !strings.HasPrefix(name, "spill-") || !strings.HasSuffix(name, ".psxl") {
-			continue
-		}
-		if n, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(name, "spill-"), ".psxl")); err == nil && n >= l.nextIdx {
-			l.nextIdx = n + 1
-		}
-	}
-	return l, nil
+	return &spillIndex{dir: dir, maxBytes: maxBytes, files: make(map[int32]*os.File)}
 }
 
-// add appends one frame to the log. It reports whether the frame was
-// accepted; false means the log is full or its disk has failed, and
-// the caller must account the frame as dropped.
-func (l *spillLog) add(it *netItem) bool {
+// add parks one frame. It reports whether the frame was accepted; false
+// means the chunk is not on local disk or the bound is reached, and the
+// caller must account the frame as dropped. Control frames hold no
+// block and cost nothing against the bound, so a SEAL is never refused.
+func (l *spillIndex) add(it *netItem) bool {
+	e := spillEntry{netItem: *it, length: len(it.block)}
+	e.block, e.spilled = nil, true
+	if it.kind == ingest.MsgChunk && it.off < 0 {
+		return false
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.failed != nil {
+	if l.closed || l.bytes+int64(e.length) > l.maxBytes {
 		return false
 	}
-	need := int64(spillEntryHeader+4) + int64(len(it.block))
-	if l.bytes+need > l.maxBytes {
-		return false
-	}
-	seg, err := l.segmentLocked()
-	if err != nil {
-		l.failed = err
-		return false
-	}
-	var hdr [spillEntryHeader + 4]byte
-	hdr[0] = it.kind
-	binary.LittleEndian.PutUint64(hdr[1:], it.seq)
-	binary.LittleEndian.PutUint32(hdr[9:], uint32(it.thread))
-	binary.LittleEndian.PutUint32(hdr[13:], it.samples)
-	binary.LittleEndian.PutUint32(hdr[17:], uint32(len(it.block)))
-	crc := crc32.ChecksumIEEE(hdr[:spillEntryHeader])
-	crc = crc32.Update(crc, crc32.IEEETable, it.block)
-	binary.LittleEndian.PutUint32(hdr[spillEntryHeader:], crc)
-	off := seg.size
-	if _, err := seg.f.Write(hdr[:]); err != nil {
-		l.failed = err
-		return false
-	}
-	if _, err := seg.f.Write(it.block); err != nil {
-		// The entry is torn on disk; the descriptor is never published,
-		// so the reader will not touch it. The segment stays usable: the
-		// next entry's descriptor carries its own offset past the tear.
-		l.failed = err
-		return false
-	}
-	seg.size = off + need
-	seg.refs++
-	l.bytes += need
-	e := spillEntry{netItem: *it, seg: seg, off: off + spillEntryHeader + 4, length: uint32(len(it.block))}
-	e.block, e.spilled = nil, true
+	l.bytes += int64(e.length)
 	l.queue = append(l.queue, e)
 	// A frame re-parked at shutdown after it already took the spill
 	// detour once (popped, sent, never acked) keeps its original count.
@@ -164,86 +87,65 @@ func (l *spillLog) add(it *netItem) bool {
 		l.spilledChunks++
 		l.spilledSamples += uint64(it.samples)
 	}
-	if seg.size >= spillSegBytes {
-		seg.sealed = true
-		l.cur = nil
-	}
 	return true
 }
 
-// segmentLocked returns the writer's open segment, rotating as needed.
-func (l *spillLog) segmentLocked() (*spillSeg, error) {
-	if l.cur != nil {
-		return l.cur, nil
-	}
-	path := filepath.Join(l.dir, fmt.Sprintf("spill-%06d.psxl", l.nextIdx))
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	var hdr [5]byte
-	copy(hdr[:], spillMagic)
-	hdr[4] = spillVersion
-	if _, err := f.Write(hdr[:]); err != nil {
-		f.Close()
-		os.Remove(path)
-		return nil, err
-	}
-	l.cur = &spillSeg{path: path, f: f, size: int64(len(hdr))}
-	l.nextIdx++
-	return l.cur, nil
-}
-
-// next pops the oldest pending frame, reading and CRC-verifying its
-// block; nil means the log is empty. intact false is an entry that
-// failed its read or CRC: it is returned without a block so the caller
-// can settle it as lost, and the caller asks again for the one after.
-func (l *spillLog) next() (it *netItem, intact bool) {
+// next pops the oldest parked frame, reading and checking its block;
+// nil means the spill is empty. intact false is a chunk whose block
+// could not be read back whole: it is returned without a block so the
+// caller can settle it as lost, and the caller asks again for the one
+// after.
+func (l *spillIndex) next() (it *netItem, intact bool) {
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	if len(l.queue) == 0 {
+		l.mu.Unlock()
 		return nil, false
 	}
 	e := l.queue[0]
 	l.queue = l.queue[1:]
-	l.bytes -= int64(spillEntryHeader+4) + int64(e.length)
+	l.bytes -= int64(e.length)
+	l.mu.Unlock()
 	it = &e.netItem
+	if it.kind != ingest.MsgChunk {
+		return it, true
+	}
 	block := make([]byte, e.length)
-	var hdr [spillEntryHeader + 4]byte
-	if _, err := e.seg.f.ReadAt(hdr[:], e.off-spillEntryHeader-4); err == nil {
-		if _, err := e.seg.f.ReadAt(block, e.off); err == nil || e.length == 0 {
-			crc := crc32.ChecksumIEEE(hdr[:spillEntryHeader])
-			crc = crc32.Update(crc, crc32.IEEETable, block)
-			intact = crc == binary.LittleEndian.Uint32(hdr[spillEntryHeader:])
+	if f := l.file(it.thread); f != nil {
+		if _, err := f.ReadAt(block, it.off); err == nil {
+			n, err := perf.BlockSamples(block)
+			intact = err == nil && n == uint64(it.samples)
 		}
 	}
-	l.releaseLocked(e.seg)
 	if intact {
 		it.block = block
 	}
 	return it, intact
 }
 
-// releaseLocked drops one reference; a sealed segment with no pending
-// entries is deleted on the spot.
-func (l *spillLog) releaseLocked(seg *spillSeg) {
-	seg.refs--
-	if seg.sealed && seg.refs == 0 {
-		seg.f.Close()
-		os.Remove(seg.path)
+// file returns the thread's read handle, opening it on first use; nil
+// means the trace file cannot be opened.
+func (l *spillIndex) file(thread int32) *os.File {
+	if f := l.files[thread]; f != nil {
+		return f
 	}
+	f, err := os.Open(tracePath(l.dir, thread))
+	if err != nil {
+		return nil
+	}
+	l.files[thread] = f
+	return f
 }
 
-// pending returns the number of queued frames.
-func (l *spillLog) pending() int {
+// pending returns the number of parked frames.
+func (l *spillIndex) pending() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return len(l.queue)
 }
 
-// pendingCounts returns the queued chunk frames and their samples —
+// pendingCounts returns the parked chunk frames and their samples —
 // the spilled-pending term of the conservation equation.
-func (l *spillLog) pendingCounts() (chunks, samples uint64) {
+func (l *spillIndex) pendingCounts() (chunks, samples uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for _, e := range l.queue {
@@ -256,30 +158,21 @@ func (l *spillLog) pendingCounts() (chunks, samples uint64) {
 }
 
 // stats returns cumulative spill accounting.
-func (l *spillLog) stats() (spilledChunks, spilledSamples uint64) {
+func (l *spillIndex) stats() (spilledChunks, spilledSamples uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.spilledChunks, l.spilledSamples
 }
 
-// close releases file handles. Fully consumed segments are removed;
-// segments still holding pending entries stay on disk (the
-// spilled-pending backlog is evidence, not garbage). The descriptor
-// queue stays readable for accounting.
-func (l *spillLog) close() {
+// close releases the read handles and refuses further frames. What is
+// still parked stays in the trace files and in the index, accounted as
+// spilled-pending.
+func (l *spillIndex) close() {
+	for _, f := range l.files {
+		f.Close()
+	}
+	l.files = nil
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.cur != nil && l.cur.refs == 0 {
-		l.cur.f.Close()
-		os.Remove(l.cur.path)
-	}
-	l.cur = nil
-	held := make(map[*spillSeg]bool)
-	for _, e := range l.queue {
-		held[e.seg] = true
-	}
-	for seg := range held {
-		seg.f.Close()
-	}
-	l.failed = fmt.Errorf("tool: spill log closed")
+	l.closed = true
+	l.mu.Unlock()
 }

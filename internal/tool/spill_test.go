@@ -3,53 +3,76 @@ package tool
 import (
 	"bytes"
 	"os"
-	"path/filepath"
 	"testing"
 
 	"goomp/internal/ingest"
+	"goomp/internal/perf"
 )
 
-func chunkItem(seq uint64, payload byte, size int) *netItem {
-	return &netItem{
-		kind:    ingest.MsgChunk,
-		seq:     seq,
-		thread:  int32(seq % 4),
-		samples: uint32(size),
-		block:   bytes.Repeat([]byte{payload}, size),
+// traceBlock renders one PSX2 block of n samples, as the streamer
+// stages a chunk.
+func traceBlock(t *testing.T, n int) []byte {
+	t.Helper()
+	buf := perf.NewTraceBuffer(n, 0)
+	for i := 0; i < n; i++ {
+		buf.Append(perf.Sample{Time: int64(i + 1), State: -1, Region: uint64(i), StackID: perf.NoStack})
 	}
+	var out bytes.Buffer
+	if err := perf.WriteTraceEnc(&out, buf, perf.Encoding{V2: true}); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+// traceFile appends one block per sample count to dir's trace.0.psxt,
+// as the file sink does, and returns them as chunk frames numbered from
+// 1, each carrying its offset in the file.
+func traceFile(t *testing.T, dir string, sizes ...int) []*netItem {
+	t.Helper()
+	var file []byte
+	items := make([]*netItem, len(sizes))
+	for i, n := range sizes {
+		block := traceBlock(t, n)
+		items[i] = &netItem{kind: ingest.MsgChunk, seq: uint64(i + 1), samples: uint32(n), block: block, off: int64(len(file))}
+		file = append(file, block...)
+	}
+	if err := os.WriteFile(tracePath(dir, 0), file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return items
 }
 
 func TestSpillRoundtripInOrder(t *testing.T) {
-	l, err := newSpillLog(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 5; i++ {
-		if !l.add(chunkItem(uint64(i), byte(i), 100*i)) {
-			t.Fatalf("add %d refused", i)
+	dir := t.TempDir()
+	chunks := traceFile(t, dir, 10, 20, 30, 40)
+	frames := []*netItem{chunks[0], chunks[1], {kind: ingest.MsgSeal}, chunks[2], chunks[3]}
+	l := newSpillIndex(dir, 0)
+	for i, it := range frames {
+		it.seq = uint64(i + 1)
+		if !l.add(it) {
+			t.Fatalf("add %d refused", i+1)
 		}
 	}
-	if got, _ := l.stats(); got != 5 {
-		t.Fatalf("spilled chunks = %d", got)
+	if got, _ := l.stats(); got != 4 {
+		t.Fatalf("spilled chunks = %d, want 4 (the SEAL is not a chunk)", got)
 	}
-	for i := 1; i <= 5; i++ {
+	for i, want := range frames {
 		it, intact := l.next()
-		if it != nil && !intact {
-			t.Fatalf("entry %d reported corrupt on a clean log", it.seq)
+		if it == nil || it.seq != uint64(i+1) || it.kind != want.kind {
+			t.Fatalf("pop %d = %+v", i+1, it)
 		}
-		if it == nil || it.seq != uint64(i) {
-			t.Fatalf("pop %d = %+v", i, it)
+		if !intact {
+			t.Fatalf("frame %d reported corrupt on a clean trace file", it.seq)
 		}
 		if !it.spilled {
 			t.Fatal("popped frame not marked spilled")
 		}
-		want := bytes.Repeat([]byte{byte(i)}, 100*i)
-		if !bytes.Equal(it.block, want) {
-			t.Fatalf("pop %d block mismatch (%d bytes)", i, len(it.block))
+		if !bytes.Equal(it.block, want.block) {
+			t.Fatalf("pop %d block mismatch (%d bytes, want %d)", i+1, len(it.block), len(want.block))
 		}
 	}
 	if it, _ := l.next(); it != nil {
-		t.Fatalf("drained log popped %+v", it)
+		t.Fatalf("drained spill popped %+v", it)
 	}
 	if l.pending() != 0 {
 		t.Fatalf("pending = %d after drain", l.pending())
@@ -58,25 +81,21 @@ func TestSpillRoundtripInOrder(t *testing.T) {
 
 func TestSpillCRCCorruptionSkipped(t *testing.T) {
 	dir := t.TempDir()
-	l, err := newSpillLog(dir, 0)
-	if err != nil {
-		t.Fatal(err)
+	chunks := traceFile(t, dir, 64, 64, 64)
+	l := newSpillIndex(dir, 0)
+	for _, it := range chunks {
+		l.add(it)
 	}
-	l.add(chunkItem(1, 0xaa, 64))
-	l.add(chunkItem(2, 0xbb, 64))
-	l.add(chunkItem(3, 0xcc, 64))
 
-	// Flip one byte inside entry 2's block, on disk, behind the log's
-	// back. Entry 1 ends at 5 (seg header) + 25 (entry header+crc) + 64;
-	// entry 2's block starts 25 further in.
-	seg := filepath.Join(dir, "spill-000000.psxl")
-	data, err := os.ReadFile(seg)
+	// Flip the last byte of block 2 — payload, under its PSX2 CRC — in
+	// the trace file, behind the index's back.
+	path := tracePath(dir, 0)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	off := 5 + (spillEntryHeader + 4) + 64 + (spillEntryHeader + 4) + 10
-	data[off] ^= 0xff
-	if err := os.WriteFile(seg, data, 0o644); err != nil {
+	data[chunks[1].off+int64(len(chunks[1].block))-1] ^= 0xff
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -84,139 +103,100 @@ func TestSpillCRCCorruptionSkipped(t *testing.T) {
 	if it == nil || it.seq != 1 || !intact {
 		t.Fatalf("first pop = %+v (intact %v)", it, intact)
 	}
-	// The corrupt entry comes back block-less, carrying exactly what the
+	// The corrupt block comes back block-less, carrying exactly what the
 	// caller must settle as lost, and the one after it is good again.
 	it, intact = l.next()
 	if it == nil || it.seq != 2 || intact || it.block != nil || it.samples != 64 {
 		t.Fatalf("corrupt pop = %+v (intact %v), want seq 2, 64 samples, no block", it, intact)
 	}
 	it, intact = l.next()
-	if it == nil || it.seq != 3 || !intact {
+	if it == nil || it.seq != 3 || !intact || !bytes.Equal(it.block, chunks[2].block) {
 		t.Fatalf("pop after corruption = %+v (intact %v)", it, intact)
 	}
 }
 
 func TestSpillByteCapRefuses(t *testing.T) {
-	l, err := newSpillLog(t.TempDir(), 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !l.add(chunkItem(1, 1, 512)) {
+	dir := t.TempDir()
+	chunks := traceFile(t, dir, 100, 100, 100)
+	size := int64(len(chunks[0].block))
+	l := newSpillIndex(dir, 2*size-1)
+	if !l.add(chunks[0]) {
 		t.Fatal("first add refused under cap")
 	}
-	if l.add(chunkItem(2, 2, 512)) {
+	if l.add(chunks[1]) {
 		t.Fatal("add past the byte cap accepted")
 	}
 	// Draining frees budget for new frames.
 	if it, _ := l.next(); it == nil || it.seq != 1 {
 		t.Fatal("drain failed")
 	}
-	if !l.add(chunkItem(3, 3, 512)) {
+	// A chunk that is not on local disk has nothing to index, however
+	// much budget is free.
+	notOnDisk := *chunks[2]
+	notOnDisk.off = -1
+	if l.add(&notOnDisk) {
+		t.Fatal("chunk with no file offset accepted")
+	}
+	if !l.add(chunks[2]) {
 		t.Fatal("add refused after drain freed the budget")
 	}
 }
 
-func TestSpillSegmentRotationAndReclaim(t *testing.T) {
+// TestSpillParksSealAtBound: a control frame holds no block, so a full
+// spill still takes it. A SEAL refused there would be settled as a
+// frame that carries no data, psxd would never see that thread's end,
+// and the run's sealed-thread count would come up short.
+func TestSpillParksSealAtBound(t *testing.T) {
 	dir := t.TempDir()
-	l, err := newSpillLog(dir, 64<<20)
-	if err != nil {
-		t.Fatal(err)
+	chunks := traceFile(t, dir, 50, 50)
+	l := newSpillIndex(dir, int64(len(chunks[0].block)))
+	if !l.add(chunks[0]) {
+		t.Fatal("chunk that fills the bound exactly refused")
 	}
-	// 1 MiB blocks: the 4 MiB segment bound rotates after four.
-	const n = 9
-	for i := 1; i <= n; i++ {
-		if !l.add(chunkItem(uint64(i), byte(i), 1<<20)) {
-			t.Fatalf("add %d refused", i)
-		}
+	if !l.add(&netItem{kind: ingest.MsgSeal, seq: 2}) {
+		t.Fatal("SEAL refused at the bound")
 	}
-	segs := func() int {
-		ents, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		count := 0
-		for _, e := range ents {
-			if filepath.Ext(e.Name()) == ".psxl" {
-				count++
-			}
-		}
-		return count
+	chunks[1].seq = 3
+	if l.add(chunks[1]) {
+		t.Fatal("chunk past the bound accepted")
 	}
-	if got := segs(); got < 2 {
-		t.Fatalf("%d segment(s) after %d MiB, want rotation", got, n)
+	if it, intact := l.next(); it == nil || it.seq != 1 || !intact {
+		t.Fatalf("first pop = %+v (intact %v), want the chunk", it, intact)
 	}
-	for i := 1; i <= n; i++ {
-		if it, _ := l.next(); it == nil || it.seq != uint64(i) {
-			t.Fatalf("pop %d failed", i)
-		}
-	}
-	// Sealed segments with no pending entries are deleted as the reader
-	// drains past them; only the writer's open segment may remain.
-	if got := segs(); got > 1 {
-		t.Fatalf("%d segments remain after full drain", got)
+	if it, _ := l.next(); it == nil || it.seq != 2 || it.kind != ingest.MsgSeal {
+		t.Fatalf("second pop = %+v, want the SEAL", it)
 	}
 }
 
-func TestSpillCloseKeepsPendingSegments(t *testing.T) {
+func TestSpillCloseKeepsPendingAccounted(t *testing.T) {
 	dir := t.TempDir()
-	l, err := newSpillLog(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.add(chunkItem(1, 1, 256))
-	l.add(chunkItem(2, 2, 256))
+	chunks := traceFile(t, dir, 256, 256, 256)
+	l := newSpillIndex(dir, 0)
+	l.add(chunks[0])
+	l.add(chunks[1])
 	l.next() // consume one; one stays pending
 	l.close()
-	if l.add(chunkItem(3, 3, 256)) {
-		t.Fatal("closed log accepted a frame")
+	if l.add(chunks[2]) {
+		t.Fatal("closed spill accepted a frame")
 	}
-	chunks, samples := l.pendingCounts()
-	if chunks != 1 || samples != 256 {
-		t.Fatalf("pending after close = %d/%d, want 1/256", chunks, samples)
+	chunkCount, samples := l.pendingCounts()
+	if chunkCount != 1 || samples != 256 {
+		t.Fatalf("pending after close = %d/%d, want 1/256", chunkCount, samples)
 	}
-	ents, err := os.ReadDir(dir)
+	// The pending block is still where the index says it is.
+	data, err := os.ReadFile(tracePath(dir, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ents) == 0 {
-		t.Fatal("pending backlog's segment was deleted at close")
-	}
-}
-
-func TestSpillNeverClobbersEarlierProcess(t *testing.T) {
-	dir := t.TempDir()
-	old := filepath.Join(dir, "spill-000002.psxl")
-	if err := os.WriteFile(old, []byte("PSXL\x01leftover"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	l, err := newSpillLog(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.add(chunkItem(1, 1, 64))
-	// The new segment numbering continues past the leftover, which is
-	// neither replayed nor rewritten.
-	if _, err := os.Stat(filepath.Join(dir, "spill-000003.psxl")); err != nil {
-		t.Fatalf("new segment not numbered past the leftover: %v", err)
-	}
-	data, err := os.ReadFile(old)
-	if err != nil || string(data) != "PSXL\x01leftover" {
-		t.Fatalf("leftover segment modified: %q, %v", data, err)
-	}
-	if it, _ := l.next(); it == nil || it.seq != 1 || len(it.block) != 64 {
-		t.Fatalf("pop = %+v; leftover data must not be replayed", it)
-	}
-	if it, _ := l.next(); it != nil {
-		t.Fatalf("leftover entry replayed: %+v", it)
+	if got := data[chunks[1].off : chunks[1].off+int64(len(chunks[1].block))]; !bytes.Equal(got, chunks[1].block) {
+		t.Fatal("pending block's bytes changed at close")
 	}
 }
 
 func TestSpillReAddAfterPopKeepsCountsExact(t *testing.T) {
-	l, err := newSpillLog(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.add(chunkItem(1, 1, 128))
+	dir := t.TempDir()
+	l := newSpillIndex(dir, 0)
+	l.add(traceFile(t, dir, 128)[0])
 	it, _ := l.next()
 	if it == nil {
 		t.Fatal("pop failed")

@@ -62,6 +62,7 @@ const (
 type streamFile struct {
 	path string
 	w    io.WriteCloser
+	size int64 // bytes written: the offset of the next block
 	err  error // permanent failure; non-nil = degraded mode
 	torn bool  // a partial write left a torn block; no further appends
 	// retained is the degraded-mode in-memory backlog, replayed once
@@ -87,9 +88,10 @@ type stagedBlock struct {
 // set, shipping to a psxd ingestion daemon). With both configured the
 // exact block bytes written to the local trace file are also shipped
 // on the wire, so the server's per-run directory is byte-identical to
-// the local StreamDir. With only the network sink, the streamer runs
-// with no file operations at all and the sink's bounded pending queue
-// is the in-memory retention path.
+// the local StreamDir, and the trace files are where the network
+// sink's spill finds a parked block again. With only the network sink,
+// the streamer runs with no file operations at all and the sink's
+// bounded pending queue is the in-memory retention path.
 type streamer struct {
 	t        *Tool
 	dir      string
@@ -148,11 +150,7 @@ func startStreamer(t *Tool, dir string) (*streamer, error) {
 		done:     make(chan struct{}),
 	}
 	if t.opts.IngestAddr != "" {
-		n, err := startNetSink(&t.opts, t.gov)
-		if err != nil {
-			return nil, err
-		}
-		s.net = n
+		s.net = startNetSink(&t.opts, t.gov)
 	}
 	if s.open == nil {
 		s.open = func(path string) (io.WriteCloser, error) { return os.Create(path) }
@@ -201,27 +199,33 @@ func (s *streamer) writeChunk(sc *perf.SealedChunk) {
 
 // store hands one staged block to the sinks. Both see the exact same
 // bytes: the server's per-run file and the local trace file stay
-// byte-identical. The file is created on first use, and a failure
+// byte-identical. The file comes first, so the network sink is told
+// where the block sits in it (−1: not on local disk) and can spill it
+// by reference. The file is created on first use, and a failure
 // degrades only this thread: the block is retained for the stop-time
 // recovery attempt (or discarded with accounting once the backlog
 // bound is hit).
 func (s *streamer) store(thread int32, blk stagedBlock) {
-	if s.net != nil {
-		s.net.ship(thread, blk.samples, blk.block)
-	}
-	if !s.fileSink {
-		s.led.Settle(passed, blk.samples)
-		return
-	}
-	sf := s.file(thread)
-	if sf.err == nil {
-		err := s.writeBlock(sf, blk)
-		if err == nil {
-			return
+	off := int64(-1)
+	if s.fileSink {
+		sf := s.file(thread)
+		if sf.err == nil {
+			at := sf.size
+			if err := s.writeBlock(sf, blk); err != nil {
+				s.fail(thread, sf, err)
+			} else {
+				off = at
+			}
 		}
-		s.fail(thread, sf, err)
+		if off < 0 {
+			s.retain(sf, blk)
+		}
+	} else {
+		s.led.Settle(passed, blk.samples)
 	}
-	s.retain(sf, blk)
+	if s.net != nil {
+		s.net.ship(thread, blk.samples, blk.block, off)
+	}
 }
 
 // discard books one block the streamer gives up on.
@@ -235,7 +239,7 @@ func (s *streamer) file(thread int32) *streamFile {
 	if sf != nil {
 		return sf
 	}
-	sf = &streamFile{path: filepath.Join(s.dir, fmt.Sprintf("trace.%d.psxt", thread))}
+	sf = &streamFile{path: tracePath(s.dir, thread)}
 	s.files[thread] = sf
 	backoff := streamBackoff
 	for attempt := 0; ; attempt++ {
@@ -263,6 +267,7 @@ func (s *streamer) writeBlock(sf *streamFile, blk stagedBlock) error {
 	for attempt := 0; ; attempt++ {
 		n, err := sf.w.Write(blk.block)
 		if err == nil {
+			sf.size += int64(n)
 			s.led.Settle(written, blk.samples)
 			return nil
 		}
@@ -276,6 +281,11 @@ func (s *streamer) writeBlock(sf *streamFile, blk stagedBlock) error {
 		s.retries.Add(1)
 		backoff = waitBackoff(s.done, backoff, streamBackoffCap)
 	}
+}
+
+// tracePath names a thread's trace file in dir.
+func tracePath(dir string, thread int32) string {
+	return filepath.Join(dir, fmt.Sprintf("trace.%d.psxt", thread))
 }
 
 // waitBackoff waits one backoff step, interruptible by done, and

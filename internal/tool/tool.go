@@ -134,19 +134,14 @@ type Options struct {
 	// 100ms).
 	GovernorTick time.Duration
 
-	// SpillDir, when set with IngestAddr, arms store-and-forward: when
-	// the daemon is unreachable (or slow) past the sink's bounded
-	// in-memory queue, frames spill to a CRC-guarded on-disk segment
-	// log in this directory and are replayed in sequence order on
-	// reconnect, so an outage longer than the queue degrades to disk
-	// instead of to loss. cmd front-ends default it from
-	// GOMP_SPILL_DIR.
-	SpillDir string
-
-	// SpillBytes bounds the spill log's pending backlog in bytes; past
-	// it frames are dropped with accounting. Zero means 64 MiB. cmd
-	// front-ends default it from GOMP_SPILL_BYTES (with K/M/G
-	// suffixes).
+	// SpillBytes bounds the store-and-forward backlog in bytes. With
+	// both StreamDir and IngestAddr set, a block the network sink cannot
+	// queue while the daemon is unreachable (or slow) is parked as a
+	// reference into its local trace file and replayed in sequence
+	// order on reconnect, so an outage longer than the queue degrades to
+	// disk instead of to loss. Past this many parked block bytes frames
+	// are dropped with accounting. Zero means 64 MiB. cmd front-ends
+	// default it from GOMP_SPILL_BYTES (with K/M/G suffixes).
 	SpillBytes int64
 
 	// TraceCompress deflates each written trace block's payload with
@@ -955,10 +950,10 @@ type Report struct {
 	//   produced == shipped + dropped + storage + replayed + pending
 	//
 	// IngestSpilledChunks counts blocks that took the store-and-forward
-	// detour to disk (Options.SpillDir); of those, IngestReplayedChunks
-	// were delivered and acknowledged after replay, and
-	// IngestSpillPendingChunks were still on disk when the sink shut
-	// down (retained there, not lost). IngestOverloadedAcks counts
+	// detour through the local trace files (StreamDir set with
+	// IngestAddr); of those, IngestReplayedChunks were delivered and
+	// acknowledged after replay, and IngestSpillPendingChunks were
+	// still waiting when the sink shut down (on disk, not lost). IngestOverloadedAcks counts
 	// INGEST_OVERLOADED acks from the daemon — the backpressure signal
 	// fed to the overhead governor.
 	IngestProducedChunks      uint64
