@@ -18,7 +18,10 @@ test: build
 # per-run trio of connection handlers, writer and housekeeper (one
 # ledger and one ack path between them) are protocols between
 # goroutines, and a schedule one width never produces is a schedule
-# never checked — then the format gate. Nothing in tool or cmd writes v1 any more
+# never checked — and the root package's oracle tests at the same three
+# widths, because a nested region borrows the encountering thread's
+# descriptor across goroutines and the oracle is the program that
+# nests — then the format gate. Nothing in tool or cmd writes v1 any more
 # (every write path is walked block by block), so v1 lives on only as
 # something the readers must keep opening: the checked-in v1 fixture,
 # v1 and v2 blocks mixed in one stream, and every writer/reader pairing
@@ -32,6 +35,7 @@ test: build
 check:
 	$(GO) vet ./...
 	$(GO) test -race -cpu 1,2,4 ./internal/omp ./internal/collector ./internal/perf ./internal/tool ./internal/ingest
+	$(GO) test -race -cpu 1,2,4 -run 'PathOracle' .
 	$(GO) test -count=1 ./internal/faultinject -run 'EveryWritePathWritesPSX2'
 	$(GO) test -count=1 ./internal/perf -run 'V1Fixture|V2CrossRead|MixedStream|V2TornTail'
 	$(GO) test -count=1 ./internal/omp ./internal/perf ./internal/analysis ./internal/tool ./internal/ingest -run 'Alloc'

@@ -2,11 +2,14 @@ package omp
 
 import (
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+
+	"goomp/internal/collector"
 )
 
-func expectRegionPanic(t *testing.T, wantSub string, fn func()) *RegionPanic {
+func expectRegionPanic(t *testing.T, wantSub string, fn func()) (rp *RegionPanic) {
 	t.Helper()
 	defer func() {
 		t.Helper()
@@ -14,8 +17,8 @@ func expectRegionPanic(t *testing.T, wantSub string, fn func()) *RegionPanic {
 		if r == nil {
 			t.Fatal("no panic propagated to the master")
 		}
-		rp, ok := r.(*RegionPanic)
-		if !ok {
+		var ok bool
+		if rp, ok = r.(*RegionPanic); !ok {
 			t.Fatalf("panic value %T, want *RegionPanic", r)
 		}
 		if wantSub != "" && !strings.Contains(rp.Error(), wantSub) {
@@ -118,6 +121,51 @@ func TestPanicInNestedRegion(t *testing.T) {
 			}
 		})
 	})
+}
+
+// TestPanicInSerializedNestedRegion: a panic in a serialized nested
+// region leaves through the same bracket as a true-nested one. The
+// nested team's closing barrier still runs, the encountering thread's
+// own closing barrier is back in the outer region, and the panic comes
+// out of the nested region as a *RegionPanic.
+func TestPanicInSerializedNestedRegion(t *testing.T) {
+	r := newRT(t, Config{NumThreads: 2}) // Nested: false
+	var mu sync.Mutex
+	var ibars []uint64 // thread 1's implicit barriers, by region
+	q := r.Collector().NewQueue()
+	collector.Control(q, collector.ReqStart)
+	h := r.Collector().NewCallbackHandle(func(e collector.Event, ti *collector.ThreadInfo) {
+		if ti.ID == 1 {
+			mu.Lock()
+			ibars = append(ibars, ti.Team().RegionID)
+			mu.Unlock()
+		}
+	})
+	collector.Register(q, collector.EventThrBeginIBar, h)
+
+	var outer, inner uint64
+	rp := expectRegionPanic(t, "thread 1", func() {
+		r.Parallel(func(tc *ThreadCtx) {
+			if tc.ThreadNum() == 1 {
+				outer = tc.RegionID()
+				tc.Parallel(2, func(in *ThreadCtx) {
+					inner = in.RegionID()
+					panic("serialized")
+				})
+			}
+		})
+	})
+	if nested, ok := rp.Value.(*RegionPanic); !ok || nested.Value != "serialized" {
+		t.Errorf("the nested region raised %#v, want a *RegionPanic", rp.Value)
+	}
+	// The panic cancelled the region's barrier, so the master did not
+	// wait for thread 1 to leave it; joining the next region does.
+	r.Parallel(func(*ThreadCtx) {})
+	mu.Lock()
+	defer mu.Unlock()
+	if len(ibars) != 3 || ibars[0] != inner || ibars[1] != outer {
+		t.Errorf("thread 1's implicit barriers were in regions %v, want [%d %d] (nested, outer) and the next region's", ibars, inner, outer)
+	}
 }
 
 func TestRegionPanicError(t *testing.T) {

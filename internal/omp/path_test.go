@@ -246,6 +246,17 @@ func TestNestedSitesAreDistinct(t *testing.T) {
 	if a == 0 || b == 0 || a == b {
 		t.Errorf("nested sites %#x and %#x", a, b)
 	}
+	// Sites lists them, marked, beside the one top-level region.
+	nested := map[uintptr]bool{}
+	for _, s := range r.Sites() {
+		if s.Calls != 1 || (s.PC == a || s.PC == b) != s.Nested {
+			t.Errorf("site %+v", s)
+		}
+		nested[s.PC] = s.Nested
+	}
+	if len(nested) != 3 || !nested[a] || !nested[b] {
+		t.Errorf("sites %v, want the outer region and nested %#x, %#x", nested, a, b)
+	}
 }
 
 // TestRegionPathAllocatesNothing: the path lives in the descriptor, so

@@ -99,8 +99,7 @@ type RT struct {
 	masterParallel *collector.ThreadInfo
 
 	regionSeq   atomic.Uint64 // parallel region ID generator (IDs start at 1)
-	regionCalls atomic.Uint64 // dynamic count of region invocations
-	nestedCalls atomic.Uint64 // nested (serialized or true) region invocations
+	regionCalls atomic.Uint64 // dynamic count of top-level region invocations
 
 	siteMu sync.Mutex
 	sites  map[uintptr]*RegionSite
@@ -128,13 +127,15 @@ type RT struct {
 }
 
 // RegionSite records one static parallel region: the source location of
-// the rt.Parallel call, standing in for the address of the compiler's
-// outlined procedure. The per-site call counts generate Table I.
+// the rt.Parallel call, or of the tc.Parallel call for a Nested one,
+// standing in for the address of the compiler's outlined procedure.
+// The per-site call counts of the non-nested sites generate Table I.
 type RegionSite struct {
-	PC    uintptr
-	File  string
-	Line  int
-	Calls uint64
+	PC     uintptr
+	File   string
+	Line   int
+	Calls  uint64
+	Nested bool
 }
 
 // New creates a runtime with the given configuration. A zero or
@@ -226,12 +227,10 @@ func (r *RT) Close() {
 // region invocations so far.
 func (r *RT) RegionCalls() uint64 { return r.regionCalls.Load() }
 
-// NestedRegionCalls returns the number of nested region invocations.
-func (r *RT) NestedRegionCalls() uint64 { return r.nestedCalls.Load() }
-
 // Sites returns a snapshot of the static parallel regions encountered
-// so far, sorted by file and line. len(Sites()) is the "# parallel
-// regions" column of Table I; the summed Calls is "# region calls".
+// so far, nested ones included, sorted by file and line. Over the
+// non-nested sites, their count is the "# parallel regions" column of
+// Table I and their summed Calls is "# region calls".
 func (r *RT) Sites() []RegionSite {
 	r.siteMu.Lock()
 	out := make([]RegionSite, 0, len(r.sites))
@@ -255,10 +254,9 @@ func (r *RT) ResetStats() {
 	r.sites = make(map[uintptr]*RegionSite)
 	r.siteMu.Unlock()
 	r.regionCalls.Store(0)
-	r.nestedCalls.Store(0)
 }
 
-func (r *RT) noteSite(pc uintptr) {
+func (r *RT) noteSite(pc uintptr, nested bool) {
 	r.siteMu.Lock()
 	s := r.sites[pc]
 	if s == nil {
@@ -270,7 +268,7 @@ func (r *RT) noteSite(pc uintptr) {
 		if fr := perf.Resolve([]uintptr{pc})[0]; fr.File != "" {
 			file, line = fr.File, fr.Line
 		}
-		s = &RegionSite{PC: pc, File: file, Line: line}
+		s = &RegionSite{PC: pc, File: file, Line: line, Nested: nested}
 		r.sites[pc] = s
 	}
 	s.Calls++
@@ -306,19 +304,19 @@ func (r *RT) ensureWorkers(n int) {
 // must be called from serial (non-region) context; inside a region use
 // ThreadCtx.Parallel for a nested region.
 func (r *RT) Parallel(fn func(tc *ThreadCtx)) {
-	r.parallel(r.walkSite(r.masterParallel), 0, fn)
+	r.fork(nil, nil, r.walkSite(r.masterParallel), 0, fn)
 }
 
 // ParallelN runs fn as a parallel region with a team of n threads
 // (n <= 0 means the configured default).
 func (r *RT) ParallelN(n int, fn func(tc *ThreadCtx)) {
-	r.parallel(r.walkSite(r.masterParallel), n, fn)
+	r.fork(nil, nil, r.walkSite(r.masterParallel), n, fn)
 }
 
 // ParallelFor is the combined "parallel for" construct: it forks a team
 // and statically distributes iterations [0, n) over it.
 func (r *RT) ParallelFor(n int, body func(tc *ThreadCtx, i int)) {
-	r.parallel(r.walkSite(r.masterParallel), 0, func(tc *ThreadCtx) {
+	r.fork(nil, nil, r.walkSite(r.masterParallel), 0, func(tc *ThreadCtx) {
 		tc.For(n, func(i int) { body(tc, i) })
 	})
 }
@@ -352,81 +350,142 @@ func (r *RT) walkSite(td *collector.ThreadInfo) uintptr {
 	return pcs[0]
 }
 
-// parallel is __ompc_fork: the master packages the region, wakes the
-// slaves, executes the region itself as thread 0, and joins at the
-// implicit barrier that ends the region.
-func (r *RT) parallel(site uintptr, n int, fn func(tc *ThreadCtx)) {
+// fork is __ompc_fork, the one bracket every parallel region enters
+// and leaves through. The encountering thread packages the region,
+// starts the rest of the team, executes the region itself as thread 0,
+// and joins at the implicit barrier that ends the region. parent is
+// the encountering thread's context for a nested region and nil for a
+// top-level one; outer is the path a nested region's walk displaced
+// from the encountering descriptor.
+func (r *RT) fork(parent *ThreadCtx, outer *collector.RegionPath, site uintptr, n int, fn func(tc *ThreadCtx)) {
+	enc, level, parentID := r.masterSerial, 1, uint64(0)
+	if parent == nil {
+		r.regionCalls.Add(1)
+	} else {
+		enc, level, parentID = parent.td, parent.level+1, parent.team.info.RegionID
+		if !r.cfg.Nested {
+			n = 1
+		}
+	}
 	if n <= 0 {
 		n = r.cfg.NumThreads
 	}
-	master := r.masterSerial
+	// Conceptually there is a fork at the beginning of each parallel
+	// region even when no new threads are created, so the fork event is
+	// triggered on every region entry, before any thread creation. A
+	// serialized nested region (a team of one) raises neither event, as
+	// the paper's compiler translates it.
+	events := parent == nil || n > 1
 
-	// The master transitions from the serial state to the overhead
-	// state while it prepares the fork: this happens whether or not a
-	// collector is attached (state tracking is always on).
-	master.SetState(collector.StateOverhead)
+	// The encountering thread is in the overhead state while it
+	// prepares the fork: this happens whether or not a collector is
+	// attached (state tracking is always on).
+	prevTeam, prevState := enc.Team(), enc.State()
+	enc.SetState(collector.StateOverhead)
+	r.noteSite(site, parent != nil)
 
-	r.regionCalls.Add(1)
-	r.noteSite(site)
-
-	// The team descriptor is prepared before the fork event so that
-	// the event (and any query made from its callback) already sees
-	// the region and its site.
+	// The team descriptor is on the encountering descriptor before the
+	// fork event and stays there until after the join event, so both
+	// events (and any query made from their callbacks) see the region,
+	// its parent and its site.
 	info := &collector.TeamInfo{
 		RegionID:       r.regionSeq.Add(1),
-		ParentRegionID: 0, // non-nested regions always have parent ID zero
+		ParentRegionID: parentID, // zero for a top-level region
 		Size:           int32(n),
 		SitePC:         site,
 	}
 	team := newTeam(r, n, info)
-	master.SetTeam(info)
-
-	// Conceptually there is a fork at the beginning of each parallel
-	// region even when no new threads are created, so the fork event is
-	// triggered on every region entry, before any thread creation. The
-	// fork and join callbacks are only invoked by the master thread.
-	r.col.Event(master, collector.EventFork)
-	r.ensureWorkers(n)
-
-	// Wake the slaves: the master updates the slave thread descriptors
-	// with the outlined procedure while in the overhead state.
-	for i := 1; i < n; i++ {
-		r.workers[i-1].work <- workItem{team: team, tid: i, fn: fn}
+	enc.SetTeam(info)
+	if events {
+		r.col.Event(enc, collector.EventFork)
 	}
 
-	// The master switches to its parallel-mode descriptor and runs the
-	// region as thread 0. This per-region rebind is on the fork hot
-	// path: BindThread stores into an existing descriptor slot under a
-	// read lock, and an attached tool's bind hook re-validates its
-	// pinned trace buffer with a single atomic load.
-	mp := r.masterParallel
-	mp.SetState(collector.StateOverhead)
-	mp.SetTeam(info)
-	r.col.BindThread(mp)
-	// The serial-mode descriptor leaves region scope once the
-	// parallel-mode descriptor takes over.
-	master.SetTeam(nil)
+	td := enc
+	var nested *sync.WaitGroup
+	if parent == nil {
+		// Wake the slaves: the master updates the slave thread
+		// descriptors with the outlined procedure while in the overhead
+		// state.
+		r.ensureWorkers(n)
+		for i := 1; i < n; i++ {
+			r.workers[i-1].work <- workItem{team: team, tid: i, fn: fn}
+		}
+		// The master switches to its parallel-mode descriptor and runs
+		// the region as thread 0. This per-region rebind is on the fork
+		// hot path: BindThread stores into an existing descriptor slot
+		// under a read lock, and an attached tool's bind hook
+		// re-validates its pinned trace buffer with a single atomic load.
+		td = r.masterParallel
+		td.SetState(collector.StateOverhead)
+		td.SetTeam(info)
+		r.col.BindThread(td)
+		// The serial-mode descriptor leaves region scope once the
+		// parallel-mode descriptor takes over.
+		enc.SetTeam(nil)
+	} else if n > 1 {
+		nested = r.startNested(parent, team, fn)
+	}
 
-	tc := &ThreadCtx{rt: r, team: team, id: 0, td: mp, level: 1}
-	mp.SetState(collector.StateWorking)
-	runRegionBody(tc, fn)
-	tc.implicitBarrier()
+	runMember(&ThreadCtx{rt: r, team: team, id: 0, td: td, level: level, parent: parent}, fn)
+	if nested != nil {
+		nested.Wait()
+	}
 
-	// Join: as soon as the master leaves the implicit barrier at the
-	// end of the parallel region its state is set to the overhead state
-	// and the join event is triggered.
-	mp.SetState(collector.StateOverhead)
-	r.col.Event(mp, collector.EventJoin)
-	mp.SetTeam(nil)
-	r.col.BindThread(master)
-	master.SetState(collector.StateSerial)
+	// Join: as soon as thread 0 leaves the implicit barrier at the end
+	// of the region its state is set to the overhead state and the join
+	// event is triggered, with the region's team still set.
+	td.SetState(collector.StateOverhead)
+	if events {
+		r.col.Event(td, collector.EventJoin)
+	}
+	td.SetTeam(prevTeam)
+	if td != enc {
+		r.col.BindThread(enc)
+	}
+	enc.SetState(prevState)
+	if outer != nil {
+		*enc.RegionPath() = *outer
+	}
 
 	// A panic raised by any thread's region body is re-raised on the
-	// master once the fork-join structure has been restored.
+	// encountering thread once the fork-join structure has been
+	// restored.
 	if p := team.firstPanic(); p != nil {
 		panic(p)
 	}
 	r.putTaskDeques(team.tasks.deq)
+}
+
+// startNested starts threads 1..n-1 of a true-nested team as transient
+// goroutines and returns what thread 0 waits on before the join. What
+// the goroutines capture lives on the heap, so it is captured here,
+// not in fork, where a top-level region would pay for it too.
+func (r *RT) startNested(parent *ThreadCtx, team *Team, fn func(tc *ThreadCtx)) *sync.WaitGroup {
+	wg := new(sync.WaitGroup)
+	wg.Add(team.size - 1)
+	for i := 1; i < team.size; i++ {
+		go func(tid int) {
+			defer wg.Done()
+			// Nested slaves are transient goroutines with pooled
+			// descriptors; they are not bound in the collector's global
+			// thread table (their IDs would collide with the flat
+			// numbering), but carry team info for region-ID queries.
+			td := r.getNestedDesc(int32(tid))
+			defer r.putNestedDesc(td)
+			runMember(&ThreadCtx{rt: r, team: team, id: tid, td: td, level: parent.level + 1, parent: parent}, fn)
+		}(i)
+	}
+	return wg
+}
+
+// runMember is one thread's part of a region, whichever way the thread
+// joined the team: it enters the region, runs the body and meets the
+// rest of the team at the closing implicit barrier.
+func runMember(tc *ThreadCtx, fn func(tc *ThreadCtx)) {
+	tc.td.SetTeam(tc.team.info)
+	tc.td.SetState(collector.StateWorking)
+	runRegionBody(tc, fn)
+	tc.implicitBarrier()
 }
 
 // getTaskDeques returns a per-team task-deque slice for a team of
@@ -494,13 +553,7 @@ func (w *worker) loop() {
 
 	for item := range w.work {
 		col.Event(w.td, collector.EventThrEndIdle)
-		w.td.SetTeam(item.team.info)
-		w.td.SetState(collector.StateWorking)
-
-		tc := &ThreadCtx{rt: w.rt, team: item.team, id: item.tid, td: w.td, level: 1}
-		runRegionBody(tc, item.fn)
-		tc.implicitBarrier()
-
+		runMember(&ThreadCtx{rt: w.rt, team: item.team, id: item.tid, td: w.td, level: 1}, item.fn)
 		w.td.SetTeam(nil)
 		w.td.SetState(collector.StateIdle)
 		col.Event(w.td, collector.EventThrBeginIdle)
@@ -544,79 +597,16 @@ func (tc *ThreadCtx) Info() *collector.ThreadInfo { return tc.td }
 // one and no fork event is triggered, matching the paper's compiler.
 // With Config.Nested, a true nested team of n goroutines is created,
 // a fork event is generated, and the nested team's parent region ID is
-// the current region ID of the team that spawned it.
+// the current region ID of the team that spawned it. Either way a
+// panic in fn leaves the region as a *RegionPanic.
 func (tc *ThreadCtx) Parallel(n int, fn func(tc *ThreadCtx)) {
-	r := tc.rt
-	r.nestedCalls.Add(1)
-	if !r.cfg.Nested || n == 1 {
-		info := &collector.TeamInfo{
-			// A serialized nested region still gets a region ID so
-			// tools can tell it apart, but its team is the one thread.
-			RegionID:       r.regionSeq.Add(1),
-			ParentRegionID: tc.team.info.RegionID,
-			Size:           1,
-		}
-		team := newTeam(r, 1, info)
-		prevTeam := tc.td.Team()
-		tc.td.SetTeam(info)
-		inner := &ThreadCtx{rt: r, team: team, id: 0, td: tc.td, level: tc.level + 1, parent: tc}
-		fn(inner)
-		inner.implicitBarrier()
-		tc.td.SetTeam(prevTeam)
-		r.putTaskDeques(team.tasks.deq)
-		return
-	}
-	if n <= 0 {
-		n = r.cfg.NumThreads
-	}
 	// The nested region's site and path come from the same walk as a
 	// top-level region's. It borrows the encountering thread's
 	// descriptor, whose path belongs to the region that thread has open
 	// (the master's, or an outer nested one), so that path is set aside
 	// until this region has joined.
-	outerPath := *tc.td.RegionPath()
-	site := r.walkSite(tc.td)
-	// True nesting: a fork event is generated whenever a nested
-	// parallel region and its OpenMP threads are created.
-	r.col.Event(tc.td, collector.EventFork)
-	info := &collector.TeamInfo{
-		RegionID:       r.regionSeq.Add(1),
-		ParentRegionID: tc.team.info.RegionID,
-		Size:           int32(n),
-		SitePC:         site,
-	}
-	team := newTeam(r, n, info)
-	var wg sync.WaitGroup
-	for i := 1; i < n; i++ {
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			// Nested slaves are transient goroutines with pooled
-			// descriptors; they are not bound in the collector's global
-			// thread table (their IDs would collide with the flat
-			// numbering), but carry team info for region-ID queries.
-			td := r.getNestedDesc(int32(tid))
-			defer r.putNestedDesc(td)
-			td.SetTeam(info)
-			td.SetState(collector.StateWorking)
-			itc := &ThreadCtx{rt: r, team: team, id: tid, td: td, level: tc.level + 1, parent: tc}
-			runRegionBody(itc, fn)
-			itc.implicitBarrier()
-		}(i)
-	}
-	prevTeam := tc.td.Team()
-	tc.td.SetTeam(info)
-	inner := &ThreadCtx{rt: r, team: team, id: 0, td: tc.td, level: tc.level + 1, parent: tc}
-	runRegionBody(inner, fn)
-	inner.implicitBarrier()
-	wg.Wait()
-	tc.td.SetTeam(prevTeam)
-	r.col.Event(tc.td, collector.EventJoin)
-	*tc.td.RegionPath() = outerPath
-	if p := team.firstPanic(); p != nil {
-		panic(p)
-	}
-	r.putTaskDeques(team.tasks.deq)
+	outer := *tc.td.RegionPath()
+	tc.rt.fork(tc, &outer, tc.rt.walkSite(tc.td), n, fn)
 }
 
 // getNestedDesc returns a descriptor for a true-nested team thread

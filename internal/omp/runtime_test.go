@@ -535,8 +535,89 @@ func TestSerializedNestedRegion(t *testing.T) {
 	if nestedParent != outerID {
 		t.Errorf("nested parent region ID = %d, want outer ID %d", nestedParent, outerID)
 	}
-	if r.NestedRegionCalls() != 4 {
-		t.Errorf("NestedRegionCalls = %d, want 4", r.NestedRegionCalls())
+}
+
+// TestNestedForkJoinCarryTheirRegion: the fork and join callbacks of a
+// true-nested region see that region — its own ID, the outer region as
+// parent, its own site — and the encountering thread in the overhead
+// state, as a top-level region's do.
+func TestNestedForkJoinCarryTheirRegion(t *testing.T) {
+	r := newRT(t, Config{NumThreads: 2, Nested: true})
+	type seen struct {
+		e     collector.Event
+		info  collector.TeamInfo
+		state collector.State
+	}
+	var mu sync.Mutex
+	var got []seen
+	q := r.Collector().NewQueue()
+	collector.Control(q, collector.ReqStart)
+	h := r.Collector().NewCallbackHandle(func(e collector.Event, ti *collector.ThreadInfo) {
+		var s seen
+		if info := ti.Team(); info != nil {
+			s.info = *info
+		}
+		s.e, s.state = e, ti.State()
+		mu.Lock()
+		got = append(got, s)
+		mu.Unlock()
+	})
+	collector.Register(q, collector.EventFork, h)
+	collector.Register(q, collector.EventJoin, h)
+
+	var outer, inner collector.TeamInfo
+	r.Parallel(func(tc *ThreadCtx) {
+		if tc.ThreadNum() != 0 {
+			return
+		}
+		outer = *tc.Info().Team()
+		tc.Parallel(2, func(in *ThreadCtx) {
+			if in.ThreadNum() == 0 {
+				inner = *in.Info().Team()
+			}
+		})
+	})
+	want := []struct {
+		e    collector.Event
+		info collector.TeamInfo
+	}{
+		{collector.EventFork, outer},
+		{collector.EventFork, inner},
+		{collector.EventJoin, inner},
+		{collector.EventJoin, outer},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d fork/join callbacks, want %d", len(got), len(want))
+	}
+	if inner.ParentRegionID != outer.RegionID || inner.SitePC == 0 || inner.SitePC == outer.SitePC {
+		t.Fatalf("nested team %+v under outer %+v", inner, outer)
+	}
+	for i, w := range want {
+		if g := got[i]; g.e != w.e || g.info != w.info || g.state != collector.StateOverhead {
+			t.Errorf("callback %d: %v saw region %d (parent %d, site %#x) in %v; want %v of region %d (parent %d, site %#x) in %v",
+				i, g.e, g.info.RegionID, g.info.ParentRegionID, g.info.SitePC, g.state,
+				w.e, w.info.RegionID, w.info.ParentRegionID, w.info.SitePC, collector.StateOverhead)
+		}
+	}
+}
+
+// TestAllocRegion pins what an empty top-level region allocates: the
+// nested path shares its bracket, and must not move anything of the
+// top-level one to the heap.
+func TestAllocRegion(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation guards run without the race detector")
+	}
+	for _, c := range []struct {
+		threads int
+		want    float64
+	}{{1, 9}, {2, 11}, {4, 15}} {
+		r := newRT(t, Config{NumThreads: c.threads})
+		body := func(*ThreadCtx) {}
+		r.Parallel(body) // the pool
+		if got := testing.AllocsPerRun(200, func() { r.Parallel(body) }); got != c.want {
+			t.Errorf("an empty region on %d threads allocates %.1f times, want %.0f", c.threads, got, c.want)
+		}
 	}
 }
 

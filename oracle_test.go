@@ -9,12 +9,14 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"maps"
 	"math/rand"
 	"os"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"goomp/internal/collector"
 	"goomp/internal/epcc"
@@ -28,21 +30,26 @@ import (
 // the entry path on the descriptor and is itself at the point where
 // the tool would unwind, so it unwinds, and compares the two as a
 // report shows them: resolved and stripped to the user model. Its own
-// frame is measurement infrastructure like the tool's.
+// frame is measurement infrastructure like the tool's. At each fork it
+// asks the collector, as a tool would, for the region's ID and parent.
 type pathOracle struct {
 	strip *perf.Stripper
+	q     collector.Queue
 
 	mu       sync.Mutex
 	memo     map[string]string // both captures → "" or the disagreement
 	joins    int
 	noPath   int
 	disagree []string
+	parent   map[uint64]uint64 // region → PARENT_PRID, queried at its fork
 }
 
-func newPathOracle() *pathOracle {
+func newPathOracle(col *collector.Collector) *pathOracle {
 	return &pathOracle{
-		strip: perf.NewStripper("goomp_test.(*pathOracle)."),
-		memo:  make(map[string]string),
+		strip:  perf.NewStripper("goomp_test.(*pathOracle)."),
+		q:      col.NewQueue(),
+		memo:   make(map[string]string),
+		parent: make(map[uint64]uint64),
 	}
 }
 
@@ -56,6 +63,14 @@ func (o *pathOracle) render(pcs []uintptr) string {
 
 func (o *pathOracle) wrap(next collector.Callback) collector.Callback {
 	return func(e collector.Event, ti *collector.ThreadInfo) {
+		if e == collector.EventFork {
+			// One queue, so one query at a time: a submission that finds
+			// another thread draining the queue returns before its answer.
+			o.mu.Lock()
+			id, _ := collector.QueryPRID(o.q, collector.ReqCurrentPRID, ti.ID)
+			o.parent[id], _ = collector.QueryPRID(o.q, collector.ReqParentPRID, ti.ID)
+			o.mu.Unlock()
+		}
 		if e == collector.EventJoin {
 			entry := ti.RegionPath().PCs()
 			unwound := perf.Callstack(0, 64)
@@ -99,12 +114,13 @@ func (o *pathOracle) check(t *testing.T, rep *tool.Report) {
 }
 
 // underOracle runs program under a full-measurement tool with the
-// oracle in front of it and returns the traces the tool kept.
-func underOracle(t *testing.T, cfg omp.Config, program func(rt *omp.RT)) []*perf.TraceBuffer {
+// oracle in front of it and returns the traces the tool kept and the
+// oracle.
+func underOracle(t *testing.T, cfg omp.Config, program func(rt *omp.RT)) ([]*perf.TraceBuffer, *pathOracle) {
 	t.Helper()
 	rt := omp.New(cfg)
 	defer rt.Close()
-	o := newPathOracle()
+	o := newPathOracle(rt.Collector())
 	opts := tool.FullMeasurement()
 	opts.WrapCallback = o.wrap
 	tl, err := tool.AttachRuntime(rt, opts)
@@ -114,7 +130,7 @@ func underOracle(t *testing.T, cfg omp.Config, program func(rt *omp.RT)) []*perf
 	program(rt)
 	tl.Detach()
 	o.check(t, tl.Report())
-	return memoryTraces(t, tl)
+	return memoryTraces(t, tl), o
 }
 
 // memoryTraces reads a memory-only tool's traces back the way a report
@@ -220,7 +236,7 @@ func timestep(rt *omp.RT, sink *int) {
 
 func TestPathOracleTwoCallersOneSite(t *testing.T) {
 	var regions int
-	bufs := underOracle(t, omp.Config{NumThreads: 2}, func(rt *omp.RT) {
+	bufs, _ := underOracle(t, omp.Config{NumThreads: 2}, func(rt *omp.RT) {
 		for i := 0; i < 2; i++ {
 			warmup(rt, &regions)
 		}
@@ -247,30 +263,100 @@ func TestPathOracleTwoCallersOneSite(t *testing.T) {
 }
 
 // True-nested regions join on whichever thread encountered them, all
-// at once, each against the path on its own descriptor.
+// at once, each against the path on its own descriptor. The region
+// tree a tool rebuilds from the streams is the one the program ran.
 func TestPathOracleNested(t *testing.T) {
-	bufs := underOracle(t, omp.Config{NumThreads: 3, Nested: true}, func(rt *omp.RT) {
+	var mu sync.Mutex
+	calls := map[uint64]int{} // site → invocations, counted by thread 0
+	count := func(tc *omp.ThreadCtx) {
+		if tc.ThreadNum() == 0 {
+			mu.Lock()
+			calls[uint64(tc.Info().Team().SitePC)]++
+			mu.Unlock()
+		}
+	}
+	bufs, o := underOracle(t, omp.Config{NumThreads: 3, Nested: true}, func(rt *omp.RT) {
 		for i := 0; i < 20; i++ {
 			rt.Parallel(func(tc *omp.ThreadCtx) {
+				count(tc)
+				// Its closing barrier puts the region on every thread's
+				// stream before anything nests on it.
+				tc.For(tc.NumThreads(), func(int) {})
 				tc.Parallel(2, func(in *omp.ThreadCtx) {
+					count(in)
 					if in.ThreadNum() == 0 && tc.ThreadNum() == 1 {
-						in.Parallel(2, func(*omp.ThreadCtx) {})
+						in.Parallel(2, count)
 					}
 				})
 			})
 		}
 	})
-	nestedSites := map[uint64]bool{}
+	fork, join := int32(collector.EventFork), int32(collector.EventJoin)
+	bySite := make(perf.RegionSiteSet)
+	pairs, joins := 0, 0
+	for _, b := range bufs {
+		samples := b.Samples()
+		// The region tree, walked on one thread's stream: a fork opens a
+		// region inside the innermost one open, a join closes it, and
+		// any other sample shows the region the thread is a member of —
+		// entered, unlike a forked one, without an event of its own, and
+		// left for the next one it shows up in.
+		type level struct {
+			region uint64
+			member bool
+		}
+		var open []level
+		top := func() level {
+			if len(open) == 0 {
+				return level{}
+			}
+			return open[len(open)-1]
+		}
+		forkRegion := map[int64]uint64{}
+		for _, s := range samples {
+			switch {
+			case s.Event == fork:
+				if p, beneath := o.parent[s.Region], top().region; p != beneath {
+					t.Errorf("thread %d: region %d forks with PARENT_PRID %d over region %d", s.Thread, s.Region, p, beneath)
+				}
+				open = append(open, level{region: s.Region})
+				forkRegion[s.Time] = s.Region
+			case s.Event == join:
+				joins++
+				if len(open) > 0 {
+					open = open[:len(open)-1]
+				}
+			case top().region != s.Region:
+				if top().member {
+					open = open[:len(open)-1]
+				}
+				open = append(open, level{region: s.Region, member: true})
+			}
+		}
+		perf.ForkJoinDurations(samples, fork, join, func(s *perf.Sample, d time.Duration) {
+			pairs++
+			if f := forkRegion[s.Time-int64(d)]; f != s.Region {
+				t.Errorf("thread %d: the fork of region %d is joined as region %d", s.Thread, f, s.Region)
+			}
+		})
+		bySite.Merge(perf.RegionProfileBySite(samples, fork, join))
+	}
+	if pairs != joins || joins != 20*(1+3+1) {
+		t.Errorf("%d fork/join pairs of %d joins, want %d", pairs, joins, 20*(1+3+1))
+	}
+	got := map[uint64]int{}
+	for site, st := range bySite {
+		got[site] = st.Calls
+	}
+	if len(calls) != 3 || !maps.Equal(got, calls) {
+		t.Errorf("calls by site from fork/join pairs %v, want %v: the outer region and two nested ones", got, calls)
+	}
 	for _, b := range bufs {
 		for _, s := range b.Samples() {
-			if s.Event == int32(collector.EventThrBeginIBar) && s.Site == 0 {
-				t.Fatalf("an implicit barrier of region %d has no site", s.Region)
+			if s.Event == int32(collector.EventThrBeginIBar) && calls[s.Site] == 0 {
+				t.Fatalf("an implicit barrier of region %d has site %#x", s.Region, s.Site)
 			}
-			nestedSites[s.Site] = true
 		}
-	}
-	if len(nestedSites) != 3 {
-		t.Errorf("%d sites in the trace, want 3: the outer region and two nested ones", len(nestedSites))
 	}
 }
 
