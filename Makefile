@@ -51,10 +51,14 @@ chaos:
 # cycles, dropped mpi messages and barrier no-shows must each be
 # diagnosed and salvaged within the wall-clock cap; the false-positive
 # workload must never trip the watchdog. The cap guards the suite's
-# own contract — hangs are detected, not waited out.
+# own contract — hangs are detected, not waited out. The salvage's
+# report lands beside the traces it explains and nowhere else, and the
+# offline readers render it from there.
 chaos-hang:
 	$(GO) test -race -count=1 -timeout 120s ./internal/faultinject -run 'ChaosHang'
 	$(GO) test -race -count=1 -timeout 120s ./internal/super ./internal/mpi
+	$(GO) test -race -count=1 -timeout 120s ./internal/tool -run 'HangSalvage'
+	$(GO) test -count=1 -run 'CLIReportsHang' .
 
 # chaos-net runs the network-edge chaos suite for the psxd ingestion
 # path: a dead server at attach, a server dying mid-run, a slow link,

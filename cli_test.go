@@ -95,6 +95,31 @@ func TestCLIOmpprof(t *testing.T) {
 	mustContain(t, summary, "region", "calls")
 }
 
+// TestCLIReportsHangSalvage: a hang salvage leaves hang.report beside
+// the traces; ompreport renders it once per directory however many
+// trace files share it, and tracedump renders it with each file.
+func TestCLIReportsHangSalvage(t *testing.T) {
+	dir := t.TempDir()
+	run(t, "ompprof", "-workload", "pi", "-threads", "2", "-sample", "0", "-trace", dir)
+	if files, _ := filepath.Glob(filepath.Join(dir, "trace.*.psxt")); len(files) < 2 {
+		t.Fatalf("ompprof wrote %d trace files, want one per thread", len(files))
+	}
+	lines := []string{"HANG detected: verdict=deadlock", "  cycle: a -> [lock] -> b -> [lock] -> a"}
+	if err := os.WriteFile(filepath.Join(dir, "hang.report"), []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	rep := run(t, "ompreport", dir)
+	mustContain(t, rep, "salvaged from a hung run")
+	for _, line := range lines {
+		if n := strings.Count(rep, "  | "+line+"\n"); n != 1 {
+			t.Errorf("ompreport rendered %q %d times, want once:\n%s", line, n, rep)
+		}
+	}
+	dump := run(t, "tracedump", filepath.Join(dir, "trace.0.psxt"))
+	mustContain(t, dump, "hang report salvaged with this trace", "  | "+lines[0])
+}
+
 func TestCLIOmpprofNPBWorkload(t *testing.T) {
 	out := run(t, "ompprof", "-workload", "EP", "-class", "S", "-threads", "2")
 	mustContain(t, out, "EP.S", "collector tool report")

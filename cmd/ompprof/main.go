@@ -57,7 +57,7 @@ func main() {
 	flag.DurationVar(&opts.DetachTimeout, "detach-timeout", 0, "bounded wait for in-flight callbacks at detach (0 waits forever)")
 	flag.StringVar(&opts.ObsAddr, "obs", opts.ObsAddr, "serve the live observability plane (/metrics, /healthz, /state, /profile, /waits) on this host:port while attached; defaults to $GOMP_OBS_ADDR, empty disables")
 	flag.DurationVar(&opts.HangTimeout, "hang-timeout", opts.HangTimeout, "hang supervision: after this long with no progress, print a deadlock/no-progress diagnosis, salvage the trace prefix and exit nonzero; defaults to $GOMP_HANG_TIMEOUT, 0 disables")
-	flag.StringVar(&opts.HangDir, "hang-dir", opts.HangDir, "directory to salvage the hang report and traces into; defaults to $GOMP_HANG_DIR, then the -stream directory")
+	flag.StringVar(&opts.HangDir, "hang-dir", opts.HangDir, "without -stream, the directory a hang salvages its report (and an in-memory run's traces) into; with -stream both stay in the -stream directory; defaults to $GOMP_HANG_DIR")
 	ceiling := flag.String("overhead-ceiling", "", "arm the adaptive overhead governor: target max profiling overhead as a fraction (\"0.02\") or percentage (\"2%\") of wall time; defaults to $GOMP_OVERHEAD_CEILING, unset disables")
 	spillBytes := flag.String("spill-bytes", "", "with -stream and -ingest both set, chunks the ingest daemon cannot take detour to the local trace files and replay on reconnect; this bounds that backlog: a positive byte count with optional K/M/G suffix (default 64M); defaults to $GOMP_SPILL_BYTES")
 	flag.BoolVar(&opts.TraceCompress, "trace-compress", opts.TraceCompress, "flate-compress the written trace blocks; defaults to $GOMP_TRACE_COMPRESS")

@@ -62,14 +62,17 @@ func main() {
 	var dropped uint64
 	var hangReports []string
 	truncated := 0
+	seenDirs := map[string]bool{}
 	salvagedDirs := map[string]bool{}
 	quarantinedDirs := map[string]bool{}
 	manifests := map[string]*ingest.Manifest{}
 	for _, path := range paths {
-		// A psxd run directory carries a manifest; read it once per run
-		// for the salvage/quarantine markers and the client's loss
-		// accounting from the BYE.
-		if dir := filepath.Dir(path); manifests[dir] == nil {
+		// Read what sits beside the traces once per directory: a psxd
+		// run directory's manifest (the salvage/quarantine markers and
+		// the client's loss accounting from the BYE), and the hang
+		// supervisor's report when the run was salvaged from a hang.
+		if dir := filepath.Dir(path); !seenDirs[dir] {
+			seenDirs[dir] = true
 			if m, err := ingest.ReadManifest(dir); err == nil {
 				manifests[dir] = m
 				if m.Quarantined {
@@ -78,6 +81,9 @@ func main() {
 					salvagedDirs[dir] = true
 				}
 			}
+			if rep := perf.HangReport(dir); rep != "" {
+				hangReports = append(hangReports, rep)
+			}
 		}
 		f, err := os.Open(path)
 		if err != nil {
@@ -85,10 +91,8 @@ func main() {
 			os.Exit(1)
 		}
 		// Streamed traces are chunk-block sequences; a torn file still
-		// yields its gap-free prefix, which is worth analyzing. Traces
-		// salvaged by the hang supervisor carry its report appended as
-		// an extra block.
-		buf, reports, err := perf.ReadTraceStreamReports(f)
+		// yields its gap-free prefix, which is worth analyzing.
+		buf, err := perf.ReadTraceStream(f)
 		f.Close()
 		if err != nil {
 			if !errors.Is(err, perf.ErrBadTrace) || buf == nil {
@@ -101,20 +105,6 @@ func main() {
 		}
 		dropped += buf.Dropped()
 		samples = append(samples, buf.Samples()...)
-		for _, rep := range reports {
-			// Every salvaged per-thread file carries the same report;
-			// render it once.
-			seen := false
-			for _, have := range hangReports {
-				if have == rep {
-					seen = true
-					break
-				}
-			}
-			if !seen {
-				hangReports = append(hangReports, rep)
-			}
-		}
 	}
 	fmt.Printf("%d samples from %d trace files", len(samples), len(paths))
 	if dropped > 0 {

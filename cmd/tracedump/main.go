@@ -66,9 +66,8 @@ func dump(path string, summary bool) error {
 	// them (and reads single-block WriteTraces files unchanged). A torn
 	// file — truncated by a crash or a failed write — still yields its
 	// gap-free prefix: print what survived with a warning rather than
-	// discarding a salvageable trace. Hang-salvaged traces carry the
-	// supervisor's report as an appended block, printed alongside.
-	buf, reports, err := perf.ReadTraceStreamReports(f)
+	// discarding a salvageable trace.
+	buf, err := perf.ReadTraceStream(f)
 	if err != nil {
 		if buf == nil || len(buf.Samples()) == 0 {
 			return err
@@ -81,15 +80,17 @@ func dump(path string, summary bool) error {
 	// A psxd run directory carries a manifest; if the daemon salvaged
 	// this run from its journal after a crash, say so next to the data.
 	// A quarantined seal (storage failed before the BYE) has not been
-	// re-validated yet, so its tail may be torn — warn louder.
-	if m, err := ingest.ReadManifest(filepath.Dir(path)); err == nil {
+	// re-validated yet, so its tail may be torn — warn louder. A hang
+	// salvage leaves the supervisor's report beside the traces.
+	dir := filepath.Dir(path)
+	if m, err := ingest.ReadManifest(dir); err == nil {
 		if m.Quarantined {
 			fmt.Printf("  WARNING: quarantined run — the ingest daemon's storage failed before this run was sealed; the tail past the journaled prefix may be torn or missing\n")
 		} else if m.Salvaged {
 			fmt.Printf("  note: salvaged run — the ingest daemon recovered this trace from its journal after a crash; the samples are the journaled prefix\n")
 		}
 	}
-	for _, rep := range reports {
+	if rep := perf.HangReport(dir); rep != "" {
 		fmt.Printf("  WARNING: hang report salvaged with this trace; the samples are the gap-free prefix of a run that did not finish\n")
 		for _, line := range strings.Split(strings.TrimRight(rep, "\n"), "\n") {
 			fmt.Printf("  | %s\n", line)

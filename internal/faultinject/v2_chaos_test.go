@@ -25,8 +25,7 @@ import (
 // is not canonical.
 
 // requireV2Files asserts that every block of every trace file in dir
-// is a PSX2 block. A hang-salvaged file ends in one PSXR report block,
-// which is not sample storage and ends the walk.
+// is a PSX2 block.
 func requireV2Files(t *testing.T, dir string) {
 	t.Helper()
 	files, _ := filepath.Glob(filepath.Join(dir, "trace.*.psxt"))
@@ -42,7 +41,7 @@ func requireV2Files(t *testing.T, dir string) {
 		blocks := 0
 		for {
 			head, _ := br.Peek(4)
-			if len(head) == 0 || string(head) == "PSXR" {
+			if len(head) == 0 {
 				break
 			}
 			if !perf.IsV2Block(head) {

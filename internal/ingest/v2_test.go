@@ -2,6 +2,8 @@ package ingest
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"goomp/internal/perf"
@@ -60,5 +62,50 @@ func TestChunkSampleCountCrossChecked(t *testing.T) {
 	// correct frame still lands.
 	if ack := tc.send(MsgChunk, EncodeChunk(Chunk{Seq: 3, Thread: 0, Samples: 5, Block: v1})); ack.Code != CodeOK {
 		t.Fatalf("sequence burned by refused frames: %v", ack.Code)
+	}
+}
+
+// TestChunkMustCarrySampleBlocks: a chunk's bytes are trace blocks.
+// One with no block at all, and one holding a block of another kind
+// (the hang-report block older tools appended to salvaged traces), are
+// refused with their seq and booked nowhere; the seq stays open for
+// the real block.
+func TestChunkMustCarrySampleBlocks(t *testing.T) {
+	dir := t.TempDir()
+	srv, err := Serve("127.0.0.1:0", Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	tc, _ := dialClient(t, srv.Addr(), "blocks-only")
+	defer tc.close()
+
+	report := []byte{'P', 'S', 'X', 'R', 1, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 'h', 'a', 'n', 'g'}
+	for _, bad := range []struct {
+		name  string
+		block []byte
+	}{
+		{"empty", nil},
+		{"report", report},
+	} {
+		if ack := tc.send(MsgChunk, EncodeChunk(Chunk{Seq: 1, Thread: 0, Block: bad.block})); ack.Code != CodeBadFrame || ack.Seq != 1 {
+			t.Fatalf("%s chunk acked %v seq %d, want %v seq 1", bad.name, ack.Code, ack.Seq, CodeBadFrame)
+		}
+	}
+	block := traceBlockV2(t, 0, 5, false)
+	if ack := tc.send(MsgChunk, EncodeChunk(Chunk{Seq: 1, Thread: 0, Samples: 5, Block: block})); ack.Code != CodeOK {
+		t.Fatalf("seq 1 burned by the refused chunks: %v", ack.Code)
+	}
+	waitFor(t, "the real chunk to land", func() bool {
+		runs := srv.Runs()
+		return len(runs) == 1 && runs[0].Chunks > 0
+	})
+	if ri := srv.Runs()[0]; ri.Chunks != 1 || ri.Samples != 5 || ri.Bytes != uint64(len(block)) {
+		t.Fatalf("run booked %d chunks, %d samples, %d bytes; want only the real block's 1, 5, %d",
+			ri.Chunks, ri.Samples, ri.Bytes, len(block))
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "blocks-only", "trace.0.psxt"))
+	if err != nil || !bytes.Equal(data, block) {
+		t.Fatalf("trace.0.psxt holds %d bytes (%v), want exactly the real block", len(data), err)
 	}
 }

@@ -148,7 +148,7 @@ func TestCommitAfterValidate(t *testing.T) {
 				if !c.cut {
 					stream = append(stream, bytes.Join(blocks[k+1:], nil)...)
 				}
-				want, _, err := ReadTraceStreamReports(bytes.NewReader(prefix))
+				want, err := ReadTraceStream(bytes.NewReader(prefix))
 				if err != nil {
 					t.Fatalf("intact prefix of %d %s blocks: %v", k, f.name, err)
 				}
@@ -163,7 +163,7 @@ func TestCommitAfterValidate(t *testing.T) {
 					{"unsized", struct{ io.Reader }{bytes.NewReader(stream)}},
 				} {
 					name := fmt.Sprintf("%s/%s/block%d/%s", f.name, c.name, k, src.name)
-					got, _, err := ReadTraceStreamReports(src.r)
+					got, err := ReadTraceStream(src.r)
 					if !errors.Is(err, ErrBadTrace) {
 						t.Fatalf("%s: err = %v, want ErrBadTrace", name, err)
 					}
@@ -202,14 +202,13 @@ func TestFlateSurplusIsNotInflated(t *testing.T) {
 }
 
 // TestMixedStreamEqualsPerBlockReads: a stream mixing all three
-// encodings with report blocks between them reads back as the blocks
-// read one by one with ReadTrace would merge by hand.
+// encodings reads back as the blocks read one by one with ReadTrace
+// would merge by hand.
 func TestMixedStreamEqualsPerBlockReads(t *testing.T) {
 	encs := []Encoding{{}, {V2: true}, {V2: true, Flate: true}, {V2: true}, {}, {V2: true, Flate: true}}
 	var stream bytes.Buffer
 	var want []resolvedSample
 	var wantDropped uint64
-	var wantReports []string
 	for blk, enc := range encs {
 		block := goodBlock(t, blk, 3+blk, enc)
 		stream.Write(block)
@@ -219,15 +218,8 @@ func TestMixedStreamEqualsPerBlockReads(t *testing.T) {
 		}
 		want = append(want, resolve(one)...)
 		wantDropped += one.Dropped()
-		if blk%2 == 1 {
-			text := fmt.Sprintf("report after block %d", blk)
-			if err := WriteHangReportBlock(&stream, text); err != nil {
-				t.Fatal(err)
-			}
-			wantReports = append(wantReports, text)
-		}
 	}
-	got, reports, err := ReadTraceStreamReports(bytes.NewReader(stream.Bytes()))
+	got, err := ReadTraceStream(bytes.NewReader(stream.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,9 +228,6 @@ func TestMixedStreamEqualsPerBlockReads(t *testing.T) {
 	}
 	if got.Dropped() != wantDropped || got.NumStacks() != len(encs) {
 		t.Fatalf("dropped %d, stacks %d; want %d, %d", got.Dropped(), got.NumStacks(), wantDropped, len(encs))
-	}
-	if !reflect.DeepEqual(reports, wantReports) {
-		t.Fatalf("reports = %q, want %q", reports, wantReports)
 	}
 }
 

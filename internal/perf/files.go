@@ -63,3 +63,18 @@ func FindTraceFiles(path string) ([]string, error) {
 	sort.Strings(out)
 	return out, nil
 }
+
+// HangReportName is the file a hang salvage writes its diagnosis to,
+// in the directory that holds the traces it explains. Trace files
+// carry samples only; readers take the report from here, once per
+// directory.
+const HangReportName = "hang.report"
+
+// HangReport returns the hang diagnosis salvaged into dir, or "" when
+// the traces there come from a run that did not hang. A report that
+// cannot be read counts as none: the traces beside it read the same
+// either way.
+func HangReport(dir string) string {
+	text, _ := os.ReadFile(filepath.Join(dir, HangReportName))
+	return string(text)
+}

@@ -812,21 +812,3 @@ func ReadTrace(r io.Reader) (*TraceBuffer, error) {
 	}
 	return d.dst, nil
 }
-
-// ReadTraceStream reads a concatenation of trace blocks (as produced
-// by the streaming storage: one block per sealed chunk plus a final
-// residue block) until EOF and merges them into one buffer, re-basing
-// each block's stack IDs.
-//
-// A truncated or corrupt stream — a trace file torn by a mid-write
-// failure or an interrupted run — does not void the data before the
-// damage: the merged gap-free prefix of complete blocks is returned
-// alongside a non-nil error wrapping ErrBadTrace, so readers can
-// salvage a partial trace while still reporting the damage. Blocks are
-// written in append order, so the prefix has no holes.
-// Interleaved PSXR hang-report blocks (see report.go) are skipped;
-// use ReadTraceStreamReports to collect them.
-func ReadTraceStream(r io.Reader) (*TraceBuffer, error) {
-	tb, _, err := ReadTraceStreamReports(r)
-	return tb, err
-}

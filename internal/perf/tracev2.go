@@ -281,9 +281,9 @@ func (e *BlockEncoder) encode(views []chunkView, base0 int32, dropped uint64, de
 	return block, nil
 }
 
-// CountStreamSamples walks a stream of concatenated trace blocks (v1,
-// v2, and PSXR report blocks in any mix) and returns the total sample
-// count they declare, validating each block's structure along the way
+// CountStreamSamples walks a stream of concatenated trace blocks (v1
+// and v2 in any mix) and returns the total sample count they declare,
+// validating each block's structure along the way
 // — v2 blocks additionally have their payload checksum verified. It is
 // the one place sample counts are derived from encoded bytes: with
 // variable-width v2 blocks in the world, dividing a byte length by a
@@ -311,10 +311,6 @@ func CountStreamSamples(r io.Reader) (uint64, error) {
 			return total, err
 		}
 		switch {
-		case bytes.Equal(head, reportMagic[:]):
-			if _, err := readHangReport(br); err != nil {
-				return total, err
-			}
 		case IsV2Block(head):
 			n, err := skimBlockV2(br)
 			if err != nil {
@@ -336,12 +332,15 @@ func CountStreamSamples(r io.Reader) (uint64, error) {
 // BlockSamples returns the sample count carried by block, a byte slice
 // holding whole encoded trace blocks (one staged chunk, a residue
 // block, or any concatenation), validating the bytes fully — a torn or
-// corrupt block is an error, never a partial count. Ingest-side
-// consumers use it to cross-check a frame's header-declared count
-// against the bytes it actually carries, once per chunk and from every
-// connection at once, so the readers it walks the bytes with are
-// pooled rather than made per call.
+// corrupt block is an error, never a partial count, and so is a slice
+// holding no block at all. Ingest-side consumers use it to cross-check
+// a frame's header-declared count against the bytes it actually
+// carries, once per chunk and from every connection at once, so the
+// readers it walks the bytes with are pooled rather than made per call.
 func BlockSamples(block []byte) (uint64, error) {
+	if len(block) == 0 {
+		return 0, fmt.Errorf("%w: no block", ErrBadTrace)
+	}
 	s := skimReaders.Get().(*skimReader)
 	s.src.Reset(block)
 	s.br.Reset(&s.src)

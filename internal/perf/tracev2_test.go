@@ -250,6 +250,19 @@ func TestMixedStreamReadAndCount(t *testing.T) {
 	}
 }
 
+// TestBlockSamplesNeedsABlock: an empty file is an empty stream, but a
+// chunk is a block — BlockSamples refuses a slice that holds none.
+func TestBlockSamplesNeedsABlock(t *testing.T) {
+	if n, err := CountStreamSamples(bytes.NewReader(nil)); err != nil || n != 0 {
+		t.Fatalf("CountStreamSamples(empty) = %d, %v; want 0, nil", n, err)
+	}
+	for _, block := range [][]byte{nil, {}} {
+		if _, err := BlockSamples(block); !errors.Is(err, ErrBadTrace) {
+			t.Fatalf("BlockSamples(%v) err = %v, want ErrBadTrace", block, err)
+		}
+	}
+}
+
 // TestV2TornTailSalvage cuts a mixed stream inside its final (v2)
 // block at every offset: the reader must return the gap-free prefix of
 // whole blocks with an error wrapping ErrBadTrace, and the skim

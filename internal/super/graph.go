@@ -109,7 +109,7 @@ func (s *Supervisor) buildReport(idle time.Duration) *HangReport {
 }
 
 // Render formats the report as the multi-line text that goes to
-// stderr, the hang.report file, and the PSXR trace block.
+// stderr and to the hang.report file beside the salvaged traces.
 func (r *HangReport) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "HANG detected: verdict=%s after %v of no progress, %d thread(s) blocked\n",

@@ -26,7 +26,7 @@ import (
 //	GOMP_TRACE_COMPRESS=bool   deflate written trace blocks
 //	GOMP_OBS_ADDR=host:port    serve the observability plane
 //	GOMP_HANG_TIMEOUT=duration no-progress window of the hang supervisor
-//	GOMP_HANG_DIR=path         where a hang report and salvage go
+//	GOMP_HANG_DIR=path         where a hang salvages without a StreamDir
 //
 // Booleans take the omp.ParseBool spellings (true/1/yes/on,
 // false/0/no/off).

@@ -20,8 +20,8 @@ import (
 // force-detach with a bounded quiesce — the blocked threads will never
 // finish their callbacks, so an unbounded wait would hang the handler
 // the same way the program hung — then salvage the gap-free trace
-// prefix plus the report to disk, and only then abort (unless a test
-// took the report through OnHang).
+// prefix and, beside it, the report to disk, and only then abort
+// (unless a test took the report through OnHang).
 
 // osExit is swapped out by the subprocess abort tests.
 var osExit = os.Exit
@@ -58,14 +58,14 @@ func (t *Tool) hangDetected(rep *super.HangReport) {
 	if t.opts.DetachTimeout == 0 {
 		t.detachBound.Store(int64(hangDetachBound))
 	}
-	reportDir := t.opts.HangDir
-	if reportDir == "" {
-		reportDir = t.opts.StreamDir
+	dir := t.opts.StreamDir
+	if dir == "" {
+		dir = t.opts.HangDir
 	}
 	streaming := t.stream != nil
 	t.Detach()
-	if reportDir != "" {
-		t.salvage(reportDir, streaming, text)
+	if dir != "" {
+		t.salvage(dir, streaming, text)
 	}
 	if t.opts.OnHang != nil {
 		t.opts.OnHang(text)
@@ -74,45 +74,31 @@ func (t *Tool) hangDetected(rep *super.HangReport) {
 	osExit(hangAbortCode)
 }
 
-// salvage writes the hang diagnosis next to the trace data. While
-// streaming, the per-thread trace files already hold the gap-free
-// prefix (Detach flushed the residue); otherwise the in-memory buffers
-// are serialized now. Every salvaged trace file then gets the report
-// appended as a PSXR block so the diagnosis travels with the data.
-func (t *Tool) salvage(reportDir string, streaming bool, text string) {
-	_ = os.MkdirAll(reportDir, 0o777)
-	_ = os.WriteFile(filepath.Join(reportDir, "hang.report"), []byte(text), 0o666)
-
-	traceDir := reportDir
+// salvage writes the hang diagnosis to dir as perf.HangReportName,
+// beside the trace data it explains. While streaming, the trace files
+// already hold the gap-free prefix (Detach flushed the residue) —
+// in dir when it is StreamDir, at psxd when the network is the only
+// sink; otherwise the in-memory buffers are serialized into dir now.
+func (t *Tool) salvage(dir string, streaming bool, text string) {
+	_ = os.MkdirAll(dir, 0o777)
+	_ = os.WriteFile(filepath.Join(dir, perf.HangReportName), []byte(text), 0o666)
 	if streaming {
-		traceDir = t.opts.StreamDir
-	} else {
-		var files []*os.File
-		err := t.WriteTraces(func(thread int32) (io.Writer, error) {
-			f, err := os.Create(tracePath(traceDir, thread))
-			if err != nil {
-				return nil, err
-			}
-			files = append(files, f)
-			return f, nil
-		})
-		for _, f := range files {
-			f.Close()
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tool: hang salvage: %v\n", err)
-		}
+		return
 	}
-	matches, _ := filepath.Glob(filepath.Join(traceDir, "trace.*.psxt"))
-	for _, path := range matches {
-		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	var files []*os.File
+	err := t.WriteTraces(func(thread int32) (io.Writer, error) {
+		f, err := os.Create(tracePath(dir, thread))
 		if err != nil {
-			continue
+			return nil, err
 		}
-		if err := perf.WriteHangReportBlock(f, text); err != nil {
-			fmt.Fprintf(os.Stderr, "tool: hang salvage: append report to %s: %v\n", path, err)
-		}
+		files = append(files, f)
+		return f, nil
+	})
+	for _, f := range files {
 		f.Close()
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "tool: hang salvage: %v\n", err)
 	}
 }
 

@@ -206,12 +206,12 @@ type Options struct {
 	// one supervised tool may be attached per process.
 	HangTimeout time.Duration
 
-	// HangDir is where the hang handler salvages: the rendered report
-	// is written to hang.report there, and when the tool is not
-	// streaming, every per-thread trace is written as trace.N.psxt.
-	// Empty defaults to StreamDir; empty both means the report goes to
-	// stderr only. Salvaged trace files get the report appended as a
-	// PSXR block (perf.ReadTraceStreamReports reads it back).
+	// HangDir is where a tool that does not stream to files salvages
+	// on a hang: an in-memory tool writes every per-thread trace there
+	// as trace.N.psxt. The rendered report is written as hang.report
+	// (perf.HangReportName) beside the traces: in StreamDir when that
+	// is set, else here; empty both means the report goes to stderr
+	// only.
 	HangDir string
 
 	// OnHang, when set, is called with the rendered hang report after
@@ -1086,7 +1086,7 @@ func (t *Tool) WriteTraces(write func(thread int32) (io.Writer, error)) error {
 	return nil
 }
 
-// WriteReport renders the report as text.
+// WriteTo renders the report as text.
 func (r *Report) WriteTo(w io.Writer) (int64, error) {
 	// p prints until the first write error and is a no-op after it.
 	var n int64
