@@ -91,7 +91,7 @@ chaos-disk:
 chaos-load:
 	$(GO) test -race -count=1 -timeout 120s ./internal/faultinject -run 'ChaosLoad'
 	$(GO) test -race -count=1 -timeout 120s ./internal/degrade
-	$(GO) test -race -count=1 -timeout 120s ./internal/tool -run 'Governor|Spill|Conservation|OptionsFromEnv|ParseOverheadCeiling|ParseSpillBytes'
+	$(GO) test -race -count=1 -timeout 120s ./internal/tool -run 'Governor|Spill|Conservation|OptionsFromEnv|ParseOverheadCeiling'
 	$(GO) test -race -count=1 -timeout 120s ./internal/ingest -run 'Overload|Heartbeat'
 
 # race runs the detector over everything (slower; check covers the

@@ -1,12 +1,17 @@
 package goomp_test
 
 import (
+	"bytes"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+
+	"goomp/internal/collector"
+	"goomp/internal/perf"
 )
 
 // End-to-end tests of the command-line drivers: each binary is built
@@ -93,6 +98,36 @@ func TestCLIOmpprof(t *testing.T) {
 	mustContain(t, dump, "samples", "OMP_EVENT")
 	summary := run(t, "tracedump", "-summary", paths[0])
 	mustContain(t, summary, "region", "calls")
+}
+
+// TestCLITracedumpSummaryBySite: region IDs are per invocation, so
+// -summary groups by site — N calls of one static region are one row
+// with N calls, not N rows of one call each.
+func TestCLITracedumpSummaryBySite(t *testing.T) {
+	const calls = 5
+	buf := perf.NewTraceBuffer(0, 0)
+	for i := 0; i < calls; i++ {
+		at := int64(100 * i)
+		buf.Append(perf.Sample{Time: at + 1, Event: int32(collector.EventFork), Site: 0x4242, StackID: perf.NoStack})
+		buf.Append(perf.Sample{Time: at + 11, Event: int32(collector.EventJoin), Region: uint64(i + 1), Site: 0x4242, StackID: perf.NoStack})
+	}
+	var out bytes.Buffer
+	if err := perf.WriteTraceEnc(&out, buf, perf.Encoding{V2: true}); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "trace.0.psxt")
+	if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var rows [][]string
+	for _, line := range strings.Split(run(t, "tracedump", "-summary", path), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && strings.HasPrefix(f[0], "0x") {
+			rows = append(rows, f)
+		}
+	}
+	if len(rows) != 1 || rows[0][0] != "0x4242" || rows[0][1] != fmt.Sprint(calls) {
+		t.Fatalf("summary rows = %q, want one row for site 0x4242 with %d calls", rows, calls)
+	}
 }
 
 // TestCLIReportsHangSalvage: a hang salvage leaves hang.report beside
@@ -237,7 +272,6 @@ func TestCLIOmpprofEnvironment(t *testing.T) {
 		"GOMP_INGEST_DURABLE=durable",
 		"GOMP_HANG_TIMEOUT=soon",
 		"GOMP_OVERHEAD_CEILING=150%",
-		"GOMP_SPILL_BYTES=64Q",
 	} {
 		out, code := ompprof([]string{bad}, "-sample", "0")
 		name := bad[:strings.IndexByte(bad, '=')]

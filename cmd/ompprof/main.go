@@ -10,7 +10,6 @@
 //	ompprof [-workload pi|EP|CG|MG|FT|BT|SP|LU|LU-HP] [-class S|W|A|B]
 //	        [-threads 4] [-sample 1ms] [-trace DIR] [-obs HOST:PORT]
 //	        [-stream DIR] [-ingest HOST:PORT] [-overhead-ceiling 2%]
-//	        [-spill-bytes 64M]
 package main
 
 import (
@@ -59,7 +58,6 @@ func main() {
 	flag.DurationVar(&opts.HangTimeout, "hang-timeout", opts.HangTimeout, "hang supervision: after this long with no progress, print a deadlock/no-progress diagnosis, salvage the trace prefix and exit nonzero; defaults to $GOMP_HANG_TIMEOUT, 0 disables")
 	flag.StringVar(&opts.HangDir, "hang-dir", opts.HangDir, "without -stream, the directory a hang salvages its report (and an in-memory run's traces) into; with -stream both stay in the -stream directory; defaults to $GOMP_HANG_DIR")
 	ceiling := flag.String("overhead-ceiling", "", "arm the adaptive overhead governor: target max profiling overhead as a fraction (\"0.02\") or percentage (\"2%\") of wall time; defaults to $GOMP_OVERHEAD_CEILING, unset disables")
-	spillBytes := flag.String("spill-bytes", "", "with -stream and -ingest both set, chunks the ingest daemon cannot take detour to the local trace files and replay on reconnect; this bounds that backlog: a positive byte count with optional K/M/G suffix (default 64M); defaults to $GOMP_SPILL_BYTES")
 	flag.BoolVar(&opts.TraceCompress, "trace-compress", opts.TraceCompress, "flate-compress the written trace blocks; defaults to $GOMP_TRACE_COMPRESS")
 	flag.Parse()
 	if *ceiling != "" {
@@ -69,14 +67,6 @@ func main() {
 			os.Exit(2)
 		}
 		opts.OverheadCeiling = c
-	}
-	if *spillBytes != "" {
-		n, err := tool.ParseSpillBytes(*spillBytes)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ompprof: -spill-bytes:", err)
-			os.Exit(2)
-		}
-		opts.SpillBytes = n
 	}
 
 	rt := omp.New(cfg)

@@ -98,9 +98,9 @@ func dump(path string, summary bool) error {
 	}
 
 	if summary {
-		stats := perf.RegionProfile(samples,
+		sites := perf.RegionProfileBySite(samples,
 			int32(collector.EventFork), int32(collector.EventJoin))
-		perf.WriteRegionTable(os.Stdout, stats)
+		perf.WriteRegionSiteTable(os.Stdout, sites, nil)
 		return nil
 	}
 

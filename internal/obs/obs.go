@@ -21,9 +21,7 @@
 // published trace-buffer chunk lists (the same snapshot path Detach's
 // degraded flush uses), the cold-path health record. A scrape costs the
 // scraper, never the OpenMP threads: no lock, counter or barrier is
-// added to the event hot path. The registry (registry.go) also offers
-// static atomic instruments for components that prefer push-style
-// feeding.
+// added to the event hot path.
 package obs
 
 import (

@@ -142,16 +142,17 @@ func TestHistogramConcurrent(t *testing.T) {
 
 func TestRegistryWritePrometheus(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("test_events_total", "Total events.", Label{"event", "fork"})
-	c.Add(42)
-	g := r.Gauge("test_threads", "Live threads.")
-	g.Set(4)
+	r.CounterFunc("test_events_total", "Total events.", func() float64 { return 42 }, Label{"event", "fork"})
+	r.GaugeFunc("test_threads", "Live threads.", func() float64 { return 4 })
 	r.GaugeFunc("test_up", "Always one.", func() float64 { return 1 })
 	r.CounterSeries("test_multi_total", "Multi-series.", func(emit Emit) {
 		emit(1, Label{"k", "a"})
 		emit(2, Label{"k", `quote " and \ slash`})
 	})
-	h := r.Histogram("test_latency_seconds", "Latency.", Label{"site", "0x1"})
+	var h Histogram
+	r.HistogramSeries("test_latency_seconds", "Latency.", func(emit EmitHistogram) {
+		emit(h.Snapshot(), Label{"site", "0x1"})
+	})
 	h.ObserveNs(3)         // bucket ub=3ns
 	h.ObserveNs(1_000_000) // ~1ms
 	h.ObserveNs(1 << 50)   // overflow -> +Inf only
@@ -192,7 +193,8 @@ func TestRegistryWritePrometheus(t *testing.T) {
 
 func TestRegistryHistogramCumulative(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("cum_seconds", "")
+	var h Histogram
+	r.HistogramSeries("cum_seconds", "", func(emit EmitHistogram) { emit(h.Snapshot()) })
 	for i := 0; i < 100; i++ {
 		h.ObserveNs(int64(i))
 	}
@@ -251,15 +253,16 @@ func TestRegistryPanics(t *testing.T) {
 		}()
 		fn()
 	}
-	mustPanic("invalid name", func() { r.Counter("9bad", "") })
-	mustPanic("empty name", func() { r.Counter("", "") })
-	r.Counter("dual", "")
-	mustPanic("kind mismatch", func() { r.Gauge("dual", "") })
+	one := func() float64 { return 1 }
+	mustPanic("invalid name", func() { r.CounterFunc("9bad", "", one) })
+	mustPanic("empty name", func() { r.CounterFunc("", "", one) })
+	r.CounterFunc("dual", "", one)
+	mustPanic("kind mismatch", func() { r.GaugeFunc("dual", "", one) })
 }
 
 func TestServeEndpoints(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("srv_total", "").Add(7)
+	r.CounterFunc("srv_total", "", func() float64 { return 7 })
 	healthy := true
 	srv, err := Serve("127.0.0.1:0", Config{
 		Registry: r,

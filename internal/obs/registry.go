@@ -7,16 +7,13 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
-// The metric registry. Metrics are either static instruments (Counter,
-// Gauge, Histogram — atomic cells the owner updates in place) or
-// collection-time functions that read existing state when a scrape
-// happens. The tool uses the latter almost exclusively: the measurement
-// hot path already maintains lock-free counters and single-writer
-// buffers, so the plane only needs to read them at scrape time — no
-// instrument is ever touched on an OpenMP thread.
+// The metric registry. Every metric is a collection-time function that
+// reads existing state when a scrape happens: the measurement hot path
+// already maintains lock-free counters and single-writer buffers, so
+// the plane only needs to read them at scrape time — no instrument is
+// ever touched on an OpenMP thread.
 
 // Label is one name="value" pair attached to a metric series.
 type Label struct {
@@ -61,8 +58,8 @@ type family struct {
 
 // Registry holds metric families and renders them in the Prometheus
 // text exposition format. Registration is expected at setup time;
-// collection may run concurrently with the owners updating their
-// instruments.
+// collection may run concurrently with the owners updating the state
+// it reads.
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
@@ -72,30 +69,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{families: make(map[string]*family)}
 }
-
-// Counter registers and returns a monotonically increasing counter.
-type Counter struct{ v atomic.Uint64 }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge is a settable instrument.
-type Gauge struct{ v atomic.Int64 }
-
-// Set stores v.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add adds n (which may be negative).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 func (r *Registry) family(name, help string, kind Kind) *family {
 	if !validMetricName(name) {
@@ -111,27 +84,6 @@ func (r *Registry) family(name, help string, kind Kind) *family {
 		panic(fmt.Sprintf("obs: metric %q re-registered as %v, was %v", name, kind, f.kind))
 	}
 	return f
-}
-
-// Counter registers a static counter series under name.
-func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	c := &Counter{}
-	r.CounterFunc(name, help, func() float64 { return float64(c.Value()) }, labels...)
-	return c
-}
-
-// Gauge registers a static gauge series under name.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	g := &Gauge{}
-	r.GaugeFunc(name, help, func() float64 { return float64(g.Value()) }, labels...)
-	return g
-}
-
-// Histogram registers a static histogram series under name.
-func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram {
-	h := &Histogram{}
-	r.HistogramSeries(name, help, func(emit EmitHistogram) { emit(h.Snapshot(), labels...) })
-	return h
 }
 
 // CounterFunc registers a counter series whose value is read by fn at

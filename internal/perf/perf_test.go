@@ -261,51 +261,41 @@ func TestStateHistogram(t *testing.T) {
 
 func TestRegionProfile(t *testing.T) {
 	samples := []Sample{
-		{Time: 10, Event: 0, Region: 0},            // fork (region unknown at fork)
-		{Time: 30, Event: 1, Region: 1},            // join region 1: 20ns
-		{Time: 100, Event: 0},                      // fork
-		{Time: 160, Event: 1, Region: 2},           // join region 2: 60ns
-		{Time: 200, Event: 0},                      // fork
-		{Time: 240, Event: 1, Region: 2},           // join region 2: 40ns
-		{Time: 300, Event: 1, Region: 3},           // join without fork: ignored
-		{Time: 400, Event: 5, Region: 9, State: 1}, // unrelated event
+		{Time: 10, Event: 0, Site: 0xA},             // fork
+		{Time: 30, Event: 1, Region: 1, Site: 0xA},  // join: 20ns
+		{Time: 100, Event: 0, Site: 0xB},            // fork
+		{Time: 160, Event: 1, Region: 2, Site: 0xB}, // join: 60ns
+		{Time: 200, Event: 0, Site: 0xB},            // fork
+		{Time: 240, Event: 1, Region: 3, Site: 0xB}, // join: 40ns
+		{Time: 300, Event: 1, Region: 4, Site: 0xC}, // join without fork: ignored
+		{Time: 400, Event: 5, Region: 9, State: 1},  // unrelated event
 	}
-	stats := RegionProfile(samples, 0, 1)
+	// Region IDs are per invocation; the profile groups by site.
+	stats := RegionProfileBySite(samples, 0, 1)
 	if len(stats) != 2 {
-		t.Fatalf("regions = %d, want 2", len(stats))
+		t.Fatalf("sites = %d, want 2", len(stats))
 	}
-	r1, r2 := stats[0], stats[1]
-	if r1.Region != 1 || r1.Calls != 1 || r1.TotalTime != 20 {
-		t.Errorf("region 1 stats = %+v", r1)
+	b, a := stats[0], stats[1] // descending total time
+	if a.Site != 0xA || a.Calls != 1 || a.TotalTime != 20 {
+		t.Errorf("site A stats = %+v", a)
 	}
-	if r2.Region != 2 || r2.Calls != 2 || r2.TotalTime != 100 ||
-		r2.MinTime != 40 || r2.MaxTime != 60 {
-		t.Errorf("region 2 stats = %+v", r2)
+	if b.Site != 0xB || b.Calls != 2 || b.TotalTime != 100 ||
+		b.MinTime != 40 || b.MaxTime != 60 {
+		t.Errorf("site B stats = %+v", b)
 	}
 }
 
 func TestRegionProfileNested(t *testing.T) {
 	// An outer region forks at 10; a nested inner region forks at 20 and
-	// joins at 50 (30ns); the outer joins at 100 (90ns). The old single
-	// lastFork pairing attributed 100-20=80ns to the outer region and
-	// dropped the inner join entirely.
+	// joins at 50 (30ns); the outer joins at 100 (90ns). A single
+	// lastFork pairing would attribute 100-20=80ns to the outer region
+	// and drop the inner join entirely.
 	samples := []Sample{
 		{Time: 10, Event: 0, Site: 0xA},
 		{Time: 20, Event: 0, Site: 0xB},
 		{Time: 50, Event: 1, Region: 2, Site: 0xB},  // inner join: 30ns
 		{Time: 100, Event: 1, Region: 1, Site: 0xA}, // outer join: 90ns
 	}
-	stats := RegionProfile(samples, 0, 1)
-	if len(stats) != 2 {
-		t.Fatalf("regions = %d, want 2", len(stats))
-	}
-	if stats[0].Region != 1 || stats[0].TotalTime != 90 {
-		t.Errorf("outer region stats = %+v, want 90ns", stats[0])
-	}
-	if stats[1].Region != 2 || stats[1].TotalTime != 30 {
-		t.Errorf("inner region stats = %+v, want 30ns", stats[1])
-	}
-
 	bySite := RegionProfileBySite(samples, 0, 1)
 	if len(bySite) != 2 {
 		t.Fatalf("sites = %d, want 2", len(bySite))
@@ -367,11 +357,14 @@ func TestSiteProfiles(t *testing.T) {
 
 func TestWriteRegionTable(t *testing.T) {
 	var buf bytes.Buffer
-	WriteRegionTable(&buf, []RegionStats{
-		{Region: 1, Calls: 2, TotalTime: 100, MinTime: 40, MaxTime: 60},
-	})
-	out := buf.String()
-	if !strings.Contains(out, "region") || !strings.Contains(out, "1") {
-		t.Errorf("table output missing content:\n%s", out)
+	WriteRegionSiteTable(&buf, []RegionSiteStats{
+		{Site: 0x2a, Calls: 2, TotalTime: 100, MinTime: 40, MaxTime: 60},
+	}, nil)
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(lines) != 2 || !strings.Contains(lines[0], "calls") {
+		t.Fatalf("table = %q, want a header and one row", lines)
+	}
+	if f := strings.Fields(lines[1]); len(f) != 4 || f[0] != "0x2a" || f[1] != "2" || f[3] != "50ns" {
+		t.Errorf("row = %q, want site 0x2a, 2 calls, mean 50ns", lines[1])
 	}
 }

@@ -7,15 +7,6 @@ import (
 	"time"
 )
 
-// RegionStats aggregates one parallel region across its invocations.
-type RegionStats struct {
-	Region    uint64
-	Calls     int
-	TotalTime time.Duration
-	MinTime   time.Duration
-	MaxTime   time.Duration
-}
-
 // StateHistogram counts asynchronous state-sampler observations per
 // thread and state. Indexing is [thread][state]; the profile's Threads
 // and States bounds come from the caller.
@@ -101,36 +92,6 @@ func ForkJoinDurations(samples []Sample, forkEvent, joinEvent int32, visit func(
 	}
 }
 
-// RegionProfile computes per-region statistics from fork/join sample
-// pairs: the duration of each invocation is the join sample's counter
-// minus its matching fork sample's counter (paired per thread with a
-// stack, so nested and interleaved regions attribute correctly).
-// forkEvent and joinEvent identify the two event codes in the trace.
-func RegionProfile(samples []Sample, forkEvent, joinEvent int32) []RegionStats {
-	byRegion := make(map[uint64]*RegionStats)
-	ForkJoinDurations(samples, forkEvent, joinEvent, func(s *Sample, d time.Duration) {
-		st := byRegion[s.Region]
-		if st == nil {
-			st = &RegionStats{Region: s.Region, MinTime: d, MaxTime: d}
-			byRegion[s.Region] = st
-		}
-		st.Calls++
-		st.TotalTime += d
-		if d < st.MinTime {
-			st.MinTime = d
-		}
-		if d > st.MaxTime {
-			st.MaxTime = d
-		}
-	})
-	out := make([]RegionStats, 0, len(byRegion))
-	for _, st := range byRegion {
-		out = append(out, *st)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Region < out[j].Region })
-	return out
-}
-
 // RegionSiteStats aggregates all invocations of one static parallel
 // region (identified by its site PC) from fork/join sample pairs.
 type RegionSiteStats struct {
@@ -141,9 +102,14 @@ type RegionSiteStats struct {
 	MaxTime   time.Duration
 }
 
-// RegionProfileBySite is RegionProfile aggregated per static region:
-// one row per parallel region of the source program, with its
-// invocation count — the per-region view a profile presents.
+// RegionProfileBySite computes per-region statistics from fork/join
+// sample pairs: the duration of each invocation is the join sample's
+// counter minus its matching fork sample's counter (paired per thread
+// with a stack, so nested and interleaved regions attribute
+// correctly), aggregated per static region — one row per parallel
+// region of the source program, with its invocation count. Region IDs
+// are per invocation, so they are not what a profile groups by.
+// forkEvent and joinEvent identify the two event codes in the trace.
 func RegionProfileBySite(samples []Sample, forkEvent, joinEvent int32) []RegionSiteStats {
 	bySite := make(RegionSiteSet)
 	ForkJoinDurations(samples, forkEvent, joinEvent, func(s *Sample, d time.Duration) {
@@ -281,18 +247,4 @@ func SiteProfiles(b *TraceBuffer, s *Stripper) []SiteProfile {
 		return out[i].Leaf.Func < out[j].Leaf.Func
 	})
 	return out
-}
-
-// WriteRegionTable renders region statistics as a fixed-width table.
-func WriteRegionTable(w io.Writer, stats []RegionStats) {
-	fmt.Fprintf(w, "%-10s %8s %14s %14s %14s %14s\n",
-		"region", "calls", "total", "mean", "min", "max")
-	for _, st := range stats {
-		mean := time.Duration(0)
-		if st.Calls > 0 {
-			mean = st.TotalTime / time.Duration(st.Calls)
-		}
-		fmt.Fprintf(w, "%-10d %8d %14v %14v %14v %14v\n",
-			st.Region, st.Calls, st.TotalTime, mean, st.MinTime, st.MaxTime)
-	}
 }

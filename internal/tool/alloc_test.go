@@ -46,3 +46,35 @@ func TestAllocChunkFrame(t *testing.T) {
 		t.Fatalf("%d writes, %d bytes; want 202 writes of %d", c.frames, c.bytes, want)
 	}
 }
+
+// TestAllocOutboxCycle: a chunk's trip through the outbox — queued,
+// sent, acked — allocates nothing once the queue has grown, also when
+// frames stay in flight so the queue never empties and is slid down
+// over the popped frames instead.
+func TestAllocOutboxCycle(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation guards run without the race detector")
+	}
+	n := newNetSink(&Options{}, nil)
+	block := make([]byte, 64)
+	cycle := func() {
+		for i := 0; i < 4; i++ {
+			n.ship(0, 1, block, -1)
+		}
+		for {
+			if _, ok := n.next(); !ok {
+				break
+			}
+		}
+		n.acked(ingest.Ack{Seq: n.seq.Load() - 2, Code: ingest.CodeOK})
+	}
+	for i := 0; i < 8; i++ {
+		cycle()
+	}
+	if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
+		t.Fatalf("an outbox cycle of 4 chunks allocates %.2f times, want 0", avg)
+	}
+	if c, _ := n.led.Settled(shipped); c != 4*209-2 {
+		t.Fatalf("%d shipped, want %d", c, 4*209-2)
+	}
+}

@@ -19,8 +19,6 @@ import (
 //
 //	GOMP_OVERHEAD_CEILING=x    arm the overhead governor (fraction
 //	                           "0.02" or percentage "2%" of wall time)
-//	GOMP_SPILL_BYTES=n[K|M|G]  bound on the spill backlog when a file
-//	                           sink tees the ingest sink (default 64M)
 //	GOMP_INGEST_ADDR=host:port ship trace chunks to a psxd daemon
 //	GOMP_INGEST_DURABLE=bool   ask the daemon for durable acks
 //	GOMP_TRACE_COMPRESS=bool   deflate written trace blocks
@@ -41,13 +39,6 @@ func OptionsFromEnv(base Options, lookup func(string) (string, bool)) (Options, 
 			return opts, err
 		}
 		opts.OverheadCeiling = c
-	}
-	if v, ok := lookup("GOMP_SPILL_BYTES"); ok {
-		n, err := ParseSpillBytes(v)
-		if err != nil {
-			return opts, err
-		}
-		opts.SpillBytes = n
 	}
 	if v, ok := lookup("GOMP_INGEST_ADDR"); ok {
 		opts.IngestAddr = strings.TrimSpace(v)
@@ -103,24 +94,4 @@ func ParseOverheadCeiling(v string) (float64, error) {
 		return 0, fmt.Errorf("tool: bad GOMP_OVERHEAD_CEILING %q (must be in (0, 1], e.g. 0.02 or 2%%)", v)
 	}
 	return f, nil
-}
-
-// ParseSpillBytes parses a GOMP_SPILL_BYTES value: a positive byte
-// count, optionally with a K, M or G suffix (binary multiples).
-func ParseSpillBytes(v string) (int64, error) {
-	s := strings.TrimSpace(v)
-	mult := int64(1)
-	switch {
-	case strings.HasSuffix(s, "K"), strings.HasSuffix(s, "k"):
-		mult, s = 1<<10, s[:len(s)-1]
-	case strings.HasSuffix(s, "M"), strings.HasSuffix(s, "m"):
-		mult, s = 1<<20, s[:len(s)-1]
-	case strings.HasSuffix(s, "G"), strings.HasSuffix(s, "g"):
-		mult, s = 1<<30, s[:len(s)-1]
-	}
-	n, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
-	if err != nil || n <= 0 {
-		return 0, fmt.Errorf("tool: bad GOMP_SPILL_BYTES %q (want a positive byte count, optionally with K, M or G)", v)
-	}
-	return n * mult, nil
 }

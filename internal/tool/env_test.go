@@ -17,7 +17,6 @@ func lookupMap(m map[string]string) func(string) (string, bool) {
 func TestOptionsFromEnv(t *testing.T) {
 	opts, err := OptionsFromEnv(Options{}, lookupMap(map[string]string{
 		"GOMP_OVERHEAD_CEILING": "2%",
-		"GOMP_SPILL_BYTES":      "64M",
 		"GOMP_INGEST_ADDR":      "127.0.0.1:9470",
 		"GOMP_INGEST_DURABLE":   "on",
 		"GOMP_TRACE_COMPRESS":   "1",
@@ -29,8 +28,8 @@ func TestOptionsFromEnv(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := Options{
-		OverheadCeiling: 0.02, SpillBytes: 64 << 20,
-		IngestAddr: "127.0.0.1:9470", IngestDurable: true, TraceCompress: true,
+		OverheadCeiling: 0.02,
+		IngestAddr:      "127.0.0.1:9470", IngestDurable: true, TraceCompress: true,
 		ObsAddr: "127.0.0.1:9471", HangTimeout: 30 * time.Second, HangDir: "/tmp/hang",
 	}
 	if !reflect.DeepEqual(opts, want) {
@@ -49,12 +48,12 @@ func TestOptionsFromEnv(t *testing.T) {
 }
 
 func TestOptionsFromEnvDefaultsPreserved(t *testing.T) {
-	base := Options{OverheadCeiling: 0.1, HangDir: "keep", SpillBytes: 123}
+	base := Options{OverheadCeiling: 0.1, HangDir: "keep", IngestAddr: "127.0.0.1:1"}
 	opts, err := OptionsFromEnv(base, lookupMap(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.OverheadCeiling != 0.1 || opts.HangDir != "keep" || opts.SpillBytes != 123 {
+	if opts.OverheadCeiling != 0.1 || opts.HangDir != "keep" || opts.IngestAddr != "127.0.0.1:1" {
 		t.Errorf("empty env changed options: %+v", opts)
 	}
 }
@@ -66,10 +65,6 @@ func TestOptionsFromEnvErrors(t *testing.T) {
 		{"GOMP_OVERHEAD_CEILING": "0"},
 		{"GOMP_OVERHEAD_CEILING": "150%"},
 		{"GOMP_OVERHEAD_CEILING": "lots"},
-		{"GOMP_SPILL_BYTES": "0"},
-		{"GOMP_SPILL_BYTES": "-1"},
-		{"GOMP_SPILL_BYTES": "64Q"},
-		{"GOMP_SPILL_BYTES": "many"},
 		{"GOMP_INGEST_DURABLE": "durable"},
 		{"GOMP_TRACE_COMPRESS": "maybe"},
 		{"GOMP_HANG_TIMEOUT": "soon"},
@@ -126,37 +121,6 @@ func TestParseOverheadCeiling(t *testing.T) {
 		// a typo is diagnosable from the message alone.
 		if !strings.Contains(err.Error(), "GOMP_OVERHEAD_CEILING") || !strings.Contains(err.Error(), c.in) {
 			t.Errorf("ParseOverheadCeiling(%q) error does not name the knob and value: %v", c.in, err)
-		}
-	}
-}
-
-func TestParseSpillBytes(t *testing.T) {
-	cases := []struct {
-		in   string
-		want int64
-		ok   bool
-	}{
-		{"4096", 4096, true},
-		{"16K", 16 << 10, true},
-		{"16k", 16 << 10, true},
-		{"64M", 64 << 20, true},
-		{"2G", 2 << 30, true},
-		{" 8 M ", 8 << 20, true}, // whitespace around count and suffix is tolerated
-		{"0", 0, false},
-		{"-5M", 0, false},
-		{"M", 0, false},
-		{"", 0, false},
-	}
-	for _, c := range cases {
-		got, err := ParseSpillBytes(c.in)
-		if c.ok {
-			if err != nil || got != c.want {
-				t.Errorf("ParseSpillBytes(%q) = %d, %v; want %d", c.in, got, err, c.want)
-			}
-			continue
-		}
-		if err == nil {
-			t.Errorf("ParseSpillBytes(%q) accepted as %d", c.in, got)
 		}
 	}
 }

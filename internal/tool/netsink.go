@@ -12,6 +12,7 @@ import (
 
 	"goomp/internal/degrade"
 	"goomp/internal/ingest"
+	"goomp/internal/perf"
 )
 
 // The network sink ships the streamer's staged trace blocks to a psxd
@@ -19,34 +20,37 @@ import (
 // same invariants as the rest of the storage pipeline:
 //
 //   - A recording thread is never blocked: chunks reach the sink
-//     through the streamer's writer goroutine, and the sink's own
-//     hand-off is a bounded queue with a non-blocking push — overflow
-//     is dropped with exact chunk/sample accounting.
+//     through the streamer's writer goroutine, and the sink's hand-off
+//     is a non-blocking push onto its one queue, the outbox.
+//   - The outbox holds every frame the sink has not settled, in
+//     sequence order: the head is what is on the wire awaiting an ack
+//     (at most netWindow frames), behind it what is not sent yet.
+//     Ordering is the queue's, not an invariant kept between holders.
 //   - The connection manager reconnects with capped, interruptible
 //     backoff (the same waitBackoff helper the file streamer's retry
-//     loop uses, so Detach never stalls behind a sleeping sender).
-//   - Every data frame carries a session-monotonic sequence number and
-//     stays in an unacknowledged tail until the server acks it; on
-//     reconnect the server reports the last sequence it accepted and
-//     the sink resends only the tail beyond it. A frame torn by a
-//     mid-chunk disconnect was never acked, so it is resent whole.
+//     loop uses, so Detach never stalls behind a sleeping sender). On
+//     reconnect the server reports the last sequence it accepted, which
+//     settles the head up to it, and the rest of the head is resent. A
+//     frame torn by a mid-chunk disconnect was never acked, so it is
+//     resent whole.
 //   - An OK ack is cumulative: it settles every frame up to its
 //     sequence number. A non-OK ack settles only its own frame — a
 //     durable daemon nacks from its connection handler at once but
 //     acks OK only after the group commit, so a nack can overtake the
-//     OK acks of older frames, and those must stay in the tail.
-//   - When the server stays dead the sink degrades instead of growing:
-//     the bounded pending queue is the in-memory retention path. With
-//     a file sink configured alongside (Options.StreamDir), the staged
-//     bytes are on local disk regardless, so everything beyond the
-//     queue spills — an index into the trace files, store-and-forward —
-//     and replays in sequence order on reconnect: an outage longer than
-//     the queue degrades to disk, not to loss. Only past the spill
-//     bound, for a block not on local disk, or without a file sink are
-//     frames discarded, with exact accounting. The network edge only
-//     ever adds delivery, never risk.
+//     OK acks of older frames, and those must stay queued.
+//   - Memory is bounded: an unsent chunk keeps its block only while
+//     fewer than IngestPendingDepth unsent chunks do. Past that, with a
+//     file sink alongside (Options.StreamDir), the block is already in
+//     the thread's local trace file, so the frame drops its bytes and
+//     is parked — store-and-forward: it is read back from the file when
+//     its turn to be sent comes, and an outage longer than the memory
+//     bound degrades to disk, not to loss. Without a file sink, for a
+//     block not on local disk, or past maxParkedBytes, the chunk is
+//     dropped with exact accounting. Control frames (SEAL, BYE) carry
+//     no block and always queue. The network edge only ever adds
+//     delivery, never risk.
 //   - Downstream congestion feeds the overhead governor: an OVERLOADED
-//     ack from the server, or the spill engaging at all, signals
+//     ack from the server, or a chunk parked at all, signals
 //     backpressure so the governor can step the measurement down
 //     instead of producing data the system cannot move.
 //   - Every chunk ship takes is settled exactly once, by settle, into
@@ -54,7 +58,7 @@ import (
 //     produced == shipped + replayed + dropped + storage + spill-pending.
 
 const (
-	netPendingDepth = 256                   // bounded outgoing frame queue
+	netPendingDepth = 256                   // unsent chunks that may hold their block in memory
 	netWindow       = 64                    // max unacked frames in flight
 	netDialTimeout  = 2 * time.Second       // dial + HELLO handshake bound
 	netWriteTimeout = 2 * time.Second       // per-frame write bound
@@ -63,6 +67,11 @@ const (
 	netBackoffCap   = 2 * time.Second       // reconnect backoff cap
 	netHeartbeat    = time.Second           // idle keepalive period
 	netFlushGrace   = 3 * time.Second       // stop-time flush deadline
+
+	// maxParkedBytes bounds the block bytes parked at once. The bytes
+	// are on local disk regardless; the bound caps the queue's memory
+	// and the backlog a reconnect has to replay.
+	maxParkedBytes = 64 << 20
 )
 
 // codeUndelivered is what settle is told for a chunk the sink gives up
@@ -75,39 +84,73 @@ const codeUndelivered ingest.Code = ^ingest.Code(0)
 // BYE frame read them.
 const (
 	shipped  ingest.Bucket = iota // acked CodeOK straight from memory
-	replayed                      // acked CodeOK after the spill detour
-	dropped                       // never delivered: overflow, nack, parked block failing its check, unflushed at stop
+	replayed                      // acked CodeOK after being parked
+	dropped                       // never delivered: over the bound, nack, parked block failing its check, unflushed at stop
 	storage                       // refused INGEST_STORAGE: the daemon's disk failed, not the network
 )
 
-// netItem is one queued wire frame. spilled marks a frame that took
-// the on-disk detour: its eventual ack counts as replayed, not
-// shipped, so the conservation equation separates the two paths. off
-// is where a chunk's block sits in its thread's local trace file, −1
-// when it is not on local disk.
+// netItem is one queued wire frame. A chunk's block is nil while it is
+// parked; size is the block's length either way, and off is where it
+// sits in its thread's local trace file, −1 when it is not on local
+// disk. spilled marks a chunk that was ever parked: its eventual ack
+// counts as replayed, not shipped, so the conservation equation
+// separates the two paths.
 type netItem struct {
 	kind    uint8
 	seq     uint64
 	thread  int32
 	samples uint32
 	block   []byte
+	size    int
 	spilled bool
 	off     int64
 }
 
-// netSink is the connection manager plus bounded shipping queue.
+// tally counts chunk frames, their samples and their block bytes.
+type tally struct {
+	chunks, samples uint64
+	bytes           int64
+}
+
+func (t *tally) add(it *netItem) {
+	t.chunks++
+	t.samples += uint64(it.samples)
+	t.bytes += int64(it.size)
+}
+
+func (t *tally) sub(it *netItem) {
+	t.chunks--
+	t.samples -= uint64(it.samples)
+	t.bytes -= int64(it.size)
+}
+
+// netSink is the connection manager plus its outbox.
 type netSink struct {
 	addr  string
 	hello ingest.Hello
 	dial  func(addr string) (net.Conn, error)
+	depth int    // unsent chunks that may hold their block in memory
+	dir   string // the file sink's directory, where parked blocks are read back; "" means no parking
 
-	pending chan *netItem
+	wake    chan struct{} // one slot: a frame was queued
 	closing chan struct{} // shutdown requested: flush then exit
 	done    chan struct{} // flush grace expired: drop and exit
 	wg      sync.WaitGroup
 
-	spill *spillIndex       // nil unless a file sink (Options.StreamDir) is set
-	gov   *degrade.Governor // nil unless the overhead governor is on
+	gov *degrade.Governor // nil unless the overhead governor is on
+
+	// The outbox. q[head:] is every frame not yet settled, oldest
+	// first; its first sent frames are on the wire. The producer only
+	// appends; the sender alone sends, pops and removes, so an index
+	// relative to head stays valid across the producer's appends.
+	mu      sync.Mutex
+	q       []netItem
+	head    int
+	sent    int
+	held    int                // unsent chunks holding their block in memory
+	parked  tally              // unsent chunks whose block is only in the trace file
+	spilled tally              // every chunk ever parked, counted once
+	files   map[int32]*os.File // the sender's read handles for parked blocks
 
 	seq   atomic.Uint64 // last assigned sequence number
 	frame []byte        // the sender's CHUNK frame buffer, reused frame after frame
@@ -120,6 +163,14 @@ type netSink struct {
 // startNetSink builds and starts the sink's sender goroutine. gov may
 // be nil (no overhead governor).
 func startNetSink(opts *Options, gov *degrade.Governor) *netSink {
+	n := newNetSink(opts, gov)
+	n.wg.Add(1)
+	go n.loop()
+	return n
+}
+
+// newNetSink builds an unconnected sink.
+func newNetSink(opts *Options, gov *degrade.Governor) *netSink {
 	host, _ := os.Hostname()
 	run := opts.IngestRun
 	if run == "" {
@@ -128,105 +179,113 @@ func startNetSink(opts *Options, gov *degrade.Governor) *netSink {
 	var flags uint32
 	if opts.IngestDurable {
 		// Durable acks: the server acknowledges a frame only once its
-		// group commit reached disk, so our unacked tail is exactly what
-		// a daemon crash can lose — and what the reconnect resends.
+		// group commit reached disk, so the outbox's head is exactly
+		// what a daemon crash can lose — and what the reconnect resends.
 		flags |= ingest.FlagDurable
 	}
-	depth := opts.IngestPendingDepth
-	if depth <= 0 {
-		depth = netPendingDepth
-	}
 	n := &netSink{
-		addr: opts.IngestAddr,
-		hello: ingest.Hello{
-			Version: ingest.ProtoVersion,
-			Run:     run,
-			Host:    host,
-			PID:     uint64(os.Getpid()),
-			Flags:   flags,
-		},
+		addr:    opts.IngestAddr,
+		hello:   ingest.Hello{Version: ingest.ProtoVersion, Run: run, Host: host, PID: uint64(os.Getpid()), Flags: flags},
 		dial:    opts.DialIngest,
-		pending: make(chan *netItem, depth),
+		depth:   opts.IngestPendingDepth,
+		dir:     opts.StreamDir,
+		wake:    make(chan struct{}, 1),
 		closing: make(chan struct{}),
 		done:    make(chan struct{}),
 		gov:     gov,
+		files:   make(map[int32]*os.File),
 		led:     ingest.NewLedger("ingest produced", "shipped", "replayed", "dropped", "storage"),
+	}
+	n.led.Held = n.parkedCounts
+	if n.depth <= 0 {
+		n.depth = netPendingDepth
 	}
 	if n.dial == nil {
 		n.dial = func(addr string) (net.Conn, error) {
 			return net.DialTimeout("tcp", addr, netDialTimeout)
 		}
 	}
-	if opts.StreamDir != "" {
-		n.spill = newSpillIndex(opts.StreamDir, opts.SpillBytes)
-		n.led.Held = n.spill.pendingCounts
-	}
-	n.wg.Add(1)
-	go n.loop()
 	return n
 }
 
 // ship queues one staged trace block; off is where the file sink wrote
 // it (−1: not on local disk). Called only from the streamer's writer
-// goroutine; never blocks — a full queue spills when the block is in a
-// local trace file, and only past the spill bound (or without one) is
-// the block dropped, with exact accounting either way.
+// goroutine; never blocks.
 func (n *netSink) ship(thread int32, samples uint32, block []byte, off int64) {
 	n.led.Take(samples)
-	n.enqueue(&netItem{
+	n.enqueue(netItem{
 		kind:    ingest.MsgChunk,
 		seq:     n.seq.Add(1),
 		thread:  thread,
 		samples: samples,
 		block:   block,
+		size:    len(block),
 		off:     off,
 	})
 }
 
 // seal queues a thread's end-of-stream marker.
 func (n *netSink) seal(thread int32) {
-	n.enqueue(&netItem{kind: ingest.MsgSeal, seq: n.seq.Add(1), thread: thread})
+	n.enqueue(netItem{kind: ingest.MsgSeal, seq: n.seq.Add(1), thread: thread})
 }
 
-// enqueue routes one frame, preserving global sequence order across
-// the two paths: a frame enters the channel only while the spill
-// backlog is empty, and the sender (next) empties the channel before
-// it touches the spill, so every channel frame is older than every
-// spilled frame. A frame that fits neither is dropped with accounting.
-func (n *netSink) enqueue(it *netItem) {
-	overflow := false
-	if n.spill == nil || n.spill.pending() == 0 {
-		select {
-		case n.pending <- it:
+// enqueue appends one frame to the outbox and wakes the sender. A
+// chunk past the memory bound is parked or, failing that, dropped.
+func (n *netSink) enqueue(it netItem) {
+	n.mu.Lock()
+	if it.kind == ingest.MsgChunk {
+		if n.held < n.depth {
+			n.held++
+		} else if !n.park(&it) {
+			n.mu.Unlock()
+			n.settle(&it, codeUndelivered)
 			return
-		default:
-			overflow = true
+		} else if n.gov != nil {
+			// Parking is itself a congestion signal: memory was not
+			// enough.
+			n.gov.Backpressure()
 		}
 	}
-	if !n.park(it) {
-		n.settle(it, codeUndelivered)
-		return
+	if len(n.q) == cap(n.q) && n.head >= len(n.q)/2 {
+		// Reuse the backing array: slide the live frames down over the
+		// popped ones instead of growing.
+		live := copy(n.q, n.q[n.head:])
+		clear(n.q[live:])
+		n.q, n.head = n.q[:live], 0
 	}
-	if overflow && n.gov != nil {
-		// The spill engaging is itself a congestion signal: the
-		// in-memory queue was not enough.
-		n.gov.Backpressure()
+	n.q = append(n.q, it)
+	n.mu.Unlock()
+	select {
+	case n.wake <- struct{}{}:
+	default:
 	}
 }
 
-// park indexes one frame in the spill; false means there is no spill,
-// it is full, or the chunk is not on local disk.
+// park lets a chunk's block go from memory, leaving the frame pointing
+// at its copy in the local trace file; false means it has none or the
+// parked-byte bound is reached. Called with mu held.
 func (n *netSink) park(it *netItem) bool {
-	return n.spill != nil && n.spill.add(it)
+	if n.dir == "" || it.off < 0 || n.parked.bytes+int64(it.size) > maxParkedBytes {
+		return false
+	}
+	it.block = nil
+	n.parked.add(it)
+	if !it.spilled {
+		// A frame parked again at a hard stop, after it was read back
+		// and sent but never acked, keeps its original count.
+		it.spilled = true
+		n.spilled.add(it)
+	}
+	return true
 }
 
 // settle books where one frame ended up; every path that lets go of a
 // frame calls it, exactly once per frame. OK means delivered and
-// acknowledged — replayed if the chunk took the spill detour, shipped
+// acknowledged — replayed if the chunk was ever parked, shipped
 // otherwise. INGEST_STORAGE means the daemon's disk failed and the run
 // is quarantined there: its own bucket, because the loss is a disk and
-// not the network. Anything else (an overloaded or sealed nack, queue
-// overflow, a parked block failing its check, the flush grace
+// not the network. Anything else (an overloaded or sealed nack, the
+// memory bound, a parked block failing its check, the flush grace
 // expiring) is a drop. Control frames carry no data to lose.
 func (n *netSink) settle(it *netItem, code ingest.Code) {
 	if it.kind != ingest.MsgChunk {
@@ -244,12 +303,169 @@ func (n *netSink) settle(it *netItem, code ingest.Code) {
 	n.led.Settle(b, it.samples)
 }
 
+// next marks the oldest unsent frame sent and returns it, reading a
+// parked block back from its trace file; a block that fails its check
+// is settled as a drop on the way. ok false means the window is full
+// or nothing is unsent.
+func (n *netSink) next() (it netItem, ok bool) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for n.sent < netWindow && n.head+n.sent < len(n.q) {
+		i := n.head + n.sent
+		if n.q[i].kind != ingest.MsgChunk || n.q[i].block != nil {
+			if n.q[i].kind == ingest.MsgChunk {
+				n.held--
+			}
+			n.sent++
+			return n.q[i], true
+		}
+		it = n.q[i]
+		n.mu.Unlock() // the pread must not stall the producer's appends
+		block := n.readBack(&it)
+		n.mu.Lock()
+		n.parked.sub(&it)
+		i = n.head + n.sent // the producer may have slid the queue down meanwhile
+		if block != nil {
+			n.q[i].block = block
+			n.sent++
+			return n.q[i], true
+		}
+		n.settle(&it, codeUndelivered)
+		n.q = slices.Delete(n.q, i, i+1)
+	}
+	return netItem{}, false
+}
+
+// readBack preads a parked chunk's block from its thread's trace file
+// and checks it with perf.BlockSamples (PSX2 extent, payload CRC,
+// declared count); nil means it cannot be read back whole. Sender
+// only.
+func (n *netSink) readBack(it *netItem) []byte {
+	f := n.files[it.thread]
+	if f == nil {
+		var err error
+		if f, err = os.Open(tracePath(n.dir, it.thread)); err != nil {
+			return nil
+		}
+		n.files[it.thread] = f
+	}
+	block := make([]byte, it.size)
+	if _, err := f.ReadAt(block, it.off); err != nil {
+		return nil
+	}
+	if k, err := perf.BlockSamples(block); err != nil || k != uint64(it.samples) {
+		return nil
+	}
+	return block
+}
+
+// acked applies one ack to the frames on the wire. OK is cumulative
+// and pops the head; a non-OK ack settles only the frame it names and
+// leaves older frames waiting for their own acks.
+func (n *netSink) acked(a ingest.Ack) {
+	if a.Code == ingest.CodeOverloaded {
+		// The server's bounded ingest queue overflowed: downstream is
+		// congested, and the governor (when armed) should step the
+		// measurement down rather than keep producing into the wall.
+		n.overloadedAcks.Add(1)
+		if n.gov != nil {
+			n.gov.Backpressure()
+		}
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	inFlight := n.q[n.head : n.head+n.sent]
+	if a.Code == ingest.CodeOK {
+		k := 0
+		for k < len(inFlight) && inFlight[k].seq <= a.Seq {
+			n.settle(&inFlight[k], ingest.CodeOK)
+			k++
+		}
+		clear(inFlight[:k])
+		n.head, n.sent = n.head+k, n.sent-k
+		if n.head == len(n.q) {
+			n.q, n.head = n.q[:0], 0
+		}
+		return
+	}
+	if i := slices.IndexFunc(inFlight, func(it netItem) bool { return it.seq == a.Seq }); i >= 0 {
+		n.settle(&inFlight[i], a.Code)
+		n.q = slices.Delete(n.q, n.head+i, n.head+i+1)
+		n.sent--
+	}
+}
+
+// rewind makes every frame on the wire unsent again, for a new
+// connection to resend in order.
+func (n *netSink) rewind() {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for _, it := range n.q[n.head : n.head+n.sent] {
+		if it.kind == ingest.MsgChunk {
+			n.held++
+		}
+	}
+	n.sent = 0
+}
+
+// stop is the hard stop the flush grace ends in: one walk over the
+// outbox parks every chunk the trace files hold — it stays there,
+// accounted as spill-pending, instead of vanishing — and settles the
+// rest as undelivered.
+func (n *netSink) stop() {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	kept := n.q[:0]
+	for _, it := range n.q[n.head:] {
+		if it.kind == ingest.MsgChunk && (it.block == nil || n.park(&it)) {
+			kept = append(kept, it)
+		} else {
+			n.settle(&it, codeUndelivered)
+		}
+	}
+	clear(n.q[len(kept):])
+	n.q, n.head, n.sent, n.held = kept, 0, 0, 0
+}
+
+// inFlight returns how many frames are on the wire and how many are
+// queued in all.
+func (n *netSink) inFlight() (sent, queued int) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.sent, len(n.q) - n.head
+}
+
+// onlyParked reports whether the outbox holds parked chunks and no
+// block in memory: a backlog a flush need not wait out, since it stays
+// on disk either way.
+func (n *netSink) onlyParked() bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.parked.chunks > 0 &&
+		!slices.ContainsFunc(n.q[n.head:], func(it netItem) bool { return it.block != nil })
+}
+
+// parkedCounts returns the parked chunks and their samples — the
+// spill-pending term of the conservation equation.
+func (n *netSink) parkedCounts() (chunks, samples uint64) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.parked.chunks, n.parked.samples
+}
+
+// spilledCounts returns the chunks ever parked and their samples.
+func (n *netSink) spilledCounts() (chunks, samples uint64) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.spilled.chunks, n.spilled.samples
+}
+
 // shutdown asks the sender to flush and waits out the grace period;
-// whatever is still unflushed then is dropped with accounting. The
-// sender itself synthesizes the BYE once every data frame is acked, so
-// the loss accounting the BYE carries is final, not a snapshot taken
-// with frames still in flight. Called from the streamer's stop (writer
-// goroutine).
+// whatever is still unflushed then is parked or dropped with
+// accounting. The sender itself queues the BYE once every data frame
+// is acked, so the loss accounting the BYE carries is final, not a
+// snapshot taken with frames still in flight. Called from the
+// streamer's stop (writer goroutine).
 func (n *netSink) shutdown() {
 	close(n.closing)
 	finished := make(chan struct{})
@@ -265,10 +481,10 @@ func (n *netSink) shutdown() {
 		close(n.done)
 		<-finished
 	}
-	if n.spill != nil {
-		// The sender is gone; release handles. Whatever is still parked
-		// stays in the trace files and is accounted as spilled-pending.
-		n.spill.close()
+	// The sender is gone; release its read handles. Whatever is still
+	// parked stays in the trace files, accounted as spill-pending.
+	for _, f := range n.files {
+		f.Close()
 	}
 }
 
@@ -293,7 +509,7 @@ func (w *wire) readAcks(br *bufio.Reader) {
 			continue
 		}
 		// Seq 0 answers a heartbeat (or a frame the server could not
-		// parse far enough to name): nothing in the tail to settle.
+		// parse far enough to name): nothing queued to settle.
 		if a, err := ingest.DecodeAck(payload); err == nil && a.Seq != 0 {
 			w.acks <- a
 		}
@@ -302,7 +518,7 @@ func (w *wire) readAcks(br *bufio.Reader) {
 
 // close severs the connection and waits the reader out; draining lets
 // a reader blocked on a full channel reach the closed socket. Acks
-// dropped here are not lost: their frames stay in the unacked tail and
+// dropped here are not lost: their frames stay at the outbox's head and
 // the next HELLO-ACK (or the resend) settles them.
 func (w *wire) close() {
 	w.c.Close()
@@ -320,18 +536,16 @@ func closed(ch <-chan struct{}) bool {
 	}
 }
 
-// loop is the sender: connect with interruptible capped backoff,
-// resend the unacknowledged tail, then send the next frame while the
-// window has room and otherwise wait — for an ack, a new frame, the
-// heartbeat tick or a shutdown signal — keeping at most netWindow
-// frames in flight.
+// loop is the sender: connect with interruptible capped backoff, then
+// send the outbox's next unsent frame while the window has room and
+// otherwise wait — for an ack, a new frame, the heartbeat tick or a
+// shutdown signal — keeping at most netWindow frames in flight.
 func (n *netSink) loop() {
 	defer n.wg.Done()
 	var conn *wire
-	var unacked []*netItem
 	backoff := netBackoff0
 	closing := false
-	byeSent := false
+	byeQueued := false
 	hb := time.NewTicker(netHeartbeat)
 	defer hb.Stop()
 	ackWait := time.NewTimer(netAckWait)
@@ -348,7 +562,7 @@ func (n *netSink) loop() {
 	for {
 		if closed(n.done) {
 			hangUp()
-			n.giveUp(unacked)
+			n.stop()
 			return
 		}
 		closing = closing || closed(n.closing)
@@ -363,15 +577,13 @@ func (n *netSink) loop() {
 		if conn == nil {
 			c, lastSeq, err := n.connect()
 			if err != nil {
-				// With nothing left in memory a flush may stop here: after
-				// the BYE there is nothing to say, and a spilled backlog
-				// stays on disk as the spill-pending remainder (the run is
-				// incomplete either way, so the BYE is not worth waiting
-				// for). Everything delivered but the BYE still owed: keep
-				// retrying, bounded by the flush grace, so the server can
-				// seal the run complete.
-				if closing && len(unacked) == 0 && len(n.pending) == 0 &&
-					(byeSent || (n.spill != nil && n.spill.pending() > 0)) {
+				// A flush may stop here once only parked chunks are left:
+				// they stay on disk as the spill-pending remainder either
+				// way (the run is incomplete, so the BYE is not worth
+				// waiting for). Anything still in memory, the BYE
+				// included: keep retrying, bounded by the flush grace, so
+				// the server can seal the run complete.
+				if closing && n.onlyParked() {
 					return
 				}
 				backoff = waitBackoff(stop, backoff, netBackoffCap)
@@ -382,145 +594,61 @@ func (n *netSink) loop() {
 			n.connects.Add(1)
 			// The HELLO-ACK is one cumulative OK ack for everything the
 			// server accepted on earlier connections; the rest of the
-			// tail is resent in order.
-			unacked = n.acked(unacked, ingest.Ack{Seq: lastSeq, Code: ingest.CodeOK})
-			for _, it := range unacked {
-				if err := n.send(conn, it); err != nil {
-					hangUp()
-					break
-				}
-			}
+			// head is resent in order.
+			n.acked(ingest.Ack{Seq: lastSeq, Code: ingest.CodeOK})
+			n.rewind()
 			continue
 		}
 
-		var it *netItem
-		if len(unacked) < netWindow {
-			it = n.next()
-			if it == nil && closing && len(unacked) == 0 {
-				if byeSent {
-					return // everything flushed, BYE included
-				}
-				// Every data frame is settled, so the loss accounting is
-				// final: send the BYE that carries it.
-				it = &netItem{kind: ingest.MsgBye, seq: n.seq.Add(1)}
-				byeSent = true
-			}
-		}
-		if it == nil {
-			// Nothing to send right now. At a full window, or while
-			// flushing, the only way forward is an ack: bound that wait
-			// and treat a timeout as a dead connection (the resend path
-			// makes that safe). Otherwise a new frame may arrive too; the
-			// spill is empty here (next just said so), so a frame off the
-			// channel is still the oldest one there is.
-			var timeout <-chan time.Time
-			pending := n.pending
-			if len(unacked) >= netWindow || closing {
-				if !ackWait.Stop() {
-					select {
-					case <-ackWait.C:
-					default:
-					}
-				}
-				ackWait.Reset(netAckWait)
-				timeout, pending = ackWait.C, nil
-			}
-			select {
-			case a, ok := <-conn.acks:
-				if ok {
-					unacked = n.acked(unacked, a)
-				} else {
-					hangUp()
-				}
-			case it = <-pending:
-			case <-timeout:
-				hangUp()
-			case <-hb.C:
-				if err := conn.write(ingest.MsgHeartbeat, nil); err != nil {
-					hangUp()
-				}
-			case <-stop:
-			}
-		}
-		if it != nil {
-			unacked = append(unacked, it)
-			if err := n.send(conn, it); err != nil {
+		it, ok := n.next()
+		if ok {
+			if err := n.send(conn, &it); err != nil {
 				hangUp()
 			}
+			continue
 		}
-	}
-}
-
-// next picks the frame that follows everything already sent, without
-// waiting: the pending channel first, then the spill backlog (see
-// enqueue for why that is sequence order). Parked blocks that fail
-// their check are settled as drops on the way.
-func (n *netSink) next() *netItem {
-	select {
-	case it := <-n.pending:
-		return it
-	default:
-	}
-	for n.spill != nil {
-		it, intact := n.spill.next()
-		if it == nil || intact {
-			return it
+		sent, queued := n.inFlight()
+		if closing && queued == 0 {
+			if byeQueued {
+				return // everything flushed, BYE included
+			}
+			// Every data frame is settled, so the loss accounting is
+			// final: queue the BYE that carries it.
+			n.enqueue(netItem{kind: ingest.MsgBye, seq: n.seq.Add(1)})
+			byeQueued = true
+			continue
 		}
-		n.settle(it, codeUndelivered)
-	}
-	return nil
-}
-
-// acked applies one ack to the unacked tail. OK is cumulative; a
-// non-OK ack settles only the frame it names and leaves older frames
-// waiting for their own acks.
-func (n *netSink) acked(unacked []*netItem, a ingest.Ack) []*netItem {
-	if a.Code == ingest.CodeOK {
-		i := 0
-		for i < len(unacked) && unacked[i].seq <= a.Seq {
-			n.settle(unacked[i], ingest.CodeOK)
-			i++
+		// Nothing to send right now. At a full window, or while
+		// flushing, the only way forward is an ack: bound that wait and
+		// treat a timeout as a dead connection (the resend path makes
+		// that safe). Otherwise a new frame may arrive too.
+		var timeout <-chan time.Time
+		wake := n.wake
+		if closing || sent >= netWindow {
+			if !ackWait.Stop() {
+				select {
+				case <-ackWait.C:
+				default:
+				}
+			}
+			ackWait.Reset(netAckWait)
+			timeout, wake = ackWait.C, nil
 		}
-		return unacked[i:]
-	}
-	if a.Code == ingest.CodeOverloaded {
-		// The server's bounded ingest queue overflowed: downstream is
-		// congested, and the governor (when armed) should step the
-		// measurement down rather than keep producing into the wall.
-		n.overloadedAcks.Add(1)
-		if n.gov != nil {
-			n.gov.Backpressure()
-		}
-	}
-	i := slices.IndexFunc(unacked, func(it *netItem) bool { return it.seq == a.Seq })
-	if i < 0 {
-		return unacked
-	}
-	n.settle(unacked[i], a.Code)
-	return slices.Delete(unacked, i, i+1)
-}
-
-// giveUp is the terminal path for the in-memory frames the flush grace
-// expired on: chunks are parked in the spill — they stay in the trace
-// files, accounted as spill-pending, instead of vanishing — and what the
-// spill cannot take is dropped. This runs after the sender has stopped
-// replaying, so the order it parks them in no longer matters: nothing
-// replays the index after the sink shuts down.
-func (n *netSink) giveUp(unacked []*netItem) {
-	abandon := func(it *netItem) {
-		if it.kind != ingest.MsgChunk || !n.park(it) {
-			n.settle(it, codeUndelivered)
-		}
-	}
-	for _, it := range unacked {
-		abandon(it)
-	}
-	for {
 		select {
-		case it := <-n.pending:
-			abandon(it)
-		default:
-			return
+		case a, ok := <-conn.acks:
+			if ok {
+				n.acked(a)
+			} else {
+				hangUp()
+			}
+		case <-wake:
+		case <-timeout:
+			hangUp()
+		case <-hb.C:
+			if err := conn.write(ingest.MsgHeartbeat, nil); err != nil {
+				hangUp()
+			}
+		case <-stop:
 		}
 	}
 }
@@ -607,8 +735,6 @@ func (n *netSink) bye(seq uint64) ingest.Bye {
 	y.Produced, _ = n.led.Taken()
 	y.Dropped, y.DroppedSamples = n.led.Settled(dropped)
 	y.Replayed, _ = n.led.Settled(replayed)
-	if n.spill != nil {
-		y.Spilled, _ = n.spill.stats()
-	}
+	y.Spilled, _ = n.spilledCounts()
 	return y
 }

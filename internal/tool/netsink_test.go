@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -180,6 +181,56 @@ func TestIngestNetOnlyMode(t *testing.T) {
 	}
 	if rep.IngestDroppedChunks != 0 {
 		t.Errorf("%d chunks dropped on a healthy server", rep.IngestDroppedChunks)
+	}
+}
+
+// TestIngestNetOnlySealsPastTheBound: with no StreamDir and the memory
+// bound full when the run stops, every thread's SEAL must still reach
+// the daemon. The daemon is unreachable through the run and comes back
+// within the flush grace; a SEAL that found no room was settled like a
+// chunk — and a control frame settles to nothing — so psxd counted
+// fewer sealed threads than streamed.
+func TestIngestNetOnlySealsPastTheBound(t *testing.T) {
+	srv, dataDir := startIngestServer(t)
+	var down atomic.Bool
+	down.Store(true)
+
+	const threads = 2
+	rt := omp.New(omp.Config{NumThreads: threads})
+	defer rt.Close()
+	opts := FullMeasurement()
+	opts.IngestAddr = srv.Addr()
+	opts.IngestRun = "net-only-seal"
+	opts.IngestPendingDepth = 2
+	opts.DialIngest = outageDialer(&down)
+	tl, err := AttachRuntime(rt, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for tl.Report().IngestDroppedChunks == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the memory bound never filled during the outage")
+		}
+		for i := 0; i < 50; i++ {
+			rt.Parallel(func(tc *omp.ThreadCtx) {})
+		}
+	}
+	// The daemon answers once Detach has queued the SEALs behind the
+	// full bound.
+	time.AfterFunc(300*time.Millisecond, func() { down.Store(false) })
+	tl.Detach()
+	if err := tl.StreamError(); err != nil {
+		t.Fatalf("stream error: %v", err)
+	}
+	checkConservation(t, tl.Report())
+	waitRunComplete(t, srv, "net-only-seal")
+	m, err := ingest.ReadManifest(filepath.Join(dataDir, "net-only-seal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.SealedThreads != threads {
+		t.Fatalf("manifest sealed_threads = %d, want the %d threads that streamed", m.SealedThreads, threads)
 	}
 }
 

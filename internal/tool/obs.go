@@ -172,16 +172,16 @@ func (t *Tool) startObs(addr string) (*obs.Server, error) {
 			reg.CounterFunc("goomp_ingest_overloaded_acks_total",
 				"INGEST_OVERLOADED acks from the daemon (backpressure fed to the governor).",
 				func() float64 { return float64(n.overloadedAcks.Load()) })
-			if sp := n.spill; sp != nil {
+			if n.dir != "" {
 				reg.CounterFunc("goomp_spill_chunks_total",
-					"Trace blocks parked in the store-and-forward spill (indexed in the local trace files).",
-					func() float64 { return chunksOf(sp.stats()) })
+					"Trace blocks parked in the store-and-forward spill (left in the local trace files).",
+					func() float64 { return chunksOf(n.spilledCounts()) })
 				reg.CounterFunc("goomp_spill_replayed_chunks_total",
 					"Spilled trace blocks read back from the trace files, delivered and acknowledged.",
 					func() float64 { return chunksOf(n.led.Settled(replayed)) })
 				reg.GaugeFunc("goomp_spill_pending_chunks",
 					"Trace blocks currently parked in the spill, waiting for replay.",
-					func() float64 { return chunksOf(sp.pendingCounts()) })
+					func() float64 { return chunksOf(n.parkedCounts()) })
 			}
 		}
 	}

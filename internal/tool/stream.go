@@ -89,9 +89,9 @@ type stagedBlock struct {
 // exact block bytes written to the local trace file are also shipped
 // on the wire, so the server's per-run directory is byte-identical to
 // the local StreamDir, and the trace files are where the network
-// sink's spill finds a parked block again. With only the network sink,
-// the streamer runs with no file operations at all and the sink's
-// bounded pending queue is the in-memory retention path.
+// sink reads a parked block back. With only the network sink, the
+// streamer runs with no file operations at all and the sink's memory
+// bound is the whole retention path.
 type streamer struct {
 	t        *Tool
 	dir      string
@@ -200,7 +200,7 @@ func (s *streamer) writeChunk(sc *perf.SealedChunk) {
 // store hands one staged block to the sinks. Both see the exact same
 // bytes: the server's per-run file and the local trace file stay
 // byte-identical. The file comes first, so the network sink is told
-// where the block sits in it (−1: not on local disk) and can spill it
+// where the block sits in it (−1: not on local disk) and can park it
 // by reference. The file is created on first use, and a failure
 // degrades only this thread: the block is retained for the stop-time
 // recovery attempt (or discarded with accounting once the backlog

@@ -134,16 +134,6 @@ type Options struct {
 	// 100ms).
 	GovernorTick time.Duration
 
-	// SpillBytes bounds the store-and-forward backlog in bytes. With
-	// both StreamDir and IngestAddr set, a block the network sink cannot
-	// queue while the daemon is unreachable (or slow) is parked as a
-	// reference into its local trace file and replayed in sequence
-	// order on reconnect, so an outage longer than the queue degrades to
-	// disk instead of to loss. Past this many parked block bytes frames
-	// are dropped with accounting. Zero means 64 MiB. cmd front-ends
-	// default it from GOMP_SPILL_BYTES (with K/M/G suffixes).
-	SpillBytes int64
-
 	// TraceCompress deflates each written trace block's payload with
 	// compress/flate. Every block the tool writes — streamed chunks,
 	// shipped chunks, WriteTraces snapshots, hang salvage — is in the
@@ -156,9 +146,12 @@ type Options struct {
 	// daemon (fault injection and tests). Nil means net.DialTimeout.
 	DialIngest func(addr string) (net.Conn, error)
 
-	// IngestPendingDepth overrides the network sink's bounded in-memory
-	// frame queue depth (fault injection and tests; chaos suites shrink
-	// it to saturate the queue cheaply). Zero means the default 256.
+	// IngestPendingDepth overrides how many unsent chunks the network
+	// sink keeps in memory (fault injection and tests; chaos suites
+	// shrink it to saturate the bound cheaply). Past it a chunk whose
+	// block is in a StreamDir trace file is parked there, to be read
+	// back and replayed in sequence order, and any other chunk is
+	// dropped with accounting. Zero means the default 256.
 	IngestPendingDepth int
 
 	// MaxSamplesPerSite enables selective collection (§VI): after this
@@ -883,9 +876,9 @@ type Report struct {
 	Samples int
 	// Dropped counts samples lost to buffer limits.
 	Dropped uint64
-	// Regions holds per-region timing built from the master thread's
-	// fork/join samples.
-	Regions []perf.RegionStats
+	// Regions holds per-site region timing built from the master
+	// thread's fork/join samples: one row per static parallel region.
+	Regions []perf.RegionSiteStats
 	// JoinSites attributes join callstacks to user-model source sites.
 	JoinSites []perf.SiteProfile
 	// States is the asynchronous state-sampling histogram (nil without
@@ -1002,7 +995,7 @@ func (t *Tool) Report() *Report {
 		r.JoinStacksUnwound += unwound
 		if tb.id == 0 && !seenRegions {
 			seenRegions = true
-			r.Regions = perf.RegionProfile(tb.buf.Samples(),
+			r.Regions = perf.RegionProfileBySite(tb.buf.Samples(),
 				int32(collector.EventFork), int32(collector.EventJoin))
 		}
 		r.JoinSites = append(r.JoinSites, perf.SiteProfiles(tb.buf, stripper)...)
@@ -1031,10 +1024,8 @@ func (t *Tool) Report() *Report {
 			r.IngestStorageChunks, r.IngestStorageSamples = n.led.Settled(storage)
 			r.IngestReplayedChunks, r.IngestReplayedSamples = n.led.Settled(replayed)
 			r.IngestOverloadedAcks = n.overloadedAcks.Load()
-			if sp := n.spill; sp != nil {
-				r.IngestSpilledChunks, r.IngestSpilledSamples = sp.stats()
-				r.IngestSpillPendingChunks, r.IngestSpillPendingSamples = sp.pendingCounts()
-			}
+			r.IngestSpilledChunks, r.IngestSpilledSamples = n.spilledCounts()
+			r.IngestSpillPendingChunks, r.IngestSpillPendingSamples = n.parkedCounts()
 			if c := n.connects.Load(); c > 1 {
 				r.IngestReconnects = c - 1
 			}
@@ -1149,7 +1140,7 @@ func (r *Report) WriteTo(w io.Writer) (int64, error) {
 		p("  wedged at detach: %s (running %v)\n", w.Event, w.Age)
 	}
 	if len(r.Regions) > 0 {
-		p("  parallel regions timed: %d\n", len(r.Regions))
+		p("  parallel region sites timed: %d\n", len(r.Regions))
 	}
 	for i, s := range r.JoinSites {
 		if i >= 10 {
