@@ -11,14 +11,18 @@ test: build
 	$(GO) test ./...
 
 # check is the pre-merge gate for the lock-free measurement path: vet,
+# here and for two other targets — arm64, whose asmdecl pass checks the
+# frame-pointer walk's assembly, and 386, which builds the
+# runtime.Callers fallback every target without frame pointers uses —
 # then the race detector over the packages a recorded event passes
 # through — omp, collector, perf, tool and ingest, at one, two and four
-# Ps, because the single-writer publish, the chunk-recycle gate, the
-# region path a descriptor carries from fork to join and psxd's
-# per-run trio of connection handlers, writer and housekeeper (one
-# ledger and one ack path between them) are protocols between
+# Ps, because the single-writer publish, the chunk-recycle gate and
+# psxd's per-run trio of connection handlers, writer and housekeeper
+# (one ledger and one ack path between them) are protocols between
 # goroutines, and a schedule one width never produces is a schedule
-# never checked — and the root package's oracle tests at the same three
+# never checked (the race build also turns on checkptr, which checks
+# every pointer the frame-pointer walk follows) — and the root
+# package's oracle tests at the same three
 # widths, because a nested region borrows the encountering thread's
 # descriptor across goroutines and the oracle is the program that
 # nests — then the format gate. Nothing in tool or cmd writes v1 any more
@@ -34,6 +38,8 @@ test: build
 # is the run that enforces them.
 check:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
+	GOARCH=386 $(GO) vet ./...
 	$(GO) test -race -cpu 1,2,4 ./internal/omp ./internal/collector ./internal/perf ./internal/tool ./internal/ingest
 	$(GO) test -race -cpu 1,2,4 -run 'PathOracle' .
 	$(GO) test -count=1 ./internal/faultinject -run 'EveryWritePathWritesPSX2'

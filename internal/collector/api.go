@@ -73,11 +73,6 @@ type Collector struct {
 	// (the trace buffer) into the descriptor.
 	bindHook atomic.Pointer[func(*ThreadInfo)]
 
-	// regionPaths is set by an attached tool that records every join
-	// against its region's call path: while it is, the runtime's site
-	// walk at region entry carries on to the root (see RegionPath).
-	regionPaths atomic.Bool
-
 	// handles resolves the callback handles carried in ReqRegister
 	// payloads (wire messages cannot carry Go funcs).
 	handleMu   sync.Mutex
@@ -189,19 +184,6 @@ func (c *Collector) SetBindHook(h func(*ThreadInfo)) {
 		return
 	}
 	c.bindHook.Store(&h)
-}
-
-// SetRegionPaths asks the runtime to leave (or, with false, to stop
-// leaving) every region's call path in the encountering thread's
-// descriptor. Like the bind hook it belongs to the one attached tool; a
-// stop request clears it.
-func (c *Collector) SetRegionPaths(on bool) { c.regionPaths.Store(on) }
-
-// RegionPaths reports whether the runtime should walk region paths: a
-// tool asked and event generation is not paused (a paused tool sees no
-// join to use one at).
-func (c *Collector) RegionPaths() bool {
-	return c.regionPaths.Load() && !c.paused.Load()
 }
 
 // Event dispatches an event notification for thread t. This is the
@@ -328,7 +310,6 @@ func (c *Collector) process(req *Request) ErrorCode {
 			c.callbacks[i].Store(nil)
 			c.regLocks[i].Unlock()
 		}
-		c.regionPaths.Store(false)
 		c.paused.Store(false)
 		return ErrOK
 

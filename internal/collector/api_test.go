@@ -75,63 +75,6 @@ func TestPauseResume(t *testing.T) {
 	}
 }
 
-// TestRegionPathsRequest: the request is the attached tool's, a paused
-// collector does not pass it on, and a stop request withdraws it.
-func TestRegionPathsRequest(t *testing.T) {
-	c, q := startCollector(t)
-	if c.RegionPaths() {
-		t.Fatal("paths wanted before anybody asked")
-	}
-	c.SetRegionPaths(true)
-	if !c.RegionPaths() {
-		t.Fatal("paths not wanted after the request")
-	}
-	Control(q, ReqPause)
-	if c.RegionPaths() {
-		t.Fatal("paths wanted while paused")
-	}
-	Control(q, ReqResume)
-	if !c.RegionPaths() {
-		t.Fatal("the request did not survive pause and resume")
-	}
-	Control(q, ReqStop)
-	if c.RegionPaths() {
-		t.Fatal("the request survived the stop")
-	}
-	Control(q, ReqStart)
-	if c.RegionPaths() {
-		t.Fatal("a new start inherited the last tool's request")
-	}
-}
-
-// TestRegionPathDescriptor: no path until one is set, the path is the
-// scratch's prefix, and a saved value puts it back.
-func TestRegionPathDescriptor(t *testing.T) {
-	p := NewThreadInfo(0).RegionPath()
-	if p.PCs() != nil || p.Cycles() != 0 {
-		t.Fatal("a new descriptor has a path")
-	}
-	if len(p.Scratch()) != PathDepth {
-		t.Fatalf("scratch holds %d frames, want %d", len(p.Scratch()), PathDepth)
-	}
-	copy(p.Scratch(), []uintptr{10, 20, 30})
-	p.Set(3, 77)
-	outer := *p
-	copy(p.Scratch(), []uintptr{1, 2})
-	p.Set(2, 5)
-	if got := p.PCs(); len(got) != 2 || got[0] != 1 || got[1] != 2 || p.Cycles() != 5 {
-		t.Fatalf("inner path %v (%d cycles)", got, p.Cycles())
-	}
-	*p = outer
-	if got := p.PCs(); len(got) != 3 || got[0] != 10 || got[2] != 30 || p.Cycles() != 77 {
-		t.Fatalf("restored path %v (%d cycles)", got, p.Cycles())
-	}
-	p.Set(0, 0)
-	if p.PCs() != nil {
-		t.Fatal("a cleared path is not nil")
-	}
-}
-
 func TestRegisterRequiresStart(t *testing.T) {
 	c := New()
 	q := c.NewQueue()

@@ -69,63 +69,7 @@ type ThreadInfo struct {
 	// single-writer buffer here at bind time, so recording an event
 	// costs one pointer load and one append — no map lookup, no lock.
 	buffer atomic.Pointer[perf.TraceBuffer]
-
-	// path is the call path of the region this thread last encountered,
-	// when an attached tool asked for region paths. Unlike the fields
-	// above it is the owning thread's alone: the runtime writes it at
-	// region entry and the tool reads it in the join callback, both on
-	// that thread.
-	path RegionPath
 }
-
-// PathDepth is the most frames of a region's call path the runtime
-// keeps: the depth a tool's own join-time capture stops at.
-const PathDepth = 32
-
-// RegionPath is the call path a thread took into the parallel region
-// it encountered: the return PCs from the region's call site — PCs()[0]
-// is the team's SitePC — out to the goroutine's root. The runtime's site
-// walk at region entry fills it when Collector.RegionPaths says a tool
-// wants it; a tool then records the join against it instead of
-// unwinding a second time, because the encountering thread joins in
-// the activation it forked in and those frames are the same at both
-// ends. It lives in the descriptor rather than in the per-region
-// TeamInfo so that a region allocates nothing for it; a true-nested
-// region, which borrows the encountering thread's descriptor while
-// that thread's outer region is still open, saves the value and puts
-// it back after its join.
-type RegionPath struct {
-	pcs    [PathDepth]uintptr
-	n      int
-	cycles int64
-}
-
-// RegionPath returns the descriptor's region path, for the runtime to
-// fill and for a nested region to save and restore. Owning thread only.
-func (t *ThreadInfo) RegionPath() *RegionPath { return &t.path }
-
-// Scratch is where the runtime walks the path into; Set publishes it.
-func (p *RegionPath) Scratch() []uintptr { return p.pcs[:] }
-
-// Set records that the first n PCs of Scratch are the path of the
-// region being entered and that walking them took cycles; n == 0 says
-// the region has no path.
-func (p *RegionPath) Set(n int, cycles int64) { p.n, p.cycles = n, cycles }
-
-// PCs returns the path, or nil when the runtime was not asked for one
-// at this region's entry. The slice is the descriptor's own scratch:
-// valid until the thread next enters a region, not to be kept.
-func (p *RegionPath) PCs() []uintptr {
-	if p.n == 0 {
-		return nil
-	}
-	return p.pcs[:p.n]
-}
-
-// Cycles returns what the walk that produced PCs cost — zero for a
-// region entered with nobody asking — so a tool that governs its
-// overhead can charge the walk it asked for to itself.
-func (p *RegionPath) Cycles() int64 { return p.cycles }
 
 // SetTraceBuffer pins (or, with nil, unpins) a trace buffer on the
 // descriptor. Called by the attached tool from the collector's bind

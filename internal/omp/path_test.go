@@ -1,6 +1,7 @@
 package omp
 
 import (
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -43,123 +44,58 @@ func TestRegionSiteLineIsTheCall(t *testing.T) {
 	}
 }
 
-const poison = ^uintptr(0)
-
-// poisonScratch overwrites a descriptor's path scratch, so that a walk
-// into it shows.
-func poisonScratch(td *collector.ThreadInfo) {
-	s := td.RegionPath().Scratch()
-	for i := range s {
-		s[i] = poison
-	}
-}
-
-func scratchUntouched(td *collector.ThreadInfo) bool {
-	for _, pc := range td.RegionPath().Scratch() {
-		if pc != poison {
-			return false
-		}
-	}
-	return true
-}
-
-// TestRegionPathOnlyWhenAsked: with nobody asking, a region entry
-// walks its one site frame and leaves no path; while a tool asks, the
-// master's parallel descriptor carries the path from the site to the
-// root; a stop request ends it.
-func TestRegionPathOnlyWhenAsked(t *testing.T) {
-	r := newRT(t, Config{NumThreads: 2})
-	col := r.Collector()
-	_, mp := r.MasterDescriptors()
-	q := col.NewQueue()
-
-	quiet := func(when string) {
-		t.Helper()
-		poisonScratch(mp)
-		for i := 0; i < 3; i++ {
-			r.Parallel(func(tc *ThreadCtx) {
-				if tc.ThreadNum() == 0 && tc.Info().RegionPath().PCs() != nil {
-					t.Errorf("%s: region has a path", when)
-				}
-			})
-			r.ParallelN(2, func(tc *ThreadCtx) {})
-			r.ParallelFor(4, func(tc *ThreadCtx, i int) {})
-		}
-		if mp.RegionPath().PCs() != nil {
-			t.Errorf("%s: path left on the descriptor", when)
-		}
-		if !scratchUntouched(mp) {
-			t.Errorf("%s: the site walk went past its one frame", when)
-		}
-	}
-	quiet("no tool")
-
+// onJoin registers a join callback that walks the joining thread's
+// stack, as a recording tool does, and hands seen the region and the
+// path from its site on (nil when the site is not on the walk).
+func onJoin(t *testing.T, r *RT, seen func(info *collector.TeamInfo, path []uintptr)) {
+	t.Helper()
+	q := r.Collector().NewQueue()
 	if ec := collector.Control(q, collector.ReqStart); ec != collector.ErrOK {
 		t.Fatal(ec)
 	}
-	col.SetRegionPaths(true)
-	var site uintptr
-	var path []uintptr
-	r.Parallel(func(tc *ThreadCtx) {
-		if tc.ThreadNum() == 0 {
-			site = tc.Info().Team().SitePC
-			path = slices.Clone(tc.Info().RegionPath().PCs())
-		} else if tc.Info().RegionPath().PCs() != nil {
-			t.Error("a worker's descriptor has a path")
+	h := r.Collector().NewCallbackHandle(func(e collector.Event, ti *collector.ThreadInfo) {
+		pcs := make([]uintptr, 64)
+		pcs = pcs[:perf.Callers(0, pcs)]
+		info := ti.Team()
+		if i := slices.Index(pcs, info.SitePC); i >= 0 {
+			seen(info, pcs[i:])
+		} else {
+			seen(info, nil)
 		}
 	})
-	if len(path) == 0 || len(path) > collector.PathDepth || path[0] != site {
-		t.Fatalf("path %x for site %#x", path, site)
-	}
-	if !slices.Equal(mp.RegionPath().PCs(), path) {
-		t.Error("the path changed between the region body and its join")
-	}
-	fr := perf.Resolve(path)
-	if fr[0].Func != "goomp/internal/omp.TestRegionPathOnlyWhenAsked" {
-		t.Errorf("path starts in %s", fr[0].Func)
-	}
-	if last := fr[len(fr)-1].Func; last != "runtime.goexit" {
-		t.Errorf("path ends in %s, want the goroutine's root", last)
-	}
-
-	// A paused tool sees no join, so it needs no path.
-	if ec := collector.Control(q, collector.ReqPause); ec != collector.ErrOK {
+	if ec := collector.Register(q, collector.EventJoin, h); ec != collector.ErrOK {
 		t.Fatal(ec)
 	}
-	quiet("paused")
-	if ec := collector.Control(q, collector.ReqResume); ec != collector.ErrOK {
-		t.Fatal(ec)
-	}
-	r.Parallel(func(tc *ThreadCtx) {})
-	if mp.RegionPath().PCs() == nil {
-		t.Error("no path after resume")
-	}
-
-	if ec := collector.Control(q, collector.ReqStop); ec != collector.ErrOK {
-		t.Fatal(ec)
-	}
-	quiet("after stop")
 }
 
-// TestNestedRegionSiteAndPath: a true-nested region gets its site and
-// its path from the same walk, on the encountering thread's
-// descriptor, and gives that descriptor's own path back at its join.
+// TestNestedRegionSiteAndPath: a true-nested region gets its site from
+// the same walk as a top-level region's, and its join — raised on the
+// encountering thread, in the activation that forked — finds that site
+// on its own walk, with the nesting user code above it.
 func TestNestedRegionSiteAndPath(t *testing.T) {
 	r := newRT(t, Config{NumThreads: 2, Nested: true})
-	r.Collector().SetRegionPaths(true)
+	const test = "goomp/internal/omp.TestNestedRegionSiteAndPath"
 
 	var mu sync.Mutex
 	sites := map[string][]uintptr{} // nested call site label → SitePCs seen
+	leaves := map[uintptr]string{}  // SitePC → the function its join's path starts in
+	onJoin(t, r, func(info *collector.TeamInfo, path []uintptr) {
+		leaf := "no path"
+		if path != nil {
+			leaf = perf.Resolve(path)[0].Func
+		}
+		mu.Lock()
+		if prev, ok := leaves[info.SitePC]; ok && prev != leaf {
+			t.Errorf("site %#x: joins start in %s and %s", info.SitePC, prev, leaf)
+		}
+		leaves[info.SitePC] = leaf
+		mu.Unlock()
+	})
 	nest := func(tc *ThreadCtx, label string, body func(in *ThreadCtx)) {
 		tc.Parallel(2, func(in *ThreadCtx) {
 			if in.ThreadNum() == 0 {
-				info := in.Info().Team()
-				path := in.Info().RegionPath().PCs()
-				if info.SitePC == 0 || len(path) == 0 || path[0] != info.SitePC {
-					t.Errorf("%s: nested site %#x, path %x", label, info.SitePC, path)
-				}
 				mu.Lock()
-				sites[label] = append(sites[label], info.SitePC)
+				sites[label] = append(sites[label], in.Info().Team().SitePC)
 				mu.Unlock()
 			}
 			if body != nil {
@@ -170,31 +106,16 @@ func TestNestedRegionSiteAndPath(t *testing.T) {
 	var outerSite uintptr
 	for rep := 0; rep < 2; rep++ {
 		r.Parallel(func(tc *ThreadCtx) {
-			before := slices.Clone(tc.Info().RegionPath().PCs())
 			if tc.ThreadNum() == 0 {
 				outerSite = tc.Info().Team().SitePC
-				if len(before) == 0 || before[0] != outerSite {
-					t.Errorf("outer path %x for site %#x", before, outerSite)
-				}
-			} else if before != nil {
-				t.Errorf("worker starts with a path")
 			}
 			nest(tc, "a", nil)
-			// Two levels down on one descriptor: the innermost region
-			// must not cost the middle one its path.
+			// Two levels down on one descriptor.
 			nest(tc, "b", func(in *ThreadCtx) {
-				if in.ThreadNum() != 0 {
-					return
-				}
-				mid := slices.Clone(in.Info().RegionPath().PCs())
-				nest(in, "c", nil)
-				if !slices.Equal(in.Info().RegionPath().PCs(), mid) {
-					t.Error("innermost region did not restore the middle region's path")
+				if in.ThreadNum() == 0 {
+					nest(in, "c", nil)
 				}
 			})
-			if !slices.Equal(tc.Info().RegionPath().PCs(), before) {
-				t.Errorf("thread %d: nested regions did not restore the outer path", tc.ThreadNum())
-			}
 		})
 	}
 	seen := map[uintptr]string{}
@@ -218,6 +139,12 @@ func TestNestedRegionSiteAndPath(t *testing.T) {
 		if pc == outerSite {
 			t.Error("nested site equals the outer region's")
 		}
+		if got, want := leaves[pc], runtime.FuncForPC(reflect.ValueOf(nest).Pointer()).Name(); got != want {
+			t.Errorf("nested joins start in %s, want nest (%s)", got, want)
+		}
+	}
+	if got := leaves[outerSite]; got != test {
+		t.Errorf("outer joins start in %s, want the test", got)
 	}
 }
 
@@ -238,9 +165,6 @@ func TestNestedSitesAreDistinct(t *testing.T) {
 			if in.ThreadNum() == 0 {
 				b = in.Info().Team().SitePC
 			}
-			if in.ThreadNum() == 0 && in.Info().RegionPath().PCs() != nil {
-				t.Error("nested region has a path nobody asked for")
-			}
 		})
 	})
 	if a == 0 || b == 0 || a == b {
@@ -259,8 +183,9 @@ func TestNestedSitesAreDistinct(t *testing.T) {
 	}
 }
 
-// TestRegionPathAllocatesNothing: the path lives in the descriptor, so
-// a region entry with paths on allocates what one with paths off does.
+// TestRegionPathAllocatesNothing: a join callback that walks its
+// region's path into scratch of its own, as a recording tool does, adds
+// no allocation to a region.
 func TestRegionPathAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation guards run without the race detector")
@@ -270,9 +195,18 @@ func TestRegionPathAllocatesNothing(t *testing.T) {
 	region := func() { r.Parallel(body) }
 	region() // the pool
 	off := testing.AllocsPerRun(200, region)
-	r.Collector().SetRegionPaths(true)
+	var scratch [64]uintptr
+	walked := 0
+	q := r.Collector().NewQueue()
+	collector.Control(q, collector.ReqStart)
+	h := r.Collector().NewCallbackHandle(func(collector.Event, *collector.ThreadInfo) {
+		if perf.Callers(0, scratch[:]) > 0 {
+			walked++
+		}
+	})
+	collector.Register(q, collector.EventJoin, h)
 	on := testing.AllocsPerRun(200, region)
-	if on != off {
-		t.Errorf("a region allocates %.1f times with paths on, %.1f with paths off", on, off)
+	if on != off || walked == 0 {
+		t.Errorf("a region allocates %.1f times with its join walking %d paths, %.1f with no walk", on, walked, off)
 	}
 }

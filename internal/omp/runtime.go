@@ -303,51 +303,44 @@ func (r *RT) ensureWorkers(n int) {
 // Parallel runs fn as a parallel region on the default team size. It
 // must be called from serial (non-region) context; inside a region use
 // ThreadCtx.Parallel for a nested region.
+//
+// The entry points are never inlined: each is the frame walkSite
+// skips, so the region's site is the user's call of it.
+//
+//go:noinline
 func (r *RT) Parallel(fn func(tc *ThreadCtx)) {
-	r.fork(nil, nil, r.walkSite(r.masterParallel), 0, fn)
+	r.fork(nil, walkSite(), 0, fn)
 }
 
 // ParallelN runs fn as a parallel region with a team of n threads
 // (n <= 0 means the configured default).
+//
+//go:noinline
 func (r *RT) ParallelN(n int, fn func(tc *ThreadCtx)) {
-	r.fork(nil, nil, r.walkSite(r.masterParallel), n, fn)
+	r.fork(nil, walkSite(), n, fn)
 }
 
 // ParallelFor is the combined "parallel for" construct: it forks a team
 // and statically distributes iterations [0, n) over it.
+//
+//go:noinline
 func (r *RT) ParallelFor(n int, body func(tc *ThreadCtx, i int)) {
-	r.fork(nil, nil, r.walkSite(r.masterParallel), 0, func(tc *ThreadCtx) {
+	r.fork(nil, walkSite(), 0, func(tc *ThreadCtx) {
 		tc.For(n, func(i int) { body(tc, i) })
 	})
 }
 
 // walkSite is the one walk a region's entry makes, called directly by
-// the exported entry point so that the frames to skip are
-// runtime.Callers, walkSite and that entry point: the first PC is the
-// user's call, the region's site. With no tool asking that is the
-// whole walk. When an attached tool records joins against region paths
-// (collector.RegionPaths) the walk carries on to the goroutine's root,
-// into td — the descriptor the region's join will be raised on — whose
-// scratch is the encountering thread's own; the join callback then has
-// the path without unwinding again, through eight more frames of ours,
-// from inside the callback. Either way td's path is set for this
-// region: a path left by an earlier one must not outlive it.
-func (r *RT) walkSite(td *collector.ThreadInfo) uintptr {
-	path := td.RegionPath()
-	if !r.col.RegionPaths() {
-		path.Set(0, 0)
-		var site [1]uintptr // stays zero if there is no caller to find
-		runtime.Callers(3, site[:])
-		return site[0]
-	}
-	t0 := perf.Cycles()
-	pcs := path.Scratch()
-	n := runtime.Callers(3, pcs)
-	path.Set(n, perf.Cycles()-t0)
-	if n == 0 {
-		return 0
-	}
-	return pcs[0]
+// the exported entry point: it skips its own frame and that entry
+// point's, so the PC it returns is the user's call, the region's site.
+// A tool that records the region's join walks its own stack in the
+// join callback and stores the path from this PC on.
+//
+//go:noinline
+func walkSite() uintptr {
+	var site [1]uintptr // stays zero if there is no caller to find
+	perf.Callers(2, site[:])
+	return site[0]
 }
 
 // fork is __ompc_fork, the one bracket every parallel region enters
@@ -355,9 +348,8 @@ func (r *RT) walkSite(td *collector.ThreadInfo) uintptr {
 // starts the rest of the team, executes the region itself as thread 0,
 // and joins at the implicit barrier that ends the region. parent is
 // the encountering thread's context for a nested region and nil for a
-// top-level one; outer is the path a nested region's walk displaced
-// from the encountering descriptor.
-func (r *RT) fork(parent *ThreadCtx, outer *collector.RegionPath, site uintptr, n int, fn func(tc *ThreadCtx)) {
+// top-level one.
+func (r *RT) fork(parent *ThreadCtx, site uintptr, n int, fn func(tc *ThreadCtx)) {
 	enc, level, parentID := r.masterSerial, 1, uint64(0)
 	if parent == nil {
 		r.regionCalls.Add(1)
@@ -443,9 +435,6 @@ func (r *RT) fork(parent *ThreadCtx, outer *collector.RegionPath, site uintptr, 
 		r.col.BindThread(enc)
 	}
 	enc.SetState(prevState)
-	if outer != nil {
-		*enc.RegionPath() = *outer
-	}
 
 	// A panic raised by any thread's region body is re-raised on the
 	// encountering thread once the fork-join structure has been
@@ -599,14 +588,10 @@ func (tc *ThreadCtx) Info() *collector.ThreadInfo { return tc.td }
 // a fork event is generated, and the nested team's parent region ID is
 // the current region ID of the team that spawned it. Either way a
 // panic in fn leaves the region as a *RegionPanic.
+//
+//go:noinline
 func (tc *ThreadCtx) Parallel(n int, fn func(tc *ThreadCtx)) {
-	// The nested region's site and path come from the same walk as a
-	// top-level region's. It borrows the encountering thread's
-	// descriptor, whose path belongs to the region that thread has open
-	// (the master's, or an outer nested one), so that path is set aside
-	// until this region has joined.
-	outer := *tc.td.RegionPath()
-	tc.rt.fork(tc, &outer, tc.rt.walkSite(tc.td), n, fn)
+	tc.rt.fork(tc, walkSite(), n, fn)
 }
 
 // getNestedDesc returns a descriptor for a true-nested team thread

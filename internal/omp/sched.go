@@ -262,8 +262,9 @@ func (tc *ThreadCtx) ForSchedNoWait(n int, sched Schedule, chunk int, body func(
 		chunk = 1
 	}
 	// Loops too large for the packed deque word degrade to dynamic:
-	// same boundaries, shared-counter claiming.
-	if sched == ScheduleSteal && (n+chunk-1)/chunk >= maxStealChunks {
+	// same boundaries, shared-counter claiming. The count is compared as
+	// an int64, where the bound fits whatever the width of int.
+	if sched == ScheduleSteal && int64((n+chunk-1)/chunk) >= maxStealChunks {
 		sched = ScheduleDynamic
 	}
 	switch sched {

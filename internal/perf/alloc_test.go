@@ -103,24 +103,6 @@ func TestAllocAppendCallstack(t *testing.T) {
 	}
 }
 
-// TestAllocAppendPath: the same guard for a path the caller supplies,
-// which is what a join costs when the runtime walked its region's path.
-func TestAllocAppendPath(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation guards run without the race detector")
-	}
-	b := NewTraceBuffer(ChunkSamples, 0)
-	scratch := [...]uintptr{0x401000, 0x402000, 0x403000}
-	record := func() { b.AppendPath(Sample{Time: 1}, scratch[:]) }
-	record() // warm-up: the chunk makes its stack table and arena
-	if avg := testing.AllocsPerRun(200, record); avg != 0 {
-		t.Fatalf("AppendPath allocates %.2f times per repeated path, want 0", avg)
-	}
-	if b.Len() != 202 || b.NumStacks() != 1 {
-		t.Fatalf("%d samples, %d stacks; want 202, 1", b.Len(), b.NumStacks())
-	}
-}
-
 // TestAllocSealEncode: with the free list primed, a chunk's way from
 // the recording thread to its PSX2 block allocates the block and next
 // to nothing else — the chunk, its stack table and arena come off the

@@ -248,48 +248,33 @@ func TestAppendCallstackDedup(t *testing.T) {
 	}
 }
 
-// TestAppendPathSharesTheStore: a supplied path and an unwound one go
-// through one lookup into one table — the same PCs either way are one
-// stack — the chunk copies what it is given, and the buffer says which
-// way its stack samples came.
-func TestAppendPathSharesTheStore(t *testing.T) {
+// TestAppendCallstackStartsAtSite: a sample whose Site is a return PC
+// on the walk — a join's region site — is stored from that frame on,
+// without the frames the walk started in; a Site that is not on the
+// walk keeps the whole walk; either way at most callstackDepth frames
+// are kept, however deep the stack.
+func TestAppendCallstackStartsAtSite(t *testing.T) {
 	b := NewTraceBuffer(ChunkSamples, 0)
-	b.AppendCallstack(Sample{Time: 0}, 0)
-	b.AppendCallstack(Sample{Time: 1}, 0) // another line: another path
-	scratch := b.Stack(0)
-	want := slices.Clone(scratch)
-	b.AppendPath(Sample{Time: 2}, scratch)
-	scratch[0]++ // the caller's scratch moves on
-	b.AppendPath(Sample{Time: 3}, scratch)
-	b.AppendPath(Sample{Time: 4}, want)
-	if got := b.NumStacks(); got != 3 {
-		t.Fatalf("%d stacks, want 3: two unwound, one of them supplied again, one new", got)
+	record := func(depth int) (walk []uintptr) {
+		nest(depth, func() {
+			walk = Callstack(0, 4*callstackDepth)
+			// walk[0] is this line, walk[1] nest's call of us, walk[2]
+			// the call of nest that made the frame under it.
+			b.AppendCallstack(Sample{Site: uint64(walk[2])}, 0)
+			b.AppendCallstack(Sample{Site: 1}, 0)
+		})
+		return walk
 	}
-	ss := b.Samples()
-	if ids := []int32{ss[0].StackID, ss[1].StackID, ss[2].StackID, ss[3].StackID, ss[4].StackID}; !slices.Equal(ids, []int32{0, 1, 0, 2, 0}) {
-		t.Fatalf("stack IDs %v, want [0 1 0 2 0]", ids)
-	}
-	if !slices.Equal(b.Stack(0), want) || !slices.Equal(b.Stack(2), scratch) {
-		t.Fatal("a stored path changed with its caller's scratch")
-	}
-	if supplied, unwound := b.PathRoutes(); supplied != 3 || unwound != 2 {
-		t.Fatalf("routes: %d supplied, %d unwound; want 3, 2", supplied, unwound)
-	}
-
-	limited := NewTraceBuffer(0, 3)
-	for i := 0; i < 5; i++ {
-		limited.AppendPath(Sample{Time: int64(i)}, want)
-	}
-	if supplied, _ := limited.PathRoutes(); limited.Len() != 2 || limited.Dropped() != 3 || supplied != 2 {
-		t.Fatalf("at the limit: %d samples, %d dropped, %d supplied; want 2, 3, 2", limited.Len(), limited.Dropped(), supplied)
-	}
-	b.Drain()
-	if supplied, unwound := b.PathRoutes(); supplied != 3 || unwound != 2 {
-		t.Fatal("a drain lost the route counts")
-	}
-	b.Reset()
-	if supplied, unwound := b.PathRoutes(); supplied != 0 || unwound != 0 {
-		t.Fatal("a reset kept the route counts")
+	for _, depth := range []int{1, callstackDepth + 8} {
+		b.Reset()
+		walk := record(depth)
+		at, whole := b.Stack(0), b.Stack(1)
+		if want := walk[2:][:min(len(walk)-2, callstackDepth)]; !slices.Equal(at, want) {
+			t.Errorf("depth %d: stored from the site %x, want %x", depth, at, want)
+		}
+		if want := walk[:min(len(walk), callstackDepth)]; whole[0] == walk[0] || !slices.Equal(whole[1:], want[1:]) {
+			t.Errorf("depth %d: a site off the walk stored %x, want %x but for its first PC", depth, whole, want)
+		}
 	}
 }
 

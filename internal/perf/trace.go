@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
-	"runtime"
 	"slices"
 	"sync/atomic"
 )
@@ -30,7 +29,8 @@ const NoStack int32 = -1
 // hand-off to the streaming writer.
 const ChunkSamples = 256
 
-// callstackDepth is the most frames AppendCallstack captures.
+// callstackDepth is the most frames of a call path AppendCallstack
+// stores.
 const callstackDepth = 32
 
 // arenaSlab is what a chunk's PC arena starts at: 16 full stacks.
@@ -170,7 +170,7 @@ func (s *SealedChunk) Release() {
 // TraceBuffer stores samples and interned callstacks for one thread.
 //
 // Buffers are strictly single-writer: only the owning thread may call
-// Append, AppendStacked, AppendCallstack, AppendPath or InternStack. The hot path
+// Append, AppendStacked, AppendCallstack or InternStack. The hot path
 // is wait-free — a limit check, a cursor bump, and one release-store;
 // no lock and no allocation until a chunk fills. Readers (Samples,
 // Stack, Len, WriteTrace, the streamer) take a consistent snapshot
@@ -200,20 +200,15 @@ type TraceBuffer struct {
 	relay  *Relay
 	thread int32
 
-	// callers is where AppendCallstack captures a stack before
-	// interning it: four whole cache lines, so the padding below still
-	// ends the writer's part on a line boundary.
-	callers [callstackDepth]uintptr
+	// callers is where AppendCallstack walks a stack before storing
+	// the part it keeps: room for a full path below the measurement
+	// frames over a region's site, and whole cache lines, so the
+	// padding below still ends the writer's part on a line boundary.
+	callers [2 * callstackDepth]uintptr
 	_       [cacheLinePad - 44 - 4]byte // Report polls the drop counters below
 
 	dropped    atomic.Uint64 // samples lost to the limit or a full relay
 	relayDrops atomic.Uint64 // sealed chunks discarded on a full relay
-
-	// Which way the stacked samples came: walked by AppendCallstack, or
-	// handed to AppendPath. Only the owning thread adds, once per stack
-	// sample; Drain leaves them, so they outlive a streamer's flushes.
-	unwound  atomic.Uint64
-	supplied atomic.Uint64
 }
 
 // NewTraceBuffer returns a buffer preallocated for capacity samples
@@ -309,36 +304,35 @@ func (b *TraceBuffer) AppendStacked(s Sample, pcs []uintptr) {
 	b.appendStacked(s, pcs)
 }
 
-// AppendCallstack is AppendStacked(s, Callstack(skip, 32)) with each
-// call path stored once per chunk: the stack is captured into scratch
-// the single writer owns and recorded as AppendPath records one. A
-// sample dropped at the limit captures nothing. Owning thread only.
+// AppendCallstack records s against the call path of its caller,
+// skipping skip frames above it as Callstack does, with each path
+// stored once per chunk. When s.Site is a return PC on the walk — a
+// join's region site, one frame below the runtime's entry point — the
+// path starts there, so it is the path from the region's call site to
+// the root, whatever measurement frames the walk started in. It keeps
+// at most callstackDepth frames. The walk goes into scratch the single
+// writer owns; a sample dropped at the limit walks nothing. Owning
+// thread only.
+//
+//go:noinline
 func (b *TraceBuffer) AppendCallstack(s Sample, skip int) {
 	if b.limit > 0 && b.retained >= b.limit {
 		b.dropped.Add(1)
 		return
 	}
-	b.unwound.Add(1)
-	b.appendPath(s, b.callers[:runtime.Callers(skip+2, b.callers[:])])
-}
-
-// AppendPath records s against a call path somebody else walked — the
-// OpenMP runtime, at the entry of the region s is the join of — storing
-// the path once per chunk: it is looked up among the chunk's stacks; a
-// path already there costs the sample only, a new one is copied into
-// the chunk's arena, so pcs may be the caller's scratch. Owning thread
-// only.
-func (b *TraceBuffer) AppendPath(s Sample, pcs []uintptr) {
-	if b.limit > 0 && b.retained >= b.limit {
-		b.dropped.Add(1)
-		return
+	pcs := b.callers[:Callers(skip+1, b.callers[:])]
+	if s.Site != 0 {
+		if i := slices.Index(pcs, uintptr(s.Site)); i > 0 {
+			pcs = pcs[i:]
+		}
 	}
-	b.supplied.Add(1)
-	b.appendPath(s, pcs)
+	b.appendPath(s, pcs[:min(len(pcs), callstackDepth)])
 }
 
-// appendPath is the store behind AppendCallstack and AppendPath; the
-// caller has checked the limit.
+// appendPath is the store behind AppendCallstack: pcs is looked up
+// among the chunk's stacks; a path already there costs the sample only,
+// a new one is copied into the chunk's arena, so pcs may be scratch.
+// The caller has checked the limit.
 func (b *TraceBuffer) appendPath(s Sample, pcs []uintptr) {
 	c := b.active
 	if c.wn == ChunkSamples || c.wns == ChunkSamples {
@@ -594,21 +588,12 @@ func (b *TraceBuffer) Dropped() uint64 { return b.dropped.Load() }
 // the streaming consumer fell behind.
 func (b *TraceBuffer) RelayDropped() uint64 { return b.relayDrops.Load() }
 
-// PathRoutes returns how many samples AppendPath recorded against a
-// path its caller supplied and how many AppendCallstack unwound the
-// stack for, since the buffer was made or Reset.
-func (b *TraceBuffer) PathRoutes() (supplied, unwound uint64) {
-	return b.supplied.Load(), b.unwound.Load()
-}
-
 // Reset clears the buffer, retaining its chunk count. Like the append
 // operations it belongs to the writer: it must not race with them.
 func (b *TraceBuffer) Reset() {
 	b.reset(len(b.state.Load().chunks))
 	b.dropped.Store(0)
 	b.relayDrops.Store(0)
-	b.unwound.Store(0)
-	b.supplied.Store(0)
 }
 
 func (b *TraceBuffer) reset(nchunks int) {

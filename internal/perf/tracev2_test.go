@@ -64,10 +64,10 @@ func roundTripV2(t *testing.T, b *TraceBuffer, enc Encoding) *TraceBuffer {
 
 func TestV2RoundTripBasic(t *testing.T) {
 	b := NewTraceBuffer(0, 0)
-	sid := b.InternStack([]uintptr{0x400010, 0x400120, 0x7f0000000000})
+	sid := b.InternStack([]uintptr{0x400010, 0x400120, 0x7f000000})
 	b.Append(Sample{Time: 100, Thread: 0, Event: 2, State: 3, Region: 7, Site: 0x400010, StackID: sid})
 	b.Append(Sample{Time: 90, Thread: 1, Event: -1, State: -1, Region: 7, Site: 0x400010, StackID: NoStack})
-	sid2 := b.InternStack([]uintptr{0x400010, 0x400120, 0x7f0000000000}) // duplicate: dictionary collapses it
+	sid2 := b.InternStack([]uintptr{0x400010, 0x400120, 0x7f000000}) // duplicate: dictionary collapses it
 	b.Append(Sample{Time: 5000, Thread: 1, Event: 0, State: 1, Region: 8, Site: 0x400300, StackID: sid2})
 	b.dropped.Store(17)
 

@@ -249,74 +249,24 @@ func TestGovernorBackpressureStepAndRecovery(t *testing.T) {
 	}
 }
 
-// TestGovernorWithdrawsRegionPaths: the runtime walks region paths on
-// the tool's behalf only while the tool records stacks. At the
-// no-stacks rung the request is withdrawn — the walk is the cost that
-// rung sheds — and on recovery it is restored; the walk's cost reaches
-// the governor's meter with the join that used it.
-func TestGovernorWithdrawsRegionPaths(t *testing.T) {
+// TestGovernorChargesTheJoinWalk: the walk a join makes is the tool's
+// own cost, and reaches the governor's stack bucket with the join.
+func TestGovernorChargesTheJoinWalk(t *testing.T) {
 	rt := omp.New(omp.Config{NumThreads: 2})
 	defer rt.Close()
-	col := rt.Collector()
-	_, mp := rt.MasterDescriptors()
 	opts := FullMeasurement()
-	opts.OverheadCeiling = 1 // never over: the ladder moves only when the test moves it
+	opts.OverheadCeiling = 1 // never over: the ladder stays at full fidelity
 	opts.GovernorTick = time.Hour
 	tl, err := AttachRuntime(rt, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tl.Detach()
-	region := func() { rt.Parallel(func(*omp.ThreadCtx) {}) }
-
-	region()
-	if !col.RegionPaths() || mp.RegionPath().PCs() == nil {
-		t.Fatal("full fidelity: no region path")
+	if got := tl.gov.Meter().Stack(); got != 0 {
+		t.Fatalf("stack bucket holds %d before any join", got)
 	}
-	if walk := mp.RegionPath().Cycles(); walk <= 0 || tl.gov.Meter().Total() < walk {
-		t.Errorf("the walk cost %d cycles, the meter holds %d", walk, tl.gov.Meter().Total())
-	}
-
-	step := func(from, to degrade.Level) {
-		tl.governorTransition(degrade.Transition{From: from, To: to, Reason: degrade.ReasonOverCeiling})
-	}
-	step(degrade.LevelFull, degrade.LevelReducedSampler)
-	if !col.RegionPaths() {
-		t.Error("reduced-sampler rung: request withdrawn while stacks are still recorded")
-	}
-	step(degrade.LevelReducedSampler, degrade.LevelNoStacks)
-	if col.RegionPaths() {
-		t.Error("no-stacks rung: the runtime is still asked for paths")
-	}
-	scratch := mp.RegionPath().Scratch()
-	for i := range scratch {
-		scratch[i] = ^uintptr(0)
-	}
-	region()
-	if mp.RegionPath().PCs() != nil {
-		t.Error("no-stacks rung: a region still got a path")
-	}
-	for _, pc := range scratch {
-		if pc != ^uintptr(0) {
-			t.Fatal("no-stacks rung: the runtime walked past the site")
-		}
-	}
-	step(degrade.LevelNoStacks, degrade.LevelShedEvents)
-	if col.RegionPaths() {
-		t.Error("shed-events rung: the runtime is asked for paths")
-	}
-	step(degrade.LevelShedEvents, degrade.LevelNoStacks)
-	step(degrade.LevelNoStacks, degrade.LevelReducedSampler)
-	if !col.RegionPaths() {
-		t.Error("recovered from no-stacks: request not restored")
-	}
-	region()
-	if mp.RegionPath().PCs() == nil {
-		t.Error("recovered from no-stacks: no region path")
-	}
-	// The test moved the hook, not the governor's level, so the callback
-	// still wanted a stack for the region that got no path: it unwound.
-	if rep := tl.Report(); rep.JoinPathsSupplied != 2 || rep.JoinStacksUnwound != 1 {
-		t.Errorf("%d supplied, %d unwound; want 2, 1", rep.JoinPathsSupplied, rep.JoinStacksUnwound)
+	rt.Parallel(func(*omp.ThreadCtx) {})
+	if got := tl.gov.Meter().Stack(); got <= 0 {
+		t.Errorf("stack bucket holds %d after a join", got)
 	}
 }

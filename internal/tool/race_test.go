@@ -5,7 +5,9 @@ import (
 	"io"
 	"sync"
 	"testing"
+	"time"
 
+	"goomp/internal/collector"
 	"goomp/internal/omp"
 	"goomp/internal/perf"
 	. "goomp/internal/tool"
@@ -106,5 +108,132 @@ func TestJoinStackRetentionBounded(t *testing.T) {
 	}
 	if dropped == 0 {
 		t.Error("no drops recorded despite exceeding the limit")
+	}
+}
+
+// storedJoins reads a memory-only tool's traces back and counts the
+// join samples in them, and how many of those carry a stack that
+// starts at the join's region site.
+func storedJoins(t *testing.T, tl *Tool) (joins, atSite int) {
+	t.Helper()
+	var streams []*bytes.Buffer
+	if err := tl.WriteTraces(func(int32) (io.Writer, error) {
+		streams = append(streams, new(bytes.Buffer))
+		return streams[len(streams)-1], nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range streams {
+		buf, err := perf.ReadTraceStream(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, smp := range buf.Samples() {
+			if smp.Event == int32(collector.EventJoin) {
+				joins++
+				if st := buf.Stack(smp.StackID); len(st) > 0 && st[0] == uintptr(smp.Site) {
+					atSite++
+				}
+			}
+		}
+	}
+	return joins, atSite
+}
+
+// TestEveryJoinStoredWhileAttachingAndDetaching: tools come and go
+// while the application forks and joins without a pause. Whatever a
+// region's entry and its join each saw of the tool, every join the
+// tool was dispatched is stored once, with its path from the region's
+// site. Run with -race at several widths (make check).
+func TestEveryJoinStoredWhileAttachingAndDetaching(t *testing.T) {
+	rt := omp.New(omp.Config{NumThreads: 2})
+	defer rt.Close()
+	col := rt.Collector()
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() { // the application
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			rt.Parallel(func(tc *omp.ThreadCtx) { tc.For(4, func(int) {}) })
+		}
+	}()
+	defer func() { close(stop); <-done }()
+
+	for round := 0; round < 12; round++ {
+		before := col.EventCount(collector.EventJoin)
+		tl, err := AttachRuntime(rt, FullMeasurement())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := before + uint64(1+round%5)
+		for deadline := time.Now().Add(10 * time.Second); col.EventCount(collector.EventJoin) < want; {
+			if time.Now().After(deadline) {
+				t.Fatal("the application stopped joining")
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+		tl.Detach()
+		dispatched := col.EventCount(collector.EventJoin) - before
+		if joins, atSite := storedJoins(t, tl); uint64(joins) != dispatched || atSite != joins {
+			t.Fatalf("round %d: %d joins dispatched; %d stored, %d with a path from their site",
+				round, dispatched, joins, atSite)
+		}
+	}
+}
+
+// TestJoinStacksFollowTheOptions: a tool that records join stacks
+// stores every join it stores with its path from the region's site, a
+// selective one as many as its budget lets through, and a tool without
+// join stacks, without measurement or without the join event none.
+func TestJoinStacksFollowTheOptions(t *testing.T) {
+	selective := FullMeasurement()
+	selective.MaxSamplesPerSite = 30
+	noStacks := Options{Measure: true}
+	noJoin := FullMeasurement()
+	noJoin.Events = []collector.Event{collector.EventFork, collector.EventThrBeginIBar}
+	for _, tc := range []struct {
+		name        string
+		opts        Options
+		joins, some bool // every join stored, some of them stored
+	}{
+		{"full measurement", FullMeasurement(), true, true},
+		{"MaxSamplesPerSite", selective, false, true},
+		{"callbacks only", CallbacksOnly(), false, false},
+		{"no join stacks", noStacks, true, false},
+		{"join not registered", noJoin, false, false},
+	} {
+		rt := omp.New(omp.Config{NumThreads: 2})
+		tl, err := AttachRuntime(rt, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 10; i++ {
+			rt.Parallel(func(*omp.ThreadCtx) {})
+		}
+		tl.Detach()
+		joins, atSite := storedJoins(t, tl)
+		switch {
+		case tc.joins && tc.some:
+			if joins != 10 || atSite != 10 {
+				t.Errorf("%s: %d joins stored, %d with a path from their site; want 10, 10", tc.name, joins, atSite)
+			}
+		case tc.some:
+			if joins == 0 || joins == 10 || atSite != joins {
+				t.Errorf("%s: %d joins stored, %d with a path from their site", tc.name, joins, atSite)
+			}
+		case tc.joins:
+			if joins != 10 || atSite != 0 {
+				t.Errorf("%s: %d joins stored, %d with a stack; want 10, 0", tc.name, joins, atSite)
+			}
+		default:
+			if atSite != 0 {
+				t.Errorf("%s: %d joins stored with a stack, want none", tc.name, atSite)
+			}
+		}
+		rt.Close()
 	}
 }

@@ -3,16 +3,12 @@
 // collector API, initiates a start request, registers for the fork,
 // join and implicit-barrier events, and stores a sample of a time
 // counter in the callback invoked at each registered event. To
-// estimate callstack-retrieval overheads it also records the
-// implementation-model call path of each join event. A region's path
-// from its call site to the root is the same at its entry and at its
-// join, and the runtime already walks from the site at every entry, so
-// a tool that records every join asks the runtime to let that walk
-// carry on (collector.SetRegionPaths) and stores the join against the
-// path it finds on the descriptor; a join that arrives without one —
-// its region was entered before the request — is unwound in the
-// callback, as the paper's tool unwinds all of them. Both store the
-// same user-model stack; Report says how many joins took each route.
+// estimate callstack-retrieval overheads it also records the call path
+// of each join event. Like the paper's tool it unwinds in the join
+// callback, by frame pointer (perf.Callers), and it stores the path
+// from the region's call site on: the frames above the site are the
+// runtime's, the collector's and the tool's own, the same at every
+// join.
 //
 // The real tool is a shared object LD_PRELOADed into the target; here
 // Attach plays the init section's role, querying the simulated dynamic
@@ -53,12 +49,10 @@ type Options struct {
 	Measure bool
 
 	// JoinStacks records the implementation-model call path of each
-	// join event (requires Measure): the path the runtime walked at the
-	// region's entry when the tool could ask for it, else the callstack
-	// unwound in the callback. The first runs from the region's call
-	// site to the root, the second has the runtime's, collector's and
-	// tool's own frames on top of that; the user model of both is the
-	// same.
+	// join event (requires Measure), walked in the callback and stored
+	// from the region's call site to the root. A join raised with no
+	// team (a driver of AttachCollector) is stored from the callback's
+	// caller.
 	JoinStacks bool
 
 	// BufferCap preallocates each per-thread trace buffer (samples).
@@ -280,14 +274,6 @@ type Tool struct {
 	attachedAt  time.Time
 	detachOnce  sync.Once
 	throttle    *siteThrottle
-
-	// wantPaths: this attachment records every join it is dispatched
-	// against a call path, so it asks the runtime to walk each region's
-	// path once, at entry (collector.SetRegionPaths), for as long as the
-	// governor leaves stacks on. A tool that stores only some joins
-	// (MaxSamplesPerSite) would have the runtime walk paths nobody
-	// reads, and unwinds in the callback as before.
-	wantPaths bool
 }
 
 // threadBuf pairs a buffer with the thread number it records for.
@@ -395,9 +381,6 @@ func AttachCollector(col *collector.Collector, opts Options) (*Tool, error) {
 			return nil, fmt.Errorf("tool: register %v failed: %v", e, ec)
 		}
 	}
-	t.wantPaths = opts.Measure && opts.JoinStacks && opts.MaxSamplesPerSite == 0 &&
-		slices.Contains(events, collector.EventJoin)
-	col.SetRegionPaths(t.wantPaths)
 	if opts.SamplePeriod > 0 {
 		t.sampler = startSampler(t, opts.SamplePeriod)
 	}
@@ -498,22 +481,13 @@ func (t *Tool) callback(e collector.Event, ti *collector.ThreadInfo) {
 	}
 	if t.opts.JoinStacks && e == collector.EventJoin &&
 		(gov == nil || lvl < degrade.LevelNoStacks) {
-		// The runtime walked this region's call path at its entry if we
-		// asked in time (wantPaths); a join that arrives without one —
-		// its region was entered before the request, or while the
-		// governor had withdrawn it — is unwound here instead.
-		path := ti.RegionPath()
-		if pcs := path.PCs(); pcs != nil {
-			buf.AppendPath(sample, pcs)
-		} else {
-			buf.AppendCallstack(sample, 1)
-		}
+		// The walk starts at our caller; the buffer stores the path from
+		// the region's site (sample.Site) on.
+		buf.AppendCallstack(sample, 1)
 		if gov != nil {
 			// The sample's own timestamp doubles as the cost clock: the
-			// stack path is charged whole, since the capture dominates it,
-			// and a walk the runtime made on our behalf (zero cycles when
-			// it made none) is ours to pay for.
-			gov.Meter().AddStack(perf.Cycles() - now + path.Cycles())
+			// stack path is charged whole, since the capture dominates it.
+			gov.Meter().AddStack(perf.Cycles() - now)
 		}
 		return
 	}
@@ -545,12 +519,6 @@ func shedEvent(e collector.Event) bool {
 // tool-owned pseudo-thread -1 and flows through the normal relay /
 // streaming / ingest path.
 func (t *Tool) governorTransition(tr degrade.Transition) {
-	if t.wantPaths {
-		// Below the no-stacks rung every join uses its region's path; at
-		// it and past it none does, and the runtime goes back to walking
-		// one frame.
-		t.col.SetRegionPaths(tr.To < degrade.LevelNoStacks)
-	}
 	buf := t.govBuf
 	if buf == nil {
 		t.bufMu.Lock()
@@ -735,7 +703,6 @@ func (t *Tool) detach() {
 		collector.Unregister(t.q, e)
 	}
 	t.col.SetBindHook(nil)
-	t.col.SetRegionPaths(false)
 	d := t.opts.DetachTimeout
 	if b := t.detachBound.Load(); b > 0 && (d == 0 || time.Duration(b) < d) {
 		// The hang handler bounds an otherwise unbounded quiesce: the
@@ -884,15 +851,6 @@ type Report struct {
 	// States is the asynchronous state-sampling histogram (nil without
 	// a sampler).
 	States *perf.StateHistogram
-	// JoinPathsSupplied and JoinStacksUnwound say which route the stored
-	// join stacks took: recorded against the call path the runtime
-	// walked at the region's entry, or unwound in the join callback (a
-	// region entered before the tool asked, or a tool that does not
-	// ask: MaxSamplesPerSite, a governor coming back from no-stacks). A
-	// full-measurement run that shows many unwound joins fell back, and
-	// paid for it.
-	JoinPathsSupplied uint64
-	JoinStacksUnwound uint64
 	// Throttled counts samples suppressed by selective collection, and
 	// ThrottledSites the distinct region sites observed (zero when
 	// MaxSamplesPerSite is off).
@@ -990,9 +948,6 @@ func (t *Tool) Report() *Report {
 		r.Samples += tb.buf.Len()
 		r.Dropped += tb.buf.Dropped()
 		r.RelayDropped += tb.buf.RelayDropped()
-		supplied, unwound := tb.buf.PathRoutes()
-		r.JoinPathsSupplied += supplied
-		r.JoinStacksUnwound += unwound
 		if tb.id == 0 && !seenRegions {
 			seenRegions = true
 			r.Regions = perf.RegionProfileBySite(tb.buf.Samples(),
@@ -1100,10 +1055,6 @@ func (r *Report) WriteTo(w io.Writer) (int64, error) {
 		p("  %-32s %d\n", e, r.Events[e])
 	}
 	p("  samples stored: %d (dropped %d)\n", r.Samples, r.Dropped)
-	if r.JoinPathsSupplied > 0 || r.JoinStacksUnwound > 0 {
-		p("  join stacks: %d from the region's entry walk, %d unwound at the join\n",
-			r.JoinPathsSupplied, r.JoinStacksUnwound)
-	}
 	if r.RelayDropped > 0 || r.StreamRetries > 0 || r.StreamDiscardedChunks > 0 ||
 		r.ForcedDrops > 0 || r.DegradedThreads > 0 {
 		p("  stream: %d retries, %d relay-dropped chunks, %d discarded chunks (%d samples), %d forced drops (%d samples), %d degraded threads\n",

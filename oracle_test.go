@@ -1,8 +1,8 @@
-// The differential oracle for "a call path is walked once": a join is
-// recorded against the path the runtime walked at its region's entry,
-// and this file checks — at every join of every program it runs, by
-// capturing both ways — that a profile cannot tell that path from the
-// stack an unwind in the join callback would have stored.
+// The differential oracle for a join's stored call path: the tool
+// walks each join's stack by frame pointer and stores it from the
+// region's call site on, and this file checks — at every join of every
+// program it runs, against runtime.Callers walked at the same point —
+// that a profile cannot tell the stored path from the full unwind.
 package goomp_test
 
 import (
@@ -12,6 +12,7 @@ import (
 	"maps"
 	"math/rand"
 	"os"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -26,22 +27,20 @@ import (
 	"goomp/internal/tool"
 )
 
-// pathOracle sits in front of the tool's callback. At each join it has
-// the entry path on the descriptor and is itself at the point where
-// the tool would unwind, so it unwinds, and compares the two as a
-// report shows them: resolved and stripped to the user model. Its own
-// frame is measurement infrastructure like the tool's. At each fork it
-// asks the collector, as a tool would, for the region's ID and parent.
+// pathOracle sits in front of the tool's callback. At each join it is
+// where the tool walks from, so it unwinds there with runtime.Callers,
+// the reference, and keeps the reference as a report shows it:
+// resolved and stripped to the user model. Its own frame is
+// measurement infrastructure like the tool's. At each fork it asks the
+// collector, as a tool would, for the region's ID and parent.
 type pathOracle struct {
 	strip *perf.Stripper
 	q     collector.Queue
 
-	mu       sync.Mutex
-	memo     map[string]string // both captures → "" or the disagreement
-	joins    int
-	noPath   int
-	disagree []string
-	parent   map[uint64]uint64 // region → PARENT_PRID, queried at its fork
+	mu     sync.Mutex
+	memo   map[string]string // reference PCs → their user model
+	ref    map[uint64]string // region → the user model of its join's reference
+	parent map[uint64]uint64 // region → PARENT_PRID, queried at its fork
 }
 
 func newPathOracle(col *collector.Collector) *pathOracle {
@@ -49,6 +48,7 @@ func newPathOracle(col *collector.Collector) *pathOracle {
 		strip:  perf.NewStripper("goomp_test.(*pathOracle)."),
 		q:      col.NewQueue(),
 		memo:   make(map[string]string),
+		ref:    make(map[uint64]string),
 		parent: make(map[uint64]uint64),
 	}
 }
@@ -72,65 +72,78 @@ func (o *pathOracle) wrap(next collector.Callback) collector.Callback {
 			o.mu.Unlock()
 		}
 		if e == collector.EventJoin {
-			entry := ti.RegionPath().PCs()
-			unwound := perf.Callstack(0, 64)
-			key := fmt.Sprintf("%x|%x", entry, unwound)
+			pcs := make([]uintptr, 128)
+			pcs = pcs[:runtime.Callers(1, pcs)]
+			key := fmt.Sprintf("%x", pcs)
 			o.mu.Lock()
-			o.joins++
-			if entry == nil {
-				o.noPath++
-			} else {
-				diff, seen := o.memo[key]
-				if !seen {
-					if a, b := o.render(entry), o.render(unwound); a != b {
-						diff = fmt.Sprintf("entry path:\n%sjoin-time stack:\n%s", a, b)
-					}
-					o.memo[key] = diff
-				}
-				if diff != "" {
-					o.disagree = append(o.disagree, diff)
-				}
+			um, seen := o.memo[key]
+			if !seen {
+				um = o.render(pcs)
+				o.memo[key] = um
 			}
+			o.ref[ti.Team().RegionID] = um
 			o.mu.Unlock()
 		}
 		next(e, ti)
 	}
 }
 
-// check holds the oracle's verdict against the tool's own account of
-// the routes its joins took.
-func (o *pathOracle) check(t *testing.T, rep *tool.Report) {
+// check holds every join the tool stored against the reference taken
+// at it: each join the oracle saw is stored once, with a stack that
+// starts at the region's site and whose user model is the reference's.
+func (o *pathOracle) check(t *testing.T, bufs []*perf.TraceBuffer) {
 	t.Helper()
-	if len(o.disagree) > 0 {
-		t.Errorf("%d of %d joins disagree; the first:\n%s", len(o.disagree), o.joins, o.disagree[0])
+	joins, disagree := 0, 0
+	for _, b := range bufs {
+		for _, s := range b.Samples() {
+			if s.Event != int32(collector.EventJoin) {
+				continue
+			}
+			joins++
+			want, ok := o.ref[s.Region]
+			stack := b.Stack(s.StackID)
+			if got := o.render(stack); !ok || len(stack) == 0 || stack[0] != uintptr(s.Site) || got != want {
+				if disagree++; disagree == 1 {
+					t.Errorf("region %d at site %#x: stored path %x:\n%sreference (seen: %v):\n%s", s.Region, s.Site, stack, got, ok, want)
+				}
+			}
+		}
 	}
-	if o.joins == 0 || o.noPath != 0 {
-		t.Errorf("%d joins, %d of them without an entry path", o.joins, o.noPath)
-	}
-	if rep.JoinPathsSupplied != uint64(o.joins) || rep.JoinStacksUnwound != 0 {
-		t.Errorf("report: %d joins from entry paths, %d unwound; the oracle saw %d joins",
-			rep.JoinPathsSupplied, rep.JoinStacksUnwound, o.joins)
+	if disagree > 0 || joins == 0 || joins != len(o.ref) {
+		t.Errorf("%d joins stored, %d of them off the reference; the oracle saw %d", joins, disagree, len(o.ref))
 	}
 }
 
-// underOracle runs program under a full-measurement tool with the
-// oracle in front of it and returns the traces the tool kept and the
-// oracle.
+// underOracle runs program under a full-measurement tool attached to
+// its runtime before it starts, with the oracle in front of the tool,
+// and returns the traces the tool kept and the oracle.
 func underOracle(t *testing.T, cfg omp.Config, program func(rt *omp.RT)) ([]*perf.TraceBuffer, *pathOracle) {
+	t.Helper()
+	return oracleRun(t, cfg, func(rt *omp.RT, opts tool.Options) *tool.Tool {
+		tl, err := tool.AttachRuntime(rt, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		program(rt)
+		return tl
+	})
+}
+
+// oracleRun is underOracle for a run that attaches the tool itself:
+// run attaches it with opts, which put the oracle in front of it,
+// wherever its program needs, and returns it when the program is done.
+func oracleRun(t *testing.T, cfg omp.Config, run func(rt *omp.RT, opts tool.Options) *tool.Tool) ([]*perf.TraceBuffer, *pathOracle) {
 	t.Helper()
 	rt := omp.New(cfg)
 	defer rt.Close()
 	o := newPathOracle(rt.Collector())
 	opts := tool.FullMeasurement()
 	opts.WrapCallback = o.wrap
-	tl, err := tool.AttachRuntime(rt, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	program(rt)
+	tl := run(rt, opts)
 	tl.Detach()
-	o.check(t, tl.Report())
-	return memoryTraces(t, tl), o
+	bufs := memoryTraces(t, tl)
+	o.check(t, bufs)
+	return bufs, o
 }
 
 // memoryTraces reads a memory-only tool's traces back the way a report
@@ -262,6 +275,46 @@ func TestPathOracleTwoCallersOneSite(t *testing.T) {
 	}
 }
 
+// A region entered before the tool attached joins with the tool there,
+// and its join is walked and stored like every later one.
+func TestPathOracleEnteredBeforeAttach(t *testing.T) {
+	var regions int
+	_, o := oracleRun(t, omp.Config{NumThreads: 2}, func(rt *omp.RT, opts tool.Options) *tool.Tool {
+		var tl *tool.Tool
+		rt.Parallel(func(tc *omp.ThreadCtx) {
+			if tc.ThreadNum() == 0 {
+				var err error
+				if tl, err = tool.AttachRuntime(rt, opts); err != nil {
+					t.Error(err)
+				}
+			}
+		})
+		if tl == nil {
+			t.FailNow()
+		}
+		timestep(rt, &regions)
+		return tl
+	})
+	if len(o.ref) != 1+3 {
+		t.Errorf("the oracle saw %d joins, want the one entered before attach and 3 more", len(o.ref))
+	}
+}
+
+// A tool attached to the collector alone, as a tool that finds the
+// collector API without the runtime does, stores its joins alike.
+func TestPathOracleAttachCollector(t *testing.T) {
+	var regions int
+	oracleRun(t, omp.Config{NumThreads: 2}, func(rt *omp.RT, opts tool.Options) *tool.Tool {
+		tl, err := tool.AttachCollector(rt.Collector(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		warmup(rt, &regions)
+		timestep(rt, &regions)
+		return tl
+	})
+}
+
 // True-nested regions join on whichever thread encountered them, all
 // at once, each against the path on its own descriptor. The region
 // tree a tool rebuilds from the streams is the one the program ran.
@@ -361,9 +414,9 @@ func TestPathOracleNested(t *testing.T) {
 }
 
 // TestUserModelTablesIdenticalEitherRoute: one epcc-fine segment run
-// twice into a run directory, once recorded against entry paths and
-// once with the tool made to unwind every join itself; what a report
-// derives from the stacks is the same text.
+// twice into a run directory, once under a tool attached to the
+// runtime and once under one attached to its collector alone; what a
+// report derives from the stacks is the same text.
 func TestUserModelTablesIdenticalEitherRoute(t *testing.T) {
 	ds := epcc.Directives()
 	rng := rand.New(rand.NewSource(17))
@@ -371,18 +424,15 @@ func TestUserModelTablesIdenticalEitherRoute(t *testing.T) {
 	for r := 0; r < 3; r++ {
 		order = append(order, rng.Perm(len(ds))...)
 	}
-	run := func(supplied bool) (string, *tool.Report) {
+	run := func(attach func(rt *omp.RT, opts tool.Options) (*tool.Tool, error)) (string, uint64) {
 		rt := omp.New(omp.Config{NumThreads: 2})
 		defer rt.Close()
 		dir := t.TempDir()
 		opts := tool.FullMeasurement()
 		opts.StreamDir = dir
-		tl, err := tool.AttachRuntime(rt, opts)
+		tl, err := attach(rt, opts)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if !supplied {
-			rt.Collector().SetRegionPaths(false) // the tool finds no path and falls back
 		}
 		s := epcc.NewSuite(rt)
 		s.InnerReps, s.DelayLength = 16, 4
@@ -418,23 +468,23 @@ func TestUserModelTablesIdenticalEitherRoute(t *testing.T) {
 				fmt.Fprintf(&leaves, "join site %s:%d (%s) ×%d\n", sp.Leaf.File, sp.Leaf.Line, sp.Leaf.Func, sp.Count)
 			}
 		}
-		return table + leaves.String(), tl.Report()
+		return table + leaves.String(), tl.Report().Events[collector.EventJoin]
 	}
 	// One call site for both runs: the test's own frames are user code.
 	var tables [2]string
-	var reps [2]*tool.Report
-	for i, supplied := range []bool{true, false} {
-		tables[i], reps[i] = run(supplied)
+	var joins [2]uint64
+	for i, attach := range []func(rt *omp.RT, opts tool.Options) (*tool.Tool, error){
+		tool.AttachRuntime,
+		func(rt *omp.RT, opts tool.Options) (*tool.Tool, error) {
+			return tool.AttachCollector(rt.Collector(), opts)
+		},
+	} {
+		tables[i], joins[i] = run(attach)
 	}
-	joins := reps[0].JoinPathsSupplied
-	if joins == 0 || reps[0].JoinStacksUnwound != 0 {
-		t.Errorf("entry-path run: %d supplied, %d unwound", joins, reps[0].JoinStacksUnwound)
-	}
-	if reps[1].JoinPathsSupplied != 0 || reps[1].JoinStacksUnwound != joins {
-		t.Errorf("forced-unwind run: %d supplied, %d unwound; the other run recorded %d joins",
-			reps[1].JoinPathsSupplied, reps[1].JoinStacksUnwound, joins)
+	if joins[0] == 0 || joins[0] != joins[1] {
+		t.Errorf("joins: %d attached to the runtime, %d to the collector", joins[0], joins[1])
 	}
 	if tables[0] != tables[1] || !strings.Contains(tables[0], "goomp/internal/epcc.") {
-		t.Errorf("user-model tables differ.\nentry paths:\n%s\njoin-time unwinding:\n%s", tables[0], tables[1])
+		t.Errorf("user-model tables differ.\nattached to the runtime:\n%s\nattached to the collector:\n%s", tables[0], tables[1])
 	}
 }
