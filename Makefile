@@ -26,10 +26,11 @@ test: build
 # widths, because a nested region borrows the encountering thread's
 # descriptor across goroutines and the oracle is the program that
 # nests — then the format gate. Nothing in tool or cmd writes v1 any more
-# (every write path is walked block by block), so v1 lives on only as
-# something the readers must keep opening: the checked-in v1 fixture,
-# v1 and v2 blocks mixed in one stream, and every writer/reader pairing
-# must read back through the auto-detecting reader. Last, the
+# (every write path is walked block by block), nor PSX2 version 1, so
+# both live on only as something the readers must keep opening: the
+# checked-in v1 and PSX2 version-1 fixtures, v1 and v2 blocks mixed in
+# one stream, and every writer/reader pairing must read back through
+# the auto-detecting reader. Last, the
 # allocation guards: what psxd's per-chunk count check, the trace
 # reader and Timelines may allocate per sample, and what a chunk may
 # allocate on its way from the recording thread through the encoder and
@@ -43,7 +44,7 @@ check:
 	$(GO) test -race -cpu 1,2,4 ./internal/omp ./internal/collector ./internal/perf ./internal/tool ./internal/ingest
 	$(GO) test -race -cpu 1,2,4 -run 'PathOracle' .
 	$(GO) test -count=1 ./internal/faultinject -run 'EveryWritePathWritesPSX2'
-	$(GO) test -count=1 ./internal/perf -run 'V1Fixture|V2CrossRead|MixedStream|V2TornTail'
+	$(GO) test -count=1 ./internal/perf -run 'V1Fixture|PSX2Version1Fixture|V2CrossRead|MixedStream|V2TornTail'
 	$(GO) test -count=1 ./internal/omp ./internal/perf ./internal/analysis ./internal/tool ./internal/ingest -run 'Alloc'
 
 # chaos runs the deterministic fault-injection suite — panicking and

@@ -1,6 +1,7 @@
 package faultinject_test
 
 import (
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -150,14 +151,48 @@ func TestChaosDiskCrashRestartMidChunk(t *testing.T) {
 	checkAccounting(t, rep, plan, parseStreamDir(t, localDir))
 }
 
+// streamedTraceBytes runs regions empty parallel regions on two threads
+// under full measurement, streamed to a local directory only, and
+// returns the bytes of the trace files they leave.
+func streamedTraceBytes(t *testing.T, regions int) int64 {
+	t.Helper()
+	rt := omp.New(omp.Config{NumThreads: 2})
+	defer rt.Close()
+	opts := tool.FullMeasurement()
+	opts.StreamDir = t.TempDir()
+	tl, err := tool.AttachRuntime(rt, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runWorkload(t, rt, regions)
+	tl.Detach()
+	files, err := filepath.Glob(filepath.Join(opts.StreamDir, "trace.*.psxt"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("probe run left no trace files: %v", err)
+	}
+	var total int64
+	for _, f := range files {
+		st, err := os.Stat(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += st.Size()
+	}
+	return total
+}
+
 // TestChaosDiskFullQuarantinesOneRun fills the disk under one run
 // while a second run shares the daemon: the doomed run must be
 // quarantined with the typed INGEST_STORAGE code — not folded into
 // generic drops — and the healthy run must keep ingesting to a
 // byte-identical finish, untouched by its neighbour's dead disk.
 func TestChaosDiskFullQuarantinesOneRun(t *testing.T) {
+	const regions = 250
 	plan := faultinject.New(31)
-	plan.DiskFullAfter(filepath.Join("doomed-run", "trace."), 8192)
+	// The disk fills halfway through what the doomed run's workload
+	// writes on a healthy disk: a byte count fixed for one block encoding
+	// stops firing once blocks shrink.
+	plan.DiskFullAfter(filepath.Join("doomed-run", "trace."), streamedTraceBytes(t, regions)/2)
 
 	dataDir := t.TempDir()
 	srv, err := ingest.Serve("127.0.0.1:0", ingest.Options{Dir: dataDir, FS: plan.IngestFS()})
@@ -194,7 +229,7 @@ func TestChaosDiskFullQuarantinesOneRun(t *testing.T) {
 	// Interleave the two runs so the healthy one is mid-flight when its
 	// neighbour's disk dies.
 	start := time.Now()
-	for i := 0; i < 250; i++ {
+	for i := 0; i < regions; i++ {
 		rtA.Parallel(func(tc *omp.ThreadCtx) {})
 		rtB.Parallel(func(tc *omp.ThreadCtx) {})
 	}

@@ -78,10 +78,10 @@ func (s *Server) completeOldestFirst() []*run {
 	return out
 }
 
-// gcRun removes one complete run — registry entry, writer goroutine,
-// and directory — and returns the bytes freed. The gone latch (under
-// seqMu, the same lock every enqueue holds) guarantees no frame can
-// race into the queue after it closes.
+// gcRun removes one complete run — registry entry, writer goroutine
+// (a retired run has none left), and directory — and returns the bytes
+// freed. The gone latch (under seqMu, the same lock every enqueue
+// holds) guarantees no frame can race into the queue after it closes.
 func (s *Server) gcRun(r *run) int64 {
 	r.seqMu.Lock()
 	if r.gone {
@@ -89,8 +89,8 @@ func (s *Server) gcRun(r *run) int64 {
 		return 0
 	}
 	r.gone = true
+	r.closeQueue()
 	r.seqMu.Unlock()
-	close(r.q)
 	r.wg.Wait()
 	s.mu.Lock()
 	delete(s.runs, r.id)

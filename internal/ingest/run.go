@@ -79,15 +79,17 @@ type run struct {
 	st  *store
 	led *Ledger
 
-	q   chan item
-	wg  sync.WaitGroup
-	res []Code // the writer's per-batch results; reused like its batch
+	q    chan item     // nil once closed
+	wake chan struct{} // a session let go of seqMu on a sealed run (wakeIfSealed)
+	wg   sync.WaitGroup
+	res  []Code // the writer's per-batch results; reused like its batch
 
 	// seqMu serializes admit (ledger entry + duplicate check + enqueue +
 	// sequence advance) when several connections carry one run, and
-	// guards gone against the GC.
+	// guards q, gone and retired against the writer, the GC and Close.
 	seqMu   sync.Mutex
 	gone    bool          // GC removed the run; nothing may enqueue
+	retired bool          // sealed with nothing left to write: the queue is closed, the writer gone
 	lastSeq atomic.Uint64 // highest accepted data-frame sequence
 
 	lastSeen atomic.Int64 // unix nanos of the last frame
@@ -112,42 +114,93 @@ func (s *Server) newRun(id, host string, pid uint64, durable bool) *run {
 		st:      newStore(s.opts.FS, id, filepath.Join(s.opts.Dir, id), durable, s.opts.Fsync),
 		led:     NewLedger("run "+id+" took", "committed", "storage", "shed", "duplicate", "refused"),
 		q:       make(chan item, s.opts.QueueDepth),
+		wake:    make(chan struct{}, 1),
 	}
 	r.lastSeen.Store(time.Now().UnixNano())
 	r.client.Store(&ClientLoss{})
 	return r
 }
 
-// start launches the run's writer goroutine.
+// start launches the run's writer goroutine; a run recovered sealed
+// needs none, and is retired from the start.
 func (r *run) start() {
+	if r.complete.Load() {
+		r.retired, r.q = true, nil
+		return
+	}
 	r.wg.Add(1)
-	go r.writer()
+	go r.writer(r.q)
 }
 
 // writer is the run's ingest goroutine, the loop between the halves
-// and the only toucher of the store: it drains the queue in
-// group-commit batches of at most maxBatch.
-func (r *run) writer() {
+// and the only toucher of the store: it drains the queue q in
+// group-commit batches of at most maxBatch, until the queue is closed —
+// at Close, by the GC, or by the writer itself once the run is sealed
+// (retire).
+func (r *run) writer(q chan item) {
 	defer r.wg.Done()
 	var batch []item // reused batch after batch: commitBatch clears what it holds
 	for {
 		select {
-		case it, ok := <-r.q:
+		case it, ok := <-q:
 			if !ok {
 				r.finish()
 				return
 			}
 			batch = append(batch[:0], it)
+			// The writer is the queue's only receiver, so what len reports
+			// is there to take without waiting (a closed queue still hands
+			// out what it buffered, and then ends the loop above).
+			for len(batch) < maxBatch && len(q) > 0 {
+				batch = append(batch, <-q)
+			}
+			r.commitBatch(batch)
+		case <-r.wake:
 		case <-r.s.deadCh:
 			return // simulated crash: abandon everything as-is
 		}
-		// The writer is the queue's only receiver, so what len reports is
-		// there to take without waiting (a closed queue still hands out
-		// what it buffered, and then ends the loop above).
-		for len(batch) < maxBatch && len(r.q) > 0 {
-			batch = append(batch, <-r.q)
+		// Only try the lock: a session holding it may be waiting for room
+		// in this queue. Whoever holds it wakes the writer to try again
+		// once it lets go (wakeIfSealed).
+		if r.complete.Load() && r.seqMu.TryLock() {
+			r.retire()
+			r.seqMu.Unlock()
 		}
-		r.commitBatch(batch)
+	}
+}
+
+// retire closes the queue of a sealed run that holds nothing, which
+// ends the writer: everything the run accepted is committed (and, on a
+// durable run, synced), so sequence answers the rest without a writer.
+// A quarantined run keeps its writer: on a durable one, a resend of a
+// sequence its failed sync lost still has to be answered
+// INGEST_STORAGE, which the writer does. Callers hold seqMu, and only
+// the writer calls it, between batches.
+func (r *run) retire() {
+	if r.q != nil && len(r.q) == 0 && !r.st.broken.Load() {
+		r.retired = true
+		r.closeQueue()
+	}
+}
+
+// wakeIfSealed wakes the writer of a sealed run to try retiring it
+// again. A session calls it after letting go of seqMu, which the
+// writer may have found taken.
+func (r *run) wakeIfSealed() {
+	if r.complete.Load() {
+		select {
+		case r.wake <- struct{}{}:
+		default: // a wake is already pending
+		}
+	}
+}
+
+// closeQueue closes the run's queue, if it is still open, and drops it.
+// Callers hold seqMu.
+func (r *run) closeQueue() {
+	if r.q != nil {
+		close(r.q)
+		r.q = nil
 	}
 }
 
@@ -210,11 +263,12 @@ func (r *run) reconcile(loss ClientLoss) {
 	r.client.Store(&loss)
 }
 
-// finish runs at graceful queue close: sync per policy, close
-// everything, and leave a manifest carrying the run's identity and
-// progress (Complete only if BYE landed) for the next daemon. The
-// queue is drained and no session can reach it, so every chunk ever
-// taken must have settled: check the books.
+// finish runs when the queue closes — at graceful shutdown, at GC, or
+// at retirement: sync per policy, close everything, and leave a
+// manifest carrying the run's identity and progress (Complete only if
+// BYE landed) for the next daemon. The queue is drained and no session
+// can reach it, so every chunk ever taken must have settled: check the
+// books.
 func (r *run) finish() {
 	if !r.st.broken.Load() && !r.complete.Load() {
 		r.st.flush()

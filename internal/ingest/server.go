@@ -236,7 +236,9 @@ func (s *Server) CloseWithin(d time.Duration) (err error) {
 	runs := s.snapshot()
 	s.drainOnce.Do(func() {
 		for _, r := range runs {
-			close(r.q)
+			r.seqMu.Lock()
+			r.closeQueue()
+			r.seqMu.Unlock()
 		}
 	})
 	drained := make(chan struct{})

@@ -4,11 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -248,6 +250,76 @@ func TestServerRefusesDataAfterBye(t *testing.T) {
 		t.Fatalf("post-BYE chunk code = %v, want INGEST_SEALED", ack.Code)
 	}
 	tc.close()
+}
+
+// TestSealedRunsRetireTheirWriters: a run's writer exits after the
+// batch that seals the run, so a daemon that has served many runs keeps
+// no goroutine per finished one. A late resend and a late BYE of a
+// retired run are still acked, as duplicates, by the sequencing rules
+// alone, anything newer is refused, the books balance, and Close does
+// not wait for the writers that are gone.
+func TestSealedRunsRetireTheirWriters(t *testing.T) {
+	srv, err := Serve("127.0.0.1:0", Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	baseline := runtime.NumGoroutine()
+
+	const runs = 14
+	block := traceBlockV2(t, 0, 5, false)
+	flagsOf := func(i int) uint32 { return uint32(i%2) * FlagDurable } // every other run durable
+	for i := 0; i < runs; i++ {
+		tc, _ := dialFlags(t, srv.Addr(), fmt.Sprintf("run-%d", i), flagsOf(i))
+		for _, f := range []struct {
+			kind    uint8
+			payload []byte
+		}{
+			{MsgChunk, EncodeChunk(Chunk{Seq: 1, Thread: 0, Samples: 5, Block: block})},
+			{MsgSeal, EncodeSeal(Seal{Seq: 2, Thread: 0})},
+			{MsgBye, EncodeBye(Bye{Seq: 3, Produced: 1})},
+		} {
+			if ack := tc.send(f.kind, f.payload); ack.Code != CodeOK {
+				t.Fatalf("run %d: frame kind %d acked %v", i, f.kind, ack.Code)
+			}
+		}
+		tc.close()
+	}
+	waitFor(t, "every sealed run's writer to exit", func() bool { return runtime.NumGoroutine() <= baseline })
+
+	for i := 0; i < 2; i++ {
+		tc, ha := dialFlags(t, srv.Addr(), fmt.Sprintf("run-%d", i), flagsOf(i))
+		if ha.Code != CodeOK || ha.LastSeq != 3 {
+			t.Fatalf("run %d: HELLO-ACK %+v, want OK at 3", i, ha)
+		}
+		for _, f := range []struct {
+			what    string
+			kind    uint8
+			payload []byte
+			want    Code
+		}{
+			{"late resend", MsgChunk, EncodeChunk(Chunk{Seq: 1, Thread: 0, Samples: 5, Block: block}), CodeOK},
+			{"late BYE", MsgBye, EncodeBye(Bye{Seq: 3, Produced: 1}), CodeOK},
+			{"chunk past the BYE", MsgChunk, EncodeChunk(Chunk{Seq: 4, Thread: 0, Samples: 5, Block: block}), CodeSealed},
+			{"second BYE", MsgBye, EncodeBye(Bye{Seq: 5, Produced: 2}), CodeSealed},
+		} {
+			if ack := tc.send(f.kind, f.payload); ack.Code != f.want {
+				t.Fatalf("run %d: %s acked %v, want %v", i, f.what, ack.Code, f.want)
+			}
+		}
+		tc.close()
+	}
+	for _, ri := range srv.Runs() {
+		if !ri.Complete || ri.Chunks != 1 || ri.Unstored != nil {
+			t.Fatalf("%s: complete %v, %d chunks, unstored %v; want complete, 1, none", ri.ID, ri.Complete, ri.Chunks, ri.Unstored)
+		}
+		if late := ri.ID == "run-0" || ri.ID == "run-1"; late && (ri.DuplicateChunks != 1 || ri.RefusedChunks != 1) {
+			t.Fatalf("%s: %d duplicate, %d refused chunks; want 1 and 1", ri.ID, ri.DuplicateChunks, ri.RefusedChunks)
+		}
+	}
+	if err := srv.CloseWithin(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestServerObsPlaneMergesRuns(t *testing.T) {

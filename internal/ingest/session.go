@@ -220,8 +220,9 @@ const (
 	// ack must wait for the group commit that covers the original, so
 	// an ack-only marker rides the queue behind it.
 	vDeferred
-	// vSealed: the run is complete (only a BYE may follow a BYE), or
-	// the GC freed it and its incarnation is over.
+	// vSealed: the run is complete (only a BYE may follow a BYE, and
+	// none once the run is retired), or the GC freed it and its
+	// incarnation is over.
 	vSealed
 	// vQuarantined: storage is gone for this run. A chunk is refused
 	// with the typed code, so the client books the loss under storage
@@ -232,10 +233,17 @@ const (
 
 // sequence applies the sequencing rules to one data frame: a function
 // of the run's state and the frame that changes neither. Callers hold
-// seqMu.
+// seqMu. A retired run has no writer and needs none: everything up to
+// lastSeq is stored (synced, on a durable run), so a resend is a
+// duplicate and anything newer is refused.
 func (r *run) sequence(it *item) verdict {
 	switch {
 	case r.gone:
+		return vSealed
+	case r.retired:
+		if it.seq != 0 && it.seq <= r.lastSeq.Load() {
+			return vDuplicate
+		}
 		return vSealed
 	case it.seq != 0 && it.seq <= r.lastSeq.Load():
 		if r.durable && it.seq > r.st.syncedSeq.Load() {
@@ -273,6 +281,7 @@ func (v verdict) unqueued() (Code, Bucket) {
 // settled here. queued: the writer has the frame or its marker — and,
 // on a durable run, owes the ack.
 func (r *run) admit(it item) (v verdict, queued bool) {
+	defer r.wakeIfSealed() // after the unlock below
 	r.seqMu.Lock()
 	defer r.seqMu.Unlock()
 	if it.chunk() {

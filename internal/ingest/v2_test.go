@@ -65,11 +65,12 @@ func TestChunkSampleCountCrossChecked(t *testing.T) {
 	}
 }
 
-// TestChunkMustCarrySampleBlocks: a chunk's bytes are trace blocks.
-// One with no block at all, and one holding a block of another kind
-// (the hang-report block older tools appended to salvaged traces), are
-// refused with their seq and booked nowhere; the seq stays open for
-// the real block.
+// TestChunkMustCarrySampleBlocks: a chunk's bytes are trace blocks a
+// reader decodes. One with no block at all, one holding a block of
+// another kind (the hang-report block older tools appended to salvaged
+// traces), and a PSX2 block of a version no reader decodes — its
+// checksum intact, for the version is not under it — are refused with
+// their seq and booked nowhere; the seq stays open for the real block.
 func TestChunkMustCarrySampleBlocks(t *testing.T) {
 	dir := t.TempDir()
 	srv, err := Serve("127.0.0.1:0", Options{Dir: dir})
@@ -81,14 +82,18 @@ func TestChunkMustCarrySampleBlocks(t *testing.T) {
 	defer tc.close()
 
 	report := []byte{'P', 'S', 'X', 'R', 1, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 'h', 'a', 'n', 'g'}
+	version9 := traceBlockV2(t, 0, 5, false)
+	version9[4] = 9
 	for _, bad := range []struct {
-		name  string
-		block []byte
+		name    string
+		block   []byte
+		samples uint32
 	}{
-		{"empty", nil},
-		{"report", report},
+		{"empty", nil, 0},
+		{"report", report, 0},
+		{"version 9", version9, 5},
 	} {
-		if ack := tc.send(MsgChunk, EncodeChunk(Chunk{Seq: 1, Thread: 0, Block: bad.block})); ack.Code != CodeBadFrame || ack.Seq != 1 {
+		if ack := tc.send(MsgChunk, EncodeChunk(Chunk{Seq: 1, Thread: 0, Samples: bad.samples, Block: bad.block})); ack.Code != CodeBadFrame || ack.Seq != 1 {
 			t.Fatalf("%s chunk acked %v seq %d, want %v seq 1", bad.name, ack.Code, ack.Seq, CodeBadFrame)
 		}
 	}

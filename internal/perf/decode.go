@@ -158,12 +158,16 @@ func (d *blockDecoder) stageV1() error {
 	return err
 }
 
-// varints is a run of zigzag varints and how far it has been decoded.
-// (An offset, not a shrinking slice: storing a slice through the
-// receiver would put a GC write barrier on every value.)
+// varints is a v2 payload and how far it has been decoded. (An offset,
+// not a shrinking slice: storing a slice through the receiver would put
+// a GC write barrier on every value.)
 type varints struct {
 	buf []byte
 	off int
+	// flag is the width of the more flag in front of a run-coded column's
+	// values: 1 in a version-2 block, 0 in a version-1 block, whose
+	// columns are runs of one sample each.
+	flag uint8
 }
 
 // uvarint decodes the next value as it is stored; ok is false when the
@@ -177,20 +181,94 @@ func (p *varints) uvarint() (u uint64, ok bool) {
 	return u, true
 }
 
-// next decodes the next value as a zigzag-mapped signed one. Most are
-// one byte (a thread, event or state; a region or site that repeats),
-// so that case does not go through the general loop.
-func (p *varints) next() (v int64, ok bool) {
-	if p.off < len(p.buf) && p.buf[p.off] < 0x80 {
-		b := p.buf[p.off]
+// single decodes the next run if it is a singleton whose word is one
+// byte, which takes no call; ok is false, and nothing is consumed,
+// otherwise.
+func (p *varints) single() (v int64, ok bool) {
+	if p.off < len(p.buf) && p.buf[p.off]&(0x80|p.flag) == 0 {
 		p.off++
-		return unzigzag(uint64(b)), true
+		return unzigzag(uint64(p.buf[p.off-1] >> p.flag)), true
+	}
+	return 0, false
+}
+
+// oneByte decodes the next uvarint if it is one byte long, which takes no
+// call; ok is false, and nothing is consumed, otherwise.
+func (p *varints) oneByte() (u uint64, ok bool) {
+	if p.off < len(p.buf) && p.buf[p.off] < 0x80 {
+		p.off++
+		return uint64(p.buf[p.off-1]), true
+	}
+	return 0, false
+}
+
+// next decodes the next value as a zigzag-mapped signed one. Most are
+// one byte (an event or state in a version-1 block) or two (a time
+// delta), so those cases do not go through the general loop.
+func (p *varints) next() (v int64, ok bool) {
+	if p.off+1 < len(p.buf) {
+		b0, b1 := p.buf[p.off], p.buf[p.off+1]
+		if b0 < 0x80 {
+			p.off++
+			return unzigzag(uint64(b0)), true
+		}
+		if b1 < 0x80 {
+			p.off += 2
+			return unzigzag(uint64(b0&0x7f) | uint64(b1)<<7), true
+		}
 	}
 	u, ok := p.uvarint()
 	return unzigzag(u), ok
 }
 
-var errTruncatedV2 = fmt.Errorf("%w: truncated v2 payload", ErrBadTrace)
+// run decodes the next run of a run-coded column, whatever its form:
+// its value (for a delta column, the delta of the previous run's) and
+// its length, which may be at most left.
+func (p *varints) run(left int) (int64, int, error) {
+	if p.flag == 0 {
+		v, ok := p.next()
+		if !ok {
+			return 0, 0, errTruncatedV2
+		}
+		return v, 1, nil
+	}
+	// The 65-bit uvarint of zigzag(v)<<1 | more (appendRunWord).
+	if p.off >= len(p.buf) {
+		return 0, 0, errTruncatedV2
+	}
+	first := p.buf[p.off]
+	p.off++
+	zig := uint64(first&0x7f) >> 1
+	if first >= 0x80 {
+		rest, ok := p.oneByte()
+		if !ok {
+			rest, ok = p.uvarint()
+		}
+		if !ok || rest>>58 != 0 {
+			return 0, 0, errTruncatedV2
+		}
+		zig |= rest << 6
+	}
+	if first&1 == 0 {
+		return unzigzag(zig), 1, nil
+	}
+	r, ok := p.oneByte()
+	if !ok {
+		r, ok = p.uvarint()
+	}
+	if !ok {
+		return 0, 0, errTruncatedV2
+	}
+	if r > uint64(left) || int(r)+2 > left {
+		return 0, 0, errRunPastCount
+	}
+	return unzigzag(zig), int(r) + 2, nil
+}
+
+var (
+	errTruncatedV2  = fmt.Errorf("%w: truncated v2 payload", ErrBadTrace)
+	errRunPastCount = fmt.Errorf("%w: v2 run past the declared sample count", ErrBadTrace)
+)
 
 // stageV2 parses one PSX2 block (magic included), validating it in the
 // order the format allows: the declared extent must be present, its
@@ -203,8 +281,9 @@ func (d *blockDecoder) stageV2() error {
 	if err != nil {
 		return fmt.Errorf("%w: truncated v2 header", ErrBadTrace)
 	}
-	if v := binary.LittleEndian.Uint32(hdr[4:8]); v != traceV2Version {
-		return fmt.Errorf("perf: unsupported v2 trace version %d", v)
+	ver := binary.LittleEndian.Uint32(hdr[4:8])
+	if !v2Decodable(ver) {
+		return errV2Version(ver)
 	}
 	flags := binary.LittleEndian.Uint32(hdr[8:12])
 	ns := binary.LittleEndian.Uint64(hdr[12:20])
@@ -226,11 +305,18 @@ func (d *blockDecoder) stageV2() error {
 		return fmt.Errorf("%w: v2 payload checksum mismatch", ErrBadTrace)
 	}
 	p := varints{buf: d.stored.Bytes()}
+	if ver == traceV2Version {
+		p.flag = 1
+	}
 	if flags&flagV2Flate != 0 {
 		// The inflater holds nothing but memory, so it is reused and
 		// never closed. Inflation stops one byte past the longest
 		// payload the declared counts could need: a longer one is
-		// refused below without being held.
+		// refused below without being held. A sample costs each column
+		// at most one word of at most ten bytes (a 65-bit run word takes
+		// ten, as a 64-bit varint does); a run's length, four bytes at
+		// most, rides on a run of two samples or more, whose second
+		// sample pays no word.
 		d.deflated.Reset(d.stored.Bytes())
 		if d.inflate == nil {
 			d.inflate = flate.NewReader(&d.deflated)
@@ -247,7 +333,9 @@ func (d *blockDecoder) stageV2() error {
 	}
 
 	// One pass per column, each filling its field of the staged
-	// samples; the first column sizes the scratch.
+	// samples; the first column sizes the scratch. The run-coded ones
+	// fill a run at a time: a one-byte singleton, most of what does not
+	// repeat, is decoded without a call (single), anything else by run.
 	d.samples = d.samples[:0]
 	var t int64
 	for i := uint64(0); i < ns; i++ {
@@ -259,55 +347,78 @@ func (d *blockDecoder) stageV2() error {
 		d.samples = append(d.samples, Sample{Time: t})
 	}
 	ss := d.samples
-	var th int64
-	for i := range ss {
-		v, ok := p.next()
-		if !ok {
-			return errTruncatedV2
+	var th, region, site int64 // runs of these columns carry deltas
+	for i := 0; i < len(ss); {
+		v, n := int64(0), 1
+		if s, ok := p.single(); ok {
+			v = s
+		} else if v, n, err = p.run(len(ss) - i); err != nil {
+			return err
 		}
 		th += v
-		ss[i].Thread = int32(th)
-	}
-	for i := range ss {
-		v, ok := p.next()
-		if !ok {
-			return errTruncatedV2
+		for end := i + n; i < end; i++ {
+			ss[i].Thread = int32(th)
 		}
-		ss[i].Event = int32(v)
 	}
-	for i := range ss {
-		v, ok := p.next()
-		if !ok {
-			return errTruncatedV2
+	for i := 0; i < len(ss); {
+		v, n := int64(0), 1
+		if s, ok := p.single(); ok {
+			v = s
+		} else if v, n, err = p.run(len(ss) - i); err != nil {
+			return err
 		}
-		ss[i].State = int32(v)
+		for end := i + n; i < end; i++ {
+			ss[i].Event = int32(v)
+		}
 	}
-	var region, site uint64
-	for i := range ss {
-		v, ok := p.next()
-		if !ok {
-			return errTruncatedV2
+	for i := 0; i < len(ss); {
+		v, n := int64(0), 1
+		if s, ok := p.single(); ok {
+			v = s
+		} else if v, n, err = p.run(len(ss) - i); err != nil {
+			return err
 		}
-		region += uint64(v)
-		ss[i].Region = region
+		for end := i + n; i < end; i++ {
+			ss[i].State = int32(v)
+		}
 	}
-	for i := range ss {
-		v, ok := p.next()
-		if !ok {
-			return errTruncatedV2
+	for i := 0; i < len(ss); {
+		v, n := int64(0), 1
+		if s, ok := p.single(); ok {
+			v = s
+		} else if v, n, err = p.run(len(ss) - i); err != nil {
+			return err
 		}
-		site += uint64(v)
-		ss[i].Site = site
+		region += v
+		for end := i + n; i < end; i++ {
+			ss[i].Region = uint64(region)
+		}
 	}
-	for i := range ss {
-		id, ok := p.next()
-		if !ok {
-			return errTruncatedV2
+	for i := 0; i < len(ss); {
+		v, n := int64(0), 1
+		if s, ok := p.single(); ok {
+			v = s
+		} else if v, n, err = p.run(len(ss) - i); err != nil {
+			return err
 		}
-		if id != int64(NoStack) && (id < 0 || uint64(id) >= nst) {
+		site += v
+		for end := i + n; i < end; i++ {
+			ss[i].Site = uint64(site)
+		}
+	}
+	for i := 0; i < len(ss); {
+		v, n := int64(0), 1
+		if s, ok := p.single(); ok {
+			v = s
+		} else if v, n, err = p.run(len(ss) - i); err != nil {
+			return err
+		}
+		if v != int64(NoStack) && (v < 0 || uint64(v) >= nst) {
 			return fmt.Errorf("%w: v2 stack index out of dictionary range", ErrBadTrace)
 		}
-		ss[i].StackID = int32(id)
+		for end := i + n; i < end; i++ {
+			ss[i].StackID = int32(v)
+		}
 	}
 
 	d.pcs, d.ends = d.pcs[:0], d.ends[:0]

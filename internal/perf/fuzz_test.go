@@ -2,6 +2,8 @@ package perf
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -46,6 +48,46 @@ func FuzzReadTrace(f *testing.F) {
 	f.Add(corrupt2)
 	hdrOnly := append([]byte(nil), v2.Bytes()[:v2HeaderLen]...)
 	f.Add(hdrOnly)
+	// Run-coded seeds: a block whose columns are long runs, and runs
+	// broken by joins with stacks and by region deltas that need the run
+	// word's 65th bit, plain and deflated; the same block with its first
+	// run stretched past the sample count; and a version-1 block.
+	runs := NewTraceBuffer(0, 0)
+	for i := 0; i < 40; i++ {
+		s := Sample{Time: int64(i * 10), Thread: 3, Event: int32(i % 2), State: 1, Region: uint64(i / 8), Site: 0x401000, StackID: NoStack}
+		switch {
+		case i%8 == 7:
+			runs.AppendStacked(s, []uintptr{0x401000, uintptr(0x500000 + i)})
+		case i%13 == 0:
+			s.Region = 1<<63 + uint64(i)
+			runs.Append(s)
+		default:
+			runs.Append(s)
+		}
+	}
+	for _, enc := range []Encoding{{V2: true}, {V2: true, Flate: true}} {
+		var blk bytes.Buffer
+		if err := WriteTraceEnc(&blk, runs, enc); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blk.Bytes())
+	}
+	var one bytes.Buffer
+	if err := WriteTraceEnc(&one, runs, Encoding{V2: true}); err != nil {
+		f.Fatal(err)
+	}
+	payload := append([]byte(nil), one.Bytes()[v2HeaderLen:]...)
+	p := varints{buf: payload, flag: 1}
+	for i := 0; i < runs.Len(); i++ {
+		p.next()
+	}
+	payload[p.off+1]++ // the thread column's one run, one sample longer
+	f.Add(v2BlockFromPayload(uint64(runs.Len()), uint64(runs.NumStacks()), 0, payload))
+	version1, err := os.ReadFile(filepath.Join("testdata", "psx2-version1.psxt"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(version1)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := ReadTrace(bytes.NewReader(data))
@@ -62,6 +104,15 @@ func FuzzReadTrace(f *testing.F) {
 		}
 		if len(again.Samples()) != len(got.Samples()) {
 			t.Fatal("round trip changed sample count")
+		}
+		// Whatever was accepted, the run coder writes and reads back
+		// sample for sample.
+		out.Reset()
+		if err := WriteTraceEnc(&out, got, Encoding{V2: true}); err != nil {
+			t.Fatalf("accepted trace failed to encode as PSX2: %v", err)
+		}
+		if v2, err := ReadTrace(&out); err != nil || !sameResolved(resolve(v2), resolve(got)) {
+			t.Fatalf("PSX2 round trip of accepted trace changed it (err=%v)", err)
 		}
 	})
 }

@@ -18,14 +18,15 @@ import (
 // bytes per sample; most of those bytes are redundancy — timestamps
 // are monotone within a chunk, the thread column is constant, region
 // and site IDs repeat, and join stacks recur. A v2 block stores the
-// same samples as delta-of-previous zigzag-varint columns, the block's
-// stacks as a content-deduplicated dictionary, and (optionally) the
-// whole payload deflated with the stdlib flate — all work done in the
-// writer/streamer goroutine, never on the recording thread.
+// same samples as zigzag-varint columns — times as deltas, the rest as
+// runs of equal values — the block's stacks as a content-deduplicated
+// dictionary, and (optionally) the whole payload deflated with the
+// stdlib flate — all work done in the writer/streamer goroutine, never
+// on the recording thread.
 //
 // Layout (little-endian):
 //
-//	magic "PSX2", version uint32
+//	magic "PSX2", version uint32 (2; version 1 is read, never written)
 //	flags uint32 (bit 0: payload is flate-compressed)
 //	nsamples uint64, nstacks uint64 (dictionary entries), dropped uint64
 //	payloadLen uint64, payloadCRC uint32 (IEEE, over the stored bytes)
@@ -33,14 +34,32 @@ import (
 //
 // The payload (after decompression when flagged) is columnar:
 //
-//	times    nsamples × varint(zigzag(delta of previous, starting 0))
-//	threads  nsamples × varint(zigzag(delta))
-//	events   nsamples × varint(zigzag(value))
-//	states   nsamples × varint(zigzag(value))
-//	regions  nsamples × varint(zigzag(delta))
-//	sites    nsamples × varint(zigzag(delta))
-//	stackIDs nsamples × varint(zigzag(dictionary index, or -1))
-//	stacks   nstacks × (uvarint depth, depth × varint(zigzag(PC delta)))
+//	times    nsamples × uvarint(zigzag(delta of previous, starting 0))
+//	threads  runs of equal values, each the delta of the previous run's
+//	events   runs of equal values
+//	states   runs of equal values
+//	regions  runs of equal values, each the delta of the previous run's
+//	sites    runs of equal values, each the delta of the previous run's
+//	stackIDs runs of equal values (a dictionary index, or -1)
+//	stacks   nstacks × (uvarint depth, depth × uvarint(zigzag(PC delta)))
+//
+// A run is the longest stretch of neighbouring samples that hold one
+// value in that column, and is written as the 65-bit uvarint of
+// zigzag(v)<<1 | more, followed, only when more is set, by
+// uvarint(length − 2): a sample whose value differs from its
+// neighbours' costs what a plain varint costs, and a run of any length
+// costs two varints. Most of a block's samples repeat the sample before
+// them in every column but time — the thread throughout a per-thread
+// block, the region and site inside a region, the -1 of a sample
+// without a stack — so most of the columns shrink to a few runs. Deltas
+// are two's-complement and so may be any uint64, which is why the flag
+// takes a 65th bit rather than one of the value's 64. The runs of a
+// column cover exactly nsamples samples; a run past that is refused.
+//
+// Version 1 wrote every one of those columns as nsamples ×
+// uvarint(zigzag(value or delta of previous sample)): the same columns
+// with every run of length one and no flag bit, which is how the reader
+// still decodes it.
 //
 // Unlike v1, the header states the payload's exact byte extent and its
 // checksum, so a block whose declared counts disagree with its bytes
@@ -53,7 +72,9 @@ import (
 var traceV2Magic = [4]byte{'P', 'S', 'X', '2'}
 
 const (
-	traceV2Version = 1
+	// traceV2Version is the layout every PSX2 block is written in;
+	// v2Decodable says which versions the readers decode.
+	traceV2Version = 2
 
 	// flagV2Flate marks a flate-compressed payload.
 	flagV2Flate = 1 << 0
@@ -124,12 +145,65 @@ func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
+// v2Decodable reports whether the readers decode PSX2 blocks of version
+// ver: the version written and version 1. The skim counts no other, so
+// psxd never acks, stores or recovers a block no reader opens.
+func v2Decodable(ver uint32) bool { return ver == 1 || ver == traceV2Version }
+
+func errV2Version(ver uint32) error { return fmt.Errorf("perf: unsupported v2 trace version %d", ver) }
+
+// appendRuns appends the column vals run-coded (see the layout above);
+// with delta, each run is written as the delta of the previous run's
+// value. A singleton that fits the first byte, most of what does not
+// repeat, is appended without a call.
+func appendRuns(b []byte, vals []int64, delta bool) []byte {
+	var prev int64
+	for i := 0; i < len(vals); {
+		v := vals[i]
+		j := i + 1
+		for j < len(vals) && vals[j] == v {
+			j++
+		}
+		w := v
+		if delta {
+			w, prev = v-prev, v // wraps: a two's-complement delta
+		}
+		zig := zigzag(w)
+		switch {
+		case j-i > 1:
+			b = binary.AppendUvarint(appendRunWord(b, zig, true), uint64(j-i-2))
+		case zig < 0x40:
+			b = append(b, byte(zig<<1))
+		default:
+			b = appendRunWord(b, zig, false)
+		}
+		i = j
+	}
+	return b
+}
+
+// appendRunWord appends the 65-bit uvarint of zig<<1 | more: the first
+// byte carries more and zig's low six bits, and the bytes after it are
+// the plain uvarint of the rest of zig.
+func appendRunWord(b []byte, zig uint64, more bool) []byte {
+	first := byte(zig&0x3f) << 1
+	if more {
+		first |= 1
+	}
+	if rest := zig >> 6; rest != 0 {
+		return binary.AppendUvarint(append(b, first|0x80), rest)
+	}
+	return append(b, first)
+}
+
 // BlockEncoder writes v2 blocks, one after another, out of scratch it
-// owns and reuses: the block's bytes, the stack dictionary and its index
-// and, when blocks are deflated, one flate.Writer. The zero value is
-// ready; an encoder serves one goroutine at a time.
+// owns and reuses: the block's bytes, one column's values, the stack
+// dictionary and its index and, when blocks are deflated, one
+// flate.Writer. The zero value is ready; an encoder serves one goroutine
+// at a time.
 type BlockEncoder struct {
 	raw    []byte           // header and columnar payload
+	vals   []int64          // the run-coded column being written
 	z      bytes.Buffer     // header and the payload deflated
 	zw     *flate.Writer    // made by the first deflated block
 	dict   [][]uintptr      // distinct stacks, in order of first appearance
@@ -191,7 +265,7 @@ func (e *BlockEncoder) encode(views []chunkView, base0 int32, dropped uint64, de
 	raw = binary.LittleEndian.AppendUint64(raw, dropped)
 	raw = append(raw, make([]byte, 12)...) // payload length and CRC: known at the end
 	// One pass per column: within a column the deltas stay small, so
-	// each varint stays short.
+	// each varint stays short, and equal neighbours fall into one run.
 	var prev int64
 	for _, v := range views {
 		for i := range v.c.samples[:v.n] {
@@ -200,51 +274,53 @@ func (e *BlockEncoder) encode(views []chunkView, base0 int32, dropped uint64, de
 			prev = t
 		}
 	}
-	prev = 0
-	for _, v := range views {
-		for i := range v.c.samples[:v.n] {
-			th := int64(v.c.samples[i].Thread)
-			raw = binary.AppendUvarint(raw, zigzag(th-prev))
-			prev = th
-		}
+	// The run-coded columns, each gathered into one scratch slice first
+	// so that finding its runs is a loop over plain values.
+	n := int(nsamples)
+	if cap(e.vals) < n {
+		e.vals = make([]int64, n)
 	}
-	for _, v := range views {
-		for i := range v.c.samples[:v.n] {
-			raw = binary.AppendUvarint(raw, zigzag(int64(v.c.samples[i].Event)))
-		}
-	}
-	for _, v := range views {
-		for i := range v.c.samples[:v.n] {
-			raw = binary.AppendUvarint(raw, zigzag(int64(v.c.samples[i].State)))
-		}
-	}
-	var uprev uint64
-	for _, v := range views {
-		for i := range v.c.samples[:v.n] {
-			r := v.c.samples[i].Region
-			raw = binary.AppendUvarint(raw, zigzag(int64(r-uprev))) // two's-complement delta: wrap-safe
-			uprev = r
-		}
-	}
-	uprev = 0
-	for _, v := range views {
-		for i := range v.c.samples[:v.n] {
-			st := v.c.samples[i].Site
-			raw = binary.AppendUvarint(raw, zigzag(int64(st-uprev)))
-			uprev = st
-		}
-	}
-	for _, v := range views {
-		for i := range v.c.samples[:v.n] {
-			sid := v.c.samples[i].StackID
-			out := int64(NoStack)
-			if sid != NoStack {
-				if rel := sid - base0; rel >= 0 && uint64(rel) < nstacks {
-					out = int64(e.toDict[rel])
+	vals := e.vals[:n]
+	for col := range 6 {
+		k := 0
+		for _, v := range views {
+			ss := v.c.samples[:v.n]
+			dst := vals[k : k+len(ss)]
+			k += len(ss)
+			switch col {
+			case 0:
+				for i := range ss {
+					dst[i] = int64(ss[i].Thread)
+				}
+			case 1:
+				for i := range ss {
+					dst[i] = int64(ss[i].Event)
+				}
+			case 2:
+				for i := range ss {
+					dst[i] = int64(ss[i].State)
+				}
+			case 3:
+				for i := range ss {
+					dst[i] = int64(ss[i].Region)
+				}
+			case 4:
+				for i := range ss {
+					dst[i] = int64(ss[i].Site)
+				}
+			case 5:
+				for i := range ss {
+					out := int64(NoStack)
+					if sid := ss[i].StackID; sid != NoStack {
+						if rel := sid - base0; rel >= 0 && uint64(rel) < nstacks {
+							out = int64(e.toDict[rel])
+						}
+					}
+					dst[i] = out
 				}
 			}
-			raw = binary.AppendUvarint(raw, zigzag(out))
 		}
+		raw = appendRuns(raw, vals, col == 0 || col == 3 || col == 4) // thread, region, site: deltas
 	}
 	for _, st := range e.dict {
 		raw = binary.AppendUvarint(raw, uint64(len(st)))
@@ -411,12 +487,16 @@ func skimBlockV1(br *bufio.Reader) (uint64, error) {
 	return ns, discard(br, 8) // dropped
 }
 
-// skimBlockV2 consumes one v2 PSX2 block, verifying the payload extent
-// and checksum, and returns its declared sample count.
+// skimBlockV2 consumes one v2 PSX2 block, verifying its version (one a
+// reader decodes), payload extent and checksum, and returns its declared
+// sample count.
 func skimBlockV2(br *bufio.Reader) (uint64, error) {
 	hdr, err := br.Peek(v2HeaderLen)
 	if err != nil {
 		return 0, fmt.Errorf("%w: truncated v2 header", ErrBadTrace)
+	}
+	if v := binary.LittleEndian.Uint32(hdr[4:8]); !v2Decodable(v) {
+		return 0, errV2Version(v)
 	}
 	ns := binary.LittleEndian.Uint64(hdr[12:20])
 	nst := binary.LittleEndian.Uint64(hdr[20:28])

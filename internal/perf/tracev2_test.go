@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -312,17 +314,110 @@ func TestV2DictionaryIndexOutOfRange(t *testing.T) {
 	var payload []byte
 	putv := func(v int64) { payload = binary.AppendUvarint(payload, zigzag(v)) }
 	putv(10) // time delta
-	putv(0)  // thread
-	putv(0)  // event
-	putv(0)  // state
-	putv(0)  // region
-	putv(0)  // site
-	putv(5)  // stack index: out of the 1-entry dictionary
+	for c := 0; c < 5; c++ {
+		payload = appendRunWord(payload, zigzag(0), false) // thread, event, state, region, site
+	}
+	payload = appendRunWord(payload, zigzag(5), false) // stack index: out of the 1-entry dictionary
 	payload = binary.AppendUvarint(payload, 1)
 	putv(0x1000) // the one dictionary stack: depth 1, PC 0x1000
 	blk := v2BlockFromPayload(1, 1, 0, payload)
 	if _, err := ReadTrace(bytes.NewReader(blk)); !errors.Is(err, ErrBadTrace) {
 		t.Fatalf("out-of-dictionary stack index accepted (err=%v)", err)
+	}
+}
+
+// TestV2SkimRefusesWhatReadersRefuse: the skim behind psxd's per-chunk
+// count (and so behind what psxd acks and stores) refuses a PSX2 block
+// of any version the reader does not decode, though its checksum, which
+// does not cover the version, is intact.
+func TestV2SkimRefusesWhatReadersRefuse(t *testing.T) {
+	b := NewTraceBuffer(0, 0)
+	for i := 0; i < 3; i++ {
+		b.Append(Sample{Time: int64(i), Event: 1, State: -1, StackID: NoStack})
+	}
+	var out bytes.Buffer
+	if err := WriteTraceEnc(&out, b, Encoding{V2: true}); err != nil {
+		t.Fatal(err)
+	}
+	blk := out.Bytes()
+	if n, err := BlockSamples(blk); err != nil || n != 3 {
+		t.Fatalf("written block: BlockSamples = %d, %v; want 3", n, err)
+	}
+	for _, ver := range []uint32{0, 3, 9, math.MaxUint32} {
+		binary.LittleEndian.PutUint32(blk[4:8], ver)
+		want := fmt.Sprintf("unsupported v2 trace version %d", ver)
+		if _, err := ReadTrace(bytes.NewReader(blk)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("version %d: ReadTrace err = %v, want %q", ver, err, want)
+		}
+		if n, err := BlockSamples(blk); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("version %d: BlockSamples = %d, %v; want %q", ver, n, err, want)
+		}
+	}
+}
+
+// TestV2RunWordIs65Bits pins the flagged word at its widest: a region
+// delta of 2^63 has a zigzag image of 2^64 − 1, so the word needs all
+// 65 bits — ten bytes — and a bit more is refused, not wrapped.
+func TestV2RunWordIs65Bits(t *testing.T) {
+	word := appendRunWord(nil, math.MaxUint64, true)
+	if len(word) != binary.MaxVarintLen64 || word[0] != 0xff || word[9] != 0x03 {
+		t.Fatalf("word = % x, want ten bytes ending in 03", word)
+	}
+	p := varints{buf: append(word, 0), flag: 1}
+	if v, n, err := p.run(2); err != nil || v != math.MinInt64 || n != 2 || p.off != len(p.buf) {
+		t.Fatalf("run = %d×%d, %v at %d; want %d×2 over all %d bytes", v, n, err, p.off, int64(math.MinInt64), len(p.buf))
+	}
+	word[9] = 0x04 // a 66th bit
+	p = varints{buf: append(word, 0), flag: 1}
+	if _, _, err := p.run(2); !errors.Is(err, ErrBadTrace) {
+		t.Fatalf("a 66-bit word decoded (err=%v)", err)
+	}
+}
+
+// TestV2QuickRoundTripExtremes round-trips random samples whose every
+// column but time draws from its type's extremes, in random runs: a
+// region or site delta of 2^62 or more is the case the run word's 65th
+// bit is for, and int32 extremes meet the thread deltas and the value
+// columns.
+func TestV2QuickRoundTripExtremes(t *testing.T) {
+	u64 := []uint64{0, 1, 1 << 62, 1<<62 - 1, 1 << 63, math.MaxUint64 - 1, math.MaxUint64}
+	i32 := []int32{math.MinInt32, math.MinInt32 + 1, -1, 0, 1, math.MaxInt32}
+	check := func(picks []uint32, flate bool) bool {
+		b := NewTraceBuffer(0, 0)
+		var s Sample
+		for i, p := range picks {
+			// The low bits say which columns change at this sample, so
+			// most columns repeat the sample before and runs form.
+			if p&1 != 0 {
+				s.Thread = i32[(p>>8)%uint32(len(i32))]
+			}
+			if p&2 != 0 {
+				s.Event = i32[(p>>12)%uint32(len(i32))]
+				s.State = i32[(p>>16)%uint32(len(i32))]
+			}
+			if p&4 != 0 {
+				s.Region = u64[(p>>20)%uint32(len(u64))]
+			}
+			if p&8 != 0 {
+				s.Site = u64[(p>>24)%uint32(len(u64))]
+			}
+			s.Time = int64(i) * int64(p>>4)
+			if p&16 != 0 {
+				b.AppendStacked(s, []uintptr{uintptr(p >> 28), 0x1000})
+			} else {
+				s.StackID = NoStack
+				b.Append(s)
+			}
+		}
+		var out bytes.Buffer
+		if err := WriteTraceEnc(&out, b, Encoding{V2: true, Flate: flate}); err != nil {
+			return false
+		}
+		got, err := ReadTrace(bytes.NewReader(out.Bytes()))
+		return err == nil && sameResolved(resolve(b), resolve(got))
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -349,13 +444,12 @@ func v2BlockFromPayload(ns, nst, dropped uint64, payload []byte) []byte {
 // exact-consumption check, the structural fix for the v1 ambiguity.
 func TestV2PayloadCountDisagreement(t *testing.T) {
 	var payload []byte
-	putv := func(v int64) { payload = binary.AppendUvarint(payload, zigzag(v)) }
 	for i := 0; i < 2; i++ { // two samples' worth of columns...
-		putv(int64(i))
+		payload = binary.AppendUvarint(payload, zigzag(int64(i)))
 	}
 	for c := 0; c < 6; c++ {
 		for i := 0; i < 2; i++ {
-			putv(-1)
+			payload = appendRunWord(payload, zigzag(int64(i)), false)
 		}
 	}
 	blk := v2BlockFromPayload(1, 0, 0, payload) // ...declared as one

@@ -2,6 +2,8 @@ package perf
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -65,5 +67,91 @@ func TestV1FixtureStillReads(t *testing.T) {
 	}
 	if n, err := BlockSamples(fixture); err != nil || n != 5 {
 		t.Fatalf("BlockSamples = %d, %v; want 5", n, err)
+	}
+}
+
+// psx2Version1FixtureBlocks are the buffers testdata/psx2-version1.psxt
+// was written from by the last encoder that wrote PSX2 version 1: the
+// first as a plain block, the second deflated. Both carry a stack
+// dictionary (the first one stack twice, which the dictionary
+// collapses), repeated values in every column, and deltas that wrap a
+// uint64.
+func psx2Version1FixtureBlocks() []*TraceBuffer {
+	b0 := NewTraceBuffer(8, 0)
+	b0.Append(Sample{Time: 1000, Thread: 0, Event: 1, State: 2, Region: 7, Site: 0x401000, StackID: NoStack})
+	b0.Append(Sample{Time: 1040, Thread: 0, Event: 5, State: 2, Region: 7, Site: 0x401000, StackID: NoStack})
+	b0.Append(Sample{Time: 1090, Thread: 0, Event: 6, State: 2, Region: 7, Site: 0x401000, StackID: NoStack})
+	b0.AppendStacked(Sample{Time: 1200, Thread: 0, Event: 2, State: 1, Region: 7, Site: 0x401000},
+		[]uintptr{0x401000, 0x402000, 0x403000})
+	b0.Append(Sample{Time: 1210, Thread: 0, Event: 1, State: 2, Region: 8, Site: 0x405000, StackID: NoStack})
+	b0.AppendStacked(Sample{Time: 1300, Thread: 0, Event: 2, State: 1, Region: 8, Site: 0x405000},
+		[]uintptr{0x405000, 0x403000})
+	b0.AppendStacked(Sample{Time: 1400, Thread: 0, Event: 2, State: 1, Region: 9, Site: 0x401000},
+		[]uintptr{0x401000, 0x402000, 0x403000})
+	b0.dropped.Store(3)
+	b1 := NewTraceBuffer(6, 0)
+	b1.Append(Sample{Time: 1100, Thread: 1, Event: 5, State: -1, Region: math.MaxUint64, Site: 0x401000, StackID: NoStack})
+	b1.Append(Sample{Time: 1150, Thread: 1, Event: 6, State: -1, Region: math.MaxUint64, Site: 0x401000, StackID: NoStack})
+	b1.Append(Sample{Time: 1160, Thread: 1, Event: 5, State: -1, Region: 1, Site: math.MaxUint64 - 1, StackID: NoStack})
+	b1.AppendStacked(Sample{Time: 1170, Thread: 1, Event: 2, State: 0, Region: 1, Site: 0x1000},
+		[]uintptr{0x7f0000, 0x401000})
+	b1.Append(Sample{Time: 1180, Thread: 1, Event: 6, State: -1, Region: 1, Site: 0x1000, StackID: NoStack})
+	return []*TraceBuffer{b0, b1}
+}
+
+// TestPSX2Version1FixtureStillReads: PSX2 version 2 replaced version 1
+// as the written layout, so a checked-in version-1 stream stands for
+// every PSX2 trace and psxd data directory written before it. The
+// reader and both skim arms must keep opening it, sample for sample.
+func TestPSX2Version1FixtureStillReads(t *testing.T) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "psx2-version1.psxt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := NewTraceBuffer(0, 0)
+	var wantDropped uint64
+	for _, b := range psx2Version1FixtureBlocks() {
+		for _, s := range b.Samples() {
+			if s.StackID != NoStack {
+				s.StackID = want.InternStack(b.Stack(s.StackID))
+			}
+			want.Append(s)
+		}
+		wantDropped += b.Dropped()
+	}
+	// The fixture is what it says: two version-1 blocks, the first plain
+	// and the second deflated.
+	rest := fixture
+	for i, wantFlags := range []uint32{0, flagV2Flate} {
+		if !IsV2Block(rest) || len(rest) < v2HeaderLen {
+			t.Fatalf("block %d is not a PSX2 block", i)
+		}
+		if v := binary.LittleEndian.Uint32(rest[4:8]); v != 1 {
+			t.Fatalf("block %d is version %d, want 1", i, v)
+		}
+		if f := binary.LittleEndian.Uint32(rest[8:12]); f != wantFlags {
+			t.Fatalf("block %d flags = %#x, want %#x", i, f, wantFlags)
+		}
+		rest = rest[v2HeaderLen+binary.LittleEndian.Uint64(rest[36:44]):]
+	}
+	if len(rest) != 0 {
+		t.Fatalf("%d bytes after the two blocks", len(rest))
+	}
+
+	got, err := ReadTraceStream(bytes.NewReader(fixture))
+	if err != nil {
+		t.Fatalf("ReadTraceStream: %v", err)
+	}
+	if !sameResolved(resolve(got), resolve(want)) {
+		t.Fatalf("ReadTraceStream samples differ:\n got %+v\nwant %+v", resolve(got), resolve(want))
+	}
+	if got.NumStacks() != 3 || got.Dropped() != wantDropped {
+		t.Fatalf("%d stacks, %d dropped; want 3, %d", got.NumStacks(), got.Dropped(), wantDropped)
+	}
+	if n, err := CountStreamSamples(bytes.NewReader(fixture)); err != nil || n != uint64(want.Len()) {
+		t.Fatalf("CountStreamSamples = %d, %v; want %d", n, err, want.Len())
+	}
+	if n, err := BlockSamples(fixture); err != nil || n != uint64(want.Len()) {
+		t.Fatalf("BlockSamples = %d, %v; want %d", n, err, want.Len())
 	}
 }
