@@ -101,7 +101,7 @@ func main() {
 			}
 			truncated++
 			fmt.Fprintf(os.Stderr, "ompreport: warning: %s: %v; using the intact prefix (%d samples)\n",
-				path, err, len(buf.Samples()))
+				path, err, buf.Len())
 		}
 		dropped += buf.Dropped()
 		samples = append(samples, buf.Samples()...)

@@ -69,7 +69,7 @@ func dump(path string, summary bool) error {
 	// discarding a salvageable trace.
 	buf, err := perf.ReadTraceStream(f)
 	if err != nil {
-		if buf == nil || len(buf.Samples()) == 0 {
+		if buf == nil || buf.Len() == 0 {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "tracedump: %s: %v; dumping the intact prefix\n", path, err)

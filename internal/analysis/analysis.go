@@ -9,8 +9,11 @@
 package analysis
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -47,20 +50,30 @@ var pairs = map[collector.Event]collector.Event{
 	collector.EventThrBeginTask:      collector.EventThrEndTask,
 }
 
-// endToBegin is the inverse of pairs.
-var endToBegin = func() map[collector.Event]collector.Event {
-	m := make(map[collector.Event]collector.Event, len(pairs))
-	for b, e := range pairs {
-		m[e] = b
+// opens and closes are pairs as tables, so that pairing a sample is an
+// index rather than a map lookup: opens[e] is whether e opens an
+// interval, closes[e] the begin event an end event e closes (-1 for
+// any other event).
+var opens, closes = func() (o [collector.NumEvents]bool, c [collector.NumEvents]collector.Event) {
+	for e := range c {
+		c[e] = -1
 	}
-	return m
+	for b, e := range pairs {
+		o[b] = true
+		c[e] = b
+	}
+	return o, c
 }()
 
+// known reports whether e indexes the pair tables: a decoded trace may
+// carry any int32 in its event column.
+func known(e collector.Event) bool { return uint32(e) < uint32(collector.NumEvents) }
+
 // IsBegin reports whether e opens an interval.
-func IsBegin(e collector.Event) bool { _, ok := pairs[e]; return ok }
+func IsBegin(e collector.Event) bool { return known(e) && opens[e] }
 
 // IsEnd reports whether e closes an interval.
-func IsEnd(e collector.Event) bool { _, ok := endToBegin[e]; return ok }
+func IsEnd(e collector.Event) bool { return known(e) && closes[e] >= 0 }
 
 // Timeline is one thread's reconstructed activity.
 type Timeline struct {
@@ -73,19 +86,14 @@ type Timeline struct {
 	Unbalanced int
 }
 
-// timed is all Timelines reads of a sample, so it is all it copies.
-type timed struct {
-	time  int64
-	event collector.Event
-}
-
 // threadRecords is one thread's share of the trace while Timelines
-// regroups it: first a count, then exactly that many records.
+// regroups it: first a count, then exactly that many records, each the
+// index of a sample rather than a copy of it.
 type threadRecords struct {
 	thread   int32
 	n        int     // records counted
 	begins   int     // of which open an interval: the most it can have
-	recs     []timed // filled to n in trace order
+	recs     []int32 // indices into the samples, filled to n in trace order
 	unsorted bool    // some record is earlier than the one before it
 }
 
@@ -96,11 +104,21 @@ func inTimeline(s *perf.Sample) bool {
 	return s.Event >= 0 && collector.Event(s.Event) != collector.EventGovernor
 }
 
+// maxTimelineSamples is the most samples Timelines takes: it keeps
+// each record as an int32 index into them. That is an 80 GiB input
+// slice; a trace beyond it wants a streaming report, not a bigger
+// index.
+const maxTimelineSamples = math.MaxInt32
+
 // Timelines reconstructs one timeline per thread from trace samples.
 // Samples may be unsorted; they are ordered by time per thread.
 // Nesting is handled with a per-thread stack (a lock wait inside a
-// worksharing loop closes before the loop does).
+// worksharing loop closes before the loop does). It panics on more
+// than maxTimelineSamples samples.
 func Timelines(samples []perf.Sample) []Timeline {
+	if len(samples) > maxTimelineSamples {
+		panic(fmt.Sprintf("analysis: Timelines over %d samples, at most %d", len(samples), maxTimelineSamples))
+	}
 	// Count first, so that every thread's records and intervals are
 	// allocated once at their final size. A trace is runs of one
 	// thread's samples (a file per thread, a chunk per block), so the
@@ -135,7 +153,7 @@ func Timelines(samples []perf.Sample) []Timeline {
 	for i := range threads {
 		total += threads[i].n
 	}
-	all := make([]timed, total)
+	all := make([]int32, total)
 	for i := range threads {
 		t := &threads[i]
 		t.recs, all = all[:0:t.n], all[t.n:]
@@ -147,10 +165,10 @@ func Timelines(samples []perf.Sample) []Timeline {
 		}
 		lookup(s.Thread)
 		t := &threads[cur]
-		if n := len(t.recs); n > 0 && s.Time < t.recs[n-1].time {
+		if n := len(t.recs); n > 0 && s.Time < samples[t.recs[n-1]].Time {
 			t.unsorted = true
 		}
-		t.recs = append(t.recs, timed{s.Time, collector.Event(s.Event)})
+		t.recs = append(t.recs, int32(i))
 	}
 	sort.Slice(threads, func(i, j int) bool { return threads[i].thread < threads[j].thread })
 
@@ -159,18 +177,25 @@ func Timelines(samples []perf.Sample) []Timeline {
 	for i := range threads {
 		t := &threads[i]
 		if t.unsorted {
-			sort.SliceStable(t.recs, func(i, j int) bool { return t.recs[i].time < t.recs[j].time })
+			slices.SortStableFunc(t.recs, func(a, b int32) int {
+				return cmp.Compare(samples[a].Time, samples[b].Time)
+			})
 		}
 		tl := Timeline{Thread: t.thread}
 		// Every interval comes from one begin record.
 		ivs := make([]Interval, 0, t.begins)
 		stack = stack[:0]
-		for _, r := range t.recs {
+		for _, k := range t.recs {
+			s := &samples[k]
+			e := collector.Event(s.Event)
+			if !known(e) {
+				continue // neither opens nor closes
+			}
 			switch {
-			case IsBegin(r.event):
-				stack = append(stack, Interval{Kind: r.event, Start: r.time})
-			case IsEnd(r.event):
-				want := endToBegin[r.event]
+			case opens[e]:
+				stack = append(stack, Interval{Kind: e, Start: s.Time})
+			case closes[e] >= 0:
+				want := closes[e]
 				// Pop to the matching open, tolerating mismatches by
 				// discarding inner unbalanced opens.
 				matched := false
@@ -178,7 +203,7 @@ func Timelines(samples []perf.Sample) []Timeline {
 					top := stack[len(stack)-1]
 					stack = stack[:len(stack)-1]
 					if top.Kind == want {
-						top.End = r.time
+						top.End = s.Time
 						ivs = append(ivs, top)
 						matched = true
 						break
@@ -192,7 +217,7 @@ func Timelines(samples []perf.Sample) []Timeline {
 		}
 		// Close dangling opens at the final sample time.
 		for _, iv := range stack {
-			iv.End = t.recs[len(t.recs)-1].time
+			iv.End = samples[t.recs[len(t.recs)-1]].Time
 			ivs = append(ivs, iv)
 			tl.Unbalanced++
 		}

@@ -61,16 +61,17 @@ func TestAllocBlockSamples(t *testing.T) {
 }
 
 // TestAllocReadTraceStream: the reader materialises a sample once.
-// What it keeps per sample is the 48-byte Sample in the merged
+// What it keeps per sample is the 40-byte Sample in the merged
 // buffer's chunk, that chunk's share of bookkeeping and stack table,
-// and the interned stacks: this stream reads at 75 B/sample (the
-// reader that decoded each block into a private buffer, copied it out
-// and appended it again: 256), and the ceiling is a quarter above.
+// and the interned stacks: this stream reads at 67 B/sample (75 while
+// a Sample carried 8 bytes of padding; the reader that decoded each
+// block into a private buffer, copied it out and appended it again:
+// 256), and the ceiling is a quarter above.
 func TestAllocReadTraceStream(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation guards run without the race detector")
 	}
-	const blocks, ceiling = 200, 95 // bytes per sample
+	const blocks, ceiling = 200, 84 // bytes per sample
 	stream := allocStream(t, blocks)
 	got := allocatedBytes(func() {
 		buf, err := ReadTraceStream(bytes.NewReader(stream))
@@ -165,6 +166,19 @@ func TestAllocSealEncode(t *testing.T) {
 // it was (the reader's chunks are the same 128-byte objects), and the
 // counters readers poll are still a cache line away from the writer's
 // cursors.
+// TestSampleLayout: a Sample is the 40 bytes its fields need, with
+// the three 8-byte fields leading, so that a field added out of its
+// size's group cannot bring padding back into every sample slice.
+func TestSampleLayout(t *testing.T) {
+	var s Sample
+	if size := unsafe.Sizeof(s); size != 40 {
+		t.Errorf("Sample is %d bytes, want 40", size)
+	}
+	if a, b, c := unsafe.Offsetof(s.Time), unsafe.Offsetof(s.Region), unsafe.Offsetof(s.Site); a != 0 || b != 8 || c != 16 {
+		t.Errorf("Time, Region, Site at %d, %d, %d; want 0, 8, 16", a, b, c)
+	}
+}
+
 func TestChunkLayout(t *testing.T) {
 	var c chunk
 	if size := unsafe.Sizeof(c); size > 128 {

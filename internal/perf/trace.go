@@ -11,13 +11,19 @@ import (
 
 // Sample is one trace record: an event observed on a thread at a
 // counter value, optionally with a captured callstack.
+//
+// The 8-byte fields lead and the 4-byte ones follow, so a Sample is
+// the 40 bytes its fields need and no padding: every chunk, decoder
+// scratch and Samples copy is a slice of them. A field added later
+// goes into its size's group. The trace formats write fields by
+// explicit offset, so the order here moves no byte on disk or wire.
 type Sample struct {
 	Time    int64  // counter value (ns)
+	Region  uint64 // parallel region ID (per invocation), or 0
+	Site    uint64 // static region site (PC of the region's call site), or 0
 	Thread  int32  // global OpenMP thread number
 	Event   int32  // collector event, or -1 for sampler records
 	State   int32  // thread state at the sample, or -1
-	Region  uint64 // parallel region ID (per invocation), or 0
-	Site    uint64 // static region site (PC of the region's call site), or 0
 	StackID int32  // index into the buffer's stack table, or -1
 }
 
