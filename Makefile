@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test check race size bench bench-check bench-e2e chaos chaos-hang chaos-net chaos-disk chaos-load obs-demo psxd-demo
+.PHONY: build test check race size fuzz-read bench bench-check bench-e2e chaos chaos-hang chaos-net chaos-disk chaos-load obs-demo psxd-demo
 
 build:
 	$(GO) build ./...
@@ -30,7 +30,8 @@ test: build
 # both live on only as something the readers must keep opening: the
 # checked-in v1 and PSX2 version-1 fixtures, v1 and v2 blocks mixed in
 # one stream, and every writer/reader pairing must read back through
-# the auto-detecting reader. Last, the
+# the auto-detecting reader, and no header may make the reader size
+# its slab past what the stream's bytes allow. Last, the
 # allocation guards: what psxd's per-chunk count check, the trace
 # reader and Timelines may allocate per sample, and what a chunk may
 # allocate on its way from the recording thread through the encoder and
@@ -44,7 +45,7 @@ check:
 	$(GO) test -race -cpu 1,2,4 ./internal/omp ./internal/collector ./internal/perf ./internal/tool ./internal/ingest
 	$(GO) test -race -cpu 1,2,4 -run 'PathOracle' .
 	$(GO) test -count=1 ./internal/faultinject -run 'EveryWritePathWritesPSX2'
-	$(GO) test -count=1 ./internal/perf -run 'V1Fixture|PSX2Version1Fixture|V2CrossRead|MixedStream|V2TornTail'
+	$(GO) test -count=1 ./internal/perf -run 'V1Fixture|PSX2Version1Fixture|V2CrossRead|MixedStream|V2TornTail|ForgedCount'
 	$(GO) test -count=1 ./internal/omp ./internal/perf ./internal/analysis ./internal/tool ./internal/ingest -run 'Alloc'
 
 # chaos runs the deterministic fault-injection suite — panicking and
@@ -100,6 +101,12 @@ chaos-load:
 	$(GO) test -race -count=1 -timeout 120s ./internal/degrade
 	$(GO) test -race -count=1 -timeout 120s ./internal/tool -run 'Governor|Spill|Conservation|OptionsFromEnv|ParseOverheadCeiling'
 	$(GO) test -race -count=1 -timeout 120s ./internal/ingest -run 'Overload|Heartbeat'
+
+# fuzz-read fuzzes the trace readers for half a minute past the seed
+# corpus: ReadTrace's round trips, and ReadTraceStream's slab and
+# one-table-per-buffer commit against the blocks read one at a time.
+fuzz-read:
+	$(GO) test -run '^$$' -fuzz '^FuzzReadTrace$$' -fuzztime 30s ./internal/perf
 
 # race runs the detector over everything (slower; check covers the
 # concurrency-critical packages).

@@ -58,7 +58,7 @@ func main() {
 		}
 		paths = append(paths, expanded...)
 	}
-	var samples []perf.Sample
+	var bufs []*perf.TraceBuffer
 	var dropped uint64
 	var hangReports []string
 	truncated := 0
@@ -104,8 +104,9 @@ func main() {
 				path, err, buf.Len())
 		}
 		dropped += buf.Dropped()
-		samples = append(samples, buf.Samples()...)
+		bufs = append(bufs, buf)
 	}
+	samples := concat(bufs)
 	fmt.Printf("%d samples from %d trace files", len(samples), len(paths))
 	if dropped > 0 {
 		fmt.Printf(" (%d samples dropped at capture)", dropped)
@@ -171,6 +172,24 @@ func main() {
 			fmt.Printf("\nbarrier imbalance (max/mean): %.2f\n", imb)
 		}
 	}
+}
+
+// concat returns the samples of every buffer, in order. A single
+// buffer's are its own, handed over without a copy; several are copied
+// once, into a slice of their summed length.
+func concat(bufs []*perf.TraceBuffer) []perf.Sample {
+	if len(bufs) == 1 {
+		return bufs[0].Samples()
+	}
+	n := 0
+	for _, b := range bufs {
+		n += b.Len()
+	}
+	out := make([]perf.Sample, 0, n)
+	for _, b := range bufs {
+		out = append(out, b.Samples()...)
+	}
+	return out
 }
 
 // printDegradationSummary renders the degradation & loss summary: what

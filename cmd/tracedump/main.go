@@ -75,7 +75,7 @@ func dump(path string, summary bool) error {
 		fmt.Fprintf(os.Stderr, "tracedump: %s: %v; dumping the intact prefix\n", path, err)
 	}
 	samples := buf.Samples()
-	fmt.Printf("%s: %d samples, %d stacks, %d dropped\n",
+	fmt.Printf("%s: %d samples, %d distinct stacks, %d dropped\n",
 		path, len(samples), buf.NumStacks(), buf.Dropped())
 	// A psxd run directory carries a manifest; if the daemon salvaged
 	// this run from its journal after a crash, say so next to the data.

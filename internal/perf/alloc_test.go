@@ -61,17 +61,15 @@ func TestAllocBlockSamples(t *testing.T) {
 }
 
 // TestAllocReadTraceStream: the reader materialises a sample once.
-// What it keeps per sample is the 40-byte Sample in the merged
-// buffer's chunk, that chunk's share of bookkeeping and stack table,
-// and the interned stacks: this stream reads at 67 B/sample (75 while
-// a Sample carried 8 bytes of padding; the reader that decoded each
-// block into a private buffer, copied it out and appended it again:
-// 256), and the ceiling is a quarter above.
+// What it keeps per sample is the 40-byte Sample in the one slab it
+// sized by skimming the stream first, and its share of the buffer's
+// table of distinct stacks: this stream reads at 40.8 B/sample, and
+// the ceiling is a quarter above.
 func TestAllocReadTraceStream(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation guards run without the race detector")
 	}
-	const blocks, ceiling = 200, 84 // bytes per sample
+	const blocks, ceiling = 200, 51 // bytes per sample
 	stream := allocStream(t, blocks)
 	got := allocatedBytes(func() {
 		buf, err := ReadTraceStream(bytes.NewReader(stream))
@@ -81,6 +79,26 @@ func TestAllocReadTraceStream(t *testing.T) {
 	})
 	if per := float64(got) / (blocks * ChunkSamples); per > ceiling {
 		t.Fatalf("ReadTraceStream allocates %.0f B/sample, ceiling %d", per, ceiling)
+	}
+}
+
+// TestAllocReadTraceStreamSamples: taking the samples out of a decoded
+// buffer adds nothing, since Samples hands over the slab: 40.8 B/sample
+// for the two together, and the ceiling is a quarter above.
+func TestAllocReadTraceStreamSamples(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation guards run without the race detector")
+	}
+	const blocks, ceiling = 200, 51 // bytes per sample
+	stream := allocStream(t, blocks)
+	got := allocatedBytes(func() {
+		buf, err := ReadTraceStream(bytes.NewReader(stream))
+		if n := len(buf.Samples()); err != nil || n != blocks*ChunkSamples {
+			t.Fatalf("ReadTraceStream + Samples: %d samples, %v", n, err)
+		}
+	})
+	if per := float64(got) / (blocks * ChunkSamples); per > ceiling {
+		t.Fatalf("ReadTraceStream + Samples allocates %.0f B/sample, ceiling %d", per, ceiling)
 	}
 }
 

@@ -70,8 +70,8 @@ func reportStream(tb testing.TB, regions int) ([]byte, int) {
 }
 
 // BenchmarkReadTraceStream reads one thread's file of a report-shaped
-// run, as ompreport does per trace file, and reports the cost per
-// sample read.
+// run and takes its samples out, as ompreport does per trace file, and
+// reports the cost per sample read.
 func BenchmarkReadTraceStream(b *testing.B) {
 	stream, n := reportStream(b, 20000)
 	var before, after runtime.MemStats
@@ -83,8 +83,8 @@ func BenchmarkReadTraceStream(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if buf.Len() != n {
-			b.Fatalf("ReadTraceStream: %d of %d samples", buf.Len(), n)
+		if got := len(buf.Samples()); got != n {
+			b.Fatalf("ReadTraceStream: %d of %d samples", got, n)
 		}
 	}
 	b.StopTimer()

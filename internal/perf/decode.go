@@ -10,27 +10,32 @@ import (
 	"io"
 )
 
-// blockDecoder reads the trace blocks of one stream into one
-// destination buffer. Reading a block has two halves that never
-// overlap: the stage functions parse and validate the whole block into
-// scratch the decoder owns and reuses from block to block, touching
-// nothing of the destination; commit, reached only by a block that
-// passed every check, interns the staged stacks and appends the staged
-// samples. A block that fails therefore leaves the destination exactly
-// as the blocks before it made it — the salvage contract of
-// ReadTraceStream — and each sample is materialised once, in the
-// buffer the caller keeps.
+// blockDecoder reads the trace blocks of one stream into one buffer.
+// Reading a block has two halves that never overlap: the stage
+// functions parse and validate the whole block into scratch the decoder
+// owns and reuses from block to block, touching nothing committed;
+// commit, reached only by a block that passed every check, adds the
+// staged stacks to the stack table and the staged samples to the slab.
+// A block that fails therefore leaves the slab and the table exactly as
+// the blocks before it made them — the salvage contract of
+// ReadTraceStream — and buffer hands the two over as they are.
 type blockDecoder struct {
-	br  *bufio.Reader // the stream; blocks are consumed from it in order
-	dst *TraceBuffer  // starts empty: stacks counts what commit interned into it
+	br *bufio.Reader // the stream; blocks are consumed from it in order
+
+	// What the committed blocks made. Every sample lies in the one slab
+	// and names its stack by an index into stacks, which holds each
+	// distinct path once, however many blocks carried it.
+	slab   []Sample
+	stacks pathSet   // sub-slices of arena, in order of first commit
+	arena  []uintptr // a full one is left to the stacks it holds
+	remap  []int32   // the committing block's stack i → stacks entry
+	lost   uint64    // the committed blocks' dropped counts
 
 	// The staged block, valid from a successful stage to its commit.
 	samples []Sample  // stack IDs index the block's own stack table
 	pcs     []uintptr // the block's stacks, end to end
 	ends    []int     // stack i is pcs[ends[i-1]:ends[i]]
 	dropped uint64
-
-	stacks int32 // stacks committed so far: the next block's ID base
 
 	// The v2 payload of the block being staged.
 	limit    io.LimitedReader // bounds what stored and raw may take
@@ -40,8 +45,15 @@ type blockDecoder struct {
 	raw      bytes.Buffer     // the inflated payload of a flate block
 }
 
+// newBlockDecoder returns a decoder over br whose slab starts with room
+// for n samples: the bounded count of a stream it could skim first, or
+// 0, from which the slab grows as blocks commit.
+func newBlockDecoder(br *bufio.Reader, n int) *blockDecoder {
+	return &blockDecoder{br: br, slab: make([]Sample, 0, n)}
+}
+
 // readBlock consumes the block at the head of the stream, whose four
-// magic bytes the caller has seen buffered, and appends it to dst.
+// magic bytes the caller has seen buffered, and commits it.
 func (d *blockDecoder) readBlock() error {
 	head, _ := d.br.Peek(4)
 	var err error
@@ -56,18 +68,68 @@ func (d *blockDecoder) readBlock() error {
 	return err
 }
 
-// commit moves the staged block into dst: the stacks first, so that
-// the IDs the samples are rebased to exist before any sample names
-// them. It is the only place the reader writes to its destination.
+// commit adds the staged block to what is committed: its stacks to the
+// table first, each one a path the table already holds or a copy into
+// the arena, then its samples to the slab, each stack ID rewritten from
+// the block's table to the buffer's. A slab the samples outgrow doubles,
+// so a stream nobody could count first is copied a bounded number of
+// times. A v1 block's samples may name a stack its table does not have;
+// such a sample keeps no stack, as the writers would have given it.
 func (d *blockDecoder) commit() {
+	d.remap = d.remap[:0]
 	start := 0
 	for _, end := range d.ends {
-		d.dst.InternStack(d.pcs[start:end])
+		d.remap = append(d.remap, d.intern(d.pcs[start:end]))
 		start = end
 	}
-	d.dst.appendSamples(d.samples, d.stacks)
-	d.stacks += int32(len(d.ends))
-	d.dst.dropped.Add(d.dropped)
+	at := len(d.slab)
+	if need := at + len(d.samples); need > cap(d.slab) {
+		grown := make([]Sample, at, max(need, 2*cap(d.slab)))
+		copy(grown, d.slab)
+		d.slab = grown
+	}
+	d.slab = append(d.slab, d.samples...)
+	for i := at; i < len(d.slab); i++ {
+		if id := d.slab[i].StackID; id != NoStack {
+			if uint32(id) < uint32(len(d.remap)) {
+				d.slab[i].StackID = d.remap[id]
+			} else {
+				d.slab[i].StackID = NoStack
+			}
+		}
+	}
+	d.lost += d.dropped
+}
+
+// intern returns the table's ID for the path pcs, adding a copy of it
+// if the table does not hold it yet.
+func (d *blockDecoder) intern(pcs []uintptr) int32 {
+	id, h, ok := d.stacks.find(pcs)
+	if ok {
+		return id
+	}
+	if cap(d.arena)-len(d.arena) < len(pcs) {
+		d.arena = make([]uintptr, 0, max(2*cap(d.arena), arenaSlab, len(pcs)))
+	}
+	at := len(d.arena)
+	d.arena = append(d.arena, pcs...)
+	return d.stacks.add(h, d.arena[at:len(d.arena):len(d.arena)])
+}
+
+// buffer returns what has been committed as a TraceBuffer of one chunk:
+// the slab, exactly the committed samples, and the table of distinct
+// stacks. The chunk is full, so the buffer's first append seals it and
+// goes on in a chunk of its own, and Samples hands the slab out without
+// a copy until then.
+func (d *blockDecoder) buffer() *TraceBuffer {
+	n, nst := len(d.slab), len(d.stacks.paths)
+	c := &chunk{samples: d.slab[:n:n], stacks: d.stacks.paths[:nst:nst], wn: int32(n), wns: int32(nst), slab: true}
+	c.n.Store(c.wn)
+	c.nStacks.Store(c.wns)
+	b := &TraceBuffer{active: c, retained: n + nst}
+	b.state.Store(&bufState{chunks: []*chunk{c}})
+	b.dropped.Store(d.lost)
+	return b
 }
 
 // u32 and u64 consume one little-endian v1 field. Past its header a

@@ -228,7 +228,7 @@ func TestFlateSurplusIsNotInflated(t *testing.T) {
 	zw.Close()
 	blk := v2BlockFromPayload(0, 0, 0, zb.Bytes()) // no samples, no stacks: nothing to decode
 	binary.LittleEndian.PutUint32(blk[8:12], flagV2Flate)
-	d := &blockDecoder{br: bufio.NewReader(bytes.NewReader(blk)), dst: NewTraceBuffer(0, 0)}
+	d := newBlockDecoder(bufio.NewReader(bytes.NewReader(blk)), 0)
 	if err := d.readBlock(); !errors.Is(err, ErrBadTrace) {
 		t.Fatalf("err = %v, want ErrBadTrace", err)
 	}

@@ -7,9 +7,11 @@ import (
 	"testing"
 )
 
-// FuzzReadTrace drives the binary trace reader with arbitrary bytes:
-// it must never panic or over-allocate, and anything it accepts must
-// re-serialize.
+// FuzzReadTrace drives the binary trace readers with arbitrary bytes:
+// they must never panic or over-allocate, anything ReadTrace accepts
+// must re-serialize, and whatever prefix ReadTraceStream reads must
+// resolve, sample for sample, to the frames its blocks give read one
+// at a time, keeping each distinct path once.
 func FuzzReadTrace(f *testing.F) {
 	// Seeds: a valid trace with samples and stacks, an empty trace,
 	// and corrupt variants.
@@ -88,8 +90,26 @@ func FuzzReadTrace(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(version1)
+	// A stream whose blocks, one of each encoding, repeat one path.
+	var repeats bytes.Buffer
+	for _, enc := range []Encoding{{}, {V2: true}, {V2: true, Flate: true}} {
+		if err := WriteTraceEnc(&repeats, b, enc); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Add(repeats.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		all, _ := ReadTraceStream(bytes.NewReader(data))
+		want, wantPaths := perBlock(data)
+		if !sameResolved(resolve(all), want) {
+			t.Fatal("the stream's samples resolve differently from its blocks read one at a time")
+		}
+		if all.NumStacks() != len(wantPaths) || len(paths(all)) != len(wantPaths) {
+			t.Fatalf("the stream keeps %d stacks (%d distinct), its blocks %d distinct paths",
+				all.NumStacks(), len(paths(all)), len(wantPaths))
+		}
+
 		got, err := ReadTrace(bytes.NewReader(data))
 		if err != nil {
 			return

@@ -2,7 +2,9 @@ package perf
 
 import (
 	"bytes"
+	"maps"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -197,26 +199,24 @@ func TestTraceRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if len(got.Samples()) != len(b.Samples()) || got.NumStacks() != b.NumStacks() {
+		gs, bs := got.Samples(), b.Samples()
+		if len(gs) != len(bs) {
 			return false
 		}
-		for i := range b.Samples() {
-			if got.Samples()[i] != b.Samples()[i] {
+		// The reader numbers stacks its own way, one ID per distinct
+		// path (two stacks drawn empty are one): each sample must name
+		// the frames it was recorded with, and every path be kept once.
+		for i := range bs {
+			g, w := gs[i], bs[i]
+			if (g.StackID == NoStack) != (w.StackID == NoStack) || !slices.Equal(got.Stack(g.StackID), b.Stack(w.StackID)) {
+				return false
+			}
+			g.StackID, w.StackID = 0, 0
+			if g != w {
 				return false
 			}
 		}
-		for i := 0; i < b.NumStacks(); i++ {
-			a, c := b.Stack(int32(i)), got.Stack(int32(i))
-			if len(a) != len(c) {
-				return false
-			}
-			for j := range a {
-				if a[j] != c[j] {
-					return false
-				}
-			}
-		}
-		return true
+		return got.NumStacks() == len(paths(got)) && maps.Equal(paths(got), paths(b))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

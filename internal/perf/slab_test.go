@@ -1,0 +1,199 @@
+package perf
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
+	"slices"
+	"testing"
+)
+
+// paths is the set of call paths a buffer's stack table holds.
+func paths(b *TraceBuffer) map[string]bool {
+	out := make(map[string]bool)
+	for id := 0; id < b.NumStacks(); id++ {
+		out[fmt.Sprint(b.Stack(int32(id)))] = true
+	}
+	return out
+}
+
+// perBlock reads stream one block at a time with ReadTrace, as far as
+// the blocks read, and returns their samples resolved, in order, and
+// the distinct paths of their stack tables.
+func perBlock(stream []byte) ([]resolvedSample, map[string]bool) {
+	var out []resolvedSample
+	all := make(map[string]bool)
+	br := bufio.NewReader(bytes.NewReader(stream))
+	for {
+		one, err := ReadTrace(br)
+		if err != nil {
+			return out, all
+		}
+		out = append(out, resolve(one)...)
+		for p := range paths(one) {
+			all[p] = true
+		}
+	}
+}
+
+// TestReadTraceStreamForgedCountAllocatesLittle: the count a reader
+// sizes its slab by cannot be forged. A header that declares 2²⁶
+// samples over a 4-byte payload, plain or deflated, or 2²⁶ v1 records
+// with none present, is refused, and reading it costs what its bytes
+// do, not 2.5 GiB.
+func TestReadTraceStreamForgedCountAllocatesLittle(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation guards run without the race detector")
+	}
+	const forged, ceiling = 1 << 26, 1 << 20
+	plain := v2BlockFromPayload(forged, 0, 0, []byte{2, 2, 2, 2})
+	deflated := v2BlockFromPayload(forged, 0, 0, []byte{2, 2, 2, 2})
+	binary.LittleEndian.PutUint32(deflated[8:12], flagV2Flate)
+	v1 := append([]byte(nil), traceMagic[:]...)
+	v1 = binary.LittleEndian.AppendUint32(v1, traceVersion)
+	v1 = binary.LittleEndian.AppendUint64(v1, forged)
+	for _, f := range []struct {
+		name  string
+		block []byte
+	}{{"v2", plain}, {"flate", deflated}, {"v1", v1}} {
+		// Behind a valid block, too: the skim's count covers the blocks
+		// it passes, and the forged one's bytes.
+		good := goodBlock(t, 0, 8, Encoding{V2: true})
+		for _, stream := range [][]byte{f.block, append(good, f.block...)} {
+			for _, src := range []struct {
+				name string
+				r    func() io.Reader
+			}{
+				{"sized", func() io.Reader { return bytes.NewReader(stream) }},
+				{"unsized", func() io.Reader { return struct{ io.Reader }{bytes.NewReader(stream)} }},
+			} {
+				name := fmt.Sprintf("%s/%d bytes/%s", f.name, len(stream), src.name)
+				var buf *TraceBuffer
+				var err error
+				r := src.r()
+				got := allocatedBytes(func() { buf, err = ReadTraceStream(r) })
+				if !errors.Is(err, ErrBadTrace) {
+					t.Fatalf("%s: err = %v, want ErrBadTrace", name, err)
+				}
+				want := 0
+				if len(stream) > len(f.block) {
+					want = 8 // the valid block's
+				}
+				if buf.Len() != want {
+					t.Fatalf("%s: %d samples, want %d", name, buf.Len(), want)
+				}
+				if got > ceiling {
+					t.Fatalf("%s: reading allocated %d bytes, ceiling %d", name, got, ceiling)
+				}
+			}
+		}
+	}
+}
+
+// TestSamplesHandsOverTheSlab: a decoded buffer's Samples is its slab,
+// with no copy and no room to append into; writing to the buffer after
+// that goes to a chunk of its own, and the slice handed out never
+// changes.
+func TestSamplesHandsOverTheSlab(t *testing.T) {
+	buf, err := ReadTraceStream(bytes.NewReader(allocStream(t, 3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := buf.Samples()
+	if len(out) != 3*ChunkSamples || cap(out) != len(out) {
+		t.Fatalf("Samples: len %d, cap %d; want both %d", len(out), cap(out), 3*ChunkSamples)
+	}
+	if !raceEnabled {
+		if avg := testing.AllocsPerRun(100, func() { buf.Samples() }); avg != 0 {
+			t.Fatalf("Samples of a decoded buffer allocates %.1f times, want 0", avg)
+		}
+	}
+	if again := buf.Samples(); &again[0] != &out[0] {
+		t.Fatal("Samples of a decoded buffer copied it")
+	}
+	before := slices.Clone(out)
+	stacks := buf.NumStacks()
+
+	added := []Sample{
+		{Time: 1, Thread: 9, Event: 1, StackID: NoStack},
+		{Time: 2, Thread: 9, Event: 2},
+		{Time: 3, Thread: 9, Event: 3},
+	}
+	buf.Append(added[0])
+	buf.AppendStacked(added[1], []uintptr{0x7000, 0x7008})
+	id := buf.InternStack([]uintptr{0x7010})
+	added[2].StackID = id
+	buf.Append(added[2])
+
+	if !slices.Equal(out, before) {
+		t.Fatal("writing to the buffer changed the slice Samples handed out")
+	}
+	after := buf.Samples()
+	if buf.Len() != len(before)+3 || len(after) != len(before)+3 || !slices.Equal(after[:len(before)], before) {
+		t.Fatalf("after three writes: Len %d, Samples %d; want %d of which the first %d unchanged",
+			buf.Len(), len(after), len(before)+3, len(before))
+	}
+	if &after[0] == &out[0] {
+		t.Fatal("Samples of a buffer written since decoding is not a copy")
+	}
+	if buf.NumStacks() != stacks+2 {
+		t.Fatalf("%d stacks, want %d", buf.NumStacks(), stacks+2)
+	}
+	tail := after[len(before):]
+	for i, want := range [][]uintptr{nil, {0x7000, 0x7008}, {0x7010}} {
+		if got := buf.Stack(tail[i].StackID); !slices.Equal(got, want) {
+			t.Fatalf("written sample %d resolves to %#x, want %#x", i, got, want)
+		}
+		s, w := tail[i], added[i]
+		s.StackID, w.StackID = 0, 0
+		if s != w {
+			t.Fatalf("written sample %d = %+v, want %+v", i, s, w)
+		}
+	}
+}
+
+// TestReadTraceStreamStoresEachPathOnce: blocks of every encoding that
+// repeat each other's call paths read back, sample for sample, to the
+// frames each block read alone gives, and the merged buffer keeps each
+// distinct path once — on a stream it counts first and on one it
+// cannot.
+func TestReadTraceStreamStoresEachPathOnce(t *testing.T) {
+	shared := [][]uintptr{{0x401000, 0x402000}, {0x401000, 0x402008, 0x403000}, {}, {0x405000}}
+	var stream bytes.Buffer
+	for blk, enc := range []Encoding{{}, {V2: true}, {V2: true, Flate: true}, {V2: true}, {}, {V2: true, Flate: true}} {
+		b := NewTraceBuffer(0, 0)
+		for i := 0; i < 40; i++ {
+			s := Sample{Time: int64(blk*1000 + i), Thread: 1, Event: int32(i % 3), Region: uint64(blk), StackID: NoStack}
+			switch {
+			case i%5 == 0:
+				b.AppendStacked(s, shared[(blk+i/5)%len(shared)])
+			case i%7 == 0:
+				b.AppendStacked(s, []uintptr{0x600000, uintptr(blk)}) // this block's own path
+			default:
+				b.Append(s)
+			}
+		}
+		if err := WriteTraceEnc(&stream, b, enc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, wantPaths := perBlock(stream.Bytes())
+	if len(wantPaths) != len(shared)+6 {
+		t.Fatalf("the blocks hold %d distinct paths, want %d", len(wantPaths), len(shared)+6)
+	}
+	for _, r := range []io.Reader{bytes.NewReader(stream.Bytes()), struct{ io.Reader }{bytes.NewReader(stream.Bytes())}} {
+		got, err := ReadTraceStream(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameResolved(resolve(got), want) {
+			t.Fatalf("%T: merged samples resolve differently from the blocks read alone", r)
+		}
+		if got.NumStacks() != len(wantPaths) || len(paths(got)) != len(wantPaths) {
+			t.Fatalf("%T: %d stacks (%d distinct), want %d", r, got.NumStacks(), len(paths(got)), len(wantPaths))
+		}
+	}
+}

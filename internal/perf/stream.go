@@ -12,9 +12,19 @@ import (
 // ReadTraceStream reads a concatenation of trace blocks (as produced
 // by the streaming storage: one block per sealed chunk plus a final
 // residue block; v1 "PSXT" and v2 "PSX2" in any mix) until EOF and
-// merges them into one buffer, re-basing each block's stack IDs. A
-// stream holds sample blocks and nothing else: the diagnosis of a hung
-// run is a file beside the traces (HangReport).
+// merges them into one buffer. A stream holds sample blocks and nothing
+// else: the diagnosis of a hung run is a file beside the traces
+// (HangReport).
+//
+// The buffer holds every sample in one slab, which its Samples hands
+// out without a copy (read-only), and each distinct call path once:
+// the stack IDs are the buffer's own, so two blocks that carried the
+// same path give their samples the same ID. When r can also seek (a
+// regular file, a byte reader), the stream is skimmed first, as
+// CountStreamSamples does, to size the slab; a block adds at most one
+// sample per byte it holds to that count, whatever its header declares,
+// so the slab is never larger than the stream's bytes allow. Other
+// streams grow the slab as their blocks commit.
 //
 // A truncated or corrupt stream — a trace file torn by a mid-write
 // failure or an interrupted run — does not void the data before the
@@ -33,9 +43,16 @@ import (
 // otherwise misparse a forged count silently).
 func ReadTraceStream(r io.Reader) (*TraceBuffer, error) {
 	total, sized := streamRemaining(r)
+	n := 0
+	if rs, ok := r.(io.ReadSeeker); sized && ok {
+		var err error
+		if n, err = slabSize(rs); err != nil {
+			return newBlockDecoder(nil, 0).buffer(), err
+		}
+	}
 	cr := &countingReader{r: r}
 	br := bufio.NewReader(cr)
-	d := &blockDecoder{br: br, dst: NewTraceBuffer(0, 0)}
+	d := newBlockDecoder(br, n)
 	for {
 		head, err := br.Peek(4)
 		if len(head) < 4 {
@@ -45,23 +62,37 @@ func ReadTraceStream(r io.Reader) (*TraceBuffer, error) {
 					err = fmt.Errorf("%w: truncated block", ErrBadTrace)
 				}
 			}
-			return d.dst, err
+			return d.buffer(), err
 		}
 		if sized {
 			// Bytes of r consumed so far = pulled by the buffer minus
 			// what it still holds; the rest is what this block may use.
 			remaining := total - (cr.n - int64(br.Buffered()))
 			if err := precheckBlockSize(br, remaining); err != nil {
-				return d.dst, err
+				return d.buffer(), err
 			}
 		}
 		if err := d.readBlock(); err != nil {
 			if errors.Is(err, io.ErrUnexpectedEOF) {
 				err = fmt.Errorf("%w: truncated block", ErrBadTrace)
 			}
-			return d.dst, err
+			return d.buffer(), err
 		}
 	}
+}
+
+// slabSize skims r for the bounded count of the samples its valid
+// blocks hold (countBlocks) and seeks it back to where it was. A stream
+// that will not say where it is gets no count; one that cannot be put
+// back is an error.
+func slabSize(r io.ReadSeeker) (int, error) {
+	at, err := r.Seek(0, io.SeekCurrent)
+	if err != nil {
+		return 0, nil
+	}
+	n, _ := countBlocks(bufio.NewReader(r), true) // the decoder finds, and reports, what stopped the skim
+	_, err = r.Seek(at, io.SeekStart)
+	return int(n), err
 }
 
 // ReadTraceStreamReports is ReadTraceStream for the benchmark harness,

@@ -58,8 +58,8 @@ const cacheLinePad = 64
 // buffer's consumer has encoded one and Release has shown that no
 // reader can still hold it; then it is reset and filled again.
 type chunk struct {
-	samples []Sample    // len == ChunkSamples, allocated at creation
-	stacks  [][]uintptr // len == ChunkSamples, allocated on first stack
+	samples []Sample    // len == ChunkSamples, allocated at creation; a slab's: what it holds
+	stacks  [][]uintptr // len == ChunkSamples, allocated on first stack; a slab's: what it holds
 
 	// stackBase is the global stack ID of stacks[0]. The writer sets it
 	// when it activates the chunk, before publishing any stack, so
@@ -68,6 +68,12 @@ type chunk struct {
 	stackBase int32
 
 	wn, wns int32 // writer-private cursors; nobody else reads these
+
+	// slab marks the one chunk the trace reader builds a buffer of
+	// (see blockDecoder.buffer): full from the start, so never written,
+	// and the slice Samples hands out while it is the buffer's only
+	// chunk.
+	slab bool
 
 	// Keep the published counters off the writer's cursor line: the
 	// owning thread stores wn/wns every append while snapshot readers
@@ -79,7 +85,7 @@ type chunk struct {
 	// activate the chunk, never changed after).
 	paths *pathTable
 	state bufState
-	_     [cacheLinePad - 12 - 36]byte // 36: the two above, aligned
+	_     [cacheLinePad - 13 - 35]byte // 35: the two above, aligned past slab
 
 	n       atomic.Int32 // published sample count
 	nStacks atomic.Int32 // published stack count
@@ -87,6 +93,13 @@ type chunk struct {
 
 func newChunk() *chunk {
 	return &chunk{samples: make([]Sample, ChunkSamples)}
+}
+
+// full reports whether the chunk can take no further sample or no
+// further stack. Samples are counted against the chunk's own length:
+// the reader's slab is as long as what it decoded, and always full.
+func (c *chunk) full() bool {
+	return int(c.wn) == len(c.samples) || c.wns == ChunkSamples
 }
 
 // stackTable returns the chunk's stack table, made on the first stack.
@@ -114,6 +127,39 @@ func hashPCs(pcs []uintptr) uint64 {
 		h = (h ^ uint64(pc)) * 0x9E3779B97F4A7C15
 	}
 	return h
+}
+
+// pathSet holds call paths, each once, in the order they were added,
+// and finds one by hashPCs; a hash another path has taken is stepped.
+// The block encoder's dictionary is one, and so is the table the trace
+// reader keeps a buffer's stacks in.
+type pathSet struct {
+	paths [][]uintptr
+	ids   map[uint64]int32 // hashPCs, stepped past collisions → index in paths
+}
+
+// find returns the index of pcs in the set, or ok false and the hash
+// to add it under.
+func (s *pathSet) find(pcs []uintptr) (id int32, h uint64, ok bool) {
+	h = hashPCs(pcs)
+	id, ok = s.ids[h]
+	for ok && !slices.Equal(s.paths[id], pcs) {
+		h++
+		id, ok = s.ids[h]
+	}
+	return id, h, ok
+}
+
+// add appends pcs, which find did not find and gave h for, and returns
+// its index. The set keeps pcs itself, not a copy.
+func (s *pathSet) add(h uint64, pcs []uintptr) int32 {
+	if s.ids == nil {
+		s.ids = make(map[uint64]int32)
+	}
+	id := int32(len(s.paths))
+	s.paths = append(s.paths, pcs)
+	s.ids[h] = id
+	return id
 }
 
 // bufState is the atomically published chunk list. The slice header is
@@ -239,8 +285,8 @@ func NewTraceBuffer(capacity, limit int) *TraceBuffer {
 }
 
 // SetRelay routes every filled chunk to r, tagged with thread. It must
-// be called before the first append; the streamer configures buffers at
-// creation.
+// be called before the first append, on a buffer NewTraceBuffer made;
+// the streamer configures buffers at creation.
 func (b *TraceBuffer) SetRelay(r *Relay, thread int32) {
 	b.relay = r
 	b.thread = thread
@@ -262,39 +308,13 @@ func (b *TraceBuffer) Append(s Sample) {
 		return
 	}
 	c := b.active
-	if c.wn == ChunkSamples {
+	if int(c.wn) == len(c.samples) {
 		c = b.seal()
 	}
 	c.samples[c.wn] = s
 	c.wn++
 	c.n.Store(c.wn) // release: publish the sample
 	b.retained++
-}
-
-// appendSamples is Append over a run of samples, a chunk's worth at a
-// time, with stackBase added to every stack ID: how the trace reader
-// commits a decoded block. It takes no notice of the limit, so it is
-// for buffers made without one. Owning thread only.
-func (b *TraceBuffer) appendSamples(ss []Sample, stackBase int32) {
-	for len(ss) > 0 {
-		c := b.active
-		if c.wn == ChunkSamples {
-			c = b.seal()
-		}
-		dst := c.samples[c.wn:]
-		n := copy(dst, ss)
-		if stackBase != 0 {
-			for i := range dst[:n] {
-				if dst[i].StackID != NoStack {
-					dst[i].StackID += stackBase
-				}
-			}
-		}
-		c.wn += int32(n)
-		c.n.Store(c.wn) // release: publish the run
-		b.retained += n
-		ss = ss[n:]
-	}
 }
 
 // AppendStacked records a sample together with its callstack, interning
@@ -341,7 +361,7 @@ func (b *TraceBuffer) AppendCallstack(s Sample, skip int) {
 // The caller has checked the limit.
 func (b *TraceBuffer) appendPath(s Sample, pcs []uintptr) {
 	c := b.active
-	if c.wn == ChunkSamples || c.wns == ChunkSamples {
+	if c.full() {
 		c = b.seal()
 	}
 	sum := uint32(hashPCs(pcs) >> 32)
@@ -374,7 +394,7 @@ func (b *TraceBuffer) appendPath(s Sample, pcs []uintptr) {
 // caller has checked the limit.
 func (b *TraceBuffer) appendStacked(s Sample, pcs []uintptr) {
 	c := b.active
-	if c.wn == ChunkSamples || c.wns == ChunkSamples {
+	if c.full() {
 		c = b.seal()
 	}
 	cp := make([]uintptr, len(pcs))
@@ -395,7 +415,9 @@ func (b *TraceBuffer) publishStacked(c *chunk, s Sample, st []uintptr) {
 }
 
 // InternStack stores a callstack and returns its (global) stack ID for
-// use in subsequent samples; the buffer copies pcs. At the retention
+// use in subsequent samples; the buffer copies pcs. A chunk with no room
+// for a sample is sealed first, so the stack lands in the chunk the
+// next sample does. At the retention
 // limit it records nothing and returns NoStack. Owning thread only.
 // Callers that pair a stack with one sample should prefer
 // AppendStacked, which keeps the pair in one chunk and cannot leak the
@@ -405,7 +427,7 @@ func (b *TraceBuffer) InternStack(pcs []uintptr) int32 {
 		return NoStack
 	}
 	c := b.active
-	if c.wns == ChunkSamples {
+	if c.full() {
 		c = b.seal()
 	}
 	cp := make([]uintptr, len(pcs))
@@ -524,9 +546,18 @@ func snapshot(st *bufState) ([]chunkView, int32) {
 
 // Samples returns a snapshot copy of the recorded samples; it is safe
 // to call while the owning thread is still appending.
+//
+// A buffer ReadTrace or ReadTraceStream returned is the exception, for
+// as long as nothing has been appended to it: its samples are one slab
+// the buffer never writes again, and Samples returns that slab itself,
+// without a copy. The result is then read-only; its capacity is its
+// length, so an append to it copies.
 func (b *TraceBuffer) Samples() []Sample {
 	st := b.enter()
 	defer b.exit()
+	if c := st.chunks[0]; len(st.chunks) == 1 && c.slab {
+		return c.samples[:len(c.samples):len(c.samples)]
+	}
 	total := 0
 	ns := make([]int32, len(st.chunks))
 	for i, c := range st.chunks {
@@ -783,9 +814,10 @@ func writeBlock(w io.Writer, views []chunkView, base0 int32, dropped uint64) err
 // format (fixed-width v1 "PSXT" or compact v2 "PSX2") from its magic.
 // A caller reading block after block passes a *bufio.Reader (of the
 // default size or more), which is then read directly and left at the
-// next block.
+// next block. The buffer is made as ReadTraceStream makes its own: one
+// slab of samples, each distinct stack once.
 func ReadTrace(r io.Reader) (*TraceBuffer, error) {
-	d := &blockDecoder{br: bufio.NewReader(r), dst: NewTraceBuffer(0, 0)}
+	d := newBlockDecoder(bufio.NewReader(r), 0)
 	head, err := d.br.Peek(4)
 	if len(head) < 4 {
 		// Mirror io.ReadFull over the magic: EOF with no bytes,
@@ -801,5 +833,5 @@ func ReadTrace(r io.Reader) (*TraceBuffer, error) {
 	if err := d.readBlock(); err != nil {
 		return nil, err
 	}
-	return d.dst, nil
+	return d.buffer(), nil
 }

@@ -9,7 +9,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"slices"
 	"sync"
 )
 
@@ -202,13 +201,12 @@ func appendRunWord(b []byte, zig uint64, more bool) []byte {
 // flate.Writer. The zero value is ready; an encoder serves one goroutine
 // at a time.
 type BlockEncoder struct {
-	raw    []byte           // header and columnar payload
-	vals   []int64          // the run-coded column being written
-	z      bytes.Buffer     // header and the payload deflated
-	zw     *flate.Writer    // made by the first deflated block
-	dict   [][]uintptr      // distinct stacks, in order of first appearance
-	index  map[uint64]int32 // hashPCs (stepped past collisions) → dict entry
-	toDict []int32          // captured stack → dict entry
+	raw    []byte        // header and columnar payload
+	vals   []int64       // the run-coded column being written
+	z      bytes.Buffer  // header and the payload deflated
+	zw     *flate.Writer // made by the first deflated block
+	dict   pathSet       // the block's distinct stacks, in order of first appearance
+	toDict []int32       // captured stack → dict entry
 }
 
 // EncodeChunk returns the sealed chunk as one self-contained PSX2 block
@@ -233,25 +231,14 @@ func (e *BlockEncoder) encode(views []chunkView, base0 int32, dropped uint64, de
 
 	// Deduplicate the block's stacks into a dictionary: AppendStacked
 	// interns the same few callstacks over and over, and the dictionary
-	// collapses them to one entry plus small indices. A hash another
-	// stack has taken is stepped.
-	if e.index == nil {
-		e.index = make(map[uint64]int32)
-	}
-	clear(e.index)
-	e.dict, e.toDict = e.dict[:0], e.toDict[:0]
+	// collapses them to one entry plus small indices.
+	clear(e.dict.ids)
+	e.dict.paths, e.toDict = e.dict.paths[:0], e.toDict[:0]
 	for _, v := range views {
 		for _, st := range v.stacks() {
-			h := hashPCs(st)
-			id, ok := e.index[h]
-			for ok && !slices.Equal(e.dict[id], st) {
-				h++
-				id, ok = e.index[h]
-			}
+			id, h, ok := e.dict.find(st)
 			if !ok {
-				id = int32(len(e.dict))
-				e.dict = append(e.dict, st)
-				e.index[h] = id
+				id = e.dict.add(h, st)
 			}
 			e.toDict = append(e.toDict, id)
 		}
@@ -261,7 +248,7 @@ func (e *BlockEncoder) encode(views []chunkView, base0 int32, dropped uint64, de
 	raw = binary.LittleEndian.AppendUint32(raw, traceV2Version)
 	raw = binary.LittleEndian.AppendUint32(raw, 0) // flags
 	raw = binary.LittleEndian.AppendUint64(raw, nsamples)
-	raw = binary.LittleEndian.AppendUint64(raw, uint64(len(e.dict)))
+	raw = binary.LittleEndian.AppendUint64(raw, uint64(len(e.dict.paths)))
 	raw = binary.LittleEndian.AppendUint64(raw, dropped)
 	raw = append(raw, make([]byte, 12)...) // payload length and CRC: known at the end
 	// One pass per column: within a column the deltas stay small, so
@@ -322,7 +309,7 @@ func (e *BlockEncoder) encode(views []chunkView, base0 int32, dropped uint64, de
 		}
 		raw = appendRuns(raw, vals, col == 0 || col == 3 || col == 4) // thread, region, site: deltas
 	}
-	for _, st := range e.dict {
+	for _, st := range e.dict.paths {
 		raw = binary.AppendUvarint(raw, uint64(len(st)))
 		var pcprev uint64
 		for _, pc := range st {
@@ -331,7 +318,7 @@ func (e *BlockEncoder) encode(views []chunkView, base0 int32, dropped uint64, de
 		}
 	}
 	e.raw = raw
-	clear(e.dict) // scratch must not keep the caller's stacks alive
+	clear(e.dict.paths) // scratch must not keep the caller's stacks alive
 
 	block := raw
 	if deflate {
@@ -373,7 +360,16 @@ func CountStreamSamples(r io.Reader) (uint64, error) {
 	// bufio.NewReader returns r itself when it already is a reader of
 	// the default size or more, so a caller going block by block does
 	// not strand its lookahead in a second buffer.
-	br := bufio.NewReader(r)
+	return countBlocks(bufio.NewReader(r), false)
+}
+
+// countBlocks is the walk behind CountStreamSamples. Bounded, it counts
+// a v2 block's samples at most one per payload byte: what ReadTraceStream
+// may size a slab by, which a header alone must not decide. A plain
+// block's samples each take a byte of the time column at least; a
+// deflated block may hold more than it counts, and a v1 block's records
+// are all present or the skim fails.
+func countBlocks(br *bufio.Reader, bounded bool) (uint64, error) {
 	var total uint64
 	for {
 		head, err := br.Peek(4)
@@ -388,9 +384,12 @@ func CountStreamSamples(r io.Reader) (uint64, error) {
 		}
 		switch {
 		case IsV2Block(head):
-			n, err := skimBlockV2(br)
+			n, plen, err := skimBlockV2(br)
 			if err != nil {
 				return total, err
+			}
+			if bounded {
+				n = min(n, plen)
 			}
 			total += n
 		case bytes.Equal(head, traceMagic[:]):
@@ -489,37 +488,37 @@ func skimBlockV1(br *bufio.Reader) (uint64, error) {
 
 // skimBlockV2 consumes one v2 PSX2 block, verifying its version (one a
 // reader decodes), payload extent and checksum, and returns its declared
-// sample count.
-func skimBlockV2(br *bufio.Reader) (uint64, error) {
+// sample count and its payload's length.
+func skimBlockV2(br *bufio.Reader) (ns, plen uint64, err error) {
 	hdr, err := br.Peek(v2HeaderLen)
 	if err != nil {
-		return 0, fmt.Errorf("%w: truncated v2 header", ErrBadTrace)
+		return 0, 0, fmt.Errorf("%w: truncated v2 header", ErrBadTrace)
 	}
 	if v := binary.LittleEndian.Uint32(hdr[4:8]); !v2Decodable(v) {
-		return 0, errV2Version(v)
+		return 0, 0, errV2Version(v)
 	}
-	ns := binary.LittleEndian.Uint64(hdr[12:20])
+	ns = binary.LittleEndian.Uint64(hdr[12:20])
 	nst := binary.LittleEndian.Uint64(hdr[20:28])
-	plen := binary.LittleEndian.Uint64(hdr[36:44])
+	plen = binary.LittleEndian.Uint64(hdr[36:44])
 	wantCRC := binary.LittleEndian.Uint32(hdr[44:48])
 	if ns > maxReasonable || nst > maxReasonable || plen > maxV2Payload {
-		return 0, ErrBadTrace
+		return 0, 0, ErrBadTrace
 	}
 	br.Discard(v2HeaderLen)
 	crc := uint32(0)
 	for remaining := int(plen); remaining > 0; {
 		buf, _ := br.Peek(min(remaining, br.Size()))
 		if len(buf) == 0 {
-			return 0, fmt.Errorf("%w: truncated v2 payload", ErrBadTrace)
+			return 0, 0, fmt.Errorf("%w: truncated v2 payload", ErrBadTrace)
 		}
 		crc = crc32.Update(crc, crc32.IEEETable, buf)
 		br.Discard(len(buf))
 		remaining -= len(buf)
 	}
 	if crc != wantCRC {
-		return 0, fmt.Errorf("%w: v2 payload checksum mismatch", ErrBadTrace)
+		return 0, 0, fmt.Errorf("%w: v2 payload checksum mismatch", ErrBadTrace)
 	}
-	return ns, nil
+	return ns, plen, nil
 }
 
 func discard(br *bufio.Reader, n int64) error {
