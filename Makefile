@@ -31,7 +31,9 @@ test: build
 # checked-in v1 and PSX2 version-1 fixtures, v1 and v2 blocks mixed in
 # one stream, and every writer/reader pairing must read back through
 # the auto-detecting reader, and no header may make the reader size
-# its slab past what the stream's bytes allow. Last, the
+# its slab past what the stream's bytes allow; a torn tail must be the
+# typed count mismatch, from a byte reader and from a file, and a file
+# that grows while it is read must be read as the skim found it. Last, the
 # allocation guards: what psxd's per-chunk count check, the trace
 # reader and Timelines may allocate per sample, and what a chunk may
 # allocate on its way from the recording thread through the encoder and
@@ -45,7 +47,7 @@ check:
 	$(GO) test -race -cpu 1,2,4 ./internal/omp ./internal/collector ./internal/perf ./internal/tool ./internal/ingest
 	$(GO) test -race -cpu 1,2,4 -run 'PathOracle' .
 	$(GO) test -count=1 ./internal/faultinject -run 'EveryWritePathWritesPSX2'
-	$(GO) test -count=1 ./internal/perf -run 'V1Fixture|PSX2Version1Fixture|V2CrossRead|MixedStream|V2TornTail|ForgedCount'
+	$(GO) test -count=1 ./internal/perf -run 'V1Fixture|PSX2Version1Fixture|V2CrossRead|MixedStream|V2TornTail|ForgedCount|CountMismatch|AsSkimmed'
 	$(GO) test -count=1 ./internal/omp ./internal/perf ./internal/analysis ./internal/tool ./internal/ingest -run 'Alloc'
 
 # chaos runs the deterministic fault-injection suite — panicking and
@@ -103,8 +105,11 @@ chaos-load:
 	$(GO) test -race -count=1 -timeout 120s ./internal/ingest -run 'Overload|Heartbeat'
 
 # fuzz-read fuzzes the trace readers for half a minute past the seed
-# corpus: ReadTrace's round trips, and ReadTraceStream's slab and
-# one-table-per-buffer commit against the blocks read one at a time.
+# corpus: ReadTrace's round trips, ReadTraceStream's slab and
+# one-table-per-buffer commit against the blocks read one at a time, and
+# the skim against the decoder: a stream read after its skim and one
+# read without it agree, and CountStreamSamples counts whatever the
+# reader reads.
 fuzz-read:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadTrace$$' -fuzztime 30s ./internal/perf
 

@@ -36,6 +36,7 @@ type blockDecoder struct {
 	pcs     []uintptr // the block's stacks, end to end
 	ends    []int     // stack i is pcs[ends[i-1]:ends[i]]
 	dropped uint64
+	vals    []int64 // a v2 column, decoded before it is set in samples
 
 	// The v2 payload of the block being staged.
 	limit    io.LimitedReader // bounds what stored and raw may take
@@ -55,17 +56,92 @@ func newBlockDecoder(br *bufio.Reader, n int) *blockDecoder {
 // readBlock consumes the block at the head of the stream, whose four
 // magic bytes the caller has seen buffered, and commits it.
 func (d *blockDecoder) readBlock() error {
-	head, _ := d.br.Peek(4)
-	var err error
-	if IsV2Block(head) {
-		err = d.stageV2()
+	h, err := readHeader(d.br)
+	if err != nil {
+		return err
+	}
+	if h.v2 {
+		err = d.stageV2(h)
 	} else {
-		err = d.stageV1()
+		err = d.stageV1(h)
 	}
 	if err == nil {
 		d.commit()
 	}
 	return err
+}
+
+// blockHeader is the fixed header of one block, v1 or v2, as readHeader
+// found it. A v1 header declares a version and a sample count, nothing
+// else.
+type blockHeader struct {
+	v2      bool
+	ver     uint32 // a PSX2 block's layout version
+	flags   uint32
+	ns, nst uint64 // declared samples and dictionary entries
+	dropped uint64
+	plen    uint64 // the stored payload's length
+	crc     uint32
+}
+
+var errTornHeader = fmt.Errorf("%w: truncated block header", ErrBadTrace)
+
+// readHeader is the one parse of a block's fixed header, for the decoder
+// and the skim alike: it peeks the header of the block at the head of
+// br, checks its magic, version and declared bounds, and consumes it
+// only when it is valid. A header torn anywhere past its magic is
+// ErrBadTrace, in either format.
+func readHeader(br *bufio.Reader) (h blockHeader, err error) {
+	size := 16
+	head, _ := br.Peek(4)
+	if h.v2 = IsV2Block(head); h.v2 {
+		size = v2HeaderLen
+	} else if !bytes.Equal(head, traceMagic[:]) {
+		return h, ErrBadTrace
+	}
+	b, err := br.Peek(size)
+	if err != nil {
+		return h, errTornHeader
+	}
+	h.ver = binary.LittleEndian.Uint32(b[4:8])
+	switch {
+	case !h.v2:
+		h.ns = binary.LittleEndian.Uint64(b[8:16])
+		if h.ver != traceVersion {
+			return h, fmt.Errorf("perf: unsupported trace version %d", h.ver)
+		}
+	case !v2Decodable(h.ver):
+		return h, errV2Version(h.ver)
+	default:
+		h.flags = binary.LittleEndian.Uint32(b[8:12])
+		h.ns = binary.LittleEndian.Uint64(b[12:20])
+		h.nst = binary.LittleEndian.Uint64(b[20:28])
+		h.dropped = binary.LittleEndian.Uint64(b[28:36])
+		h.plen = binary.LittleEndian.Uint64(b[36:44])
+		h.crc = binary.LittleEndian.Uint32(b[44:48])
+	}
+	if h.ns > maxReasonable || h.nst > maxReasonable || h.plen > maxV2Payload {
+		return h, ErrBadTrace
+	}
+	br.Discard(size)
+	return h, nil
+}
+
+// nextBlock is the one end-of-stream rule: it reports whether another
+// block starts at the head of br. There is none, with no error, at a
+// clean end of the stream; one to three stray bytes are a torn block,
+// and a failed read is its own error.
+func nextBlock(br *bufio.Reader) (bool, error) {
+	head, err := br.Peek(4)
+	switch {
+	case len(head) == 4:
+		return true, nil
+	case err != io.EOF:
+		return false, err
+	case len(head) > 0:
+		return false, fmt.Errorf("%w: truncated block", ErrBadTrace)
+	}
+	return false, nil
 }
 
 // commit adds the staged block to what is committed: its stacks to the
@@ -154,34 +230,14 @@ func (d *blockDecoder) u64() (uint64, error) {
 	return v, nil
 }
 
-// stageV1 parses one fixed-width PSXT block (magic included). A block
-// torn inside its 16-byte header reports the bare io error, as
-// io.ReadFull over the header would; everything after is ErrBadTrace.
-func (d *blockDecoder) stageV1() error {
-	hdr, err := d.br.Peek(16)
-	if len(hdr) >= 4 && !bytes.Equal(hdr[:4], traceMagic[:]) {
-		return ErrBadTrace
-	}
-	if err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return err
-	}
-	ver := binary.LittleEndian.Uint32(hdr[4:8])
-	ns := binary.LittleEndian.Uint64(hdr[8:16])
-	d.br.Discard(16)
-	if ver != traceVersion {
-		return fmt.Errorf("perf: unsupported trace version %d", ver)
-	}
-	if ns > maxReasonable {
-		return ErrBadTrace
-	}
+// stageV1 parses the rest of a fixed-width PSXT block, past the header
+// h; anything missing or malformed there is ErrBadTrace.
+func (d *blockDecoder) stageV1(h blockHeader) error {
 	// The declared counts are untrusted until the records actually
 	// parse, so the scratch grows with the bytes present, never from a
 	// header (a truncated stream fails fast below).
 	d.samples = d.samples[:0]
-	for i := uint64(0); i < ns; i++ {
+	for i := uint64(0); i < h.ns; i++ {
 		rec, err := d.br.Peek(sampleRecordLen)
 		if err != nil {
 			return ErrBadTrace
@@ -327,50 +383,56 @@ func (p *varints) run(left int) (int64, int, error) {
 	return unzigzag(zig), int(r) + 2, nil
 }
 
+// runs decodes the next run-coded column into vals, which it fills: the
+// mirror of appendRuns. With delta, each run's value is the delta of the
+// previous run's. A one-byte singleton, most of what does not repeat, is
+// decoded without a call (single), anything else by run.
+func (p *varints) runs(vals []int64, delta bool) (err error) {
+	var prev int64
+	for i := 0; i < len(vals); {
+		v, n := int64(0), 1
+		if s, ok := p.single(); ok {
+			v = s
+		} else if v, n, err = p.run(len(vals) - i); err != nil {
+			return err
+		}
+		if delta {
+			prev += v
+			v = prev
+		}
+		for end := i + n; i < end; i++ {
+			vals[i] = v
+		}
+	}
+	return nil
+}
+
 var (
 	errTruncatedV2  = fmt.Errorf("%w: truncated v2 payload", ErrBadTrace)
 	errRunPastCount = fmt.Errorf("%w: v2 run past the declared sample count", ErrBadTrace)
 )
 
-// stageV2 parses one PSX2 block (magic included), validating it in the
-// order the format allows: the declared extent must be present, its
-// CRC must match, and only then is it decoded — to exactly the
-// declared sample and stack counts, every stack index inside the
+// stageV2 parses the payload of a PSX2 block with header h, validating
+// it in the order the format allows: the declared extent must be
+// present, its CRC must match, and only then is it decoded — to exactly
+// the declared sample and stack counts, every stack index inside the
 // dictionary. Nothing is sized from the header: the scratch grows with
 // the bytes that actually arrive.
-func (d *blockDecoder) stageV2() error {
-	hdr, err := d.br.Peek(v2HeaderLen)
-	if err != nil {
-		return fmt.Errorf("%w: truncated v2 header", ErrBadTrace)
-	}
-	ver := binary.LittleEndian.Uint32(hdr[4:8])
-	if !v2Decodable(ver) {
-		return errV2Version(ver)
-	}
-	flags := binary.LittleEndian.Uint32(hdr[8:12])
-	ns := binary.LittleEndian.Uint64(hdr[12:20])
-	nst := binary.LittleEndian.Uint64(hdr[20:28])
-	d.dropped = binary.LittleEndian.Uint64(hdr[28:36])
-	plen := binary.LittleEndian.Uint64(hdr[36:44])
-	wantCRC := binary.LittleEndian.Uint32(hdr[44:48])
-	d.br.Discard(v2HeaderLen)
-	if ns > maxReasonable || nst > maxReasonable || plen > maxV2Payload {
-		return ErrBadTrace
-	}
-
+func (d *blockDecoder) stageV2(h blockHeader) error {
+	d.dropped = h.dropped
 	d.stored.Reset()
-	d.limit = io.LimitedReader{R: d.br, N: int64(plen)}
+	d.limit = io.LimitedReader{R: d.br, N: int64(h.plen)}
 	if _, err := d.stored.ReadFrom(&d.limit); err != nil || d.limit.N != 0 {
 		return errTruncatedV2
 	}
-	if crc32.ChecksumIEEE(d.stored.Bytes()) != wantCRC {
+	if crc32.ChecksumIEEE(d.stored.Bytes()) != h.crc {
 		return fmt.Errorf("%w: v2 payload checksum mismatch", ErrBadTrace)
 	}
 	p := varints{buf: d.stored.Bytes()}
-	if ver == traceV2Version {
+	if h.ver == traceV2Version {
 		p.flag = 1
 	}
-	if flags&flagV2Flate != 0 {
+	if h.flags&flagV2Flate != 0 {
 		// The inflater holds nothing but memory, so it is reused and
 		// never closed. Inflation stops one byte past the longest
 		// payload the declared counts could need: a longer one is
@@ -387,7 +449,7 @@ func (d *blockDecoder) stageV2() error {
 		}
 		const perSample, perStack = 7 * binary.MaxVarintLen64, (1 + maxStackDepth) * binary.MaxVarintLen64
 		d.raw.Reset()
-		d.limit = io.LimitedReader{R: d.inflate, N: int64(ns*perSample+nst*perStack) + 1}
+		d.limit = io.LimitedReader{R: d.inflate, N: int64(h.ns*perSample+h.nst*perStack) + 1}
 		if _, err := d.raw.ReadFrom(&d.limit); err != nil {
 			return errTruncatedV2
 		}
@@ -395,12 +457,12 @@ func (d *blockDecoder) stageV2() error {
 	}
 
 	// One pass per column, each filling its field of the staged
-	// samples; the first column sizes the scratch. The run-coded ones
-	// fill a run at a time: a one-byte singleton, most of what does not
-	// repeat, is decoded without a call (single), anything else by run.
+	// samples; the time column sizes the scratch. The run-coded ones
+	// follow in the order BlockEncoder.encode writes them, each decoded
+	// into vals (runs, the mirror of appendRuns) and set from there.
 	d.samples = d.samples[:0]
 	var t int64
-	for i := uint64(0); i < ns; i++ {
+	for i := uint64(0); i < h.ns; i++ {
 		v, ok := p.next()
 		if !ok {
 			return errTruncatedV2
@@ -409,82 +471,47 @@ func (d *blockDecoder) stageV2() error {
 		d.samples = append(d.samples, Sample{Time: t})
 	}
 	ss := d.samples
-	var th, region, site int64 // runs of these columns carry deltas
-	for i := 0; i < len(ss); {
-		v, n := int64(0), 1
-		if s, ok := p.single(); ok {
-			v = s
-		} else if v, n, err = p.run(len(ss) - i); err != nil {
-			return err
-		}
-		th += v
-		for end := i + n; i < end; i++ {
-			ss[i].Thread = int32(th)
-		}
+	if cap(d.vals) < len(ss) {
+		d.vals = make([]int64, len(ss))
 	}
-	for i := 0; i < len(ss); {
-		v, n := int64(0), 1
-		if s, ok := p.single(); ok {
-			v = s
-		} else if v, n, err = p.run(len(ss) - i); err != nil {
+	vals := d.vals[:len(ss)]
+	for col := range 6 {
+		if err := p.runs(vals, col == 0 || col == 3 || col == 4); err != nil {
 			return err
 		}
-		for end := i + n; i < end; i++ {
-			ss[i].Event = int32(v)
-		}
-	}
-	for i := 0; i < len(ss); {
-		v, n := int64(0), 1
-		if s, ok := p.single(); ok {
-			v = s
-		} else if v, n, err = p.run(len(ss) - i); err != nil {
-			return err
-		}
-		for end := i + n; i < end; i++ {
-			ss[i].State = int32(v)
-		}
-	}
-	for i := 0; i < len(ss); {
-		v, n := int64(0), 1
-		if s, ok := p.single(); ok {
-			v = s
-		} else if v, n, err = p.run(len(ss) - i); err != nil {
-			return err
-		}
-		region += v
-		for end := i + n; i < end; i++ {
-			ss[i].Region = uint64(region)
-		}
-	}
-	for i := 0; i < len(ss); {
-		v, n := int64(0), 1
-		if s, ok := p.single(); ok {
-			v = s
-		} else if v, n, err = p.run(len(ss) - i); err != nil {
-			return err
-		}
-		site += v
-		for end := i + n; i < end; i++ {
-			ss[i].Site = uint64(site)
-		}
-	}
-	for i := 0; i < len(ss); {
-		v, n := int64(0), 1
-		if s, ok := p.single(); ok {
-			v = s
-		} else if v, n, err = p.run(len(ss) - i); err != nil {
-			return err
-		}
-		if v != int64(NoStack) && (v < 0 || uint64(v) >= nst) {
-			return fmt.Errorf("%w: v2 stack index out of dictionary range", ErrBadTrace)
-		}
-		for end := i + n; i < end; i++ {
-			ss[i].StackID = int32(v)
+		switch col {
+		case 0:
+			for i := range ss {
+				ss[i].Thread = int32(vals[i])
+			}
+		case 1:
+			for i := range ss {
+				ss[i].Event = int32(vals[i])
+			}
+		case 2:
+			for i := range ss {
+				ss[i].State = int32(vals[i])
+			}
+		case 3:
+			for i := range ss {
+				ss[i].Region = uint64(vals[i])
+			}
+		case 4:
+			for i := range ss {
+				ss[i].Site = uint64(vals[i])
+			}
+		case 5:
+			for i, v := range vals {
+				if v != int64(NoStack) && (v < 0 || uint64(v) >= h.nst) {
+					return fmt.Errorf("%w: v2 stack index out of dictionary range", ErrBadTrace)
+				}
+				ss[i].StackID = int32(v)
+			}
 		}
 	}
 
 	d.pcs, d.ends = d.pcs[:0], d.ends[:0]
-	for i := uint64(0); i < nst; i++ {
+	for i := uint64(0); i < h.nst; i++ {
 		depth, ok := p.uvarint()
 		if !ok || depth > maxStackDepth {
 			return fmt.Errorf("%w: bad v2 stack entry", ErrBadTrace)

@@ -2,6 +2,9 @@ package perf
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -12,6 +15,17 @@ import (
 // must re-serialize, and whatever prefix ReadTraceStream reads must
 // resolve, sample for sample, to the frames its blocks give read one
 // at a time, keeping each distinct path once.
+//
+// It also checks that the skim and the decoder agree. ReadTraceStream
+// skims a stream it can seek and commits at most the blocks the skim
+// accepted; a stream it cannot seek is decoded to its end with no skim.
+// The two reads must give the same samples, and fail alike. Whatever
+// ReadTraceStream reads, CountStreamSamples counts (so psxd's count
+// check never refuses a block a reader would open), and a stream read
+// whole is counted exactly. The converse does not hold: the skim
+// accepts a block whose checksum matches but whose payload will not
+// decode — the run stretched past the sample count below is one — and
+// counts samples the reader refuses.
 func FuzzReadTrace(f *testing.F) {
 	// Seeds: a valid trace with samples and stacks, an empty trace,
 	// and corrupt variants.
@@ -98,12 +112,29 @@ func FuzzReadTrace(f *testing.F) {
 		}
 	}
 	f.Add(repeats.Bytes())
+	// A v2 stream torn inside its last block's payload, and a v1 block
+	// whose header declares more records than follow it.
+	f.Add(append(bytes.Clone(v2.Bytes()), v2.Bytes()[:len(v2.Bytes())-3]...))
+	forged := bytes.Clone(valid.Bytes())
+	binary.LittleEndian.PutUint64(forged[8:16], 1<<20)
+	f.Add(forged)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		all, _ := ReadTraceStream(bytes.NewReader(data))
+		all, err := ReadTraceStream(bytes.NewReader(data))
 		want, wantPaths := perBlock(data)
 		if !sameResolved(resolve(all), want) {
 			t.Fatal("the stream's samples resolve differently from its blocks read one at a time")
+		}
+		unskimmed, uerr := ReadTraceStream(struct{ io.Reader }{bytes.NewReader(data)})
+		if !sameResolved(resolve(unskimmed), want) {
+			t.Fatal("a stream read without a skim resolves differently from one read after it")
+		}
+		if (err == nil) != (uerr == nil) || errors.Is(err, ErrBadTrace) != errors.Is(uerr, ErrBadTrace) {
+			t.Fatalf("read after a skim: %v; without one: %v", err, uerr)
+		}
+		n, cerr := CountStreamSamples(bytes.NewReader(data))
+		if n < uint64(all.Len()) || err == nil && (n != uint64(all.Len()) || cerr != nil) {
+			t.Fatalf("CountStreamSamples = %d, %v; ReadTraceStream read %d samples, %v", n, cerr, all.Len(), err)
 		}
 		if all.NumStacks() != len(wantPaths) || len(paths(all)) != len(wantPaths) {
 			t.Fatalf("the stream keeps %d stacks (%d distinct), its blocks %d distinct paths",

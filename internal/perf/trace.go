@@ -815,18 +815,13 @@ func writeBlock(w io.Writer, views []chunkView, base0 int32, dropped uint64) err
 // A caller reading block after block passes a *bufio.Reader (of the
 // default size or more), which is then read directly and left at the
 // next block. The buffer is made as ReadTraceStream makes its own: one
-// slab of samples, each distinct stack once.
+// slab of samples, each distinct stack once. A stream with no byte left
+// is io.EOF; a block torn anywhere, its header included, is ErrBadTrace.
 func ReadTrace(r io.Reader) (*TraceBuffer, error) {
 	d := newBlockDecoder(bufio.NewReader(r), 0)
-	head, err := d.br.Peek(4)
-	if len(head) < 4 {
-		// Mirror io.ReadFull over the magic: EOF with no bytes,
-		// ErrUnexpectedEOF on a partial header.
-		if err != io.EOF {
-			return nil, err
-		}
-		if len(head) > 0 {
-			err = io.ErrUnexpectedEOF
+	if more, err := nextBlock(d.br); !more {
+		if err == nil {
+			err = io.EOF // no block at all
 		}
 		return nil, err
 	}

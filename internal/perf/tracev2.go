@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
 	"sync"
 )
 
@@ -105,11 +104,15 @@ type Encoding struct {
 	Flate bool
 }
 
-// ErrCountMismatch reports a trace block whose header-declared sample
-// count disagrees with the payload bytes actually present — a torn
-// tail. It wraps ErrBadTrace, so the salvage contract (gap-free prefix
-// plus a non-nil error) is unchanged; the typed sentinel only names
-// the damage precisely.
+// ErrCountMismatch reports a trace block whose header parsed but whose
+// body runs past the end of the stream: the header declares more — v1
+// records, or a v2 payload length — than the bytes present hold, as a
+// torn tail leaves it. The skim reports it: CountStreamSamples,
+// BlockSamples, and ReadTraceStream on a stream it can seek; a stream
+// read without a skim reports such a tail as plain ErrBadTrace. It
+// wraps ErrBadTrace, so the salvage contract (gap-free prefix plus a
+// non-nil error) is unchanged; the typed sentinel only names the damage
+// precisely.
 var ErrCountMismatch = fmt.Errorf("%w: declared sample count disagrees with payload length", ErrBadTrace)
 
 // WriteTraceEnc serializes a snapshot of the buffer to w in the given
@@ -355,52 +358,45 @@ func (e *BlockEncoder) encode(views []chunkView, base0 int32, dropped uint64, de
 //
 // Like the readers, it follows the salvage contract: a torn stream
 // returns the count of the gap-free prefix alongside an error wrapping
-// ErrBadTrace.
+// ErrBadTrace, and a last block whose header parses but whose body runs
+// past the end of the stream is ErrCountMismatch. It walks a stream as
+// ReadTraceStream's skim does, so it counts every sample ReadTraceStream
+// reads, and exactly those of a stream ReadTraceStream reads whole. The
+// converse does not hold: a block whose checksum matches but whose
+// payload will not decode is counted here and refused there.
 func CountStreamSamples(r io.Reader) (uint64, error) {
 	// bufio.NewReader returns r itself when it already is a reader of
 	// the default size or more, so a caller going block by block does
 	// not strand its lookahead in a second buffer.
-	return countBlocks(bufio.NewReader(r), false)
+	n, _, err := skim(bufio.NewReader(r), false)
+	return n, err
 }
 
-// countBlocks is the walk behind CountStreamSamples. Bounded, it counts
-// a v2 block's samples at most one per payload byte: what ReadTraceStream
-// may size a slab by, which a header alone must not decide. A plain
-// block's samples each take a byte of the time column at least; a
-// deflated block may hold more than it counts, and a v1 block's records
-// are all present or the skim fails.
-func countBlocks(br *bufio.Reader, bounded bool) (uint64, error) {
-	var total uint64
+// skim is the walk behind CountStreamSamples and ReadTraceStream's first
+// pass: it returns the samples of the blocks it accepted, how many
+// blocks those are, and what stopped it (nil at a clean end). Bounded,
+// it counts a v2 block's samples at most one per payload byte: what
+// ReadTraceStream may size a slab by, which a header alone must not
+// decide. A plain block's samples each take a byte of the time column
+// at least; a deflated block may hold more than it counts, and a v1
+// block's records are all present or the skim fails.
+func skim(br *bufio.Reader, bounded bool) (total uint64, blocks int, err error) {
 	for {
-		head, err := br.Peek(4)
-		if len(head) < 4 {
-			if len(head) == 0 && (err == io.EOF || err == nil) {
-				return total, nil
-			}
-			if err == io.EOF {
-				return total, fmt.Errorf("%w: truncated block", ErrBadTrace)
-			}
-			return total, err
+		if more, err := nextBlock(br); !more {
+			return total, blocks, err
 		}
-		switch {
-		case IsV2Block(head):
-			n, plen, err := skimBlockV2(br)
-			if err != nil {
-				return total, err
-			}
-			if bounded {
-				n = min(n, plen)
-			}
-			total += n
-		case bytes.Equal(head, traceMagic[:]):
-			n, err := skimBlockV1(br)
-			if err != nil {
-				return total, err
-			}
-			total += n
-		default:
-			return total, ErrBadTrace
+		h, err := readHeader(br)
+		if err == nil {
+			err = skimBody(br, h)
 		}
+		if err != nil {
+			return total, blocks, err
+		}
+		if bounded && h.v2 {
+			h.ns = min(h.ns, h.plen)
+		}
+		total += h.ns
+		blocks++
 	}
 }
 
@@ -437,116 +433,60 @@ var skimReaders = sync.Pool{New: func() any {
 	return s
 }}
 
-// The skim routines read through Peek and Discard only: headers are
-// parsed, and payloads checksummed, in the reader's own buffer, so
-// counting a block allocates nothing.
-
-// skimBlockV1 consumes one v1 PSXT block without materializing it and
-// returns its declared sample count.
-func skimBlockV1(br *bufio.Reader) (uint64, error) {
-	hdr, err := br.Peek(16)
-	if err != nil {
-		return 0, fmt.Errorf("%w: truncated block", ErrBadTrace)
+// skimBody consumes the body of the block whose header h readHeader
+// has just consumed, without materializing it: a v2 block's payload,
+// whose checksum it verifies, or a v1 block's records, stack table and
+// dropped count. It reads through Peek and Discard only, so that the
+// payload is checksummed in the reader's own buffer and counting a block
+// allocates nothing. A body the stream ends inside is ErrCountMismatch.
+func skimBody(br *bufio.Reader, h blockHeader) error {
+	if h.v2 {
+		crc := uint32(0)
+		for remaining := int(h.plen); remaining > 0; {
+			buf, _ := br.Peek(min(remaining, br.Size()))
+			if len(buf) == 0 {
+				return ErrCountMismatch
+			}
+			crc = crc32.Update(crc, crc32.IEEETable, buf)
+			br.Discard(len(buf))
+			remaining -= len(buf)
+		}
+		if crc != h.crc {
+			return fmt.Errorf("%w: v2 payload checksum mismatch", ErrBadTrace)
+		}
+		return nil
 	}
-	if !bytes.Equal(hdr[:4], traceMagic[:]) {
-		return 0, ErrBadTrace
-	}
-	if v := binary.LittleEndian.Uint32(hdr[4:8]); v != traceVersion {
-		return 0, fmt.Errorf("perf: unsupported trace version %d", v)
-	}
-	ns := binary.LittleEndian.Uint64(hdr[8:16])
-	if ns > maxReasonable {
-		return 0, ErrBadTrace
-	}
-	if err := discard(br, 16+int64(ns)*sampleRecordLen); err != nil {
-		return 0, err
+	if err := discard(br, int64(h.ns)*sampleRecordLen); err != nil {
+		return err
 	}
 	f, err := br.Peek(8)
 	if err != nil {
-		return 0, fmt.Errorf("%w: truncated block", ErrBadTrace)
+		return ErrCountMismatch
 	}
 	nst := binary.LittleEndian.Uint64(f)
 	if nst > maxReasonable {
-		return 0, ErrBadTrace
+		return ErrBadTrace
 	}
 	br.Discard(8)
 	for i := uint64(0); i < nst; i++ {
 		f, err := br.Peek(4)
 		if err != nil {
-			return 0, fmt.Errorf("%w: truncated block", ErrBadTrace)
+			return ErrCountMismatch
 		}
 		depth := binary.LittleEndian.Uint32(f)
 		if depth > maxStackDepth {
-			return 0, ErrBadTrace
+			return ErrBadTrace
 		}
 		if err := discard(br, 4+int64(depth)*8); err != nil {
-			return 0, err
+			return err
 		}
 	}
-	return ns, discard(br, 8) // dropped
-}
-
-// skimBlockV2 consumes one v2 PSX2 block, verifying its version (one a
-// reader decodes), payload extent and checksum, and returns its declared
-// sample count and its payload's length.
-func skimBlockV2(br *bufio.Reader) (ns, plen uint64, err error) {
-	hdr, err := br.Peek(v2HeaderLen)
-	if err != nil {
-		return 0, 0, fmt.Errorf("%w: truncated v2 header", ErrBadTrace)
-	}
-	if v := binary.LittleEndian.Uint32(hdr[4:8]); !v2Decodable(v) {
-		return 0, 0, errV2Version(v)
-	}
-	ns = binary.LittleEndian.Uint64(hdr[12:20])
-	nst := binary.LittleEndian.Uint64(hdr[20:28])
-	plen = binary.LittleEndian.Uint64(hdr[36:44])
-	wantCRC := binary.LittleEndian.Uint32(hdr[44:48])
-	if ns > maxReasonable || nst > maxReasonable || plen > maxV2Payload {
-		return 0, 0, ErrBadTrace
-	}
-	br.Discard(v2HeaderLen)
-	crc := uint32(0)
-	for remaining := int(plen); remaining > 0; {
-		buf, _ := br.Peek(min(remaining, br.Size()))
-		if len(buf) == 0 {
-			return 0, 0, fmt.Errorf("%w: truncated v2 payload", ErrBadTrace)
-		}
-		crc = crc32.Update(crc, crc32.IEEETable, buf)
-		br.Discard(len(buf))
-		remaining -= len(buf)
-	}
-	if crc != wantCRC {
-		return 0, 0, fmt.Errorf("%w: v2 payload checksum mismatch", ErrBadTrace)
-	}
-	return ns, plen, nil
+	return discard(br, 8) // dropped
 }
 
 func discard(br *bufio.Reader, n int64) error {
 	if m, _ := br.Discard(int(n)); int64(m) != n {
-		return fmt.Errorf("%w: truncated block", ErrBadTrace)
+		return ErrCountMismatch
 	}
 	return nil
-}
-
-// streamRemaining reports how many bytes remain in r when r exposes
-// its size (regular files, byte and string readers); ok is false for
-// unsized streams (pipes, sockets), which skip the pre-parse
-// count-versus-length cross-check and rely on parse errors alone.
-func streamRemaining(r io.Reader) (int64, bool) {
-	type lener interface{ Len() int }
-	switch v := r.(type) {
-	case lener:
-		return int64(v.Len()), true
-	case *os.File:
-		st, err := v.Stat()
-		if err != nil || !st.Mode().IsRegular() {
-			return 0, false
-		}
-		off, err := v.Seek(0, io.SeekCurrent)
-		if err != nil {
-			return 0, false
-		}
-		return st.Size() - off, true
-	}
-	return 0, false
 }
