@@ -94,16 +94,44 @@ func TestCLIOmpprof(t *testing.T) {
 	rep := run(t, "ompreport", paths...)
 	mustContain(t, rep, "parallel regions (by site)", "per-thread activity")
 
-	dump := run(t, "tracedump", paths[0])
+	dump := run(t, "ompreport", "-samples", paths[0])
 	mustContain(t, dump, "samples", "OMP_EVENT")
-	summary := run(t, "tracedump", "-summary", paths[0])
-	mustContain(t, summary, "region", "calls")
+	samplesMatchHeaders(t, run(t, "ompreport", "-samples", dir))
 }
 
-// TestCLITracedumpSummaryBySite: region IDs are per invocation, so
-// -summary groups by site — N calls of one static region are one row
-// with N calls, not N rows of one call each.
-func TestCLITracedumpSummaryBySite(t *testing.T) {
+// samplesMatchHeaders checks that each file header of an
+// ompreport -samples dump counts the sample lines that follow it.
+func samplesMatchHeaders(t *testing.T, dump string) {
+	t.Helper()
+	header, declared, lines := "", 0, 0
+	check := func() {
+		if header != "" && lines != declared {
+			t.Errorf("%q declares %d samples, %d sample lines follow", header, declared, lines)
+		}
+	}
+	for _, line := range strings.Split(dump, "\n") {
+		if strings.HasPrefix(line, "  [") {
+			lines++
+			continue
+		}
+		if i := strings.Index(line, ": "); i > 0 && strings.HasSuffix(line, " dropped") {
+			var n int
+			if _, err := fmt.Sscanf(line[i+2:], "%d samples", &n); err == nil {
+				check()
+				header, declared, lines = line, n, 0
+			}
+		}
+	}
+	check()
+	if header == "" {
+		t.Errorf("no file header in the dump:\n%s", dump)
+	}
+}
+
+// TestCLIReportBySite: region IDs are per invocation, so the report's
+// region table groups by site — N calls of one static region are one
+// row with N calls, not N rows of one call each.
+func TestCLIReportBySite(t *testing.T) {
 	const calls = 5
 	buf := perf.NewTraceBuffer(0, 0)
 	for i := 0; i < calls; i++ {
@@ -119,20 +147,23 @@ func TestCLITracedumpSummaryBySite(t *testing.T) {
 	if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	rep := run(t, "ompreport", path)
+	_, table, ok := strings.Cut(rep, "parallel regions (by site):\n")
+	table, _, _ = strings.Cut(table, "\n\n")
 	var rows [][]string
-	for _, line := range strings.Split(run(t, "tracedump", "-summary", path), "\n") {
+	for _, line := range strings.Split(table, "\n") {
 		if f := strings.Fields(line); len(f) == 4 && strings.HasPrefix(f[0], "0x") {
 			rows = append(rows, f)
 		}
 	}
-	if len(rows) != 1 || rows[0][0] != "0x4242" || rows[0][1] != fmt.Sprint(calls) {
-		t.Fatalf("summary rows = %q, want one row for site 0x4242 with %d calls", rows, calls)
+	if !ok || len(rows) != 1 || rows[0][0] != "0x4242" || rows[0][1] != fmt.Sprint(calls) {
+		t.Fatalf("by-site rows = %q, want one row for site 0x4242 with %d calls:\n%s", rows, calls, rep)
 	}
 }
 
 // TestCLIReportsHangSalvage: a hang salvage leaves hang.report beside
 // the traces; ompreport renders it once per directory however many
-// trace files share it, and tracedump renders it with each file.
+// trace files share it, with -samples as without.
 func TestCLIReportsHangSalvage(t *testing.T) {
 	dir := t.TempDir()
 	run(t, "ompprof", "-workload", "pi", "-threads", "2", "-sample", "0", "-trace", dir)
@@ -146,13 +177,50 @@ func TestCLIReportsHangSalvage(t *testing.T) {
 
 	rep := run(t, "ompreport", dir)
 	mustContain(t, rep, "salvaged from a hung run")
-	for _, line := range lines {
-		if n := strings.Count(rep, "  | "+line+"\n"); n != 1 {
-			t.Errorf("ompreport rendered %q %d times, want once:\n%s", line, n, rep)
+	dump := run(t, "ompreport", "-samples", dir)
+	mustContain(t, dump, "hang report salvaged with these traces")
+	for _, out := range []string{rep, dump} {
+		for _, line := range lines {
+			if n := strings.Count(out, "  | "+line+"\n"); n != 1 {
+				t.Errorf("ompreport rendered %q %d times, want once:\n%s", line, n, out)
+			}
 		}
 	}
-	dump := run(t, "tracedump", filepath.Join(dir, "trace.0.psxt"))
-	mustContain(t, dump, "hang report salvaged with this trace", "  | "+lines[0])
+	samplesMatchHeaders(t, dump)
+}
+
+// TestCLISamplesSalvageRule: under -samples a torn or unparsable file
+// follows the report's one rule — a warning on stderr and the file's
+// intact prefix on stdout, exit 0 — so a file that does not parse
+// prints a 0-sample header.
+func TestCLISamplesSalvageRule(t *testing.T) {
+	dir := t.TempDir()
+	run(t, "ompprof", "-workload", "pi", "-threads", "2", "-sample", "0", "-trace", dir)
+	whole, err := os.ReadFile(filepath.Join(dir, "trace.0.psxt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := filepath.Join(t.TempDir(), "torn.psxt")
+	if err := os.WriteFile(torn, whole[:len(whole)-7], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	garbage := filepath.Join(t.TempDir(), "garbage.psxt")
+	if err := os.WriteFile(garbage, bytes.Repeat([]byte("not a trace "), 8), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{torn, garbage} {
+		cmd := exec.Command(filepath.Join(binaries(t), "ompreport"), "-samples", path)
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("ompreport -samples %s: %v\n%s", path, err, stderr.String())
+		}
+		mustContain(t, stderr.String(), "warning: "+path, "malformed trace stream", "using the intact prefix")
+		samplesMatchHeaders(t, stdout.String())
+		if path == garbage {
+			mustContain(t, stdout.String(), garbage+": 0 samples, 0 distinct stacks, 0 dropped\n")
+		}
+	}
 }
 
 func TestCLIOmpprofNPBWorkload(t *testing.T) {
@@ -206,7 +274,6 @@ func TestCLIBadFlags(t *testing.T) {
 		{"mzbench", "-class", "X"},
 		{"overheads", "-class", "X"},
 		{"epccbench", "-threads", "zero"},
-		{"tracedump"},
 		{"ompreport"},
 		{"ompprof", "-workload", "nope"},
 	} {

@@ -4,7 +4,12 @@
 // barrier-imbalance metric — the after-the-run reconstruction step of
 // the paper's measurement pipeline. With -follow it instead polls a
 // live observability plane (ompprof -obs / GOMP_OBS_ADDR) and renders
-// a refreshing report while the program still runs.
+// a refreshing report while the program still runs. With -samples it
+// prints the traces themselves instead of the report: each file's
+// header (samples, distinct stacks, drops) and one line per sample —
+// time, thread, event, state, region and stack — since symbol
+// resolution of stack PCs is only meaningful inside the process that
+// produced them.
 //
 // Each trace argument may be a single .psxt file, a directory of
 // per-thread trace files (a StreamDir, an ompprof -trace dir, or one
@@ -13,8 +18,8 @@
 //
 // Usage:
 //
-//	ompreport trace.0.psxt [trace.1.psxt ...]
-//	ompreport STREAM_DIR | PSXD_DIR | PSXD_DIR/RUN
+//	ompreport [-samples] trace.0.psxt [trace.1.psxt ...]
+//	ompreport [-samples] STREAM_DIR | PSXD_DIR | PSXD_DIR/RUN
 //	ompreport -follow http://127.0.0.1:9464 [-interval 1s] [-polls N]
 package main
 
@@ -37,6 +42,7 @@ func main() {
 	follow := flag.String("follow", "", "base URL of a live observability plane to poll instead of reading trace files")
 	interval := flag.Duration("interval", time.Second, "poll period with -follow")
 	polls := flag.Int("polls", 0, "with -follow, stop after this many polls (0 = until the plane goes away)")
+	dump := flag.Bool("samples", false, "print each trace file's samples instead of the report")
 	flag.Parse()
 	if *follow != "" {
 		if err := followPlane(*follow, *interval, *polls); err != nil {
@@ -46,7 +52,7 @@ func main() {
 		return
 	}
 	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: ompreport trace.psxt|DIR ... | ompreport -follow URL")
+		fmt.Fprintln(os.Stderr, "usage: ompreport [-samples] trace.psxt|DIR ... | ompreport -follow URL")
 		os.Exit(2)
 	}
 	var paths []string
@@ -71,7 +77,10 @@ func main() {
 		// run directory's manifest (the salvage/quarantine markers and
 		// the client's loss accounting from the BYE), and the hang
 		// supervisor's report when the run was salvaged from a hang.
-		if dir := filepath.Dir(path); !seenDirs[dir] {
+		dir := filepath.Dir(path)
+		fresh := !seenDirs[dir]
+		var hang string
+		if fresh {
 			seenDirs[dir] = true
 			if m, err := ingest.ReadManifest(dir); err == nil {
 				manifests[dir] = m
@@ -81,8 +90,8 @@ func main() {
 					salvagedDirs[dir] = true
 				}
 			}
-			if rep := perf.HangReport(dir); rep != "" {
-				hangReports = append(hangReports, rep)
+			if hang = perf.HangReport(dir); hang != "" {
+				hangReports = append(hangReports, hang)
 			}
 		}
 		f, err := os.Open(path)
@@ -103,8 +112,15 @@ func main() {
 			fmt.Fprintf(os.Stderr, "ompreport: warning: %s: %v; using the intact prefix (%d samples)\n",
 				path, err, buf.Len())
 		}
+		if *dump {
+			dumpSamples(path, buf, fresh && quarantinedDirs[dir], fresh && salvagedDirs[dir], hang)
+			continue
+		}
 		dropped += buf.Dropped()
 		bufs = append(bufs, buf)
+	}
+	if *dump {
+		return
 	}
 	samples := concat(bufs)
 	fmt.Printf("%d samples from %d trace files", len(samples), len(paths))
@@ -123,9 +139,7 @@ func main() {
 	fmt.Printf("\n\n")
 	for _, rep := range hangReports {
 		fmt.Println("WARNING: these traces were salvaged from a hung run; the data is the gap-free prefix of a run that did not finish")
-		for _, line := range strings.Split(strings.TrimRight(rep, "\n"), "\n") {
-			fmt.Printf("  | %s\n", line)
-		}
+		printHangReport(rep)
 		fmt.Println()
 	}
 
@@ -171,6 +185,49 @@ func main() {
 		if imb := analysis.BarrierImbalance(tls); imb > 0 {
 			fmt.Printf("\nbarrier imbalance (max/mean): %.2f\n", imb)
 		}
+	}
+}
+
+// dumpSamples prints one trace file as it holds its samples: a header,
+// then one line per sample. The run context of the file's directory —
+// its salvage or quarantine marker and its hang report, which the
+// caller passes only for the first file read from that directory —
+// follows the header.
+func dumpSamples(path string, buf *perf.TraceBuffer, quarantined, salvaged bool, hang string) {
+	samples := buf.Samples()
+	fmt.Printf("%s: %d samples, %d distinct stacks, %d dropped\n",
+		path, len(samples), buf.NumStacks(), buf.Dropped())
+	if quarantined {
+		fmt.Printf("  WARNING: quarantined run — the ingest daemon's storage failed before this run was sealed; the tail past the journaled prefix may be torn or missing\n")
+	} else if salvaged {
+		fmt.Printf("  note: salvaged run — the ingest daemon recovered these traces from its journal after a crash; the samples are the journaled prefix\n")
+	}
+	if hang != "" {
+		fmt.Printf("  WARNING: hang report salvaged with these traces; the samples are the gap-free prefix of a run that did not finish\n")
+		printHangReport(hang)
+	}
+	for i, s := range samples {
+		ev := "-"
+		if s.Event >= 0 {
+			ev = collector.Event(s.Event).String()
+		}
+		st := "-"
+		if s.State >= 0 {
+			st = collector.State(s.State).String()
+		}
+		fmt.Printf("  [%6d] t=%-14v thr=%-3d %-28s %-18s region=%-6d",
+			i, time.Duration(s.Time), s.Thread, ev, st, s.Region)
+		if s.StackID != perf.NoStack {
+			fmt.Printf(" stack=%d(%d frames)", s.StackID, len(buf.Stack(s.StackID)))
+		}
+		fmt.Println()
+	}
+}
+
+// printHangReport prints a hang report's lines behind a bar.
+func printHangReport(rep string) {
+	for _, line := range strings.Split(strings.TrimRight(rep, "\n"), "\n") {
+		fmt.Printf("  | %s\n", line)
 	}
 }
 

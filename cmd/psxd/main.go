@@ -3,10 +3,10 @@
 // Options.IngestAddr) ship their sealed trace chunks here over TCP,
 // and psxd writes one directory per run of the same per-thread
 // trace.N.psxt files a local StreamDir holds — read them back with
-// tracedump, ompreport, or perf.ReadTraceStream. With -obs it also
-// serves the merged observability plane: /metrics (fleet and per-run
-// ingest counters), /runs (the run registry as JSON) and /profile
-// (the cross-run region profile, ?run=ID to scope).
+// ompreport (-samples to list them) or perf.ReadTraceStream. With -obs
+// it also serves the merged observability plane: /metrics (fleet and
+// per-run ingest counters), /runs (the run registry as JSON) and
+// /profile (the cross-run region profile, ?run=ID to scope).
 //
 // Storage is durable and self-healing: every run directory carries an
 // append-only journal and a manifest, a restarted daemon replays the

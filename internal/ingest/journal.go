@@ -177,8 +177,8 @@ type Manifest struct {
 	ClientLoss
 }
 
-// ReadManifest loads a run directory's manifest. Offline readers
-// (tracedump, ompreport) use it to mark salvaged runs; a directory
+// ReadManifest loads a run directory's manifest. The offline reader
+// (ompreport) uses it to mark salvaged runs; a directory
 // without one (a plain StreamDir) returns os.ErrNotExist.
 func ReadManifest(dir string) (*Manifest, error) {
 	data, err := os.ReadFile(filepath.Join(dir, manifestName))

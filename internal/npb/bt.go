@@ -51,6 +51,22 @@ type btState struct {
 	couple smallMat
 }
 
+// newBTState builds BT's fields, the forcing drawn from the NPB
+// generator seeded with seed.
+func newBTState(rt *omp.RT, p btParams, seed uint64) *btState {
+	s := &btState{rt: rt, p: p, couple: btCoupling()}
+	g := NewLCG(seed)
+	for c := 0; c < btComponents; c++ {
+		s.u[c] = newField3(p.n)
+		s.rhs[c] = newField3(p.n)
+		s.f[c] = newField3(p.n)
+		for x := range s.f[c].data {
+			s.f[c].data[x] = g.Next() - 0.5
+		}
+	}
+	return s
+}
+
 // btCoupling is a fixed, weakly off-diagonal coupling matrix with row
 // sums under 1, keeping the implicit operators diagonally dominant.
 // The band structure loosely follows the physical couplings of the
@@ -164,6 +180,15 @@ func (s *btState) add() {
 	})
 }
 
+// step advances one timestep: five regions.
+func (s *btState) step() {
+	s.computeRHS() // 1
+	s.solveDir(0)  // 2
+	s.solveDir(1)  // 3
+	s.solveDir(2)  // 4
+	s.add()        // 5
+}
+
 // incrementNorm is the RMS of the last increment over all components.
 func (s *btState) incrementNorm() float64 {
 	n3 := len(s.rhs[0].data)
@@ -191,27 +216,14 @@ func RunBT(rt *omp.RT, class Class) Result {
 // RunBTFull executes BT and returns the convergence monitors.
 func RunBTFull(rt *omp.RT, class Class) BTResult {
 	p := btParamsFor(class)
-	s := &btState{rt: rt, p: p, couple: btCoupling()}
-	g := NewLCG(DefaultSeed)
-	for c := 0; c < btComponents; c++ {
-		s.u[c] = newField3(p.n)
-		s.rhs[c] = newField3(p.n)
-		s.f[c] = newField3(p.n)
-		for x := range s.f[c].data {
-			s.f[c].data[x] = g.Next() - 0.5
-		}
-	}
+	s := newBTState(rt, p, DefaultSeed)
 	rt.ResetStats()
 	start := time.Now()
 
 	var res BTResult
 	res.Name, res.Class = "BT", class
 	for step := 0; step < p.steps; step++ {
-		s.computeRHS() // 1
-		s.solveDir(0)  // 2
-		s.solveDir(1)  // 3
-		s.solveDir(2)  // 4
-		s.add()        // 5
+		s.step()
 		if step == 0 {
 			res.FirstIncrement = s.incrementNorm()
 		}

@@ -1,12 +1,9 @@
 package npb
 
-import "math"
-
 // Shared machinery for the structured-grid solvers (BT, SP, LU): a
 // dense 3D scalar field with Dirichlet boundaries, tridiagonal and
 // pentadiagonal line solvers (Thomas algorithm and its 5-band
-// extension), and 3×3 block operations for BT's block-tridiagonal
-// systems.
+// extension). BT's block-tridiagonal solver is in block.go.
 
 // field3 is an n×n×n scalar field, k-fastest.
 type field3 struct {
@@ -94,99 +91,5 @@ func pentaSolve(e, a, b float64, d, w []float64) {
 	}
 	for i := n - 3; i >= 0; i-- {
 		d[i] = (d[i] - u1[i]*d[i+1] - u2[i]*d[i+2]) / dg[i]
-	}
-}
-
-// mat3 is a dense 3×3 matrix, row-major.
-type mat3 [9]float64
-
-// vec3 is a 3-vector.
-type vec3 [3]float64
-
-func (m *mat3) mulVec(v vec3) vec3 {
-	return vec3{
-		m[0]*v[0] + m[1]*v[1] + m[2]*v[2],
-		m[3]*v[0] + m[4]*v[1] + m[5]*v[2],
-		m[6]*v[0] + m[7]*v[1] + m[8]*v[2],
-	}
-}
-
-func (m *mat3) mulMat(o *mat3) mat3 {
-	var r mat3
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			var s float64
-			for k := 0; k < 3; k++ {
-				s += m[i*3+k] * o[k*3+j]
-			}
-			r[i*3+j] = s
-		}
-	}
-	return r
-}
-
-func (m *mat3) sub(o *mat3) mat3 {
-	var r mat3
-	for i := range r {
-		r[i] = m[i] - o[i]
-	}
-	return r
-}
-
-func (m *mat3) scale(s float64) mat3 {
-	var r mat3
-	for i := range r {
-		r[i] = m[i] * s
-	}
-	return r
-}
-
-// inv returns the inverse via the adjugate; it panics on a singular
-// matrix (the BT systems are diagonally dominant, so this indicates a
-// construction bug, not an input condition).
-func (m *mat3) inv() mat3 {
-	a, b, c := m[0], m[1], m[2]
-	d, e, f := m[3], m[4], m[5]
-	g, h, i := m[6], m[7], m[8]
-	A := e*i - f*h
-	B := -(d*i - f*g)
-	C := d*h - e*g
-	det := a*A + b*B + c*C
-	if math.Abs(det) < 1e-300 {
-		panic("npb: singular 3x3 block")
-	}
-	inv := 1 / det
-	return mat3{
-		A * inv, -(b*i - c*h) * inv, (b*f - c*e) * inv,
-		B * inv, (a*i - c*g) * inv, -(a*f - c*d) * inv,
-		C * inv, -(a*h - b*g) * inv, (a*e - b*d) * inv,
-	}
-}
-
-// identity3 returns the 3×3 identity.
-func identity3() mat3 { return mat3{1, 0, 0, 0, 1, 0, 0, 0, 1} }
-
-// blockTriSolve solves the constant-block tridiagonal system
-// B·x_i + A·(x_{i−1} + x_{i+1}) = d_i in place by the block Thomas
-// algorithm. cp must have len(d) entries of scratch.
-func blockTriSolve(A, B mat3, d []vec3, cp []mat3) {
-	n := len(d)
-	if n == 0 {
-		return
-	}
-	beta := B
-	binv := beta.inv()
-	d[0] = binv.mulVec(d[0])
-	for i := 1; i < n; i++ {
-		cp[i-1] = binv.mulMat(&A) // β^{-1}·A (upper factor)
-		ac := A.mulMat(&cp[i-1])
-		beta = B.sub(&ac)
-		binv = beta.inv()
-		av := A.mulVec(d[i-1])
-		d[i] = binv.mulVec(vec3{d[i][0] - av[0], d[i][1] - av[1], d[i][2] - av[2]})
-	}
-	for i := n - 2; i >= 0; i-- {
-		cv := cp[i].mulVec(d[i+1])
-		d[i] = vec3{d[i][0] - cv[0], d[i][1] - cv[1], d[i][2] - cv[2]}
 	}
 }

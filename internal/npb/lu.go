@@ -14,13 +14,13 @@ import (
 // order — cells with equal i+j+k are mutually independent — and a
 // backward sweep mirrors it.
 //
-// LU keeps one parallel region per sweep and synchronizes the
-// wavefronts with the worksharing loops' implicit barriers inside the
-// region; LU-HP (the hyperplane version) makes every wavefront its own
-// parallel region. The numerics are identical, so both produce the
-// same solution; the region-call counts differ by a factor of the
-// wavefront count — which is why LU-HP tops Table I by two orders of
-// magnitude and incurs the largest profiling overhead in Figure 5.
+// LU keeps one parallel region per sweep and pipelines the wavefronts
+// between threads with point-to-point synchronization; LU-HP (the
+// hyperplane version) makes every wavefront its own parallel region.
+// The numerics are identical, so both produce the same solution; the
+// region-call counts differ by a factor of the wavefront count — which
+// is why LU-HP tops Table I by two orders of magnitude and incurs the
+// largest profiling overhead in Figure 5.
 
 type luParams struct {
 	n     int
@@ -57,9 +57,11 @@ type luState struct {
 	pipes  []chan struct{} // adjacent-thread pipeline tokens (LU variant)
 }
 
-func newLUState(rt *omp.RT, p luParams) *luState {
+// newLUState builds the solver state, the forcing drawn from the NPB
+// generator seeded with seed.
+func newLUState(rt *omp.RT, p luParams, seed uint64) *luState {
 	s := &luState{rt: rt, p: p, u: newField3(p.n), f: newField3(p.n)}
-	g := NewLCG(DefaultSeed)
+	g := NewLCG(seed)
 	for x := range s.f.data {
 		s.f.data[x] = g.Next() - 0.5
 	}
@@ -100,8 +102,8 @@ func (s *luState) relaxCell(x int32) {
 // tokens). Only the two region-end implicit barriers remain, which is
 // why LU generates so few collector events compared to LU-HP. Any
 // dependency-respecting order produces the identical Gauss–Seidel
-// result, so the pipelined, fused-barrier and hyperplane variants all
-// compute the same solution.
+// result, so the pipelined and hyperplane variants compute the same
+// solution.
 func (s *luState) sweepPipelined() {
 	n := s.p.n
 	run := func(forward bool) {
@@ -146,25 +148,6 @@ func (s *luState) sweepPipelined() {
 	run(false)
 }
 
-// sweepFused performs one forward and one backward sweep inside a
-// single parallel region, separating wavefronts with the worksharing
-// loops' implicit barriers — a simpler (but barrier-heavy) alternative
-// the multi-zone LU zones use.
-func (s *luState) sweepFused() {
-	s.rt.Parallel(func(tc *omp.ThreadCtx) {
-		for h := 0; h < len(s.planes); h++ {
-			cells := s.planes[h]
-			tc.For(len(cells), func(c int) { s.relaxCell(cells[c]) })
-		}
-	})
-	s.rt.Parallel(func(tc *omp.ThreadCtx) {
-		for h := len(s.planes) - 1; h >= 0; h-- {
-			cells := s.planes[h]
-			tc.For(len(cells), func(c int) { s.relaxCell(cells[c]) })
-		}
-	})
-}
-
 // sweepHyperplane performs the same two sweeps with one parallel
 // region per wavefront (the LU-HP strategy).
 func (s *luState) sweepHyperplane() {
@@ -206,7 +189,7 @@ type LUResult struct {
 	SolutionNorm    float64
 }
 
-// RunLU executes the fused-region SSOR solver.
+// RunLU executes the pipelined (region-per-sweep) SSOR solver.
 func RunLU(rt *omp.RT, class Class) Result {
 	return runLU(rt, class, false).Result
 }
@@ -218,7 +201,7 @@ func RunLUHP(rt *omp.RT, class Class) Result {
 
 func runLU(rt *omp.RT, class Class, hyperplane bool) LUResult {
 	p := luParamsFor(class)
-	s := newLUState(rt, p)
+	s := newLUState(rt, p, DefaultSeed)
 	rt.ResetStats()
 	start := time.Now()
 

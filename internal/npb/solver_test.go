@@ -141,69 +141,6 @@ func TestPentaSolveTinySystems(t *testing.T) {
 	triSolve(-0.5, 3.0, nil, nil)
 }
 
-// --- 3×3 block helpers ---
-
-func TestMat3Inverse(t *testing.T) {
-	m := mat3{4, 1, 0, 1, 5, 2, 0, 2, 6}
-	inv := m.inv()
-	prod := m.mulMat(&inv)
-	id := identity3()
-	for i := range prod {
-		if math.Abs(prod[i]-id[i]) > 1e-12 {
-			t.Fatalf("M·M⁻¹[%d] = %v", i, prod[i])
-		}
-	}
-}
-
-func TestMat3SingularPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("singular inverse did not panic")
-		}
-	}()
-	m := mat3{1, 2, 3, 2, 4, 6, 0, 0, 1}
-	m.inv()
-}
-
-func TestBlockTriSolveAgainstMultiply(t *testing.T) {
-	const n = 9
-	A := mat3{-0.2, 0.05, 0, 0.05, -0.2, 0.05, 0, 0.05, -0.2}
-	B := mat3{2, 0.1, 0, 0.1, 2, 0.1, 0, 0.1, 2}
-	rng := rand.New(rand.NewSource(3))
-	want := make([]vec3, n)
-	for i := range want {
-		for c := 0; c < 3; c++ {
-			want[i][c] = rng.Float64() - 0.5
-		}
-	}
-	// d_i = B·x_i + A·(x_{i−1} + x_{i+1})
-	d := make([]vec3, n)
-	for i := 0; i < n; i++ {
-		bv := B.mulVec(want[i])
-		d[i] = bv
-		if i > 0 {
-			av := A.mulVec(want[i-1])
-			for c := 0; c < 3; c++ {
-				d[i][c] += av[c]
-			}
-		}
-		if i < n-1 {
-			av := A.mulVec(want[i+1])
-			for c := 0; c < 3; c++ {
-				d[i][c] += av[c]
-			}
-		}
-	}
-	blockTriSolve(A, B, d, make([]mat3, n))
-	for i := range want {
-		for c := 0; c < 3; c++ {
-			if math.Abs(d[i][c]-want[i][c]) > 1e-10 {
-				t.Fatalf("x[%d][%d] = %v, want %v", i, c, d[i][c], want[i][c])
-			}
-		}
-	}
-}
-
 func TestFFTLineKnownTransform(t *testing.T) {
 	// FFT of a constant is an impulse at bin 0.
 	a := make([]complex128, 8)

@@ -49,15 +49,15 @@ type spState struct {
 	rhs *field3 // per-step right-hand side / increment
 }
 
-// spForcing builds the deterministic forcing field from the NPB
-// generator.
-func spForcing(n int) *field3 {
-	f := newField3(n)
-	g := NewLCG(DefaultSeed)
-	for x := range f.data {
-		f.data[x] = g.Next() - 0.5
+// newSPState builds SP's fields, the forcing drawn from the NPB
+// generator seeded with seed.
+func newSPState(rt *omp.RT, p spParams, seed uint64) *spState {
+	s := &spState{rt: rt, p: p, u: newField3(p.n), f: newField3(p.n), rhs: newField3(p.n)}
+	g := NewLCG(seed)
+	for x := range s.f.data {
+		s.f.data[x] = g.Next() - 0.5
 	}
-	return f
+	return s
 }
 
 // computeRHS forms rhs = dt·(f + ∇²u): one parallel region.
@@ -167,6 +167,22 @@ func (s *spState) add() {
 	})
 }
 
+// step advances one timestep: nine regions. The four diagonal
+// transforms compose to the identity (the originals change to and
+// from characteristic variables; the solve stages are linear, so
+// constant scalings commute with them and cancel exactly).
+func (s *spState) step() {
+	s.computeRHS()     // 1
+	s.diagScale(2)     // 2 txinvr
+	s.solveX()         // 3
+	s.diagScale(2)     // 4 ninvr
+	s.solveY()         // 5
+	s.diagScale(2)     // 6 ninvr
+	s.solveZ()         // 7
+	s.diagScale(0.125) // 8 tzetar
+	s.add()            // 9
+}
+
 // incrementNorm is the RMS of the last increment, the convergence
 // monitor.
 func (s *spState) incrementNorm() float64 {
@@ -191,28 +207,15 @@ func RunSP(rt *omp.RT, class Class) Result {
 // RunSPFull executes SP and returns the convergence monitors.
 func RunSPFull(rt *omp.RT, class Class) SPResult {
 	p := spParamsFor(class)
-	f := spForcing(p.n)
+	s := newSPState(rt, p, DefaultSeed)
 	rt.ResetStats()
 	start := time.Now()
-	s := &spState{rt: rt, p: p, u: newField3(p.n), f: f, rhs: newField3(p.n)}
 
 	var res SPResult
 	res.Name, res.Class = "SP", class
 
 	for step := 0; step < p.steps; step++ {
-		// The four diagonal transforms compose to the identity (the
-		// originals change to and from characteristic variables; the
-		// solve stages are linear, so constant scalings commute with
-		// them and cancel exactly).
-		s.computeRHS()     // 1
-		s.diagScale(2)     // 2 txinvr
-		s.solveX()         // 3
-		s.diagScale(2)     // 4 ninvr
-		s.solveY()         // 5
-		s.diagScale(2)     // 6 ninvr
-		s.solveZ()         // 7
-		s.diagScale(0.125) // 8 tzetar
-		s.add()            // 9
+		s.step()
 		if step == 0 {
 			res.FirstIncrement = s.incrementNorm()
 		}

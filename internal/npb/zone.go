@@ -77,27 +77,10 @@ type spZone struct{ s *spState }
 // NewSPZone creates an SP-solver zone of edge n on rt. Each Step is
 // the nine-region SP timestep.
 func NewSPZone(rt *omp.RT, n int, seed uint64) Zone {
-	p := spParams{n: n, dt: 0.05, diss: 0.02}
-	s := &spState{rt: rt, p: p, u: newField3(n), f: newField3(n), rhs: newField3(n)}
-	g := NewLCG(seed)
-	for x := range s.f.data {
-		s.f.data[x] = g.Next() - 0.5
-	}
-	return &spZone{s: s}
+	return &spZone{s: newSPState(rt, spParams{n: n, dt: 0.05, diss: 0.02}, seed)}
 }
 
-func (z *spZone) Step() {
-	s := z.s
-	s.computeRHS()
-	s.diagScale(2)
-	s.solveX()
-	s.diagScale(2)
-	s.solveY()
-	s.diagScale(2)
-	s.solveZ()
-	s.diagScale(0.125)
-	s.add()
-}
+func (z *spZone) Step() { z.s.step() }
 
 func (z *spZone) Face(side int) []float64 { return facePlane(z.s.u, side) }
 func (z *spZone) CoupleFace(side int, nb []float64) {
@@ -112,28 +95,10 @@ type btZone struct{ s *btState }
 // NewBTZone creates a BT-solver zone of edge n on rt. Each Step is the
 // five-region BT timestep.
 func NewBTZone(rt *omp.RT, n int, seed uint64) Zone {
-	p := btParams{n: n, dt: 0.05}
-	s := &btState{rt: rt, p: p, couple: btCoupling()}
-	g := NewLCG(seed)
-	for c := 0; c < btComponents; c++ {
-		s.u[c] = newField3(n)
-		s.rhs[c] = newField3(n)
-		s.f[c] = newField3(n)
-		for x := range s.f[c].data {
-			s.f[c].data[x] = g.Next() - 0.5
-		}
-	}
-	return &btZone{s: s}
+	return &btZone{s: newBTState(rt, btParams{n: n, dt: 0.05}, seed)}
 }
 
-func (z *btZone) Step() {
-	s := z.s
-	s.computeRHS()
-	s.solveDir(0)
-	s.solveDir(1)
-	s.solveDir(2)
-	s.add()
-}
+func (z *btZone) Step() { z.s.step() }
 
 func (z *btZone) Face(side int) []float64 { return facePlane(z.s.u[0], side) }
 func (z *btZone) CoupleFace(side int, nb []float64) {
@@ -156,27 +121,7 @@ type luZone struct{ s *luState }
 // point synchronization), LU's low per-step region multiplicity and
 // low event volume.
 func NewLUZone(rt *omp.RT, n int, seed uint64) Zone {
-	p := luParams{n: n, iters: 0, c: 0.5, omega: 1.2}
-	s := &luState{rt: rt, p: p, u: newField3(n), f: newField3(n)}
-	g := NewLCG(seed)
-	for x := range s.f.data {
-		s.f.data[x] = g.Next() - 0.5
-	}
-	s.planes = make([][]int32, 3*n-2)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			for k := 0; k < n; k++ {
-				h := i + j + k
-				s.planes[h] = append(s.planes[h], int32((i*n+j)*n+k))
-			}
-		}
-	}
-	threads := rt.Config().NumThreads
-	s.pipes = make([]chan struct{}, threads)
-	for i := range s.pipes {
-		s.pipes[i] = make(chan struct{}, n)
-	}
-	return &luZone{s: s}
+	return &luZone{s: newLUState(rt, luParams{n: n, c: 0.5, omega: 1.2}, seed)}
 }
 
 func (z *luZone) Step() { z.s.sweepPipelined() }

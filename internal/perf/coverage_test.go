@@ -183,25 +183,6 @@ func TestTraceRoundTripPreservesSite(t *testing.T) {
 	}
 }
 
-func TestDrainMovesContents(t *testing.T) {
-	b := NewTraceBuffer(4, 0)
-	sid := b.InternStack([]uintptr{1})
-	b.Append(Sample{Time: 1, StackID: sid})
-	b.Append(Sample{Time: 2, StackID: NoStack})
-	chunk := b.Drain()
-	if len(chunk.Samples()) != 2 || chunk.NumStacks() != 1 {
-		t.Fatalf("chunk = %d samples, %d stacks", len(chunk.Samples()), chunk.NumStacks())
-	}
-	if len(b.Samples()) != 0 || b.NumStacks() != 0 {
-		t.Error("original buffer not reset")
-	}
-	// Appending after drain works and does not disturb the chunk.
-	b.Append(Sample{Time: 3})
-	if len(chunk.Samples()) != 2 {
-		t.Error("chunk aliased the original buffer")
-	}
-}
-
 func TestReadTraceStreamMergesChunks(t *testing.T) {
 	var stream bytes.Buffer
 	// Chunk 1: one sample with stack 0.

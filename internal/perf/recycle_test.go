@@ -327,7 +327,7 @@ func TestDedupBlocksByteIdentical(t *testing.T) {
 				}
 				out.Write(block)
 			}
-			if err := WriteTraceEnc(&out, b.Drain(), Encoding{V2: true, Flate: deflate}); err != nil {
+			if err := WriteTraceEnc(&out, b, Encoding{V2: true, Flate: deflate}); err != nil {
 				t.Fatal(err)
 			}
 			streams[mode] = out.Bytes()

@@ -46,7 +46,7 @@ func tempTrace(t *testing.T, data []byte) *os.File {
 }
 
 // TestErrCountMismatchOnFile: a torn tail read from a regular file, the
-// reader ompreport, tracedump and psxd's /profile hand over, is the
+// reader ompreport and psxd's /profile hand over, is the
 // typed ErrCountMismatch, and both the reader and the count keep the
 // blocks before it.
 func TestErrCountMismatchOnFile(t *testing.T) {

@@ -230,10 +230,10 @@ func (s *SealedChunk) Release() {
 // the writer; each loads the list and uses it inside one reader bracket
 // (enter/exit), which is what lets a relaying buffer recycle chunks.
 //
-// Drain and Reset bypass the writer's cursors and therefore require
-// the writer to be quiescent (no concurrent append); the tool
-// guarantees this by unregistering events and waiting for in-flight
-// callbacks before its final flush.
+// Reset bypasses the writer's cursors and therefore requires the
+// writer to be quiescent (no concurrent append); the tool guarantees
+// this by unregistering events and waiting for in-flight callbacks
+// before its final flush.
 type TraceBuffer struct {
 	state   atomic.Pointer[bufState]
 	readers atomic.Int32            // readers inside their bracket
@@ -642,49 +642,6 @@ func (b *TraceBuffer) reset(nchunks int) {
 	b.wc = 0
 	b.retained = 0
 	b.state.Store(&bufState{chunks: chunks})
-}
-
-// Drain moves the buffer's contents into a detached buffer and resets
-// the original, preserving capacity. Samples in the detached buffer
-// reference its own (rebased, zero-based) stack table. Drain requires
-// the writer to be quiescent: the streaming storage calls it only
-// after event generation has stopped and in-flight callbacks have
-// completed.
-func (b *TraceBuffer) Drain() *TraceBuffer {
-	st := b.state.Load()
-	total := 0
-	for _, c := range st.chunks {
-		total += int(c.n.Load())
-	}
-	out := NewTraceBuffer(total, 0)
-	base0 := st.chunks[0].stackBase
-	var nstacks int32
-	for _, c := range st.chunks {
-		k := c.nStacks.Load()
-		for i := int32(0); i < k; i++ {
-			out.InternStack(c.stacks[i])
-		}
-		nstacks += k
-	}
-	for _, c := range st.chunks {
-		n := c.n.Load()
-		for i := int32(0); i < n; i++ {
-			s := c.samples[i]
-			if s.StackID != NoStack {
-				rel := s.StackID - base0
-				if rel < 0 || rel >= nstacks {
-					s.StackID = NoStack
-				} else {
-					s.StackID = rel
-				}
-			}
-			out.Append(s)
-		}
-	}
-	out.dropped.Store(b.dropped.Swap(0))
-	b.relayDrops.Store(0)
-	b.reset(len(st.chunks))
-	return out
 }
 
 // Binary trace format: performance data is written out during or after

@@ -119,7 +119,8 @@ func TestRelayNoLossNoDuplicate(t *testing.T) {
 	}
 	close(done)
 	wg.Wait()
-	// Drain what the consumer had not picked up yet, then the residue.
+	// Take what the consumer had not picked up yet, then encode the
+	// residue from the live buffer, as the streamer does at detach.
 	for {
 		select {
 		case sc := <-relay.C:
@@ -132,8 +133,7 @@ func TestRelayNoLossNoDuplicate(t *testing.T) {
 		}
 		break
 	}
-	residue := b.Drain()
-	if err := WriteTrace(&stream, residue); err != nil {
+	if err := WriteTrace(&stream, b); err != nil {
 		t.Fatal(err)
 	}
 

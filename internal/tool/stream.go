@@ -113,8 +113,8 @@ type streamer struct {
 	degraded atomic.Int64  // threads that entered degraded mode
 
 	// finalDropped/finalRelayDropped capture each buffer's drop
-	// counters at stop, before Drain consumes them, so Report keeps
-	// exact totals after detach.
+	// counters at stop, before the quiesced buffer is Reset, so Report
+	// keeps exact totals after detach.
 	finalDropped      atomic.Uint64
 	finalRelayDropped atomic.Uint64
 
@@ -366,27 +366,27 @@ func (s *streamer) flushRetained(thread int32, sf *streamFile) {
 }
 
 // writeResidue stores one buffer's not-yet-relayed samples as a final
-// block. With the collector quiescent the buffer is drained (writer
-// handoff); with a wedged callback still running it falls back to the
-// concurrency-safe snapshot and leaves the buffer untouched. A residue
-// the file sink cannot write joins the thread's retained backlog, so
-// stop's last flushRetained gives it the same recovery attempt
-// (reopening a file whose open failed during the run) before it is
-// discarded.
+// block, encoded from a snapshot of the live buffer, which is safe
+// against a wedged callback still appending. With the collector
+// quiescent the buffer is then Reset, its drop counters captured first.
+// A residue the file sink cannot write joins the thread's retained
+// backlog, so stop's last flushRetained gives it the same recovery
+// attempt (reopening a file whose open failed during the run) before
+// it is discarded.
 func (s *streamer) writeResidue(tb threadBuf, quiesced bool) {
-	src := tb.buf
+	b := tb.buf
 	if quiesced {
-		s.finalDropped.Add(src.Dropped())
-		s.finalRelayDropped.Add(src.RelayDropped())
-		src = src.Drain()
+		s.finalDropped.Add(b.Dropped())
+		s.finalRelayDropped.Add(b.RelayDropped())
+		defer b.Reset()
 	}
-	if src.Len() == 0 && src.NumStacks() == 0 && src.Dropped() == 0 {
+	if b.Len() == 0 && b.NumStacks() == 0 && b.Dropped() == 0 {
 		return
 	}
-	samples := uint32(src.Len())
+	samples := uint32(b.Len())
 	s.led.Take(samples)
 	var staged bytes.Buffer
-	if err := perf.WriteTraceEnc(&staged, src, s.t.encoding()); err != nil {
+	if err := perf.WriteTraceEnc(&staged, b, s.t.encoding()); err != nil {
 		s.errs = append(s.errs, fmt.Errorf("tool: stream thread %d: residue encode: %w", tb.id, err))
 		s.discard(samples)
 		return
@@ -400,9 +400,8 @@ func (s *streamer) writeResidue(tb threadBuf, quiesced bool) {
 // rather than abandoning the remaining threads — and closes every
 // file. The returned error joins every per-thread failure. quiesced
 // reports whether Detach actually quiesced the collector; when false
-// (a wedged callback survived the bounded wait) residues are written
-// from snapshots instead of drains, which is safe against the
-// still-running writer.
+// (a wedged callback survived the bounded wait) the buffers are left
+// as they are after their residues are written.
 func (s *streamer) stop(quiesced bool) error {
 	close(s.done)
 	s.wg.Wait()

@@ -80,6 +80,57 @@ func TestStreamingStorage(t *testing.T) {
 	}
 }
 
+// TestStreamedDropsMatchReport: with buffers that drop samples at
+// their limit before a chunk ever fills, every drop reaches the trace
+// files through the residue, and a quiesced detach counts the same
+// drops in its report that the files carry.
+func TestStreamedDropsMatchReport(t *testing.T) {
+	dir := t.TempDir()
+	rt := omp.New(omp.Config{NumThreads: 2})
+	defer rt.Close()
+	opts := FullMeasurement()
+	opts.StreamDir = dir
+	opts.BufferLimit = perf.ChunkSamples / 4
+	tl, err := AttachRuntime(rt, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < perf.ChunkSamples; i++ {
+		rt.Parallel(func(tc *omp.ThreadCtx) {})
+	}
+	tl.Detach()
+	if err := tl.StreamError(); err != nil {
+		t.Fatalf("stream error: %v", err)
+	}
+	rep := tl.Report()
+	if len(rep.Wedged) != 0 {
+		t.Fatalf("detach did not quiesce: %v", rep.Wedged)
+	}
+	if rep.Dropped == 0 {
+		t.Fatal("no samples dropped at the buffer limit")
+	}
+	paths, err := perf.FindTraceFiles(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dropped uint64
+	for _, path := range paths {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf, err := perf.ReadTraceStream(f)
+		f.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		dropped += buf.Dropped()
+	}
+	if dropped != rep.Dropped {
+		t.Errorf("trace files carry %d dropped samples, report counts %d", dropped, rep.Dropped)
+	}
+}
+
 func TestStreamingJoinStacksSurviveChunking(t *testing.T) {
 	dir := t.TempDir()
 	rt := omp.New(omp.Config{NumThreads: 2})

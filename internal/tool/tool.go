@@ -697,8 +697,8 @@ func (t *Tool) detach() {
 	// flight: once quiescent no writer can touch a buffer, so the final
 	// stream flush and the unpinning below are race-free. With a
 	// detach deadline the wait is bounded; on timeout the flush must
-	// not drain buffers (the wedged callback may still append), so it
-	// falls back to concurrency-safe snapshots.
+	// not reset buffers (the wedged callback may still append), so it
+	// leaves them as they are.
 	for _, e := range t.events {
 		collector.Unregister(t.q, e)
 	}
