@@ -370,11 +370,19 @@ func TestSyncFailureQuarantinesRun(t *testing.T) {
 func TestCloseWithinAbandonsStuckSync(t *testing.T) {
 	unblock := make(chan struct{})
 	fs := &hookFS{block: unblock, entered: make(chan string, 4)}
-	defer close(unblock)
 	srv, err := Serve("127.0.0.1:0", Options{Dir: t.TempDir(), FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer func() {
+		// Release the abandoned writer and wait for it to exit: it goes
+		// on writing into the run directory, which t.TempDir's cleanup
+		// removes as soon as the test returns.
+		close(unblock)
+		for _, r := range srv.snapshot() {
+			r.wg.Wait()
+		}
+	}()
 
 	tc, _ := dialFlags(t, srv.Addr(), "stuck-run", FlagDurable)
 	defer tc.close()

@@ -1,6 +1,7 @@
 package perf
 
 import (
+	"bufio"
 	"bytes"
 	"math/rand"
 	"runtime"
@@ -92,4 +93,51 @@ func BenchmarkReadTraceStream(b *testing.B) {
 	per := float64(b.N) * float64(n)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/per, "ns/sample")
 	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/per, "B/sample")
+}
+
+// BenchmarkWriteTraceEnc encodes the blocks of reportStream's file again,
+// one WriteTraceEnc call per chunk as the streamer makes them, and
+// reports the cost and the size per sample written.
+func BenchmarkWriteTraceEnc(b *testing.B) {
+	stream, n := reportStream(b, 20000)
+	br := bufio.NewReader(bytes.NewReader(stream))
+	var chunks []*TraceBuffer
+	read := 0
+	for {
+		if more, err := nextBlock(br); err != nil {
+			b.Fatal(err)
+		} else if !more {
+			break
+		}
+		buf, err := ReadTrace(br)
+		if err != nil {
+			b.Fatal(err)
+		}
+		chunks = append(chunks, buf)
+		read += buf.Len()
+	}
+	if read != n {
+		b.Fatalf("read %d of %d samples back", read, n)
+	}
+	var out countingWriter
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, c := range chunks {
+			if err := WriteTraceEnc(&out, c, Encoding{V2: true}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.StopTimer()
+	per := float64(b.N) * float64(n)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/per, "ns/sample")
+	b.ReportMetric(float64(out)/per, "bytes/sample")
+}
+
+// countingWriter keeps only the number of bytes written to it.
+type countingWriter int64
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	*w += countingWriter(len(p))
+	return len(p), nil
 }

@@ -283,7 +283,7 @@ type varints struct {
 	buf []byte
 	off int
 	// flag is the width of the more flag in front of a run-coded column's
-	// values: 1 in a version-2 block, 0 in a version-1 block, whose
+	// values: 1 from version 2 on, 0 in a version-1 block, whose
 	// columns are runs of one sample each.
 	flag uint8
 }
@@ -320,22 +320,27 @@ func (p *varints) oneByte() (u uint64, ok bool) {
 	return 0, false
 }
 
-// next decodes the next value as a zigzag-mapped signed one. Most are
-// one byte (an event or state in a version-1 block) or two (a time
-// delta), so those cases do not go through the general loop.
-func (p *varints) next() (v int64, ok bool) {
+// short decodes the next uvarint. Most are one byte (an event or state
+// in a version-1 block) or two (a time delta), so those cases do not go
+// through the general loop.
+func (p *varints) short() (u uint64, ok bool) {
 	if p.off+1 < len(p.buf) {
 		b0, b1 := p.buf[p.off], p.buf[p.off+1]
 		if b0 < 0x80 {
 			p.off++
-			return unzigzag(uint64(b0)), true
+			return uint64(b0), true
 		}
 		if b1 < 0x80 {
 			p.off += 2
-			return unzigzag(uint64(b0&0x7f) | uint64(b1)<<7), true
+			return uint64(b0&0x7f) | uint64(b1)<<7, true
 		}
 	}
-	u, ok := p.uvarint()
+	return p.uvarint()
+}
+
+// next decodes the next value as a zigzag-mapped signed one.
+func (p *varints) next() (v int64, ok bool) {
+	u, ok := p.short()
 	return unzigzag(u), ok
 }
 
@@ -429,7 +434,7 @@ func (d *blockDecoder) stageV2(h blockHeader) error {
 		return fmt.Errorf("%w: v2 payload checksum mismatch", ErrBadTrace)
 	}
 	p := varints{buf: d.stored.Bytes()}
-	if h.ver == traceV2Version {
+	if h.ver >= 2 {
 		p.flag = 1
 	}
 	if h.flags&flagV2Flate != 0 {
@@ -460,16 +465,23 @@ func (d *blockDecoder) stageV2(h blockHeader) error {
 	// samples; the time column sizes the scratch. The run-coded ones
 	// follow in the order BlockEncoder.encode writes them, each decoded
 	// into vals (runs, the mirror of appendRuns) and set from there.
+	// Before version 3 a time delta is zigzag-mapped, and an event or
+	// state is stored as itself.
+	v3 := h.ver >= 3
 	d.samples = d.samples[:0]
 	var t int64
 	for i := uint64(0); i < h.ns; i++ {
-		v, ok := p.next()
+		u, ok := p.short()
 		if !ok {
 			return errTruncatedV2
 		}
-		t += v
+		if !v3 {
+			u = uint64(unzigzag(u))
+		}
+		t += int64(u)
 		d.samples = append(d.samples, Sample{Time: t})
 	}
+	var m predictor
 	ss := d.samples
 	if cap(d.vals) < len(ss) {
 		d.vals = make([]int64, len(ss))
@@ -487,10 +499,16 @@ func (d *blockDecoder) stageV2(h blockHeader) error {
 		case 1:
 			for i := range ss {
 				ss[i].Event = int32(vals[i])
+				if v3 {
+					ss[i].Event = m.event(ss[i].Event, true)
+				}
 			}
 		case 2:
 			for i := range ss {
 				ss[i].State = int32(vals[i])
+				if v3 {
+					ss[i].State = m.state(ss[i].Event, ss[i].State, true)
+				}
 			}
 		case 3:
 			for i := range ss {

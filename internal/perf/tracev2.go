@@ -15,16 +15,16 @@ import (
 // capture affordable at fleet scale. A v1 block spends a fixed 40
 // bytes per sample; most of those bytes are redundancy — timestamps
 // are monotone within a chunk, the thread column is constant, region
-// and site IDs repeat, and join stacks recur. A v2 block stores the
-// same samples as zigzag-varint columns — times as deltas, the rest as
-// runs of equal values — the block's stacks as a content-deduplicated
-// dictionary, and (optionally) the whole payload deflated with the
-// stdlib flate — all work done in the writer/streamer goroutine, never
-// on the recording thread.
+// and site IDs repeat, events follow the protocol's fixed order, and
+// join stacks recur. A v2 block stores the same samples as varint
+// columns — times as deltas, the rest as runs of equal values — the
+// block's stacks as a content-deduplicated dictionary, and (optionally)
+// the whole payload deflated with the stdlib flate — all work done in
+// the writer/streamer goroutine, never on the recording thread.
 //
 // Layout (little-endian):
 //
-//	magic "PSX2", version uint32 (2; version 1 is read, never written)
+//	magic "PSX2", version uint32 (3; versions 1 and 2 are read, never written)
 //	flags uint32 (bit 0: payload is flate-compressed)
 //	nsamples uint64, nstacks uint64 (dictionary entries), dropped uint64
 //	payloadLen uint64, payloadCRC uint32 (IEEE, over the stored bytes)
@@ -32,14 +32,22 @@ import (
 //
 // The payload (after decompression when flagged) is columnar:
 //
-//	times    nsamples × uvarint(zigzag(delta of previous, starting 0))
+//	times    nsamples × uvarint(delta of previous, starting 0)
 //	threads  runs of equal values, each the delta of the previous run's
-//	events   runs of equal values
-//	states   runs of equal values
+//	events   runs of equal values, each the event XOR its prediction
+//	states   runs of equal values, each the state XOR its prediction
 //	regions  runs of equal values, each the delta of the previous run's
 //	sites    runs of equal values, each the delta of the previous run's
 //	stackIDs runs of equal values (a dictionary index, or -1)
 //	stacks   nstacks × (uvarint depth, depth × uvarint(zigzag(PC delta)))
+//
+// A time delta is two's-complement: a thread's clock never goes back,
+// so a delta is small and positive, and one that is negative still
+// round-trips, in ten bytes. An event is predicted to be the event that
+// last followed the event before it in the block, and a state to be
+// the state that last came with its event (predictor; both start from
+// zero in every block), so a column of protocol-ordered brackets is
+// mostly runs of 0.
 //
 // A run is the longest stretch of neighbouring samples that hold one
 // value in that column, and is written as the 65-bit uvarint of
@@ -54,10 +62,11 @@ import (
 // takes a 65th bit rather than one of the value's 64. The runs of a
 // column cover exactly nsamples samples; a run past that is refused.
 //
-// Version 1 wrote every one of those columns as nsamples ×
-// uvarint(zigzag(value or delta of previous sample)): the same columns
-// with every run of length one and no flag bit, which is how the reader
-// still decodes it.
+// Version 2 wrote the same runs with no predictions: events and states
+// as themselves, and each time delta as uvarint(zigzag(delta)). Version
+// 1 also wrote every other column as nsamples × uvarint(zigzag(value or
+// delta of previous sample)): the same columns with every run of length
+// one and no flag bit. The reader still decodes both.
 //
 // Unlike v1, the header states the payload's exact byte extent and its
 // checksum, so a block whose declared counts disagree with its bytes
@@ -72,7 +81,7 @@ var traceV2Magic = [4]byte{'P', 'S', 'X', '2'}
 const (
 	// traceV2Version is the layout every PSX2 block is written in;
 	// v2Decodable says which versions the readers decode.
-	traceV2Version = 2
+	traceV2Version = 3
 
 	// flagV2Flate marks a flate-compressed payload.
 	flagV2Flate = 1 << 0
@@ -148,11 +157,49 @@ func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // v2Decodable reports whether the readers decode PSX2 blocks of version
-// ver: the version written and version 1. The skim counts no other, so
-// psxd never acks, stores or recovers a block no reader opens.
-func v2Decodable(ver uint32) bool { return ver == 1 || ver == traceV2Version }
+// ver: the version written and the versions 1 and 2 before it. The skim
+// counts no other, so psxd never acks, stores or recovers a block no
+// reader opens.
+func v2Decodable(ver uint32) bool { return ver >= 1 && ver <= traceV2Version }
 
 func errV2Version(ver uint32) error { return fmt.Errorf("perf: unsupported v2 trace version %d", ver) }
+
+// predictor is version 3's model of a block's event and state columns
+// (see the layout above), the writer's and the reader's alike: the
+// event that last followed each event, and the state each event last
+// carried, both looked up by the event's low byte. A block starts it
+// from zero, so every block still decodes alone.
+type predictor struct {
+	prev    int32
+	follows [256]int32
+	stateOf [256]int32
+}
+
+// event codes one word of the event column: an event to the word
+// stored, or, with stored, a stored word back to its event. XOR is its
+// own inverse, so both are w XOR the prediction; the model then learns
+// the event.
+func (m *predictor) event(w int32, stored bool) int32 {
+	slot := &m.follows[uint8(m.prev)]
+	out := w ^ *slot
+	if stored {
+		w = out
+	}
+	*slot, m.prev = w, w
+	return out
+}
+
+// state codes one word of the state column, of a sample of event ev,
+// as event codes an event.
+func (m *predictor) state(ev, w int32, stored bool) int32 {
+	slot := &m.stateOf[uint8(ev)]
+	out := w ^ *slot
+	if stored {
+		w = out
+	}
+	*slot = w
+	return out
+}
 
 // appendRuns appends the column vals run-coded (see the layout above);
 // with delta, each run is written as the delta of the previous run's
@@ -260,17 +307,20 @@ func (e *BlockEncoder) encode(views []chunkView, base0 int32, dropped uint64, de
 	for _, v := range views {
 		for i := range v.c.samples[:v.n] {
 			t := v.c.samples[i].Time
-			raw = binary.AppendUvarint(raw, zigzag(t-prev))
+			raw = binary.AppendUvarint(raw, uint64(t-prev))
 			prev = t
 		}
 	}
 	// The run-coded columns, each gathered into one scratch slice first
-	// so that finding its runs is a loop over plain values.
+	// so that finding its runs is a loop over plain values. Events and
+	// states are stored against their predictions, which the block's
+	// first samples teach a zeroed model.
 	n := int(nsamples)
 	if cap(e.vals) < n {
 		e.vals = make([]int64, n)
 	}
 	vals := e.vals[:n]
+	var m predictor
 	for col := range 6 {
 		k := 0
 		for _, v := range views {
@@ -284,11 +334,11 @@ func (e *BlockEncoder) encode(views []chunkView, base0 int32, dropped uint64, de
 				}
 			case 1:
 				for i := range ss {
-					dst[i] = int64(ss[i].Event)
+					dst[i] = int64(m.event(ss[i].Event, false))
 				}
 			case 2:
 				for i := range ss {
-					dst[i] = int64(ss[i].State)
+					dst[i] = int64(m.state(ss[i].Event, ss[i].State, false))
 				}
 			case 3:
 				for i := range ss {

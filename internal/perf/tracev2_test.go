@@ -7,6 +7,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -193,15 +196,22 @@ func TestV2CrossRead(t *testing.T) {
 	}
 }
 
-// buildMixedStream concatenates v1, v2 and v2+flate blocks with
-// distinct sample counts, returning the stream, the per-block end
-// offsets, and the total sample count.
+// buildMixedStream concatenates five blocks with distinct sample
+// counts, returning the stream, the per-block end offsets, and the total
+// sample count: v1, PSX2 version 3, PSX2 version 2 (the first block of
+// testdata/psx2-version2.psxt, whose seven samples are the count the
+// third block has), v1 again, and deflated version 3.
 func buildMixedStream(t *testing.T) ([]byte, []int, uint64) {
 	t.Helper()
+	fixture, err := os.ReadFile(filepath.Join("testdata", "psx2-version2.psxt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	version2 := fixture[:v2HeaderLen+binary.LittleEndian.Uint64(fixture[36:44])]
 	var out bytes.Buffer
 	var bounds []int
 	var total uint64
-	encs := []Encoding{{}, {V2: true}, {V2: true, Flate: true}, {}, {V2: true, Flate: true}}
+	encs := []Encoding{{}, {V2: true}, {V2: true} /* not used: version2 */, {}, {V2: true, Flate: true}}
 	for blk, enc := range encs {
 		n := 3 + blk*2
 		b := NewTraceBuffer(n, 0)
@@ -210,7 +220,9 @@ func buildMixedStream(t *testing.T) ([]byte, []int, uint64) {
 		}
 		b.AppendStacked(Sample{Time: int64(blk*1000 + n - 1), Thread: int32(blk), Event: -1, State: -1},
 			[]uintptr{uintptr(0x1000 + blk), 0x2000})
-		if err := WriteTraceEnc(&out, b, enc); err != nil {
+		if blk == 2 {
+			out.Write(version2)
+		} else if err := WriteTraceEnc(&out, b, enc); err != nil {
 			t.Fatal(err)
 		}
 		bounds = append(bounds, out.Len())
@@ -343,7 +355,7 @@ func TestV2SkimRefusesWhatReadersRefuse(t *testing.T) {
 	if n, err := BlockSamples(blk); err != nil || n != 3 {
 		t.Fatalf("written block: BlockSamples = %d, %v; want 3", n, err)
 	}
-	for _, ver := range []uint32{0, 3, 9, math.MaxUint32} {
+	for _, ver := range []uint32{0, 4, 9, math.MaxUint32} {
 		binary.LittleEndian.PutUint32(blk[4:8], ver)
 		want := fmt.Sprintf("unsupported v2 trace version %d", ver)
 		if _, err := ReadTrace(bytes.NewReader(blk)); err == nil || !strings.Contains(err.Error(), want) {
@@ -421,14 +433,73 @@ func TestV2QuickRoundTripExtremes(t *testing.T) {
 	}
 }
 
-// v2BlockFromPayload frames a raw (uncompressed) payload as a v2 block
-// with a correct CRC, for tests that need malformed payloads behind a
-// well-formed header.
+// TestV3RoundTripArbitrary: version 3 stores events and states against
+// per-block tables looked up by an event's low byte, and times as
+// unsigned deltas, so it must stay lossless where those shortcuts do
+// not fit: times that go back, events and states that are negative or
+// outside 0..255 and so share a table slot with another, and blocks that
+// interleave threads. Each generated block follows a protocol-like cycle
+// of events, broken at random, so the predictions both hit and miss.
+func TestV3RoundTripArbitrary(t *testing.T) {
+	words := []int32{-1, 0, 1, 4, 5, 255, 256, 511, -256, -257, 0x10005, math.MinInt32, math.MaxInt32}
+	times := []int64{-1, -1000, math.MinInt64, math.MaxInt64, 1 << 40}
+	rng := rand.New(rand.NewSource(1))
+	for blk := 0; blk < 300; blk++ {
+		cycle := make([]int32, 1+rng.Intn(6))
+		for i := range cycle {
+			cycle[i] = words[rng.Intn(len(words))]
+		}
+		b := NewTraceBuffer(0, 0)
+		var now int64
+		for i, n := 0, 1+rng.Intn(700); i < n; i++ {
+			if rng.Intn(8) == 0 {
+				now += times[rng.Intn(len(times))]
+			} else {
+				now += rng.Int63n(5000)
+			}
+			s := Sample{Time: now, Thread: int32(rng.Intn(3)), Event: cycle[i%len(cycle)],
+				State: cycle[(i+1)%len(cycle)], Region: uint64(i / 16), Site: 0x401000}
+			if rng.Intn(10) == 0 {
+				s.Event = words[rng.Intn(len(words))]
+			}
+			if rng.Intn(10) == 0 {
+				s.State = words[rng.Intn(len(words))]
+			}
+			if rng.Intn(4) == 0 {
+				b.AppendStacked(s, []uintptr{0x401000, uintptr(0x500000 + rng.Intn(8))})
+			} else {
+				s.StackID = NoStack
+				b.Append(s)
+			}
+		}
+		for _, enc := range []Encoding{{V2: true}, {V2: true, Flate: true}} {
+			var out bytes.Buffer
+			if err := WriteTraceEnc(&out, b, enc); err != nil {
+				t.Fatal(err)
+			}
+			if v := binary.LittleEndian.Uint32(out.Bytes()[4:8]); v != 3 {
+				t.Fatalf("block %d %+v: written as version %d, want 3", blk, enc, v)
+			}
+			got, err := ReadTrace(bytes.NewReader(out.Bytes()))
+			if err != nil || !sameResolved(resolve(b), resolve(got)) {
+				t.Fatalf("block %d %+v: round trip changed %d samples (err=%v)", blk, enc, b.Len(), err)
+			}
+			if n, err := BlockSamples(out.Bytes()); err != nil || n != uint64(b.Len()) {
+				t.Fatalf("block %d %+v: BlockSamples = %d, %v; want %d", blk, enc, n, err, b.Len())
+			}
+		}
+	}
+}
+
+// v2BlockFromPayload frames a raw (uncompressed) payload as a PSX2
+// version-2 block with a correct CRC, for tests that need malformed
+// payloads behind a well-formed header: version 2 stores times zigzagged
+// and events and states as themselves, so a payload is written by hand.
 func v2BlockFromPayload(ns, nst, dropped uint64, payload []byte) []byte {
 	var out bytes.Buffer
 	var hdr [v2HeaderLen]byte
 	copy(hdr[:4], traceV2Magic[:])
-	binary.LittleEndian.PutUint32(hdr[4:8], traceV2Version)
+	binary.LittleEndian.PutUint32(hdr[4:8], 2)
 	binary.LittleEndian.PutUint64(hdr[12:20], ns)
 	binary.LittleEndian.PutUint64(hdr[20:28], nst)
 	binary.LittleEndian.PutUint64(hdr[28:36], dropped)

@@ -71,8 +71,9 @@ func TestV1FixtureStillReads(t *testing.T) {
 }
 
 // psx2Version1FixtureBlocks are the buffers testdata/psx2-version1.psxt
-// was written from by the last encoder that wrote PSX2 version 1: the
-// first as a plain block, the second deflated. Both carry a stack
+// and testdata/psx2-version2.psxt were written from, each by the last
+// encoder that wrote its PSX2 version: the first buffer as a plain
+// block, the second deflated. Both carry a stack
 // dictionary (the first one stack twice, which the dictionary
 // collapses), repeated values in every column, and deltas that wrap a
 // uint64.
@@ -104,7 +105,25 @@ func psx2Version1FixtureBlocks() []*TraceBuffer {
 // every PSX2 trace and psxd data directory written before it. The
 // reader and both skim arms must keep opening it, sample for sample.
 func TestPSX2Version1FixtureStillReads(t *testing.T) {
-	fixture, err := os.ReadFile(filepath.Join("testdata", "psx2-version1.psxt"))
+	checkPSX2Fixture(t, "psx2-version1.psxt", 1)
+}
+
+// TestPSX2Version2FixtureStillReads: version 3 replaced version 2, whose
+// blocks store times zigzagged and events and states as themselves. A
+// version-2 stream of the same samples, written by the last encoder that
+// wrote version 2, stands for every trace and psxd data directory
+// written before version 3.
+func TestPSX2Version2FixtureStillReads(t *testing.T) {
+	checkPSX2Fixture(t, "psx2-version2.psxt", 2)
+}
+
+// checkPSX2Fixture reads testdata/name, which must hold
+// psx2Version1FixtureBlocks' samples as two PSX2 blocks of version ver,
+// the first plain and the second deflated, with the reader and both
+// skim arms.
+func checkPSX2Fixture(t *testing.T, name string, ver uint32) {
+	t.Helper()
+	fixture, err := os.ReadFile(filepath.Join("testdata", name))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,15 +138,15 @@ func TestPSX2Version1FixtureStillReads(t *testing.T) {
 		}
 		wantDropped += b.Dropped()
 	}
-	// The fixture is what it says: two version-1 blocks, the first plain
-	// and the second deflated.
+	// The fixture is what it says: two blocks of its version, the first
+	// plain and the second deflated.
 	rest := fixture
 	for i, wantFlags := range []uint32{0, flagV2Flate} {
 		if !IsV2Block(rest) || len(rest) < v2HeaderLen {
 			t.Fatalf("block %d is not a PSX2 block", i)
 		}
-		if v := binary.LittleEndian.Uint32(rest[4:8]); v != 1 {
-			t.Fatalf("block %d is version %d, want 1", i, v)
+		if v := binary.LittleEndian.Uint32(rest[4:8]); v != ver {
+			t.Fatalf("block %d is version %d, want %d", i, v, ver)
 		}
 		if f := binary.LittleEndian.Uint32(rest[8:12]); f != wantFlags {
 			t.Fatalf("block %d flags = %#x, want %#x", i, f, wantFlags)
