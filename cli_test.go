@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -276,10 +277,21 @@ func TestCLIBadFlags(t *testing.T) {
 		{"epccbench", "-threads", "zero"},
 		{"ompreport"},
 		{"ompprof", "-workload", "nope"},
+		{"npbbench", "-class", ""},
+		{"mzbench", "-class", ""},
+		{"overheads", "-class", ""},
+		{"ompprof", "-workload", "EP", "-class", ""},
+		{"npbbench", "-tables", "-class", "WX"},
 	} {
 		cmd := exec.Command(filepath.Join(bins, c[0]), c[1:]...)
-		if out, err := cmd.CombinedOutput(); err == nil {
+		out, err := cmd.CombinedOutput()
+		if err == nil {
 			t.Errorf("%v succeeded, want failure:\n%s", c, out)
+		}
+		// A bad value is reported by name, never as a crash.
+		bad := strconv.Quote(c[len(c)-1])
+		if strings.Contains(string(out), "panic:") || len(c) > 1 && !strings.Contains(string(out), bad) {
+			t.Errorf("%v: output does not name %s without a panic:\n%s", c, bad, out)
 		}
 	}
 }

@@ -12,8 +12,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"goomp/internal/epcc"
 	"goomp/internal/experiments"
@@ -22,85 +20,59 @@ import (
 )
 
 func main() {
+	p := experiments.Figure4Params{ToolOptions: tool.FullMeasurement()}
 	threadsFlag := flag.String("threads", "4,8,16,32", "comma-separated thread counts")
-	inner := flag.Int("inner", 128, "constructs per timing (EPCC innerreps)")
-	outer := flag.Int("outer", 5, "timings per directive (EPCC outer reps)")
-	delay := flag.Int("delay", 64, "delay-loop length inside each construct")
+	flag.IntVar(&p.InnerReps, "inner", 128, "constructs per timing (EPCC innerreps)")
+	flag.IntVar(&p.OuterReps, "outer", 5, "timings per directive (EPCC outer reps)")
+	flag.IntVar(&p.DelayLength, "delay", 64, "delay-loop length inside each construct")
 	sched := flag.Bool("sched", false, "also run the schedule benchmarks")
 	array := flag.Bool("array", false, "also run the data-clause (arraybench) benchmarks")
-	obsAddr := flag.String("obs", os.Getenv("GOMP_OBS_ADDR"), "serve the live observability plane on this host:port during the ORA-on measurements; defaults to $GOMP_OBS_ADDR, empty disables")
+	flag.StringVar(&p.ToolOptions.ObsAddr, "obs", os.Getenv("GOMP_OBS_ADDR"), "serve the live observability plane on this host:port during the ORA-on measurements; defaults to $GOMP_OBS_ADDR, empty disables")
 	flag.Parse()
 
-	threads, err := parseInts(*threadsFlag)
-	if err != nil {
+	var err error
+	if p.ThreadCounts, err = experiments.ParseThreads(*threadsFlag); err != nil {
 		fmt.Fprintln(os.Stderr, "epccbench:", err)
 		os.Exit(1)
 	}
-
-	var toolOpts *tool.Options
-	if *obsAddr != "" {
-		o := tool.FullMeasurement()
-		o.ObsAddr = *obsAddr
-		toolOpts = &o
-		fmt.Printf("observability plane on %s during ORA-on runs\n", *obsAddr)
+	if p.ToolOptions.ObsAddr != "" {
+		fmt.Printf("observability plane on %s during ORA-on runs\n", p.ToolOptions.ObsAddr)
 	}
 
 	fmt.Printf("Figure 4: EPCC directive overhead increase with ORA enabled\n")
-	fmt.Printf("(inner=%d outer=%d delay=%d)\n\n", *inner, *outer, *delay)
-	results, err := experiments.Figure4Tool(threads, *inner, *outer, *delay, toolOpts)
+	fmt.Printf("(inner=%d outer=%d delay=%d)\n\n", p.InnerReps, p.OuterReps, p.DelayLength)
+	rows, err := experiments.Figure4(p)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "epccbench:", err)
 		os.Exit(1)
 	}
-	for _, t := range threads {
-		fmt.Printf("--- %d threads ---\n", t)
-		epcc.WriteTable(os.Stdout, results[t])
-		fmt.Println()
-	}
+	experiments.WriteFigure4(os.Stdout, rows)
 
-	if *array {
-		for _, t := range threads {
+	// perThreads prints one section per thread count, each measured on
+	// a fresh suite.
+	perThreads := func(bench string, measure func(s *epcc.Suite)) {
+		for _, t := range p.ThreadCounts {
 			rt := omp.New(omp.Config{NumThreads: t})
-			s := epcc.NewSuite(rt)
-			s.InnerReps = *inner
-			s.OuterReps = *outer
-			s.DelayLength = *delay
-			fmt.Printf("--- arraybench, %d threads ---\n", t)
+			fmt.Printf("--- %s, %d threads ---\n", bench, t)
+			measure(p.Suite(rt))
+			rt.Close()
+			fmt.Println()
+		}
+	}
+	if *array {
+		perThreads("arraybench", func(s *epcc.Suite) {
 			fmt.Printf("%-14s %8s %14s %14s\n", "clause", "size", "mean", "per-region")
 			for _, r := range s.MeasureArrays() {
 				fmt.Printf("%-14s %8d %14v %14v\n", r.Clause, r.Size, r.Time.Mean, r.PerRegion)
 			}
-			rt.Close()
-			fmt.Println()
-		}
+		})
 	}
-
 	if *sched {
-		for _, t := range threads {
-			rt := omp.New(omp.Config{NumThreads: t})
-			s := epcc.NewSuite(rt)
-			s.InnerReps = *inner
-			s.OuterReps = *outer
-			s.DelayLength = *delay
-			fmt.Printf("--- schedbench, %d threads ---\n", t)
+		perThreads("schedbench", func(s *epcc.Suite) {
 			fmt.Printf("%-10s %6s %14s %14s\n", "schedule", "chunk", "mean", "per-iter")
 			for _, r := range s.MeasureSchedules(64) {
 				fmt.Printf("%-10s %6d %14v %14v\n", r.Schedule, r.Chunk, r.Time.Mean, r.PerIteration)
 			}
-			rt.Close()
-			fmt.Println()
-		}
+		})
 	}
-}
-
-func parseInts(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || v < 1 {
-			return nil, fmt.Errorf("bad thread count %q", part)
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }

@@ -12,7 +12,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"goomp/internal/experiments"
 	"goomp/internal/npb"
@@ -32,57 +31,37 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mzbench:", err)
 		os.Exit(2)
 	}
+	p := experiments.Figure6Params{ToolOptions: tool.FullMeasurement()}
 	classFlag := flag.String("class", "W", "problem class: S, W, A or B")
-	reps := flag.Int("reps", 3, "timings per configuration (minimum taken)")
+	flag.IntVar(&p.Reps, "reps", 3, "timings per configuration (minimum taken)")
 	benchFlag := flag.String("bench", "", "comma-separated benchmark subset (default all)")
 	csvOut := flag.Bool("csv", false, "emit the figure rows as CSV and exit")
 	tablesOnly := flag.Bool("tables", false, "print Table II only (skip overhead timing)")
-	hangTimeout := flag.Duration("hang-timeout", env.HangTimeout, "hang supervision for the hybrid runs: diagnose and abort after this long with no progress; defaults to $GOMP_HANG_TIMEOUT, 0 disables")
+	flag.DurationVar(&p.ToolOptions.HangTimeout, "hang-timeout", env.HangTimeout, "hang supervision for the hybrid runs: diagnose and abort after this long with no progress; defaults to $GOMP_HANG_TIMEOUT, 0 disables")
 	flag.Parse()
 
-	class := npb.Class((*classFlag)[0])
-	if !class.Valid() {
-		fmt.Fprintf(os.Stderr, "mzbench: bad class %q\n", *classFlag)
+	if p.Class, err = npb.ParseClass(*classFlag); err != nil {
+		fmt.Fprintln(os.Stderr, "mzbench:", err)
 		os.Exit(1)
 	}
-
 	if *tablesOnly {
-		experiments.WriteTableII(os.Stdout, experiments.TableII(class))
+		experiments.WriteTableII(os.Stdout, experiments.TableII(p.Class))
 		return
 	}
-
-	var names []string
-	if *benchFlag != "" {
-		for _, n := range strings.Split(*benchFlag, ",") {
-			names = append(names, strings.TrimSpace(n))
-		}
-	}
-	topts := tool.FullMeasurement()
-	topts.HangTimeout = *hangTimeout
-	rows, err := experiments.Figure6(experiments.Figure6Params{
-		Class:       class,
-		Reps:        *reps,
-		Benchmarks:  names,
-		ToolOptions: topts,
-	})
+	p.Benchmarks = experiments.ParseBenchmarks(*benchFlag)
+	rows, err := experiments.Figure6(p)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mzbench:", err)
 		os.Exit(1)
 	}
+	if err := experiments.WriteFigure(os.Stdout, 6, p.Class, rows, *csvOut); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	if *csvOut {
-		if err := experiments.WriteCSV(os.Stdout, rows); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
 		return
 	}
-	experiments.WriteOverheadRows(os.Stdout,
-		fmt.Sprintf("Figure 6: NPB3.2-MZ-MPI profiling overheads (class %s)", class), rows)
-	fmt.Println()
-	experiments.WriteBarChart(os.Stdout, "Figure 6 (bars: overhead% by procs x threads)", rows)
-	fmt.Printf("\npaper headline: %s incurs the highest overhead; measured worst: %s\n",
-		experiments.PaperFigure6Worst, experiments.Worst(rows))
 
 	fmt.Println()
-	experiments.WriteTableII(os.Stdout, experiments.TableII(class))
+	experiments.WriteTableII(os.Stdout, experiments.TableII(p.Class))
 }

@@ -12,8 +12,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"goomp/internal/experiments"
 	"goomp/internal/npb"
@@ -21,81 +19,49 @@ import (
 )
 
 func main() {
+	p := experiments.Figure5Params{ToolOptions: tool.FullMeasurement()}
 	classFlag := flag.String("class", "W", "problem class: S, W, A or B")
 	threadsFlag := flag.String("threads", "1,2,4,8", "comma-separated thread counts")
-	reps := flag.Int("reps", 3, "timings per configuration (minimum taken)")
+	flag.IntVar(&p.Reps, "reps", 3, "timings per configuration (minimum taken)")
 	benchFlag := flag.String("bench", "", "comma-separated benchmark subset (default all)")
 	csvOut := flag.Bool("csv", false, "emit the figure rows as CSV and exit")
 	tablesOnly := flag.Bool("tables", false, "print Table I only (skip overhead timing)")
-	obsAddr := flag.String("obs", os.Getenv("GOMP_OBS_ADDR"), "serve the live observability plane on this host:port during the profiled runs; defaults to $GOMP_OBS_ADDR, empty disables")
+	flag.StringVar(&p.ToolOptions.ObsAddr, "obs", os.Getenv("GOMP_OBS_ADDR"), "serve the live observability plane on this host:port during the profiled runs; defaults to $GOMP_OBS_ADDR, empty disables")
 	flag.Parse()
 
-	class := npb.Class((*classFlag)[0])
-	if !class.Valid() {
-		fmt.Fprintf(os.Stderr, "npbbench: bad class %q\n", *classFlag)
+	var err error
+	if p.Class, err = npb.ParseClass(*classFlag); err != nil {
+		fmt.Fprintln(os.Stderr, "npbbench:", err)
 		os.Exit(1)
 	}
-
 	if *tablesOnly {
-		rows := experiments.TableI(class, 4)
-		experiments.WriteTableI(os.Stdout, rows)
+		experiments.WriteTableI(os.Stdout, experiments.TableI(p.Class, 4))
 		return
 	}
-
-	var threads []int
-	for _, part := range strings.Split(*threadsFlag, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || v < 1 {
-			fmt.Fprintf(os.Stderr, "npbbench: bad thread count %q\n", part)
-			os.Exit(1)
-		}
-		threads = append(threads, v)
+	if p.ThreadCounts, err = experiments.ParseThreads(*threadsFlag); err != nil {
+		fmt.Fprintln(os.Stderr, "npbbench:", err)
+		os.Exit(1)
 	}
-	var names []string
-	if *benchFlag != "" {
-		for _, n := range strings.Split(*benchFlag, ",") {
-			names = append(names, strings.TrimSpace(n))
-		}
+	p.Benchmarks = experiments.ParseBenchmarks(*benchFlag)
+	if p.ToolOptions.ObsAddr != "" {
+		fmt.Printf("observability plane on %s during profiled runs\n", p.ToolOptions.ObsAddr)
 	}
-
-	toolOpts := tool.FullMeasurement()
-	toolOpts.ObsAddr = *obsAddr
-	if *obsAddr != "" {
-		fmt.Printf("observability plane on %s during profiled runs\n", *obsAddr)
-	}
-	params := experiments.Figure5Params{
-		Class:        class,
-		ThreadCounts: threads,
-		Reps:         *reps,
-		Benchmarks:   names,
-		ToolOptions:  toolOpts,
-	}
-	rows, err := experiments.Figure5(params)
+	rows, err := experiments.Figure5(p)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "npbbench:", err)
 		os.Exit(1)
 	}
+	if err := experiments.WriteFigure(os.Stdout, 5, p.Class, rows, *csvOut); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	if *csvOut {
-		if err := experiments.WriteCSV(os.Stdout, rows); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
 		return
 	}
-	experiments.WriteOverheadRows(os.Stdout,
-		fmt.Sprintf("Figure 5: NPB3.2-OMP profiling overheads (class %s)", class), rows)
-	fmt.Println()
-	experiments.WriteBarChart(os.Stdout, "Figure 5 (bars: overhead% by thread count)", rows)
-	fmt.Printf("\npaper headline: %s incurs the highest overhead; measured worst: %s\n",
-		experiments.PaperFigure5Worst, experiments.Worst(rows))
 
 	fmt.Println()
-	t1 := experiments.TableI(class, 4)
+	t1 := experiments.TableI(p.Class, 4)
 	experiments.WriteTableI(os.Stdout, t1)
-	calls := make(map[string]uint64, len(t1))
-	for _, r := range t1 {
-		calls[r.Benchmark] = r.RegionCalls
-	}
 	fmt.Println()
-	experiments.WriteCallsChart(os.Stdout, "Table I (bars: region calls)", calls)
+	experiments.WriteCallsChart(os.Stdout, "Table I (bars: region calls)", t1)
 }

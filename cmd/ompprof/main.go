@@ -87,7 +87,7 @@ func main() {
 	}
 
 	start := time.Now()
-	if err := runWorkload(rt, *workload, npb.Class((*classFlag)[0])); err != nil {
+	if err := runWorkload(rt, *workload, *classFlag); err != nil {
 		fmt.Fprintln(os.Stderr, "ompprof:", err)
 		os.Exit(1)
 	}
@@ -142,7 +142,9 @@ func main() {
 			return f, nil
 		})
 		for _, f := range files {
-			f.Close()
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "ompprof:", err)
@@ -161,7 +163,7 @@ func lookupEnv(name string) (string, bool) {
 }
 
 // runWorkload executes the selected workload on rt.
-func runWorkload(rt *omp.RT, name string, class npb.Class) error {
+func runWorkload(rt *omp.RT, name, classFlag string) error {
 	if name == "pi" {
 		computePi(rt, 2_000_000)
 		return nil
@@ -170,8 +172,9 @@ func runWorkload(rt *omp.RT, name string, class npb.Class) error {
 	if err != nil {
 		return err
 	}
-	if !class.Valid() {
-		return fmt.Errorf("bad class %q", class)
+	class, err := npb.ParseClass(classFlag)
+	if err != nil {
+		return err
 	}
 	res := b.Run(rt, class)
 	fmt.Printf("%v\n", res)

@@ -63,9 +63,9 @@ func main() {
 		fmt.Printf("per-event record cost: %v (over %d events)\n\n", per, *probe)
 	}
 
-	class := npb.Class((*classFlag)[0])
-	if !class.Valid() {
-		fmt.Fprintf(os.Stderr, "overheads: bad class %q\n", *classFlag)
+	class, err := npb.ParseClass(*classFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "overheads:", err)
 		os.Exit(1)
 	}
 	rows, err := experiments.Decomposition(class, *reps)

@@ -1,8 +1,6 @@
 package epcc
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 	"time"
 
@@ -126,72 +124,6 @@ func TestMeasureSchedulesSweep(t *testing.T) {
 	want := 3 * len(SchedChunks)
 	if len(out) != want {
 		t.Fatalf("sweep produced %d results, want %d", len(out), want)
-	}
-}
-
-func TestCompareProducesAllDirectives(t *testing.T) {
-	rows, err := Compare(CompareParams{
-		Threads:     2,
-		InnerReps:   16,
-		OuterReps:   2,
-		DelayLength: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != len(Directives()) {
-		t.Fatalf("rows = %d, want %d", len(rows), len(Directives()))
-	}
-	for _, r := range rows {
-		if r.PercentIncrease < 0 {
-			t.Errorf("%s: negative percent increase %v", r.Directive, r.PercentIncrease)
-		}
-	}
-}
-
-func TestCompareWithCallbacksOnly(t *testing.T) {
-	opts := tool.CallbacksOnly()
-	rows, err := Compare(CompareParams{
-		Threads:     2,
-		InnerReps:   8,
-		OuterReps:   1,
-		DelayLength: 8,
-		ToolOptions: &opts,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) == 0 {
-		t.Fatal("no rows")
-	}
-}
-
-func TestPercentIncreaseFloor(t *testing.T) {
-	mk := func(mean time.Duration) Result {
-		return Result{Time: Stats{Mean: mean}}
-	}
-	if got := PercentIncrease(mk(1000), mk(1005)); got != 0 {
-		t.Errorf("sub-1%% increase = %v, want 0 (reported as zero)", got)
-	}
-	if got := PercentIncrease(mk(1000), mk(1100)); got < 9 || got > 11 {
-		t.Errorf("10%% increase computed as %v", got)
-	}
-	if got := PercentIncrease(mk(0), mk(10)); got != 0 {
-		t.Errorf("zero baseline should yield 0, got %v", got)
-	}
-	if got := PercentIncrease(mk(1000), mk(900)); got != 0 {
-		t.Errorf("negative increase should floor at 0, got %v", got)
-	}
-}
-
-func TestWriteTable(t *testing.T) {
-	var buf bytes.Buffer
-	WriteTable(&buf, []OverheadRow{{
-		Directive: "BARRIER", Threads: 4, PercentIncrease: 5.0,
-	}})
-	out := buf.String()
-	if !strings.Contains(out, "BARRIER") || !strings.Contains(out, "5.0") {
-		t.Errorf("table output:\n%s", out)
 	}
 }
 

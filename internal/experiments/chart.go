@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -14,8 +15,8 @@ import (
 
 const chartWidth = 50
 
-// WriteBarChart renders overhead rows as horizontal bars grouped by
-// benchmark, in first-appearance order.
+// WriteBarChart renders overhead rows as horizontal bars, grouped by
+// benchmark; the figures emit each benchmark's rows together.
 func WriteBarChart(w io.Writer, title string, rows []OverheadRow) {
 	fmt.Fprintf(w, "%s\n", title)
 	if len(rows) == 0 {
@@ -31,66 +32,46 @@ func WriteBarChart(w io.Writer, title string, rows []OverheadRow) {
 	if max == 0 {
 		max = 1
 	}
-	order := make([]string, 0)
-	seen := map[string]bool{}
-	groups := map[string][]OverheadRow{}
-	for _, r := range rows {
-		if !seen[r.Benchmark] {
-			seen[r.Benchmark] = true
-			order = append(order, r.Benchmark)
+	for i, r := range rows {
+		if i == 0 || r.Benchmark != rows[i-1].Benchmark {
+			fmt.Fprintf(w, "%s\n", r.Benchmark)
 		}
-		groups[r.Benchmark] = append(groups[r.Benchmark], r)
-	}
-	for _, name := range order {
-		fmt.Fprintf(w, "%s\n", name)
-		for _, r := range groups[name] {
-			n := int(r.Percent / max * chartWidth)
-			if n > chartWidth {
-				n = chartWidth
-			}
-			// Pad by rune count: %-*s pads by bytes, and the block
-			// rune is three bytes.
-			bar := strings.Repeat("█", n) + strings.Repeat(" ", chartWidth-n)
-			if n == 0 && r.Percent > 0 {
-				bar = "▏" + bar[:len(bar)-1]
-			}
-			fmt.Fprintf(w, "  %-6s |%s| %5.1f%%\n", r.Config, bar, r.Percent)
+		n := int(r.Percent / max * chartWidth)
+		if n > chartWidth {
+			n = chartWidth
 		}
+		// Pad by rune count: %-*s pads by bytes, and the block
+		// rune is three bytes.
+		bar := strings.Repeat("█", n) + strings.Repeat(" ", chartWidth-n)
+		if n == 0 && r.Percent > 0 {
+			bar = "▏" + bar[:len(bar)-1]
+		}
+		fmt.Fprintf(w, "  %-6s |%s| %5.1f%%\n", r.Config, bar, r.Percent)
 	}
 }
 
-// WriteCallsChart renders Table-style call counts as log-ish scaled
-// bars, ordered by count, to visualize the LU-HP dominance.
-func WriteCallsChart(w io.Writer, title string, counts map[string]uint64) {
+// WriteCallsChart renders Table I's region calls as bars scaled to the
+// largest, ordered by count, to visualize the LU-HP dominance.
+func WriteCallsChart(w io.Writer, title string, rows []TableIRow) {
 	fmt.Fprintf(w, "%s\n", title)
-	type kv struct {
-		name  string
-		calls uint64
+	rows = slices.Clone(rows)
+	top := uint64(1)
+	for _, r := range rows {
+		top = max(top, r.RegionCalls)
 	}
-	items := make([]kv, 0, len(counts))
-	var max uint64
-	for name, c := range counts {
-		items = append(items, kv{name, c})
-		if c > max {
-			max = c
+	sort.Slice(rows, func(i, j int) bool {
+		if rows[i].RegionCalls != rows[j].RegionCalls {
+			return rows[i].RegionCalls > rows[j].RegionCalls
 		}
-	}
-	if max == 0 {
-		max = 1
-	}
-	sort.Slice(items, func(i, j int) bool {
-		if items[i].calls != items[j].calls {
-			return items[i].calls > items[j].calls
-		}
-		return items[i].name < items[j].name
+		return rows[i].Benchmark < rows[j].Benchmark
 	})
-	for _, it := range items {
-		n := int(float64(it.calls) / float64(max) * chartWidth)
-		if n == 0 && it.calls > 0 {
+	for _, r := range rows {
+		n := int(float64(r.RegionCalls) / float64(top) * chartWidth)
+		if n == 0 && r.RegionCalls > 0 {
 			n = 1
 		}
 		bar := strings.Repeat("█", n) + strings.Repeat(" ", chartWidth-n)
-		fmt.Fprintf(w, "  %-8s |%s| %d\n", it.name, bar, it.calls)
+		fmt.Fprintf(w, "  %-8s |%s| %d\n", r.Benchmark, bar, r.RegionCalls)
 	}
 }
 

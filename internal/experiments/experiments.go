@@ -2,14 +2,17 @@
 // paper's evaluation (§V): the EPCC directive-overhead chart (Figure
 // 4), the NPB3.2-OMP profiling overheads (Figure 5), the multi-zone
 // hybrid overheads (Figure 6), the region-count tables (Tables I and
-// II) and the overhead-decomposition study (§V-B). The command-line
-// drivers under cmd/ and the benchmark harness in bench_test.go are
-// thin wrappers over this package.
+// II) and the overhead-decomposition study (§V-B). Every timed
+// experiment goes through one timing loop, fastest. The experiment
+// commands under cmd/ are thin wrappers over this package, and share
+// its flag parsers and renderers.
 package experiments
 
 import (
 	"fmt"
 	"io"
+	"strconv"
+	"strings"
 	"time"
 
 	"goomp/internal/epcc"
@@ -58,21 +61,22 @@ var PaperDecomposition = map[string]float64{
 	"SP-MZ": 99.35,
 }
 
-// OverheadRow is one figure cell: a benchmark at a configuration,
-// with the ORA-off baseline, the ORA-on time and the percentage
-// overhead.
+// OverheadRow is one figure cell: a benchmark (for Figure 4, an EPCC
+// directive) at a configuration, with the ORA-off baseline, the ORA-on
+// time and the percentage overhead.
 type OverheadRow struct {
 	Benchmark string
 	Config    string // "4" (threads) or "2x4" (procs x threads)
 	Off, On   time.Duration
-	// Percent is the Figure 5/6 metric; sub-1% values are reported as
+	// Percent is the figures' metric; sub-1% values are reported as
 	// zero, following the paper's presentation.
 	Percent     float64
 	RegionCalls uint64
 	Verified    bool
 }
 
-// percent applies the paper's floor-at-zero presentation.
+// percent is the relative growth from off to on, with sub-1% values
+// (measurement noise, the paper's "listed as zero") floored to zero.
 func percent(off, on time.Duration) float64 {
 	if off <= 0 {
 		return 0
@@ -82,6 +86,163 @@ func percent(off, on time.Duration) float64 {
 		return 0
 	}
 	return p
+}
+
+// timing is one timed run of a workload.
+type timing struct {
+	Time        time.Duration
+	RegionCalls uint64
+	Verified    bool
+	// Directives is Figure 4's run: every EPCC directive's result,
+	// each timed over the suite's own outer repetitions.
+	Directives []epcc.Result
+}
+
+// workload runs an experiment's program once, with a tool attached
+// when opts is non-nil.
+type workload func(opts *tool.Options) (timing, error)
+
+// fastest is every experiment's timing loop: it runs w reps times (at
+// least once) and keeps the fastest rep, the standard noise-rejecting
+// statistic for wall-clock comparisons. The rep counts as verified
+// only if every rep verified.
+func fastest(reps int, opts *tool.Options, w workload) (timing, error) {
+	var best timing
+	verified := true
+	for r := 0; r == 0 || r < reps; r++ {
+		t, err := w(opts)
+		if err != nil {
+			return timing{}, err
+		}
+		verified = verified && t.Verified
+		if r == 0 || t.Time < best.Time {
+			best = t
+		}
+	}
+	best.Verified = verified
+	return best, nil
+}
+
+// compare times w with the tool off, then attached with opts, and
+// returns the figure row.
+func compare(bench, config string, reps int, opts tool.Options, w workload) (OverheadRow, error) {
+	off, err := fastest(reps, nil, w)
+	if err != nil {
+		return OverheadRow{}, err
+	}
+	on, err := fastest(reps, &opts, w)
+	if err != nil {
+		return OverheadRow{}, err
+	}
+	return OverheadRow{
+		Benchmark:   bench,
+		Config:      config,
+		Off:         off.Time,
+		On:          on.Time,
+		Percent:     percent(off.Time, on.Time),
+		RegionCalls: on.RegionCalls,
+		Verified:    off.Verified && on.Verified,
+	}, nil
+}
+
+// onRuntime runs fn on a fresh runtime of the given width, with a tool
+// attached for the run when opts is non-nil.
+func onRuntime(threads int, opts *tool.Options, fn func(rt *omp.RT) timing) (timing, error) {
+	rt := omp.New(omp.Config{NumThreads: threads})
+	defer rt.Close()
+	if opts != nil {
+		tl, err := tool.AttachRuntime(rt, *opts)
+		if err != nil {
+			return timing{}, err
+		}
+		defer tl.Detach()
+	}
+	return fn(rt), nil
+}
+
+// npbRun is the workload of one NPB benchmark at a class and width.
+func npbRun(b npb.Benchmark, class npb.Class, threads int) workload {
+	return func(opts *tool.Options) (timing, error) {
+		return onRuntime(threads, opts, func(rt *omp.RT) timing {
+			res := b.Run(rt, class)
+			return timing{Time: res.Time, RegionCalls: res.RegionCalls, Verified: res.Verified}
+		})
+	}
+}
+
+// mzRun is the workload of one multi-zone benchmark at a class and
+// decomposition; every rank attaches its own tool.
+func mzRun(spec mz.Spec, procs, threads int, class npb.Class) workload {
+	return func(opts *tool.Options) (timing, error) {
+		params := mz.Params{Procs: procs, Threads: threads, Class: class}
+		if opts != nil {
+			params.WithTool = true
+			params.ToolOptions = *opts
+		}
+		res := mz.Run(spec, params)
+		return timing{Time: res.Time, RegionCalls: res.RegionCallsRank0(), Verified: res.Verified}, nil
+	}
+}
+
+// Figure4Params configures the EPCC experiment. Its suite knobs also
+// size epccbench's arraybench and schedbench runs.
+type Figure4Params struct {
+	ThreadCounts []int
+	InnerReps    int // constructs per timing; zero means 128
+	OuterReps    int // timings per directive; zero means 5
+	DelayLength  int // delay-loop length inside each construct; zero means 64
+	ToolOptions  tool.Options
+}
+
+// Suite returns an EPCC suite on rt with p's knobs.
+func (p Figure4Params) Suite(rt *omp.RT) *epcc.Suite {
+	s := epcc.NewSuite(rt)
+	s.InnerReps, s.OuterReps, s.DelayLength = p.InnerReps, p.OuterReps, p.DelayLength
+	return s
+}
+
+// Figure4 measures every EPCC directive with the collector detached
+// and attached at each thread count. A row's Off and On are the
+// directive's per-construct overhead; its Percent is the growth of the
+// directive's mean inner-loop time.
+func Figure4(p Figure4Params) ([]OverheadRow, error) {
+	if p.InnerReps == 0 {
+		p.InnerReps = 128
+	}
+	if p.OuterReps == 0 {
+		p.OuterReps = 5
+	}
+	if p.DelayLength == 0 {
+		p.DelayLength = 64
+	}
+	var rows []OverheadRow
+	for _, threads := range p.ThreadCounts {
+		// One rep: EPCC repeats each directive's timing itself.
+		suite := func(opts *tool.Options) (timing, error) {
+			return onRuntime(threads, opts, func(rt *omp.RT) timing {
+				return timing{Directives: p.Suite(rt).MeasureAll()}
+			})
+		}
+		off, err := fastest(1, nil, suite)
+		if err != nil {
+			return nil, err
+		}
+		on, err := fastest(1, &p.ToolOptions, suite)
+		if err != nil {
+			return nil, err
+		}
+		for i, d := range off.Directives {
+			rows = append(rows, OverheadRow{
+				Benchmark: d.Directive,
+				Config:    strconv.Itoa(threads),
+				Off:       d.Overhead,
+				On:        on.Directives[i].Overhead,
+				Percent:   percent(d.Time.Mean, on.Directives[i].Time.Mean),
+				Verified:  true,
+			})
+		}
+	}
+	return rows, nil
 }
 
 // Figure5Params configures the NPB overhead experiment.
@@ -97,9 +258,6 @@ type Figure5Params struct {
 // with the collector detached and attached, and the percentage
 // increase in wall time is the figure's bar.
 func Figure5(p Figure5Params) ([]OverheadRow, error) {
-	if p.Reps < 1 {
-		p.Reps = 1
-	}
 	names := p.Benchmarks
 	if names == nil {
 		for _, b := range npb.Suite() {
@@ -113,56 +271,15 @@ func Figure5(p Figure5Params) ([]OverheadRow, error) {
 			return nil, err
 		}
 		for _, threads := range p.ThreadCounts {
-			off, _, err := timeNPB(b, p.Class, threads, p.Reps, nil)
+			row, err := compare(name, strconv.Itoa(threads), p.Reps, p.ToolOptions,
+				npbRun(b, p.Class, threads))
 			if err != nil {
 				return nil, err
 			}
-			opts := p.ToolOptions
-			on, res, err := timeNPB(b, p.Class, threads, p.Reps, &opts)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, OverheadRow{
-				Benchmark:   name,
-				Config:      fmt.Sprintf("%d", threads),
-				Off:         off,
-				On:          on,
-				Percent:     percent(off, on),
-				RegionCalls: res.RegionCalls,
-				Verified:    res.Verified,
-			})
+			rows = append(rows, row)
 		}
 	}
 	return rows, nil
-}
-
-// timeNPB runs one benchmark Reps times and returns the minimum time
-// (the standard noise-rejecting statistic for wall-clock comparisons).
-func timeNPB(b npb.Benchmark, class npb.Class, threads, reps int, opts *tool.Options) (time.Duration, npb.Result, error) {
-	var best time.Duration
-	var last npb.Result
-	for r := 0; r < reps; r++ {
-		rt := omp.New(omp.Config{NumThreads: threads})
-		var tl *tool.Tool
-		if opts != nil {
-			var err error
-			tl, err = tool.AttachRuntime(rt, *opts)
-			if err != nil {
-				rt.Close()
-				return 0, npb.Result{}, err
-			}
-		}
-		res := b.Run(rt, class)
-		if tl != nil {
-			tl.Detach()
-		}
-		rt.Close()
-		if r == 0 || res.Time < best {
-			best = res.Time
-		}
-		last = res
-	}
-	return best, last, nil
 }
 
 // TableIRow is one row of Table I.
@@ -211,9 +328,6 @@ type Figure6Params struct {
 
 // Figure6 measures hybrid profiling overhead for every decomposition.
 func Figure6(p Figure6Params) ([]OverheadRow, error) {
-	if p.Reps < 1 {
-		p.Reps = 1
-	}
 	names := p.Benchmarks
 	if names == nil {
 		for _, s := range mz.Benchmarks() {
@@ -230,39 +344,15 @@ func Figure6(p Figure6Params) ([]OverheadRow, error) {
 			if d.Procs > spec.GX*spec.GY {
 				continue
 			}
-			off := timeMZ(spec, d.Procs, d.Threads, p.Class, p.Reps, nil)
-			opts := p.ToolOptions
-			on := timeMZ(spec, d.Procs, d.Threads, p.Class, p.Reps, &opts)
-			rows = append(rows, OverheadRow{
-				Benchmark:   name,
-				Config:      fmt.Sprintf("%dx%d", d.Procs, d.Threads),
-				Off:         off.Time,
-				On:          on.Time,
-				Percent:     percent(off.Time, on.Time),
-				RegionCalls: on.RegionCallsRank0(),
-				Verified:    off.Verified && on.Verified,
-			})
+			row, err := compare(name, fmt.Sprintf("%dx%d", d.Procs, d.Threads), p.Reps,
+				p.ToolOptions, mzRun(spec, d.Procs, d.Threads, p.Class))
+			if err != nil {
+				return nil, err
+			}
+			rows = append(rows, row)
 		}
 	}
 	return rows, nil
-}
-
-func timeMZ(spec mz.Spec, procs, threads int, class npb.Class, reps int, opts *tool.Options) mz.Result {
-	var best mz.Result
-	for r := 0; r < reps; r++ {
-		params := mz.Params{Procs: procs, Threads: threads, Class: class}
-		if opts != nil {
-			params.WithTool = true
-			params.ToolOptions = *opts
-		}
-		res := mz.Run(spec, params)
-		if r == 0 || res.Time < best.Time {
-			resCopy := res
-			resCopy.Time = res.Time
-			best = resCopy
-		}
-	}
-	return best
 }
 
 // TableIIRow is one row of Table II.
@@ -315,41 +405,29 @@ type DecompositionRow struct {
 // threads and SP-MZ at 4 processes × 1 thread, each run with the tool
 // detached, callbacks-only, and with full measurement.
 func Decomposition(class npb.Class, reps int) ([]DecompositionRow, error) {
-	if reps < 1 {
-		reps = 1
-	}
-	var rows []DecompositionRow
-
-	// LU-HP on 4 threads.
-	luhp, err := npb.ByName("LU-HP")
-	if err != nil {
-		return nil, err
-	}
-	off, _, err := timeNPB(luhp, class, 4, reps, nil)
-	if err != nil {
-		return nil, err
-	}
-	cbOpts := tool.CallbacksOnly()
-	cb, _, err := timeNPB(luhp, class, 4, reps, &cbOpts)
-	if err != nil {
-		return nil, err
-	}
-	fullOpts := tool.FullMeasurement()
-	full, _, err := timeNPB(luhp, class, 4, reps, &fullOpts)
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, decompRow("LU-HP", "4 threads", off, cb, full))
-
-	// SP-MZ at 4×1.
 	spmz, err := mz.ByName("SP-MZ")
 	if err != nil {
 		return nil, err
 	}
-	offMZ := timeMZ(spmz, 4, 1, class, reps, nil)
-	cbMZ := timeMZ(spmz, 4, 1, class, reps, &cbOpts)
-	fullMZ := timeMZ(spmz, 4, 1, class, reps, &fullOpts)
-	rows = append(rows, decompRow("SP-MZ", "4x1", offMZ.Time, cbMZ.Time, fullMZ.Time))
+	cbOpts, fullOpts := tool.CallbacksOnly(), tool.FullMeasurement()
+	var rows []DecompositionRow
+	for _, c := range []struct {
+		name, config string
+		run          workload
+	}{
+		{"LU-HP", "4 threads", npbRun(npb.Benchmark{Name: "LU-HP", Run: npb.RunLUHP}, class, 4)},
+		{"SP-MZ", "4x1", mzRun(spmz, 4, 1, class)},
+	} {
+		var t [3]time.Duration // off, callbacks, full
+		for i, opts := range []*tool.Options{nil, &cbOpts, &fullOpts} {
+			best, err := fastest(reps, opts, c.run)
+			if err != nil {
+				return nil, err
+			}
+			t[i] = best.Time
+		}
+		rows = append(rows, decompRow(c.name, c.config, t[0], t[1], t[2]))
+	}
 	return rows, nil
 }
 
@@ -370,29 +448,22 @@ func decompRow(name, cfg string, off, cb, full time.Duration) DecompositionRow {
 	return row
 }
 
-// Figure4Tool regenerates the EPCC experiment at each thread count
-// through epcc.Compare, with explicit tool options for the "on"
-// measurements — how the benchmark drivers enable the observability
-// plane during a run. Nil opts means the paper's full measurement.
-func Figure4Tool(threadCounts []int, inner, outer, delay int, opts *tool.Options) (map[int][]epcc.OverheadRow, error) {
-	out := make(map[int][]epcc.OverheadRow)
-	for _, threads := range threadCounts {
-		rows, err := epcc.Compare(epcc.CompareParams{
-			Threads:     threads,
-			InnerReps:   inner,
-			OuterReps:   outer,
-			DelayLength: delay,
-			ToolOptions: opts,
-		})
-		if err != nil {
-			return nil, err
-		}
-		out[threads] = rows
-	}
-	return out, nil
-}
-
 // --- rendering ---
+
+// WriteFigure4 renders Figure 4 rows as one table per thread count.
+func WriteFigure4(w io.Writer, rows []OverheadRow) {
+	for i, r := range rows {
+		if i == 0 || r.Config != rows[i-1].Config {
+			fmt.Fprintf(w, "--- %s threads ---\n", r.Config)
+			fmt.Fprintf(w, "%-14s %8s %14s %14s %10s\n",
+				"directive", "threads", "overhead(off)", "overhead(on)", "increase%")
+		}
+		fmt.Fprintf(w, "%-14s %8s %14v %14v %10.1f\n", r.Benchmark, r.Config, r.Off, r.On, r.Percent)
+		if i == len(rows)-1 || rows[i+1].Config != r.Config {
+			fmt.Fprintln(w)
+		}
+	}
+}
 
 // WriteOverheadRows renders figure rows as a fixed-width table.
 func WriteOverheadRows(w io.Writer, title string, rows []OverheadRow) {
@@ -404,6 +475,28 @@ func WriteOverheadRows(w io.Writer, title string, rows []OverheadRow) {
 			r.Benchmark, r.Config, r.Off.Round(time.Microsecond),
 			r.On.Round(time.Microsecond), r.Percent, r.RegionCalls, r.Verified)
 	}
+}
+
+// figures holds what WriteFigure prints around Figures 5 and 6.
+var figures = map[int]struct{ title, bars, paperWorst string }{
+	5: {"Figure 5: NPB3.2-OMP profiling overheads (class %s)", "Figure 5 (bars: overhead% by thread count)", PaperFigure5Worst},
+	6: {"Figure 6: NPB3.2-MZ-MPI profiling overheads (class %s)", "Figure 6 (bars: overhead% by procs x threads)", PaperFigure6Worst},
+}
+
+// WriteFigure renders Figure 5 or 6 (n) at class: the rows as CSV when
+// csv is set, else the table, the bar chart and the paper's headline
+// beside the measured worst. Only the CSV can fail.
+func WriteFigure(w io.Writer, n int, class npb.Class, rows []OverheadRow, csv bool) error {
+	if csv {
+		return WriteCSV(w, rows)
+	}
+	f := figures[n]
+	WriteOverheadRows(w, fmt.Sprintf(f.title, class), rows)
+	fmt.Fprintln(w)
+	WriteBarChart(w, f.bars, rows)
+	fmt.Fprintf(w, "\npaper headline: %s incurs the highest overhead; measured worst: %s\n",
+		f.paperWorst, Worst(rows))
+	return nil
 }
 
 // WriteTableI renders Table I with paper-vs-measured columns.
@@ -451,4 +544,32 @@ func Worst(rows []OverheadRow) string {
 		}
 	}
 	return worst
+}
+
+// --- flags ---
+
+// ParseThreads reads a -threads flag: comma-separated positive counts.
+func ParseThreads(s string) ([]int, error) {
+	var out []int
+	for _, part := range strings.Split(s, ",") {
+		v, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil || v < 1 {
+			return nil, fmt.Errorf("bad thread count %q", part)
+		}
+		out = append(out, v)
+	}
+	return out, nil
+}
+
+// ParseBenchmarks reads a -bench flag: a comma-separated subset, or
+// nil (every benchmark) when empty.
+func ParseBenchmarks(s string) []string {
+	if s == "" {
+		return nil
+	}
+	names := strings.Split(s, ",")
+	for i, n := range names {
+		names[i] = strings.TrimSpace(n)
+	}
+	return names
 }

@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
+	"goomp/internal/epcc"
 	"goomp/internal/npb"
 	"goomp/internal/tool"
 )
@@ -128,24 +130,133 @@ func TestDecompositionSmall(t *testing.T) {
 }
 
 func TestFigure4Small(t *testing.T) {
-	out, err := Figure4Tool([]int{2}, 8, 1, 8, nil)
+	rows, err := Figure4(Figure4Params{
+		ThreadCounts: []int{2}, InnerReps: 8, OuterReps: 1, DelayLength: 8,
+		ToolOptions: tool.FullMeasurement(),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out[2]) == 0 {
+	if len(rows) == 0 {
 		t.Fatal("no rows for 2 threads")
 	}
 }
 
+func TestFigure4ProducesAllDirectives(t *testing.T) {
+	rows, err := Figure4(Figure4Params{
+		ThreadCounts: []int{2},
+		InnerReps:    16,
+		OuterReps:    2,
+		DelayLength:  8,
+		ToolOptions:  tool.FullMeasurement(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != len(epcc.Directives()) {
+		t.Fatalf("rows = %d, want %d", len(rows), len(epcc.Directives()))
+	}
+	for _, r := range rows {
+		if r.Percent < 0 {
+			t.Errorf("%s: negative percent increase %v", r.Benchmark, r.Percent)
+		}
+	}
+}
+
+func TestFigure4WithCallbacksOnly(t *testing.T) {
+	rows, err := Figure4(Figure4Params{
+		ThreadCounts: []int{2},
+		InnerReps:    8,
+		OuterReps:    1,
+		DelayLength:  8,
+		ToolOptions:  tool.CallbacksOnly(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) == 0 {
+		t.Fatal("no rows")
+	}
+}
+
+// TestFastestVerifiedOnlyIfEveryRep: the timing loop keeps the fastest
+// rep's time and region calls, but a rep that failed verification
+// fails the whole measurement, wherever it falls.
+func TestFastestVerifiedOnlyIfEveryRep(t *testing.T) {
+	opts := tool.CallbacksOnly()
+	for _, failing := range []int{0, 1, 2, -1} {
+		r := 0
+		rep, err := fastest(3, &opts, func(got *tool.Options) (timing, error) {
+			if got != &opts {
+				t.Errorf("workload got opts %p, want %p", got, &opts)
+			}
+			times := []time.Duration{3, 1, 2}
+			run := timing{Time: times[r], RegionCalls: uint64(10 + r), Verified: r != failing}
+			r++
+			return run, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r != 3 || rep.Time != 1 || rep.RegionCalls != 11 {
+			t.Errorf("failing rep %d: %d runs, kept %+v; want 3 runs, the fastest (time 1, calls 11)", failing, r, rep)
+		}
+		if want := failing < 0; rep.Verified != want {
+			t.Errorf("failing rep %d: Verified = %v, want %v", failing, rep.Verified, want)
+		}
+	}
+	r := 0
+	if _, err := fastest(0, nil, func(*tool.Options) (timing, error) { r++; return timing{}, nil }); err != nil || r != 1 {
+		t.Errorf("reps 0: %d runs (err %v), want 1", r, err)
+	}
+}
+
 func TestPercentFloor(t *testing.T) {
-	if percent(0, 100) != 0 {
-		t.Error("zero baseline")
+	ms := time.Millisecond
+	for _, c := range []struct {
+		name    string
+		off, on time.Duration
+		lo, hi  float64
+	}{
+		{"zero baseline", 0, 100, 0, 0},
+		{"zero baseline, ns", 0, 10, 0, 0},
+		{"no change", 100 * ms, 100 * ms, 0, 0},
+		{"sub-1% increase reported as zero", 1000, 1005, 0, 0},
+		{"negative increase floors at zero", 1000, 900, 0, 0},
+		{"10%", 1000, 1100, 9, 11},
+		{"50%", 100 * ms, 150 * ms, 49, 51},
+	} {
+		if got := percent(c.off, c.on); got < c.lo || got > c.hi {
+			t.Errorf("%s: percent(%v, %v) = %v, want in [%v, %v]", c.name, c.off, c.on, got, c.lo, c.hi)
+		}
 	}
-	if percent(100*time.Millisecond, 100*time.Millisecond) != 0 {
-		t.Error("no change should be 0")
+}
+
+func TestWriteFigure4(t *testing.T) {
+	var buf bytes.Buffer
+	WriteFigure4(&buf, []OverheadRow{{
+		Benchmark: "BARRIER", Config: "4", Percent: 5.0,
+	}})
+	out := buf.String()
+	if !strings.Contains(out, "BARRIER") || !strings.Contains(out, "5.0") {
+		t.Errorf("table output:\n%s", out)
 	}
-	if p := percent(100*time.Millisecond, 150*time.Millisecond); p < 49 || p > 51 {
-		t.Errorf("50%% computed as %v", p)
+}
+
+func TestParseThreadsAndBenchmarks(t *testing.T) {
+	if got, err := ParseThreads("1, 2,8"); err != nil || fmt.Sprint(got) != "[1 2 8]" {
+		t.Errorf("ParseThreads = %v, %v", got, err)
+	}
+	for _, bad := range []string{"", "zero", "2,0", "2,"} {
+		if _, err := ParseThreads(bad); err == nil {
+			t.Errorf("ParseThreads(%q) accepted", bad)
+		}
+	}
+	if got := ParseBenchmarks(""); got != nil {
+		t.Errorf("ParseBenchmarks(\"\") = %q, want nil (every benchmark)", got)
+	}
+	if got := ParseBenchmarks("EP, LU-HP"); fmt.Sprint(got) != "[EP LU-HP]" {
+		t.Errorf("ParseBenchmarks = %q", got)
 	}
 }
 
@@ -216,8 +327,9 @@ func TestWriteBarChart(t *testing.T) {
 
 func TestWriteCallsChart(t *testing.T) {
 	var buf bytes.Buffer
-	WriteCallsChart(&buf, "Table I shape", map[string]uint64{
-		"LU-HP": 298959, "EP": 3, "SP": 3618,
+	WriteCallsChart(&buf, "Table I shape", []TableIRow{
+		{Benchmark: "EP", RegionCalls: 3}, {Benchmark: "SP", RegionCalls: 3618},
+		{Benchmark: "LU-HP", RegionCalls: 298959},
 	})
 	out := buf.String()
 	lines := strings.Split(strings.TrimSpace(out), "\n")

@@ -32,6 +32,14 @@ func (c Class) Valid() bool {
 
 func (c Class) String() string { return string(c) }
 
+// ParseClass reads a -class flag: exactly one of S, W, A or B.
+func ParseClass(s string) (Class, error) {
+	if len(s) != 1 || !Class(s[0]).Valid() {
+		return 0, fmt.Errorf("bad class %q", s)
+	}
+	return Class(s[0]), nil
+}
+
 // Result is the outcome of one benchmark run.
 type Result struct {
 	Name     string

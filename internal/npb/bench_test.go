@@ -19,9 +19,17 @@ func TestClassValidity(t *testing.T) {
 		if !c.Valid() {
 			t.Errorf("class %v invalid", c)
 		}
+		if got, err := ParseClass(c.String()); err != nil || got != c {
+			t.Errorf("ParseClass(%q) = %v, %v", c, got, err)
+		}
 	}
 	if Class('X').Valid() {
 		t.Error("class X should be invalid")
+	}
+	for _, bad := range []string{"", "X", "WX", "s"} {
+		if _, err := ParseClass(bad); err == nil {
+			t.Errorf("ParseClass(%q) accepted", bad)
+		}
 	}
 	if ClassS.String() != "S" {
 		t.Errorf("ClassS.String() = %q", ClassS)
