@@ -113,13 +113,12 @@ type RT struct {
 	nestedMu   sync.Mutex
 	nestedFree map[int32][]*collector.ThreadInfo
 
-	// tdqFree pools per-team task-deque slices (and the rings hanging
-	// off them) across regions, so steady-state task submission is
-	// allocation-free. A slice is recycled only after a clean join —
-	// after a region panic the deques may still hold queued tasks and
-	// are dropped instead.
-	tdqMu   sync.Mutex
-	tdqFree [][]taskDeque
+	// teamFree pools joined teams by size: the last member to leave a
+	// region puts its team here (Team.leave) and the next fork of that
+	// size takes it back (getTeam), so a steady-state region allocates
+	// only its TeamInfo.
+	teamMu   sync.Mutex
+	teamFree map[int][]*Team
 
 	symbol   string // dl symbol this runtime registered, if any
 	critMu   sync.Mutex
@@ -163,6 +162,7 @@ func New(cfg Config) *RT {
 		sites:      make(map[uintptr]*RegionSite),
 		critical:   make(map[string]*Lock),
 		nestedFree: make(map[int32][]*collector.ThreadInfo),
+		teamFree:   make(map[int][]*Team),
 	}
 	// The serial-mode master descriptor exists from runtime creation so
 	// that a tool may initialize the collector API before the OpenMP
@@ -386,14 +386,13 @@ func (r *RT) fork(parent *ThreadCtx, site uintptr, n int, fn func(tc *ThreadCtx)
 		Size:           int32(n),
 		SitePC:         site,
 	}
-	team := newTeam(r, n, info)
+	team := r.getTeam(n, info)
 	enc.SetTeam(info)
 	if events {
 		r.col.Event(enc, collector.EventFork)
 	}
 
 	td := enc
-	var nested *sync.WaitGroup
 	if parent == nil {
 		// Wake the slaves: the master updates the slave thread
 		// descriptors with the outlined procedure while in the overhead
@@ -415,13 +414,11 @@ func (r *RT) fork(parent *ThreadCtx, site uintptr, n int, fn func(tc *ThreadCtx)
 		// parallel-mode descriptor takes over.
 		enc.SetTeam(nil)
 	} else if n > 1 {
-		nested = r.startNested(parent, team, fn)
+		r.startNested(parent, team, fn)
 	}
 
-	runMember(&ThreadCtx{rt: r, team: team, id: 0, td: td, level: level, parent: parent}, fn)
-	if nested != nil {
-		nested.Wait()
-	}
+	runMember(team.member(0, td, level, parent), fn)
+	team.wg.Wait() // the nested goroutines, if any
 
 	// Join: as soon as thread 0 leaves the implicit barrier at the end
 	// of the region its state is set to the overhead state and the join
@@ -442,29 +439,30 @@ func (r *RT) fork(parent *ThreadCtx, site uintptr, n int, fn func(tc *ThreadCtx)
 	if p := team.firstPanic(); p != nil {
 		panic(p)
 	}
-	r.putTaskDeques(team.tasks.deq)
+	team.leave()
 }
 
 // startNested starts threads 1..n-1 of a true-nested team as transient
-// goroutines and returns what thread 0 waits on before the join. What
+// goroutines; thread 0 waits for them on team.wg before the join. What
 // the goroutines capture lives on the heap, so it is captured here,
 // not in fork, where a top-level region would pay for it too.
-func (r *RT) startNested(parent *ThreadCtx, team *Team, fn func(tc *ThreadCtx)) *sync.WaitGroup {
-	wg := new(sync.WaitGroup)
-	wg.Add(team.size - 1)
+func (r *RT) startNested(parent *ThreadCtx, team *Team, fn func(tc *ThreadCtx)) {
+	team.wg.Add(team.size - 1)
 	for i := 1; i < team.size; i++ {
 		go func(tid int) {
-			defer wg.Done()
 			// Nested slaves are transient goroutines with pooled
 			// descriptors; they are not bound in the collector's global
 			// thread table (their IDs would collide with the flat
 			// numbering), but carry team info for region-ID queries.
 			td := r.getNestedDesc(int32(tid))
-			defer r.putNestedDesc(td)
-			runMember(&ThreadCtx{rt: r, team: team, id: tid, td: td, level: parent.level + 1, parent: parent}, fn)
+			runMember(team.member(tid, td, parent.level+1, parent), fn)
+			r.putNestedDesc(td)
+			// Done before leave: once this thread has left, the team
+			// may already serve another region and another wait.
+			team.wg.Done()
+			team.leave()
 		}(i)
 	}
-	return wg
 }
 
 // runMember is one thread's part of a region, whichever way the thread
@@ -475,48 +473,6 @@ func runMember(tc *ThreadCtx, fn func(tc *ThreadCtx)) {
 	tc.td.SetState(collector.StateWorking)
 	runRegionBody(tc, fn)
 	tc.implicitBarrier()
-}
-
-// getTaskDeques returns a per-team task-deque slice for a team of
-// size threads, recycling one from the free list when it fits. Every
-// deque comes with its ring installed (fresh or carried over), so the
-// owner's push path never checks for nil.
-func (r *RT) getTaskDeques(size int) []taskDeque {
-	r.tdqMu.Lock()
-	for i := len(r.tdqFree) - 1; i >= 0; i-- {
-		if cap(r.tdqFree[i]) >= size {
-			d := r.tdqFree[i][:size]
-			last := len(r.tdqFree) - 1
-			r.tdqFree[i] = r.tdqFree[last]
-			r.tdqFree = r.tdqFree[:last]
-			r.tdqMu.Unlock()
-			for j := range d {
-				if d[j].ring.Load() == nil {
-					d[j].ring.Store(newTaskRing(initTaskRing))
-				}
-			}
-			return d
-		}
-	}
-	r.tdqMu.Unlock()
-	d := make([]taskDeque, size)
-	for j := range d {
-		d[j].ring.Store(newTaskRing(initTaskRing))
-	}
-	return d
-}
-
-// putTaskDeques returns a team's deque slice to the free list after a
-// clean join (all deques drained by the closing barrier).
-func (r *RT) putTaskDeques(d []taskDeque) {
-	if d == nil {
-		return
-	}
-	r.tdqMu.Lock()
-	if len(r.tdqFree) < 16 {
-		r.tdqFree = append(r.tdqFree, d)
-	}
-	r.tdqMu.Unlock()
 }
 
 // worker is a slave OpenMP thread: a goroutine that survives, sleeping,
@@ -542,7 +498,8 @@ func (w *worker) loop() {
 
 	for item := range w.work {
 		col.Event(w.td, collector.EventThrEndIdle)
-		runMember(&ThreadCtx{rt: w.rt, team: item.team, id: item.tid, td: w.td, level: 1}, item.fn)
+		runMember(item.team.member(item.tid, w.td, 1, nil), item.fn)
+		item.team.leave()
 		w.td.SetTeam(nil)
 		w.td.SetState(collector.StateIdle)
 		col.Event(w.td, collector.EventThrBeginIdle)

@@ -57,6 +57,26 @@ func BenchmarkBarrierSpin(b *testing.B) {
 	}
 }
 
+// BenchmarkParallelRegion measures the fork/join of an empty region,
+// the EPCC PARALLEL directive with no tool attached: the fork, the
+// workers' wake, the closing barrier and the join. Its allocations are
+// what a region costs the heap once its team comes from the pool.
+func BenchmarkParallelRegion(b *testing.B) {
+	for _, n := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("threads-%d", n), func(b *testing.B) {
+			rt := New(Config{NumThreads: n})
+			defer rt.Close()
+			body := func(*ThreadCtx) {}
+			rt.Parallel(body) // the pool
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rt.Parallel(body)
+			}
+		})
+	}
+}
+
 // BenchmarkReduction measures the EPCC REDUCTION directive: each
 // thread contributes one value per iteration to a shared sum.
 func BenchmarkReduction(b *testing.B) {

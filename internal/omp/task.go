@@ -49,7 +49,7 @@ var (
 
 // initTaskRing is the initial capacity (a power of two) of a task
 // deque's circular buffer; the ring doubles when the owner outruns it
-// and, like the deque slices themselves, is recycled across regions.
+// and, like the deque slices themselves, is pooled with its team.
 const initTaskRing = 32
 
 // taskRing is the growable circular buffer of a Chase-Lev deque. Slots
@@ -147,9 +147,9 @@ func (d *taskDeque) steal() (*task, bool) {
 }
 
 // taskScheduler is the per-team task system: one deque per thread.
-// The deque slices (and the rings hanging off them) are recycled
-// across regions through the runtime's free list, so steady-state
-// regions create and run tasks without allocating.
+// The deque slices (and the rings hanging off them) travel with their
+// team through the runtime's team pool, so steady-state regions create
+// and run tasks without allocating.
 type taskScheduler struct {
 	deq []taskDeque
 }

@@ -24,9 +24,10 @@ func (p *RegionPanic) Error() string {
 	return fmt.Sprintf("omp: panic in parallel region on thread %d: %v", p.Thread, p.Value)
 }
 
-// Team is the thread-team descriptor for one parallel region instance:
-// the barrier the team synchronizes on, the shared worksharing state,
-// and the region/parent IDs the collector exposes.
+// Team is the thread-team descriptor for one parallel region instance
+// at a time (teams are pooled, see leave): the barrier the team
+// synchronizes on, the shared worksharing state, and the region/parent
+// IDs the collector exposes.
 type Team struct {
 	rt   *RT
 	size int
@@ -56,8 +57,18 @@ type Team struct {
 	redPending atomic.Bool
 
 	// tasks is the team's explicit-task system (OpenMP 3.0 extension):
-	// per-thread work-stealing deques, recycled across regions.
+	// per-thread work-stealing deques, pooled with the team.
 	tasks taskScheduler
+
+	// members are the threads' contexts, slot i for thread i; each
+	// thread refills its own slot as it joins (member). wg is what the
+	// master of a true-nested team waits on for threads 1..size-1.
+	members []ThreadCtx
+	wg      sync.WaitGroup
+
+	// left counts the members done with the region; the one that
+	// brings it to size pools the team (leave).
+	left atomic.Int32
 
 	panicMu sync.Mutex
 	panics  []*RegionPanic
@@ -92,6 +103,9 @@ func (t *Team) flushReductions() {
 				*e.f64 += e.fv
 			}
 		}
+		// The entries point into the region's data: a pooled team
+		// must not keep it alive.
+		clear(s.more)
 		s.more = s.more[:0]
 	}
 }
@@ -128,14 +142,46 @@ func runRegionBody(tc *ThreadCtx, fn func(*ThreadCtx)) {
 	fn(tc)
 }
 
-func newTeam(r *RT, size int, info *collector.TeamInfo) *Team {
+func newTeam(r *RT, size int) *Team {
 	t := &Team{
 		rt:      r,
 		size:    size,
-		info:    info,
 		singles: make(map[uint64]*singleDesc),
 		red:     make([]redSlot, size),
+		members: make([]ThreadCtx, size),
 	}
+	spin := passiveSpin
+	if r.cfg.SpinBarrier {
+		spin = activeSpin
+	}
+	t.barrier = newSpinBarrier(size, spin, t.flushReductions)
+	t.tasks.deq = make([]taskDeque, size)
+	for i := range t.members {
+		t.members[i] = ThreadCtx{rt: r, team: t, id: i}
+		t.tasks.deq[i].ring.Store(newTaskRing(initTaskRing))
+	}
+	return t
+}
+
+// getTeam returns a team of size threads for the region info
+// describes: a pooled one if the runtime has one of that size, else a
+// new one. A pooled team comes back as its last region left it — the
+// barrier between episodes, the deques drained, the reduction slots
+// flushed — so only the loop ring, whose sequence numbers restart with
+// every region, and the leave count are re-armed.
+func (r *RT) getTeam(size int, info *collector.TeamInfo) *Team {
+	r.teamMu.Lock()
+	var t *Team
+	if free := r.teamFree[size]; len(free) > 0 {
+		t = free[len(free)-1]
+		r.teamFree[size] = free[:len(free)-1]
+	}
+	r.teamMu.Unlock()
+	if t == nil {
+		t = newTeam(r, size)
+	}
+	t.info = info
+	t.left.Store(0)
 	for i := range t.ring {
 		// Ring slots start as if their previous tenant (sequence
 		// number i - loopRingSize) had fully retired.
@@ -144,13 +190,36 @@ func newTeam(r *RT, size int, info *collector.TeamInfo) *Team {
 		t.ring[i].ready.Store(start)
 		t.ring[i].free.Store(start)
 	}
-	spin := passiveSpin
-	if r.cfg.SpinBarrier {
-		spin = activeSpin
-	}
-	t.barrier = newSpinBarrier(size, spin, t.flushReductions)
-	t.tasks.deq = r.getTaskDeques(size)
 	return t
+}
+
+// member fills thread id's context slot for the region the team is
+// forked for and returns it. Only thread id calls it, as it joins; the
+// fields a slot keeps (its task group and supervision label) belong to
+// the slot, not to a region.
+func (t *Team) member(id int, td *collector.ThreadInfo, level int, parent *ThreadCtx) *ThreadCtx {
+	tc := &t.members[id]
+	tc.td, tc.level, tc.parent = td, level, parent
+	tc.loopSeq, tc.singleSeq = 0, 0
+	return tc
+}
+
+// leave marks one member done with the region: a worker or a nested
+// thread once runMember returns, the master at the end of fork. The
+// member that brings the count to size returns the team to the
+// runtime's free list, so no member of the next region can meet one
+// of this region still inside it. A team whose body panicked never
+// gets there — its master re-raises instead of leaving — and is left
+// to the collector with whatever its barrier and deques still hold.
+func (t *Team) leave() {
+	if int(t.left.Add(1)) != t.size {
+		return
+	}
+	clear(t.singles) // empty unless a member skipped a single
+	r := t.rt
+	r.teamMu.Lock()
+	r.teamFree[t.size] = append(r.teamFree[t.size], t)
+	r.teamMu.Unlock()
 }
 
 // Barrier is the explicit barrier construct (#pragma omp barrier). The

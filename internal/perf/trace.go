@@ -176,6 +176,12 @@ type bufState struct {
 type Relay struct {
 	C    chan *SealedChunk
 	free chan *chunk
+
+	// Warn, if set, is called by a sealing thread each time its push
+	// leaves C three quarters full or more: the consumer is falling
+	// behind, and once C is full the next chunks are shed. Set it
+	// before the first buffer is routed here; it must not block.
+	Warn func()
 }
 
 // NewRelay returns a relay that queues up to n sealed chunks.
@@ -473,6 +479,9 @@ func (b *TraceBuffer) seal() *chunk {
 		sc := &SealedChunk{thread: b.thread, c: old, b: b}
 		select {
 		case b.relay.C <- sc: // the consumer's from here on
+			if w := b.relay.Warn; w != nil && 4*len(b.relay.C) >= 3*cap(b.relay.C) {
+				w()
+			}
 		default:
 			// Bounded hand-off is full: discard rather than stall the
 			// OpenMP thread, and account the loss explicitly.

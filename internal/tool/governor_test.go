@@ -2,6 +2,7 @@ package tool
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"strings"
 	"testing"
@@ -268,5 +269,66 @@ func TestGovernorChargesTheJoinWalk(t *testing.T) {
 	rt.Parallel(func(*omp.ThreadCtx) {})
 	if got := tl.gov.Meter().Stack(); got <= 0 {
 		t.Errorf("stack bucket holds %d after a join", got)
+	}
+}
+
+// TestRelayHighWaterStepsGovernorDown: the streamer stalls in its first
+// file open, so every sealed chunk stays in the relay. Once the relay
+// is three quarters full it latches backpressure, and the governor must
+// take a backpressure step while the relay has shed nothing: a run with
+// a ceiling steps down before it loses chunks. The regions pause while
+// the step is awaited, so the last quarter of the relay is the margin
+// the step has, whatever the machine's speed.
+func TestRelayHighWaterStepsGovernorDown(t *testing.T) {
+	rt := omp.New(omp.Config{NumThreads: 2})
+	defer rt.Close()
+	stall := make(chan struct{})
+	opts := FullMeasurement()
+	opts.StreamDir = t.TempDir()
+	opts.OverheadCeiling = 1
+	opts.GovernorTick = time.Millisecond
+	opts.OpenTraceFile = func(path string) (io.WriteCloser, error) {
+		<-stall
+		return os.Create(path)
+	}
+	tl, err := AttachRuntime(rt, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tl.Detach()
+	defer close(stall) // before Detach, which waits for the streamer
+
+	backpressured := func() bool {
+		for _, s := range tl.Report().GovernorSteps {
+			if s.Reason == degrade.ReasonBackpressure {
+				return true
+			}
+		}
+		return false
+	}
+	relay := tl.stream.relay
+	deadline := time.Now().Add(20 * time.Second)
+	for 4*len(relay.C) < 3*cap(relay.C) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the relay never reached its high-water mark: %d of %d queued", len(relay.C), cap(relay.C))
+		}
+		if backpressured() {
+			t.Fatalf("backpressure step with the relay at %d of %d, under its high-water mark", len(relay.C), cap(relay.C))
+		}
+		// A few regions at a time: well short of the relay's last
+		// quarter, so the loop cannot overshoot into a shed.
+		for i := 0; i < 20; i++ {
+			rt.Parallel(func(*omp.ThreadCtx) {})
+		}
+	}
+	for !backpressured() {
+		if time.Now().After(deadline) {
+			t.Fatalf("no backpressure step with the relay at %d of %d; steps: %v",
+				len(relay.C), cap(relay.C), tl.Report().GovernorSteps)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if n := tl.Report().RelayDropped; n != 0 {
+		t.Fatalf("the relay shed %d chunks before the governor stepped down", n)
 	}
 }

@@ -38,9 +38,12 @@ import (
 
 // relayCapacity bounds the chunk hand-off channel, and with it the free
 // list of encoded chunks the buffers fill again. At ChunkSamples
-// samples per chunk this queues up to ~16k samples of backlog before
-// the buffers start dropping.
-const relayCapacity = 64
+// samples per chunk this queues up to 64k samples of backlog (about
+// 3.6 MB of chunks) before the buffers start dropping; with a
+// governor, the relay asks it to step down at three quarters of that.
+// EXPERIMENTS.md "Pooled teams" has the sheds at 64, 128 and 256 on
+// the EPCC workload once joined teams are pooled.
+const relayCapacity = 256
 
 // degradedRetain bounds the chunks a degraded thread retains in memory
 // for the final recovery attempt (~10 KiB per chunk); beyond it chunks
@@ -148,6 +151,12 @@ func startStreamer(t *Tool, dir string) (*streamer, error) {
 		drop:     t.opts.DropChunk,
 		led:      ingest.NewLedger("stream staged", "written", "discarded", "forced", "passed"),
 		done:     make(chan struct{}),
+	}
+	if t.gov != nil {
+		// The relay's high-water mark is backpressure like the net
+		// sink's: stepping the ladder down sheds events by class
+		// before the full relay sheds them by chunk.
+		s.relay.Warn = t.gov.Backpressure
 	}
 	if t.opts.IngestAddr != "" {
 		s.net = startNetSink(&t.opts, t.gov)
