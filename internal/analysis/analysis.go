@@ -338,9 +338,11 @@ func WriteStealReport(w io.Writer, acts []StealActivity) {
 // GovernorStep is one overhead-governor ladder transition decoded
 // from the trace: at Time the measurement moved From one degradation
 // level To another, for Reason. A trace with any step past LevelFull
-// is not full fidelity — the sampler was decimated, stacks were
-// dropped, or whole event classes were shed — and every consumer of
-// the trace should surface that.
+// is not full fidelity — whole event classes were shed, or nothing
+// was stored at all — and every consumer of the trace should surface
+// that. Traces written before the ladder lost its reduced-sampler and
+// no-stacks rungs hold levels 1 and 2, which decode and render as
+// those names.
 type GovernorStep struct {
 	Time   int64
 	From   degrade.Level

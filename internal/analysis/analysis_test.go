@@ -246,12 +246,14 @@ func govSample(t int64, from, to degrade.Level, reason degrade.Reason) perf.Samp
 }
 
 func TestGovernorSteps(t *testing.T) {
+	// Levels 1 and 2 are the retired reduced-sampler and no-stacks
+	// rungs: traces that hold them must still decode and render.
 	samples := []perf.Sample{
 		sample(10, 0, collector.EventThrBeginIBar),
-		govSample(50, degrade.LevelReducedSampler, degrade.LevelNoStacks, degrade.ReasonBackpressure),
-		govSample(20, degrade.LevelFull, degrade.LevelReducedSampler, degrade.ReasonOverCeiling),
+		govSample(50, degrade.Level(1), degrade.Level(2), degrade.ReasonBackpressure),
+		govSample(20, degrade.LevelFull, degrade.Level(1), degrade.ReasonOverCeiling),
 		sample(30, 0, collector.EventThrEndIBar),
-		govSample(90, degrade.LevelNoStacks, degrade.LevelReducedSampler, degrade.ReasonRecovered),
+		govSample(90, degrade.Level(2), degrade.Level(1), degrade.ReasonRecovered),
 	}
 	steps := GovernorSteps(samples)
 	if len(steps) != 3 {
@@ -259,13 +261,13 @@ func TestGovernorSteps(t *testing.T) {
 	}
 	// Ordered by time, fields decoded from the sample slots.
 	if steps[0].Time != 20 || steps[0].From != degrade.LevelFull ||
-		steps[0].To != degrade.LevelReducedSampler || steps[0].Reason != degrade.ReasonOverCeiling {
+		steps[0].To != degrade.Level(1) || steps[0].Reason != degrade.ReasonOverCeiling {
 		t.Errorf("step[0] = %+v", steps[0])
 	}
-	if steps[1].To != degrade.LevelNoStacks || steps[1].Reason != degrade.ReasonBackpressure {
+	if steps[1].To != degrade.Level(2) || steps[1].Reason != degrade.ReasonBackpressure {
 		t.Errorf("step[1] = %+v", steps[1])
 	}
-	if got := FinalGovernorLevel(steps); got != degrade.LevelReducedSampler {
+	if got := FinalGovernorLevel(steps); got != degrade.Level(1) {
 		t.Errorf("final level = %v", got)
 	}
 	if got := FinalGovernorLevel(nil); got != degrade.LevelFull {
@@ -280,11 +282,30 @@ func TestGovernorSteps(t *testing.T) {
 			t.Errorf("report missing %q:\n%s", want, out)
 		}
 	}
+
+	// Today's ladder: full -> shed-events -> counters-only.
+	steps = GovernorSteps([]perf.Sample{
+		govSample(60, degrade.LevelShedEvents, degrade.LevelCountersOnly, degrade.ReasonOverCeiling),
+		govSample(40, degrade.LevelFull, degrade.LevelShedEvents, degrade.ReasonBackpressure),
+	})
+	if len(steps) != 2 || steps[0].To != degrade.LevelShedEvents || steps[1].From != degrade.LevelShedEvents {
+		t.Fatalf("steps = %+v", steps)
+	}
+	if got := FinalGovernorLevel(steps); got != degrade.LevelCountersOnly {
+		t.Errorf("final level = %v", got)
+	}
+	buf.Reset()
+	WriteGovernorReport(&buf, steps)
+	for _, want := range []string{"full -> shed-events", "shed-events -> counters-only"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("report missing %q:\n%s", want, buf.String())
+		}
+	}
 }
 
 func TestTimelinesSkipGovernorSamples(t *testing.T) {
 	tls := Timelines([]perf.Sample{
-		govSample(5, degrade.LevelFull, degrade.LevelReducedSampler, degrade.ReasonOverCeiling),
+		govSample(5, degrade.LevelFull, degrade.LevelShedEvents, degrade.ReasonOverCeiling),
 		sample(10, 0, collector.EventThrBeginIBar),
 		sample(30, 0, collector.EventThrEndIBar),
 	})

@@ -1,11 +1,14 @@
 // Package degrade implements the overhead governor that makes
 // always-on profiling survivable: a feedback controller that
 // continuously compares what the measurement pipeline is spending
-// (callback record time, callstack captures, the asynchronous state
-// sampler) against wall time, and walks a degradation ladder whenever
-// the smoothed overhead ratio crosses a configured ceiling — reduce
-// the sampler rate first, then drop stack capture, then shed the
-// low-value event classes, and finally fall back to counters only.
+// (event record time, join stack walks included, and the asynchronous
+// state sampler) against wall time, and walks a three-rung degradation
+// ladder whenever the smoothed overhead ratio crosses a configured
+// ceiling — first shed the low-value event classes, then fall back to
+// counters only. Only rungs that store less are on the ladder: the
+// paper's §V-B puts the profiling overhead in measurement and storage,
+// and rungs that only slowed the sampler or skipped stack walks
+// measured inside the noise (EXPERIMENTS.md "The ladder re-priced").
 // When the load recedes the governor steps back up, but only after a
 // hysteresis window of consecutive well-under-ceiling ticks, so the
 // ladder never oscillates around the ceiling.
@@ -20,12 +23,12 @@
 // collector events in the trace) and the full history stays readable
 // for reports and the obs plane.
 //
-// Backpressure from downstream — a psxd answering OVERLOADED, or the
-// ingest sink engaging its on-disk spill — is a second governor input:
-// Backpressure() latches a flag the next tick consumes as an immediate
-// step-down, independent of the measured ratio, because a congested
-// sink means the profiler is already producing more than the system
-// can move.
+// Backpressure from downstream — a psxd answering OVERLOADED, the
+// ingest sink engaging its on-disk spill, or the streamer's relay
+// filling — is a second governor input: Backpressure() latches a flag
+// the next tick consumes as an immediate step-down, independent of the
+// measured ratio, because a congested sink means the profiler is
+// already producing more than the system can move.
 package degrade
 
 import (
@@ -36,56 +39,45 @@ import (
 )
 
 // Level is a rung of the degradation ladder, ordered from full
-// measurement to counters-only. Higher is more degraded.
+// measurement to counters-only. Higher is more degraded. The numbers
+// are trace data (EventGovernor samples, the goomp_governor_level
+// gauge), so the ladder skips 1 and 2: they were the retired
+// reduced-sampler and no-stacks rungs, and keep their names so older
+// traces still render.
 type Level int32
 
 const (
 	// LevelFull is undegraded measurement: every registered event is
 	// stored, join stacks are captured, the sampler runs at its
 	// configured period.
-	LevelFull Level = iota
+	LevelFull Level = 0
 
-	// LevelReducedSampler scales the asynchronous state sampler's
-	// period by SamplerScale (default 4×): state histograms coarsen
-	// before any event data is touched.
-	LevelReducedSampler
-
-	// LevelNoStacks additionally drops callstack capture, the most
-	// expensive per-event work the paper's §V-B decomposition measures.
-	LevelNoStacks
-
-	// LevelShedEvents additionally sheds the low-value event classes
+	// LevelShedEvents sheds the low-value event classes
 	// (implicit-barrier begin/end and the steal extension events):
-	// their dispatches are still counted, but nothing is stored.
-	LevelShedEvents
+	// their dispatches are still counted, but nothing is stored. Join
+	// stacks are not walked and the state sampler runs at SamplerScale
+	// times its period.
+	LevelShedEvents Level = 3
 
 	// LevelCountersOnly stores nothing at all: the collector's atomic
 	// dispatch counters are the entire measurement.
-	LevelCountersOnly
-
-	numLevels int32 = iota
+	LevelCountersOnly Level = 4
 )
 
-var levelNames = [...]string{
-	LevelFull:           "full",
-	LevelReducedSampler: "reduced-sampler",
-	LevelNoStacks:       "no-stacks",
-	LevelShedEvents:     "shed-events",
-	LevelCountersOnly:   "counters-only",
-}
+var levelNames = [...]string{"full", "reduced-sampler", "no-stacks", "shed-events", "counters-only"}
 
-// Valid reports whether l names a defined ladder level.
-func (l Level) Valid() bool { return l >= 0 && int32(l) < numLevels }
+// ladder lists the rungs the governor walks, one per tick.
+var ladder = [...]Level{LevelFull, LevelShedEvents, LevelCountersOnly}
 
 func (l Level) String() string {
-	if !l.Valid() {
+	if l < 0 || int(l) >= len(levelNames) {
 		return fmt.Sprintf("level(%d)", int32(l))
 	}
 	return levelNames[l]
 }
 
-// SamplerScale is the factor LevelReducedSampler (and above) applies
-// to the state sampler's period.
+// SamplerScale is the factor LevelShedEvents (and above) applies to
+// the state sampler's period.
 const SamplerScale = 4
 
 // Reason explains why a transition happened.
@@ -130,49 +122,41 @@ func (t Transition) String() string {
 	return fmt.Sprintf("%s -> %s (%s, ratio %.4f)", t.From, t.To, t.Reason, t.Ratio)
 }
 
-// pad keeps each CostMeter counter on its own cache line so the three
-// writer populations (event threads, the join-stack path, the sampler
-// goroutine) never false-share.
+// pad keeps each CostMeter counter on its own cache line so the two
+// writer populations (event threads, the sampler goroutine) never
+// false-share.
 type pad [56]byte
 
 // CostMeter accumulates profiling cost in nanoseconds, split by
 // component. All methods are safe for concurrent use; Add* are single
 // atomic adds sized for the measurement hot path.
 type CostMeter struct {
-	record  atomic.Int64 // event-callback record time
-	_       pad
-	stack   atomic.Int64 // callstack capture time
+	record  atomic.Int64 // event-callback time, join stack walks included
 	_       pad
 	sampler atomic.Int64 // asynchronous state-sampler time
 	_       pad
 }
 
-// AddRecord charges ns of event-callback record time.
+// AddRecord charges ns of event-callback time.
 func (m *CostMeter) AddRecord(ns int64) { m.record.Add(ns) }
-
-// AddStack charges ns of callstack-capture time.
-func (m *CostMeter) AddStack(ns int64) { m.stack.Add(ns) }
 
 // AddSampler charges ns of state-sampler time.
 func (m *CostMeter) AddSampler(ns int64) { m.sampler.Add(ns) }
 
-// Record returns the accumulated event-callback time.
-func (m *CostMeter) Record() int64 { return m.record.Load() }
-
-// Stack returns the accumulated callstack-capture time.
-func (m *CostMeter) Stack() int64 { return m.stack.Load() }
-
 // Total returns the accumulated profiling cost across components.
-func (m *CostMeter) Total() int64 {
-	return m.record.Load() + m.stack.Load() + m.sampler.Load()
-}
+func (m *CostMeter) Total() int64 { return m.record.Load() + m.sampler.Load() }
 
-// Defaults; Config overrides.
+// DefaultTick is the measurement period when Config.Tick is zero.
+const DefaultTick = 100 * time.Millisecond
+
+// The controller's tuning: the EWMA smoothing factor (higher reacts
+// faster), and the hysteresis that recovers one rung only after
+// stepUpTicks consecutive ticks under Ceiling×stepUpFraction, so a
+// recovered rung does not immediately re-trip.
 const (
-	DefaultTick        = 100 * time.Millisecond
-	defaultAlpha       = 0.3
-	defaultStepUpTicks = 5
-	defaultStepUpFrac  = 0.5
+	alpha          = 0.3
+	stepUpTicks    = 5
+	stepUpFraction = 0.5
 )
 
 // Config parameterizes a Governor.
@@ -183,21 +167,6 @@ type Config struct {
 
 	// Tick is the measurement period. Zero means DefaultTick (100ms).
 	Tick time.Duration
-
-	// Alpha is the EWMA smoothing factor in (0, 1]; higher reacts
-	// faster. Zero means 0.3.
-	Alpha float64
-
-	// StepUpTicks is the hysteresis window: how many consecutive ticks
-	// must measure under Ceiling×StepUpFraction before one rung is
-	// recovered. Zero means 5.
-	StepUpTicks int
-
-	// StepUpFraction scales the ceiling for the step-up threshold (the
-	// hysteresis band). Zero means 0.5: recover only when overhead is
-	// under half the ceiling, so a recovered rung does not immediately
-	// re-trip.
-	StepUpFraction float64
 
 	// Now is the governor's clock in nanoseconds; injectable so tests
 	// drive the EWMA deterministically. Zero means a monotonic clock.
@@ -223,6 +192,7 @@ type Governor struct {
 	ratioMilli   atomic.Int64 // EWMA ratio ×1e6, for lock-free readers
 
 	// Tick-path-private state (a single goroutine ticks).
+	rung       int // index into ladder of the current level
 	lastNow    int64
 	lastCost   int64
 	ewma       float64
@@ -243,15 +213,6 @@ func New(cfg Config) (*Governor, error) {
 	}
 	if cfg.Tick <= 0 {
 		cfg.Tick = DefaultTick
-	}
-	if cfg.Alpha <= 0 || cfg.Alpha > 1 {
-		cfg.Alpha = defaultAlpha
-	}
-	if cfg.StepUpTicks <= 0 {
-		cfg.StepUpTicks = defaultStepUpTicks
-	}
-	if cfg.StepUpFraction <= 0 || cfg.StepUpFraction >= 1 {
-		cfg.StepUpFraction = defaultStepUpFrac
 	}
 	now := cfg.Now
 	if now == nil {
@@ -338,31 +299,34 @@ func (g *Governor) Tick() {
 	}
 	ratio := float64(cost-g.lastCost) / float64(wall)
 	g.lastNow, g.lastCost = now, cost
-	g.ewma = g.cfg.Alpha*ratio + (1-g.cfg.Alpha)*g.ewma
+	g.ewma = alpha*ratio + (1-alpha)*g.ewma
 	g.ratioMilli.Store(int64(g.ewma * 1e6))
 
-	lvl := g.Level()
+	bottom := g.rung == len(ladder)-1
 	congested := g.backpressure.Swap(0) != 0
 	switch {
-	case congested && lvl < LevelCountersOnly:
+	case congested && !bottom:
 		g.underTicks = 0
-		g.move(lvl, lvl+1, ReasonBackpressure, now)
-	case g.ewma > g.cfg.Ceiling && lvl < LevelCountersOnly:
+		g.move(g.rung+1, ReasonBackpressure, now)
+	case g.ewma > g.cfg.Ceiling && !bottom:
 		g.underTicks = 0
-		g.move(lvl, lvl+1, ReasonOverCeiling, now)
-	case g.ewma < g.cfg.Ceiling*g.cfg.StepUpFraction && lvl > LevelFull:
+		g.move(g.rung+1, ReasonOverCeiling, now)
+	case g.ewma < g.cfg.Ceiling*stepUpFraction && g.rung > 0:
 		g.underTicks++
-		if g.underTicks >= g.cfg.StepUpTicks {
+		if g.underTicks >= stepUpTicks {
 			g.underTicks = 0
-			g.move(lvl, lvl-1, ReasonRecovered, now)
+			g.move(g.rung-1, ReasonRecovered, now)
 		}
 	default:
 		g.underTicks = 0
 	}
 }
 
-// move commits one transition: level store, counters, history, hook.
-func (g *Governor) move(from, to Level, why Reason, now int64) {
+// move commits one transition to ladder[rung]: level store, counters,
+// history, hook.
+func (g *Governor) move(rung int, why Reason, now int64) {
+	from, to := ladder[g.rung], ladder[rung]
+	g.rung = rung
 	g.level.Store(int32(to))
 	if to > from {
 		g.stepsDown.Add(1)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -59,7 +60,9 @@ func TestGovernorLadderDescends(t *testing.T) {
 	if rep.GovernorCeiling != 1e-9 {
 		t.Errorf("report ceiling = %v", rep.GovernorCeiling)
 	}
-	if len(rep.GovernorSteps) < int(degrade.LevelCountersOnly) {
+	// The ladder's rungs, in descent order.
+	rung := map[degrade.Level]int{degrade.LevelFull: 0, degrade.LevelShedEvents: 1, degrade.LevelCountersOnly: 2}
+	if len(rep.GovernorSteps) < len(rung)-1 {
 		t.Fatalf("only %d transitions recorded: %v", len(rep.GovernorSteps), rep.GovernorSteps)
 	}
 	// The history must be a chain (each step leaves from where the last
@@ -73,12 +76,12 @@ func TestGovernorLadderDescends(t *testing.T) {
 		if tr.From != level {
 			t.Fatalf("step %d leaves from %v, previous arrived at %v", i, tr.From, level)
 		}
-		switch {
-		case tr.To == tr.From+1:
+		switch to, ok := rung[tr.To]; {
+		case ok && to == rung[tr.From]+1:
 			if tr.Reason != degrade.ReasonOverCeiling && tr.Reason != degrade.ReasonBackpressure {
 				t.Fatalf("step-down %d reason = %v", i, tr.Reason)
 			}
-		case tr.To == tr.From-1:
+		case ok && to == rung[tr.From]-1:
 			if tr.Reason != degrade.ReasonRecovered {
 				t.Fatalf("step-up %d reason = %v", i, tr.Reason)
 			}
@@ -251,11 +254,13 @@ func TestGovernorBackpressureStepAndRecovery(t *testing.T) {
 }
 
 // TestGovernorChargesTheJoinWalk: the walk a join makes is the tool's
-// own cost, and reaches the governor's stack bucket with the join.
+// own cost, and reaches the governor's meter with the join. Only the
+// join is registered, so it is the only thing the meter can hold.
 func TestGovernorChargesTheJoinWalk(t *testing.T) {
 	rt := omp.New(omp.Config{NumThreads: 2})
 	defer rt.Close()
 	opts := FullMeasurement()
+	opts.Events = []collector.Event{collector.EventJoin}
 	opts.OverheadCeiling = 1 // never over: the ladder stays at full fidelity
 	opts.GovernorTick = time.Hour
 	tl, err := AttachRuntime(rt, opts)
@@ -263,12 +268,74 @@ func TestGovernorChargesTheJoinWalk(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tl.Detach()
-	if got := tl.gov.Meter().Stack(); got != 0 {
-		t.Fatalf("stack bucket holds %d before any join", got)
+	if got := tl.gov.Meter().Total(); got != 0 {
+		t.Fatalf("meter holds %d before any join", got)
 	}
 	rt.Parallel(func(*omp.ThreadCtx) {})
-	if got := tl.gov.Meter().Stack(); got <= 0 {
-		t.Errorf("stack bucket holds %d after a join", got)
+	if got := tl.gov.Meter().Total(); got <= 0 {
+		t.Errorf("meter holds %d after a join", got)
+	}
+}
+
+// TestGovernorFirstStepShedsBarriersAndSteals: the first step down is
+// one that stores less. One backpressure tick from full must stop the
+// storage of implicit-barrier and steal samples, and of join stacks,
+// while fork and join are still stored and every shed event is still
+// counted.
+func TestGovernorFirstStepShedsBarriersAndSteals(t *testing.T) {
+	rt := omp.New(omp.Config{NumThreads: 4})
+	defer rt.Close()
+	opts := FullMeasurement()
+	opts.OverheadCeiling = 1
+	opts.GovernorTick = time.Hour // this test is the only ticker
+	tl, err := AttachRuntime(rt, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tl.gov.Tick() // the baseline
+	time.Sleep(time.Millisecond)
+	tl.gov.Backpressure()
+	tl.gov.Tick()
+	if got := tl.gov.Level(); got != degrade.LevelShedEvents {
+		t.Fatalf("one backpressure tick from full reached %v, want %v", got, degrade.LevelShedEvents)
+	}
+	for i := 0; i < 20; i++ {
+		rt.Parallel(func(tc *omp.ThreadCtx) {
+			tc.ForSched(256, omp.ScheduleSteal, 1, func(lo, hi int) {
+				if lo < 8 {
+					for s := 0; s < 50; s++ {
+						runtime.Gosched()
+					}
+				}
+			})
+		})
+	}
+	tl.Detach()
+
+	stored := make(map[collector.Event]int)
+	for _, tb := range tl.snapshotBuffers() {
+		for _, s := range tb.buf.Samples() {
+			e := collector.Event(s.Event)
+			stored[e]++
+			if e == collector.EventJoin && s.StackID != perf.NoStack {
+				t.Fatalf("a join stored a stack at %v", degrade.LevelShedEvents)
+			}
+		}
+	}
+	rep := tl.Report()
+	for _, e := range []collector.Event{collector.EventFork, collector.EventJoin} {
+		if stored[e] == 0 {
+			t.Errorf("%v: no sample stored at %v", e, degrade.LevelShedEvents)
+		}
+	}
+	for _, e := range []collector.Event{collector.EventThrBeginIBar, collector.EventThrEndIBar,
+		collector.EventChunkSteal, collector.EventTaskSteal} {
+		if stored[e] != 0 {
+			t.Errorf("%v: %d samples stored at %v", e, stored[e], degrade.LevelShedEvents)
+		}
+	}
+	if rep.Events[collector.EventThrBeginIBar] == 0 || rep.Events[collector.EventChunkSteal] == 0 {
+		t.Errorf("the shed classes were not dispatched: %v", rep.Events)
 	}
 }
 

@@ -188,7 +188,7 @@ func (t *Tool) startObs(addr string) (*obs.Server, error) {
 
 	if g := t.gov; g != nil {
 		reg.GaugeFunc("goomp_governor_level",
-			"Current degradation-ladder level (0 full ... 4 counters-only).",
+			"Current degradation-ladder level (0 full, 3 shed-events, 4 counters-only).",
 			func() float64 { return float64(g.Level()) })
 		reg.GaugeFunc("goomp_governor_overhead_ratio",
 			"EWMA profiling overhead as a fraction of wall time.",

@@ -113,15 +113,14 @@ type Options struct {
 
 	// OverheadCeiling arms the overhead governor: a target maximum for
 	// profiling cost as a fraction of wall time, in (0, 1]. The
-	// governor continuously self-measures (EWMA of record/stack/sampler
+	// governor continuously self-measures (EWMA of record and sampler
 	// nanoseconds against wall time) and enforces the ceiling by
-	// stepping down a degradation ladder — reduce the sampler rate,
-	// drop stack capture, shed low-value event classes, finally
-	// counters-only — stepping back up with hysteresis when load
-	// recedes. Every transition is recorded as an OMP_EVENT_GOVERNOR
-	// trace sample and exposed on the obs plane. Zero (the default)
-	// disables governing. cmd front-ends default it from
-	// GOMP_OVERHEAD_CEILING (a fraction like "0.02", or "2%").
+	// stepping down a degradation ladder — shed low-value event
+	// classes, then counters-only — stepping back up with hysteresis
+	// when load recedes. Every transition is recorded as an
+	// OMP_EVENT_GOVERNOR trace sample and exposed on the obs plane.
+	// Zero (the default) disables governing. cmd front-ends default it
+	// from GOMP_OVERHEAD_CEILING (a fraction like "0.02", or "2%").
 	OverheadCeiling float64
 
 	// GovernorTick overrides the governor's measurement period (default
@@ -426,19 +425,17 @@ func (t *Tool) callback(e collector.Event, ti *collector.ThreadInfo) {
 		return
 	}
 	// The governor gate costs one atomic load when armed, nothing when
-	// off. Levels at or past counters-only (and, one rung earlier, the
-	// shed event classes) return before any measurement work: the
-	// collector's dispatch counters remain the record of what happened.
+	// off. Counters-only (and, one rung earlier, the shed event
+	// classes) return before any measurement work: the collector's
+	// dispatch counters remain the record of what happened.
 	gov := t.gov
-	var lvl degrade.Level
+	stacks := t.opts.JoinStacks
 	if gov != nil {
-		lvl = gov.Level()
-		if lvl >= degrade.LevelCountersOnly {
+		lvl := gov.Level()
+		if lvl >= degrade.LevelCountersOnly || lvl >= degrade.LevelShedEvents && shedEvent(e) {
 			return
 		}
-		if lvl >= degrade.LevelShedEvents && shedEvent(e) {
-			return
-		}
+		stacks = stacks && lvl < degrade.LevelShedEvents
 	}
 	team := ti.Team()
 	if t.throttle != nil {
@@ -479,20 +476,16 @@ func (t *Tool) callback(e collector.Event, ti *collector.ThreadInfo) {
 		// victim->thief migration edge.
 		sample.State = ti.StealVictim()
 	}
-	if t.opts.JoinStacks && e == collector.EventJoin &&
-		(gov == nil || lvl < degrade.LevelNoStacks) {
+	if stacks && e == collector.EventJoin {
 		// The walk starts at our caller; the buffer stores the path from
 		// the region's site (sample.Site) on.
 		buf.AppendCallstack(sample, 1)
-		if gov != nil {
-			// The sample's own timestamp doubles as the cost clock: the
-			// stack path is charged whole, since the capture dominates it.
-			gov.Meter().AddStack(perf.Cycles() - now)
-		}
-		return
+	} else {
+		buf.Append(sample)
 	}
-	buf.Append(sample)
 	if gov != nil {
+		// The sample's own timestamp doubles as the cost clock, so a
+		// join is charged its stack walk with its append.
 		gov.Meter().AddRecord(perf.Cycles() - now)
 	}
 }
@@ -778,8 +771,8 @@ func startSampler(t *Tool, period time.Duration) *sampler {
 				return
 			case <-tick.C:
 				if g := t.gov; g != nil {
-					if g.Level() >= degrade.LevelReducedSampler {
-						// Reduced-sampler mode: process only every
+					if g.Level() >= degrade.LevelShedEvents {
+						// Shed rungs slow the sampler: process only every
 						// SamplerScale'th tick. Skipping here rather than
 						// resetting the ticker keeps the cadence shift
 						// instantaneous in both directions.
