@@ -27,12 +27,13 @@ test: build
 # widths, because a nested region borrows the encountering thread's
 # descriptor across goroutines and the oracle is the program that
 # nests — then the format gate. Nothing in tool or cmd writes v1 any more
-# (every write path is walked block by block), nor PSX2 versions 1 and
-# 2, so they live on only as something the readers must keep opening:
-# the checked-in v1, PSX2 version-1 and version-2 fixtures, v1 and PSX2
-# blocks of each version mixed in one stream, arbitrary samples (times
-# that go back, events that share a table slot) through version 3, and
-# every writer/reader pairing must read back through
+# (every write path is walked block by block), nor PSX2 versions 1 to
+# 3, so they live on only as something the readers must keep opening:
+# the checked-in v1 and PSX2 version-1 to version-3 fixtures, v1 and
+# PSX2 blocks of each version mixed in one stream, arbitrary samples
+# (times that go back, events that share a table slot) through versions
+# 3 and 4, version 4's time column at its edges (all-zero deltas, every
+# delta escaping), and every writer/reader pairing must read back through
 # the auto-detecting reader, and no header may make the reader size
 # its slab past what the stream's bytes allow; a torn tail must be the
 # typed count mismatch, from a byte reader and from a file, and a file
@@ -40,7 +41,8 @@ test: build
 # allocation guards: what psxd's per-chunk count check, the trace
 # reader and Timelines may allocate per sample, and what a chunk may
 # allocate on its way from the recording thread through the encoder and
-# the sender's frame to psxd's writer. They skip themselves
+# the sender's frame to psxd's writer, and what a region's critical,
+# single and ordered constructs may allocate. They skip themselves
 # under -race (the detector changes what an allocation costs), so this
 # is the run that enforces them.
 check:
@@ -50,7 +52,7 @@ check:
 	$(GO) test -race -cpu 1,2,4 ./internal/omp ./internal/collector ./internal/perf ./internal/tool ./internal/degrade ./internal/ingest
 	$(GO) test -race -cpu 1,2,4 -run 'PathOracle' .
 	$(GO) test -count=1 ./internal/faultinject -run 'EveryWritePathWritesPSX2'
-	$(GO) test -count=1 ./internal/perf -run 'V1Fixture|PSX2Version1Fixture|PSX2Version2Fixture|V3RoundTrip|V2CrossRead|MixedStream|V2TornTail|ForgedCount|CountMismatch|AsSkimmed'
+	$(GO) test -count=1 ./internal/perf -run 'V1Fixture|PSX2Version1Fixture|PSX2Version2Fixture|PSX2Version3Fixture|V3RoundTrip|V4RoundTrip|V2CrossRead|MixedStream|V2TornTail|ForgedCount|CountMismatch|AsSkimmed'
 	$(GO) test -count=1 ./internal/omp ./internal/perf ./internal/analysis ./internal/tool ./internal/ingest -run 'Alloc'
 
 # chaos runs the deterministic fault-injection suite — panicking and

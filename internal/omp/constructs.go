@@ -36,7 +36,11 @@ func (tc *ThreadCtx) singleNoWait(fn func()) {
 	t.wsMu.Lock()
 	sd := t.singles[seq]
 	if sd == nil {
-		sd = new(singleDesc)
+		if n := len(t.singleFree); n > 0 {
+			sd, t.singleFree = t.singleFree[n-1], t.singleFree[:n-1]
+		} else {
+			sd = new(singleDesc)
+		}
 		t.singles[seq] = sd
 	}
 	t.wsMu.Unlock()
@@ -50,8 +54,13 @@ func (tc *ThreadCtx) singleNoWait(fn func()) {
 		tc.rt.col.Event(tc.td, collector.EventThrEndSingle)
 	}
 	if int(sd.arrived.Add(1)) == t.size {
+		// Every member is done with the descriptor: it goes back to the
+		// team for the next single.
+		sd.taken.Store(false)
+		sd.arrived.Store(0)
 		t.wsMu.Lock()
 		delete(t.singles, seq)
+		t.singleFree = append(t.singleFree, sd)
 		t.wsMu.Unlock()
 	}
 }

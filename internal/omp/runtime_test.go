@@ -623,6 +623,44 @@ func TestAllocRegion(t *testing.T) {
 	}
 }
 
+// TestAllocConstructs: past the region's TeamInfo, a named critical
+// section and a single allocate nothing (a critical's supervision label
+// is built only while the hang supervisor runs, and a single's
+// descriptor is recycled through the team), and ForOrdered allocates one
+// handle per thread and loop, not one per iteration.
+func TestAllocConstructs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation guards run without the race detector")
+	}
+	const threads = 2
+	for _, c := range []struct {
+		name string
+		body func(*ThreadCtx)
+		want float64
+	}{
+		{"critical", func(tc *ThreadCtx) {
+			for range 16 {
+				tc.Critical("name", func() {})
+			}
+		}, 1},
+		{"single", func(tc *ThreadCtx) {
+			for range 16 {
+				tc.Single(func() {})
+				tc.SingleNoWait(func() {})
+			}
+		}, 1},
+		{"ordered", func(tc *ThreadCtx) {
+			tc.ForOrdered(64, func(_ int, o *Ordered) { o.Do(func() {}) })
+		}, 1 + threads},
+	} {
+		r := newRT(t, Config{NumThreads: threads})
+		r.Parallel(c.body) // the pool, the critical's lock, the ring's condition variables
+		if got := testing.AllocsPerRun(200, func() { r.Parallel(c.body) }); got != c.want {
+			t.Errorf("%s: a region allocates %.1f times, want %.0f", c.name, got, c.want)
+		}
+	}
+}
+
 func TestTrueNestedRegion(t *testing.T) {
 	r := newRT(t, Config{NumThreads: 2, Nested: true})
 	var innerThreads atomic.Int64

@@ -352,7 +352,9 @@ func (tc *ThreadCtx) ForSchedNoWait(n int, sched Schedule, chunk int, body func(
 }
 
 // Ordered is the handle a ForOrdered body uses to run its ordered
-// section in iteration order.
+// section in iteration order. The loop reuses one handle for all of a
+// thread's iterations, so a handle is valid only during the body call
+// it was passed to.
 type Ordered struct {
 	tc *ThreadCtx
 	ld *loopDesc
@@ -410,8 +412,10 @@ func (o *Ordered) Do(fn func()) {
 func (tc *ThreadCtx) ForOrdered(n int, body func(i int, ord *Ordered)) {
 	ld := tc.getLoop(n, 1)
 	lo, hi := StaticBounds(tc.id, tc.team.size, n)
+	ord := &Ordered{tc: tc, ld: ld}
 	for i := lo; i < hi; i++ {
-		body(i, &Ordered{tc: tc, ld: ld, i: i})
+		ord.i = i
+		body(i, ord)
 	}
 	tc.doneLoop(ld)
 	tc.implicitBarrier()

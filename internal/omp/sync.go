@@ -192,7 +192,11 @@ func (nl *NestedLock) Depth() int {
 // critical wait ID and the critical wait events (§IV-C.4).
 func (tc *ThreadCtx) Critical(name string, fn func()) {
 	l := tc.rt.criticalLock(name)
-	tc.enterGeneratedLock(l, criticalDetail(name), collector.StateCriticalWait,
+	detail := ""
+	if super.Enabled() != nil { // only the hang supervisor reads it
+		detail = criticalDetail(name)
+	}
+	tc.enterGeneratedLock(l, detail, collector.StateCriticalWait,
 		collector.EventThrBeginCtwt, collector.EventThrEndCtwt)
 	fn()
 	l.Release()

@@ -40,11 +40,13 @@ type Team struct {
 	// sequence of worksharing constructs, so equal sequence numbers
 	// address the same construct instance. Loop descriptors live in a
 	// fixed ring of preallocated padded slots indexed by sequence
-	// number (see getLoop); single descriptors are created by the
-	// first thread to arrive and removed by the last to leave.
-	wsMu    sync.Mutex
-	singles map[uint64]*singleDesc
-	ring    [loopRingSize]loopDesc
+	// number (see getLoop); single descriptors are taken by the first
+	// thread to arrive, from singleFree when it holds one, and returned
+	// there by the last to leave.
+	wsMu       sync.Mutex
+	singles    map[uint64]*singleDesc
+	singleFree []*singleDesc
+	ring       [loopRingSize]loopDesc
 
 	// reduction is the compiler-generated lock serializing updates of
 	// shared reduction variables under the generic Reduce path

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math/bits"
 )
 
 // blockDecoder reads the trace blocks of one stream into one buffer.
@@ -320,27 +321,9 @@ func (p *varints) oneByte() (u uint64, ok bool) {
 	return 0, false
 }
 
-// short decodes the next uvarint. Most are one byte (an event or state
-// in a version-1 block) or two (a time delta), so those cases do not go
-// through the general loop.
-func (p *varints) short() (u uint64, ok bool) {
-	if p.off+1 < len(p.buf) {
-		b0, b1 := p.buf[p.off], p.buf[p.off+1]
-		if b0 < 0x80 {
-			p.off++
-			return uint64(b0), true
-		}
-		if b1 < 0x80 {
-			p.off += 2
-			return uint64(b0&0x7f) | uint64(b1)<<7, true
-		}
-	}
-	return p.uvarint()
-}
-
 // next decodes the next value as a zigzag-mapped signed one.
 func (p *varints) next() (v int64, ok bool) {
-	u, ok := p.short()
+	u, ok := p.uvarint()
 	return unzigzag(u), ok
 }
 
@@ -415,7 +398,44 @@ func (p *varints) runs(vals []int64, delta bool) (err error) {
 var (
 	errTruncatedV2  = fmt.Errorf("%w: truncated v2 payload", ErrBadTrace)
 	errRunPastCount = fmt.Errorf("%w: v2 run past the declared sample count", ErrBadTrace)
+	errRiceK        = fmt.Errorf("%w: v2 time parameter missing or out of range", ErrBadTrace)
 )
+
+// bitReader reads a version-4 time column: the bits of buf LSB-first,
+// from bit at on (a uint64: a payload may hold 2^33 bits).
+type bitReader struct {
+	buf []byte
+	at  uint64
+}
+
+// peek returns the 64 bits from at on, at least 57 of them buf's; a
+// bit past the end of buf reads as zero.
+func (r *bitReader) peek() uint64 {
+	if i := int(r.at >> 3); i+8 <= len(r.buf) {
+		return binary.LittleEndian.Uint64(r.buf[i:]) >> (r.at & 7)
+	}
+	var tail [8]byte
+	copy(tail[:], r.buf[min(int(r.at>>3), len(r.buf)):])
+	return binary.LittleEndian.Uint64(tail[:]) >> (r.at & 7)
+}
+
+// rice decodes the next delta of parameter k, the mirror of
+// appendRice: the quotient's zero bits are the code's trailing zeros,
+// and riceEscape of them are an escape, whose length and low 32 bits
+// the same peek holds.
+func (r *bitReader) rice(k uint) uint64 {
+	w := r.peek()
+	if q := uint(bits.TrailingZeros64(w)); q < riceEscape {
+		r.at += uint64(q + 1 + k)
+		return uint64(q)<<(k&63) | w>>((q+1)&63)&(1<<(k&63)-1) // counts masked: each shift one instruction
+	}
+	n := uint(w>>riceEscape&63) + 1
+	lo := min(n, 32)
+	r.at += uint64(riceEscape + 6 + lo)
+	hi := r.peek() & (1<<(n-lo) - 1) // none when n <= 32
+	r.at += uint64(n - lo)
+	return hi<<32 | w>>(riceEscape+6)&(1<<lo-1)
+}
 
 // stageV2 parses the payload of a PSX2 block with header h, validating
 // it in the order the format allows: the declared extent must be
@@ -441,20 +461,25 @@ func (d *blockDecoder) stageV2(h blockHeader) error {
 		// The inflater holds nothing but memory, so it is reused and
 		// never closed. Inflation stops one byte past the longest
 		// payload the declared counts could need: a longer one is
-		// refused below without being held. A sample costs each column
-		// at most one word of at most ten bytes (a 65-bit run word takes
-		// ten, as a 64-bit varint does); a run's length, four bytes at
-		// most, rides on a run of two samples or more, whose second
-		// sample pays no word.
+		// refused below without being held. A sample costs each run-coded
+		// column at most one word of at most ten bytes (a 65-bit run word
+		// takes ten, as a 64-bit varint does); a run's length, four bytes
+		// at most, rides on a run of two samples or more, whose second
+		// sample pays no word. A version-4 time code takes at most 86
+		// bits, an escape's 16 + 6 + 64, so eleven bytes a sample hold the
+		// time column, and one byte more its parameter.
 		d.deflated.Reset(d.stored.Bytes())
 		if d.inflate == nil {
 			d.inflate = flate.NewReader(&d.deflated)
 		} else if err := d.inflate.(flate.Resetter).Reset(&d.deflated, nil); err != nil {
 			return err
 		}
-		const perSample, perStack = 7 * binary.MaxVarintLen64, (1 + maxStackDepth) * binary.MaxVarintLen64
+		const perSample, perStack = 6*binary.MaxVarintLen64 + 11, (1 + maxStackDepth) * binary.MaxVarintLen64
 		d.raw.Reset()
 		d.limit = io.LimitedReader{R: d.inflate, N: int64(h.ns*perSample+h.nst*perStack) + 1}
+		if h.ver >= 4 {
+			d.limit.N++
+		}
 		if _, err := d.raw.ReadFrom(&d.limit); err != nil {
 			return errTruncatedV2
 		}
@@ -465,13 +490,27 @@ func (d *blockDecoder) stageV2(h blockHeader) error {
 	// samples; the time column sizes the scratch. The run-coded ones
 	// follow in the order BlockEncoder.encode writes them, each decoded
 	// into vals (runs, the mirror of appendRuns) and set from there.
-	// Before version 3 a time delta is zigzag-mapped, and an event or
-	// state is stored as itself.
+	// Before version 4 a time delta is a uvarint; before version 3 it is
+	// zigzag-mapped, and an event or state is stored as itself.
 	v3 := h.ver >= 3
 	d.samples = d.samples[:0]
 	var t int64
-	for i := uint64(0); i < h.ns; i++ {
-		u, ok := p.short()
+	if h.ver >= 4 {
+		if len(p.buf) == 0 || p.buf[0] > maxRiceK {
+			return errRiceK
+		}
+		k, r := uint(p.buf[0]), bitReader{buf: p.buf[1:]}
+		for i := uint64(0); i < h.ns; i++ {
+			t += int64(r.rice(k))
+			if r.at > 8*uint64(len(r.buf)) {
+				return errTruncatedV2
+			}
+			d.samples = append(d.samples, Sample{Time: t})
+		}
+		p.off = 1 + int((r.at+7)/8)
+	}
+	for i := uint64(0); i < h.ns && h.ver < 4; i++ {
+		u, ok := p.uvarint()
 		if !ok {
 			return errTruncatedV2
 		}

@@ -93,12 +93,16 @@ func FuzzReadTrace(f *testing.F) {
 		f.Fatal(err)
 	}
 	payload := append([]byte(nil), one.Bytes()[v2HeaderLen:]...)
-	p := varints{buf: payload, flag: 1}
-	for i := 0; i < runs.Len(); i++ {
-		p.next()
-	}
-	payload[p.off+1]++ // the thread column's one run, one sample longer
-	f.Add(v2BlockFromPayload(uint64(runs.Len()), uint64(runs.NumStacks()), 0, payload))
+	payload[timeColumnEnd(payload, runs.Len())+1]++ // the thread column's one run, one sample longer
+	stretched := v2BlockFromPayload(uint64(runs.Len()), uint64(runs.NumStacks()), 0, payload)
+	binary.LittleEndian.PutUint32(stretched[4:8], traceV2Version)
+	f.Add(stretched)
+	// Version 4's time column at its edges: a valid k = 0 block, one
+	// declaring k out of range, and a unary part the payload cuts off.
+	valid4, badK, cut := riceEdgeBlocks(f)
+	f.Add(valid4)
+	f.Add(badK)
+	f.Add(cut)
 	version1, err := os.ReadFile(filepath.Join("testdata", "psx2-version1.psxt"))
 	if err != nil {
 		f.Fatal(err)

@@ -93,6 +93,26 @@ func TestReadTraceStreamForgedCountAllocatesLittle(t *testing.T) {
 	}
 }
 
+// TestV4ZeroBlockSlabSizedOnce: a version-4 sample may take one bit, so
+// the skim's bound on a plain block is one sample per payload bit, and a
+// legal block of 256 samples in a few dozen bytes is read into a slab
+// made once, at the skim's count.
+func TestV4ZeroBlockSlabSizedOnce(t *testing.T) {
+	valid, _, _ := riceEdgeBlocks(t)
+	n, _, err := skim(bufio.NewReader(bytes.NewReader(valid)), true)
+	if err != nil || n != 256 || len(valid)-v2HeaderLen >= 256 {
+		t.Fatalf("skim of a %d-byte payload: %d samples, %v; want 256", len(valid)-v2HeaderLen, n, err)
+	}
+	d := newBlockDecoder(bufio.NewReader(bytes.NewReader(valid)), int(n))
+	slab := d.slab[:1]
+	if err := d.readBlock(); err != nil {
+		t.Fatal(err)
+	}
+	if len(d.slab) != 256 || &d.slab[0] != &slab[0] {
+		t.Fatalf("%d samples read into a slab made again", len(d.slab))
+	}
+}
+
 // TestSamplesHandsOverTheSlab: a decoded buffer's Samples is its slab,
 // with no copy and no room to append into; writing to the buffer after
 // that goes to a chunk of its own, and the slice handed out never

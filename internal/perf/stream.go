@@ -32,7 +32,7 @@ import (
 // ErrCountMismatch rather than whatever its misaligned bytes would parse
 // as, and a file that grows while it is read is read as it stood at the
 // skim. The skim's count sizes the slab; a block adds at most one sample
-// per byte it holds to that count, whatever its header declares, so the
+// per bit it holds to that count, whatever its header declares, so the
 // slab is never larger than the stream's bytes allow. Other streams are
 // decoded to their end, the slab growing as their blocks commit.
 func ReadTraceStream(r io.Reader) (*TraceBuffer, error) {

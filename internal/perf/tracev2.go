@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math/bits"
+	"slices"
 	"sync"
 )
 
@@ -24,7 +26,7 @@ import (
 //
 // Layout (little-endian):
 //
-//	magic "PSX2", version uint32 (3; versions 1 and 2 are read, never written)
+//	magic "PSX2", version uint32 (4; versions 1 to 3 are read, never written)
 //	flags uint32 (bit 0: payload is flate-compressed)
 //	nsamples uint64, nstacks uint64 (dictionary entries), dropped uint64
 //	payloadLen uint64, payloadCRC uint32 (IEEE, over the stored bytes)
@@ -32,7 +34,7 @@ import (
 //
 // The payload (after decompression when flagged) is columnar:
 //
-//	times    nsamples × uvarint(delta of previous, starting 0)
+//	times    k byte, then nsamples Rice codes (delta of previous, starting 0)
 //	threads  runs of equal values, each the delta of the previous run's
 //	events   runs of equal values, each the event XOR its prediction
 //	states   runs of equal values, each the state XOR its prediction
@@ -43,11 +45,18 @@ import (
 //
 // A time delta is two's-complement: a thread's clock never goes back,
 // so a delta is small and positive, and one that is negative still
-// round-trips, in ten bytes. An event is predicted to be the event that
-// last followed the event before it in the block, and a state to be
-// the state that last came with its event (predictor; both start from
-// zero in every block), so a column of protocol-ordered brackets is
-// mostly runs of 0.
+// round-trips, as an escape. The time column is Rice-coded, bit-packed
+// LSB-first and padded to a byte: a delta d is its quotient q = d>>k as
+// q zero bits and a one bit, then d's k low bits. A quotient of
+// riceEscape or more is written as riceEscape zero bits, six bits of
+// d's bit length less one, and then that many bits of d: the block's
+// first time, a negative delta and an outlier escape. The encoder picks
+// k, at most maxRiceK, for the block (riceK).
+//
+// An event is predicted to be the event that last followed the event
+// before it in the block, and a state to be the state that last came
+// with its event (predictor; both start from zero in every block), so a
+// column of protocol-ordered brackets is mostly runs of 0.
 //
 // A run is the longest stretch of neighbouring samples that hold one
 // value in that column, and is written as the 65-bit uvarint of
@@ -62,11 +71,12 @@ import (
 // takes a 65th bit rather than one of the value's 64. The runs of a
 // column cover exactly nsamples samples; a run past that is refused.
 //
-// Version 2 wrote the same runs with no predictions: events and states
-// as themselves, and each time delta as uvarint(zigzag(delta)). Version
-// 1 also wrote every other column as nsamples × uvarint(zigzag(value or
-// delta of previous sample)): the same columns with every run of length
-// one and no flag bit. The reader still decodes both.
+// Version 3 wrote each time delta as a plain uvarint. Version 2 also
+// wrote the runs with no predictions: events and states as themselves,
+// and each time delta as uvarint(zigzag(delta)). Version 1 also wrote
+// every other column as nsamples × uvarint(zigzag(value or delta of
+// previous sample)): the same columns with every run of length one and
+// no flag bit. The reader still decodes all three.
 //
 // Unlike v1, the header states the payload's exact byte extent and its
 // checksum, so a block whose declared counts disagree with its bytes
@@ -81,7 +91,14 @@ var traceV2Magic = [4]byte{'P', 'S', 'X', '2'}
 const (
 	// traceV2Version is the layout every PSX2 block is written in;
 	// v2Decodable says which versions the readers decode.
-	traceV2Version = 3
+	traceV2Version = 4
+
+	// riceEscape is the quotient from which a version-4 time delta is
+	// escaped, and maxRiceK the largest parameter a block may declare: a
+	// code that does not escape then takes at most 56 bits, which one
+	// 64-bit load at any bit offset holds whole.
+	riceEscape = 16
+	maxRiceK   = 40
 
 	// flagV2Flate marks a flate-compressed payload.
 	flagV2Flate = 1 << 0
@@ -157,7 +174,7 @@ func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // v2Decodable reports whether the readers decode PSX2 blocks of version
-// ver: the version written and the versions 1 and 2 before it. The skim
+// ver: the version written and the versions 1 to 3 before it. The skim
 // counts no other, so psxd never acks, stores or recovers a block no
 // reader opens.
 func v2Decodable(ver uint32) bool { return ver >= 1 && ver <= traceV2Version }
@@ -245,6 +262,66 @@ func appendRunWord(b []byte, zig uint64, more bool) []byte {
 	return append(b, first)
 }
 
+// riceK estimates from the deltas' bit-length histogram the parameter
+// that codes n of them in the fewest bits, trying the median length and
+// its two neighbours. A delta whose length is e bits past k costs 1+k
+// bits and a quotient of about 1.5·2^(e-1) (0 when e is 0), or, when e
+// is 5 or more, the escape's riceEscape+6 bits and its own length.
+// Costs are doubled to stay whole, and lengths that escape at every k
+// tried, which cost the same at each, are left out.
+func riceK(hist *[65]int, n int) uint {
+	med := 0
+	for seen := hist[0]; 2*seen < n; seen += hist[med] {
+		med++
+	}
+	best, least := 0, -1
+	for k := min(max(med-1, 0), maxRiceK); k <= min(med+1, maxRiceK); k++ {
+		cost := 0
+		for l, c := range hist[:min(med+6, len(hist))] {
+			if e := max(l-k, 0); e < 5 {
+				cost += c * (2*(1+k) + 3<<e>>1 - 1)
+			} else {
+				cost += c * 2 * (riceEscape + 6 + l)
+			}
+		}
+		if least < 0 || cost < least {
+			best, least = k, cost
+		}
+	}
+	return uint(best)
+}
+
+// appendRice appends the time column of the deltas ds for parameter k
+// (see the layout above), padded to a byte.
+func appendRice(b []byte, ds []int64, k uint) []byte {
+	b = slices.Grow(append(b, byte(k)), 11*len(ds)+8) // at most 86 bits a code, and a word to spare
+	at, out := len(b), b[:cap(b)]
+	var acc uint64 // the n < 8 bits not yet past out[at], the oldest lowest
+	var n uint
+	for _, d := range ds {
+		u, q := uint64(d), uint64(d)>>(k&63) // counts masked: each shift one instruction
+		v, w := u&(1<<(k&63)-1)<<((q+1)&63)|1<<(q&63), uint(q)+1+k
+		if q >= riceEscape { // the escape, its length and low 32 bits, then the rest
+			l := uint(bits.Len64(u))
+			lo := min(l, 32)
+			at, acc, n = putBits(out, at, acc, n, u&(1<<lo-1)<<(riceEscape+6)|uint64(l-1)<<riceEscape, riceEscape+6+lo)
+			v, w = u>>32, l-lo
+		}
+		at, acc, n = putBits(out, at, acc, n, v, w)
+	}
+	return b[:at+int(n+7)/8] // the last putBits left the padded byte at out[at]
+}
+
+// putBits writes the w low bits of v, w at most 56, after the n bits of
+// acc that are not yet past out[at], and returns the writer's at, acc
+// and n after them.
+func putBits(out []byte, at int, acc uint64, n uint, v uint64, w uint) (int, uint64, uint) {
+	acc |= v << (n & 63)
+	n += w
+	binary.LittleEndian.PutUint64(out[at:], acc)
+	return at + int(n>>3), acc >> (n & 56), n & 7
+}
+
 // BlockEncoder writes v2 blocks, one after another, out of scratch it
 // owns and reuses: the block's bytes, one column's values, the stack
 // dictionary and its index and, when blocks are deflated, one
@@ -301,25 +378,30 @@ func (e *BlockEncoder) encode(views []chunkView, base0 int32, dropped uint64, de
 	raw = binary.LittleEndian.AppendUint64(raw, uint64(len(e.dict.paths)))
 	raw = binary.LittleEndian.AppendUint64(raw, dropped)
 	raw = append(raw, make([]byte, 12)...) // payload length and CRC: known at the end
-	// One pass per column: within a column the deltas stay small, so
-	// each varint stays short, and equal neighbours fall into one run.
-	var prev int64
-	for _, v := range views {
-		for i := range v.c.samples[:v.n] {
-			t := v.c.samples[i].Time
-			raw = binary.AppendUvarint(raw, uint64(t-prev))
-			prev = t
-		}
-	}
-	// The run-coded columns, each gathered into one scratch slice first
-	// so that finding its runs is a loop over plain values. Events and
-	// states are stored against their predictions, which the block's
-	// first samples teach a zeroed model.
+	// One pass per column, each gathered into one scratch slice first:
+	// within a column the deltas stay small, so each code stays short,
+	// and equal neighbours fall into one run. The time deltas' bit
+	// lengths choose the block's Rice parameter.
 	n := int(nsamples)
 	if cap(e.vals) < n {
 		e.vals = make([]int64, n)
 	}
 	vals := e.vals[:n]
+	var hist [65]int
+	var prev int64
+	j := 0
+	for _, v := range views {
+		for i := range v.c.samples[:v.n] {
+			t := v.c.samples[i].Time
+			vals[j], prev = t-prev, t
+			hist[bits.Len64(uint64(vals[j]))]++
+			j++
+		}
+	}
+	raw = appendRice(raw, vals, riceK(&hist, n))
+	// The run-coded columns, a loop over plain values each. Events and
+	// states are stored against their predictions, which the block's
+	// first samples teach a zeroed model.
 	var m predictor
 	for col := range 6 {
 		k := 0
@@ -425,11 +507,12 @@ func CountStreamSamples(r io.Reader) (uint64, error) {
 // skim is the walk behind CountStreamSamples and ReadTraceStream's first
 // pass: it returns the samples of the blocks it accepted, how many
 // blocks those are, and what stopped it (nil at a clean end). Bounded,
-// it counts a v2 block's samples at most one per payload byte: what
+// it counts a v2 block's samples at most one per payload bit: what
 // ReadTraceStream may size a slab by, which a header alone must not
-// decide. A plain block's samples each take a byte of the time column
-// at least; a deflated block may hold more than it counts, and a v1
-// block's records are all present or the skim fails.
+// decide. A plain block's samples each take a bit of the time column at
+// least (a byte before version 4); a deflated block may hold more than
+// it counts, and a v1 block's records are all present or the skim
+// fails.
 func skim(br *bufio.Reader, bounded bool) (total uint64, blocks int, err error) {
 	for {
 		if more, err := nextBlock(br); !more {
@@ -443,7 +526,7 @@ func skim(br *bufio.Reader, bounded bool) (total uint64, blocks int, err error) 
 			return total, blocks, err
 		}
 		if bounded && h.v2 {
-			h.ns = min(h.ns, h.plen)
+			h.ns = min(h.ns, 8*h.plen)
 		}
 		total += h.ns
 		blocks++

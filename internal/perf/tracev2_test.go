@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/bits"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -196,11 +197,13 @@ func TestV2CrossRead(t *testing.T) {
 	}
 }
 
-// buildMixedStream concatenates five blocks with distinct sample
+// buildMixedStream concatenates seven blocks with distinct sample
 // counts, returning the stream, the per-block end offsets, and the total
 // sample count: v1, PSX2 version 3, PSX2 version 2 (the first block of
 // testdata/psx2-version2.psxt, whose seven samples are the count the
-// third block has), v1 again, and deflated version 3.
+// third block has), v1 again, deflated version 3, and version 4 plain
+// and deflated. The version-3 blocks are written blocks rewritten as
+// version 3 wrote them (asVersion3).
 func buildMixedStream(t *testing.T) ([]byte, []int, uint64) {
 	t.Helper()
 	fixture, err := os.ReadFile(filepath.Join("testdata", "psx2-version2.psxt"))
@@ -211,7 +214,7 @@ func buildMixedStream(t *testing.T) ([]byte, []int, uint64) {
 	var out bytes.Buffer
 	var bounds []int
 	var total uint64
-	encs := []Encoding{{}, {V2: true}, {V2: true} /* not used: version2 */, {}, {V2: true, Flate: true}}
+	encs := []Encoding{{}, {V2: true}, {V2: true} /* not used: version2 */, {}, {V2: true, Flate: true}, {V2: true}, {V2: true, Flate: true}}
 	for blk, enc := range encs {
 		n := 3 + blk*2
 		b := NewTraceBuffer(n, 0)
@@ -220,10 +223,17 @@ func buildMixedStream(t *testing.T) ([]byte, []int, uint64) {
 		}
 		b.AppendStacked(Sample{Time: int64(blk*1000 + n - 1), Thread: int32(blk), Event: -1, State: -1},
 			[]uintptr{uintptr(0x1000 + blk), 0x2000})
-		if blk == 2 {
-			out.Write(version2)
-		} else if err := WriteTraceEnc(&out, b, enc); err != nil {
+		var one bytes.Buffer
+		if err := WriteTraceEnc(&one, b, enc); err != nil {
 			t.Fatal(err)
+		}
+		switch blk {
+		case 1, 4:
+			out.Write(asVersion3(t, one.Bytes()))
+		case 2:
+			out.Write(version2)
+		default:
+			out.Write(one.Bytes())
 		}
 		bounds = append(bounds, out.Len())
 		total += uint64(n)
@@ -355,7 +365,7 @@ func TestV2SkimRefusesWhatReadersRefuse(t *testing.T) {
 	if n, err := BlockSamples(blk); err != nil || n != 3 {
 		t.Fatalf("written block: BlockSamples = %d, %v; want 3", n, err)
 	}
-	for _, ver := range []uint32{0, 4, 9, math.MaxUint32} {
+	for _, ver := range []uint32{0, 5, 9, math.MaxUint32} {
 		binary.LittleEndian.PutUint32(blk[4:8], ver)
 		want := fmt.Sprintf("unsupported v2 trace version %d", ver)
 		if _, err := ReadTrace(bytes.NewReader(blk)); err == nil || !strings.Contains(err.Error(), want) {
@@ -433,17 +443,16 @@ func TestV2QuickRoundTripExtremes(t *testing.T) {
 	}
 }
 
-// TestV3RoundTripArbitrary: version 3 stores events and states against
-// per-block tables looked up by an event's low byte, and times as
-// unsigned deltas, so it must stay lossless where those shortcuts do
+// arbitraryBlocks are blocks that the shortcuts of versions 3 and 4 do
 // not fit: times that go back, events and states that are negative or
 // outside 0..255 and so share a table slot with another, and blocks that
-// interleave threads. Each generated block follows a protocol-like cycle
-// of events, broken at random, so the predictions both hit and miss.
-func TestV3RoundTripArbitrary(t *testing.T) {
+// interleave threads. Each follows a protocol-like cycle of events,
+// broken at random, so the predictions both hit and miss.
+func arbitraryBlocks() []*TraceBuffer {
 	words := []int32{-1, 0, 1, 4, 5, 255, 256, 511, -256, -257, 0x10005, math.MinInt32, math.MaxInt32}
 	times := []int64{-1, -1000, math.MinInt64, math.MaxInt64, 1 << 40}
 	rng := rand.New(rand.NewSource(1))
+	var out []*TraceBuffer
 	for blk := 0; blk < 300; blk++ {
 		cycle := make([]int32, 1+rng.Intn(6))
 		for i := range cycle {
@@ -472,23 +481,172 @@ func TestV3RoundTripArbitrary(t *testing.T) {
 				b.Append(s)
 			}
 		}
+		out = append(out, b)
+	}
+	return out
+}
+
+// checkRoundTrips writes each block plain and deflated, passes the bytes
+// through rewrite, which must leave a block of version ver, and reads
+// them back sample for sample; the skim must count them.
+func checkRoundTrips(t *testing.T, blocks []*TraceBuffer, ver uint32, rewrite func(*testing.T, []byte) []byte) {
+	t.Helper()
+	for blk, b := range blocks {
 		for _, enc := range []Encoding{{V2: true}, {V2: true, Flate: true}} {
 			var out bytes.Buffer
 			if err := WriteTraceEnc(&out, b, enc); err != nil {
 				t.Fatal(err)
 			}
-			if v := binary.LittleEndian.Uint32(out.Bytes()[4:8]); v != 3 {
-				t.Fatalf("block %d %+v: written as version %d, want 3", blk, enc, v)
+			block := rewrite(t, out.Bytes())
+			if v := binary.LittleEndian.Uint32(block[4:8]); v != ver {
+				t.Fatalf("block %d %+v: version %d, want %d", blk, enc, v, ver)
 			}
-			got, err := ReadTrace(bytes.NewReader(out.Bytes()))
+			got, err := ReadTrace(bytes.NewReader(block))
 			if err != nil || !sameResolved(resolve(b), resolve(got)) {
 				t.Fatalf("block %d %+v: round trip changed %d samples (err=%v)", blk, enc, b.Len(), err)
 			}
-			if n, err := BlockSamples(out.Bytes()); err != nil || n != uint64(b.Len()) {
+			if n, err := BlockSamples(block); err != nil || n != uint64(b.Len()) {
 				t.Fatalf("block %d %+v: BlockSamples = %d, %v; want %d", blk, enc, n, err, b.Len())
 			}
 		}
 	}
+}
+
+// TestV3RoundTripArbitrary: version 3 stores events and states against
+// per-block tables looked up by an event's low byte, and times as
+// unsigned deltas, so it must stay lossless where those shortcuts do
+// not fit (arbitraryBlocks). Version 3 is no longer written, so each
+// block is written and then rewritten as version 3 wrote it.
+func TestV3RoundTripArbitrary(t *testing.T) {
+	checkRoundTrips(t, arbitraryBlocks(), 3, asVersion3)
+}
+
+// TestV4RoundTripArbitrary: version 4 Rice-codes the time column, so on
+// top of arbitraryBlocks it must round-trip the column's edges: deltas
+// all zero (k = 0, one bit a sample), every delta escaping, quotients
+// on either side of the escape, negative deltas down to math.MinInt64,
+// one-sample blocks, and threads mixed in one block.
+func TestV4RoundTripArbitrary(t *testing.T) {
+	block := func(times ...int64) *TraceBuffer {
+		b := NewTraceBuffer(0, 0)
+		for i, tm := range times {
+			b.Append(Sample{Time: tm, Thread: int32(i % 3), Event: int32(i % 4), State: -1, StackID: NoStack})
+		}
+		return b
+	}
+	zeros := block(make([]int64, 256)...)
+	var escaping, negative, mixed, edge []int64
+	var now int64
+	for i := range 100 {
+		escaping = append(escaping, int64(i+1)<<45*int64(1-2*(i%2))) // every delta 2^44 or more: past the escape at any k
+		negative = append(negative, []int64{0, math.MinInt64, -1, math.MaxInt64, 5, 4}[i%6])
+		mixed = append(mixed, int64(i%3)*1e9+int64(i)*250)
+		// Deltas of 11 bits, so k is 10, 11 or 12, and at each of those
+		// the largest quotient that does not escape and the least that
+		// does.
+		d := int64(1500)
+		if k := 10 + i%3; i%10 == 9 {
+			d = []int64{15<<k + 1<<k - 1, 16 << k}[i/10%2]
+		}
+		now += d
+		edge = append(edge, now)
+	}
+	blocks := append(arbitraryBlocks(), zeros, block(escaping...), block(negative...), block(mixed...), block(edge...),
+		block(0), block(math.MinInt64), block(math.MaxInt64), block(-1))
+	checkRoundTrips(t, blocks, traceV2Version, func(_ *testing.T, b []byte) []byte { return b })
+
+	// The zero block is the column's least: k = 0 and one bit a sample.
+	// In the escaping one, each delta costs the escape's 22 bits and its
+	// own length.
+	escBits, prev := 0, int64(0)
+	for _, tm := range escaping {
+		escBits += riceEscape + 6 + bits.Len64(uint64(tm-prev))
+		prev = tm
+	}
+	for _, c := range []struct {
+		b         *TraceBuffer
+		wantBytes int
+	}{{zeros, 1 + zeros.Len()/8}, {block(escaping...), 1 + (escBits+7)/8}} {
+		var out bytes.Buffer
+		if err := WriteTraceEnc(&out, c.b, Encoding{V2: true}); err != nil {
+			t.Fatal(err)
+		}
+		raw := out.Bytes()[v2HeaderLen:]
+		if end := timeColumnEnd(raw, c.b.Len()); end != c.wantBytes || c.b == zeros && raw[0] != 0 {
+			t.Fatalf("time column of %d samples: %d bytes, k = %d; want %d bytes", c.b.Len(), end, raw[0], c.wantBytes)
+		}
+	}
+}
+
+// timeColumnEnd returns where the time column of n samples ends in a
+// version-4 payload.
+func timeColumnEnd(raw []byte, n int) int {
+	r := bitReader{buf: raw[1:]}
+	for range n {
+		r.rice(uint(raw[0]))
+	}
+	return 1 + int((r.at+7)/8)
+}
+
+// riceEdgeBlocks returns version-4 blocks at the edges of the time
+// column: a valid block of 256 equal times (k = 0, one bit a sample),
+// the same block declaring k out of range, and a one-sample block whose
+// unary part the payload's end cuts off.
+func riceEdgeBlocks(tb testing.TB) (valid, badK, cut []byte) {
+	b := NewTraceBuffer(0, 0)
+	for range 256 {
+		b.Append(Sample{Time: 0, Thread: 1, Event: 2, State: -1, StackID: NoStack})
+	}
+	var out bytes.Buffer
+	if err := WriteTraceEnc(&out, b, Encoding{V2: true}); err != nil {
+		tb.Fatal(err)
+	}
+	valid = out.Bytes()
+	badK = bytes.Clone(valid)
+	badK[v2HeaderLen] = maxRiceK + 1
+	binary.LittleEndian.PutUint32(badK[44:48], crc32.ChecksumIEEE(badK[v2HeaderLen:]))
+	cut = v2BlockFromPayload(1, 0, 0, []byte{0, 0}) // k = 0, then eight zero bits of quotient
+	binary.LittleEndian.PutUint32(cut[4:8], traceV2Version)
+	return valid, badK, cut
+}
+
+// TestV4TimeColumnEdges: a k = 0 block reads, a k past maxRiceK is
+// refused, and so is a unary part the payload's end cuts off, as the
+// truncation it is.
+func TestV4TimeColumnEdges(t *testing.T) {
+	valid, badK, cut := riceEdgeBlocks(t)
+	if valid[v2HeaderLen] != 0 {
+		t.Fatalf("256 equal times: k = %d, want 0", valid[v2HeaderLen])
+	}
+	if got, err := ReadTrace(bytes.NewReader(valid)); err != nil || got.Len() != 256 {
+		t.Fatalf("k = 0 block: %v", err)
+	}
+	for _, c := range []struct {
+		name  string
+		block []byte
+		want  error
+	}{{"k out of range", badK, errRiceK}, {"unary part cut off", cut, errTruncatedV2}} {
+		if _, err := ReadTrace(bytes.NewReader(c.block)); err != c.want || !errors.Is(err, ErrBadTrace) {
+			t.Fatalf("%s: err = %v, want %v", c.name, err, c.want)
+		}
+	}
+}
+
+// asVersion3 rewrites a version-4 block as version 3 wrote it: the same
+// block with each time delta a plain uvarint.
+func asVersion3(t *testing.T, block []byte) []byte {
+	n := int(binary.LittleEndian.Uint64(block[12:20]))
+	out := repackV2(t, block, func(raw []byte) []byte {
+		end := timeColumnEnd(raw, n)
+		r := bitReader{buf: raw[1:end]}
+		var col []byte
+		for range n {
+			col = binary.AppendUvarint(col, r.rice(uint(raw[0])))
+		}
+		return append(col, raw[end:]...)
+	})
+	binary.LittleEndian.PutUint32(out[4:8], 3)
+	return out
 }
 
 // v2BlockFromPayload frames a raw (uncompressed) payload as a PSX2
@@ -535,7 +693,7 @@ func TestV2PayloadCountDisagreement(t *testing.T) {
 // reported only a generic truncation, or for some forged counts
 // nothing at all). The gap-free prefix must still be salvaged.
 func TestErrCountMismatchV1(t *testing.T) {
-	stream, bounds, total := buildMixedStream(t)
+	stream, bounds, _ := buildMixedStream(t)
 	// bounds[2] ends a v2 block; bounds[3] ends a v1 block. Forge the
 	// v1 block's nsamples (offset +8 past its magic+version) upward.
 	forged := append([]byte(nil), stream[:bounds[3]]...)
@@ -548,7 +706,7 @@ func TestErrCountMismatchV1(t *testing.T) {
 	if !errors.Is(err, ErrBadTrace) {
 		t.Fatalf("ErrCountMismatch must wrap ErrBadTrace for the salvage contract")
 	}
-	prefix := total - uint64(3+3*2) - uint64(3+4*2)
+	prefix := uint64(3 + 5 + 7) // blocks 0 to 2
 	if buf == nil || uint64(len(buf.Samples())) != prefix {
 		t.Fatalf("prefix = %d samples, want %d", len(buf.Samples()), prefix)
 	}

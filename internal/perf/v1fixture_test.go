@@ -70,13 +70,12 @@ func TestV1FixtureStillReads(t *testing.T) {
 	}
 }
 
-// psx2Version1FixtureBlocks are the buffers testdata/psx2-version1.psxt
-// and testdata/psx2-version2.psxt were written from, each by the last
-// encoder that wrote its PSX2 version: the first buffer as a plain
-// block, the second deflated. Both carry a stack
-// dictionary (the first one stack twice, which the dictionary
-// collapses), repeated values in every column, and deltas that wrap a
-// uint64.
+// psx2Version1FixtureBlocks are the buffers testdata/psx2-version1.psxt,
+// psx2-version2.psxt and psx2-version3.psxt were written from, each by
+// the last encoder that wrote its PSX2 version: the first buffer as a
+// plain block, the second deflated. Both carry a stack dictionary (the
+// first one stack twice, which the dictionary collapses), repeated
+// values in every column, and deltas that wrap a uint64.
 func psx2Version1FixtureBlocks() []*TraceBuffer {
 	b0 := NewTraceBuffer(8, 0)
 	b0.Append(Sample{Time: 1000, Thread: 0, Event: 1, State: 2, Region: 7, Site: 0x401000, StackID: NoStack})
@@ -115,6 +114,15 @@ func TestPSX2Version1FixtureStillReads(t *testing.T) {
 // written before version 3.
 func TestPSX2Version2FixtureStillReads(t *testing.T) {
 	checkPSX2Fixture(t, "psx2-version2.psxt", 2)
+}
+
+// TestPSX2Version3FixtureStillReads: version 4 replaced version 3,
+// whose blocks store each time delta as a plain uvarint. A version-3
+// stream of the same samples, written by the last encoder that wrote
+// version 3, stands for every trace and psxd data directory written
+// before version 4.
+func TestPSX2Version3FixtureStillReads(t *testing.T) {
+	checkPSX2Fixture(t, "psx2-version3.psxt", 3)
 }
 
 // checkPSX2Fixture reads testdata/name, which must hold
