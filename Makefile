@@ -15,10 +15,12 @@ test: build
 # frame-pointer walk's assembly, and 386, which builds the
 # runtime.Callers fallback every target without frame pointers uses —
 # then the race detector over the packages a recorded event passes
-# through — omp, collector, perf, tool, degrade and ingest, at one, two
-# and four Ps, because the single-writer publish, the chunk-recycle
+# through — omp, collector, perf, tool, degrade and ingest — and over
+# super, whose wait records every team thread registers and clears
+# through omp's one wait bracket, at one, two and four Ps, because the
+# single-writer publish, the chunk-recycle
 # gate, the governor's level word (every event thread loads it while
-# the tick goroutine stores it) and psxd's per-run trio of connection
+# the tick goroutine stores it), the supervisor's shared maps and psxd's per-run trio of connection
 # handlers, writer and housekeeper (one ledger and one ack path between
 # them) are protocols between goroutines, and a schedule one width never produces is a schedule
 # never checked (the race build also turns on checkptr, which checks
@@ -49,7 +51,7 @@ check:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./...
 	GOARCH=386 $(GO) vet ./...
-	$(GO) test -race -cpu 1,2,4 ./internal/omp ./internal/collector ./internal/perf ./internal/tool ./internal/degrade ./internal/ingest
+	$(GO) test -race -cpu 1,2,4 ./internal/omp ./internal/super ./internal/collector ./internal/perf ./internal/tool ./internal/degrade ./internal/ingest
 	$(GO) test -race -cpu 1,2,4 -run 'PathOracle' .
 	$(GO) test -count=1 ./internal/faultinject -run 'EveryWritePathWritesPSX2'
 	$(GO) test -count=1 ./internal/perf -run 'V1Fixture|PSX2Version1Fixture|PSX2Version2Fixture|PSX2Version3Fixture|V3RoundTrip|V4RoundTrip|V2CrossRead|MixedStream|V2TornTail|ForgedCount|CountMismatch|AsSkimmed'

@@ -2,6 +2,8 @@ package ingest
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -68,9 +70,11 @@ func TestChunkSampleCountCrossChecked(t *testing.T) {
 // TestChunkMustCarrySampleBlocks: a chunk's bytes are trace blocks a
 // reader decodes. One with no block at all, one holding a block of
 // another kind (the hang-report block older tools appended to salvaged
-// traces), and a PSX2 block of a version no reader decodes — its
-// checksum intact, for the version is not under it — are refused with
-// their seq and booked nowhere; the seq stays open for the real block.
+// traces), a PSX2 block of a version no reader decodes — its
+// checksum intact, for the version is not under it — and a version-4
+// block whose checksum holds over a time parameter no reader takes are
+// refused with their seq and booked nowhere; the seq stays open for the
+// real block.
 func TestChunkMustCarrySampleBlocks(t *testing.T) {
 	dir := t.TempDir()
 	srv, err := Serve("127.0.0.1:0", Options{Dir: dir})
@@ -84,6 +88,9 @@ func TestChunkMustCarrySampleBlocks(t *testing.T) {
 	report := []byte{'P', 'S', 'X', 'R', 1, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 'h', 'a', 'n', 'g'}
 	version9 := traceBlockV2(t, 0, 5, false)
 	version9[4] = 9
+	badK := traceBlockV2(t, 0, 5, false)
+	badK[48] = 0xff // the payload's first byte, version 4's time parameter
+	binary.LittleEndian.PutUint32(badK[44:48], crc32.ChecksumIEEE(badK[48:]))
 	for _, bad := range []struct {
 		name    string
 		block   []byte
@@ -92,6 +99,7 @@ func TestChunkMustCarrySampleBlocks(t *testing.T) {
 		{"empty", nil, 0},
 		{"report", report, 0},
 		{"version 9", version9, 5},
+		{"time parameter out of range", badK, 5},
 	} {
 		if ack := tc.send(MsgChunk, EncodeChunk(Chunk{Seq: 1, Thread: 0, Samples: bad.samples, Block: bad.block})); ack.Code != CodeBadFrame || ack.Seq != 1 {
 			t.Fatalf("%s chunk acked %v seq %d, want %v seq 1", bad.name, ack.Code, ack.Seq, CodeBadFrame)

@@ -250,7 +250,7 @@ func (c *Comm) Recv(src, tag int) ([]float64, int) {
 		}
 		if s == nil {
 			if s = super.Enabled(); s != nil {
-				tok = s.BeginWait(c.superWho(), -1, super.Resource{
+				tok = s.BeginWait(0, c.superWho(), -1, super.Resource{
 					Kind:   super.ResMsg,
 					ID:     uint64(uintptr(unsafe.Pointer(m))),
 					Detail: fmt.Sprintf("src=%s tag=%s", wildcard(src), wildcard(tag)),
@@ -300,7 +300,7 @@ func (c *Comm) Barrier() {
 	s := super.Enabled()
 	var tok uint64
 	if s != nil {
-		tok = s.BeginWait(c.superWho(), -1, super.Resource{
+		tok = s.BeginWait(0, c.superWho(), -1, super.Resource{
 			Kind:   super.ResMPIBar,
 			ID:     w.seq,
 			Detail: fmt.Sprintf("world of %d", w.size),

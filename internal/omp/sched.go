@@ -372,25 +372,14 @@ func (o *Ordered) Do(fn func()) {
 		ld.ocond = sync.NewCond(&ld.omu)
 	}
 	if ld.orderedNext != int64(o.i) {
-		tc.td.EnterWait(collector.StateOrderedWait)
-		tc.rt.col.Event(tc.td, collector.EventThrBeginOdwt)
-		s := super.Enabled()
-		var tok uint64
-		if s != nil {
-			tok = s.BeginWait(tc.superWho(), tc.td.ID,
-				super.Resource{Kind: super.ResOrdered,
-					ID:     uint64(uintptr(unsafe.Pointer(ld))),
-					Detail: fmt.Sprintf("iteration %d", o.i)},
-				collector.StateOrderedWait.String())
-		}
+		w := tc.beginWait(0, collector.StateOrderedWait, collector.EventThrBeginOdwt, func() super.Resource {
+			return super.Resource{Kind: super.ResOrdered, ID: uint64(uintptr(unsafe.Pointer(ld))),
+				Detail: fmt.Sprintf("iteration %d", o.i)}
+		})
 		for ld.orderedNext != int64(o.i) {
 			ld.ocond.Wait()
 		}
-		if s != nil {
-			s.EndWait(tok)
-		}
-		tc.rt.col.Event(tc.td, collector.EventThrEndOdwt)
-		tc.td.SetState(collector.StateWorking)
+		tc.endWait(w, collector.EventThrEndOdwt)
 	}
 	ld.omu.Unlock()
 

@@ -1,19 +1,84 @@
 package omp
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"goomp/internal/collector"
 	"goomp/internal/super"
 )
 
+// waiting is an open wait, what endWait needs to close it.
+type waiting struct {
+	prev collector.State
+	s    *super.Supervisor
+	tok  uint64
+}
+
+// beginWait is the one entry to a wait, the paper's §IV-C protocol for
+// every construct here that blocks: the thread enters wait state st,
+// which increments that state's wait ID, and raises begin. With hang
+// supervision on, it also registers the wait on the resource res
+// builds (so an un-supervised run builds none); skip counts the
+// wrapper frames between the blocking construct and this call, so the
+// record's site names the construct. tc is nil for serial code, which
+// raises no events but is supervised all the same.
+func (tc *ThreadCtx) beginWait(skip int, st collector.State, begin collector.Event, res func() super.Resource) (w waiting) {
+	tid := int32(-1)
+	if tc != nil {
+		w.prev = tc.td.State()
+		tc.td.EnterWait(st)
+		tc.rt.col.Event(tc.td, begin)
+		tid = tc.td.ID
+	}
+	if w.s = super.Enabled(); w.s != nil {
+		w.tok = w.s.BeginWait(skip+1, tc.superWho(), tid, res(), st.String())
+	}
+	return w
+}
+
+// endWait closes the wait beginWait opened: it clears the supervision
+// record, raises end and puts the thread back in the state it held.
+func (tc *ThreadCtx) endWait(w waiting, end collector.Event) {
+	if w.s != nil {
+		w.s.EndWait(w.tok)
+	}
+	if tc != nil {
+		tc.rt.col.Event(tc.td, end)
+		tc.td.SetState(w.prev)
+	}
+}
+
+// rtSeq numbers runtime instances so supervision labels stay unique
+// when several runtimes coexist in one process (one RT per mpi rank in
+// the MZ harnesses). Without it, "thread 3" of two runtimes would
+// alias in the wait-for graph and could fabricate cycles.
+var rtSeq atomic.Uint64
+
+// superWho returns the thread's stable supervision label, "serial" for
+// serial code (nil tc). It is computed on first use and cached in the
+// context, which is confined to its thread; only a supervised run
+// calls it.
+func (tc *ThreadCtx) superWho() string {
+	if tc == nil {
+		return "serial"
+	}
+	if tc.slabel == "" {
+		tc.slabel = fmt.Sprintf("omp%d thread %d", tc.rt.seq, tc.id)
+	}
+	return tc.slabel
+}
+
 // Lock is a user-defined OpenMP lock (omp_lock_t). The implementation
 // follows the paper's §IV-C.3: acquisition first tries the lock
 // without blocking; only if the lock is busy does the thread enter the
 // lock-wait state, increment its lock wait ID and trigger the wait
-// events. The zero value is an unlocked lock.
+// events. Critical sections, reductions and nested locks are Locks
+// underneath, so supervision keys every one of them by its address.
+// The zero value is an unlocked lock.
 type Lock struct {
 	mu sync.Mutex
 }
@@ -22,43 +87,29 @@ type Lock struct {
 // state and events on contention. tc may be nil (serial code), in
 // which case the lock degrades to a plain mutex.
 func (l *Lock) Acquire(tc *ThreadCtx) {
-	if l.mu.TryLock() {
-		if s := super.Enabled(); s != nil {
-			s.Acquired(lockRes(l, ""), superWhoOf(tc))
-		}
-		return
-	}
-	if tc == nil {
-		s := super.Enabled()
-		var tok uint64
-		if s != nil {
-			tok = s.BeginWait("serial", -1, lockRes(l, ""),
-				collector.StateLockWait.String())
-		}
+	l.acquire(tc, "", collector.StateLockWait, collector.EventThrBeginLkwt, collector.EventThrEndLkwt)
+}
+
+// acquire takes the lock for tc, waiting in state st between the
+// begin and end events when it is busy, and records tc as its owner
+// with the supervisor. detail names the construct in hang reports and
+// is not part of the lock's identity there. Its callers are the
+// constructs, so the wait's site skips this one frame.
+func (l *Lock) acquire(tc *ThreadCtx, detail string, st collector.State, begin, end collector.Event) {
+	if !l.mu.TryLock() {
+		w := tc.beginWait(1, st, begin, func() super.Resource { return l.res(detail) })
 		l.mu.Lock()
-		if s != nil {
-			s.EndWait(tok)
-			s.Acquired(lockRes(l, ""), "serial")
-		}
-		return
+		tc.endWait(w, end)
 	}
-	td := tc.td
-	prev := td.State()
-	td.EnterWait(collector.StateLockWait)
-	tc.rt.col.Event(td, collector.EventThrBeginLkwt)
-	s := super.Enabled()
-	var tok uint64
-	if s != nil {
-		tok = s.BeginWait(tc.superWho(), td.ID, lockRes(l, ""),
-			collector.StateLockWait.String())
+	if s := super.Enabled(); s != nil {
+		s.Acquired(l.res(detail), tc.superWho())
 	}
-	l.mu.Lock()
-	if s != nil {
-		s.EndWait(tok)
-		s.Acquired(lockRes(l, ""), tc.superWho())
-	}
-	tc.rt.col.Event(td, collector.EventThrEndLkwt)
-	td.SetState(prev)
+}
+
+// res is the lock's supervision key, its address; detail is for
+// display only.
+func (l *Lock) res(detail string) super.Resource {
+	return super.Resource{Kind: super.ResLock, ID: uint64(uintptr(unsafe.Pointer(l))), Detail: detail}
 }
 
 // TryAcquire takes the lock if it is free, without ever waiting. It
@@ -71,120 +122,76 @@ func (l *Lock) TryAcquire() bool { return l.mu.TryLock() }
 // a racing acquirer's ownership record cannot be erased by ours.
 func (l *Lock) Release() {
 	if s := super.Enabled(); s != nil {
-		s.Released(lockRes(l, ""))
+		s.Released(l.res(""))
 	}
 	l.mu.Unlock()
 }
 
 // NestedLock is an omp_nest_lock_t: the owning thread may re-acquire
-// it, and it unlocks when released as many times as acquired. The same
-// wait-tracking procedure as Lock applies to nested locks (§IV-C.3).
+// it, and it unlocks when released as many times as acquired. It is a
+// Lock, taken and waited for as one (§IV-C.3), plus its owner and
+// depth. Serial code owns it as serialOwner, so a nested lock serial
+// code holds is held. The Lock is the first field, so supervision
+// keys the nested lock by its own address.
 type NestedLock struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	owner *ThreadCtx
-	depth int
+	l     Lock
+	owner atomic.Pointer[ThreadCtx]
+	depth atomic.Int32
+}
+
+// serialOwner stands for serial code (a nil ThreadCtx) as a nested
+// lock's owner.
+var serialOwner = new(ThreadCtx)
+
+func ownerOf(tc *ThreadCtx) *ThreadCtx {
+	if tc == nil {
+		return serialOwner
+	}
+	return tc
 }
 
 // Acquire takes the nested lock for tc, waiting (in the lock-wait
 // state) while another thread owns it.
 func (nl *NestedLock) Acquire(tc *ThreadCtx) {
-	nl.mu.Lock()
-	if nl.cond == nil {
-		nl.cond = sync.NewCond(&nl.mu)
-	}
-	if nl.owner == tc && tc != nil {
-		nl.depth++
-		nl.mu.Unlock()
+	if nl.TryAcquire(tc) {
 		return
 	}
-	if nl.owner != nil {
-		var td *collector.ThreadInfo
-		var prev collector.State
-		if tc != nil {
-			td = tc.td
-			prev = td.State()
-			td.EnterWait(collector.StateLockWait)
-			tc.rt.col.Event(td, collector.EventThrBeginLkwt)
-		}
-		s := super.Enabled()
-		var tok uint64
-		if s != nil {
-			tid := int32(-1)
-			if td != nil {
-				tid = td.ID
-			}
-			tok = s.BeginWait(superWhoOf(tc), tid, nestedLockRes(nl),
-				collector.StateLockWait.String())
-		}
-		for nl.owner != nil {
-			nl.cond.Wait()
-		}
-		if s != nil {
-			s.EndWait(tok)
-		}
-		if tc != nil {
-			tc.rt.col.Event(td, collector.EventThrEndLkwt)
-			td.SetState(prev)
-		}
-	}
-	nl.owner = tc
-	nl.depth = 1
-	if s := super.Enabled(); s != nil {
-		s.Acquired(nestedLockRes(nl), superWhoOf(tc))
-	}
-	nl.mu.Unlock()
+	nl.l.acquire(tc, "nested", collector.StateLockWait, collector.EventThrBeginLkwt, collector.EventThrEndLkwt)
+	nl.owner.Store(ownerOf(tc))
+	nl.depth.Store(1)
 }
 
 // TryAcquire takes the nested lock if it is free or already owned by
 // tc; it reports whether the lock was taken.
 func (nl *NestedLock) TryAcquire(tc *ThreadCtx) bool {
-	nl.mu.Lock()
-	defer nl.mu.Unlock()
-	if nl.cond == nil {
-		nl.cond = sync.NewCond(&nl.mu)
-	}
-	if nl.owner == nil || (nl.owner == tc && tc != nil) {
-		if nl.owner == nil {
-			nl.owner = tc
-			nl.depth = 1
-			if s := super.Enabled(); s != nil {
-				s.Acquired(nestedLockRes(nl), superWhoOf(tc))
-			}
-		} else {
-			nl.depth++
-		}
+	if nl.owner.Load() == ownerOf(tc) {
+		nl.depth.Add(1)
 		return true
 	}
-	return false
+	if !nl.l.TryAcquire() {
+		return false
+	}
+	if s := super.Enabled(); s != nil {
+		s.Acquired(nl.l.res("nested"), tc.superWho())
+	}
+	nl.owner.Store(ownerOf(tc))
+	nl.depth.Store(1)
+	return true
 }
 
-// Release undoes one Acquire; the final release wakes one waiter.
+// Release undoes one Acquire; the final release unlocks the Lock.
 func (nl *NestedLock) Release() {
-	nl.mu.Lock()
-	if nl.depth == 0 {
-		nl.mu.Unlock()
+	if nl.depth.Load() == 0 {
 		panic("omp: release of unheld nested lock")
 	}
-	nl.depth--
-	if nl.depth == 0 {
-		nl.owner = nil
-		if s := super.Enabled(); s != nil {
-			s.Released(nestedLockRes(nl))
-		}
-		if nl.cond != nil {
-			nl.cond.Signal()
-		}
+	if nl.depth.Add(-1) == 0 {
+		nl.owner.Store(nil)
+		nl.l.Release()
 	}
-	nl.mu.Unlock()
 }
 
 // Depth reports the current nesting depth (0 when unheld).
-func (nl *NestedLock) Depth() int {
-	nl.mu.Lock()
-	defer nl.mu.Unlock()
-	return nl.depth
-}
+func (nl *NestedLock) Depth() int { return int(nl.depth.Load()) }
 
 // Critical executes fn inside the named critical region. The runtime
 // keeps one compiler-generated lock per name (the unnamed critical is
@@ -196,7 +203,7 @@ func (tc *ThreadCtx) Critical(name string, fn func()) {
 	if super.Enabled() != nil { // only the hang supervisor reads it
 		detail = criticalDetail(name)
 	}
-	tc.enterGeneratedLock(l, detail, collector.StateCriticalWait,
+	l.acquire(tc, detail, collector.StateCriticalWait,
 		collector.EventThrBeginCtwt, collector.EventThrEndCtwt)
 	fn()
 	l.Release()
@@ -220,36 +227,6 @@ func (r *RT) criticalLock(name string) *Lock {
 	return l
 }
 
-// enterGeneratedLock acquires a compiler-generated lock with the given
-// wait state and events — the shared mechanics of critical regions and
-// reductions, which OpenUH generates the same way. detail names the
-// construct in hang-supervision reports; the resource key is the lock
-// address, matching the Released record in Lock.Release.
-func (tc *ThreadCtx) enterGeneratedLock(l *Lock, detail string, st collector.State, begin, end collector.Event) {
-	if l.mu.TryLock() {
-		if s := super.Enabled(); s != nil {
-			s.Acquired(lockRes(l, detail), tc.superWho())
-		}
-		return
-	}
-	td := tc.td
-	prev := td.State()
-	td.EnterWait(st)
-	tc.rt.col.Event(td, begin)
-	s := super.Enabled()
-	var tok uint64
-	if s != nil {
-		tok = s.BeginWait(tc.superWho(), td.ID, lockRes(l, detail), st.String())
-	}
-	l.mu.Lock()
-	if s != nil {
-		s.EndWait(tok)
-		s.Acquired(lockRes(l, detail), tc.superWho())
-	}
-	tc.rt.col.Event(td, end)
-	td.SetState(prev)
-}
-
 // Reduce performs the final update of a reduction: whenever a thread
 // enters a reduction operation it sets THR_REDUC_STATE, and the update
 // of the shared value is serialized by the team's reduction lock —
@@ -262,7 +239,7 @@ func (tc *ThreadCtx) Reduce(update func()) {
 	prev := td.State()
 	td.SetState(collector.StateReduction)
 	tc.rt.col.Event(td, collector.EventThrBeginReduction)
-	tc.enterGeneratedLock(&tc.team.reduction, "reduction", collector.StateCriticalWait,
+	tc.team.reduction.acquire(tc, "reduction", collector.StateCriticalWait,
 		collector.EventThrBeginCtwt, collector.EventThrEndCtwt)
 	update()
 	tc.team.reduction.Release()

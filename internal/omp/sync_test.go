@@ -1,12 +1,15 @@
 package omp
 
 import (
+	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"goomp/internal/collector"
+	"goomp/internal/super"
 )
 
 func TestLockMutualExclusion(t *testing.T) {
@@ -171,6 +174,94 @@ func TestNestedLockTryAcquire(t *testing.T) {
 			tc.Barrier()
 		}
 	})
+}
+
+// TestNestedLockSerialOwner: a nested lock serial code holds is held.
+// No thread of a region takes it, and serial code re-enters it.
+func TestNestedLockSerialOwner(t *testing.T) {
+	r := newRT(t, Config{NumThreads: 2})
+	var nl NestedLock
+	nl.Acquire(nil)
+	var took [2]bool
+	r.Parallel(func(tc *ThreadCtx) {
+		if took[tc.ThreadNum()] = nl.TryAcquire(tc); took[tc.ThreadNum()] {
+			nl.Release()
+		}
+	})
+	if took != [2]bool{} || nl.Depth() != 1 {
+		t.Errorf("threads took a serially held lock: %v, depth %d, want none and 1", took, nl.Depth())
+	}
+	nl.Acquire(nil)
+	if nl.Depth() != 2 {
+		t.Errorf("serial re-entry: depth = %d, want 2", nl.Depth())
+	}
+	for nl.Depth() > 0 {
+		nl.Release()
+	}
+}
+
+// TestWaitSitesNameTheConstruct: the site a hang report gives for a
+// blocked thread names the construct it blocks in, not the lock or
+// bracket the construct waits through. Thread 0 holds the resource
+// while thread 1 blocks on it and reads thread 1's wait record.
+func TestWaitSitesNameTheConstruct(t *testing.T) {
+	s, err := super.Start(super.Options{Timeout: time.Hour, OnHang: func(*super.HangReport) {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Stop()
+	var l Lock
+	var nl NestedLock
+	for _, c := range []struct {
+		want        string
+		hold, block func(tc *ThreadCtx, inside func())
+	}{
+		{"omp.(*Lock).Acquire ",
+			func(tc *ThreadCtx, inside func()) { l.Acquire(tc); inside(); l.Release() }, nil},
+		{"omp.(*NestedLock).Acquire ",
+			func(tc *ThreadCtx, inside func()) { nl.Acquire(tc); inside(); nl.Release() }, nil},
+		{"omp.(*ThreadCtx).Critical ",
+			func(tc *ThreadCtx, inside func()) { tc.Critical("site", inside) }, nil},
+		{"omp.(*ThreadCtx).Reduce ",
+			func(tc *ThreadCtx, inside func()) { tc.Reduce(inside) }, nil},
+		{"omp.(*Ordered).Do ", func(tc *ThreadCtx, inside func()) {
+			tc.ForOrdered(2, func(_ int, o *Ordered) { o.Do(inside) })
+		}, nil},
+		{"omp.(*ThreadCtx).barrierImpl ",
+			func(tc *ThreadCtx, inside func()) { inside(); tc.Barrier() },
+			func(tc *ThreadCtx, _ func()) { tc.Barrier() }},
+	} {
+		r := newRT(t, Config{NumThreads: 2})
+		who := fmt.Sprintf("omp%d thread 1", r.seq)
+		held := make(chan struct{})
+		site := ""
+		inside := func() {
+			close(held)
+			for deadline := time.Now().Add(10 * time.Second); site == "" && time.Now().Before(deadline); {
+				for _, w := range s.SnapshotWaits() {
+					if w.Who == who {
+						site = w.Site
+					}
+				}
+				time.Sleep(100 * time.Microsecond)
+			}
+		}
+		block := c.block
+		if block == nil {
+			block = c.hold
+		}
+		r.Parallel(func(tc *ThreadCtx) {
+			if tc.ThreadNum() == 0 {
+				c.hold(tc, inside)
+			} else {
+				<-held
+				block(tc, func() {})
+			}
+		})
+		if !strings.Contains(site, c.want) {
+			t.Errorf("wait site %q, want %q", site, c.want)
+		}
+	}
 }
 
 func TestNestedLockReleaseUnheldPanics(t *testing.T) {

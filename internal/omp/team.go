@@ -244,32 +244,14 @@ func (tc *ThreadCtx) barrierImpl(state collector.State, begin, end collector.Eve
 	// All explicit tasks of the region complete at a barrier: the last
 	// thread to arrive drains whatever remains.
 	tc.drainTasks()
-	if tc.team.size == 1 {
-		// A team of one still counts the barrier (the barrier ID
-		// increments each time a thread enters a barrier) but has
-		// nobody to wait for.
-		tc.td.EnterWait(state)
-		tc.rt.col.Event(tc.td, begin)
-		tc.rt.col.Event(tc.td, end)
-		tc.td.SetState(collector.StateWorking)
-		return
+	// A team of one still counts the barrier (the barrier ID increments
+	// each time a thread enters a barrier) but has nobody to wait for.
+	w := tc.beginWait(0, state, begin, func() super.Resource {
+		return super.Resource{Kind: super.ResBarrier, ID: tc.team.info.RegionID,
+			Detail: fmt.Sprintf("region %d, team of %d", tc.team.info.RegionID, tc.team.size)}
+	})
+	if tc.team.size > 1 {
+		tc.team.barrier.await(tc.id)
 	}
-	tc.td.EnterWait(state)
-	tc.rt.col.Event(tc.td, begin)
-	// Every team barrier wait goes through this one await, so this is
-	// the single supervision point for barrier waits.
-	s := super.Enabled()
-	var tok uint64
-	if s != nil {
-		tok = s.BeginWait(tc.superWho(), tc.td.ID,
-			super.Resource{Kind: super.ResBarrier, ID: tc.team.info.RegionID,
-				Detail: fmt.Sprintf("region %d, team of %d", tc.team.info.RegionID, tc.team.size)},
-			state.String())
-	}
-	tc.team.barrier.await(tc.id)
-	if s != nil {
-		s.EndWait(tok)
-	}
-	tc.rt.col.Event(tc.td, end)
-	tc.td.SetState(collector.StateWorking)
+	tc.endWait(w, end)
 }

@@ -569,16 +569,21 @@ var skimReaders = sync.Pool{New: func() any {
 // skimBody consumes the body of the block whose header h readHeader
 // has just consumed, without materializing it: a v2 block's payload,
 // whose checksum it verifies, or a v1 block's records, stack table and
-// dropped count. It reads through Peek and Discard only, so that the
-// payload is checksummed in the reader's own buffer and counting a block
-// allocates nothing. A body the stream ends inside is ErrCountMismatch.
+// dropped count. A plain version-4 payload must also open with a time
+// parameter the decoder takes (a deflated one is not inflated here). It
+// reads through Peek and Discard only, so that the payload is
+// checksummed in the reader's own buffer and counting a block allocates
+// nothing. A body the stream ends inside is ErrCountMismatch.
 func skimBody(br *bufio.Reader, h blockHeader) error {
 	if h.v2 {
-		crc := uint32(0)
+		crc, k := uint32(0), -1
 		for remaining := int(h.plen); remaining > 0; {
 			buf, _ := br.Peek(min(remaining, br.Size()))
 			if len(buf) == 0 {
 				return ErrCountMismatch
+			}
+			if k < 0 {
+				k = int(buf[0])
 			}
 			crc = crc32.Update(crc, crc32.IEEETable, buf)
 			br.Discard(len(buf))
@@ -586,6 +591,9 @@ func skimBody(br *bufio.Reader, h blockHeader) error {
 		}
 		if crc != h.crc {
 			return fmt.Errorf("%w: v2 payload checksum mismatch", ErrBadTrace)
+		}
+		if h.ver >= 4 && h.flags&flagV2Flate == 0 && (k < 0 || k > maxRiceK) {
+			return errRiceK
 		}
 		return nil
 	}

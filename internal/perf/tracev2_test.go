@@ -632,6 +632,22 @@ func TestV4TimeColumnEdges(t *testing.T) {
 	}
 }
 
+// TestSkimRefusesBadRiceK: the skim refuses a plain version-4 block
+// whose time parameter is out of range or missing, as the decoder
+// does, so psxd's count check acks no block every reader stops at.
+func TestSkimRefusesBadRiceK(t *testing.T) {
+	_, badK, _ := riceEdgeBlocks(t)
+	empty := v2BlockFromPayload(0, 0, 0, nil)
+	binary.LittleEndian.PutUint32(empty[4:8], traceV2Version)
+	for name, block := range map[string][]byte{"k out of range": badK, "no payload": empty} {
+		_, read := ReadTrace(bytes.NewReader(block))
+		_, count := CountStreamSamples(bytes.NewReader(block))
+		if _, err := BlockSamples(block); err != errRiceK || count != errRiceK || read != errRiceK {
+			t.Errorf("%s: BlockSamples %v, CountStreamSamples %v, ReadTrace %v; want %v", name, err, count, read, errRiceK)
+		}
+	}
+}
+
 // asVersion3 rewrites a version-4 block as version 3 wrote it: the same
 // block with each time delta a plain uvarint.
 func asVersion3(t *testing.T, block []byte) []byte {

@@ -13,7 +13,7 @@
 // The whole package is free when disabled: Enabled is a single atomic
 // pointer load returning nil, and every instrumentation site is
 //
-//	if s := super.Enabled(); s != nil { tok = s.BeginWait(...) }
+//	if s := super.Enabled(); s != nil { tok = s.BeginWait(0, ...) }
 //
 // so an un-supervised run pays one predicted branch per wait, nothing
 // else — no allocation, no lock, no time syscall.
@@ -211,11 +211,12 @@ func (s *Supervisor) Stop() {
 }
 
 // BeginWait registers a wait record immediately before the caller
-// parks and returns a token for EndWait. It captures the caller's
-// stack (skip frames above BeginWait itself).
-func (s *Supervisor) BeginWait(who string, thread int32, res Resource, state string) uint64 {
+// parks and returns a token for EndWait. It captures the stack from the
+// wait's site on: the caller, or skip frames further out when the
+// caller is a wrapper the construct that blocks reaches it through.
+func (s *Supervisor) BeginWait(skip int, who string, thread int32, res Resource, state string) uint64 {
 	w := &WaitRecord{Who: who, Thread: thread, Res: res, State: state, Since: time.Now()}
-	w.npc = runtime.Callers(2, w.pcs[:])
+	w.npc = runtime.Callers(2+skip, w.pcs[:])
 	s.mu.Lock()
 	s.nextTk++
 	w.token = s.nextTk

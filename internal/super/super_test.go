@@ -40,7 +40,7 @@ func TestStartRejectsSecond(t *testing.T) {
 func TestNoFalsePositiveWithProgress(t *testing.T) {
 	s, ch := startTest(t, 50*time.Millisecond)
 	// A long-parked waiter, but steady progress notes: must not fire.
-	tok := s.BeginWait("t0", 0, Resource{Kind: ResBarrier, ID: 1}, "")
+	tok := s.BeginWait(0, "t0", 0, Resource{Kind: ResBarrier, ID: 1}, "")
 	defer s.EndWait(tok)
 	deadline := time.After(300 * time.Millisecond)
 	tick := time.NewTicker(10 * time.Millisecond)
@@ -72,8 +72,8 @@ func TestDetectsLockCycle(t *testing.T) {
 	lb := Resource{Kind: ResLock, ID: 0xb}
 	s.Acquired(la, "t0")
 	s.Acquired(lb, "t1")
-	s.BeginWait("t0", 0, lb, "THR_LKWT_STATE")
-	s.BeginWait("t1", 1, la, "THR_LKWT_STATE")
+	s.BeginWait(0, "t0", 0, lb, "THR_LKWT_STATE")
+	s.BeginWait(0, "t1", 1, la, "THR_LKWT_STATE")
 	select {
 	case r := <-ch:
 		if r.Verdict != VerdictDeadlock {
@@ -95,7 +95,7 @@ func TestDetectsLockCycle(t *testing.T) {
 
 func TestDetectsNoProgressWithoutCycle(t *testing.T) {
 	s, ch := startTest(t, 40*time.Millisecond)
-	s.BeginWait("mpi1 rank 0", -1, Resource{Kind: ResMsg, ID: 7, Detail: "src=1 tag=7"}, "")
+	s.BeginWait(0, "mpi1 rank 0", -1, Resource{Kind: ResMsg, ID: 7, Detail: "src=1 tag=7"}, "")
 	select {
 	case r := <-ch:
 		if r.Verdict != VerdictNoProgress {
@@ -116,7 +116,7 @@ func TestDetectionLatencyBound(t *testing.T) {
 	const timeout = 80 * time.Millisecond
 	s, ch := startTest(t, timeout)
 	start := time.Now()
-	s.BeginWait("t0", 0, Resource{Kind: ResMPIBar, ID: 1}, "")
+	s.BeginWait(0, "t0", 0, Resource{Kind: ResMPIBar, ID: 1}, "")
 	select {
 	case <-ch:
 		if d := time.Since(start); d > 2*timeout {
@@ -129,7 +129,7 @@ func TestDetectionLatencyBound(t *testing.T) {
 
 func TestEndWaitClearsRecord(t *testing.T) {
 	s, ch := startTest(t, 40*time.Millisecond)
-	tok := s.BeginWait("t0", 0, Resource{Kind: ResLock, ID: 1}, "")
+	tok := s.BeginWait(0, "t0", 0, Resource{Kind: ResLock, ID: 1}, "")
 	s.EndWait(tok)
 	select {
 	case r := <-ch:
@@ -146,7 +146,7 @@ func TestReleasedClearsOwnership(t *testing.T) {
 	r := Resource{Kind: ResCrit, ID: 5, Detail: `critical "upd"`}
 	s.Acquired(r, "t0")
 	s.Released(r)
-	s.BeginWait("t1", 1, r, "")
+	s.BeginWait(0, "t1", 1, r, "")
 	rep := s.buildReport(time.Second)
 	if rep.Verdict != VerdictNoProgress {
 		t.Fatalf("released lock still forms edges: %s", rep.Render())
@@ -155,9 +155,9 @@ func TestReleasedClearsOwnership(t *testing.T) {
 
 func TestSnapshotOrderAndFields(t *testing.T) {
 	s, _ := startTest(t, time.Hour)
-	s.BeginWait("a", 0, Resource{Kind: ResBarrier, ID: 1}, "THR_IBAR_STATE")
+	s.BeginWait(0, "a", 0, Resource{Kind: ResBarrier, ID: 1}, "THR_IBAR_STATE")
 	time.Sleep(5 * time.Millisecond)
-	s.BeginWait("b", 1, Resource{Kind: ResBarrier, ID: 1}, "THR_IBAR_STATE")
+	s.BeginWait(0, "b", 1, Resource{Kind: ResBarrier, ID: 1}, "THR_IBAR_STATE")
 	ws := s.SnapshotWaits()
 	if len(ws) != 2 || ws[0].Who != "a" || ws[1].Who != "b" {
 		t.Fatalf("snapshot order wrong: %+v", ws)
@@ -175,7 +175,7 @@ func TestOnHangRunsOnce(t *testing.T) {
 		t.Fatalf("Start: %v", err)
 	}
 	defer s.Stop()
-	s.BeginWait("t0", 0, Resource{Kind: ResLock, ID: 1}, "")
+	s.BeginWait(0, "t0", 0, Resource{Kind: ResLock, ID: 1}, "")
 	time.Sleep(300 * time.Millisecond)
 	if got := n.Load(); got != 1 {
 		t.Fatalf("OnHang ran %d times", got)
@@ -193,9 +193,9 @@ func TestThreeWayCycle(t *testing.T) {
 	s.Acquired(r0, "t0")
 	s.Acquired(r1, "t1")
 	s.Acquired(r2, "t2")
-	s.BeginWait("t0", 0, r1, "")
-	s.BeginWait("t1", 1, r2, "")
-	s.BeginWait("t2", 2, r0, "")
+	s.BeginWait(0, "t0", 0, r1, "")
+	s.BeginWait(0, "t1", 1, r2, "")
+	s.BeginWait(0, "t2", 2, r0, "")
 	rep := s.buildReport(time.Second)
 	if rep.Verdict != VerdictDeadlock {
 		t.Fatalf("three-way cycle missed: %s", rep.Render())
