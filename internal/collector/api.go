@@ -386,9 +386,11 @@ func (c *Collector) process(req *Request) ErrorCode {
 			req.SetResponseSize(8)
 			return ErrSequence
 		}
-		id := team.RegionID
+		// The runtime may be starting the team's next region meanwhile
+		// (TeamInfo): the loads are atomic, as its stores are.
+		id := atomic.LoadUint64(&team.RegionID)
 		if req.Kind == ReqParentPRID {
-			id = team.ParentRegionID
+			id = atomic.LoadUint64(&team.ParentRegionID)
 		}
 		putU64(req.Mem[4:], id)
 		req.SetResponseSize(8)

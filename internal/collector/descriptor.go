@@ -10,9 +10,17 @@ import (
 // collector interface exposes: the ID of the parallel region the team
 // is executing and the ID of its parent region. A team of threads
 // executes a parallel region and the mapping is one-to-one, so the
-// runtime updates these each time a team starts a region. For a
-// non-nested region the parent region ID is always zero; for a nested
-// region it is the current region ID of the team that spawned this one.
+// runtime keeps one TeamInfo in each team and updates it each time the
+// team starts a region (Start); it is valid while the thread is in that
+// region. For a non-nested region the parent region ID is always zero;
+// for a nested region it is the current region ID of the team that
+// spawned this one.
+//
+// The two IDs are what another thread may ask for (ReqCurrentPRID,
+// ReqParentPRID), so Start stores them atomically and such a reader
+// loads them atomically. The team's own threads, and tools in their
+// callbacks, read every field directly: the region's start is ordered
+// before their entry into it.
 type TeamInfo struct {
 	RegionID       uint64
 	ParentRegionID uint64
@@ -24,6 +32,15 @@ type TeamInfo struct {
 	// parallel region — the selective-collection optimization §VI
 	// proposes for controlling runtime overheads.
 	SitePC uintptr
+}
+
+// Start describes the region the team starts: its ID, its parent's,
+// the team's size and the region's site. The runtime calls it before
+// any thread enters the region.
+func (t *TeamInfo) Start(region, parent uint64, size int32, site uintptr) {
+	atomic.StoreUint64(&t.RegionID, region)
+	atomic.StoreUint64(&t.ParentRegionID, parent)
+	t.Size, t.SitePC = size, site
 }
 
 // ThreadInfo is the collector-visible slice of an OpenMP thread

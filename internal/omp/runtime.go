@@ -115,8 +115,8 @@ type RT struct {
 
 	// teamFree pools joined teams by size: the last member to leave a
 	// region puts its team here (Team.leave) and the next fork of that
-	// size takes it back (getTeam), so a steady-state region allocates
-	// only its TeamInfo.
+	// size takes it back (getTeam), team descriptor included, so a
+	// steady-state region allocates nothing.
 	teamMu   sync.Mutex
 	teamFree map[int][]*Team
 
@@ -309,7 +309,7 @@ func (r *RT) ensureWorkers(n int) {
 //
 //go:noinline
 func (r *RT) Parallel(fn func(tc *ThreadCtx)) {
-	r.fork(nil, walkSite(), 0, fn)
+	r.fork(nil, walkSite(), 0, fn, parFor{})
 }
 
 // ParallelN runs fn as a parallel region with a team of n threads
@@ -317,7 +317,7 @@ func (r *RT) Parallel(fn func(tc *ThreadCtx)) {
 //
 //go:noinline
 func (r *RT) ParallelN(n int, fn func(tc *ThreadCtx)) {
-	r.fork(nil, walkSite(), n, fn)
+	r.fork(nil, walkSite(), n, fn, parFor{})
 }
 
 // ParallelFor is the combined "parallel for" construct: it forks a team
@@ -325,9 +325,21 @@ func (r *RT) ParallelN(n int, fn func(tc *ThreadCtx)) {
 //
 //go:noinline
 func (r *RT) ParallelFor(n int, body func(tc *ThreadCtx, i int)) {
-	r.fork(nil, walkSite(), 0, func(tc *ThreadCtx) {
-		tc.For(n, func(i int) { body(tc, i) })
-	})
+	r.fork(nil, walkSite(), 0, parallelFor, parFor{n: n, body: body})
+}
+
+// parFor is a combined parallel-for's loop: its trip count and body.
+// fork leaves it on the team, where every member's parallelFor reads
+// it, so no closure over them is made per region.
+type parFor struct {
+	n    int
+	body func(tc *ThreadCtx, i int)
+}
+
+// parallelFor is the region body of ParallelFor.
+func parallelFor(tc *ThreadCtx) {
+	pf := tc.team.pfor
+	tc.For(pf.n, func(i int) { pf.body(tc, i) })
 }
 
 // walkSite is the one walk a region's entry makes, called directly by
@@ -348,8 +360,9 @@ func walkSite() uintptr {
 // starts the rest of the team, executes the region itself as thread 0,
 // and joins at the implicit barrier that ends the region. parent is
 // the encountering thread's context for a nested region and nil for a
-// top-level one.
-func (r *RT) fork(parent *ThreadCtx, site uintptr, n int, fn func(tc *ThreadCtx)) {
+// top-level one; pf is the loop of a combined parallel-for, for fn to
+// find on the team.
+func (r *RT) fork(parent *ThreadCtx, site uintptr, n int, fn func(tc *ThreadCtx), pf parFor) {
 	enc, level, parentID := r.masterSerial, 1, uint64(0)
 	if parent == nil {
 		r.regionCalls.Add(1)
@@ -380,13 +393,9 @@ func (r *RT) fork(parent *ThreadCtx, site uintptr, n int, fn func(tc *ThreadCtx)
 	// fork event and stays there until after the join event, so both
 	// events (and any query made from their callbacks) see the region,
 	// its parent and its site.
-	info := &collector.TeamInfo{
-		RegionID:       r.regionSeq.Add(1),
-		ParentRegionID: parentID, // zero for a top-level region
-		Size:           int32(n),
-		SitePC:         site,
-	}
-	team := r.getTeam(n, info)
+	team := r.getTeam(n, parentID, site)
+	team.pfor = pf
+	info := &team.info
 	enc.SetTeam(info)
 	if events {
 		r.col.Event(enc, collector.EventFork)
@@ -469,7 +478,7 @@ func (r *RT) startNested(parent *ThreadCtx, team *Team, fn func(tc *ThreadCtx)) 
 // joined the team: it enters the region, runs the body and meets the
 // rest of the team at the closing implicit barrier.
 func runMember(tc *ThreadCtx, fn func(tc *ThreadCtx)) {
-	tc.td.SetTeam(tc.team.info)
+	tc.td.SetTeam(&tc.team.info)
 	tc.td.SetState(collector.StateWorking)
 	runRegionBody(tc, fn)
 	tc.implicitBarrier()
@@ -499,8 +508,10 @@ func (w *worker) loop() {
 	for item := range w.work {
 		col.Event(w.td, collector.EventThrEndIdle)
 		runMember(item.team.member(item.tid, w.td, 1, nil), item.fn)
-		item.team.leave()
+		// Off the team before leaving it: once the last member has left,
+		// the next region may describe itself in the same TeamInfo.
 		w.td.SetTeam(nil)
+		item.team.leave()
 		w.td.SetState(collector.StateIdle)
 		col.Event(w.td, collector.EventThrBeginIdle)
 	}
@@ -523,6 +534,10 @@ type ThreadCtx struct {
 	parent *ThreadCtx // context of the encountering thread for nested regions
 
 	slabel string // lazily cached hang-supervision label (superWho)
+
+	// ord is the handle ForOrdered passes to its body: one per thread
+	// suffices, since worksharing constructs do not nest within a team.
+	ord Ordered
 }
 
 // ThreadNum returns the thread's number within its team (master is 0).
@@ -548,7 +563,7 @@ func (tc *ThreadCtx) Info() *collector.ThreadInfo { return tc.td }
 //
 //go:noinline
 func (tc *ThreadCtx) Parallel(n int, fn func(tc *ThreadCtx)) {
-	tc.rt.fork(tc, walkSite(), n, fn)
+	tc.rt.fork(tc, walkSite(), n, fn, parFor{})
 }
 
 // getNestedDesc returns a descriptor for a true-nested team thread

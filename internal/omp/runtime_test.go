@@ -601,11 +601,10 @@ func TestNestedForkJoinCarryTheirRegion(t *testing.T) {
 	}
 }
 
-// TestAllocRegion pins what an empty top-level region allocates: its
-// TeamInfo, which tools keep, and nothing else — the team and the
-// members' contexts come back from the pool. The nested path shares
-// the bracket, and must not move anything of the top-level one to the
-// heap.
+// TestAllocRegion pins what an empty top-level region allocates:
+// nothing — the team, its descriptor and the members' contexts come
+// back from the pool. The nested path shares the bracket, and must not
+// move anything of the top-level one to the heap.
 func TestAllocRegion(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation guards run without the race detector")
@@ -613,7 +612,7 @@ func TestAllocRegion(t *testing.T) {
 	for _, c := range []struct {
 		threads int
 		want    float64
-	}{{1, 1}, {2, 1}, {4, 1}} {
+	}{{1, 0}, {2, 0}, {4, 0}} {
 		r := newRT(t, Config{NumThreads: c.threads})
 		body := func(*ThreadCtx) {}
 		r.Parallel(body) // the pool
@@ -623,11 +622,11 @@ func TestAllocRegion(t *testing.T) {
 	}
 }
 
-// TestAllocConstructs: past the region's TeamInfo, a named critical
-// section and a single allocate nothing (a critical's supervision label
-// is built only while the hang supervisor runs, and a single's
-// descriptor is recycled through the team), and ForOrdered allocates one
-// handle per thread and loop, not one per iteration.
+// TestAllocConstructs: a region with a named critical section, a
+// single or an ordered loop allocates nothing (a critical's supervision
+// label is built only while the hang supervisor runs, a single's
+// descriptor is recycled through the team, and ForOrdered's handle is
+// the thread's context's).
 func TestAllocConstructs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation guards run without the race detector")
@@ -642,22 +641,51 @@ func TestAllocConstructs(t *testing.T) {
 			for range 16 {
 				tc.Critical("name", func() {})
 			}
-		}, 1},
+		}, 0},
 		{"single", func(tc *ThreadCtx) {
 			for range 16 {
 				tc.Single(func() {})
 				tc.SingleNoWait(func() {})
 			}
-		}, 1},
+		}, 0},
 		{"ordered", func(tc *ThreadCtx) {
 			tc.ForOrdered(64, func(_ int, o *Ordered) { o.Do(func() {}) })
-		}, 1 + threads},
+		}, 0},
 	} {
 		r := newRT(t, Config{NumThreads: threads})
 		r.Parallel(c.body) // the pool, the critical's lock, the ring's condition variables
 		if got := testing.AllocsPerRun(200, func() { r.Parallel(c.body) }); got != c.want {
 			t.Errorf("%s: a region allocates %.1f times, want %.0f", c.name, got, c.want)
 		}
+	}
+}
+
+// TestAllocParallelFor: a combined parallel-for allocates nothing per
+// region — its count and body reach the members through the pooled
+// team, not a closure — and leaves no pointer to the body on the team
+// it returns to the pool.
+func TestAllocParallelFor(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation guards run without the race detector")
+	}
+	for _, threads := range []int{1, 2, 4} {
+		r := newRT(t, Config{NumThreads: threads})
+		var sums [4]int64
+		body := func(tc *ThreadCtx, i int) { sums[tc.ThreadNum()] += int64(i) }
+		r.ParallelFor(100, body) // the pool
+		if got := testing.AllocsPerRun(200, func() { r.ParallelFor(100, body) }); got != 0 {
+			t.Errorf("a parallel-for on %d threads allocates %.1f times, want 0", threads, got)
+		}
+		if got := sums[0] + sums[1] + sums[2] + sums[3]; got != 202*4950 {
+			t.Errorf("%d threads: iterations sum to %d, want %d", threads, got, 202*4950)
+		}
+		r.teamMu.Lock()
+		for _, team := range r.teamFree[threads] {
+			if team.pfor.body != nil {
+				t.Errorf("%d threads: a pooled team keeps the loop body", threads)
+			}
+		}
+		r.teamMu.Unlock()
 	}
 }
 

@@ -401,7 +401,8 @@ func (o *Ordered) Do(fn func()) {
 func (tc *ThreadCtx) ForOrdered(n int, body func(i int, ord *Ordered)) {
 	ld := tc.getLoop(n, 1)
 	lo, hi := StaticBounds(tc.id, tc.team.size, n)
-	ord := &Ordered{tc: tc, ld: ld}
+	ord := &tc.ord
+	*ord = Ordered{tc: tc, ld: ld}
 	for i := lo; i < hi; i++ {
 		ord.i = i
 		body(i, ord)

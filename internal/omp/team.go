@@ -31,7 +31,8 @@ func (p *RegionPanic) Error() string {
 type Team struct {
 	rt   *RT
 	size int
-	info *collector.TeamInfo
+	info collector.TeamInfo // what the members' descriptors point at, rewritten by getTeam
+	pfor parFor             // a combined parallel-for's loop, cleared at leave
 
 	barrier *spinBarrier
 
@@ -165,13 +166,15 @@ func newTeam(r *RT, size int) *Team {
 	return t
 }
 
-// getTeam returns a team of size threads for the region info
-// describes: a pooled one if the runtime has one of that size, else a
-// new one. A pooled team comes back as its last region left it — the
-// barrier between episodes, the deques drained, the reduction slots
-// flushed — so only the loop ring, whose sequence numbers restart with
-// every region, and the leave count are re-armed.
-func (r *RT) getTeam(size int, info *collector.TeamInfo) *Team {
+// getTeam returns a team of size threads for a new region with the
+// given parent region ID (zero for a top-level region) and site: a
+// pooled one if the runtime has one of that size, else a new one, with
+// its TeamInfo describing the region. A pooled team comes back as its
+// last region left it — the barrier between episodes, the deques
+// drained, the reduction slots flushed — so only the loop ring, whose
+// sequence numbers restart with every region, and the leave count are
+// re-armed.
+func (r *RT) getTeam(size int, parent uint64, site uintptr) *Team {
 	r.teamMu.Lock()
 	var t *Team
 	if free := r.teamFree[size]; len(free) > 0 {
@@ -182,7 +185,7 @@ func (r *RT) getTeam(size int, info *collector.TeamInfo) *Team {
 	if t == nil {
 		t = newTeam(r, size)
 	}
-	t.info = info
+	t.info.Start(r.regionSeq.Add(1), parent, int32(size), site)
 	t.left.Store(0)
 	for i := range t.ring {
 		// Ring slots start as if their previous tenant (sequence
@@ -217,7 +220,8 @@ func (t *Team) leave() {
 	if int(t.left.Add(1)) != t.size {
 		return
 	}
-	clear(t.singles) // empty unless a member skipped a single
+	clear(t.singles)  // empty unless a member skipped a single
+	t.pfor = parFor{} // the region's code and data: a pooled team must not keep them alive
 	r := t.rt
 	r.teamMu.Lock()
 	r.teamFree[t.size] = append(r.teamFree[t.size], t)

@@ -2,9 +2,12 @@ package omp
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"goomp/internal/collector"
 )
 
 // Team pooling: the last member to leave a region returns its team to
@@ -229,5 +232,79 @@ func TestNestedTeamsPooled(t *testing.T) {
 	})
 	if len(seen) > regions/2 {
 		t.Errorf("%d nested regions ran on %d distinct teams: nested teams are not pooled", 2*regions, len(seen))
+	}
+}
+
+// TestPooledDescriptorQueries: a goroutine asks threads 0 and 1 for
+// their current and parent region IDs, a round for each region started,
+// while the master runs 10 000 regions on pooled teams, with and without
+// true nesting. Every region rewrites the TeamInfo of the team it
+// reuses, so under -race this is what checks that the rewrite and an
+// asynchronous read are ordered. Each answer is ErrSequence with 0, or
+// an ID no newer than the last region started. A parent ID is 0 or the
+// ID of a region that nests another: here a top-level one, never a
+// nested region's own ID.
+func TestPooledDescriptorQueries(t *testing.T) {
+	const regions = 10_000
+	for _, nested := range []bool{false, true} {
+		r := newRT(t, Config{NumThreads: 2, Nested: nested})
+		isNested := make([]atomic.Bool, 4*regions) // by region ID
+		body := func(tc *ThreadCtx) {
+			if !nested {
+				return
+			}
+			tc.Parallel(2, func(in *ThreadCtx) {
+				if in.ThreadNum() == 0 {
+					isNested[in.RegionID()].Store(true)
+				}
+			})
+		}
+		r.Parallel(body) // the pool
+
+		var parents []uint64
+		var stop atomic.Bool
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			q := r.Collector().NewQueue()
+			for seen := uint64(0); !stop.Load(); {
+				// One round per region started, so that on one P the
+				// rounds cannot crowd the team out.
+				last := r.regionSeq.Load()
+				if last == seen {
+					runtime.Gosched()
+					continue
+				}
+				seen = last
+				for th := int32(0); th < 2; th++ {
+					for _, kind := range []collector.RequestKind{collector.ReqCurrentPRID, collector.ReqParentPRID} {
+						id, ec := collector.QueryPRID(q, kind, th)
+						last := r.regionSeq.Load()
+						switch {
+						case ec == collector.ErrSequence && id == 0:
+						case ec == collector.ErrOK && id <= last && (id != 0 || kind == collector.ReqParentPRID):
+							if kind == collector.ReqParentPRID {
+								parents = append(parents, id)
+							}
+						default:
+							t.Errorf("nested=%v: thread %d answered %v with %d (%v), %d regions started", nested, th, kind, id, ec, last)
+							return
+						}
+					}
+				}
+			}
+		}()
+		for range regions {
+			r.Parallel(body)
+		}
+		stop.Store(true)
+		<-done
+
+		for _, p := range parents {
+			if !nested && p != 0 || isNested[p].Load() {
+				t.Fatalf("nested=%v: a parent ID answered %d, a region that nests nothing", nested, p)
+			}
+		}
+		t.Logf("nested=%v: %d parent IDs checked", nested, len(parents))
 	}
 }

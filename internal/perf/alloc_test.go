@@ -123,22 +123,20 @@ func TestAllocAppendCallstack(t *testing.T) {
 }
 
 // TestAllocSealEncode: with the free list primed, a chunk's way from
-// the recording thread to its PSX2 block allocates the block and next
-// to nothing else — the chunk, its stack table and arena come off the
-// free list, the encoder's scratch is its own. The block is charged at
-// the size class the allocator rounds its exact length up to, which is
-// what the heap statistics count.
+// the recording thread to its PSX2 block allocates nothing — the chunk,
+// its stack table, arena and relay handle come off the free list, the
+// encoder's scratch is its own, and the block is appended to a buffer
+// the consumer reuses.
 func TestAllocSealEncode(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation guards run without the race detector")
 	}
-	const rounds, slack = 100, 128 // bytes per chunk beside the block
 	for _, deflate := range []bool{false, true} {
 		relay := NewRelay(4)
 		b := NewTraceBuffer(1, 0)
 		b.SetRelay(relay, 0)
 		var enc BlockEncoder
-		var blocks uint64
+		var block []byte
 		next := int64(0)
 		round := func() {
 			for i := 0; i < ChunkSamples; i++ {
@@ -152,29 +150,18 @@ func TestAllocSealEncode(t *testing.T) {
 			}
 			select {
 			case sc := <-relay.C:
-				block, err := enc.EncodeChunk(sc, deflate)
+				var err error
+				block, err = enc.AppendChunk(block[:0], sc, deflate)
 				sc.Release()
 				if err != nil {
 					t.Fatal(err)
 				}
-				blocks += uint64(cap(append([]byte(nil), block...)))
 			default: // the first round only fills the first chunk
 			}
 		}
-		for i := 0; i < 4; i++ {
-			round()
-		}
-		blocks = 0
-		got := allocatedBytes(func() {
-			for i := 0; i < rounds; i++ {
-				round()
-			}
-		})
-		got -= blocks // the size-class probe above allocates each block's size once more
-		t.Logf("deflate=%v: %d B per sealed chunk beside its %d B block", deflate, (int64(got)-int64(blocks))/rounds, blocks/rounds)
-		if got > blocks+rounds*slack {
-			t.Fatalf("deflate=%v: %d B per sealed chunk beside its %d B block, ceiling %d",
-				deflate, (got-blocks)/rounds, blocks/rounds, slack)
+		testing.AllocsPerRun(32, round) // the free list, the arenas, the block's buffer
+		if avg := testing.AllocsPerRun(100, round); avg != 0 {
+			t.Fatalf("deflate=%v: a sealed chunk allocates %.2f times beside its reused %d B block, want 0", deflate, avg, len(block))
 		}
 	}
 }

@@ -91,9 +91,9 @@ func TestRecycleWhileScraping(t *testing.T) {
 		var enc BlockEncoder
 		var pathBase int
 		for sc := range relay.C {
-			block, err := enc.EncodeChunk(sc, false)
-			n := sc.Len()
-			sc.Release()
+			block, err := enc.AppendChunk(nil, sc, false)
+			n, thread := sc.Len(), sc.Thread()
+			sc.Release() // the handle is the chunk's: read nothing of it after this
 			if err != nil {
 				t.Errorf("encode: %v", err)
 				continue
@@ -104,9 +104,9 @@ func TestRecycleWhileScraping(t *testing.T) {
 				continue
 			}
 			if err := checkSnapshot(tb, &pathBase); err != nil {
-				t.Errorf("sealed chunk of thread %d: %v", sc.Thread(), err)
+				t.Errorf("sealed chunk of thread %d: %v", thread, err)
 			}
-			consumed[sc.Thread()] += n
+			consumed[thread] += n
 		}
 	}()
 
@@ -321,7 +321,7 @@ func TestDedupBlocksByteIdentical(t *testing.T) {
 			var out bytes.Buffer
 			for sc := range relay.C {
 				stored[mode] += int(sc.c.nStacks.Load())
-				block, err := enc.EncodeChunk(sc, deflate)
+				block, err := enc.AppendChunk(nil, sc, deflate)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -82,10 +82,13 @@ type chunk struct {
 	// (writer-private, made on its first stack and recycled with the
 	// chunk), state is the one-chunk list a relaying buffer publishes
 	// while this chunk is its active one (made by the first seal to
-	// activate the chunk, never changed after).
-	paths *pathTable
-	state bufState
-	_     [cacheLinePad - 13 - 35]byte // 35: the two above, aligned past slab
+	// activate the chunk, never changed after), and sealed is the
+	// handle seal relays the chunk under (filled at each seal, valid
+	// until its Release). With the two counters they fill the chunk's
+	// second cache line.
+	paths  *pathTable
+	state  bufState
+	sealed SealedChunk
 
 	n       atomic.Int32 // published sample count
 	nStacks atomic.Int32 // published stack count
@@ -191,7 +194,8 @@ func NewRelay(n int) *Relay {
 
 // SealedChunk is a full chunk handed off from the owning thread to the
 // streaming writer. Its counts are final. The consumer owns it until it
-// calls Release, and must not touch it afterwards.
+// calls Release, and must not touch it afterwards: the handle lives in
+// the chunk, and the chunk's next seal reuses it.
 type SealedChunk struct {
 	thread int32
 	c      *chunk
@@ -476,7 +480,8 @@ func (b *TraceBuffer) seal() *chunk {
 		b.retained -= int(old.wn) + int(old.wns)
 		b.active = nc
 		b.wc = 0
-		sc := &SealedChunk{thread: b.thread, c: old, b: b}
+		sc := &old.sealed
+		*sc = SealedChunk{thread: b.thread, c: old, b: b}
 		select {
 		case b.relay.C <- sc: // the consumer's from here on
 			if w := b.relay.Warn; w != nil && 4*len(b.relay.C) >= 3*cap(b.relay.C) {

@@ -336,12 +336,16 @@ type BlockEncoder struct {
 	toDict []int32       // captured stack → dict entry
 }
 
-// EncodeChunk returns the sealed chunk as one self-contained PSX2 block
-// (stack IDs rebased to the chunk's own table), deflated if asked: a
-// new slice of the block's length, the only thing it allocates.
-func (e *BlockEncoder) EncodeChunk(s *SealedChunk, deflate bool) ([]byte, error) {
+// AppendChunk appends the sealed chunk to dst as one self-contained
+// PSX2 block (stack IDs rebased to the chunk's own table), deflated if
+// asked, and returns the extended slice; on an error dst comes back as
+// it was. It allocates only when dst has no room for the block.
+func (e *BlockEncoder) AppendChunk(dst []byte, s *SealedChunk, deflate bool) ([]byte, error) {
 	block, err := e.encode(s.views(), s.c.stackBase, 0, deflate)
-	return bytes.Clone(block), err
+	if err != nil {
+		return dst, err
+	}
+	return append(dst, block...), nil
 }
 
 // encode builds one v2 trace block from chunk views, the compact twin

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"goomp/internal/ingest"
+	"goomp/internal/perf"
 )
 
 // sinkConn is a connection that takes every frame and keeps none.
@@ -76,5 +77,89 @@ func TestAllocOutboxCycle(t *testing.T) {
 	}
 	if c, _ := n.led.Settled(shipped); c != 4*209-2 {
 		t.Fatalf("%d shipped, want %d", c, 4*209-2)
+	}
+}
+
+// chunkPath is a streamer with only a network sink, built but never
+// started or dialled, and a buffer relaying to it: what a chunk passes
+// through from its seal to its OK ack, driven by hand.
+type chunkPath struct {
+	s    *streamer
+	buf  *perf.TraceBuffer
+	conn *wire
+	next int64
+}
+
+func newChunkPath(tb testing.TB) *chunkPath {
+	tb.Helper()
+	s, err := newStreamer(&Tool{opts: Options{IngestAddr: "127.0.0.1:1"}}, "")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	buf := perf.NewTraceBuffer(1, 0)
+	buf.SetRelay(s.relay, 0)
+	return &chunkPath{s: s, buf: buf, conn: &wire{c: &sinkConn{}}}
+}
+
+// chunk records a chunk's worth of samples and takes the chunk the
+// buffer seals through writeChunk, onto the wire and out of the outbox
+// on its OK ack.
+func (p *chunkPath) chunk(tb testing.TB) {
+	for i := 0; i < perf.ChunkSamples; i++ {
+		p.next++
+		p.buf.Append(perf.Sample{Time: p.next * 1100, Event: int32(i % 5), Region: uint64(p.next / 19), StackID: perf.NoStack})
+	}
+	select {
+	case sc := <-p.s.relay.C:
+		p.s.writeChunk(sc)
+	default:
+		return // the first call only fills the first chunk
+	}
+	n := p.s.net
+	for {
+		it, ok := n.next()
+		if !ok {
+			break
+		}
+		if err := n.send(p.conn, &it); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	n.acked(ingest.Ack{Seq: n.seq.Load(), Code: ingest.CodeOK})
+}
+
+// TestAllocStreamChunk: once the streamer is warm, a chunk's way from
+// the writer goroutine's encoder through the outbox and the frame to
+// its OK ack allocates nothing: the block is encoded into a buffer the
+// network sink handed back when it settled an earlier block.
+func TestAllocStreamChunk(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation guards run without the race detector")
+	}
+	p := newChunkPath(t)
+	for range 4 {
+		p.chunk(t)
+	}
+	if avg := testing.AllocsPerRun(200, func() { p.chunk(t) }); avg != 0 {
+		t.Fatalf("a streamed chunk allocates %.2f times, want 0", avg)
+	}
+	if c, _ := p.s.net.led.Settled(shipped); c != 4-1+201 {
+		t.Fatalf("%d chunks shipped, want %d", c, 4-1+201)
+	}
+}
+
+// BenchmarkStreamChunk times one chunk's way through the streamer — its
+// samples recorded, then encoded, queued, framed, written to a
+// connection that keeps nothing, and acked — and reports what it
+// allocates.
+func BenchmarkStreamChunk(b *testing.B) {
+	p := newChunkPath(b)
+	for range 4 {
+		p.chunk(b)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		p.chunk(b)
 	}
 }

@@ -56,6 +56,11 @@ import (
 //   - Every chunk ship takes is settled exactly once, by settle, into
 //     one bucket of the sink's ledger (ingest.Ledger):
 //     produced == shipped + replayed + dropped + storage + spill-pending.
+//   - A block's buffer goes back to the streamer's free list when the
+//     sink lets the block go — settled or parked — unless the file sink
+//     still holds it: a block that is not in the trace file while there
+//     is one is in the file sink's retained backlog, which replays it
+//     at stop.
 
 const (
 	netPendingDepth = 256                   // unsent chunks that may hold their block in memory
@@ -154,22 +159,21 @@ type netSink struct {
 
 	seq   atomic.Uint64 // last assigned sequence number
 	frame []byte        // the sender's CHUNK frame buffer, reused frame after frame
+	free  blockPool     // where let-go blocks go; nil without a streamer
 
 	led            *ingest.Ledger // every chunk ship takes, settled exactly once
 	overloadedAcks atomic.Uint64  // INGEST_OVERLOADED acks seen (governor input)
 	connects       atomic.Uint64  // successful connections (reconnects = connects-1)
 }
 
-// startNetSink builds and starts the sink's sender goroutine. gov may
-// be nil (no overhead governor).
-func startNetSink(opts *Options, gov *degrade.Governor) *netSink {
-	n := newNetSink(opts, gov)
+// start starts the sink's sender goroutine.
+func (n *netSink) start() {
 	n.wg.Add(1)
 	go n.loop()
-	return n
 }
 
-// newNetSink builds an unconnected sink.
+// newNetSink builds an unconnected sink. gov may be nil (no overhead
+// governor).
 func newNetSink(opts *Options, gov *degrade.Governor) *netSink {
 	host, _ := os.Hostname()
 	run := opts.IngestRun
@@ -268,6 +272,7 @@ func (n *netSink) park(it *netItem) bool {
 	if n.dir == "" || it.off < 0 || n.parked.bytes+int64(it.size) > maxParkedBytes {
 		return false
 	}
+	n.release(it)
 	it.block = nil
 	n.parked.add(it)
 	if !it.spilled {
@@ -279,18 +284,28 @@ func (n *netSink) park(it *netItem) bool {
 	return true
 }
 
-// settle books where one frame ended up; every path that lets go of a
-// frame calls it, exactly once per frame. OK means delivered and
-// acknowledged — replayed if the chunk was ever parked, shipped
-// otherwise. INGEST_STORAGE means the daemon's disk failed and the run
-// is quarantined there: its own bucket, because the loss is a disk and
-// not the network. Anything else (an overloaded or sealed nack, the
-// memory bound, a parked block failing its check, the flush grace
-// expiring) is a drop. Control frames carry no data to lose.
+// release returns a chunk's block buffer to the free list unless the
+// file sink retains the block (see the sink's invariants above).
+func (n *netSink) release(it *netItem) {
+	if it.block != nil && (it.off >= 0 || n.dir == "") {
+		n.free.put(it.block)
+	}
+}
+
+// settle books where one frame ended up, and releases its block; every
+// path that lets go of a frame calls it, exactly once per frame. OK
+// means delivered and acknowledged — replayed if the chunk was ever
+// parked, shipped otherwise. INGEST_STORAGE means the daemon's disk
+// failed and the run is quarantined there: its own bucket, because the
+// loss is a disk and not the network. Anything else (an overloaded or
+// sealed nack, the memory bound, a parked block failing its check, the
+// flush grace expiring) is a drop. Control frames carry no data to
+// lose.
 func (n *netSink) settle(it *netItem, code ingest.Code) {
 	if it.kind != ingest.MsgChunk {
 		return
 	}
+	n.release(it)
 	b := dropped
 	switch {
 	case code == ingest.CodeOK && it.spilled:
@@ -337,9 +352,9 @@ func (n *netSink) next() (it netItem, ok bool) {
 }
 
 // readBack preads a parked chunk's block from its thread's trace file
-// and checks it with perf.BlockSamples (PSX2 extent, payload CRC,
-// declared count); nil means it cannot be read back whole. Sender
-// only.
+// into a pooled buffer and checks it with perf.BlockSamples (PSX2
+// extent, payload CRC, declared count); nil means it cannot be read
+// back whole. Sender only.
 func (n *netSink) readBack(it *netItem) []byte {
 	f := n.files[it.thread]
 	if f == nil {
@@ -349,11 +364,13 @@ func (n *netSink) readBack(it *netItem) []byte {
 		}
 		n.files[it.thread] = f
 	}
-	block := make([]byte, it.size)
+	block := slices.Grow(n.free.get(), it.size)[:it.size]
 	if _, err := f.ReadAt(block, it.off); err != nil {
+		n.free.put(block)
 		return nil
 	}
 	if k, err := perf.BlockSamples(block); err != nil || k != uint64(it.samples) {
+		n.free.put(block)
 		return nil
 	}
 	return block

@@ -37,7 +37,9 @@ import (
 // One thread's failure never touches another thread's file.
 
 // relayCapacity bounds the chunk hand-off channel, and with it the free
-// list of encoded chunks the buffers fill again. At ChunkSamples
+// list of sealed chunks, not yet encoded, that the buffers fill again;
+// it bounds the streamer's free list of encoded-block buffers too, as
+// many as the relay can queue chunks. At ChunkSamples
 // samples per chunk this queues up to 64k samples of backlog (about
 // 3.6 MB of chunks) before the buffers start dropping; with a
 // governor, the relay asks it to step down at three quarters of that.
@@ -84,6 +86,31 @@ type stagedBlock struct {
 	block   []byte
 }
 
+// blockPool is the streamer's free list of encoded-block buffers:
+// writeChunk encodes into one, and whichever sink holds a block last
+// hands its buffer back (DESIGN.md, "Who owns a staged block"). Like
+// the relay's chunk free list it never blocks: get on an empty list
+// returns nil for the encoder to grow, and put on a full one, or on the
+// nil pool of a sink with no streamer, leaves the buffer to the
+// collector.
+type blockPool chan []byte
+
+func (p blockPool) get() []byte {
+	select {
+	case b := <-p:
+		return b[:0]
+	default:
+		return nil
+	}
+}
+
+func (p blockPool) put(b []byte) {
+	select {
+	case p <- b:
+	default:
+	}
+}
+
 // streamer owns the trace files and the chunk-writer goroutine.
 //
 // The streamer drives up to two sinks from the same staged bytes: the
@@ -101,6 +128,7 @@ type streamer struct {
 	fileSink bool     // dir != "": write local per-thread trace files
 	net      *netSink // nil unless Options.IngestAddr is set
 	relay    *perf.Relay
+	blocks   blockPool         // encoded-block buffers the sinks have let go of
 	enc      perf.BlockEncoder // writer goroutine's; stop's once that has exited
 	files    map[int32]*streamFile
 	seqs     map[int32]int // per-thread chunk sequence, for the drop hook
@@ -135,6 +163,21 @@ const (
 )
 
 func startStreamer(t *Tool, dir string) (*streamer, error) {
+	s, err := newStreamer(t, dir)
+	if err != nil {
+		return nil, err
+	}
+	if s.net != nil {
+		s.net.start()
+	}
+	s.wg.Add(1)
+	go s.loop()
+	return s, nil
+}
+
+// newStreamer builds the streamer and its sinks without starting the
+// writer goroutine or the network sink's sender.
+func newStreamer(t *Tool, dir string) (*streamer, error) {
 	if dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, fmt.Errorf("tool: stream dir: %w", err)
@@ -145,6 +188,7 @@ func startStreamer(t *Tool, dir string) (*streamer, error) {
 		dir:      dir,
 		fileSink: dir != "",
 		relay:    perf.NewRelay(relayCapacity),
+		blocks:   make(blockPool, relayCapacity),
 		files:    make(map[int32]*streamFile),
 		seqs:     make(map[int32]int),
 		open:     t.opts.OpenTraceFile,
@@ -159,13 +203,12 @@ func startStreamer(t *Tool, dir string) (*streamer, error) {
 		s.relay.Warn = t.gov.Backpressure
 	}
 	if t.opts.IngestAddr != "" {
-		s.net = startNetSink(&t.opts, t.gov)
+		s.net = newNetSink(&t.opts, t.gov)
+		s.net.free = s.blocks
 	}
 	if s.open == nil {
 		s.open = func(path string) (io.WriteCloser, error) { return os.Create(path) }
 	}
-	s.wg.Add(1)
-	go s.loop()
 	return s, nil
 }
 
@@ -181,9 +224,9 @@ func (s *streamer) loop() {
 	}
 }
 
-// writeChunk encodes one sealed chunk and stores it, unless the
-// DropChunk hook claims it first. Either way the chunk goes back to its
-// buffer: the block is the one copy the sinks hold.
+// writeChunk encodes one sealed chunk into a pooled buffer and stores
+// it, unless the DropChunk hook claims it first. Either way the chunk
+// goes back to its buffer: the block is the one copy the sinks hold.
 func (s *streamer) writeChunk(sc *perf.SealedChunk) {
 	thread := sc.Thread()
 	seq := s.seqs[thread]
@@ -195,9 +238,10 @@ func (s *streamer) writeChunk(sc *perf.SealedChunk) {
 		sc.Release()
 		return
 	}
-	block, err := s.enc.EncodeChunk(sc, s.t.opts.TraceCompress)
+	block, err := s.enc.AppendChunk(s.blocks.get(), sc, s.t.opts.TraceCompress)
 	sc.Release()
 	if err != nil {
+		s.blocks.put(block)
 		// Encoding into memory failing is not a per-file condition a
 		// retry can cure: discard with accounting.
 		s.discard(samples)
@@ -213,7 +257,9 @@ func (s *streamer) writeChunk(sc *perf.SealedChunk) {
 // by reference. The file is created on first use, and a failure
 // degrades only this thread: the block is retained for the stop-time
 // recovery attempt (or discarded with accounting once the backlog
-// bound is hit).
+// bound is hit). The last sink to hold the block returns its buffer:
+// the network sink when there is one, else the file sink once the
+// block is written.
 func (s *streamer) store(thread int32, blk stagedBlock) {
 	off := int64(-1)
 	if s.fileSink {
@@ -234,6 +280,8 @@ func (s *streamer) store(thread int32, blk stagedBlock) {
 	}
 	if s.net != nil {
 		s.net.ship(thread, blk.samples, blk.block, off)
+	} else if off >= 0 {
+		s.blocks.put(blk.block)
 	}
 }
 
