@@ -43,8 +43,10 @@ test: build
 # allocation guards: what psxd's per-chunk count check, the trace
 # reader and Timelines may allocate per sample, and what a chunk may
 # allocate on its way from the recording thread through the encoder and
-# the sender's frame to psxd's writer and back to the streamer's free
-# list on its ack, and what an empty region, a parallel-for and a
+# the sender's frame to psxd's writer and back to the process's block
+# pool on its ack, what a warm attach, segment and detach may allocate
+# per chunk and a second psxd connection per frame once the pools have
+# outlived a GC, and what an empty region, a parallel-for and a
 # region's critical, single and ordered constructs may allocate. They skip themselves
 # under -race (the detector changes what an allocation costs), so this
 # is the run that enforces them.

@@ -59,8 +59,8 @@ func (s *Server) handleConn(c net.Conn) {
 	br := bufio.NewReader(c)
 	// Frames are read into one pooled body, over and over; only a chunk
 	// that is enqueued takes its body along, and the handler a fresh one.
-	body := frameBodies.Get().(*[]byte)
-	defer func() { frameBodies.Put(body) }()
+	body := frameBodies.get()
+	defer func() { frameBodies.put(body) }()
 	r := s.hello(cs, br, body)
 	if r == nil {
 		return
@@ -80,7 +80,7 @@ func (s *Server) handleConn(c net.Conn) {
 			}
 			v, queued := r.admit(it)
 			if queued && v == vAccept && it.body != nil {
-				body = frameBodies.Get().(*[]byte) // the writer has ours now
+				body = frameBodies.get() // the writer has ours now
 			}
 			if queued && r.durable {
 				continue // the writer acks after the group commit
@@ -153,7 +153,7 @@ func (s *Server) readFrameDeadline(c net.Conn, br *bufio.Reader, body *[]byte) (
 	if d := s.opts.HeartbeatTimeout; d > 0 {
 		c.SetReadDeadline(time.Now().Add(d))
 	}
-	kind, payload, err := readFrameInto(br, body)
+	kind, payload, err := ReadFrameInto(br, body)
 	if err != nil {
 		var ne net.Error
 		if errors.As(err, &ne) && ne.Timeout() {

@@ -31,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 )
 
 // ProtoVersion is the wire protocol version a HELLO declares. A server
@@ -212,12 +211,46 @@ type Ack struct {
 	Code Code
 }
 
+// framePool is a bounded free list of frame buffers. Unlike a
+// sync.Pool a GC does not empty it, so a daemon that has been idle, or
+// a client that attaches again, starts warm. get on an empty list
+// returns a new buffer and put on a full one, or of a buffer over
+// maxPooledFrame, leaves it to the collector: never a wait.
+type framePool chan *[]byte
+
+// maxPooledFrame is the largest frame buffer a framePool keeps. A CHUNK
+// frame carries one block of one chunk: a few KiB as PSX2, up to about
+// 30 KiB as v1 with its stacks. A frame may be maxFrameLen, but a pool
+// keeps none that large.
+const maxPooledFrame = 64 << 10
+
+func (p framePool) get() *[]byte {
+	select {
+	case b := <-p:
+		return b
+	default:
+		return new([]byte)
+	}
+}
+
+func (p framePool) put(b *[]byte) {
+	if cap(*b) > maxPooledFrame {
+		return
+	}
+	select {
+	case p <- b:
+	default:
+	}
+}
+
 // Two pools, kept apart because their sizes differ a hundredfold: the
 // scratch WriteFrame assembles a frame in (mostly acks), and the bodies
-// psxd reads frames into, which travel with a chunk to the run's writer.
+// psxd reads frames into, which travel with a chunk to the run's writer
+// (up to a run's QueueDepth of them at once, two runs' by default).
+// They keep at most 32 × 64 KiB = 2 MiB and 128 × 64 KiB = 8 MiB.
 var (
-	frameScratch = sync.Pool{New: func() any { return new([]byte) }}
-	frameBodies  = sync.Pool{New: func() any { return new([]byte) }}
+	frameScratch = make(framePool, 32)
+	frameBodies  = make(framePool, 128)
 )
 
 // WriteFrame writes one frame as a single Write call, so a transport
@@ -227,8 +260,8 @@ func WriteFrame(w io.Writer, kind uint8, payload []byte) error {
 	if len(payload)+1 > maxFrameLen {
 		return fmt.Errorf("%w: oversized payload (%d bytes)", ErrBadFrame, len(payload))
 	}
-	buf := frameScratch.Get().(*[]byte)
-	defer frameScratch.Put(buf)
+	buf := frameScratch.get()
+	defer frameScratch.put(buf)
 	*buf = append(appendFrameHeader((*buf)[:0], kind, len(payload)), payload...)
 	_, err := w.Write(*buf)
 	return err
@@ -245,17 +278,23 @@ func appendFrameHeader(dst []byte, kind uint8, n int) []byte {
 // The payload is the caller's.
 func ReadFrame(r io.Reader) (kind uint8, payload []byte, err error) {
 	var body []byte
-	return readFrameInto(r, &body)
+	return ReadFrameInto(r, &body)
 }
 
-// readFrameInto is ReadFrame with the frame body read into *body, which
-// is grown to fit and which the payload aliases.
-func readFrameInto(r io.Reader, body *[]byte) (kind uint8, payload []byte, err error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// ReadFrameInto is ReadFrame with the frame body read into *body, which
+// is grown to fit and which the payload aliases: a reader that is done
+// with each payload before the next frame reads every frame into one.
+func ReadFrameInto(r io.Reader, body *[]byte) (kind uint8, payload []byte, err error) {
+	if cap(*body) < 4 {
+		*body = make([]byte, 4)
+	}
+	// The length prefix is read into the body too: an array of its own
+	// would escape through r, one allocation a frame.
+	hdr := (*body)[:4]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint32(hdr)
 	if n < 1 || n > maxFrameLen {
 		return 0, nil, fmt.Errorf("%w: frame length %d", ErrBadFrame, n)
 	}

@@ -133,8 +133,7 @@ func TestAllocSealEncode(t *testing.T) {
 	}
 	for _, deflate := range []bool{false, true} {
 		relay := NewRelay(4)
-		b := NewTraceBuffer(1, 0)
-		b.SetRelay(relay, 0)
+		b := NewRelayBuffer(relay, 0, 0)
 		var enc BlockEncoder
 		var block []byte
 		next := int64(0)

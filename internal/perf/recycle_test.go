@@ -80,8 +80,7 @@ func TestRecycleWhileScraping(t *testing.T) {
 	relay := NewRelay(8)
 	bufs := make([]*TraceBuffer, writers)
 	for i := range bufs {
-		bufs[i] = NewTraceBuffer(1, 0)
-		bufs[i].SetRelay(relay, int32(i))
+		bufs[i] = NewRelayBuffer(relay, int32(i), 0)
 	}
 
 	var consumed [writers]int
@@ -300,8 +299,7 @@ func TestDedupBlocksByteIdentical(t *testing.T) {
 		// function are the same.
 		for mode := range streams {
 			relay := NewRelay(8)
-			b := NewTraceBuffer(1, 0)
-			b.SetRelay(relay, 3)
+			b := NewRelayBuffer(relay, 3, 0)
 			for i := 0; i < n; i++ {
 				s := Sample{Time: int64(i) * 900, Thread: 3, Event: int32(i % 4), Region: uint64(i / 4), StackID: NoStack}
 				if i%4 != 3 {

@@ -105,6 +105,15 @@ func (c *chunk) full() bool {
 	return int(c.wn) == len(c.samples) || c.wns == ChunkSamples
 }
 
+// activeState returns the one-chunk list a relaying buffer publishes
+// while c is its active chunk, made the first time c is activated.
+func (c *chunk) activeState() *bufState {
+	if c.state.chunks == nil {
+		c.state.chunks = []*chunk{c}
+	}
+	return &c.state
+}
+
 // stackTable returns the chunk's stack table, made on the first stack.
 func (c *chunk) stackTable() [][]uintptr {
 	if c.stacks == nil {
@@ -175,10 +184,9 @@ type bufState struct {
 
 // Relay is the bounded hand-off between one attachment's recording
 // threads and its streaming consumer: sealed chunks travel over C, and
-// released ones come back over a free list of the same bound.
+// released ones go back to the process's reserve.
 type Relay struct {
-	C    chan *SealedChunk
-	free chan *chunk
+	C chan *SealedChunk
 
 	// Warn, if set, is called by a sealing thread each time its push
 	// leaves C three quarters full or more: the consumer is falling
@@ -189,7 +197,49 @@ type Relay struct {
 
 // NewRelay returns a relay that queues up to n sealed chunks.
 func NewRelay(n int) *Relay {
-	return &Relay{C: make(chan *SealedChunk, n), free: make(chan *chunk, n)}
+	return &Relay{C: make(chan *SealedChunk, n)}
+}
+
+// reserveChunks bounds the process's reserve of released chunks, the
+// free list every relaying buffer takes its chunks from, attachment
+// after attachment; a GC does not empty it. A chunk it keeps holds at
+// most its 10 KiB of samples, its 6 KiB stack table (cleared), its
+// path table and an arena of arenaSlab PCs: about 21 KiB, so the
+// reserve keeps at most about 5.3 MiB.
+const reserveChunks = 256
+
+var reserve = make(chan *chunk, reserveChunks)
+
+// takeChunk returns an empty chunk off the reserve, or a new one if the
+// reserve is empty; never a wait.
+func takeChunk() *chunk {
+	select {
+	case c := <-reserve:
+		c.wn, c.wns = 0, 0
+		c.n.Store(0)
+		c.nStacks.Store(0)
+		if c.paths != nil {
+			c.paths.pcs = c.paths.pcs[:0]
+		}
+		return c
+	default:
+		return newChunk()
+	}
+}
+
+// recycle puts a chunk no state lists and no reader holds into the
+// reserve, its stack table cleared so that it keeps no stack alive. A
+// chunk whose arena grew past its first slab, or one the full reserve
+// has no room for, is left to the collector.
+func recycle(c *chunk) {
+	if c.paths != nil && cap(c.paths.pcs) > arenaSlab {
+		return
+	}
+	clear(c.stacks)
+	select {
+	case reserve <- c:
+	default:
+	}
 }
 
 // SealedChunk is a full chunk handed off from the owning thread to the
@@ -202,7 +252,7 @@ type SealedChunk struct {
 	b      *TraceBuffer
 }
 
-// Thread returns the thread tag the buffer was given in SetRelay.
+// Thread returns the thread tag the buffer was given in NewRelayBuffer.
 func (s *SealedChunk) Thread() int32 { return s.thread }
 
 // Len returns the number of samples in the sealed chunk.
@@ -213,19 +263,15 @@ func (s *SealedChunk) views() []chunkView {
 	return []chunkView{{c: s.c, n: s.c.n.Load(), nst: s.c.nStacks.Load()}}
 }
 
-// Release gives the chunk back for reuse. seal published the state
-// that no longer lists the chunk before it sent the chunk here, and
-// every reader loads the state inside its bracket: one that can still
-// see the chunk entered before that publish and has not left, so
+// Release gives the chunk back to the reserve. seal published the
+// state that no longer lists the chunk before it sent the chunk here,
+// and every reader loads the state inside its bracket: one that can
+// still see the chunk entered before that publish and has not left, so
 // readers == 0 now means there is none, and any later reader loads a
-// state without it. Otherwise, or with the free list full, the chunk
-// is left to the collector.
+// state without it. Otherwise the chunk is left to the collector.
 func (s *SealedChunk) Release() {
 	if s.b.readers.Load() == 0 {
-		select {
-		case s.b.relay.free <- s.c:
-		default:
-		}
+		recycle(s.c)
 	}
 }
 
@@ -294,12 +340,15 @@ func NewTraceBuffer(capacity, limit int) *TraceBuffer {
 	return b
 }
 
-// SetRelay routes every filled chunk to r, tagged with thread. It must
-// be called before the first append, on a buffer NewTraceBuffer made;
-// the streamer configures buffers at creation.
-func (b *TraceBuffer) SetRelay(r *Relay, thread int32) {
-	b.relay = r
-	b.thread = thread
+// NewRelayBuffer returns a buffer that routes every filled chunk to r,
+// tagged with thread, and holds one chunk, taken from the reserve like
+// every chunk it seals into. limit is NewTraceBuffer's.
+func NewRelayBuffer(r *Relay, thread int32, limit int) *TraceBuffer {
+	c := takeChunk()
+	c.stackBase = 0
+	b := &TraceBuffer{limit: limit, active: c, relay: r, thread: thread}
+	b.state.Store(c.activeState())
+	return b
 }
 
 // enter opens a reader bracket and returns the chunk list to use inside
@@ -451,32 +500,18 @@ func (b *TraceBuffer) InternStack(pcs []uintptr) int32 {
 }
 
 // seal retires the active chunk and returns a fresh active chunk. With
-// a relay configured that one comes off the free list (a new one if it
-// is empty, never a wait) and the full chunk is handed to the consumer
-// (or dropped, with accounting, if the consumer is behind); otherwise
-// the writer advances into the next preallocated chunk or grows the list.
+// a relay configured that one comes off the reserve and the full chunk
+// is handed to the consumer (or dropped, with accounting, if the
+// consumer is behind); otherwise the writer advances into the next
+// preallocated chunk or grows the list.
 func (b *TraceBuffer) seal() *chunk {
 	old := b.active
 	if b.relay != nil {
-		var nc *chunk
-		select {
-		case nc = <-b.relay.free:
-			nc.wn, nc.wns = 0, 0
-			nc.n.Store(0)
-			nc.nStacks.Store(0)
-			if nc.paths != nil {
-				nc.paths.pcs = nc.paths.pcs[:0]
-			}
-		default:
-			nc = newChunk()
-		}
+		nc := takeChunk()
 		nc.stackBase = old.stackBase + old.wns
-		if nc.state.chunks == nil {
-			nc.state.chunks = []*chunk{nc}
-		}
 		// Publish before the push: once the consumer has the old chunk,
 		// no state that lists it can be loaded any more (see Release).
-		b.state.Store(&nc.state)
+		b.state.Store(nc.activeState())
 		b.retained -= int(old.wn) + int(old.wns)
 		b.active = nc
 		b.wc = 0
@@ -646,6 +681,28 @@ func (b *TraceBuffer) Reset() {
 	b.dropped.Store(0)
 	b.relayDrops.Store(0)
 }
+
+// Retire empties a relaying buffer for good once its writer is
+// quiescent, as a detach leaves it: its chunk goes back to the reserve
+// under Release's rule, and the buffer stays a valid, empty buffer that
+// holds no chunk of the reserve and keeps its drop counters. The state
+// that no longer lists the chunk is published before the readers check,
+// as seal does before its push. A buffer that is written again records
+// in memory.
+func (b *TraceBuffer) Retire() {
+	old := b.active
+	b.state.Store(&retired)
+	b.active, b.wc, b.retained = retired.chunks[0], 0, 0
+	if b.relay != nil && b.readers.Load() == 0 {
+		recycle(old)
+	}
+	b.relay = nil
+}
+
+// retired is the chunk list of every retired buffer: one chunk with no
+// room, so never written (a write seals it first, into a chunk of the
+// buffer's own), and a list with no room, so never extended in place.
+var retired = bufState{chunks: []*chunk{{}}}
 
 func (b *TraceBuffer) reset(nchunks int) {
 	chunks := make([]*chunk, nchunks)

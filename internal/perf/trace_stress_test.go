@@ -82,8 +82,7 @@ func (s *SealedChunk) Encode(w io.Writer) error {
 func TestRelayNoLossNoDuplicate(t *testing.T) {
 	const n = 40_000
 	relay := NewRelay(256)
-	b := NewTraceBuffer(1, 0)
-	b.SetRelay(relay, 7)
+	b := NewRelayBuffer(relay, 7, 0)
 
 	var stream bytes.Buffer
 	var consumed int
@@ -168,8 +167,7 @@ func TestRelayNoLossNoDuplicate(t *testing.T) {
 // the drop counter must account for every append exactly.
 func TestRelayDropAccountingExact(t *testing.T) {
 	relay := NewRelay(2)
-	b := NewTraceBuffer(1, 0)
-	b.SetRelay(relay, 0)
+	b := NewRelayBuffer(relay, 0, 0)
 	const n = 10 * ChunkSamples
 	for i := 0; i < n; i++ {
 		b.Append(Sample{Time: int64(i)})

@@ -149,10 +149,7 @@ func WriteTraceEnc(w io.Writer, b *TraceBuffer, enc Encoding) error {
 	}
 	e := blockEncoders.Get().(*BlockEncoder)
 	defer blockEncoders.Put(e)
-	st := b.enter()
-	views, base0 := snapshot(st)
-	block, err := e.encode(views, base0, b.dropped.Load(), enc.Flate)
-	b.exit() // the block is the encoder's own bytes: the write needs no chunk
+	block, err := e.encodeBuffer(b, enc.Flate)
 	if err != nil {
 		return err
 	}
@@ -346,6 +343,26 @@ func (e *BlockEncoder) AppendChunk(dst []byte, s *SealedChunk, deflate bool) ([]
 		return dst, err
 	}
 	return append(dst, block...), nil
+}
+
+// AppendBuffer appends a snapshot of b to dst as the one PSX2 block
+// WriteTraceEnc writes for it, and returns the extended slice; on an
+// error dst comes back as it was.
+func (e *BlockEncoder) AppendBuffer(dst []byte, b *TraceBuffer, deflate bool) ([]byte, error) {
+	block, err := e.encodeBuffer(b, deflate)
+	if err != nil {
+		return dst, err
+	}
+	return append(dst, block...), nil
+}
+
+// encodeBuffer encodes a snapshot of b into the encoder's scratch. The
+// block is the encoder's own bytes, so the reader bracket ends here.
+func (e *BlockEncoder) encodeBuffer(b *TraceBuffer, deflate bool) ([]byte, error) {
+	st := b.enter()
+	defer b.exit()
+	views, base0 := snapshot(st)
+	return e.encode(views, base0, b.dropped.Load(), deflate)
 }
 
 // encode builds one v2 trace block from chunk views, the compact twin

@@ -96,8 +96,7 @@ func newChunkPath(tb testing.TB) *chunkPath {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	buf := perf.NewTraceBuffer(1, 0)
-	buf.SetRelay(s.relay, 0)
+	buf := perf.NewRelayBuffer(s.relay, 0, 0)
 	return &chunkPath{s: s, buf: buf, conn: &wire{c: &sinkConn{}}}
 }
 

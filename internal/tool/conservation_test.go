@@ -250,8 +250,9 @@ func streamSamples(t *testing.T, path string) uint64 {
 }
 
 // outage runs regions until the sink, with its connection held down,
-// has spilled, then brings the connection back and runs more.
-func outage(t *testing.T, rt *omp.RT, tl *Tool, down *atomic.Bool) {
+// has spilled and done is true of the report, then brings the
+// connection back and runs more.
+func outage(t *testing.T, rt *omp.RT, tl *Tool, down *atomic.Bool, done func(*Report) bool) {
 	t.Helper()
 	run := func() {
 		for i := 0; i < 50; i++ {
@@ -261,9 +262,9 @@ func outage(t *testing.T, rt *omp.RT, tl *Tool, down *atomic.Bool) {
 	run()
 	down.Store(true)
 	deadline := time.Now().Add(30 * time.Second)
-	for tl.Report().IngestSpilledChunks == 0 {
+	for rep := tl.Report(); rep.IngestSpilledChunks == 0 || !done(rep); rep = tl.Report() {
 		if time.Now().After(deadline) {
-			t.Fatal("spill never engaged during the outage")
+			t.Fatal("the outage never spilled, or never reached its end")
 		}
 		run()
 	}
@@ -310,7 +311,7 @@ func TestSpillReplayCompressed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outage(t, rt, tl, &down)
+	outage(t, rt, tl, &down, func(*Report) bool { return true })
 	tl.Detach()
 
 	rep := tl.Report()
@@ -361,7 +362,9 @@ func TestSpillSkipsDegradedThread(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outage(t, rt, tl, &down)
+	// The outage lasts until thread 0 has overflowed: thread 1's first
+	// spilled chunk can come before thread 0 has sent two chunks.
+	outage(t, rt, tl, &down, func(rep *Report) bool { return rep.IngestDroppedChunks > 0 })
 	tl.Detach()
 
 	rep := tl.Report()

@@ -513,12 +513,14 @@ type wire struct {
 	acks chan ingest.Ack // closed by the reader when the connection dies
 }
 
-// readAcks is the connection's reader goroutine: plain blocking reads
-// until the connection fails or close severs it.
+// readAcks is the connection's reader goroutine: plain blocking reads,
+// every frame into one body, until the connection fails or close severs
+// it.
 func (w *wire) readAcks(br *bufio.Reader) {
 	defer close(w.acks)
+	var body []byte
 	for {
-		kind, payload, err := ingest.ReadFrame(br)
+		kind, payload, err := ingest.ReadFrameInto(br, &body)
 		if err != nil {
 			return
 		}

@@ -1,7 +1,6 @@
 package tool
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -36,15 +35,16 @@ import (
 // cannot be written is discarded with exact chunk/sample accounting.
 // One thread's failure never touches another thread's file.
 
-// relayCapacity bounds the chunk hand-off channel, and with it the free
-// list of sealed chunks, not yet encoded, that the buffers fill again;
-// it bounds the streamer's free list of encoded-block buffers too, as
-// many as the relay can queue chunks. At ChunkSamples
-// samples per chunk this queues up to 64k samples of backlog (about
-// 3.6 MB of chunks) before the buffers start dropping; with a
-// governor, the relay asks it to step down at three quarters of that.
-// EXPERIMENTS.md "Pooled teams" has the sheds at 64, 128 and 256 on
-// the EPCC workload once joined teams are pooled.
+// relayCapacity bounds each attachment's chunk hand-off channel. At
+// ChunkSamples samples per chunk this queues up to 64k samples of
+// backlog (about 3.6 MB of chunks) before the buffers start dropping;
+// with a governor, the relay asks it to step down at three quarters of
+// that. It bounds the process's free list of encoded-block buffers
+// too, as many as one relay can queue chunks; that list, like perf's
+// chunk reserve of the same bound, outlives every attachment, so a
+// tool that attaches again starts warm. EXPERIMENTS.md "Pooled teams"
+// has the sheds at 64, 128 and 256 on the EPCC workload once joined
+// teams are pooled.
 const relayCapacity = 256
 
 // degradedRetain bounds the chunks a degraded thread retains in memory
@@ -86,14 +86,23 @@ type stagedBlock struct {
 	block   []byte
 }
 
-// blockPool is the streamer's free list of encoded-block buffers:
-// writeChunk encodes into one, and whichever sink holds a block last
+// blockPool is a free list of encoded-block buffers: writeChunk and
+// writeResidue encode into one, and whichever sink holds a block last
 // hands its buffer back (DESIGN.md, "Who owns a staged block"). Like
-// the relay's chunk free list it never blocks: get on an empty list
-// returns nil for the encoder to grow, and put on a full one, or on the
-// nil pool of a sink with no streamer, leaves the buffer to the
-// collector.
+// perf's chunk reserve it never blocks: get on an empty list returns
+// nil for the encoder to grow, and put on a full one, of a buffer over
+// maxPooledBlock, or on the nil pool of a sink with no streamer, leaves
+// the buffer to the collector.
 type blockPool chan []byte
+
+// maxPooledBlock is the largest buffer a blockPool keeps: an epcc-fine
+// chunk's block is under 3 KiB, so the process's pool holds at most
+// relayCapacity × 16 KiB = 4 MiB.
+const maxPooledBlock = 16 << 10
+
+// blocks is the process's block pool, every streamer's, attachment
+// after attachment; a GC does not empty it.
+var blocks = make(blockPool, relayCapacity)
 
 func (p blockPool) get() []byte {
 	select {
@@ -105,6 +114,9 @@ func (p blockPool) get() []byte {
 }
 
 func (p blockPool) put(b []byte) {
+	if cap(b) > maxPooledBlock {
+		return
+	}
 	select {
 	case p <- b:
 	default:
@@ -128,7 +140,6 @@ type streamer struct {
 	fileSink bool     // dir != "": write local per-thread trace files
 	net      *netSink // nil unless Options.IngestAddr is set
 	relay    *perf.Relay
-	blocks   blockPool         // encoded-block buffers the sinks have let go of
 	enc      perf.BlockEncoder // writer goroutine's; stop's once that has exited
 	files    map[int32]*streamFile
 	seqs     map[int32]int // per-thread chunk sequence, for the drop hook
@@ -142,12 +153,6 @@ type streamer struct {
 	led      *ingest.Ledger
 	retries  atomic.Uint64 // transient-error retries performed
 	degraded atomic.Int64  // threads that entered degraded mode
-
-	// finalDropped/finalRelayDropped capture each buffer's drop
-	// counters at stop, before the quiesced buffer is Reset, so Report
-	// keeps exact totals after detach.
-	finalDropped      atomic.Uint64
-	finalRelayDropped atomic.Uint64
 
 	errs []error // writer-goroutine private until stop's wg.Wait
 	done chan struct{}
@@ -188,7 +193,6 @@ func newStreamer(t *Tool, dir string) (*streamer, error) {
 		dir:      dir,
 		fileSink: dir != "",
 		relay:    perf.NewRelay(relayCapacity),
-		blocks:   make(blockPool, relayCapacity),
 		files:    make(map[int32]*streamFile),
 		seqs:     make(map[int32]int),
 		open:     t.opts.OpenTraceFile,
@@ -204,7 +208,7 @@ func newStreamer(t *Tool, dir string) (*streamer, error) {
 	}
 	if t.opts.IngestAddr != "" {
 		s.net = newNetSink(&t.opts, t.gov)
-		s.net.free = s.blocks
+		s.net.free = blocks
 	}
 	if s.open == nil {
 		s.open = func(path string) (io.WriteCloser, error) { return os.Create(path) }
@@ -238,10 +242,10 @@ func (s *streamer) writeChunk(sc *perf.SealedChunk) {
 		sc.Release()
 		return
 	}
-	block, err := s.enc.AppendChunk(s.blocks.get(), sc, s.t.opts.TraceCompress)
+	block, err := s.enc.AppendChunk(blocks.get(), sc, s.t.opts.TraceCompress)
 	sc.Release()
 	if err != nil {
-		s.blocks.put(block)
+		blocks.put(block)
 		// Encoding into memory failing is not a per-file condition a
 		// retry can cure: discard with accounting.
 		s.discard(samples)
@@ -281,7 +285,7 @@ func (s *streamer) store(thread int32, blk stagedBlock) {
 	if s.net != nil {
 		s.net.ship(thread, blk.samples, blk.block, off)
 	} else if off >= 0 {
-		s.blocks.put(blk.block)
+		blocks.put(blk.block)
 	}
 }
 
@@ -424,8 +428,9 @@ func (s *streamer) flushRetained(thread int32, sf *streamFile) {
 
 // writeResidue stores one buffer's not-yet-relayed samples as a final
 // block, encoded from a snapshot of the live buffer, which is safe
-// against a wedged callback still appending. With the collector
-// quiescent the buffer is then Reset, its drop counters captured first.
+// against a wedged callback still appending, into a pooled buffer. With
+// the collector quiescent the buffer is then retired, its chunk back in
+// the reserve; it keeps its drop counters for Report.
 // A residue the file sink cannot write joins the thread's retained
 // backlog, so stop's last flushRetained gives it the same recovery
 // attempt (reopening a file whose open failed during the run) before
@@ -433,22 +438,21 @@ func (s *streamer) flushRetained(thread int32, sf *streamFile) {
 func (s *streamer) writeResidue(tb threadBuf, quiesced bool) {
 	b := tb.buf
 	if quiesced {
-		s.finalDropped.Add(b.Dropped())
-		s.finalRelayDropped.Add(b.RelayDropped())
-		defer b.Reset()
+		defer b.Retire()
 	}
 	if b.Len() == 0 && b.NumStacks() == 0 && b.Dropped() == 0 {
 		return
 	}
 	samples := uint32(b.Len())
 	s.led.Take(samples)
-	var staged bytes.Buffer
-	if err := perf.WriteTraceEnc(&staged, b, s.t.encoding()); err != nil {
+	block, err := s.enc.AppendBuffer(blocks.get(), b, s.t.opts.TraceCompress)
+	if err != nil {
+		blocks.put(block)
 		s.errs = append(s.errs, fmt.Errorf("tool: stream thread %d: residue encode: %w", tb.id, err))
 		s.discard(samples)
 		return
 	}
-	s.store(tb.id, stagedBlock{samples: samples, block: staged.Bytes()})
+	s.store(tb.id, stagedBlock{samples: samples, block: block})
 }
 
 // stop shuts down the writer goroutine, drains the chunks still queued

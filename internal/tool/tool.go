@@ -609,9 +609,7 @@ func (t *Tool) adoptDescriptor(ti *collector.ThreadInfo) *perf.TraceBuffer {
 // thread.
 func (t *Tool) newBuffer(id int32) *perf.TraceBuffer {
 	if t.stream != nil {
-		b := perf.NewTraceBuffer(perf.ChunkSamples, t.opts.BufferLimit)
-		b.SetRelay(t.stream.relay, id)
-		return b
+		return perf.NewRelayBuffer(t.stream.relay, id, t.opts.BufferLimit)
 	}
 	return perf.NewTraceBuffer(t.opts.BufferCap, t.opts.BufferLimit)
 }
@@ -956,11 +954,6 @@ func (t *Tool) Report() *Report {
 	r.Throttled = t.throttle.Skipped()
 	r.ThrottledSites = t.throttle.Sites()
 	if s := t.stream; s != nil {
-		// The final drains consumed the buffers' drop counters; the
-		// streamer captured them first so totals stay exact after
-		// Detach.
-		r.Dropped += s.finalDropped.Load()
-		r.RelayDropped += s.finalRelayDropped.Load()
 		r.StreamRetries = s.retries.Load()
 		r.StreamDiscardedChunks, r.StreamDiscardedSamples = s.led.Settled(discarded)
 		r.ForcedDrops, r.ForcedDropSamples = s.led.Settled(forced)
