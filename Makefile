@@ -15,7 +15,8 @@ test: build
 # frame-pointer walk's assembly, and 386, which builds the
 # runtime.Callers fallback every target without frame pointers uses —
 # then the race detector over the packages a recorded event passes
-# through — omp, collector, perf, tool, degrade and ingest — and over
+# through — omp, collector, perf, tool, degrade and ingest, and the
+# free list perf, tool and ingest keep their buffers in — and over
 # super, whose wait records every team thread registers and clears
 # through omp's one wait bracket, at one, two and four Ps, because the
 # single-writer publish, the chunk-recycle
@@ -54,7 +55,7 @@ check:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./...
 	GOARCH=386 $(GO) vet ./...
-	$(GO) test -race -cpu 1,2,4 ./internal/omp ./internal/super ./internal/collector ./internal/perf ./internal/tool ./internal/degrade ./internal/ingest
+	$(GO) test -race -cpu 1,2,4 ./internal/omp ./internal/super ./internal/collector ./internal/perf ./internal/tool ./internal/degrade ./internal/ingest ./internal/freelist
 	$(GO) test -race -cpu 1,2,4 -run 'PathOracle' .
 	$(GO) test -count=1 ./internal/faultinject -run 'EveryWritePathWritesPSX2'
 	$(GO) test -count=1 ./internal/perf -run 'V1Fixture|PSX2Version1Fixture|PSX2Version2Fixture|PSX2Version3Fixture|V3RoundTrip|V4RoundTrip|V2CrossRead|MixedStream|V2TornTail|ForgedCount|CountMismatch|AsSkimmed'

@@ -8,19 +8,21 @@ import (
 	"testing"
 	"time"
 
+	"goomp/internal/freelist"
 	"goomp/internal/perf"
 )
 
 // TestAllocServerChunk: what psxd allocates to take one chunk off the
 // wire, check it, write and journal it and ack it, non-durable. The
 // frame body comes from the pool and goes back once the writer is done
-// with it, the ack frame is assembled in pooled scratch, the writer
-// reuses its batch and its journal-entry buffer: what is left is the
-// ack's 12-byte payload (16 as the allocator rounds it) and now and
-// then one more body, when the handler asks before the writer has put
-// the last one back. The client side of the test writes one prebuilt
-// frame over and over and reads acks into an array, so the whole
-// process is the server.
+// with it, the ack frame is assembled in pooled scratch (the ack's
+// payload does not escape), the writer reuses its batch and its
+// journal-entry buffer, and ReadFrameInto reads the length prefix into
+// the body, where a separate array once escaped on every frame: what
+// is left is now and then one more body, when the handler asks before
+// the writer has put the last one back. The client side of the test
+// writes one prebuilt frame over and over and reads acks into an
+// array, so the whole process is the server.
 func TestAllocServerChunk(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation guards run without the race detector")
@@ -124,15 +126,15 @@ func sendCommitted(t *testing.T, tc *testClient, r *run, frame []byte, seq *uint
 // one before every segment and every bare run) a second connection of
 // the same run sends more, and its frames are read into bodies the
 // first one left behind: its chunks allocate nothing of a body's size.
-// (What they do allocate, a few bytes a chunk and the block checker's
-// reader once after a GC, is TestAllocServerChunk's to bound.)
+// (What they do allocate, a few bytes a chunk, is TestAllocServerChunk's
+// to bound.)
 func TestAllocServerReconnect(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation guards run without the race detector")
 	}
 	const chunks = 20
-	for len(frameBodies) > 0 { // start as a new process does: no body of another test's size
-		<-frameBodies
+	for frameBodies.Len() > 0 { // start as a new process does: no body of another test's size
+		frameBodies.Get()
 	}
 	srv, err := Serve("127.0.0.1:0", Options{Dir: t.TempDir(), Fsync: FsyncPolicy{Mode: FsyncNever}})
 	if err != nil {
@@ -150,7 +152,7 @@ func TestAllocServerReconnect(t *testing.T) {
 
 	// Both bodies the first connection used, the writer's and the
 	// handler's, are back once the handler has seen the hang-up.
-	for deadline := time.Now().Add(2 * time.Second); len(frameBodies) < 2 && time.Now().Before(deadline); {
+	for deadline := time.Now().Add(2 * time.Second); frameBodies.Len() < 2 && time.Now().Before(deadline); {
 		time.Sleep(time.Millisecond)
 	}
 	runtime.GC()
@@ -172,20 +174,27 @@ func TestAllocServerReconnect(t *testing.T) {
 	}
 }
 
-// drainFrames takes every buffer out of p, puts them back, and returns
-// how many there were, their bytes and the largest.
-func drainFrames(p framePool) (n, bytes, largest int) {
-	var held []*[]byte
-	for len(p) > 0 {
-		b := p.get()
-		held = append(held, b)
+// drainFrames takes every buffer out of p and returns how many there
+// were, their bytes and the largest.
+func drainFrames(p *freelist.List[*[]byte]) (n, bytes, largest int) {
+	for ; p.Len() > 0; n++ {
+		b := p.Get()
 		bytes += cap(*b)
 		largest = max(largest, cap(*b))
 	}
-	for _, b := range held {
-		p.put(b)
+	return n, bytes, largest
+}
+
+// fillFrames puts buffers of maxPooledFrame into the empty p until it
+// keeps no more, empties it again and returns how many it kept.
+func fillFrames(p *freelist.List[*[]byte]) int {
+	for k := -1; k < p.Len(); {
+		k = p.Len()
+		b := make([]byte, 0, maxPooledFrame)
+		p.Put(&b)
 	}
-	return len(held), bytes, largest
+	n, _, _ := drainFrames(p)
+	return n
 }
 
 // TestRetainedBoundFrames: after a connection whose frames were up to
@@ -207,14 +216,15 @@ func TestRetainedBoundFrames(t *testing.T) {
 		sendCommitted(t, tc, r, frame, &seq, 3)
 	}
 	tc.close()
-	waitFor(t, "the connection's body back", func() bool { return len(frameBodies) > 1 })
+	waitFor(t, "the connection's body back", func() bool { return frameBodies.Len() > 1 })
 	for _, p := range []struct {
 		name  string
-		pool  framePool
+		pool  *freelist.List[*[]byte]
 		bound int
 	}{{"bodies", frameBodies, 8 << 20}, {"scratch", frameScratch, 2 << 20}} {
 		n, bytes, largest := drainFrames(p.pool)
-		if largest > maxPooledFrame || n > cap(p.pool) || bytes > p.bound || cap(p.pool)*maxPooledFrame > p.bound {
+		capacity := fillFrames(p.pool)
+		if largest > maxPooledFrame || n > capacity || bytes > p.bound || capacity*maxPooledFrame > p.bound {
 			t.Errorf("%s: %d buffers, %d B, the largest %d B; bound %d B", p.name, n, bytes, largest, p.bound)
 		}
 	}

@@ -59,8 +59,8 @@ func (s *Server) handleConn(c net.Conn) {
 	br := bufio.NewReader(c)
 	// Frames are read into one pooled body, over and over; only a chunk
 	// that is enqueued takes its body along, and the handler a fresh one.
-	body := frameBodies.get()
-	defer func() { frameBodies.put(body) }()
+	body := frameBodies.Get()
+	defer func() { frameBodies.Put(body) }()
 	r := s.hello(cs, br, body)
 	if r == nil {
 		return
@@ -80,7 +80,7 @@ func (s *Server) handleConn(c net.Conn) {
 			}
 			v, queued := r.admit(it)
 			if queued && v == vAccept && it.body != nil {
-				body = frameBodies.get() // the writer has ours now
+				body = frameBodies.Get() // the writer has ours now
 			}
 			if queued && r.durable {
 				continue // the writer acks after the group commit

@@ -85,7 +85,7 @@ func (st *store) commit(batch []item, res []Code) []Code {
 		it := &batch[i]
 		res = append(res, st.apply(it))
 		if it.body != nil {
-			frameBodies.put(it.body) // written and checksummed, or refused: done with the bytes
+			frameBodies.Put(it.body) // written and checksummed, or refused: done with the bytes
 		}
 	}
 	if !st.broken.Load() && (st.syncBatch || (st.everyN > 0 && st.chunksSince >= st.everyN)) {

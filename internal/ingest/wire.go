@@ -31,6 +31,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+
+	"goomp/internal/freelist"
 )
 
 // ProtoVersion is the wire protocol version a HELLO declares. A server
@@ -211,46 +213,25 @@ type Ack struct {
 	Code Code
 }
 
-// framePool is a bounded free list of frame buffers. Unlike a
-// sync.Pool a GC does not empty it, so a daemon that has been idle, or
-// a client that attaches again, starts warm. get on an empty list
-// returns a new buffer and put on a full one, or of a buffer over
-// maxPooledFrame, leaves it to the collector: never a wait.
-type framePool chan *[]byte
-
-// maxPooledFrame is the largest frame buffer a framePool keeps. A CHUNK
-// frame carries one block of one chunk: a few KiB as PSX2, up to about
-// 30 KiB as v1 with its stacks. A frame may be maxFrameLen, but a pool
-// keeps none that large.
+// maxPooledFrame is the largest frame buffer psxd's free lists keep. A
+// CHUNK frame carries one block of one chunk: a few KiB as PSX2, up to
+// about 30 KiB as v1 with its stacks. A frame may be maxFrameLen, but
+// no list keeps one that large.
 const maxPooledFrame = 64 << 10
 
-func (p framePool) get() *[]byte {
-	select {
-	case b := <-p:
-		return b
-	default:
-		return new([]byte)
-	}
-}
+func newFrame() *[]byte        { return new([]byte) }
+func keepFrame(b *[]byte) bool { return cap(*b) <= maxPooledFrame }
 
-func (p framePool) put(b *[]byte) {
-	if cap(*b) > maxPooledFrame {
-		return
-	}
-	select {
-	case p <- b:
-	default:
-	}
-}
-
-// Two pools, kept apart because their sizes differ a hundredfold: the
-// scratch WriteFrame assembles a frame in (mostly acks), and the bodies
-// psxd reads frames into, which travel with a chunk to the run's writer
-// (up to a run's QueueDepth of them at once, two runs' by default).
-// They keep at most 32 × 64 KiB = 2 MiB and 128 × 64 KiB = 8 MiB.
+// Two free lists of frame buffers, kept apart because their sizes
+// differ a hundredfold: the scratch WriteFrame assembles a frame in
+// (mostly acks), and the bodies psxd reads frames into, which travel
+// with a chunk to the run's writer (up to a run's QueueDepth of them at
+// once, two runs' by default). A GC empties neither, so a daemon that
+// has been idle, or a client that attaches again, starts warm. They
+// keep at most 32 × 64 KiB = 2 MiB and 128 × 64 KiB = 8 MiB.
 var (
-	frameScratch = make(framePool, 32)
-	frameBodies  = make(framePool, 128)
+	frameScratch = freelist.New(32, newFrame, keepFrame)
+	frameBodies  = freelist.New(128, newFrame, keepFrame)
 )
 
 // WriteFrame writes one frame as a single Write call, so a transport
@@ -260,8 +241,8 @@ func WriteFrame(w io.Writer, kind uint8, payload []byte) error {
 	if len(payload)+1 > maxFrameLen {
 		return fmt.Errorf("%w: oversized payload (%d bytes)", ErrBadFrame, len(payload))
 	}
-	buf := frameScratch.get()
-	defer frameScratch.put(buf)
+	buf := frameScratch.Get()
+	defer frameScratch.Put(buf)
 	*buf = append(appendFrameHeader((*buf)[:0], kind, len(payload)), payload...)
 	_, err := w.Write(*buf)
 	return err

@@ -171,11 +171,11 @@ func TestReadFrameOwnership(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body := frameBodies.get()
+	body := frameBodies.Get()
 	if _, _, err := ReadFrameInto(&buf, body); err != nil {
 		t.Fatal(err)
 	}
-	frameBodies.put(body)
+	frameBodies.Put(body)
 	WriteFrame(io.Discard, MsgChunk, bytes.Repeat([]byte{0xcc}, 300))
 	if !bytes.Equal(kept, first) {
 		t.Fatal("a payload ReadFrame returned was overwritten")

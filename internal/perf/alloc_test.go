@@ -60,6 +60,33 @@ func TestAllocBlockSamples(t *testing.T) {
 	}
 }
 
+// TestAllocBlockSamplesAfterGC: the readers BlockSamples keeps outlive
+// a GC, so psxd's first chunks after one count as cheaply as the rest.
+// One call is measured straight after two GCs (a sync.Pool's victim
+// cache survives one); testing.AllocsPerRun would hide a refill behind
+// its own warm-up call.
+func TestAllocBlockSamplesAfterGC(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation guards run without the race detector")
+	}
+	block := allocStream(t, 1)
+	if n, err := BlockSamples(block); err != nil || n != ChunkSamples {
+		t.Fatalf("BlockSamples = %d, %v", n, err)
+	}
+	runtime.GC()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	n, err := BlockSamples(block)
+	runtime.ReadMemStats(&after)
+	if err != nil || n != ChunkSamples {
+		t.Fatalf("BlockSamples = %d, %v", n, err)
+	}
+	if k := after.Mallocs - before.Mallocs; k != 0 {
+		t.Fatalf("BlockSamples allocates %d times (%d B) after a GC, want 0", k, after.TotalAlloc-before.TotalAlloc)
+	}
+}
+
 // TestAllocReadTraceStream: the reader materialises a sample once.
 // What it keeps per sample is the 40-byte Sample in the one slab it
 // sized by skimming the stream first, and its share of the buffer's

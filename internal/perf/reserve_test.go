@@ -23,14 +23,10 @@ func heldBytes(c *chunk) int {
 // drainReserve takes every chunk out of the reserve.
 func drainReserve() []*chunk {
 	var out []*chunk
-	for {
-		select {
-		case c := <-reserve:
-			out = append(out, c)
-		default:
-			return out
-		}
+	for reserve.Len() > 0 {
+		out = append(out, reserve.Get())
 	}
+	return out
 }
 
 // TestRetainedBoundReserve: a relaying buffer seals more chunks than

@@ -7,6 +7,8 @@ import (
 	"io"
 	"slices"
 	"sync/atomic"
+
+	"goomp/internal/freelist"
 )
 
 // Sample is one trace record: an event observed on a thread at a
@@ -200,46 +202,37 @@ func NewRelay(n int) *Relay {
 	return &Relay{C: make(chan *SealedChunk, n)}
 }
 
-// reserveChunks bounds the process's reserve of released chunks, the
-// free list every relaying buffer takes its chunks from, attachment
-// after attachment; a GC does not empty it. A chunk it keeps holds at
-// most its 10 KiB of samples, its 6 KiB stack table (cleared), its
-// path table and an arena of arenaSlab PCs: about 21 KiB, so the
-// reserve keeps at most about 5.3 MiB.
+// reserve is the process's free list of released chunks, the one
+// every relaying buffer takes its chunks from, attachment after
+// attachment; a GC does not empty it. A chunk it keeps holds at most
+// its 10 KiB of samples, its 6 KiB stack table (cleared), its path
+// table and an arena of arenaSlab PCs: about 21 KiB, so the reserve's
+// reserveChunks keep at most about 5.3 MiB. A chunk whose arena grew
+// past its first slab is left to the collector.
 const reserveChunks = 256
 
-var reserve = make(chan *chunk, reserveChunks)
+var reserve = freelist.New(reserveChunks, newChunk, func(c *chunk) bool {
+	return c.paths == nil || cap(c.paths.pcs) <= arenaSlab
+})
 
 // takeChunk returns an empty chunk off the reserve, or a new one if the
 // reserve is empty; never a wait.
 func takeChunk() *chunk {
-	select {
-	case c := <-reserve:
-		c.wn, c.wns = 0, 0
-		c.n.Store(0)
-		c.nStacks.Store(0)
-		if c.paths != nil {
-			c.paths.pcs = c.paths.pcs[:0]
-		}
-		return c
-	default:
-		return newChunk()
+	c := reserve.Get()
+	c.wn, c.wns = 0, 0
+	c.n.Store(0)
+	c.nStacks.Store(0)
+	if c.paths != nil {
+		c.paths.pcs = c.paths.pcs[:0]
 	}
+	return c
 }
 
 // recycle puts a chunk no state lists and no reader holds into the
-// reserve, its stack table cleared so that it keeps no stack alive. A
-// chunk whose arena grew past its first slab, or one the full reserve
-// has no room for, is left to the collector.
+// reserve, its stack table cleared so that it keeps no stack alive.
 func recycle(c *chunk) {
-	if c.paths != nil && cap(c.paths.pcs) > arenaSlab {
-		return
-	}
 	clear(c.stacks)
-	select {
-	case reserve <- c:
-	default:
-	}
+	reserve.Put(c)
 }
 
 // SealedChunk is a full chunk handed off from the owning thread to the

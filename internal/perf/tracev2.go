@@ -11,6 +11,8 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
+
+	"goomp/internal/freelist"
 )
 
 // Trace format v2: the compact block encoding that keeps always-on
@@ -157,6 +159,9 @@ func WriteTraceEnc(w io.Writer, b *TraceBuffer, enc Encoding) error {
 	return err
 }
 
+// blockEncoders is a sync.Pool, not a bounded free list: an encoder can
+// hold a flate writer and scratch sized by a whole-buffer snapshot, so a
+// GC must be able to reclaim it.
 var blockEncoders = sync.Pool{New: func() any { return new(BlockEncoder) }}
 
 // IsV2Block reports whether b begins with a v2 trace block header.
@@ -566,11 +571,11 @@ func BlockSamples(block []byte) (uint64, error) {
 	if len(block) == 0 {
 		return 0, fmt.Errorf("%w: no block", ErrBadTrace)
 	}
-	s := skimReaders.Get().(*skimReader)
+	s := skimReaders.Get()
 	s.src.Reset(block)
 	s.br.Reset(&s.src)
 	n, err := CountStreamSamples(s.br)
-	s.src.Reset(nil) // the pool must not keep the caller's frame alive
+	s.src.Reset(nil) // the list must not keep the caller's frame alive
 	skimReaders.Put(s)
 	return n, err
 }
@@ -581,11 +586,14 @@ type skimReader struct {
 	br  *bufio.Reader
 }
 
-var skimReaders = sync.Pool{New: func() any {
+// skimReaders keeps up to 32 readers of about 4.2 KiB each (136 KiB),
+// enough for psxd's connections checking chunks at once; a GC does not
+// empty it, so the first chunks after one allocate nothing either.
+var skimReaders = freelist.New(32, func() *skimReader {
 	s := new(skimReader)
 	s.br = bufio.NewReader(&s.src)
 	return s
-}}
+}, nil)
 
 // skimBody consumes the body of the block whose header h readHeader
 // has just consumed, without materializing it: a v2 block's payload,

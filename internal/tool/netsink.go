@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"goomp/internal/degrade"
+	"goomp/internal/freelist"
 	"goomp/internal/ingest"
 	"goomp/internal/perf"
 )
@@ -157,9 +158,9 @@ type netSink struct {
 	spilled tally              // every chunk ever parked, counted once
 	files   map[int32]*os.File // the sender's read handles for parked blocks
 
-	seq   atomic.Uint64 // last assigned sequence number
-	frame []byte        // the sender's CHUNK frame buffer, reused frame after frame
-	free  blockPool     // where let-go blocks go; nil without a streamer
+	seq   atomic.Uint64          // last assigned sequence number
+	frame []byte                 // the sender's CHUNK frame buffer, reused frame after frame
+	free  *freelist.List[[]byte] // where let-go blocks go; nil, keeping nothing, without a streamer
 
 	led            *ingest.Ledger // every chunk ship takes, settled exactly once
 	overloadedAcks atomic.Uint64  // INGEST_OVERLOADED acks seen (governor input)
@@ -288,7 +289,7 @@ func (n *netSink) park(it *netItem) bool {
 // file sink retains the block (see the sink's invariants above).
 func (n *netSink) release(it *netItem) {
 	if it.block != nil && (it.off >= 0 || n.dir == "") {
-		n.free.put(it.block)
+		n.free.Put(it.block)
 	}
 }
 
@@ -364,13 +365,13 @@ func (n *netSink) readBack(it *netItem) []byte {
 		}
 		n.files[it.thread] = f
 	}
-	block := slices.Grow(n.free.get(), it.size)[:it.size]
+	block := slices.Grow(n.free.Get()[:0], it.size)[:it.size]
 	if _, err := f.ReadAt(block, it.off); err != nil {
-		n.free.put(block)
+		n.free.Put(block)
 		return nil
 	}
 	if k, err := perf.BlockSamples(block); err != nil || k != uint64(it.samples) {
-		n.free.put(block)
+		n.free.Put(block)
 		return nil
 	}
 	return block

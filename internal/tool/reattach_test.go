@@ -186,11 +186,9 @@ func TestAllocAckReader(t *testing.T) {
 // over maxPooledBlock, so it holds at most the 4 MiB DESIGN.md states,
 // and a sink with no streamer hands nothing to it.
 func TestRetainedBoundBlocks(t *testing.T) {
-	for len(blocks) > 0 {
-		<-blocks
-	}
+	drainBlocks()
 	for _, size := range []int{1 << 10, 4 * maxPooledBlock, 3 << 10} {
-		blocks.put(make([]byte, size))
+		blocks.Put(make([]byte, size))
 	}
 	n := newNetSink(&Options{}, nil)
 	n.ship(0, 1, make([]byte, 64), -1)
@@ -198,16 +196,51 @@ func TestRetainedBoundBlocks(t *testing.T) {
 		n.settle(&it, ingest.CodeOK)
 	}
 	held, total := 0, 0
-	for len(blocks) > 0 {
-		b := <-blocks
+	for _, b := range drainBlocks() {
 		held++
 		total += cap(b)
 		if cap(b) > maxPooledBlock {
 			t.Fatalf("the block pool keeps a %d B buffer", cap(b))
 		}
 	}
-	if held != 2 || cap(blocks)*maxPooledBlock > 4<<20 {
-		t.Fatalf("the block pool holds %d buffers (%d B), want the 2 small ones; bound %d B", held, total, cap(blocks)*maxPooledBlock)
+	for k := -1; k < blocks.Len(); { // fill it with the largest buffers it keeps
+		k = blocks.Len()
+		blocks.Put(make([]byte, 0, maxPooledBlock))
+	}
+	capacity := len(drainBlocks())
+	if held != 2 || capacity*maxPooledBlock > 4<<20 {
+		t.Fatalf("the block pool holds %d buffers (%d B), want the 2 small ones; bound %d B", held, total, capacity*maxPooledBlock)
+	}
+}
+
+// drainBlocks takes every buffer out of the process's block pool.
+func drainBlocks() [][]byte {
+	var out [][]byte
+	for blocks.Len() > 0 {
+		out = append(out, blocks.Get())
+	}
+	return out
+}
+
+// TestNetSinkWithoutStreamerKeepsNoBlocks: a sink with no streamer has
+// a nil free list, so the blocks a caller ships through it, which the
+// caller still owns, never reach the process's block pool.
+func TestNetSinkWithoutStreamerKeepsNoBlocks(t *testing.T) {
+	drainBlocks()
+	n := newNetSink(&Options{}, nil)
+	for i := 0; i < 300; i++ {
+		n.ship(0, 1, make([]byte, 64), -1)
+		it, ok := n.next()
+		if !ok {
+			t.Fatalf("block %d was not sent", i)
+		}
+		n.acked(ingest.Ack{Seq: it.seq, Code: ingest.CodeOK})
+	}
+	if got, _ := n.led.Settled(shipped); got != 300 {
+		t.Fatalf("%d of 300 blocks shipped", got)
+	}
+	if k := blocks.Len(); k != 0 {
+		t.Fatalf("a sink with no streamer put %d of its caller's blocks in the process's pool", k)
 	}
 }
 

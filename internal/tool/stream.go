@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"goomp/internal/freelist"
 	"goomp/internal/ingest"
 	"goomp/internal/perf"
 )
@@ -86,42 +87,16 @@ type stagedBlock struct {
 	block   []byte
 }
 
-// blockPool is a free list of encoded-block buffers: writeChunk and
-// writeResidue encode into one, and whichever sink holds a block last
-// hands its buffer back (DESIGN.md, "Who owns a staged block"). Like
-// perf's chunk reserve it never blocks: get on an empty list returns
-// nil for the encoder to grow, and put on a full one, of a buffer over
-// maxPooledBlock, or on the nil pool of a sink with no streamer, leaves
-// the buffer to the collector.
-type blockPool chan []byte
-
-// maxPooledBlock is the largest buffer a blockPool keeps: an epcc-fine
-// chunk's block is under 3 KiB, so the process's pool holds at most
-// relayCapacity × 16 KiB = 4 MiB.
+// blocks is the process's free list of encoded-block buffers, every
+// streamer's, attachment after attachment: writeChunk and writeResidue
+// encode into one, and whichever sink holds a block last hands its
+// buffer back (DESIGN.md, "Who owns a staged block"). Get on an empty
+// list returns nil for the encoder to grow. An epcc-fine chunk's block
+// is under 3 KiB; the list keeps none over maxPooledBlock, so it holds
+// at most relayCapacity × 16 KiB = 4 MiB.
 const maxPooledBlock = 16 << 10
 
-// blocks is the process's block pool, every streamer's, attachment
-// after attachment; a GC does not empty it.
-var blocks = make(blockPool, relayCapacity)
-
-func (p blockPool) get() []byte {
-	select {
-	case b := <-p:
-		return b[:0]
-	default:
-		return nil
-	}
-}
-
-func (p blockPool) put(b []byte) {
-	if cap(b) > maxPooledBlock {
-		return
-	}
-	select {
-	case p <- b:
-	default:
-	}
-}
+var blocks = freelist.New(relayCapacity, nil, func(b []byte) bool { return cap(b) <= maxPooledBlock })
 
 // streamer owns the trace files and the chunk-writer goroutine.
 //
@@ -242,10 +217,10 @@ func (s *streamer) writeChunk(sc *perf.SealedChunk) {
 		sc.Release()
 		return
 	}
-	block, err := s.enc.AppendChunk(blocks.get(), sc, s.t.opts.TraceCompress)
+	block, err := s.enc.AppendChunk(blocks.Get()[:0], sc, s.t.opts.TraceCompress)
 	sc.Release()
 	if err != nil {
-		blocks.put(block)
+		blocks.Put(block)
 		// Encoding into memory failing is not a per-file condition a
 		// retry can cure: discard with accounting.
 		s.discard(samples)
@@ -285,7 +260,7 @@ func (s *streamer) store(thread int32, blk stagedBlock) {
 	if s.net != nil {
 		s.net.ship(thread, blk.samples, blk.block, off)
 	} else if off >= 0 {
-		blocks.put(blk.block)
+		blocks.Put(blk.block)
 	}
 }
 
@@ -445,9 +420,9 @@ func (s *streamer) writeResidue(tb threadBuf, quiesced bool) {
 	}
 	samples := uint32(b.Len())
 	s.led.Take(samples)
-	block, err := s.enc.AppendBuffer(blocks.get(), b, s.t.opts.TraceCompress)
+	block, err := s.enc.AppendBuffer(blocks.Get()[:0], b, s.t.opts.TraceCompress)
 	if err != nil {
-		blocks.put(block)
+		blocks.Put(block)
 		s.errs = append(s.errs, fmt.Errorf("tool: stream thread %d: residue encode: %w", tb.id, err))
 		s.discard(samples)
 		return
