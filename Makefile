@@ -14,9 +14,15 @@ test: build
 # here and for two other targets — arm64, whose asmdecl pass checks the
 # frame-pointer walk's assembly, and 386, which builds the
 # runtime.Callers fallback every target without frame pointers uses —
+# then a build for arm64, 386 and riscv64, because vet passes a Go
+# declaration whose assembly body no file of that target provides and
+# only the build fails it: the fallbacks of the TSC read and of
+# relstore's release store are compiled there and nowhere else (the
+# build cross-compiles with the local toolchain and fetches nothing);
 # then the race detector over the packages a recorded event passes
-# through — omp, collector, perf, tool, degrade and ingest, and the
-# free list perf, tool and ingest keep their buffers in — and over
+# through — omp, collector, perf, tool, degrade and ingest, the
+# free list perf, tool and ingest keep their buffers in, and relstore,
+# which is sync/atomic's Store under the detector — and over
 # super, whose wait records every team thread registers and clears
 # through omp's one wait bracket, at one, two and four Ps, because the
 # single-writer publish, the chunk-recycle
@@ -55,7 +61,10 @@ check:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./...
 	GOARCH=386 $(GO) vet ./...
-	$(GO) test -race -cpu 1,2,4 ./internal/omp ./internal/super ./internal/collector ./internal/perf ./internal/tool ./internal/degrade ./internal/ingest ./internal/freelist
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=386 $(GO) build ./...
+	GOARCH=riscv64 $(GO) build ./...
+	$(GO) test -race -cpu 1,2,4 ./internal/omp ./internal/super ./internal/collector ./internal/perf ./internal/tool ./internal/degrade ./internal/ingest ./internal/freelist ./internal/relstore
 	$(GO) test -race -cpu 1,2,4 -run 'PathOracle' .
 	$(GO) test -count=1 ./internal/faultinject -run 'EveryWritePathWritesPSX2'
 	$(GO) test -count=1 ./internal/perf -run 'V1Fixture|PSX2Version1Fixture|PSX2Version2Fixture|PSX2Version3Fixture|V3RoundTrip|V4RoundTrip|V2CrossRead|MixedStream|V2TornTail|ForgedCount|CountMismatch|AsSkimmed'

@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"goomp/internal/relstore"
 )
 
 // SymbolName is the name under which an OpenMP runtime exports its
@@ -43,18 +45,22 @@ type Collector struct {
 	callbacks [NumEvents]atomic.Pointer[Callback]
 	regLocks  [NumEvents]sync.Mutex
 
-	// eventCounts tallies dispatched notifications per event.
-	eventCounts [NumEvents]atomic.Uint64
+	// dispatchers lists every descriptor that has dispatched an event
+	// through this collector, copy-on-write under dispatchMu. Each
+	// keeps its own dispatch counts and in-flight word (dispatchSlot);
+	// EventCount and Quiesce sum and scan them here.
+	dispatchMu  sync.Mutex
+	dispatchers atomic.Pointer[[]*ThreadInfo]
 
-	// guards holds the per-event inflight counters Quiesce spins on so
-	// a detaching tool can wait out dispatches that were in flight when
-	// it unregistered — per event (rather than one global counter) so a
-	// bounded quiesce can name the event a wedged callback belongs to.
-	guards [NumEvents]eventGuard
+	// started holds, per event, the perf.Cycles() stamp of a sampled
+	// dispatch while it runs (zero otherwise), so a wedged callback's
+	// age is observable from outside.
+	started [NumEvents]atomic.Int64
 
 	// budget and sampleMask configure the callback watchdog (see
-	// health.go): with a nonzero budget, dispatches whose per-event
-	// count masks to zero are timed, and an over-budget callback trips
+	// health.go): with a nonzero budget, dispatches whose count (for
+	// their event, on their thread) masks to zero are timed, and an
+	// over-budget callback trips
 	// the breaker. health is the cold-path fault record.
 	budget     atomic.Int64
 	sampleMask uint64
@@ -103,6 +109,7 @@ func New(opts ...Option) *Collector {
 		handles:    make(map[uint64]Callback),
 		sampleMask: sampleMaskFor(defaultWatchdogSample),
 	}
+	c.dispatchers.Store(new([]*ThreadInfo))
 	c.defaultQ = newQueue(c)
 	c.queueMaker = func() Queue { return newQueue(c) }
 	for _, opt := range opts {
@@ -201,27 +208,47 @@ func (c *Collector) Event(t *ThreadInfo, e Event) {
 	c.dispatch(t, e)
 }
 
-// dispatch runs the registered callback under the event's inflight
-// guard so Quiesce can wait out dispatches racing an unregister. The
-// callback is re-checked after the increment: a dispatch that loses
-// the race against Store(nil) either sees nil here and backs out, or
-// had its increment ordered before the unregistering thread's
-// subsequent Quiesce loads — so Quiesce never misses a running
-// callback. The callback itself runs behind the fault-isolation
-// boundary (health.go): panics are contained, and with a watchdog
-// budget armed, sampled dispatches are timed.
+// dispatch runs the registered callback with the dispatch marked in
+// flight in t's own slot, so Quiesce can wait out dispatches racing an
+// unregister. Marking it is the one fence of a dispatch: a
+// sequentially consistent store of the slot's in-flight word, ordered
+// before the callback is loaded again. A dispatch that loses the race
+// against Store(nil) either sees nil here and backs out, or had its
+// word (and, at its first dispatch, its place in dispatchers) ordered
+// before the unregistering thread's subsequent Quiesce loads, so
+// Quiesce never misses a running callback. The count and the exit are
+// the slot owner's release stores. The callback itself runs behind the
+// fault-isolation boundary (health.go): panics are contained, and with
+// a watchdog budget armed, sampled dispatches are timed.
 func (c *Collector) dispatch(t *ThreadInfo, e Event) {
-	g := &c.guards[e]
-	g.inflight.Add(1)
+	s := &t.dispatch
+	if s.col != c {
+		c.enlist(t)
+	}
+	prev := s.word // only this thread stores the word
+	atomic.StoreUint64(&s.word, (prev>>32+1)<<32|uint64(e))
 	if cb := c.callbacks[e].Load(); cb != nil {
-		n := c.eventCounts[e].Add(1)
+		n := s.counts[e] + 1
+		relstore.Store64(&s.counts[e], n)
 		if b := c.budget.Load(); b > 0 && n&c.sampleMask == 0 {
-			c.invokeTimed(cb, e, t, g, b)
+			c.invokeTimed(cb, e, t, b)
 		} else {
 			c.invoke(cb, e, t)
 		}
 	}
-	g.inflight.Add(-1)
+	relstore.Store64(&s.word, prev)
+}
+
+// enlist adds t to the descriptors this collector counts and scans.
+// It runs once per descriptor, at its first dispatch, before the
+// dispatch marks itself in flight.
+func (c *Collector) enlist(t *ThreadInfo) {
+	c.dispatchMu.Lock()
+	old := *c.dispatchers.Load()
+	list := append(old[:len(old):len(old)], t)
+	c.dispatchers.Store(&list)
+	t.dispatch.col = c
+	c.dispatchMu.Unlock()
 }
 
 // Quiesce blocks until no event callback is executing. Callers must
@@ -243,7 +270,11 @@ func (c *Collector) EventCount(e Event) uint64 {
 	if !e.Valid() {
 		return 0
 	}
-	return c.eventCounts[e].Load()
+	var n uint64
+	for _, t := range *c.dispatchers.Load() {
+		n += atomic.LoadUint64(&t.dispatch.counts[e])
+	}
+	return n
 }
 
 // NewCallbackHandle registers cb and returns a handle suitable for a

@@ -86,7 +86,37 @@ type ThreadInfo struct {
 	// single-writer buffer here at bind time, so recording an event
 	// costs one pointer load and one append — no map lookup, no lock.
 	buffer atomic.Pointer[perf.TraceBuffer]
+
+	dispatch dispatchSlot
 }
+
+// dispatchSlot is the collector's dispatch bookkeeping for the
+// descriptor's thread (Collector.dispatch). Only that thread stores to
+// it, so it needs no locked instruction but the entry's one fence;
+// other threads only load it, when they count events or quiesce, and
+// the padding keeps the thread's stores off their lines and off its
+// neighbours'. The words are plain integers because relstore stores
+// through a pointer; every other access is a sync/atomic load.
+type dispatchSlot struct {
+	_ [cacheLinePad]byte
+
+	// col is the collector whose dispatchers list the descriptor,
+	// set at its first dispatch through it.
+	col *Collector
+
+	// word is the dispatch in flight: how many (a callback may
+	// dispatch again on its own thread) in the high 32 bits, the
+	// innermost one's event in the low 32.
+	word uint64
+
+	// counts tallies dispatched notifications per event.
+	counts [NumEvents]uint64
+
+	_ [cacheLinePad]byte
+}
+
+// cacheLinePad is the width of a cache line.
+const cacheLinePad = 64
 
 // SetTraceBuffer pins (or, with nil, unpins) a trace buffer on the
 // descriptor. Called by the attached tool from the collector's bind

@@ -24,7 +24,7 @@ import (
 //     event is timed; a callback observed over budget trips a circuit
 //     breaker that pauses event generation (the ReqPause machinery)
 //     and records why. The unsampled dispatches pay nothing beyond the
-//     existing inflight guard.
+//     dispatch's in-flight mark.
 //   - Bounded quiesce: QuiesceWithin gives detach a deadline even when
 //     a callback is wedged, and names the events still in flight.
 //
@@ -96,17 +96,6 @@ func (h *Health) String() string {
 	return s
 }
 
-// eventGuard is the per-event dispatch bookkeeping. inflight replaces
-// the old collector-global counter — same one-Add cost on the dispatch
-// path, but quiesce can now name the event a stuck callback belongs
-// to. started holds the perf.Cycles() timestamp of a sampled dispatch
-// while it runs (zero otherwise) so a wedged callback's age is
-// observable from outside.
-type eventGuard struct {
-	inflight atomic.Int64
-	started  atomic.Int64
-}
-
 // healthState is the cold-path fault record, touched only when a fault
 // actually fires (panic, trip) or a snapshot is taken.
 type healthState struct {
@@ -116,8 +105,9 @@ type healthState struct {
 }
 
 // defaultWatchdogSample is the dispatch-sampling interval of the
-// watchdog: one dispatch in this many (per event) is timed. It must be
-// a power of two; the fast path masks the event count with sample-1.
+// watchdog: one dispatch in this many (per event and thread) is timed.
+// It must be a power of two; the fast path masks the event count with
+// sample-1.
 const defaultWatchdogSample = 64
 
 // WithCallbackBudget arms the callback watchdog at construction: a
@@ -129,8 +119,9 @@ func WithCallbackBudget(d time.Duration) Option {
 }
 
 // WithWatchdogSampling sets how often the armed watchdog times a
-// dispatch: every nth dispatch of an event (rounded up to a power of
-// two). n <= 1 times every dispatch. Without a budget this is inert.
+// dispatch: every nth dispatch of an event on a thread (rounded up to
+// a power of two). n <= 1 times every dispatch. Without a budget this
+// is inert.
 func WithWatchdogSampling(n int) Option {
 	return func(c *Collector) { c.sampleMask = sampleMaskFor(n) }
 }
@@ -159,14 +150,14 @@ func (c *Collector) invoke(cb *Callback, e Event, t *ThreadInfo) {
 }
 
 // invokeTimed is the sampled watchdog path: it stamps the dispatch
-// start into the event guard (making a wedged callback observable) and
-// trips the breaker if the callback exceeds the budget. Panics are
-// contained exactly as on the untimed path.
-func (c *Collector) invokeTimed(cb *Callback, e Event, t *ThreadInfo, g *eventGuard, budget int64) {
+// start into the event's started slot (making a wedged callback
+// observable) and trips the breaker if the callback exceeds the
+// budget. Panics are contained exactly as on the untimed path.
+func (c *Collector) invokeTimed(cb *Callback, e Event, t *ThreadInfo, budget int64) {
 	start := perf.Cycles()
-	g.started.Store(start)
+	c.started[e].Store(start)
 	defer func() {
-		g.started.Store(0)
+		c.started[e].Store(0)
 		if elapsed := perf.Cycles() - start; elapsed > budget {
 			c.tripBreaker(e, time.Duration(elapsed))
 		}
@@ -219,11 +210,9 @@ func (c *Collector) Health() *Health {
 	sortPanics(h.Panics)
 	if budget := c.budget.Load(); budget > 0 {
 		now := perf.Cycles()
-		for e := range c.guards {
-			if c.guards[e].inflight.Load() == 0 {
-				continue
-			}
-			if start := c.guards[e].started.Load(); start != 0 && now-start > budget {
+		for e := range c.started {
+			// A stamp is cleared before its dispatch leaves.
+			if start := c.started[e].Load(); start != 0 && now-start > budget {
 				h.Wedged = append(h.Wedged, WedgedEvent{
 					Event: Event(e), Age: time.Duration(now - start),
 				})
@@ -251,25 +240,31 @@ func (c *Collector) BreakerTripped() bool {
 
 // quiescent reports whether no event callback is executing.
 func (c *Collector) quiescent() bool {
-	for i := range c.guards {
-		if c.guards[i].inflight.Load() != 0 {
+	for _, t := range *c.dispatchers.Load() {
+		if atomic.LoadUint64(&t.dispatch.word)>>32 != 0 {
 			return false
 		}
 	}
 	return true
 }
 
-// wedgedNow lists the events with a callback currently in flight,
-// with ages for the sampled ones.
+// wedgedNow lists the events with a callback currently in flight, in
+// event order, with ages for the sampled ones.
 func (c *Collector) wedgedNow() []WedgedEvent {
+	var inflight [NumEvents]bool
+	for _, t := range *c.dispatchers.Load() {
+		if w := atomic.LoadUint64(&t.dispatch.word); w>>32 != 0 {
+			inflight[uint32(w)] = true
+		}
+	}
 	var out []WedgedEvent
 	now := perf.Cycles()
-	for e := range c.guards {
-		if c.guards[e].inflight.Load() == 0 {
+	for e, in := range inflight {
+		if !in {
 			continue
 		}
 		w := WedgedEvent{Event: Event(e)}
-		if start := c.guards[e].started.Load(); start != 0 {
+		if start := c.started[e].Load(); start != 0 {
 			w.Age = time.Duration(now - start)
 		}
 		out = append(out, w)

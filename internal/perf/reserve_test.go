@@ -131,3 +131,40 @@ func TestRetireWithReader(t *testing.T) {
 		}
 	}
 }
+
+// TestRecycleClearsPublishedStacks seals chunks holding k stacks, for k
+// going up and down, through a relay whose reserve is otherwise empty,
+// so each chunk the buffer takes is the one it released before it.
+// Every released chunk must hold no stack pointer, and every sealed
+// chunk must hold exactly its own k stacks, whatever the chunk held the
+// time before.
+func TestRecycleClearsPublishedStacks(t *testing.T) {
+	drainReserve()
+	relay := NewRelay(1)
+	b := NewRelayBuffer(relay, 0, 0)
+	defer b.Retire()
+	for round, k := range []int{3, 0, 40, 7, 0, ChunkSamples / 2, 1} {
+		for i := 0; i < k; i++ {
+			b.AppendStacked(Sample{Time: int64(i)}, []uintptr{uintptr(round<<16 | i + 1)})
+		}
+		for len(relay.C) == 0 {
+			b.Append(Sample{StackID: NoStack}) // until one seals the chunk
+		}
+		sc := <-relay.C
+		c := sc.c
+		if got := int(c.nStacks.Load()); got != k {
+			t.Fatalf("round %d: chunk sealed with %d stacks, want %d", round, got, k)
+		}
+		for i, st := range c.stacks {
+			if (i < k) != (st != nil) || i < k && st[0] != uintptr(round<<16|i+1) {
+				t.Fatalf("round %d: sealed stack slot %d = %v with %d stacks", round, i, st, k)
+			}
+		}
+		sc.Release()
+		for i, st := range c.stacks {
+			if st != nil {
+				t.Fatalf("round %d: released chunk keeps stack slot %d = %v", round, i, st)
+			}
+		}
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"goomp/internal/freelist"
+	"goomp/internal/relstore"
 )
 
 // Sample is one trace record: an event observed on a thread at a
@@ -92,9 +93,17 @@ type chunk struct {
 	state  bufState
 	sealed SealedChunk
 
-	n       atomic.Int32 // published sample count
-	nStacks atomic.Int32 // published stack count
+	n       published // published sample count
+	nStacks published // published stack count
 }
+
+// published is a count only a chunk's writer stores: Store is a
+// release store (relstore), which is all a single writer's publish
+// needs, and Load an acquire load.
+type published struct{ v int32 }
+
+func (p *published) Load() int32   { return atomic.LoadInt32(&p.v) }
+func (p *published) Store(v int32) { relstore.Store32(&p.v, v) }
 
 func newChunk() *chunk {
 	return &chunk{samples: make([]Sample, ChunkSamples)}
@@ -230,8 +239,10 @@ func takeChunk() *chunk {
 
 // recycle puts a chunk no state lists and no reader holds into the
 // reserve, its stack table cleared so that it keeps no stack alive.
+// Only the slots it published can hold one: a chunk comes from
+// newChunk or from here, with every slot nil.
 func recycle(c *chunk) {
-	clear(c.stacks)
+	clear(c.stacks[:c.nStacks.Load()])
 	reserve.Put(c)
 }
 

@@ -28,6 +28,9 @@ func (t *Tool) startObs(addr string) (*obs.Server, error) {
 	reg.GaugeFunc("goomp_tool_uptime_seconds",
 		"Seconds since the tool attached.",
 		func() float64 { return time.Since(t.attachedAt).Seconds() })
+	reg.GaugeFunc("goomp_clock_source_info",
+		"What the trace timestamps were read from: the TSC, or the monotonic clock where it is not usable.",
+		func() float64 { return 1 }, obs.Label{Name: "source", Value: perf.ClockSource()})
 	reg.GaugeFunc("goomp_tool_threads",
 		"Bound thread descriptors currently known to the collector.",
 		func() float64 { return float64(len(t.liveThreadIDs())) })

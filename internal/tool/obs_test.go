@@ -6,12 +6,14 @@ import (
 	"net/http"
 	"regexp"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"goomp/internal/epcc"
 	"goomp/internal/obs"
 	"goomp/internal/omp"
+	"goomp/internal/perf"
 	. "goomp/internal/tool"
 )
 
@@ -266,5 +268,31 @@ func TestObsMetricsDuringRegions(t *testing.T) {
 				fetch(t, base+path)
 			}
 		}
+	}
+}
+
+// TestObsClockSource checks that the obs plane and the report both say
+// what the trace's timestamps were read from.
+func TestObsClockSource(t *testing.T) {
+	rt := omp.New(omp.Config{NumThreads: 1})
+	defer rt.Close()
+	opts := FullMeasurement()
+	opts.ObsAddr = "127.0.0.1:0"
+	tl, err := AttachRuntime(rt, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tl.Detach()
+	src := perf.ClockSource()
+	_, body := fetch(t, tl.ObsURL()+"/metrics")
+	if want := `goomp_clock_source_info{source="` + src + `"} 1`; !strings.Contains(body, want) {
+		t.Errorf("exposition lacks %s:\n%s", want, body)
+	}
+	var out strings.Builder
+	if _, err := tl.Report().WriteTo(&out); err != nil {
+		t.Fatal(err)
+	}
+	if want := "clock source: " + src; !strings.Contains(out.String(), want) {
+		t.Errorf("report lacks %q:\n%s", want, out.String())
 	}
 }

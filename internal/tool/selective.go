@@ -19,19 +19,24 @@ import (
 // identifies as dominant — measurement and storage — while keeping the
 // cheap callback path intact, so event counts stay exact.
 
-// siteThrottle tracks per-region-site sample budgets.
+// siteThrottle tracks per-region-site sample budgets. The site map is
+// copy-on-write: allow reads it without a lock and takes mu only to add
+// a site it has not seen, so a region's steady state costs one load
+// and one add on the site's own counter. The counters keep counting
+// past max, so what was skipped is what they hold beyond it.
 type siteThrottle struct {
-	max     uint64
-	mu      sync.Mutex
-	sites   map[uintptr]*atomic.Uint64
-	skipped atomic.Uint64
+	max   uint64
+	mu    sync.Mutex
+	sites atomic.Pointer[map[uintptr]*atomic.Uint64]
 }
 
 func newSiteThrottle(max int) *siteThrottle {
 	if max <= 0 {
 		return nil
 	}
-	return &siteThrottle{max: uint64(max), sites: make(map[uintptr]*atomic.Uint64)}
+	st := &siteThrottle{max: uint64(max)}
+	st.sites.Store(&map[uintptr]*atomic.Uint64{})
+	return st
 }
 
 // allow reports whether a sample from the given region site is within
@@ -41,18 +46,30 @@ func (st *siteThrottle) allow(site uintptr) bool {
 	if st == nil || site == 0 {
 		return true
 	}
-	st.mu.Lock()
-	ctr := st.sites[site]
+	ctr := (*st.sites.Load())[site]
 	if ctr == nil {
-		ctr = new(atomic.Uint64)
-		st.sites[site] = ctr
+		ctr = st.add(site)
 	}
-	st.mu.Unlock()
-	if ctr.Add(1) <= st.max {
-		return true
+	return ctr.Add(1) <= st.max
+}
+
+// add returns site's counter, publishing a map that holds it if none
+// does yet.
+func (st *siteThrottle) add(site uintptr) *atomic.Uint64 {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	old := *st.sites.Load()
+	if ctr := old[site]; ctr != nil {
+		return ctr
 	}
-	st.skipped.Add(1)
-	return false
+	m := make(map[uintptr]*atomic.Uint64, len(old)+1)
+	for k, v := range old {
+		m[k] = v
+	}
+	ctr := new(atomic.Uint64)
+	m[site] = ctr
+	st.sites.Store(&m)
+	return ctr
 }
 
 // Skipped returns how many samples the throttle suppressed.
@@ -60,7 +77,13 @@ func (st *siteThrottle) Skipped() uint64 {
 	if st == nil {
 		return 0
 	}
-	return st.skipped.Load()
+	var n uint64
+	for _, ctr := range *st.sites.Load() {
+		if v := ctr.Load(); v > st.max {
+			n += v - st.max
+		}
+	}
+	return n
 }
 
 // Sites returns how many distinct region sites were observed.
@@ -68,7 +91,5 @@ func (st *siteThrottle) Sites() int {
 	if st == nil {
 		return 0
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return len(st.sites)
+	return len(*st.sites.Load())
 }

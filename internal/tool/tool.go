@@ -832,6 +832,9 @@ type Report struct {
 	Events map[collector.Event]uint64
 	// Samples is the total number of stored trace samples.
 	Samples int
+	// ClockSource names what the samples' timestamps were read from
+	// (perf.ClockSource): "tsc" or "monotonic".
+	ClockSource string
 	// Dropped counts samples lost to buffer limits.
 	Dropped uint64
 	// Regions holds per-site region timing built from the master
@@ -929,7 +932,7 @@ type Report struct {
 
 // Report builds the current report. It may be called after Detach.
 func (t *Tool) Report() *Report {
-	r := &Report{Events: make(map[collector.Event]uint64)}
+	r := &Report{Events: make(map[collector.Event]uint64), ClockSource: perf.ClockSource()}
 	for _, e := range t.events {
 		r.Events[e] = t.col.EventCount(e)
 	}
@@ -1041,6 +1044,7 @@ func (r *Report) WriteTo(w io.Writer) (int64, error) {
 		p("  %-32s %d\n", e, r.Events[e])
 	}
 	p("  samples stored: %d (dropped %d)\n", r.Samples, r.Dropped)
+	p("  clock source: %s\n", r.ClockSource)
 	if r.RelayDropped > 0 || r.StreamRetries > 0 || r.StreamDiscardedChunks > 0 ||
 		r.ForcedDrops > 0 || r.DegradedThreads > 0 {
 		p("  stream: %d retries, %d relay-dropped chunks, %d discarded chunks (%d samples), %d forced drops (%d samples), %d degraded threads\n",
