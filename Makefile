@@ -57,14 +57,27 @@ test: build
 # region's critical, single and ordered constructs may allocate. They skip themselves
 # under -race (the detector changes what an allocation costs), so this
 # is the run that enforces them.
+#
+# The timing tests run on fake time (internal/faketime), in
+# testing/synctest bubbles. Go 1.24 puts testing/synctest behind
+# GOEXPERIMENT=synctest, and go.mod stays at go 1.22, because raising
+# it would make bench/run.sh's build rewrite bench/go.mod. Without the
+# experiment, faketime.Run runs each such test in a build of its
+# package that has it, so every target here runs them. check also vets
+# with the experiment on, the only build that compiles
+# internal/faketime/bubble.go, and runs the race line once more with it
+# on for the packages whose tests use bubbles, so that those tests run
+# in-process at each width.
 check:
 	$(GO) vet ./...
+	GOEXPERIMENT=synctest $(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./...
 	GOARCH=386 $(GO) vet ./...
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=386 $(GO) build ./...
 	GOARCH=riscv64 $(GO) build ./...
 	$(GO) test -race -cpu 1,2,4 ./internal/omp ./internal/super ./internal/collector ./internal/perf ./internal/tool ./internal/degrade ./internal/ingest ./internal/freelist ./internal/relstore
+	GOEXPERIMENT=synctest $(GO) test -race -cpu 1,2,4 ./internal/super ./internal/tool ./internal/degrade ./internal/ingest
 	$(GO) test -race -cpu 1,2,4 -run 'PathOracle' .
 	$(GO) test -count=1 ./internal/faultinject -run 'EveryWritePathWritesPSX2'
 	$(GO) test -count=1 ./internal/perf -run 'V1Fixture|PSX2Version1Fixture|PSX2Version2Fixture|PSX2Version3Fixture|V3RoundTrip|V4RoundTrip|V2CrossRead|MixedStream|V2TornTail|ForgedCount|CountMismatch|AsSkimmed'

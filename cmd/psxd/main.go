@@ -10,7 +10,7 @@
 //
 // Storage is durable and self-healing: every run directory carries an
 // append-only journal and a manifest, a restarted daemon replays the
-// journal and truncates torn tails before listening, and -fsync /
+// journal and truncates torn tails before accepting, and -fsync /
 // -retain-bytes / -retain-age control the durability and retention
 // policy. SIGINT/SIGTERM drain gracefully, bounded by -drain-timeout.
 //

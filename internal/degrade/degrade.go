@@ -111,7 +111,7 @@ func (r Reason) String() string {
 
 // Transition is one recorded ladder move.
 type Transition struct {
-	Time   int64 // governor clock (ns) at the decision
+	Time   int64 // governor clock (ns since New) at the decision
 	From   Level
 	To     Level
 	Reason Reason
@@ -168,10 +168,6 @@ type Config struct {
 	// Tick is the measurement period. Zero means DefaultTick (100ms).
 	Tick time.Duration
 
-	// Now is the governor's clock in nanoseconds; injectable so tests
-	// drive the EWMA deterministically. Zero means a monotonic clock.
-	Now func() int64
-
 	// OnTransition, when set, observes every ladder move, called from
 	// the tick path (the governor goroutine, or whatever calls Tick).
 	OnTransition func(Transition)
@@ -182,7 +178,7 @@ type Config struct {
 // goroutine or call Tick from a caller-owned cadence.
 type Governor struct {
 	cfg   Config
-	now   func() int64
+	epoch time.Time // the governor's clock reads time.Since(epoch)
 	meter CostMeter
 
 	level        atomic.Int32
@@ -214,12 +210,7 @@ func New(cfg Config) (*Governor, error) {
 	if cfg.Tick <= 0 {
 		cfg.Tick = DefaultTick
 	}
-	now := cfg.Now
-	if now == nil {
-		epoch := time.Now()
-		now = func() int64 { return int64(time.Since(epoch)) }
-	}
-	return &Governor{cfg: cfg, now: now, done: make(chan struct{})}, nil
+	return &Governor{cfg: cfg, epoch: time.Now(), done: make(chan struct{})}, nil
 }
 
 // Meter returns the governor's cost meter; measurement paths charge it.
@@ -285,7 +276,7 @@ func (g *Governor) Stop() {
 // against wall time, fold into the EWMA, and move at most one ladder
 // rung. Only one goroutine may call Tick.
 func (g *Governor) Tick() {
-	now := g.now()
+	now := int64(time.Since(g.epoch))
 	cost := g.meter.Total()
 	if !g.primed {
 		// First tick establishes the baseline; no interval to measure.

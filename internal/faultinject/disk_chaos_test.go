@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"goomp/internal/faketime"
 	"goomp/internal/faultinject"
 	"goomp/internal/ingest"
 	"goomp/internal/omp"
@@ -109,7 +110,7 @@ func TestChaosDiskCrashRestartMidChunk(t *testing.T) {
 	}
 
 	// Restart on the same address and data dir: recovery replays the
-	// journal and truncates the torn block away before listening.
+	// journal and truncates the torn block away before accepting.
 	srv2 := restartIngest(t, addr, ingest.Options{Dir: dataDir, FS: plan.IngestFS()})
 	if rec := srv2.Recovered(); rec.Salvaged == 0 {
 		t.Errorf("restart recovered %d runs but salvaged none; a torn-tail run was on disk", rec.Runs)
@@ -285,85 +286,77 @@ func TestChaosDiskFullQuarantinesOneRun(t *testing.T) {
 // still be byte-identical — the atomic seal leaves no window where a
 // finished run can be half-trusted.
 func TestChaosDiskCrashAtManifestSeal(t *testing.T) {
-	plan := faultinject.New(37)
-	dataDir := t.TempDir()
-	srv, err := ingest.Serve("127.0.0.1:0", ingest.Options{Dir: dataDir, FS: plan.IngestFS()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
+	faketime.Run(t, func(t *testing.T) {
+		plan := faultinject.New(37)
+		dataDir := t.TempDir()
+		srv, dial := servePipe(t, ingest.Options{Dir: dataDir, FS: plan.IngestFS()})
+		defer srv.Close()
 
-	killed := make(chan struct{})
-	plan.SetOnCrash(func() {
-		srv.Kill()
-		close(killed)
-	})
+		killed := make(chan struct{})
+		plan.SetOnCrash(func() {
+			srv.Kill()
+			close(killed)
+		})
 
-	rt := omp.New(omp.Config{NumThreads: 2})
-	defer rt.Close()
-	localDir := t.TempDir()
-	opts := tool.FullMeasurement()
-	opts.StreamDir = localDir
-	opts.IngestAddr = srv.Addr()
-	opts.IngestRun = "seal-crash"
-	opts.IngestDurable = true
-	tl, err := tool.AttachRuntime(rt, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runWorkload(t, rt, 300)
+		rt := omp.New(omp.Config{NumThreads: 2})
+		defer rt.Close()
+		localDir := t.TempDir()
+		opts := tool.FullMeasurement()
+		opts.StreamDir = localDir
+		opts.IngestAddr = srv.Addr()
+		opts.IngestRun = "seal-crash"
+		opts.IngestDurable = true
+		opts.DialIngest = dial
+		tl, err := tool.AttachRuntime(rt, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tl.Detach() // a failure stops the tool inside the bubble too
+		runWorkload(t, rt, 300)
 
-	// Arm the rename crash only once the run exists, so the initial
-	// identity manifest (written at run creation) is past; the next
-	// manifest rename is the BYE's atomic seal.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
+		// Arm the rename crash only once the run exists, so the initial
+		// identity manifest (written at run creation) is past; the next
+		// manifest rename is the BYE's atomic seal.
+		faketime.Wait()
 		found := false
 		for _, ri := range srv.Runs() {
 			if ri.ID == "seal-crash" && ri.Chunks > 0 {
 				found = true
 			}
 		}
-		if found {
-			break
-		}
-		if time.Now().After(deadline) {
+		if !found {
 			t.Fatal("no chunk ever landed on the server")
 		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	plan.CrashOnRename(manifestBase, false)
+		plan.CrashOnRename(manifestBase, false)
 
-	tl.Detach() // BYE → journal + sync + manifest rename → crash
-	select {
-	case <-killed:
-	case <-time.After(10 * time.Second):
-		t.Fatal("the manifest-rename crash never fired")
-	}
-	if got := plan.FiredCount(faultinject.KindCrashRename); got != 1 {
-		t.Fatalf("rename crash fired %d times, want 1", got)
-	}
+		tl.Detach() // BYE → journal + sync + manifest rename → crash
+		select {
+		case <-killed:
+		case <-time.After(10 * time.Second):
+			t.Fatal("the manifest-rename crash never fired")
+		}
+		if got := plan.FiredCount(faultinject.KindCrashRename); got != 1 {
+			t.Fatalf("rename crash fired %d times, want 1", got)
+		}
 
-	// A fresh daemon over the same data dir: the journal holds the BYE,
-	// so recovery replays the run all the way to complete.
-	srv2, err := ingest.Serve("127.0.0.1:0", ingest.Options{Dir: dataDir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv2.Close() })
-	ri := waitRunWithin(t, srv2, "seal-crash", 5*time.Second)
-	if !ri.Salvaged {
-		t.Error("the recovered run is not marked salvaged")
-	}
-	runDir := filepath.Join(dataDir, "seal-crash")
-	requireByteIdentical(t, localDir, runDir)
-	if m, err := ingest.ReadManifest(runDir); err != nil {
-		t.Errorf("reading recovered manifest: %v", err)
-	} else if !m.Complete {
-		t.Error("recovery did not replay the journaled BYE to a complete manifest")
-	}
-	rep := tl.Report()
-	checkAccounting(t, rep, plan, parseStreamDir(t, localDir))
+		// A fresh daemon over the same data dir: the journal holds the BYE,
+		// so recovery replays the run all the way to complete.
+		srv2, _ := servePipe(t, ingest.Options{Dir: dataDir})
+		defer srv2.Close()
+		ri := completedRun(t, srv2, "seal-crash")
+		if !ri.Salvaged {
+			t.Error("the recovered run is not marked salvaged")
+		}
+		runDir := filepath.Join(dataDir, "seal-crash")
+		requireByteIdentical(t, localDir, runDir)
+		if m, err := ingest.ReadManifest(runDir); err != nil {
+			t.Errorf("reading recovered manifest: %v", err)
+		} else if !m.Complete {
+			t.Error("recovery did not replay the journaled BYE to a complete manifest")
+		}
+		rep := tl.Report()
+		checkAccounting(t, rep, plan, parseStreamDir(t, localDir))
+	})
 }
 
 // manifestBase matches only the atomic-rename target, not the journal

@@ -7,6 +7,7 @@ import (
 
 	"goomp/internal/collector"
 	"goomp/internal/degrade"
+	"goomp/internal/faketime"
 	"goomp/internal/faultinject"
 	"goomp/internal/ingest"
 	"goomp/internal/omp"
@@ -100,71 +101,78 @@ func TestChaosLoadCeilingConvergence(t *testing.T) {
 // is byte-identical to the local tee, and the BYE carries the exact
 // spill accounting into the manifest.
 func TestChaosLoadOutageSpillReplay(t *testing.T) {
-	srv, dataDir := startNetChaosServer(t)
-	plan := faultinject.New(31)
-	plan.CutConnAfterFrames(1, 4) // HELLO + 3 data frames, then dead
-	plan.FailDialRange(2, 6)      // ~1.6s of capped-backoff outage
+	faketime.Run(t, func(t *testing.T) {
+		dataDir := t.TempDir()
+		srv, dial := servePipe(t, ingest.Options{Dir: dataDir})
+		defer srv.Close()
+		plan := faultinject.New(31)
+		plan.CutConnAfterFrames(1, 4) // HELLO + 3 data frames, then dead
+		plan.FailDialRange(2, 6)      // ~1.6s of capped-backoff outage
 
-	rt := omp.New(omp.Config{NumThreads: 2})
-	defer rt.Close()
-	localDir := t.TempDir()
-	opts := tool.FullMeasurement()
-	opts.StreamDir = localDir
-	opts.IngestAddr = srv.Addr()
-	opts.IngestRun = "outage-spill"
-	opts.IngestPendingDepth = 2 // tiny queue: the outage overruns it fast
-	plan.Apply(&opts)
-	tl, err := tool.AttachRuntime(rt, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Produce until the backlog has demonstrably hit the disk, so the
-	// assertion never depends on chunk-size timing against the outage
-	// window.
-	deadline := time.Now().Add(30 * time.Second)
-	for tl.Report().IngestSpilledChunks == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("spill never engaged during the outage")
+		rt := omp.New(omp.Config{NumThreads: 2})
+		defer rt.Close()
+		localDir := t.TempDir()
+		opts := tool.FullMeasurement()
+		opts.StreamDir = localDir
+		opts.IngestAddr = srv.Addr()
+		opts.IngestRun = "outage-spill"
+		opts.IngestPendingDepth = 2 // tiny queue: the outage overruns it fast
+		opts.DialIngest = dial
+		plan.Apply(&opts)
+		tl, err := tool.AttachRuntime(rt, opts)
+		if err != nil {
+			t.Fatal(err)
 		}
-		runWorkload(t, rt, 100)
-	}
-	runWorkload(t, rt, 200)
-	tl.Detach()
+		defer tl.Detach() // a failure stops the tool inside the bubble too
+		// Produce until the backlog has demonstrably hit the disk, so the
+		// assertion never depends on chunk-size timing against the outage
+		// window. A millisecond's sleep after each round lets the fake
+		// clock, and the sink's reconnect backoff with it, move on.
+		for round := 0; tl.Report().IngestSpilledChunks == 0; round++ {
+			if round == 10000 {
+				t.Fatal("spill never engaged during the outage")
+			}
+			runWorkload(t, rt, 100)
+			time.Sleep(time.Millisecond)
+		}
+		runWorkload(t, rt, 200)
+		tl.Detach()
 
-	rep := tl.Report()
-	checkChunkConservation(t, rep)
-	if got := plan.FiredCount(faultinject.KindConnCut); got != 1 {
-		t.Errorf("connection cut fired %d times, want 1", got)
-	}
-	if got := plan.FiredCount(faultinject.KindDialError); got != 6 {
-		t.Errorf("outage window failed %d dials, want 6", got)
-	}
-	if rep.IngestDroppedChunks != 0 || rep.IngestSpillPendingChunks != 0 {
-		t.Fatalf("outage shorter than the spill bound lost data: dropped=%d pending=%d",
-			rep.IngestDroppedChunks, rep.IngestSpillPendingChunks)
-	}
-	if rep.IngestSpilledChunks == 0 || rep.IngestReplayedChunks != rep.IngestSpilledChunks {
-		t.Fatalf("spilled %d, replayed %d: the detour must deliver everything",
-			rep.IngestSpilledChunks, rep.IngestReplayedChunks)
-	}
-	ri := waitRunDone(t, srv, "outage-spill")
-	if ri.Chunks != rep.IngestShippedChunks+rep.IngestReplayedChunks {
-		t.Errorf("server landed %d chunks, client shipped %d + replayed %d",
-			ri.Chunks, rep.IngestShippedChunks, rep.IngestReplayedChunks)
-	}
-	requireByteIdentical(t, localDir, filepath.Join(dataDir, "outage-spill"))
-	m, err := ingest.ReadManifest(filepath.Join(dataDir, "outage-spill"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.ClientProduced != rep.IngestProducedChunks ||
-		m.ClientSpilled != rep.IngestSpilledChunks ||
-		m.ClientReplayed != rep.IngestReplayedChunks ||
-		m.ClientDropped != 0 {
-		t.Errorf("manifest accounting (produced %d spilled %d replayed %d dropped %d) does not match the report (produced %d spilled %d replayed %d)",
-			m.ClientProduced, m.ClientSpilled, m.ClientReplayed, m.ClientDropped,
-			rep.IngestProducedChunks, rep.IngestSpilledChunks, rep.IngestReplayedChunks)
-	}
+		rep := tl.Report()
+		checkChunkConservation(t, rep)
+		if got := plan.FiredCount(faultinject.KindConnCut); got != 1 {
+			t.Errorf("connection cut fired %d times, want 1", got)
+		}
+		if got := plan.FiredCount(faultinject.KindDialError); got != 6 {
+			t.Errorf("outage window failed %d dials, want 6", got)
+		}
+		if rep.IngestDroppedChunks != 0 || rep.IngestSpillPendingChunks != 0 {
+			t.Fatalf("outage shorter than the spill bound lost data: dropped=%d pending=%d",
+				rep.IngestDroppedChunks, rep.IngestSpillPendingChunks)
+		}
+		if rep.IngestSpilledChunks == 0 || rep.IngestReplayedChunks != rep.IngestSpilledChunks {
+			t.Fatalf("spilled %d, replayed %d: the detour must deliver everything",
+				rep.IngestSpilledChunks, rep.IngestReplayedChunks)
+		}
+		ri := completedRun(t, srv, "outage-spill")
+		if ri.Chunks != rep.IngestShippedChunks+rep.IngestReplayedChunks {
+			t.Errorf("server landed %d chunks, client shipped %d + replayed %d",
+				ri.Chunks, rep.IngestShippedChunks, rep.IngestReplayedChunks)
+		}
+		requireByteIdentical(t, localDir, filepath.Join(dataDir, "outage-spill"))
+		m, err := ingest.ReadManifest(filepath.Join(dataDir, "outage-spill"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.ClientProduced != rep.IngestProducedChunks ||
+			m.ClientSpilled != rep.IngestSpilledChunks ||
+			m.ClientReplayed != rep.IngestReplayedChunks ||
+			m.ClientDropped != 0 {
+			t.Errorf("manifest accounting (produced %d spilled %d replayed %d dropped %d) does not match the report (produced %d spilled %d replayed %d)",
+				m.ClientProduced, m.ClientSpilled, m.ClientReplayed, m.ClientDropped,
+				rep.IngestProducedChunks, rep.IngestSpilledChunks, rep.IngestReplayedChunks)
+		}
+	})
 }
 
 // TestChaosLoadBurstFlood floods a daemon that cannot keep up: a

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"goomp/internal/faketime"
 	"goomp/internal/faultinject"
 	"goomp/internal/ingest"
 	"goomp/internal/omp"
@@ -108,46 +109,50 @@ func runWorkload(t *testing.T, rt *omp.RT, regions int) {
 // must stay bounded, nothing ships, and every sample that entered the
 // network path sits in an exact loss bucket.
 func TestChaosNetDeadServerAtAttach(t *testing.T) {
-	plan := faultinject.New(7)
-	plan.FailDial(1 << 30) // the server is simply dead
+	faketime.Run(t, func(t *testing.T) {
+		plan := faultinject.New(7)
+		plan.FailDial(1 << 30) // the server is simply dead
 
-	rt := omp.New(omp.Config{NumThreads: 2})
-	defer rt.Close()
-	opts := tool.FullMeasurement()
-	opts.IngestAddr = "127.0.0.1:9" // never actually dialed
-	opts.IngestRun = "dead-server"
-	plan.Apply(&opts)
-	tl, err := tool.AttachRuntime(rt, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runWorkload(t, rt, 200)
+		rt := omp.New(omp.Config{NumThreads: 2})
+		defer rt.Close()
+		opts := tool.FullMeasurement()
+		opts.IngestAddr = "127.0.0.1:9" // never actually dialed
+		opts.IngestRun = "dead-server"
+		plan.Apply(&opts)
+		tl, err := tool.AttachRuntime(rt, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tl.Detach() // a failure stops the tool inside the bubble too
+		runWorkload(t, rt, 200)
 
-	start := time.Now()
-	tl.Detach()
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Fatalf("Detach took %v with a dead server; the flush grace is not bounding it", elapsed)
-	}
+		// On fake time the bound is exact: the net sink's 3s flush grace.
+		start := time.Now()
+		tl.Detach()
+		if elapsed := time.Since(start); elapsed != 3*time.Second {
+			t.Fatalf("Detach took %v with a dead server, want the 3s flush grace that bounds it", elapsed)
+		}
 
-	rep := tl.Report()
-	if rep.IngestShippedChunks != 0 {
-		t.Errorf("%d chunks shipped to a server that never accepted a dial", rep.IngestShippedChunks)
-	}
-	if plan.FiredCount(faultinject.KindDialError) == 0 {
-		t.Error("the dial fault never fired: the sink did not even try to connect")
-	}
-	var dispatched uint64
-	for _, n := range rep.Events {
-		dispatched += n
-	}
-	got := uint64(rep.Samples) + rep.Dropped + rep.IngestDroppedSamples + rep.StreamDiscardedSamples
-	if got != dispatched {
-		t.Errorf("accounting: in-memory %d + dropped %d + ingest-dropped %d + discarded %d = %d, want %d dispatched",
-			rep.Samples, rep.Dropped, rep.IngestDroppedSamples, rep.StreamDiscardedSamples, got, dispatched)
-	}
-	if rep.IngestDroppedSamples == 0 {
-		t.Error("a dead server dropped nothing: the loss buckets went unexercised")
-	}
+		rep := tl.Report()
+		if rep.IngestShippedChunks != 0 {
+			t.Errorf("%d chunks shipped to a server that never accepted a dial", rep.IngestShippedChunks)
+		}
+		if plan.FiredCount(faultinject.KindDialError) == 0 {
+			t.Error("the dial fault never fired: the sink did not even try to connect")
+		}
+		var dispatched uint64
+		for _, n := range rep.Events {
+			dispatched += n
+		}
+		got := uint64(rep.Samples) + rep.Dropped + rep.IngestDroppedSamples + rep.StreamDiscardedSamples
+		if got != dispatched {
+			t.Errorf("accounting: in-memory %d + dropped %d + ingest-dropped %d + discarded %d = %d, want %d dispatched",
+				rep.Samples, rep.Dropped, rep.IngestDroppedSamples, rep.StreamDiscardedSamples, got, dispatched)
+		}
+		if rep.IngestDroppedSamples == 0 {
+			t.Error("a dead server dropped nothing: the loss buckets went unexercised")
+		}
+	})
 }
 
 // TestChaosNetServerDeathMidRun cuts the first connection after a few

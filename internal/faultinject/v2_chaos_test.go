@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"goomp/internal/faketime"
 	"goomp/internal/faultinject"
 	"goomp/internal/ingest"
 	"goomp/internal/omp"
@@ -69,17 +70,18 @@ func requireV2Files(t *testing.T, dir string) {
 func TestEveryWritePathWritesPSX2(t *testing.T) {
 	srv, dataDir := startNetChaosServer(t)
 	for _, tc := range []struct {
-		name string
+		name     string
+		fakeTime bool // run in a faketime bubble
 		// run profiles a workload with opts, given a scratch directory,
 		// and returns the directories its blocks landed in.
 		run func(t *testing.T, rt *omp.RT, opts tool.Options, dir string) []string
 	}{
-		{"StreamDir", func(t *testing.T, rt *omp.RT, opts tool.Options, dir string) []string {
+		{"StreamDir", false, func(t *testing.T, rt *omp.RT, opts tool.Options, dir string) []string {
 			opts.StreamDir = dir
 			profile(t, rt, opts)
 			return []string{dir}
 		}},
-		{"IngestAddr tee", func(t *testing.T, rt *omp.RT, opts tool.Options, dir string) []string {
+		{"IngestAddr tee", false, func(t *testing.T, rt *omp.RT, opts tool.Options, dir string) []string {
 			opts.StreamDir = dir
 			opts.IngestAddr = srv.Addr()
 			opts.IngestRun = "psx2-tee"
@@ -87,34 +89,41 @@ func TestEveryWritePathWritesPSX2(t *testing.T) {
 			waitRunDone(t, srv, opts.IngestRun)
 			return []string{dir, filepath.Join(dataDir, opts.IngestRun)}
 		}},
-		{"IngestAddr tee through an outage", func(t *testing.T, rt *omp.RT, opts tool.Options, dir string) []string {
+		{"IngestAddr tee through an outage", true, func(t *testing.T, rt *omp.RT, opts tool.Options, dir string) []string {
 			// The daemon is gone for the first six dials and the queue
 			// holds two frames, so the backlog spills. The spill writes
 			// nothing of its own: the local directory holds the trace
-			// files and no other format.
+			// files and no other format. This path runs on fake time,
+			// so it has a daemon of its own on an in-memory listener.
+			dataDir := t.TempDir()
+			srv, dial := servePipe(t, ingest.Options{Dir: dataDir})
+			defer srv.Close()
 			plan := faultinject.New(41)
 			plan.FailDialRange(1, 6)
 			opts.StreamDir = dir
 			opts.IngestAddr = srv.Addr()
 			opts.IngestRun = "psx2-outage"
 			opts.IngestPendingDepth = 2
-			opts.DialIngest = plan.Dialer(nil)
+			opts.DialIngest = plan.Dialer(dial)
 			tl, err := tool.AttachRuntime(rt, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			deadline := time.Now().Add(30 * time.Second)
-			for tl.Report().IngestSpilledChunks == 0 {
-				if time.Now().After(deadline) {
+			defer tl.Detach() // a failure stops the tool inside the bubble too
+			// A millisecond's sleep after each round lets the fake clock,
+			// and the sink's reconnect backoff with it, move on.
+			for round := 0; tl.Report().IngestSpilledChunks == 0; round++ {
+				if round == 10000 {
 					t.Fatal("spill never engaged during the outage")
 				}
 				runWorkload(t, rt, 50)
+				time.Sleep(time.Millisecond)
 			}
 			tl.Detach()
 			if err := tl.StreamError(); err != nil {
 				t.Fatal(err)
 			}
-			waitRunDone(t, srv, opts.IngestRun)
+			completedRun(t, srv, opts.IngestRun)
 			ents, err := os.ReadDir(dir)
 			if err != nil {
 				t.Fatal(err)
@@ -126,14 +135,14 @@ func TestEveryWritePathWritesPSX2(t *testing.T) {
 			}
 			return []string{dir, filepath.Join(dataDir, opts.IngestRun)}
 		}},
-		{"IngestAddr net-only", func(t *testing.T, rt *omp.RT, opts tool.Options, dir string) []string {
+		{"IngestAddr net-only", false, func(t *testing.T, rt *omp.RT, opts tool.Options, dir string) []string {
 			opts.IngestAddr = srv.Addr()
 			opts.IngestRun = "psx2-net"
 			profile(t, rt, opts)
 			waitRunDone(t, srv, opts.IngestRun)
 			return []string{filepath.Join(dataDir, opts.IngestRun)}
 		}},
-		{"WriteTraces", func(t *testing.T, rt *omp.RT, opts tool.Options, dir string) []string {
+		{"WriteTraces", false, func(t *testing.T, rt *omp.RT, opts tool.Options, dir string) []string {
 			tl := profile(t, rt, opts)
 			var files []*os.File
 			err := tl.WriteTraces(func(thread int32) (io.Writer, error) {
@@ -152,7 +161,7 @@ func TestEveryWritePathWritesPSX2(t *testing.T) {
 			}
 			return []string{dir}
 		}},
-		{"hang salvage", func(t *testing.T, rt *omp.RT, _ tool.Options, dir string) []string {
+		{"hang salvage", false, func(t *testing.T, rt *omp.RT, _ tool.Options, dir string) []string {
 			tl, ch := attachSupervised(t, rt, dir)
 			defer tl.Detach()
 			runWorkload(t, rt, 20)
@@ -173,11 +182,18 @@ func TestEveryWritePathWritesPSX2(t *testing.T) {
 			return []string{dir}
 		}},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
+		walk := func(t *testing.T) {
 			rt := omp.New(omp.Config{NumThreads: 2})
 			defer rt.Close()
 			for _, dir := range tc.run(t, rt, tool.FullMeasurement(), t.TempDir()) {
 				requireV2Files(t, dir)
+			}
+		}
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.fakeTime {
+				faketime.Run(t, walk)
+			} else {
+				walk(t)
 			}
 		})
 	}

@@ -126,7 +126,7 @@ func TestRefusedChunksAreBooked(t *testing.T) {
 	wantBucket(t, r, refused, "refused", 1, 5)
 
 	time.Sleep(time.Millisecond) // older than RetainAge
-	srv.Housekeep()
+	srv.housekeep()
 	if len(srv.Runs()) != 0 {
 		t.Fatal("the GC did not take the complete run")
 	}

@@ -8,10 +8,13 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"goomp/internal/faketime"
 )
 
 // dialFlags is dialClient with a capability trailer on the HELLO.
@@ -21,24 +24,7 @@ func dialFlags(t *testing.T, addr, run string, flags uint32) (*testClient, Hello
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc := &testClient{t: t, c: c, br: bufio.NewReader(c)}
-	if err := WriteFrame(c, MsgHello, EncodeHello(Hello{
-		Version: ProtoVersion, Run: run, Host: "testhost", PID: 1, Flags: flags,
-	})); err != nil {
-		t.Fatal(err)
-	}
-	kind, payload, err := ReadFrame(tc.br)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kind != MsgHelloAck {
-		t.Fatalf("first server frame kind = %d, want HELLO-ACK", kind)
-	}
-	ha, err := DecodeHelloAck(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tc, ha
+	return greet(t, c, run, flags)
 }
 
 func TestJournalEntryRoundTrip(t *testing.T) {
@@ -366,46 +352,42 @@ func TestSyncFailureQuarantinesRun(t *testing.T) {
 // TestCloseWithinAbandonsStuckSync is the bounded-drain regression
 // test: a writer wedged inside a never-returning fsync must not wedge
 // shutdown — CloseWithin abandons it at the deadline with an error
-// (the journal makes whatever was abandoned recoverable).
+// (the journal makes whatever was abandoned recoverable). It runs on
+// fake time, so the abandon lands at exactly the deadline.
 func TestCloseWithinAbandonsStuckSync(t *testing.T) {
-	unblock := make(chan struct{})
-	fs := &hookFS{block: unblock, entered: make(chan string, 4)}
-	srv, err := Serve("127.0.0.1:0", Options{Dir: t.TempDir(), FS: fs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		// Release the abandoned writer and wait for it to exit: it goes
-		// on writing into the run directory, which t.TempDir's cleanup
-		// removes as soon as the test returns.
-		close(unblock)
-		for _, r := range srv.snapshot() {
-			r.wg.Wait()
+	faketime.Run(t, func(t *testing.T) {
+		unblock := make(chan struct{})
+		fs := &hookFS{block: unblock, entered: make(chan string, 4)}
+		srv, dial := servePipe(t, Options{Dir: t.TempDir(), FS: fs})
+		defer func() {
+			// Release the abandoned writer and wait for it to exit: it goes
+			// on writing into the run directory, which t.TempDir's cleanup
+			// removes as soon as the test returns.
+			close(unblock)
+			for _, r := range srv.snapshot() {
+				r.wg.Wait()
+			}
+		}()
+
+		tc, _ := greet(t, dial(), "stuck-run", FlagDurable)
+		defer tc.close()
+		block := traceBlock(t, 0, 5)
+		// Fire the chunk without waiting for its ack: the writer will enter
+		// the blocked sync and never come back.
+		if err := WriteFrame(tc.c, MsgChunk, EncodeChunk(Chunk{Seq: 1, Thread: 0, Samples: 5, Block: block})); err != nil {
+			t.Fatal(err)
 		}
-	}()
+		<-fs.entered
 
-	tc, _ := dialFlags(t, srv.Addr(), "stuck-run", FlagDurable)
-	defer tc.close()
-	block := traceBlock(t, 0, 5)
-	// Fire the chunk without waiting for its ack: the writer will enter
-	// the blocked sync and never come back.
-	if err := WriteFrame(tc.c, MsgChunk, EncodeChunk(Chunk{Seq: 1, Thread: 0, Samples: 5, Block: block})); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-fs.entered:
-	case <-time.After(5 * time.Second):
-		t.Fatal("the writer never reached the blocked sync")
-	}
-
-	start := time.Now()
-	err = srv.CloseWithin(150 * time.Millisecond)
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("CloseWithin took %v against a wedged fsync", elapsed)
-	}
-	if err == nil || !strings.Contains(err.Error(), "drain deadline") {
-		t.Fatalf("CloseWithin = %v, want a drain-deadline error", err)
-	}
+		start := time.Now()
+		err := srv.CloseWithin(150 * time.Millisecond)
+		if elapsed := time.Since(start); elapsed != 150*time.Millisecond {
+			t.Fatalf("CloseWithin took %v against a wedged fsync, want its 150ms bound", elapsed)
+		}
+		if err == nil || !strings.Contains(err.Error(), "drain deadline") {
+			t.Fatalf("CloseWithin = %v, want a drain-deadline error", err)
+		}
+	})
 }
 
 // TestRecoverTornTail kills the daemon, damages the tail of both the
@@ -598,6 +580,46 @@ func TestRecoverIgnoresForeignDir(t *testing.T) {
 	}
 }
 
+// TestFailedServeStopsRecoveredWriters: a daemon restarted over runs a
+// crash left incomplete starts a writer for each of them. A start that
+// then fails, at its listener or at its obs plane, must leave none of
+// those writers running.
+func TestFailedServeStopsRecoveredWriters(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	dir := t.TempDir()
+	srv, err := Serve("127.0.0.1:0", Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	block := traceBlock(t, 0, 5)
+	for i := 0; i < 3; i++ {
+		tc, _ := dialClient(t, srv.Addr(), fmt.Sprintf("run-%d", i))
+		if ack := tc.send(MsgChunk, EncodeChunk(Chunk{Seq: 1, Thread: 0, Samples: 5, Block: block})); ack.Code != CodeOK {
+			t.Fatalf("run %d: chunk ack = %+v", i, ack)
+		}
+		tc.close()
+	}
+	srv.Kill()
+	srv.Close()
+	waitFor(t, "the killed daemon's goroutines to exit", func() bool { return runtime.NumGoroutine() <= baseline })
+
+	busy, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer busy.Close()
+	for _, c := range []struct{ what, addr, obs string }{
+		{"a busy address", busy.Addr().String(), ""},
+		{"a busy obs address", "127.0.0.1:0", busy.Addr().String()},
+	} {
+		if s, err := Serve(c.addr, Options{Dir: dir, ObsAddr: c.obs}); err == nil {
+			s.Close()
+			t.Fatalf("Serve on %s succeeded", c.what)
+		}
+		waitFor(t, "the writers of a failed Serve on "+c.what+" to exit", func() bool { return runtime.NumGoroutine() <= baseline })
+	}
+}
+
 // TestRecoverCrashBeforeFirstJournalEntry: a durable run whose daemon
 // died between its first block write and that block's journal entry
 // leaves a stamped manifest, a whole valid block in trace.0.psxt and no
@@ -706,90 +728,88 @@ func TestRecoverCrashBeforeFirstJournalEntry(t *testing.T) {
 // -retain-bytes, completed runs are reclaimed oldest-first — and only
 // completed runs.
 func TestRetentionGCOldestFirst(t *testing.T) {
-	dir := t.TempDir()
-	srv, err := Serve("127.0.0.1:0", Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	faketime.Run(t, func(t *testing.T) {
+		dir := t.TempDir()
+		srv, dial := servePipe(t, Options{Dir: dir})
+		defer srv.Close()
 
-	block := traceBlock(t, 0, 5)
-	finish := func(run string) {
-		tc, _ := dialClient(t, srv.Addr(), run)
-		tc.send(MsgChunk, EncodeChunk(Chunk{Seq: 1, Thread: 0, Samples: 5, Block: block}))
-		tc.send(MsgSeal, EncodeSeal(Seal{Seq: 2, Thread: 0}))
-		tc.send(MsgBye, EncodeBye(Bye{Seq: 3}))
-		tc.close()
-		waitFor(t, run+" complete", func() bool {
+		block := traceBlock(t, 0, 5)
+		// Each run starts a second after the one before it, on the fake
+		// clock, so "oldest" never rests on a tie.
+		finish := func(run string) {
+			time.Sleep(time.Second)
+			tc, _ := greet(t, dial(), run, 0)
+			tc.send(MsgChunk, EncodeChunk(Chunk{Seq: 1, Thread: 0, Samples: 5, Block: block}))
+			tc.send(MsgSeal, EncodeSeal(Seal{Seq: 2, Thread: 0}))
+			tc.send(MsgBye, EncodeBye(Bye{Seq: 3}))
+			tc.close()
+			faketime.Wait()
 			for _, ri := range srv.Runs() {
-				if ri.ID == run && ri.Complete {
-					return true
+				if ri.ID == run && !ri.Complete {
+					t.Fatalf("%s not complete after its BYE", run)
 				}
 			}
-			return false
-		})
-	}
-	finish("run-1")
-	finish("run-2")
-	finish("run-3")
-	// An open run the GC must never touch, whatever the pressure.
-	tcOpen, _ := dialClient(t, srv.Addr(), "run-open")
-	defer tcOpen.close()
-	tcOpen.send(MsgChunk, EncodeChunk(Chunk{Seq: 1, Thread: 0, Samples: 5, Block: block}))
-	// A non-durable ack precedes the write: measure the directory only
-	// once the open run's block and journal entry are on disk.
-	waitFor(t, "run-open's chunk on disk", func() bool {
+		}
+		finish("run-1")
+		finish("run-2")
+		finish("run-3")
+		// An open run the GC must never touch, whatever the pressure.
+		tcOpen, _ := greet(t, dial(), "run-open", 0)
+		defer tcOpen.close()
+		tcOpen.send(MsgChunk, EncodeChunk(Chunk{Seq: 1, Thread: 0, Samples: 5, Block: block}))
+		// A non-durable ack precedes the write: measure the directory only
+		// once the open run's block and journal entry are on disk.
+		faketime.Wait()
 		for _, ri := range srv.Runs() {
-			if ri.ID == "run-open" {
-				return ri.Chunks == 1
+			if ri.ID == "run-open" && ri.Chunks != 1 {
+				t.Fatalf("run-open holds %d chunks on disk, want 1", ri.Chunks)
 			}
 		}
-		return false
+
+		size := func(run string) int64 { return dirBytes(filepath.Join(dir, run)) }
+		total := dirBytes(dir)
+		s1 := size("run-1")
+
+		// Pressure that one eviction relieves: exactly the oldest goes.
+		srv.opts.RetainBytes = total - s1
+		srv.housekeep()
+		if _, err := os.Stat(filepath.Join(dir, "run-1")); !os.IsNotExist(err) {
+			t.Fatal("run-1 (oldest) was not reclaimed")
+		}
+		for _, keep := range []string{"run-2", "run-3", "run-open"} {
+			if _, err := os.Stat(filepath.Join(dir, keep)); err != nil {
+				t.Fatalf("%s reclaimed too early: %v", keep, err)
+			}
+		}
+		for _, ri := range srv.Runs() {
+			if ri.ID == "run-1" {
+				t.Fatal("run-1 still in the registry after GC")
+			}
+		}
+
+		// One more notch of pressure: run-2 goes next, never the newer one.
+		srv.opts.RetainBytes = dirBytes(dir) - size("run-2")
+		srv.housekeep()
+		if _, err := os.Stat(filepath.Join(dir, "run-2")); !os.IsNotExist(err) {
+			t.Fatal("run-2 was not reclaimed on the second pass")
+		}
+		if _, err := os.Stat(filepath.Join(dir, "run-3")); err != nil {
+			t.Fatalf("run-3 reclaimed out of order: %v", err)
+		}
+
+		// Unbounded pressure still never touches the open run.
+		srv.opts.RetainBytes = 1
+		srv.housekeep()
+		if _, err := os.Stat(filepath.Join(dir, "run-open")); err != nil {
+			t.Fatalf("the open run was reclaimed: %v", err)
+		}
+		if _, err := os.Stat(filepath.Join(dir, "run-3")); !os.IsNotExist(err) {
+			t.Fatal("run-3 survived unbounded pressure")
+		}
+		if got := srv.gcRuns.Load(); got != 3 {
+			t.Errorf("gcRuns = %d, want 3", got)
+		}
 	})
-
-	size := func(run string) int64 { return dirBytes(filepath.Join(dir, run)) }
-	total := dirBytes(dir)
-	s1 := size("run-1")
-
-	// Pressure that one eviction relieves: exactly the oldest goes.
-	srv.opts.RetainBytes = total - s1
-	srv.Housekeep()
-	if _, err := os.Stat(filepath.Join(dir, "run-1")); !os.IsNotExist(err) {
-		t.Fatal("run-1 (oldest) was not reclaimed")
-	}
-	for _, keep := range []string{"run-2", "run-3", "run-open"} {
-		if _, err := os.Stat(filepath.Join(dir, keep)); err != nil {
-			t.Fatalf("%s reclaimed too early: %v", keep, err)
-		}
-	}
-	for _, ri := range srv.Runs() {
-		if ri.ID == "run-1" {
-			t.Fatal("run-1 still in the registry after GC")
-		}
-	}
-
-	// One more notch of pressure: run-2 goes next, never the newer one.
-	srv.opts.RetainBytes = dirBytes(dir) - size("run-2")
-	srv.Housekeep()
-	if _, err := os.Stat(filepath.Join(dir, "run-2")); !os.IsNotExist(err) {
-		t.Fatal("run-2 was not reclaimed on the second pass")
-	}
-	if _, err := os.Stat(filepath.Join(dir, "run-3")); err != nil {
-		t.Fatalf("run-3 reclaimed out of order: %v", err)
-	}
-
-	// Unbounded pressure still never touches the open run.
-	srv.opts.RetainBytes = 1
-	srv.Housekeep()
-	if _, err := os.Stat(filepath.Join(dir, "run-open")); err != nil {
-		t.Fatalf("the open run was reclaimed: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "run-3")); !os.IsNotExist(err) {
-		t.Fatal("run-3 survived unbounded pressure")
-	}
-	if got := srv.gcRuns.Load(); got != 3 {
-		t.Errorf("gcRuns = %d, want 3", got)
-	}
 }
 
 // TestRetentionGCByAge: completed runs idle past -retain-age are
@@ -817,7 +837,7 @@ func TestRetentionGCByAge(t *testing.T) {
 	})
 	time.Sleep(10 * time.Millisecond)
 	srv.opts.RetainAge = time.Millisecond
-	srv.Housekeep()
+	srv.housekeep()
 	if _, err := os.Stat(filepath.Join(dir, "aged-run")); !os.IsNotExist(err) {
 		t.Fatal("an idle completed run outlived -retain-age")
 	}

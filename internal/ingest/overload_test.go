@@ -3,6 +3,8 @@ package ingest
 import (
 	"testing"
 	"time"
+
+	"goomp/internal/faketime"
 )
 
 // slowFS delays every write so the run's writer goroutine drains its
@@ -46,65 +48,62 @@ func (s slowFS) Rename(oldpath, newpath string) error {
 // accounting, and shedding them would leave the run incomplete
 // forever.
 func TestOverloadNeverShedsControlFrames(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0", Options{
-		Dir:              t.TempDir(),
-		QueueDepth:       1,
-		BackpressureWait: time.Millisecond,
-		FS:               slowFS{d: 5 * time.Millisecond},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	faketime.Run(t, func(t *testing.T) {
+		srv, dial := servePipe(t, Options{
+			Dir:              t.TempDir(),
+			QueueDepth:       1,
+			BackpressureWait: time.Millisecond,
+			FS:               slowFS{d: 5 * time.Millisecond},
+		})
+		defer srv.Close()
 
-	tc, _ := dialClient(t, srv.Addr(), "flood")
-	defer tc.close()
+		tc, _ := greet(t, dial(), "flood", 0)
+		defer tc.close()
 
-	block := traceBlock(t, 0, 8)
-	overloaded := 0
-	var seq uint64
-	for i := 0; i < 60; i++ {
-		seq++
-		ack := tc.send(MsgChunk, EncodeChunk(Chunk{Seq: seq, Thread: 0, Samples: 8, Block: block}))
-		switch ack.Code {
-		case CodeOK:
-		case CodeOverloaded:
-			overloaded++
-		default:
-			t.Fatalf("chunk %d ack = %+v", seq, ack)
-		}
-	}
-	if overloaded == 0 {
-		t.Fatal("the flood never overflowed the queue; the test exercised nothing")
-	}
-
-	seq++
-	if ack := tc.send(MsgSeal, EncodeSeal(Seal{Seq: seq, Thread: 0})); ack.Code != CodeOK {
-		t.Fatalf("seal shed under load: ack = %+v", ack)
-	}
-	seq++
-	if ack := tc.send(MsgBye, EncodeBye(Bye{Seq: seq, Produced: 60, Dropped: uint64(overloaded)})); ack.Code != CodeOK {
-		t.Fatalf("BYE shed under load: ack = %+v", ack)
-	}
-	waitFor(t, "run completion", func() bool {
-		for _, ri := range srv.Runs() {
-			if ri.ID == "flood" && ri.Complete && ri.SealedThreads == 1 {
-				return true
+		block := traceBlock(t, 0, 8)
+		overloaded := 0
+		var seq uint64
+		for i := 0; i < 60; i++ {
+			seq++
+			ack := tc.send(MsgChunk, EncodeChunk(Chunk{Seq: seq, Thread: 0, Samples: 8, Block: block}))
+			switch ack.Code {
+			case CodeOK:
+			case CodeOverloaded:
+				overloaded++
+			default:
+				t.Fatalf("chunk %d ack = %+v", seq, ack)
 			}
 		}
-		return false
+		if overloaded == 0 {
+			t.Fatal("the flood never overflowed the queue; the test exercised nothing")
+		}
+
+		seq++
+		if ack := tc.send(MsgSeal, EncodeSeal(Seal{Seq: seq, Thread: 0})); ack.Code != CodeOK {
+			t.Fatalf("seal shed under load: ack = %+v", ack)
+		}
+		seq++
+		if ack := tc.send(MsgBye, EncodeBye(Bye{Seq: seq, Produced: 60, Dropped: uint64(overloaded)})); ack.Code != CodeOK {
+			t.Fatalf("BYE shed under load: ack = %+v", ack)
+		}
+		// The BYE is acked once queued; the slow writer still has a few
+		// 5ms writes to go, far less than this second of fake time.
+		time.Sleep(time.Second)
+		for _, ri := range srv.Runs() {
+			if ri.ID != "flood" {
+				continue
+			}
+			if !ri.Complete || ri.SealedThreads != 1 {
+				t.Fatalf("run not complete after its BYE: complete=%v, %d sealed threads", ri.Complete, ri.SealedThreads)
+			}
+			if ri.DroppedChunks != uint64(overloaded) {
+				t.Errorf("server counted %d shed chunks, client saw %d overloaded acks",
+					ri.DroppedChunks, overloaded)
+			}
+			if ri.ClientDropped != uint64(overloaded) {
+				t.Errorf("BYE accounting did not land: manifest dropped = %d, want %d",
+					ri.ClientDropped, overloaded)
+			}
+		}
 	})
-	for _, ri := range srv.Runs() {
-		if ri.ID != "flood" {
-			continue
-		}
-		if ri.DroppedChunks != uint64(overloaded) {
-			t.Errorf("server counted %d shed chunks, client saw %d overloaded acks",
-				ri.DroppedChunks, overloaded)
-		}
-		if ri.ClientDropped != uint64(overloaded) {
-			t.Errorf("BYE accounting did not land: manifest dropped = %d, want %d",
-				ri.ClientDropped, overloaded)
-		}
-	}
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // Startup recovery: a restarted daemon must be transparent to a
-// reconnecting netsink. Before listening, the server walks its data
+// reconnecting netsink. Before accepting, the server walks its data
 // dir and rebuilds the registry from disk:
 //
 //   - A run whose manifest says Complete is re-registered as-is — the
@@ -33,8 +33,8 @@ import (
 // salvaged — in the registry, the manifest, and the obs plane.
 
 // recoverRuns scans opts.Dir and registers every run left behind by a
-// previous daemon. Called from Serve before the listener opens, so no
-// lock is needed.
+// previous daemon. Called from ServeListener before the accept loop
+// starts, so no lock is needed.
 func (s *Server) recoverRuns() error {
 	entries, err := os.ReadDir(s.opts.Dir)
 	if err != nil {

@@ -32,14 +32,14 @@ func (s *Server) housekeeper() {
 		case <-s.deadCh:
 			return
 		case <-t.C:
-			s.Housekeep()
+			s.housekeep()
 		}
 	}
 }
 
-// Housekeep runs one retention scan immediately (the housekeeper's
-// tick body; exported so psxd and tests can force a pass).
-func (s *Server) Housekeep() {
+// housekeep runs one retention scan: the housekeeper's tick body,
+// which tests call to force a pass.
+func (s *Server) housekeep() {
 	now := time.Now()
 	if age := s.opts.RetainAge; age > 0 {
 		for _, r := range s.completeOldestFirst() {

@@ -137,18 +137,22 @@ type Server struct {
 }
 
 // Serve binds addr ("host:port"; ":0" picks a free port) and starts
-// accepting instrumented processes. Trace data lands under opts.Dir.
-// Before listening it recovers every run a previous daemon left
-// behind: journals are replayed, torn tails truncated to the last
+// accepting instrumented processes on it, as ServeListener does.
+func Serve(addr string, opts Options) (*Server, error) {
+	lis, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("ingest: listen %s: %w", addr, err)
+	}
+	return ServeListener(lis, opts)
+}
+
+// ServeListener starts accepting instrumented processes on lis, which
+// the Server owns from then on, on an error too. Trace data lands under
+// opts.Dir. Before accepting it recovers every run a previous daemon
+// left behind: journals are replayed, torn tails truncated to the last
 // valid entry, and salvaged runs re-registered so a reconnecting
 // client resumes exactly where the disk state ends.
-func Serve(addr string, opts Options) (*Server, error) {
-	if opts.Dir == "" {
-		return nil, fmt.Errorf("ingest: Options.Dir is required")
-	}
-	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("ingest: data dir: %w", err)
-	}
+func ServeListener(lis net.Listener, opts Options) (_ *Server, err error) {
 	orDefault(&opts.MaxConns, defaultMaxConns)
 	orDefault(&opts.QueueDepth, defaultQueueDepth)
 	orDefault(&opts.BackpressureWait, defaultBackpressureWait)
@@ -160,6 +164,7 @@ func Serve(addr string, opts Options) (*Server, error) {
 		opts.FS = osFS{}
 	}
 	s := &Server{
+		lis:     lis,
 		opts:    opts,
 		done:    make(chan struct{}),
 		deadCh:  make(chan struct{}),
@@ -167,18 +172,25 @@ func Serve(addr string, opts Options) (*Server, error) {
 		conns:   make(map[net.Conn]struct{}),
 		started: time.Now(),
 	}
+	// A failed start closes the listener and drains the writers of the
+	// runs it recovered, as a shutdown would.
+	defer func() {
+		if err != nil {
+			s.Close()
+		}
+	}()
+	if opts.Dir == "" {
+		return nil, fmt.Errorf("ingest: Options.Dir is required")
+	}
+	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
+		return nil, fmt.Errorf("ingest: data dir: %w", err)
+	}
 	if err := s.recoverRuns(); err != nil {
 		return nil, err
 	}
-	lis, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("ingest: listen %s: %w", addr, err)
-	}
-	s.lis = lis
 	if opts.ObsAddr != "" {
 		srv, err := s.startObs(opts.ObsAddr)
 		if err != nil {
-			lis.Close()
 			return nil, err
 		}
 		s.obsSrv = srv
@@ -289,9 +301,7 @@ func (s *Server) Kill() {
 // hangUp stops accepting and severs every client connection.
 func (s *Server) hangUp() {
 	s.closeOnce.Do(func() { close(s.done) })
-	if s.lis != nil {
-		s.lis.Close()
-	}
+	s.lis.Close()
 	s.mu.Lock()
 	for c := range s.conns {
 		c.Close()

@@ -45,13 +45,16 @@ type testClient struct {
 
 func dialClient(t *testing.T, addr, run string) (*testClient, HelloAck) {
 	t.Helper()
-	c, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	return dialFlags(t, addr, run, 0)
+}
+
+// greet sends a HELLO for run on c, with flags as its capability
+// trailer when they are not zero, and reads the HELLO-ACK.
+func greet(t *testing.T, c net.Conn, run string, flags uint32) (*testClient, HelloAck) {
+	t.Helper()
 	tc := &testClient{t: t, c: c, br: bufio.NewReader(c)}
 	if err := WriteFrame(c, MsgHello, EncodeHello(Hello{
-		Version: ProtoVersion, Run: run, Host: "testhost", PID: 1,
+		Version: ProtoVersion, Run: run, Host: "testhost", PID: 1, Flags: flags,
 	})); err != nil {
 		t.Fatal(err)
 	}
@@ -101,15 +104,41 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-func TestServerIngestEndToEnd(t *testing.T) {
-	dir := t.TempDir()
-	srv, err := Serve("127.0.0.1:0", Options{Dir: dir})
+// serveTCP is servePipe over a loopback TCP listener.
+func serveTCP(t *testing.T, opts Options) (*Server, func() net.Conn) {
+	t.Helper()
+	srv, err := Serve("127.0.0.1:0", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return srv, func() net.Conn {
+		c, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+}
+
+// TestServerIngestEndToEnd runs one run's HELLO, chunk, heartbeat, seal
+// and BYE over TCP and over the in-memory listener the fake-time tests
+// use. Both go through ServeListener, and must give the same acks and
+// the same bytes on disk.
+func TestServerIngestEndToEnd(t *testing.T) {
+	for _, tr := range []struct {
+		name  string
+		serve func(*testing.T, Options) (*Server, func() net.Conn)
+	}{{"tcp", serveTCP}, {"pipe", servePipe}} {
+		t.Run(tr.name, func(t *testing.T) { testIngestEndToEnd(t, tr.serve) })
+	}
+}
+
+func testIngestEndToEnd(t *testing.T, serve func(*testing.T, Options) (*Server, func() net.Conn)) {
+	dir := t.TempDir()
+	srv, dial := serve(t, Options{Dir: dir})
 	defer srv.Close()
 
-	tc, ha := dialClient(t, srv.Addr(), "run-a")
+	tc, ha := greet(t, dial(), "run-a", 0)
 	defer tc.close()
 	if ha.Code != CodeOK || ha.LastSeq != 0 {
 		t.Fatalf("hello-ack = %+v, want OK/0", ha)

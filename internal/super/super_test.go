@@ -5,10 +5,13 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"goomp/internal/faketime"
 )
 
-// startTest activates a supervisor with a channel-backed OnHang and
-// returns it with a cleanup that always deactivates.
+// startTest activates a supervisor with a channel-backed OnHang. The
+// caller stops it, with a defer: a test on fake time must stop its
+// watchdog inside the bubble, where a t.Cleanup would not run.
 func startTest(t *testing.T, timeout time.Duration) (*Supervisor, chan *HangReport) {
 	t.Helper()
 	ch := make(chan *HangReport, 1)
@@ -16,7 +19,6 @@ func startTest(t *testing.T, timeout time.Duration) (*Supervisor, chan *HangRepo
 	if err != nil {
 		t.Fatalf("Start: %v", err)
 	}
-	t.Cleanup(s.Stop)
 	return s, ch
 }
 
@@ -28,6 +30,7 @@ func TestEnabledNilWhenOff(t *testing.T) {
 
 func TestStartRejectsSecond(t *testing.T) {
 	s, _ := startTest(t, time.Hour)
+	defer s.Stop()
 	if _, err := Start(Options{Timeout: time.Hour, OnHang: func(*HangReport) {}}); err == nil {
 		t.Fatal("second Start succeeded")
 	}
@@ -38,36 +41,43 @@ func TestStartRejectsSecond(t *testing.T) {
 }
 
 func TestNoFalsePositiveWithProgress(t *testing.T) {
-	s, ch := startTest(t, 50*time.Millisecond)
-	// A long-parked waiter, but steady progress notes: must not fire.
-	tok := s.BeginWait(0, "t0", 0, Resource{Kind: ResBarrier, ID: 1}, "")
-	defer s.EndWait(tok)
-	deadline := time.After(300 * time.Millisecond)
-	tick := time.NewTicker(10 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		select {
-		case <-tick.C:
-			s.Note()
-		case r := <-ch:
-			t.Fatalf("fired despite progress: %s", r.Render())
-		case <-deadline:
-			return
+	faketime.Run(t, func(t *testing.T) {
+		s, ch := startTest(t, 50*time.Millisecond)
+		defer s.Stop()
+		// A long-parked waiter, but steady progress notes: must not fire.
+		tok := s.BeginWait(0, "t0", 0, Resource{Kind: ResBarrier, ID: 1}, "")
+		defer s.EndWait(tok)
+		deadline := time.After(300 * time.Millisecond)
+		tick := time.NewTicker(10 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-tick.C:
+				s.Note()
+			case r := <-ch:
+				t.Fatalf("fired despite progress: %s", r.Render())
+			case <-deadline:
+				return
+			}
 		}
-	}
+	})
 }
 
 func TestNoFireWithoutWaiters(t *testing.T) {
-	_, ch := startTest(t, 30*time.Millisecond)
-	select {
-	case r := <-ch:
-		t.Fatalf("fired with no waiters: %s", r.Render())
-	case <-time.After(200 * time.Millisecond):
-	}
+	faketime.Run(t, func(t *testing.T) {
+		s, ch := startTest(t, 30*time.Millisecond)
+		defer s.Stop()
+		select {
+		case r := <-ch:
+			t.Fatalf("fired with no waiters: %s", r.Render())
+		case <-time.After(200 * time.Millisecond):
+		}
+	})
 }
 
 func TestDetectsLockCycle(t *testing.T) {
 	s, ch := startTest(t, 40*time.Millisecond)
+	defer s.Stop()
 	la := Resource{Kind: ResLock, ID: 0xa}
 	lb := Resource{Kind: ResLock, ID: 0xb}
 	s.Acquired(la, "t0")
@@ -95,6 +105,7 @@ func TestDetectsLockCycle(t *testing.T) {
 
 func TestDetectsNoProgressWithoutCycle(t *testing.T) {
 	s, ch := startTest(t, 40*time.Millisecond)
+	defer s.Stop()
 	s.BeginWait(0, "mpi1 rank 0", -1, Resource{Kind: ResMsg, ID: 7, Detail: "src=1 tag=7"}, "")
 	select {
 	case r := <-ch:
@@ -113,36 +124,43 @@ func TestDetectsNoProgressWithoutCycle(t *testing.T) {
 }
 
 func TestDetectionLatencyBound(t *testing.T) {
-	const timeout = 80 * time.Millisecond
-	s, ch := startTest(t, timeout)
-	start := time.Now()
-	s.BeginWait(0, "t0", 0, Resource{Kind: ResMPIBar, ID: 1}, "")
-	select {
-	case <-ch:
-		if d := time.Since(start); d > 2*timeout {
-			t.Fatalf("detection took %v, want <= %v", d, 2*timeout)
+	faketime.Run(t, func(t *testing.T) {
+		const timeout = 80 * time.Millisecond
+		s, ch := startTest(t, timeout)
+		defer s.Stop()
+		start := time.Now()
+		s.BeginWait(0, "t0", 0, Resource{Kind: ResMPIBar, ID: 1}, "")
+		select {
+		case <-ch:
+			if d := time.Since(start); d < timeout || d > timeout*5/4 {
+				t.Fatalf("detection took %v, want within [%v, %v]", d, timeout, timeout*5/4)
+			}
+		case <-time.After(2 * timeout):
+			t.Fatalf("not detected within 2x timeout")
 		}
-	case <-time.After(2 * timeout):
-		t.Fatalf("not detected within 2x timeout")
-	}
+	})
 }
 
 func TestEndWaitClearsRecord(t *testing.T) {
-	s, ch := startTest(t, 40*time.Millisecond)
-	tok := s.BeginWait(0, "t0", 0, Resource{Kind: ResLock, ID: 1}, "")
-	s.EndWait(tok)
-	select {
-	case r := <-ch:
-		t.Fatalf("fired after wait cleared: %s", r.Render())
-	case <-time.After(200 * time.Millisecond):
-	}
-	if n := len(s.SnapshotWaits()); n != 0 {
-		t.Fatalf("SnapshotWaits has %d records after EndWait", n)
-	}
+	faketime.Run(t, func(t *testing.T) {
+		s, ch := startTest(t, 40*time.Millisecond)
+		defer s.Stop()
+		tok := s.BeginWait(0, "t0", 0, Resource{Kind: ResLock, ID: 1}, "")
+		s.EndWait(tok)
+		select {
+		case r := <-ch:
+			t.Fatalf("fired after wait cleared: %s", r.Render())
+		case <-time.After(200 * time.Millisecond):
+		}
+		if n := len(s.SnapshotWaits()); n != 0 {
+			t.Fatalf("SnapshotWaits has %d records after EndWait", n)
+		}
+	})
 }
 
 func TestReleasedClearsOwnership(t *testing.T) {
 	s, _ := startTest(t, time.Hour)
+	defer s.Stop()
 	r := Resource{Kind: ResCrit, ID: 5, Detail: `critical "upd"`}
 	s.Acquired(r, "t0")
 	s.Released(r)
@@ -155,6 +173,7 @@ func TestReleasedClearsOwnership(t *testing.T) {
 
 func TestSnapshotOrderAndFields(t *testing.T) {
 	s, _ := startTest(t, time.Hour)
+	defer s.Stop()
 	s.BeginWait(0, "a", 0, Resource{Kind: ResBarrier, ID: 1}, "THR_IBAR_STATE")
 	time.Sleep(5 * time.Millisecond)
 	s.BeginWait(0, "b", 1, Resource{Kind: ResBarrier, ID: 1}, "THR_IBAR_STATE")
@@ -168,25 +187,28 @@ func TestSnapshotOrderAndFields(t *testing.T) {
 }
 
 func TestOnHangRunsOnce(t *testing.T) {
-	var n atomic.Int32
-	s, err := Start(Options{Timeout: 30 * time.Millisecond,
-		OnHang: func(*HangReport) { n.Add(1) }})
-	if err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	defer s.Stop()
-	s.BeginWait(0, "t0", 0, Resource{Kind: ResLock, ID: 1}, "")
-	time.Sleep(300 * time.Millisecond)
-	if got := n.Load(); got != 1 {
-		t.Fatalf("OnHang ran %d times", got)
-	}
-	if !s.Fired() {
-		t.Fatal("Fired() false after firing")
-	}
+	faketime.Run(t, func(t *testing.T) {
+		var n atomic.Int32
+		s, err := Start(Options{Timeout: 30 * time.Millisecond,
+			OnHang: func(*HangReport) { n.Add(1) }})
+		if err != nil {
+			t.Fatalf("Start: %v", err)
+		}
+		defer s.Stop()
+		s.BeginWait(0, "t0", 0, Resource{Kind: ResLock, ID: 1}, "")
+		time.Sleep(300 * time.Millisecond)
+		if got := n.Load(); got != 1 {
+			t.Fatalf("OnHang ran %d times", got)
+		}
+		if !s.Fired() {
+			t.Fatal("Fired() false after firing")
+		}
+	})
 }
 
 func TestThreeWayCycle(t *testing.T) {
 	s, _ := startTest(t, time.Hour)
+	defer s.Stop()
 	r0 := Resource{Kind: ResLock, ID: 0}
 	r1 := Resource{Kind: ResLock, ID: 1}
 	r2 := Resource{Kind: ResLock, ID: 2}

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"goomp/internal/faketime"
 	"goomp/internal/ingest"
 	"goomp/internal/omp"
 	"goomp/internal/perf"
@@ -49,13 +50,17 @@ func (c *outageConn) Write(b []byte) (int, error) {
 }
 
 // outageDialer returns a DialIngest that refuses while down is set and
-// hands out outage-aware connections otherwise.
-func outageDialer(down *atomic.Bool) func(addr string) (net.Conn, error) {
+// hands out outage-aware connections from dial otherwise; a nil dial
+// dials TCP.
+func outageDialer(down *atomic.Bool, dial func(addr string) (net.Conn, error)) func(addr string) (net.Conn, error) {
+	if dial == nil {
+		dial = func(addr string) (net.Conn, error) { return net.DialTimeout("tcp", addr, time.Second) }
+	}
 	return func(addr string) (net.Conn, error) {
 		if down.Load() {
 			return nil, errors.New("injected outage")
 		}
-		c, err := net.DialTimeout("tcp", addr, time.Second)
+		c, err := dial(addr)
 		if err != nil {
 			return nil, err
 		}
@@ -80,7 +85,7 @@ func TestSpillReplayZeroLossConservation(t *testing.T) {
 	opts.IngestAddr = srv.Addr()
 	opts.IngestRun = "spill-replay"
 	opts.IngestPendingDepth = 2 // tiny queue: the outage overruns it fast
-	opts.DialIngest = outageDialer(&down)
+	opts.DialIngest = outageDialer(&down, nil)
 	tl, err := AttachRuntime(rt, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -180,54 +185,57 @@ func TestSpillReplayZeroLossConservation(t *testing.T) {
 // balance with only the pending term. The backlog on disk is the trace
 // files: the samples they hold are the samples pending.
 func TestOutagePermanentSpillPendingConservation(t *testing.T) {
-	var down atomic.Bool
-	down.Store(true)
+	faketime.Run(t, func(t *testing.T) {
+		var down atomic.Bool
+		down.Store(true)
 
-	rt := omp.New(omp.Config{NumThreads: 2})
-	defer rt.Close()
-	opts := FullMeasurement()
-	opts.IngestAddr = "127.0.0.1:1" // never reachable; dialer refuses anyway
-	opts.IngestRun = "never-up"
-	opts.IngestPendingDepth = 2
-	opts.StreamDir = t.TempDir()
-	opts.DialIngest = outageDialer(&down)
-	tl, err := AttachRuntime(rt, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 200; i++ {
-		rt.Parallel(func(tc *omp.ThreadCtx) {})
-	}
-	tl.Detach()
+		rt := omp.New(omp.Config{NumThreads: 2})
+		defer rt.Close()
+		opts := FullMeasurement()
+		opts.IngestAddr = "127.0.0.1:1" // never reachable; dialer refuses anyway
+		opts.IngestRun = "never-up"
+		opts.IngestPendingDepth = 2
+		opts.StreamDir = t.TempDir()
+		opts.DialIngest = outageDialer(&down, nil)
+		tl, err := AttachRuntime(rt, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tl.Detach() // a failure stops the tool inside the bubble too
+		for i := 0; i < 200; i++ {
+			rt.Parallel(func(tc *omp.ThreadCtx) {})
+		}
+		tl.Detach()
 
-	rep := tl.Report()
-	checkConservation(t, rep)
-	if rep.IngestProducedChunks == 0 {
-		t.Fatal("no chunks produced")
-	}
-	if rep.IngestDroppedChunks != 0 {
-		t.Fatalf("%d chunks dropped with spill space available", rep.IngestDroppedChunks)
-	}
-	if rep.IngestShippedChunks != 0 || rep.IngestReplayedChunks != 0 {
-		t.Fatalf("chunks shipped (%d) or replayed (%d) with no server",
-			rep.IngestShippedChunks, rep.IngestReplayedChunks)
-	}
-	if rep.IngestSpillPendingChunks != rep.IngestProducedChunks {
-		t.Fatalf("spill-pending %d, want every produced chunk (%d)",
-			rep.IngestSpillPendingChunks, rep.IngestProducedChunks)
-	}
-	// The backlog is real files on disk, not just counters.
-	files, err := perf.FindTraceFiles(opts.StreamDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var onDisk uint64
-	for _, path := range files {
-		onDisk += streamSamples(t, path)
-	}
-	if onDisk != rep.IngestSpillPendingSamples {
-		t.Fatalf("trace files hold %d samples, spill-pending %d", onDisk, rep.IngestSpillPendingSamples)
-	}
+		rep := tl.Report()
+		checkConservation(t, rep)
+		if rep.IngestProducedChunks == 0 {
+			t.Fatal("no chunks produced")
+		}
+		if rep.IngestDroppedChunks != 0 {
+			t.Fatalf("%d chunks dropped with spill space available", rep.IngestDroppedChunks)
+		}
+		if rep.IngestShippedChunks != 0 || rep.IngestReplayedChunks != 0 {
+			t.Fatalf("chunks shipped (%d) or replayed (%d) with no server",
+				rep.IngestShippedChunks, rep.IngestReplayedChunks)
+		}
+		if rep.IngestSpillPendingChunks != rep.IngestProducedChunks {
+			t.Fatalf("spill-pending %d, want every produced chunk (%d)",
+				rep.IngestSpillPendingChunks, rep.IngestProducedChunks)
+		}
+		// The backlog is real files on disk, not just counters.
+		files, err := perf.FindTraceFiles(opts.StreamDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var onDisk uint64
+		for _, path := range files {
+			onDisk += streamSamples(t, path)
+		}
+		if onDisk != rep.IngestSpillPendingSamples {
+			t.Fatalf("trace files hold %d samples, spill-pending %d", onDisk, rep.IngestSpillPendingSamples)
+		}
+	})
 }
 
 // streamSamples counts the samples in the trace file at path; a file
@@ -251,19 +259,25 @@ func streamSamples(t *testing.T, path string) uint64 {
 
 // outage runs regions until the sink, with its connection held down,
 // has spilled and done is true of the report, then brings the
-// connection back and runs more.
+// connection back and runs more. Each round of regions ends with a
+// millisecond's sleep: on fake time the clock moves only while every
+// goroutine waits, and the sink's and the streamer's retries wait on
+// it. The outage gives up after a bound on the rounds.
 func outage(t *testing.T, rt *omp.RT, tl *Tool, down *atomic.Bool, done func(*Report) bool) {
 	t.Helper()
 	run := func() {
 		for i := 0; i < 50; i++ {
 			rt.Parallel(func(tc *omp.ThreadCtx) {})
 		}
+		time.Sleep(time.Millisecond)
 	}
 	run()
 	down.Store(true)
-	deadline := time.Now().Add(30 * time.Second)
-	for rep := tl.Report(); rep.IngestSpilledChunks == 0 || !done(rep); rep = tl.Report() {
-		if time.Now().After(deadline) {
+	for i := 0; ; i++ {
+		if rep := tl.Report(); rep.IngestSpilledChunks > 0 && done(rep) {
+			break
+		}
+		if i == 10000 {
 			t.Fatal("the outage never spilled, or never reached its end")
 		}
 		run()
@@ -306,7 +320,7 @@ func TestSpillReplayCompressed(t *testing.T) {
 	opts.IngestRun = "spill-flate"
 	opts.IngestPendingDepth = 2
 	opts.TraceCompress = true
-	opts.DialIngest = outageDialer(&down)
+	opts.DialIngest = outageDialer(&down, nil)
 	tl, err := AttachRuntime(rt, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -340,60 +354,64 @@ func TestSpillReplayCompressed(t *testing.T) {
 // at. Through an outage thread 0's overflow is dropped, thread 1's
 // spills and replays, and the books still close.
 func TestSpillSkipsDegradedThread(t *testing.T) {
-	srv, dataDir := startIngestServer(t)
-	localDir := t.TempDir()
-	var down atomic.Bool
+	faketime.Run(t, func(t *testing.T) {
+		srv, dataDir, dial := servePipe(t)
+		defer srv.Close()
+		localDir := t.TempDir()
+		var down atomic.Bool
 
-	rt := omp.New(omp.Config{NumThreads: 2})
-	defer rt.Close()
-	opts := FullMeasurement()
-	opts.StreamDir = localDir
-	opts.IngestAddr = srv.Addr()
-	opts.IngestRun = "spill-degraded"
-	opts.IngestPendingDepth = 2
-	opts.DialIngest = outageDialer(&down)
-	opts.OpenTraceFile = func(path string) (io.WriteCloser, error) {
-		if filepath.Base(path) == "trace.0.psxt" {
-			return nil, errors.New("injected: thread 0's trace file never opens")
+		rt := omp.New(omp.Config{NumThreads: 2})
+		defer rt.Close()
+		opts := FullMeasurement()
+		opts.StreamDir = localDir
+		opts.IngestAddr = srv.Addr()
+		opts.IngestRun = "spill-degraded"
+		opts.IngestPendingDepth = 2
+		opts.DialIngest = outageDialer(&down, dial)
+		opts.OpenTraceFile = func(path string) (io.WriteCloser, error) {
+			if filepath.Base(path) == "trace.0.psxt" {
+				return nil, errors.New("injected: thread 0's trace file never opens")
+			}
+			return os.Create(path)
 		}
-		return os.Create(path)
-	}
-	tl, err := AttachRuntime(rt, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The outage lasts until thread 0 has overflowed: thread 1's first
-	// spilled chunk can come before thread 0 has sent two chunks.
-	outage(t, rt, tl, &down, func(rep *Report) bool { return rep.IngestDroppedChunks > 0 })
-	tl.Detach()
+		tl, err := AttachRuntime(rt, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tl.Detach() // a failure stops the tool inside the bubble too
+		// The outage lasts until thread 0 has overflowed: thread 1's first
+		// spilled chunk can come before thread 0 has sent two chunks.
+		outage(t, rt, tl, &down, func(rep *Report) bool { return rep.IngestDroppedChunks > 0 })
+		tl.Detach()
 
-	rep := tl.Report()
-	checkConservation(t, rep)
-	if rep.DegradedThreads != 1 {
-		t.Errorf("%d degraded threads, want 1", rep.DegradedThreads)
-	}
-	if rep.IngestDroppedChunks == 0 {
-		t.Error("thread 0's overflow was not dropped")
-	}
-	if rep.IngestSpillPendingChunks != 0 || rep.IngestReplayedChunks != rep.IngestSpilledChunks {
-		t.Errorf("spilled %d, replayed %d, pending %d: thread 1's detour must deliver everything",
-			rep.IngestSpilledChunks, rep.IngestReplayedChunks, rep.IngestSpillPendingChunks)
-	}
-	waitRunComplete(t, srv, "spill-degraded")
-	runDir := filepath.Join(dataDir, "spill-degraded")
-	// Thread 1 lost nothing: the server's copy is its local file.
-	sameFile(t, filepath.Join(localDir, "trace.1.psxt"), filepath.Join(runDir, "trace.1.psxt"))
-	// Every drop is thread 0's: the file sink discarded all of thread
-	// 0's samples, and what of them the server lacks the sink dropped.
-	if got := streamSamples(t, filepath.Join(runDir, "trace.0.psxt")) + rep.IngestDroppedSamples; got != rep.StreamDiscardedSamples {
-		t.Errorf("thread 0: server %d + dropped %d samples, want the %d it staged",
-			got-rep.IngestDroppedSamples, rep.IngestDroppedSamples, rep.StreamDiscardedSamples)
-	}
-	err = tl.StreamError()
-	if err == nil || !strings.Contains(err.Error(), "never opens") {
-		t.Errorf("stream error %v does not name the open failure", err)
-	}
-	if err != nil && strings.Contains(err.Error(), "ledger out of balance") {
-		t.Errorf("ledger imbalance: %v", err)
-	}
+		rep := tl.Report()
+		checkConservation(t, rep)
+		if rep.DegradedThreads != 1 {
+			t.Errorf("%d degraded threads, want 1", rep.DegradedThreads)
+		}
+		if rep.IngestDroppedChunks == 0 {
+			t.Error("thread 0's overflow was not dropped")
+		}
+		if rep.IngestSpillPendingChunks != 0 || rep.IngestReplayedChunks != rep.IngestSpilledChunks {
+			t.Errorf("spilled %d, replayed %d, pending %d: thread 1's detour must deliver everything",
+				rep.IngestSpilledChunks, rep.IngestReplayedChunks, rep.IngestSpillPendingChunks)
+		}
+		completedRun(t, srv, "spill-degraded")
+		runDir := filepath.Join(dataDir, "spill-degraded")
+		// Thread 1 lost nothing: the server's copy is its local file.
+		sameFile(t, filepath.Join(localDir, "trace.1.psxt"), filepath.Join(runDir, "trace.1.psxt"))
+		// Every drop is thread 0's: the file sink discarded all of thread
+		// 0's samples, and what of them the server lacks the sink dropped.
+		if got := streamSamples(t, filepath.Join(runDir, "trace.0.psxt")) + rep.IngestDroppedSamples; got != rep.StreamDiscardedSamples {
+			t.Errorf("thread 0: server %d + dropped %d samples, want the %d it staged",
+				got-rep.IngestDroppedSamples, rep.IngestDroppedSamples, rep.StreamDiscardedSamples)
+		}
+		err = tl.StreamError()
+		if err == nil || !strings.Contains(err.Error(), "never opens") {
+			t.Errorf("stream error %v does not name the open failure", err)
+		}
+		if err != nil && strings.Contains(err.Error(), "ledger out of balance") {
+			t.Errorf("ledger imbalance: %v", err)
+		}
+	})
 }

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"net"
 	"os"
 	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"goomp/internal/faketime"
 	"goomp/internal/ingest"
 	"goomp/internal/omp"
 	"goomp/internal/perf"
@@ -27,6 +29,34 @@ func startIngestServer(t *testing.T) (*ingest.Server, string) {
 	}
 	t.Cleanup(func() { srv.Close() })
 	return srv, dir
+}
+
+// servePipe runs a psxd on an in-memory listener, for a test on fake
+// time, and returns it, its data directory and a dialer for it. The
+// test closes it, inside its bubble.
+func servePipe(t *testing.T) (*ingest.Server, string, func(string) (net.Conn, error)) {
+	t.Helper()
+	dir := t.TempDir()
+	lis := faketime.NewListener()
+	srv, err := ingest.ServeListener(lis, ingest.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv, dir, lis.Dial
+}
+
+// completedRun is waitRunComplete on fake time: once every goroutine
+// of the bubble has settled, the run must be complete.
+func completedRun(t *testing.T, srv *ingest.Server, run string) ingest.RunInfo {
+	t.Helper()
+	faketime.Wait()
+	for _, ri := range srv.Runs() {
+		if ri.ID == run && ri.Complete {
+			return ri
+		}
+	}
+	t.Fatalf("run %q not complete; registry: %+v", run, srv.Runs())
+	return ingest.RunInfo{}
 }
 
 // waitRunComplete polls until the named run has sent BYE and its
@@ -202,7 +232,7 @@ func TestIngestNetOnlySealsPastTheBound(t *testing.T) {
 	opts.IngestAddr = srv.Addr()
 	opts.IngestRun = "net-only-seal"
 	opts.IngestPendingDepth = 2
-	opts.DialIngest = outageDialer(&down)
+	opts.DialIngest = outageDialer(&down, nil)
 	tl, err := AttachRuntime(rt, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -239,36 +269,40 @@ func TestIngestNetOnlySealsPastTheBound(t *testing.T) {
 // backoff when Detach lands; Detach must still return promptly, and the
 // failure must surface as a stream error and a degraded thread. That a
 // large backoff step cannot stall Detach either is pinned on the wait
-// itself, by TestDetachPromptBackoffWait.
+// itself, by TestDetachPromptBackoffWait. On fake time "promptly" is
+// exact: no wait at all.
 func TestDetachPromptWithFailingOpenerAndLargeBackoff(t *testing.T) {
-	rt := omp.New(omp.Config{NumThreads: 2})
-	defer rt.Close()
-	opts := FullMeasurement()
-	opts.StreamDir = t.TempDir()
-	opts.OpenTraceFile = func(path string) (io.WriteCloser, error) {
-		return nil, fmt.Errorf("injected: open %s always fails", path)
-	}
-	tl, err := AttachRuntime(rt, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Enough regions to seal chunks so the writer goroutine is inside
-	// its open-retry backoff when Detach lands.
-	for i := 0; i < 100; i++ {
-		rt.Parallel(func(tc *omp.ThreadCtx) {})
-	}
-	start := time.Now()
-	tl.Detach()
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("Detach took %v with a failing opener; the retry sleep is not interruptible", elapsed)
-	}
-	if err := tl.StreamError(); err == nil {
-		t.Error("permanently failing opener reported no stream error")
-	}
-	rep := tl.Report()
-	if rep.DegradedThreads == 0 {
-		t.Error("no thread reported degraded despite every open failing")
-	}
+	faketime.Run(t, func(t *testing.T) {
+		rt := omp.New(omp.Config{NumThreads: 2})
+		defer rt.Close()
+		opts := FullMeasurement()
+		opts.StreamDir = t.TempDir()
+		opts.OpenTraceFile = func(path string) (io.WriteCloser, error) {
+			return nil, fmt.Errorf("injected: open %s always fails", path)
+		}
+		tl, err := AttachRuntime(rt, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tl.Detach() // a failure stops the tool inside the bubble too
+		// Enough regions to seal chunks so the writer goroutine is inside
+		// its open-retry backoff when Detach lands.
+		for i := 0; i < 100; i++ {
+			rt.Parallel(func(tc *omp.ThreadCtx) {})
+		}
+		start := time.Now()
+		tl.Detach()
+		if elapsed := time.Since(start); elapsed != 0 {
+			t.Fatalf("Detach took %v with a failing opener; the retry sleep is not interruptible", elapsed)
+		}
+		if err := tl.StreamError(); err == nil {
+			t.Error("permanently failing opener reported no stream error")
+		}
+		rep := tl.Report()
+		if rep.DegradedThreads == 0 {
+			t.Error("no thread reported degraded despite every open failing")
+		}
+	})
 }
 
 // TestIngestDurableTee negotiates durable acks: the daemon journals and
