@@ -71,7 +71,7 @@ func TestChunkSampleCountCrossChecked(t *testing.T) {
 // reader decodes. One with no block at all, one holding a block of
 // another kind (the hang-report block older tools appended to salvaged
 // traces), a PSX2 block of a version no reader decodes — its
-// checksum intact, for the version is not under it — and a version-4
+// checksum intact, for the version is not under it — and a written
 // block whose checksum holds over a time parameter no reader takes are
 // refused with their seq and booked nowhere; the seq stays open for the
 // real block.
@@ -89,7 +89,7 @@ func TestChunkMustCarrySampleBlocks(t *testing.T) {
 	version9 := traceBlockV2(t, 0, 5, false)
 	version9[4] = 9
 	badK := traceBlockV2(t, 0, 5, false)
-	badK[48] = 0xff // the payload's first byte, version 4's time parameter
+	badK[48] = 0xff // the payload's first byte, the time parameter
 	binary.LittleEndian.PutUint32(badK[44:48], crc32.ChecksumIEEE(badK[48:]))
 	for _, bad := range []struct {
 		name    string

@@ -64,7 +64,9 @@ func TestAllocBlockSamples(t *testing.T) {
 // a GC, so psxd's first chunks after one count as cheaply as the rest.
 // One call is measured straight after two GCs (a sync.Pool's victim
 // cache survives one); testing.AllocsPerRun would hide a refill behind
-// its own warm-up call.
+// its own warm-up call. As AllocsPerRun does, the window holds
+// GOMAXPROCS at 1, so that no other goroutine's allocation lands in the
+// process-wide count.
 func TestAllocBlockSamplesAfterGC(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation guards run without the race detector")
@@ -73,6 +75,7 @@ func TestAllocBlockSamplesAfterGC(t *testing.T) {
 	if n, err := BlockSamples(block); err != nil || n != ChunkSamples {
 		t.Fatalf("BlockSamples = %d, %v", n, err)
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	runtime.GC()
 	runtime.GC()
 	var before, after runtime.MemStats

@@ -283,9 +283,10 @@ func (d *blockDecoder) stageV1(h blockHeader) error {
 type varints struct {
 	buf []byte
 	off int
-	// flag is the width of the more flag in front of a run-coded column's
-	// values: 1 from version 2 on, 0 in a version-1 block, whose
-	// columns are runs of one sample each.
+	// flag is the width of the kind in front of a run-coded column's
+	// values: 2 from version 5 on, 1 (the more flag) in versions 2 to 4,
+	// and 0 in a version-1 block, whose columns are runs of one sample
+	// each.
 	flag uint8
 }
 
@@ -304,7 +305,7 @@ func (p *varints) uvarint() (u uint64, ok bool) {
 // byte, which takes no call; ok is false, and nothing is consumed,
 // otherwise.
 func (p *varints) single() (v int64, ok bool) {
-	if p.off < len(p.buf) && p.buf[p.off]&(0x80|p.flag) == 0 {
+	if p.off < len(p.buf) && p.buf[p.off]&(0x80|(1<<p.flag-1)) == 0 {
 		p.off++
 		return unzigzag(uint64(p.buf[p.off-1] >> p.flag)), true
 	}
@@ -327,69 +328,89 @@ func (p *varints) next() (v int64, ok bool) {
 	return unzigzag(u), ok
 }
 
-// run decodes the next run of a run-coded column, whatever its form:
-// its value (for a delta column, the delta of the previous run's) and
-// its length, which may be at most left.
-func (p *varints) run(left int) (int64, int, error) {
+// run decodes the next run word of a run-coded column, whatever its
+// form: its value (for a delta column, the delta of the previous run's),
+// its length and how many times it is set, which together may cover at
+// most left samples. A repeat of the column's last run, whose length is
+// last (0 before the first run), comes back with length 0.
+func (p *varints) run(left, last int) (int64, int, int, error) {
 	if p.flag == 0 {
 		v, ok := p.next()
 		if !ok {
-			return 0, 0, errTruncatedV2
+			return 0, 0, 0, errTruncatedV2
 		}
-		return v, 1, nil
+		return v, 1, 1, nil
 	}
-	// The 65-bit uvarint of zigzag(v)<<1 | more (appendRunWord).
+	// The uvarint of zigzag(v)<<flag | kind (appendRunWord).
 	if p.off >= len(p.buf) {
-		return 0, 0, errTruncatedV2
+		return 0, 0, 0, errTruncatedV2
 	}
 	first := p.buf[p.off]
 	p.off++
-	zig := uint64(first&0x7f) >> 1
+	zig := uint64(first&0x7f) >> p.flag
 	if first >= 0x80 {
 		rest, ok := p.oneByte()
 		if !ok {
 			rest, ok = p.uvarint()
 		}
-		if !ok || rest>>58 != 0 {
-			return 0, 0, errTruncatedV2
+		if !ok || rest>>(57+p.flag) != 0 {
+			return 0, 0, 0, errTruncatedV2
 		}
-		zig |= rest << 6
+		zig |= rest << (7 - p.flag)
 	}
-	if first&1 == 0 {
-		return unzigzag(zig), 1, nil
+	kind := first & (1<<p.flag - 1)
+	if kind == runOne {
+		return unzigzag(zig), 1, 1, nil
 	}
 	r, ok := p.oneByte()
 	if !ok {
 		r, ok = p.uvarint()
 	}
-	if !ok {
-		return 0, 0, errTruncatedV2
+	switch {
+	case !ok:
+		return 0, 0, 0, errTruncatedV2
+	case kind == runMore && (r > uint64(left) || int(r)+2 > left):
+		return 0, 0, 0, errRunPastCount
+	case kind == runMore:
+		return unzigzag(zig), int(r) + 2, 1, nil
+	case kind != runRepeat || zig != 0 || last == 0:
+		return 0, 0, 0, errBadRun
+	case r >= uint64(left/last):
+		return 0, 0, 0, errRunPastCount
 	}
-	if r > uint64(left) || int(r)+2 > left {
-		return 0, 0, errRunPastCount
-	}
-	return unzigzag(zig), int(r) + 2, nil
+	return 0, 0, int(r) + 1, nil
 }
 
 // runs decodes the next run-coded column into vals, which it fills: the
 // mirror of appendRuns. With delta, each run's value is the delta of the
 // previous run's. A one-byte singleton, most of what does not repeat, is
 // decoded without a call (single), anything else by run.
-func (p *varints) runs(vals []int64, delta bool) (err error) {
-	var prev int64
+func (p *varints) runs(vals []int64, delta bool) error {
+	var prev, w int64
+	n := 0 // the last run's length
 	for i := 0; i < len(vals); {
-		v, n := int64(0), 1
+		reps := 1
 		if s, ok := p.single(); ok {
-			v = s
-		} else if v, n, err = p.run(len(vals) - i); err != nil {
-			return err
+			w, n = s, 1
+		} else {
+			v, l, r, err := p.run(len(vals)-i, n)
+			if err != nil {
+				return err
+			}
+			if l > 0 {
+				w, n = v, l
+			}
+			reps = r
 		}
-		if delta {
-			prev += v
-			v = prev
-		}
-		for end := i + n; i < end; i++ {
-			vals[i] = v
+		for ; reps > 0; reps-- {
+			v := w
+			if delta {
+				prev += w
+				v = prev
+			}
+			for end := i + n; i < end; i++ {
+				vals[i] = v
+			}
 		}
 	}
 	return nil
@@ -399,10 +420,13 @@ var (
 	errTruncatedV2  = fmt.Errorf("%w: truncated v2 payload", ErrBadTrace)
 	errRunPastCount = fmt.Errorf("%w: v2 run past the declared sample count", ErrBadTrace)
 	errRiceK        = fmt.Errorf("%w: v2 time parameter missing or out of range", ErrBadTrace)
+	errBadRun       = fmt.Errorf("%w: bad v2 run word", ErrBadTrace)
+	errStackIndex   = fmt.Errorf("%w: v2 stack index out of dictionary range", ErrBadTrace)
 )
 
-// bitReader reads a version-4 time column: the bits of buf LSB-first,
-// from bit at on (a uint64: a payload may hold 2^33 bits).
+// bitReader reads the Rice-coded time column of version 4 and later:
+// the bits of buf LSB-first, from bit at on (a uint64: a payload may
+// hold 2^33 bits).
 type bitReader struct {
 	buf []byte
 	at  uint64
@@ -454,27 +478,32 @@ func (d *blockDecoder) stageV2(h blockHeader) error {
 		return fmt.Errorf("%w: v2 payload checksum mismatch", ErrBadTrace)
 	}
 	p := varints{buf: d.stored.Bytes()}
-	if h.ver >= 2 {
+	if h.ver >= 5 {
+		p.flag = 2
+	} else if h.ver >= 2 {
 		p.flag = 1
 	}
 	if h.flags&flagV2Flate != 0 {
 		// The inflater holds nothing but memory, so it is reused and
 		// never closed. Inflation stops one byte past the longest
 		// payload the declared counts could need: a longer one is
-		// refused below without being held. A sample costs each run-coded
-		// column at most one word of at most ten bytes (a 65-bit run word
-		// takes ten, as a 64-bit varint does); a run's length, four bytes
-		// at most, rides on a run of two samples or more, whose second
-		// sample pays no word. A version-4 time code takes at most 86
-		// bits, an escape's 16 + 6 + 64, so eleven bytes a sample hold the
-		// time column, and one byte more its parameter.
+		// refused below without being held. A sample costs each of the
+		// seven run-coded columns at most one word of at most ten bytes (a
+		// 66-bit run word takes ten, as a 64-bit varint does); a run's
+		// length, four bytes at most, rides on a run of two samples or
+		// more, whose second sample pays no word, and a repeat's two to
+		// five bytes on a run of one sample or more. A Rice time code
+		// takes at most 86 bits, an escape's 16 + 6 + 64, so eleven bytes
+		// a sample hold the time column, and one byte more its parameter.
+		// A dictionary entry takes its depth, its shared count and a PC
+		// for each frame.
 		d.deflated.Reset(d.stored.Bytes())
 		if d.inflate == nil {
 			d.inflate = flate.NewReader(&d.deflated)
 		} else if err := d.inflate.(flate.Resetter).Reset(&d.deflated, nil); err != nil {
 			return err
 		}
-		const perSample, perStack = 6*binary.MaxVarintLen64 + 11, (1 + maxStackDepth) * binary.MaxVarintLen64
+		const perSample, perStack = 7*binary.MaxVarintLen64 + 11, (2 + maxStackDepth) * binary.MaxVarintLen64
 		d.raw.Reset()
 		d.limit = io.LimitedReader{R: d.inflate, N: int64(h.ns*perSample+h.nst*perStack) + 1}
 		if h.ver >= 4 {
@@ -490,7 +519,8 @@ func (d *blockDecoder) stageV2(h blockHeader) error {
 	// samples; the time column sizes the scratch. The run-coded ones
 	// follow in the order BlockEncoder.encode writes them, each decoded
 	// into vals (runs, the mirror of appendRuns) and set from there.
-	// Before version 4 a time delta is a uvarint; before version 3 it is
+	// Before version 5 a sample's stack is one column of an index or -1;
+	// before version 4 a time delta is a uvarint; before version 3 it is
 	// zigzag-mapped, and an event or state is stored as itself.
 	v3 := h.ver >= 3
 	d.samples = d.samples[:0]
@@ -558,9 +588,15 @@ func (d *blockDecoder) stageV2(h blockHeader) error {
 				ss[i].Site = uint64(vals[i])
 			}
 		case 5:
+			if h.ver >= 5 {
+				if err := d.stageStackIDs(&p, &m, vals, h.nst); err != nil {
+					return err
+				}
+				break
+			}
 			for i, v := range vals {
 				if v != int64(NoStack) && (v < 0 || uint64(v) >= h.nst) {
-					return fmt.Errorf("%w: v2 stack index out of dictionary range", ErrBadTrace)
+					return errStackIndex
 				}
 				ss[i].StackID = int32(v)
 			}
@@ -568,13 +604,19 @@ func (d *blockDecoder) stageV2(h blockHeader) error {
 	}
 
 	d.pcs, d.ends = d.pcs[:0], d.ends[:0]
+	var prev []uintptr // the entry before, whose outer frames a version-5 entry may share
 	for i := uint64(0); i < h.nst; i++ {
 		depth, ok := p.uvarint()
-		if !ok || depth > maxStackDepth {
+		shared := uint64(0)
+		if ok && h.ver >= 5 {
+			shared, ok = p.uvarint()
+		}
+		if !ok || depth > maxStackDepth || shared > depth || shared > uint64(len(prev)) {
 			return fmt.Errorf("%w: bad v2 stack entry", ErrBadTrace)
 		}
+		start := len(d.pcs)
 		var pc uint64
-		for j := uint64(0); j < depth; j++ {
+		for j := uint64(0); j < depth-shared; j++ {
 			v, ok := p.next()
 			if !ok {
 				return errTruncatedV2
@@ -582,10 +624,42 @@ func (d *blockDecoder) stageV2(h blockHeader) error {
 			pc += uint64(v)
 			d.pcs = append(d.pcs, uintptr(pc))
 		}
+		d.pcs = append(d.pcs, prev[uint64(len(prev))-shared:]...)
+		prev = d.pcs[start:]
 		d.ends = append(d.ends, len(d.pcs))
 	}
 	if p.off != len(p.buf) {
 		return fmt.Errorf("%w: v2 payload larger than declared counts", ErrBadTrace)
+	}
+	return nil
+}
+
+// stageStackIDs sets the staged samples' stacks from a version-5
+// block's two stack columns, whose first, each sample's stack presence
+// against its prediction, is decoded into vals: it decodes the second,
+// an index into the dictionary of nst entries for each sample that has
+// a stack, into the front of vals.
+func (d *blockDecoder) stageStackIDs(p *varints, m *predictor, vals []int64, nst uint64) error {
+	ss, stacked := d.samples, 0
+	for i, v := range vals {
+		if uint64(v) > 1 {
+			return errBadRun
+		}
+		_, has := m.stack(ss[i].Event, int32(v), true)
+		ss[i].StackID = NoStack + has // 0 is a placeholder for the sample's index, below
+		stacked += int(has)
+	}
+	ids := vals[:stacked]
+	if err := p.runs(ids, false); err != nil || stacked == 0 {
+		return err
+	}
+	for i := range ss {
+		if ss[i].StackID != NoStack {
+			if ids[0] < 0 || uint64(ids[0]) >= nst {
+				return errStackIndex
+			}
+			ss[i].StackID, ids = int32(ids[0]), ids[1:]
+		}
 	}
 	return nil
 }

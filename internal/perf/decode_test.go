@@ -65,24 +65,6 @@ func repackV2(t *testing.T, block []byte, mutate func(raw []byte) []byte) []byte
 	return append(hdr, stored...)
 }
 
-// runColumnAt returns the offset of run-coded column col (0 the thread
-// column, 5 the stack IDs) in the raw payload of a written block of n
-// samples, walked the way the decoder walks it.
-func runColumnAt(t *testing.T, raw []byte, n, col int) int {
-	t.Helper()
-	p := varints{buf: raw, flag: 1, off: timeColumnEnd(raw, n)}
-	for c := 0; c < col; c++ {
-		for left := n; left > 0; {
-			_, k, err := p.run(left)
-			if err != nil {
-				t.Fatalf("column %d: %v", c, err)
-			}
-			left -= k
-		}
-	}
-	return p.off
-}
-
 // corruption damages one encoded block. cut says the damage shortens
 // the block, so the stream has to end with it: bytes after a short
 // block would be read as its missing tail.
@@ -122,13 +104,13 @@ var v2Corruptions = []corruption{
 	shortTail,
 	{"stack index out of range", false, func(t *testing.T, block []byte, n int) []byte {
 		return repackV2(t, block, func(raw []byte) []byte {
-			// The stack column opens with the run of n-1 samples without
-			// a stack; make it a run of entry 5 of a one-entry dictionary.
-			off := runColumnAt(t, raw, n, 5)
-			if raw[off] != appendRunWord(nil, zigzag(int64(NoStack)), true)[0] {
-				t.Fatalf("stack column starts with %#x, not a run of NoStack", raw[off])
+			// The stack IDs column is entry 0 for the one sample that has
+			// a stack; make it entry 5 of a one-entry dictionary.
+			off := v5ColumnsAt(t, raw, n, 1)[6]
+			if raw[off] != 0 {
+				t.Fatalf("stack IDs column starts with %#x, not entry 0", raw[off])
 			}
-			raw[off] = appendRunWord(nil, zigzag(5), true)[0]
+			raw[off] = byte(zigzag(5) << 2)
 			return raw
 		})
 	}},
@@ -137,7 +119,7 @@ var v2Corruptions = []corruption{
 			// The thread column is one run of all n samples. One sample
 			// longer, it decodes to the same samples if the run is
 			// clamped to the column: it has to be refused instead.
-			off := runColumnAt(t, raw, n, 0) + 1
+			off := v5ColumnsAt(t, raw, n, 1)[0] + 1
 			if raw[off] != byte(n-2) {
 				t.Fatalf("thread column is not one run of %d", n)
 			}

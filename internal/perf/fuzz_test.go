@@ -66,7 +66,7 @@ func FuzzReadTrace(f *testing.F) {
 	f.Add(hdrOnly)
 	// Run-coded seeds: a block whose columns are long runs, and runs
 	// broken by joins with stacks and by region deltas that need the run
-	// word's 65th bit, plain and deflated; the same block with its first
+	// word's top bits, plain and deflated; the same block with its first
 	// run stretched past the sample count; and a version-1 block.
 	runs := NewTraceBuffer(0, 0)
 	for i := 0; i < 40; i++ {
@@ -122,6 +122,21 @@ func FuzzReadTrace(f *testing.F) {
 	forged := bytes.Clone(valid.Bytes())
 	binary.LittleEndian.PutUint64(forged[8:16], 1<<20)
 	f.Add(forged)
+
+	// Version 5's refusals: a repeat first in its column, or past the
+	// sample count; kind 3; one stack ID too many and one too few; an ID
+	// past the dictionary; and dictionary entries that share more frames
+	// than they or the entry before have. Then stacks where the tool puts
+	// none, and none where it puts one, which read back.
+	refused := v5RefusedBlocks(f)
+	for _, name := range []string{"repeat first", "repeat past the count", "kind 3", "repeat with a value", "presence not a bit",
+		"one stack ID too many", "one stack ID too few", "stack ID past the dict", "first entry shares",
+		"shares past its depth", "shares past the last"} {
+		f.Add(refused[name])
+	}
+	for _, block := range v5StackBlocks(f) {
+		f.Add(block)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		all, err := ReadTraceStream(bytes.NewReader(data))

@@ -93,10 +93,10 @@ func TestReadTraceStreamForgedCountAllocatesLittle(t *testing.T) {
 	}
 }
 
-// TestV4ZeroBlockSlabSizedOnce: a version-4 sample may take one bit, so
-// the skim's bound on a plain block is one sample per payload bit, and a
-// legal block of 256 samples in a few dozen bytes is read into a slab
-// made once, at the skim's count.
+// TestV4ZeroBlockSlabSizedOnce: from version 4 on a sample may take one
+// bit of the payload, so the skim's bound on a plain block is one sample
+// per payload bit, and a legal block of 256 samples in a few dozen
+// bytes is read into a slab made once, at the skim's count.
 func TestV4ZeroBlockSlabSizedOnce(t *testing.T) {
 	valid, _, _ := riceEdgeBlocks(t)
 	n, _, err := skim(bufio.NewReader(bytes.NewReader(valid)), true)

@@ -28,7 +28,7 @@ import (
 //
 // Layout (little-endian):
 //
-//	magic "PSX2", version uint32 (4; versions 1 to 3 are read, never written)
+//	magic "PSX2", version uint32 (5; versions 1 to 4 are read, never written)
 //	flags uint32 (bit 0: payload is flate-compressed)
 //	nsamples uint64, nstacks uint64 (dictionary entries), dropped uint64
 //	payloadLen uint64, payloadCRC uint32 (IEEE, over the stored bytes)
@@ -42,8 +42,9 @@ import (
 //	states   runs of equal values, each the state XOR its prediction
 //	regions  runs of equal values, each the delta of the previous run's
 //	sites    runs of equal values, each the delta of the previous run's
-//	stackIDs runs of equal values (a dictionary index, or -1)
-//	stacks   nstacks × (uvarint depth, depth × uvarint(zigzag(PC delta)))
+//	stacked  runs of equal values, each whether the sample has a stack XOR its prediction
+//	stackIDs runs of equal values, a dictionary index for each sample that has a stack
+//	stacks   nstacks × (uvarint depth, uvarint shared, (depth − shared) × uvarint(zigzag(PC delta)))
 //
 // A time delta is two's-complement: a thread's clock never goes back,
 // so a delta is small and positive, and one that is negative still
@@ -56,29 +57,44 @@ import (
 // k, at most maxRiceK, for the block (riceK).
 //
 // An event is predicted to be the event that last followed the event
-// before it in the block, and a state to be the state that last came
-// with its event (predictor; both start from zero in every block), so a
-// column of protocol-ordered brackets is mostly runs of 0.
+// before it in the block, a state to be the state that last came with
+// its event, and a stack to be there when the last sample of its event
+// had one (predictor; all start from zero in every block), so a column
+// of protocol-ordered brackets, and the stacks the tool takes at JOIN
+// only, are mostly runs of 0.
 //
 // A run is the longest stretch of neighbouring samples that hold one
-// value in that column, and is written as the 65-bit uvarint of
-// zigzag(v)<<1 | more, followed, only when more is set, by
-// uvarint(length − 2): a sample whose value differs from its
-// neighbours' costs what a plain varint costs, and a run of any length
-// costs two varints. Most of a block's samples repeat the sample before
-// them in every column but time — the thread throughout a per-thread
-// block, the region and site inside a region, the -1 of a sample
-// without a stack — so most of the columns shrink to a few runs. Deltas
-// are two's-complement and so may be any uint64, which is why the flag
-// takes a 65th bit rather than one of the value's 64. The runs of a
-// column cover exactly nsamples samples; a run past that is refused.
+// value in that column, and is written as the 66-bit uvarint of
+// zigzag(v)<<2 | kind: kind 0 is one sample; kind 1 a run of two or
+// more, followed by uvarint(length − 2); kind 2, whose v is 0, the
+// previous run again — the same word, so a delta column adds its delta
+// again, and the same length — k+1 times, followed by uvarint(k). Kind
+// 3, and a repeat with no run before it in the column, are refused.
+// Most of a block's samples repeat the sample before them in every
+// column but time — the thread throughout a per-thread block, the
+// region and site inside a region — so most columns shrink to a few
+// runs, and a team repeats its region shape, so the region column's
+// (+1, length) runs collapse into a few repeats. A repeat never reaches
+// into another block: every column starts afresh. Deltas are
+// two's-complement and so may be any uint64, which is why the kind
+// takes two bits past the value's 64. The runs of a column cover
+// exactly its samples (nsamples, or the samples that have a stack); a
+// run past that is refused.
 //
-// Version 3 wrote each time delta as a plain uvarint. Version 2 also
-// wrote the runs with no predictions: events and states as themselves,
-// and each time delta as uvarint(zigzag(delta)). Version 1 also wrote
-// every other column as nsamples × uvarint(zigzag(value or delta of
-// previous sample)): the same columns with every run of length one and
-// no flag bit. The reader still decodes all three.
+// A dictionary entry's last shared PCs are the previous entry's last
+// shared PCs, so only its depth − shared innermost frames are written:
+// the join paths of one block mostly differ in their innermost frames.
+// shared is at most depth and the previous entry's depth (0 for the
+// first entry).
+//
+// Version 4 wrote one run word of zigzag(v)<<1 | more (no repeats), one
+// stack ID column of an index or -1 a sample, and every dictionary PC.
+// Version 3 also wrote each time delta as a plain uvarint. Version 2
+// also wrote the runs with no predictions: events and states as
+// themselves, and each time delta as uvarint(zigzag(delta)). Version 1
+// also wrote every other column as nsamples × uvarint(zigzag(value or
+// delta of previous sample)): the same columns with every run of length
+// one and no flag bits. The reader still decodes all four.
 //
 // Unlike v1, the header states the payload's exact byte extent and its
 // checksum, so a block whose declared counts disagree with its bytes
@@ -93,9 +109,9 @@ var traceV2Magic = [4]byte{'P', 'S', 'X', '2'}
 const (
 	// traceV2Version is the layout every PSX2 block is written in;
 	// v2Decodable says which versions the readers decode.
-	traceV2Version = 4
+	traceV2Version = 5
 
-	// riceEscape is the quotient from which a version-4 time delta is
+	// riceEscape is the quotient from which a time delta is
 	// escaped, and maxRiceK the largest parameter a block may declare: a
 	// code that does not escape then takes at most 56 bits, which one
 	// 64-bit load at any bit offset holds whole.
@@ -176,56 +192,74 @@ func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // v2Decodable reports whether the readers decode PSX2 blocks of version
-// ver: the version written and the versions 1 to 3 before it. The skim
+// ver: the version written and the versions 1 to 4 before it. The skim
 // counts no other, so psxd never acks, stores or recovers a block no
 // reader opens.
 func v2Decodable(ver uint32) bool { return ver >= 1 && ver <= traceV2Version }
 
 func errV2Version(ver uint32) error { return fmt.Errorf("perf: unsupported v2 trace version %d", ver) }
 
-// predictor is version 3's model of a block's event and state columns
-// (see the layout above), the writer's and the reader's alike: the
-// event that last followed each event, and the state each event last
-// carried, both looked up by the event's low byte. A block starts it
-// from zero, so every block still decodes alone.
+// predictor is the model of a block's event, state and (from version
+// 5) stack presence columns (see the layout above), the writer's and
+// the reader's alike: the event that last followed each event, the
+// state each event last carried and whether its last sample had a
+// stack, all looked up by the event's low byte. A block starts it from
+// zero, so every block still decodes alone.
 type predictor struct {
 	prev    int32
 	follows [256]int32
 	stateOf [256]int32
+	stackOf [256]int32 // 1 where the event's last sample had a stack
 }
 
-// event codes one word of the event column: an event to the word
-// stored, or, with stored, a stored word back to its event. XOR is its
-// own inverse, so both are w XOR the prediction; the model then learns
-// the event.
-func (m *predictor) event(w int32, stored bool) int32 {
-	slot := &m.follows[uint8(m.prev)]
-	out := w ^ *slot
-	if stored {
-		w = out
-	}
-	*slot, m.prev = w, w
-	return out
-}
-
-// state codes one word of the state column, of a sample of event ev,
-// as event codes an event.
-func (m *predictor) state(ev, w int32, stored bool) int32 {
-	slot := &m.stateOf[uint8(ev)]
-	out := w ^ *slot
+// learn codes one word against the prediction in slot: a value to the
+// word stored, or, with stored, a stored word back to its value. XOR is
+// its own inverse, so both are w XOR the prediction; slot then learns
+// the value, which learn returns after the word.
+func learn(slot *int32, w int32, stored bool) (out, value int32) {
+	out = w ^ *slot
 	if stored {
 		w = out
 	}
 	*slot = w
+	return out, w
+}
+
+// event codes one word of the event column.
+func (m *predictor) event(w int32, stored bool) int32 {
+	out, ev := learn(&m.follows[uint8(m.prev)], w, stored)
+	m.prev = ev
 	return out
 }
 
+// state codes one word of the state column, of a sample of event ev.
+func (m *predictor) state(ev, w int32, stored bool) int32 {
+	out, _ := learn(&m.stateOf[uint8(ev)], w, stored)
+	return out
+}
+
+// stack codes one word of the stack presence column, of a sample of
+// event ev, whose value is 1 for a sample that has a stack and 0 for
+// one that has none.
+func (m *predictor) stack(ev, w int32, stored bool) (out, value int32) {
+	return learn(&m.stackOf[uint8(ev)], w, stored)
+}
+
+// The kinds of a run word (see the layout above).
+const (
+	runOne = iota
+	runMore
+	runRepeat
+)
+
 // appendRuns appends the column vals run-coded (see the layout above);
 // with delta, each run is written as the delta of the previous run's
-// value. A singleton that fits the first byte, most of what does not
-// repeat, is appended without a call.
+// value. Runs that repeat the one before them are counted in reps and
+// written as one repeat. A singleton that fits the first byte, most of
+// what does not repeat, is appended without a call.
 func appendRuns(b []byte, vals []int64, delta bool) []byte {
-	var prev int64
+	var prev, last int64
+	n, reps := 0, 0 // the last run written's length (0: none yet), and the runs since that repeat it
 	for i := 0; i < len(vals); {
 		v := vals[i]
 		j := i + 1
@@ -236,29 +270,40 @@ func appendRuns(b []byte, vals []int64, delta bool) []byte {
 		if delta {
 			w, prev = v-prev, v // wraps: a two's-complement delta
 		}
+		if j-i == n && w == last {
+			reps, i = reps+1, j
+			continue
+		}
+		b, reps = appendRepeats(b, reps), 0
 		zig := zigzag(w)
 		switch {
 		case j-i > 1:
-			b = binary.AppendUvarint(appendRunWord(b, zig, true), uint64(j-i-2))
-		case zig < 0x40:
-			b = append(b, byte(zig<<1))
+			b = binary.AppendUvarint(appendRunWord(b, zig, runMore), uint64(j-i-2))
+		case zig < 0x20:
+			b = append(b, byte(zig<<2))
 		default:
-			b = appendRunWord(b, zig, false)
+			b = appendRunWord(b, zig, runOne)
 		}
-		i = j
+		last, n, i = w, j-i, j
 	}
-	return b
+	return appendRepeats(b, reps)
 }
 
-// appendRunWord appends the 65-bit uvarint of zig<<1 | more: the first
-// byte carries more and zig's low six bits, and the bytes after it are
-// the plain uvarint of the rest of zig.
-func appendRunWord(b []byte, zig uint64, more bool) []byte {
-	first := byte(zig&0x3f) << 1
-	if more {
-		first |= 1
+// appendRepeats appends a repeat of the last run written reps times, if
+// reps is not 0.
+func appendRepeats(b []byte, reps int) []byte {
+	if reps == 0 {
+		return b
 	}
-	if rest := zig >> 6; rest != 0 {
+	return binary.AppendUvarint(append(b, runRepeat), uint64(reps-1))
+}
+
+// appendRunWord appends the 66-bit uvarint of zig<<2 | kind: the first
+// byte carries kind and zig's low five bits, and the bytes after it are
+// the plain uvarint of the rest of zig.
+func appendRunWord(b []byte, zig uint64, kind byte) []byte {
+	first := byte(zig&0x1f)<<2 | kind
+	if rest := zig >> 5; rest != 0 {
 		return binary.AppendUvarint(append(b, first|0x80), rest)
 	}
 	return append(b, first)
@@ -326,12 +371,13 @@ func putBits(out []byte, at int, acc uint64, n uint, v uint64, w uint) (int, uin
 
 // BlockEncoder writes v2 blocks, one after another, out of scratch it
 // owns and reuses: the block's bytes, one column's values, the stack
-// dictionary and its index and, when blocks are deflated, one
-// flate.Writer. The zero value is ready; an encoder serves one goroutine
-// at a time.
+// IDs, the stack dictionary and its index and, when blocks are
+// deflated, one flate.Writer. The zero value is ready; an encoder
+// serves one goroutine at a time.
 type BlockEncoder struct {
 	raw    []byte        // header and columnar payload
 	vals   []int64       // the run-coded column being written
+	ids    []int64       // the stack IDs column: a dict entry for each sample that has a stack
 	z      bytes.Buffer  // header and the payload deflated
 	zw     *flate.Writer // made by the first deflated block
 	dict   pathSet       // the block's distinct stacks, in order of first appearance
@@ -425,10 +471,11 @@ func (e *BlockEncoder) encode(views []chunkView, base0 int32, dropped uint64, de
 		}
 	}
 	raw = appendRice(raw, vals, riceK(&hist, n))
-	// The run-coded columns, a loop over plain values each. Events and
-	// states are stored against their predictions, which the block's
-	// first samples teach a zeroed model.
+	// The run-coded columns, a loop over plain values each. Events,
+	// states and whether a sample has a stack are stored against their
+	// predictions, which the block's first samples teach a zeroed model.
 	var m predictor
+	ids := e.ids[:0]
 	for col := range 6 {
 		k := 0
 		for _, v := range views {
@@ -458,27 +505,33 @@ func (e *BlockEncoder) encode(views []chunkView, base0 int32, dropped uint64, de
 				}
 			case 5:
 				for i := range ss {
-					out := int64(NoStack)
-					if sid := ss[i].StackID; sid != NoStack {
-						if rel := sid - base0; rel >= 0 && uint64(rel) < nstacks {
-							out = int64(e.toDict[rel])
-						}
+					has := int32(0)
+					if rel := ss[i].StackID - base0; ss[i].StackID != NoStack && rel >= 0 && uint64(rel) < nstacks {
+						ids, has = append(ids, int64(e.toDict[rel])), 1
 					}
-					dst[i] = out
+					out, _ := m.stack(ss[i].Event, has, false)
+					dst[i] = int64(out)
 				}
 			}
 		}
 		raw = appendRuns(raw, vals, col == 0 || col == 3 || col == 4) // thread, region, site: deltas
 	}
+	raw = appendRuns(raw, ids, false)
+	var last []uintptr
 	for _, st := range e.dict.paths {
-		raw = binary.AppendUvarint(raw, uint64(len(st)))
+		shared := 0
+		for shared < min(len(st), len(last)) && st[len(st)-1-shared] == last[len(last)-1-shared] {
+			shared++
+		}
+		raw = binary.AppendUvarint(binary.AppendUvarint(raw, uint64(len(st))), uint64(shared))
 		var pcprev uint64
-		for _, pc := range st {
+		for _, pc := range st[:len(st)-shared] {
 			raw = binary.AppendUvarint(raw, zigzag(int64(uint64(pc)-pcprev)))
 			pcprev = uint64(pc)
 		}
+		last = st
 	}
-	e.raw = raw
+	e.raw, e.ids = raw, ids
 	clear(e.dict.paths) // scratch must not keep the caller's stacks alive
 
 	block := raw
@@ -598,11 +651,12 @@ var skimReaders = freelist.New(32, func() *skimReader {
 // skimBody consumes the body of the block whose header h readHeader
 // has just consumed, without materializing it: a v2 block's payload,
 // whose checksum it verifies, or a v1 block's records, stack table and
-// dropped count. A plain version-4 payload must also open with a time
-// parameter the decoder takes (a deflated one is not inflated here). It
-// reads through Peek and Discard only, so that the payload is
-// checksummed in the reader's own buffer and counting a block allocates
-// nothing. A body the stream ends inside is ErrCountMismatch.
+// dropped count. A plain payload of version 4 or later must also open
+// with a time parameter the decoder takes (a deflated one is not
+// inflated here). It reads through Peek and Discard only, so that the
+// payload is checksummed in the reader's own buffer and counting a
+// block allocates nothing. A body the stream ends inside is
+// ErrCountMismatch.
 func skimBody(br *bufio.Reader, h blockHeader) error {
 	if h.v2 {
 		crc, k := uint32(0), -1

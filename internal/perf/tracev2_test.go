@@ -197,24 +197,32 @@ func TestV2CrossRead(t *testing.T) {
 	}
 }
 
-// buildMixedStream concatenates seven blocks with distinct sample
+// buildMixedStream concatenates ten blocks with distinct sample
 // counts, returning the stream, the per-block end offsets, and the total
-// sample count: v1, PSX2 version 3, PSX2 version 2 (the first block of
-// testdata/psx2-version2.psxt, whose seven samples are the count the
-// third block has), v1 again, deflated version 3, and version 4 plain
-// and deflated. The version-3 blocks are written blocks rewritten as
-// version 3 wrote them (asVersion3).
+// sample count: v1; PSX2 version 1, the deflated second block of
+// testdata/psx2-version1.psxt, and version 2, the plain first block of
+// psx2-version2.psxt (their five and seven samples are the counts the
+// second and third blocks have); v1 again; then versions 3, 4 and 5,
+// each deflated and plain. The version-3 and version-4 blocks are
+// written blocks rewritten as those versions wrote them (asVersion3,
+// asVersion4).
 func buildMixedStream(t *testing.T) ([]byte, []int, uint64) {
 	t.Helper()
-	fixture, err := os.ReadFile(filepath.Join("testdata", "psx2-version2.psxt"))
-	if err != nil {
-		t.Fatal(err)
+	fixtureBlock := func(name string, i int) []byte {
+		b, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ; i > 0; i-- {
+			b = b[v2HeaderLen+binary.LittleEndian.Uint64(b[36:44]):]
+		}
+		return b[:v2HeaderLen+binary.LittleEndian.Uint64(b[36:44])]
 	}
-	version2 := fixture[:v2HeaderLen+binary.LittleEndian.Uint64(fixture[36:44])]
 	var out bytes.Buffer
 	var bounds []int
 	var total uint64
-	encs := []Encoding{{}, {V2: true}, {V2: true} /* not used: version2 */, {}, {V2: true, Flate: true}, {V2: true}, {V2: true, Flate: true}}
+	plain, deflated := Encoding{V2: true}, Encoding{V2: true, Flate: true}
+	encs := []Encoding{{}, {} /* not used: version 1 */, {} /* not used: version 2 */, {}, deflated, plain, plain, deflated, plain, deflated}
 	for blk, enc := range encs {
 		n := 3 + blk*2
 		b := NewTraceBuffer(n, 0)
@@ -228,10 +236,14 @@ func buildMixedStream(t *testing.T) ([]byte, []int, uint64) {
 			t.Fatal(err)
 		}
 		switch blk {
-		case 1, 4:
-			out.Write(asVersion3(t, one.Bytes()))
+		case 1:
+			out.Write(fixtureBlock("psx2-version1.psxt", 1))
 		case 2:
-			out.Write(version2)
+			out.Write(fixtureBlock("psx2-version2.psxt", 0))
+		case 4, 5:
+			out.Write(asVersion3(t, one.Bytes()))
+		case 6, 7:
+			out.Write(asVersion4(t, one.Bytes()))
 		default:
 			out.Write(one.Bytes())
 		}
@@ -337,9 +349,9 @@ func TestV2DictionaryIndexOutOfRange(t *testing.T) {
 	putv := func(v int64) { payload = binary.AppendUvarint(payload, zigzag(v)) }
 	putv(10) // time delta
 	for c := 0; c < 5; c++ {
-		payload = appendRunWord(payload, zigzag(0), false) // thread, event, state, region, site
+		payload = appendRunWordV4(payload, zigzag(0), false) // thread, event, state, region, site
 	}
-	payload = appendRunWord(payload, zigzag(5), false) // stack index: out of the 1-entry dictionary
+	payload = appendRunWordV4(payload, zigzag(5), false) // stack index: out of the 1-entry dictionary
 	payload = binary.AppendUvarint(payload, 1)
 	putv(0x1000) // the one dictionary stack: depth 1, PC 0x1000
 	blk := v2BlockFromPayload(1, 1, 0, payload)
@@ -365,7 +377,7 @@ func TestV2SkimRefusesWhatReadersRefuse(t *testing.T) {
 	if n, err := BlockSamples(blk); err != nil || n != 3 {
 		t.Fatalf("written block: BlockSamples = %d, %v; want 3", n, err)
 	}
-	for _, ver := range []uint32{0, 5, 9, math.MaxUint32} {
+	for _, ver := range []uint32{0, traceV2Version + 1, 9, math.MaxUint32} {
 		binary.LittleEndian.PutUint32(blk[4:8], ver)
 		want := fmt.Sprintf("unsupported v2 trace version %d", ver)
 		if _, err := ReadTrace(bytes.NewReader(blk)); err == nil || !strings.Contains(err.Error(), want) {
@@ -377,29 +389,39 @@ func TestV2SkimRefusesWhatReadersRefuse(t *testing.T) {
 	}
 }
 
-// TestV2RunWordIs65Bits pins the flagged word at its widest: a region
-// delta of 2^63 has a zigzag image of 2^64 − 1, so the word needs all
-// 65 bits — ten bytes — and a bit more is refused, not wrapped.
+// TestV2RunWordIs65Bits pins the run word at its widest: a region
+// delta of 2^63 has a zigzag image of 2^64 − 1, so version 4's word
+// needs all 65 bits and version 5's all 66 — ten bytes either way — and
+// a bit more is refused, not wrapped.
 func TestV2RunWordIs65Bits(t *testing.T) {
-	word := appendRunWord(nil, math.MaxUint64, true)
-	if len(word) != binary.MaxVarintLen64 || word[0] != 0xff || word[9] != 0x03 {
-		t.Fatalf("word = % x, want ten bytes ending in 03", word)
-	}
-	p := varints{buf: append(word, 0), flag: 1}
-	if v, n, err := p.run(2); err != nil || v != math.MinInt64 || n != 2 || p.off != len(p.buf) {
-		t.Fatalf("run = %d×%d, %v at %d; want %d×2 over all %d bytes", v, n, err, p.off, int64(math.MinInt64), len(p.buf))
-	}
-	word[9] = 0x04 // a 66th bit
-	p = varints{buf: append(word, 0), flag: 1}
-	if _, _, err := p.run(2); !errors.Is(err, ErrBadTrace) {
-		t.Fatalf("a 66-bit word decoded (err=%v)", err)
+	for _, c := range []struct {
+		flag uint8
+		word []byte
+		last byte // the tenth byte
+	}{
+		{1, appendRunWordV4(nil, math.MaxUint64, true), 0x03},
+		{2, appendRunWord(nil, math.MaxUint64, runMore), 0x07},
+	} {
+		word := c.word
+		if len(word) != binary.MaxVarintLen64 || word[0] != 0xff^(1<<c.flag-1)|1 || word[9] != c.last {
+			t.Fatalf("word = % x, want ten bytes ending in %02x", word, c.last)
+		}
+		p := varints{buf: append(word, 0), flag: c.flag}
+		if v, n, reps, err := p.run(2, 0); err != nil || v != math.MinInt64 || n != 2 || reps != 1 || p.off != len(p.buf) {
+			t.Fatalf("run = %d×%d, %v at %d; want %d×2 over all %d bytes", v, n, err, p.off, int64(math.MinInt64), len(p.buf))
+		}
+		word[9] = c.last + 1 // a bit more
+		p = varints{buf: append(word, 0), flag: c.flag}
+		if _, _, _, err := p.run(2, 0); !errors.Is(err, ErrBadTrace) {
+			t.Fatalf("a word past %d bits decoded (err=%v)", 64+c.flag, err)
+		}
 	}
 }
 
 // TestV2QuickRoundTripExtremes round-trips random samples whose every
 // column but time draws from its type's extremes, in random runs: a
-// region or site delta of 2^62 or more is the case the run word's 65th
-// bit is for, and int32 extremes meet the thread deltas and the value
+// region or site delta of 2^62 or more is the case the run word's bits
+// past 64 are for, and int32 extremes meet the thread deltas and the value
 // columns.
 func TestV2QuickRoundTripExtremes(t *testing.T) {
 	u64 := []uint64{0, 1, 1 << 62, 1<<62 - 1, 1 << 63, math.MaxUint64 - 1, math.MaxUint64}
@@ -525,8 +547,40 @@ func TestV3RoundTripArbitrary(t *testing.T) {
 // top of arbitraryBlocks it must round-trip the column's edges: deltas
 // all zero (k = 0, one bit a sample), every delta escaping, quotients
 // on either side of the escape, negative deltas down to math.MinInt64,
-// one-sample blocks, and threads mixed in one block.
+// one-sample blocks, and threads mixed in one block. Version 4 is no
+// longer written, so each block is written and then rewritten as
+// version 4 wrote it; version 5 writes the same time column.
 func TestV4RoundTripArbitrary(t *testing.T) {
+	blocks, zeros, escaping := timeEdgeBlocks()
+	checkRoundTrips(t, blocks, 4, asVersion4)
+
+	// The zero block is the column's least: k = 0 and one bit a sample.
+	// In the escaping one, each delta costs the escape's 22 bits and its
+	// own length.
+	escBits, prev := 0, int64(0)
+	for _, s := range escaping.Samples() {
+		escBits += riceEscape + 6 + bits.Len64(uint64(s.Time-prev))
+		prev = s.Time
+	}
+	for _, c := range []struct {
+		b         *TraceBuffer
+		wantBytes int
+	}{{zeros, 1 + zeros.Len()/8}, {escaping, 1 + (escBits+7)/8}} {
+		var out bytes.Buffer
+		if err := WriteTraceEnc(&out, c.b, Encoding{V2: true}); err != nil {
+			t.Fatal(err)
+		}
+		raw := out.Bytes()[v2HeaderLen:]
+		if end := timeColumnEnd(raw, c.b.Len()); end != c.wantBytes || c.b == zeros && raw[0] != 0 {
+			t.Fatalf("time column of %d samples: %d bytes, k = %d; want %d bytes", c.b.Len(), end, raw[0], c.wantBytes)
+		}
+	}
+}
+
+// timeEdgeBlocks returns arbitraryBlocks and the time column's edges
+// (TestV4RoundTripArbitrary), and among those the block whose deltas
+// are all zero and the one whose every delta escapes.
+func timeEdgeBlocks() (blocks []*TraceBuffer, zeros, escaping *TraceBuffer) {
 	block := func(times ...int64) *TraceBuffer {
 		b := NewTraceBuffer(0, 0)
 		for i, tm := range times {
@@ -534,11 +588,10 @@ func TestV4RoundTripArbitrary(t *testing.T) {
 		}
 		return b
 	}
-	zeros := block(make([]int64, 256)...)
-	var escaping, negative, mixed, edge []int64
+	var esc, negative, mixed, edge []int64
 	var now int64
 	for i := range 100 {
-		escaping = append(escaping, int64(i+1)<<45*int64(1-2*(i%2))) // every delta 2^44 or more: past the escape at any k
+		esc = append(esc, int64(i+1)<<45*int64(1-2*(i%2))) // every delta 2^44 or more: past the escape at any k
 		negative = append(negative, []int64{0, math.MinInt64, -1, math.MaxInt64, 5, 4}[i%6])
 		mixed = append(mixed, int64(i%3)*1e9+int64(i)*250)
 		// Deltas of 11 bits, so k is 10, 11 or 12, and at each of those
@@ -551,31 +604,77 @@ func TestV4RoundTripArbitrary(t *testing.T) {
 		now += d
 		edge = append(edge, now)
 	}
-	blocks := append(arbitraryBlocks(), zeros, block(escaping...), block(negative...), block(mixed...), block(edge...),
+	zeros, escaping = block(make([]int64, 256)...), block(esc...)
+	blocks = append(arbitraryBlocks(), zeros, escaping, block(negative...), block(mixed...), block(edge...),
 		block(0), block(math.MinInt64), block(math.MaxInt64), block(-1))
+	return blocks, zeros, escaping
+}
+
+// TestV5RoundTripArbitrary: version 5 stores whether a sample has a
+// stack against whether the last sample of its event had one, repeats
+// runs and shares the dictionary's outer frames, so on top of the time
+// column's edges it must round-trip stacks on any event, joins without
+// one, periodic and aperiodic runs, a column that is one long repeat,
+// and dictionaries whose paths share every, some or none of their
+// frames.
+func TestV5RoundTripArbitrary(t *testing.T) {
+	blocks, _, _ := timeEdgeBlocks()
+	rng := rand.New(rand.NewSource(5))
+	paths := [][]uintptr{{1, 2, 3}, {4, 2, 3}, {5, 3}, {3}, {6, 7, 8, 9}, {1, 2, 3, 9}, {0x401000, 0x7f0000}}
+	for blk := 0; blk < 200; blk++ {
+		b := NewTraceBuffer(0, 0)
+		period, stackEvery := 1+rng.Intn(6), 1+rng.Intn(5)
+		for i, n := 0, 1+rng.Intn(600); i < n; i++ {
+			s := Sample{Time: int64(10 * i), Thread: int32(blk % 3), Event: int32(i % 4), State: 1,
+				Region: uint64(1 + i/period), Site: uint64(0x401000 + i/period%2)}
+			if rng.Intn(4) == 0 { // an aperiodic run
+				s.Region += uint64(rng.Intn(3))
+			}
+			if i%stackEvery == 0 && rng.Intn(8) != 0 { // on any event, and missing at random
+				b.AppendStacked(s, paths[rng.Intn(len(paths))])
+			} else {
+				s.StackID = NoStack
+				b.Append(s)
+			}
+		}
+		blocks = append(blocks, b)
+	}
+	long := NewTraceBuffer(0, 0) // its region column is one run and one long repeat
+	for i := range 4096 {
+		long.Append(Sample{Time: int64(i), Event: int32(i % 2), Region: uint64(1 + i/4), StackID: NoStack})
+	}
+	blocks = append(blocks, long, stackedBlock())
 	checkRoundTrips(t, blocks, traceV2Version, func(_ *testing.T, b []byte) []byte { return b })
 
-	// The zero block is the column's least: k = 0 and one bit a sample.
-	// In the escaping one, each delta costs the escape's 22 bits and its
-	// own length.
-	escBits, prev := 0, int64(0)
-	for _, tm := range escaping {
-		escBits += riceEscape + 6 + bits.Len64(uint64(tm-prev))
-		prev = tm
+	var out bytes.Buffer
+	if err := WriteTraceEnc(&out, long, Encoding{V2: true}); err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range []struct {
-		b         *TraceBuffer
-		wantBytes int
-	}{{zeros, 1 + zeros.Len()/8}, {block(escaping...), 1 + (escBits+7)/8}} {
-		var out bytes.Buffer
-		if err := WriteTraceEnc(&out, c.b, Encoding{V2: true}); err != nil {
-			t.Fatal(err)
-		}
-		raw := out.Bytes()[v2HeaderLen:]
-		if end := timeColumnEnd(raw, c.b.Len()); end != c.wantBytes || c.b == zeros && raw[0] != 0 {
-			t.Fatalf("time column of %d samples: %d bytes, k = %d; want %d bytes", c.b.Len(), end, raw[0], c.wantBytes)
-		}
+	raw := out.Bytes()[v2HeaderLen:]
+	at := v5ColumnsAt(t, raw, long.Len(), 0)
+	if region := raw[at[3]:at[4]]; !bytes.Equal(region, []byte{byte(zigzag(1))<<2 | runMore, 2, runRepeat, 0xfe, 0x07}) {
+		t.Fatalf("region column of 1024 runs of 4 = % x, want a run and a repeat of 1022", region)
 	}
+}
+
+// v5ColumnsAt returns where each column of the raw payload of a written
+// block of n samples, stacked of which have a stack, starts: the seven
+// run-coded ones (0 the thread column, 6 the stack IDs), then the
+// dictionary and the payload's end.
+func v5ColumnsAt(tb testing.TB, raw []byte, n, stacked int) []int {
+	tb.Helper()
+	p := varints{buf: raw, flag: 2, off: timeColumnEnd(raw, n)}
+	at := []int{p.off}
+	for c := range 7 {
+		if c == 6 {
+			n = stacked
+		}
+		if err := p.runs(make([]int64, n), c == 0 || c == 3 || c == 4); err != nil {
+			tb.Fatalf("column %d: %v", c, err)
+		}
+		at = append(at, p.off)
+	}
+	return append(at, len(raw))
 }
 
 // timeColumnEnd returns where the time column of n samples ends in a
@@ -648,11 +747,11 @@ func TestSkimRefusesBadRiceK(t *testing.T) {
 	}
 }
 
-// asVersion3 rewrites a version-4 block as version 3 wrote it: the same
-// block with each time delta a plain uvarint.
+// asVersion3 rewrites a written block as version 3 wrote it: the
+// version-4 block (asVersion4) with each time delta a plain uvarint.
 func asVersion3(t *testing.T, block []byte) []byte {
 	n := int(binary.LittleEndian.Uint64(block[12:20]))
-	out := repackV2(t, block, func(raw []byte) []byte {
+	out := repackV2(t, asVersion4(t, block), func(raw []byte) []byte {
 		end := timeColumnEnd(raw, n)
 		r := bitReader{buf: raw[1:end]}
 		var col []byte
@@ -663,6 +762,223 @@ func asVersion3(t *testing.T, block []byte) []byte {
 	})
 	binary.LittleEndian.PutUint32(out[4:8], 3)
 	return out
+}
+
+// asVersion4 rewrites a written (version-5) block as version 4 wrote
+// it: the same time column, runs with a one-bit flag and no repeats
+// (appendRunsV4), one stack column of a dictionary index or -1 a
+// sample, and each dictionary entry's frames written whole.
+func asVersion4(t *testing.T, block []byte) []byte {
+	t.Helper()
+	n := int(binary.LittleEndian.Uint64(block[12:20]))
+	nst := binary.LittleEndian.Uint64(block[20:28])
+	out := repackV2(t, block, func(raw []byte) []byte {
+		p := varints{buf: raw, flag: 2, off: timeColumnEnd(raw, n)}
+		out := append([]byte(nil), raw[:p.off]...)
+		var m predictor
+		events, vals := make([]int32, n), make([]int64, n)
+		for c := range 6 {
+			if err := p.runs(vals, c == 0 || c == 3 || c == 4); err != nil {
+				t.Fatalf("column %d: %v", c, err)
+			}
+			switch c {
+			case 1:
+				for i, v := range vals {
+					events[i] = m.event(int32(v), true)
+				}
+			case 5: // stack presence, then the IDs, to one index or -1 a sample
+				var ids []int64
+				for i, v := range vals {
+					vals[i] = int64(NoStack)
+					if _, has := m.stack(events[i], int32(v), true); has == 1 {
+						ids = append(ids, int64(i))
+					}
+				}
+				at := append([]int64(nil), ids...)
+				if err := p.runs(ids, false); err != nil {
+					t.Fatalf("stack IDs: %v", err)
+				}
+				for j, i := range at {
+					vals[i] = ids[j]
+				}
+			}
+			out = appendRunsV4(out, vals, c == 0 || c == 3 || c == 4)
+		}
+		var prev []uintptr
+		for range nst {
+			depth, _ := p.uvarint()
+			shared, _ := p.uvarint()
+			var st []uintptr
+			var pc uint64
+			for range depth - shared {
+				v, _ := p.next()
+				pc += uint64(v)
+				st = append(st, uintptr(pc))
+			}
+			st = append(st, prev[uint64(len(prev))-shared:]...)
+			out, pc = binary.AppendUvarint(out, depth), 0
+			for _, f := range st {
+				out = binary.AppendUvarint(out, zigzag(int64(uint64(f)-pc)))
+				pc = uint64(f)
+			}
+			prev = st
+		}
+		return out
+	})
+	binary.LittleEndian.PutUint32(out[4:8], 4)
+	return out
+}
+
+// appendRunsV4 appends the column vals as versions 2 to 4 run-coded
+// it: each run one word of zigzag(v)<<1 | more (appendRunWordV4),
+// followed, only when more is set, by uvarint(length − 2).
+func appendRunsV4(b []byte, vals []int64, delta bool) []byte {
+	var prev int64
+	for i := 0; i < len(vals); {
+		v := vals[i]
+		j := i + 1
+		for j < len(vals) && vals[j] == v {
+			j++
+		}
+		w := v
+		if delta {
+			w, prev = v-prev, v
+		}
+		b = appendRunWordV4(b, zigzag(w), j-i > 1)
+		if j-i > 1 {
+			b = binary.AppendUvarint(b, uint64(j-i-2))
+		}
+		i = j
+	}
+	return b
+}
+
+// appendRunWordV4 appends the 65-bit uvarint of zig<<1 | more, the run
+// word of versions 2 to 4.
+func appendRunWordV4(b []byte, zig uint64, more bool) []byte {
+	first := byte(zig&0x3f) << 1
+	if more {
+		first |= 1
+	}
+	if rest := zig >> 6; rest != 0 {
+		return binary.AppendUvarint(append(b, first|0x80), rest)
+	}
+	return append(b, first)
+}
+
+// stackedBlock is 32 samples of one thread in eight regions of four
+// events, the last of which, event 3, has a stack: one of three paths in
+// turn, {4, 3}, {1, 2, 3} and {5, 3}, which share their outer frame. Its
+// plain block's region column is a run and a repeat, its stack presence
+// the runs 0×3, 1 and 0×28 (only the first stack is a surprise), its
+// stack IDs eight singletons (0, 1, 2, 0, …), and its dictionary the
+// eleven bytes 02 00 08 01 | 03 01 02 02 | 02 01 0a.
+func stackedBlock() *TraceBuffer {
+	b := NewTraceBuffer(0, 0)
+	paths := [][]uintptr{{4, 3}, {1, 2, 3}, {5, 3}}
+	for i := range 32 {
+		s := Sample{Time: int64(10 * i), Thread: 2, Event: int32(i % 4), State: 1, Region: uint64(1 + i/4), Site: 0x401000}
+		if i%4 == 3 {
+			b.AppendStacked(s, paths[i/4%3])
+		} else {
+			s.StackID = NoStack
+			b.Append(s)
+		}
+	}
+	return b
+}
+
+// v5RefusedBlocks returns plain version-5 blocks of stackedBlock, each
+// with one column changed (and its checksum mended) in a way every
+// reader must refuse as ErrBadTrace.
+func v5RefusedBlocks(tb testing.TB) map[string][]byte {
+	tb.Helper()
+	b := stackedBlock()
+	var out bytes.Buffer
+	if err := WriteTraceEnc(&out, b, Encoding{V2: true}); err != nil {
+		tb.Fatal(err)
+	}
+	block := out.Bytes()
+	at := v5ColumnsAt(tb, block[v2HeaderLen:], b.Len(), 8)
+	raw := block[v2HeaderLen:]
+	if ids, dict := raw[at[6]:at[7]], raw[at[7]:at[8]]; !bytes.Equal(ids, []byte{0, 8, 16, 0, 8, 16, 0, 8}) ||
+		!bytes.Equal(dict, []byte{2, 0, 8, 1, 3, 1, 2, 2, 2, 1, 10}) {
+		tb.Fatalf("stack IDs % x and dictionary % x are not as stackedBlock says", ids, dict)
+	}
+	if region, presence := raw[at[3]:at[4]], raw[at[5]:at[6]]; !bytes.Equal(region, []byte{9, 2, runRepeat, 6}) ||
+		!bytes.Equal(presence, []byte{1, 1, 8, 1, 26}) {
+		tb.Fatalf("region column % x and stack presence % x are not as stackedBlock says", region, presence)
+	}
+	// with replaces column col (7: the dictionary) with col's bytes as
+	// change leaves them.
+	with := func(col int, change func(c []byte) []byte) []byte {
+		c := change(bytes.Clone(raw[at[col]:at[col+1]]))
+		payload := append(append(bytes.Clone(raw[:at[col]]), c...), raw[at[col+1]:]...)
+		out := v2BlockFromPayload(uint64(b.Len()), 3, 0, payload)
+		binary.LittleEndian.PutUint32(out[4:8], traceV2Version)
+		return out
+	}
+	set := func(i int, v byte) func([]byte) []byte {
+		return func(c []byte) []byte { c[i] = v; return c }
+	}
+	return map[string][]byte{
+		"repeat first":           with(0, func(c []byte) []byte { return []byte{runRepeat, 0} }),
+		"repeat past the count":  with(3, set(3, 7)),
+		"kind 3":                 with(0, func(c []byte) []byte { c[0] |= 3; return c }),
+		"repeat with a value":    with(3, set(2, 1<<2|runRepeat)),
+		"presence not a bit":     with(5, set(2, byte(zigzag(2))<<2)),
+		"one stack ID too many":  with(6, func(c []byte) []byte { return append(c, 0) }),
+		"one stack ID too few":   with(6, func(c []byte) []byte { return c[:len(c)-1] }),
+		"stack ID past the dict": with(6, set(7, byte(zigzag(3)<<2))),
+		"first entry shares":     with(7, set(1, 1)),
+		"shares past its depth":  with(7, set(9, 3)),
+		"shares past the last":   with(7, set(5, 3)),
+	}
+}
+
+// v5StackBlocks returns plain and deflated blocks whose stacks are not
+// where the tool puts them: on an event that never otherwise has one,
+// and missing from a join (event 2) that otherwise has one.
+func v5StackBlocks(tb testing.TB) [][]byte {
+	tb.Helper()
+	var out [][]byte
+	for _, stackOn := range []int32{1, -1} {
+		b := NewTraceBuffer(0, 0)
+		for i := range 24 {
+			s := Sample{Time: int64(i), Thread: 1, Event: int32(i % 3), Region: uint64(i / 3)}
+			switch {
+			case s.Event == stackOn && i == 10, s.Event == 2 && stackOn < 0 && i != 14:
+				b.AppendStacked(s, []uintptr{0x401000, uintptr(0x500000 + i%2)})
+			default:
+				s.StackID = NoStack
+				b.Append(s)
+			}
+		}
+		for _, enc := range []Encoding{{V2: true}, {V2: true, Flate: true}} {
+			var w bytes.Buffer
+			if err := WriteTraceEnc(&w, b, enc); err != nil {
+				tb.Fatal(err)
+			}
+			out = append(out, w.Bytes())
+		}
+	}
+	return out
+}
+
+// TestV5Refusals: each way a version-5 payload can break the rules of
+// its run words, its stack columns or its dictionary is refused, and a
+// stack where the tool puts none, or none where it puts one, reads back.
+func TestV5Refusals(t *testing.T) {
+	for name, block := range v5RefusedBlocks(t) {
+		if _, err := ReadTrace(bytes.NewReader(block)); !errors.Is(err, ErrBadTrace) {
+			t.Errorf("%s: err = %v, want ErrBadTrace", name, err)
+		}
+	}
+	for i, block := range v5StackBlocks(t) {
+		if _, err := ReadTrace(bytes.NewReader(block)); err != nil {
+			t.Errorf("stack block %d: %v", i, err)
+		}
+	}
 }
 
 // v2BlockFromPayload frames a raw (uncompressed) payload as a PSX2
@@ -694,7 +1010,7 @@ func TestV2PayloadCountDisagreement(t *testing.T) {
 	}
 	for c := 0; c < 6; c++ {
 		for i := 0; i < 2; i++ {
-			payload = appendRunWord(payload, zigzag(int64(i)), false)
+			payload = appendRunWordV4(payload, zigzag(int64(i)), false)
 		}
 	}
 	blk := v2BlockFromPayload(1, 0, 0, payload) // ...declared as one

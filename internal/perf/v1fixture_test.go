@@ -70,8 +70,8 @@ func TestV1FixtureStillReads(t *testing.T) {
 	}
 }
 
-// psx2Version1FixtureBlocks are the buffers testdata/psx2-version1.psxt,
-// psx2-version2.psxt and psx2-version3.psxt were written from, each by
+// psx2Version1FixtureBlocks are the buffers testdata/psx2-version1.psxt
+// to psx2-version4.psxt were written from, each by
 // the last encoder that wrote its PSX2 version: the first buffer as a
 // plain block, the second deflated. Both carry a stack dictionary (the
 // first one stack twice, which the dictionary collapses), repeated
@@ -123,6 +123,16 @@ func TestPSX2Version2FixtureStillReads(t *testing.T) {
 // before version 4.
 func TestPSX2Version3FixtureStillReads(t *testing.T) {
 	checkPSX2Fixture(t, "psx2-version3.psxt", 3)
+}
+
+// TestPSX2Version4FixtureStillReads: version 5 replaced version 4,
+// whose blocks write runs with a one-bit flag and no repeats, one stack
+// column of an index or -1 a sample, and every dictionary frame. A
+// version-4 stream of the same samples, written by the last encoder
+// that wrote version 4, stands for every trace and psxd data directory
+// written before version 5.
+func TestPSX2Version4FixtureStillReads(t *testing.T) {
+	checkPSX2Fixture(t, "psx2-version4.psxt", 4)
 }
 
 // checkPSX2Fixture reads testdata/name, which must hold
