@@ -62,7 +62,7 @@ const cacheLinePad = 64
 // reader can still hold it; then it is reset and filled again.
 type chunk struct {
 	samples []Sample    // len == ChunkSamples, allocated at creation; a slab's: what it holds
-	stacks  [][]uintptr // len == ChunkSamples, allocated on first stack; a slab's: what it holds
+	stacks  [][]uintptr // len == ChunkSamples, allocated with a reserve chunk or on first stack; a slab's: what it holds
 
 	// stackBase is the global stack ID of stacks[0]. The writer sets it
 	// when it activates the chunk, before publishing any stack, so
@@ -82,10 +82,10 @@ type chunk struct {
 	// owning thread stores wn/wns every append while snapshot readers
 	// spin loading n/nStacks. What separates them is put to use, so
 	// that the chunk is as large as it was: paths is AppendCallstack's
-	// (writer-private, made on its first stack and recycled with the
-	// chunk), state is the one-chunk list a relaying buffer publishes
-	// while this chunk is its active one (made by the first seal to
-	// activate the chunk, never changed after), and sealed is the
+	// (writer-private, made with a reserve chunk or on its first stack,
+	// and recycled with the chunk), state is the one-chunk list a
+	// relaying buffer publishes while this chunk is its active one (made
+	// with a reserve chunk, never changed after), and sealed is the
 	// handle seal relays the chunk under (filled at each seal, valid
 	// until its Release). With the two counters they fill the chunk's
 	// second cache line.
@@ -109,20 +109,25 @@ func newChunk() *chunk {
 	return &chunk{samples: make([]Sample, ChunkSamples)}
 }
 
+// newRelayChunk makes a chunk for the reserve with all a relaying
+// buffer makes of it: the one-chunk list it publishes while the chunk
+// is its active one, the stack table and the path table. Made on first
+// use instead, the tables of a chunk a worker's buffer took first would
+// be made when a stacking buffer first takes it off the reserve, which
+// may be attachments later.
+func newRelayChunk() *chunk {
+	c := newChunk()
+	c.state.chunks = []*chunk{c}
+	c.stacks = make([][]uintptr, ChunkSamples)
+	c.paths = &pathTable{pcs: make([]uintptr, 0, arenaSlab)}
+	return c
+}
+
 // full reports whether the chunk can take no further sample or no
 // further stack. Samples are counted against the chunk's own length:
 // the reader's slab is as long as what it decoded, and always full.
 func (c *chunk) full() bool {
 	return int(c.wn) == len(c.samples) || c.wns == ChunkSamples
-}
-
-// activeState returns the one-chunk list a relaying buffer publishes
-// while c is its active chunk, made the first time c is activated.
-func (c *chunk) activeState() *bufState {
-	if c.state.chunks == nil {
-		c.state.chunks = []*chunk{c}
-	}
-	return &c.state
 }
 
 // stackTable returns the chunk's stack table, made on the first stack.
@@ -220,8 +225,8 @@ func NewRelay(n int) *Relay {
 // past its first slab is left to the collector.
 const reserveChunks = 256
 
-var reserve = freelist.New(reserveChunks, newChunk, func(c *chunk) bool {
-	return c.paths == nil || cap(c.paths.pcs) <= arenaSlab
+var reserve = freelist.New(reserveChunks, newRelayChunk, func(c *chunk) bool {
+	return cap(c.paths.pcs) <= arenaSlab
 })
 
 // takeChunk returns an empty chunk off the reserve, or a new one if the
@@ -231,16 +236,14 @@ func takeChunk() *chunk {
 	c.wn, c.wns = 0, 0
 	c.n.Store(0)
 	c.nStacks.Store(0)
-	if c.paths != nil {
-		c.paths.pcs = c.paths.pcs[:0]
-	}
+	c.paths.pcs = c.paths.pcs[:0]
 	return c
 }
 
 // recycle puts a chunk no state lists and no reader holds into the
 // reserve, its stack table cleared so that it keeps no stack alive.
 // Only the slots it published can hold one: a chunk comes from
-// newChunk or from here, with every slot nil.
+// newRelayChunk or from here, with every slot nil.
 func recycle(c *chunk) {
 	clear(c.stacks[:c.nStacks.Load()])
 	reserve.Put(c)
@@ -351,7 +354,7 @@ func NewRelayBuffer(r *Relay, thread int32, limit int) *TraceBuffer {
 	c := takeChunk()
 	c.stackBase = 0
 	b := &TraceBuffer{limit: limit, active: c, relay: r, thread: thread}
-	b.state.Store(c.activeState())
+	b.state.Store(&c.state)
 	return b
 }
 
@@ -515,7 +518,7 @@ func (b *TraceBuffer) seal() *chunk {
 		nc.stackBase = old.stackBase + old.wns
 		// Publish before the push: once the consumer has the old chunk,
 		// no state that lists it can be loaded any more (see Release).
-		b.state.Store(nc.activeState())
+		b.state.Store(&nc.state)
 		b.retained -= int(old.wn) + int(old.wns)
 		b.active = nc
 		b.wc = 0
