@@ -36,14 +36,16 @@ test: build
 # widths, because a nested region borrows the encountering thread's
 # descriptor across goroutines and the oracle is the program that
 # nests — then the format gate. Nothing in tool or cmd writes v1 any more
-# (every write path is walked block by block), nor PSX2 versions 1 to
-# 4, so they live on only as something the readers must keep opening:
-# the checked-in v1 and PSX2 version-1 to version-4 fixtures, v1 and
-# PSX2 blocks of each version mixed in one stream, arbitrary samples
-# (times that go back, events that share a table slot) through versions
-# 3 to 5, the time column at its edges (all-zero deltas, every delta
-# escaping), version 5's stacks on any event and joins without one, its
-# repeats and shared frames, and each of its refusals, and every
+# (every write path is walked block by block), nor PSX2 version 4, so
+# they live on only as something the readers must keep opening: the
+# checked-in v1 and PSX2 version-4 fixtures (and no PSX2 fixture outside
+# the readers' window), v1 and PSX2 blocks of versions 4 and 5 mixed in
+# one stream, arbitrary samples (times that go back, events that share a
+# table slot) through versions 4 and 5, the time column at its edges
+# (all-zero deltas, every delta escaping), version 5's stacks on any
+# event and joins without one, its repeats and shared frames, and each
+# of its refusals; every PSX2 version outside the window must be refused
+# by the readers and the skim alike, and every
 # writer/reader pairing must read back through
 # the auto-detecting reader, and no header may make the reader size
 # its slab past what the stream's bytes allow; a torn tail must be the
@@ -82,7 +84,7 @@ check:
 	GOEXPERIMENT=synctest $(GO) test -race -cpu 1,2,4 ./internal/super ./internal/tool ./internal/degrade ./internal/ingest
 	$(GO) test -race -cpu 1,2,4 -run 'PathOracle' .
 	$(GO) test -count=1 ./internal/faultinject -run 'EveryWritePathWritesPSX2'
-	$(GO) test -count=1 ./internal/perf -run 'V1Fixture|PSX2Version1Fixture|PSX2Version2Fixture|PSX2Version3Fixture|PSX2Version4Fixture|V3RoundTrip|V4RoundTrip|V5RoundTrip|V5Refusals|V2CrossRead|MixedStream|V2TornTail|ForgedCount|CountMismatch|AsSkimmed'
+	$(GO) test -count=1 ./internal/perf -run 'V1Fixture|PSX2Version4Fixture|FixturesMatchWindow|SkimRefusesWhatReadersRefuse|V4RoundTrip|V5RoundTrip|V5Refusals|V2CrossRead|MixedStream|V2TornTail|ForgedCount|CountMismatch|AsSkimmed'
 	$(GO) test -count=1 ./internal/omp ./internal/perf ./internal/analysis ./internal/tool ./internal/ingest -run 'Alloc'
 
 # chaos runs the deterministic fault-injection suite — panicking and

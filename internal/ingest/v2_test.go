@@ -70,11 +70,12 @@ func TestChunkSampleCountCrossChecked(t *testing.T) {
 // TestChunkMustCarrySampleBlocks: a chunk's bytes are trace blocks a
 // reader decodes. One with no block at all, one holding a block of
 // another kind (the hang-report block older tools appended to salvaged
-// traces), a PSX2 block of a version no reader decodes — its
-// checksum intact, for the version is not under it — and a written
-// block whose checksum holds over a time parameter no reader takes are
-// refused with their seq and booked nowhere; the seq stays open for the
-// real block.
+// traces), PSX2 blocks of versions no reader decodes, one past the
+// written version and one below the readers' window — their checksums
+// intact, for the version is not under them — and a written block whose
+// checksum holds over a time parameter no reader takes are refused with
+// their seq and booked, stored and journaled nowhere; the seq stays
+// open for the real block.
 func TestChunkMustCarrySampleBlocks(t *testing.T) {
 	dir := t.TempDir()
 	srv, err := Serve("127.0.0.1:0", Options{Dir: dir})
@@ -88,6 +89,8 @@ func TestChunkMustCarrySampleBlocks(t *testing.T) {
 	report := []byte{'P', 'S', 'X', 'R', 1, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 'h', 'a', 'n', 'g'}
 	version9 := traceBlockV2(t, 0, 5, false)
 	version9[4] = 9
+	version3 := traceBlockV2(t, 0, 5, false)
+	version3[4] = 3
 	badK := traceBlockV2(t, 0, 5, false)
 	badK[48] = 0xff // the payload's first byte, the time parameter
 	binary.LittleEndian.PutUint32(badK[44:48], crc32.ChecksumIEEE(badK[48:]))
@@ -99,6 +102,7 @@ func TestChunkMustCarrySampleBlocks(t *testing.T) {
 		{"empty", nil, 0},
 		{"report", report, 0},
 		{"version 9", version9, 5},
+		{"version 3", version3, 5},
 		{"time parameter out of range", badK, 5},
 	} {
 		if ack := tc.send(MsgChunk, EncodeChunk(Chunk{Seq: 1, Thread: 0, Samples: bad.samples, Block: bad.block})); ack.Code != CodeBadFrame || ack.Seq != 1 {
@@ -120,5 +124,9 @@ func TestChunkMustCarrySampleBlocks(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join(dir, "blocks-only", "trace.0.psxt"))
 	if err != nil || !bytes.Equal(data, block) {
 		t.Fatalf("trace.0.psxt holds %d bytes (%v), want exactly the real block", len(data), err)
+	}
+	entries, _, err := replayJournal(filepath.Join(dir, "blocks-only", journalName))
+	if err != nil || len(entries) != 1 || entries[0].Seq != 1 || entries[0].Samples != 5 || entries[0].Length != uint32(len(block)) {
+		t.Fatalf("journal holds %+v (%v), want only the real block's entry", entries, err)
 	}
 }

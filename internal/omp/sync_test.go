@@ -318,14 +318,20 @@ func TestCriticalWaitStateObserved(t *testing.T) {
 	collector.Register(q, collector.EventThrBeginCtwt, h)
 
 	// Deterministic contention: thread 0 holds the critical region's
-	// lock across a barrier, so the other threads' Critical calls are
-	// guaranteed to find it busy.
+	// lock across a barrier, and until every other thread has begun to
+	// wait for it, however late the scheduler runs them, so their
+	// Critical calls are guaranteed to find it busy.
 	l := r.criticalLock("hot")
 	r.Parallel(func(tc *ThreadCtx) {
 		if tc.ThreadNum() == 0 {
 			l.Acquire(tc)
 			tc.Barrier()
-			time.Sleep(2 * time.Millisecond)
+			for deadline := time.Now().Add(5 * time.Second); begins.Load() < 3; time.Sleep(50 * time.Microsecond) {
+				if time.Now().After(deadline) {
+					t.Errorf("%d threads began to wait within 5 s, want 3", begins.Load())
+					break
+				}
+			}
 			l.Release()
 		} else {
 			tc.Barrier()

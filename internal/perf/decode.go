@@ -284,9 +284,7 @@ type varints struct {
 	buf []byte
 	off int
 	// flag is the width of the kind in front of a run-coded column's
-	// values: 2 from version 5 on, 1 (the more flag) in versions 2 to 4,
-	// and 0 in a version-1 block, whose columns are runs of one sample
-	// each.
+	// values: 2 in version 5, 1 (the more flag) in version 4.
 	flag uint8
 }
 
@@ -334,13 +332,6 @@ func (p *varints) next() (v int64, ok bool) {
 // most left samples. A repeat of the column's last run, whose length is
 // last (0 before the first run), comes back with length 0.
 func (p *varints) run(left, last int) (int64, int, int, error) {
-	if p.flag == 0 {
-		v, ok := p.next()
-		if !ok {
-			return 0, 0, 0, errTruncatedV2
-		}
-		return v, 1, 1, nil
-	}
 	// The uvarint of zigzag(v)<<flag | kind (appendRunWord).
 	if p.off >= len(p.buf) {
 		return 0, 0, 0, errTruncatedV2
@@ -424,9 +415,8 @@ var (
 	errStackIndex   = fmt.Errorf("%w: v2 stack index out of dictionary range", ErrBadTrace)
 )
 
-// bitReader reads the Rice-coded time column of version 4 and later:
-// the bits of buf LSB-first, from bit at on (a uint64: a payload may
-// hold 2^33 bits).
+// bitReader reads the Rice-coded time column: the bits of buf
+// LSB-first, from bit at on (a uint64: a payload may hold 2^33 bits).
 type bitReader struct {
 	buf []byte
 	at  uint64
@@ -477,11 +467,9 @@ func (d *blockDecoder) stageV2(h blockHeader) error {
 	if crc32.ChecksumIEEE(d.stored.Bytes()) != h.crc {
 		return fmt.Errorf("%w: v2 payload checksum mismatch", ErrBadTrace)
 	}
-	p := varints{buf: d.stored.Bytes()}
+	p := varints{buf: d.stored.Bytes(), flag: 1}
 	if h.ver >= 5 {
 		p.flag = 2
-	} else if h.ver >= 2 {
-		p.flag = 1
 	}
 	if h.flags&flagV2Flate != 0 {
 		// The inflater holds nothing but memory, so it is reused and
@@ -505,10 +493,7 @@ func (d *blockDecoder) stageV2(h blockHeader) error {
 		}
 		const perSample, perStack = 7*binary.MaxVarintLen64 + 11, (2 + maxStackDepth) * binary.MaxVarintLen64
 		d.raw.Reset()
-		d.limit = io.LimitedReader{R: d.inflate, N: int64(h.ns*perSample+h.nst*perStack) + 1}
-		if h.ver >= 4 {
-			d.limit.N++
-		}
+		d.limit = io.LimitedReader{R: d.inflate, N: int64(h.ns*perSample+h.nst*perStack) + 2}
 		if _, err := d.raw.ReadFrom(&d.limit); err != nil {
 			return errTruncatedV2
 		}
@@ -519,37 +504,22 @@ func (d *blockDecoder) stageV2(h blockHeader) error {
 	// samples; the time column sizes the scratch. The run-coded ones
 	// follow in the order BlockEncoder.encode writes them, each decoded
 	// into vals (runs, the mirror of appendRuns) and set from there.
-	// Before version 5 a sample's stack is one column of an index or -1;
-	// before version 4 a time delta is a uvarint; before version 3 it is
-	// zigzag-mapped, and an event or state is stored as itself.
-	v3 := h.ver >= 3
+	// In version 4 a sample's stack is one column of an index or -1, and
+	// a dictionary entry shares no frames.
+	if len(p.buf) == 0 || p.buf[0] > maxRiceK {
+		return errRiceK
+	}
 	d.samples = d.samples[:0]
 	var t int64
-	if h.ver >= 4 {
-		if len(p.buf) == 0 || p.buf[0] > maxRiceK {
-			return errRiceK
-		}
-		k, r := uint(p.buf[0]), bitReader{buf: p.buf[1:]}
-		for i := uint64(0); i < h.ns; i++ {
-			t += int64(r.rice(k))
-			if r.at > 8*uint64(len(r.buf)) {
-				return errTruncatedV2
-			}
-			d.samples = append(d.samples, Sample{Time: t})
-		}
-		p.off = 1 + int((r.at+7)/8)
-	}
-	for i := uint64(0); i < h.ns && h.ver < 4; i++ {
-		u, ok := p.uvarint()
-		if !ok {
+	k, r := uint(p.buf[0]), bitReader{buf: p.buf[1:]}
+	for i := uint64(0); i < h.ns; i++ {
+		t += int64(r.rice(k))
+		if r.at > 8*uint64(len(r.buf)) {
 			return errTruncatedV2
 		}
-		if !v3 {
-			u = uint64(unzigzag(u))
-		}
-		t += int64(u)
 		d.samples = append(d.samples, Sample{Time: t})
 	}
+	p.off = 1 + int((r.at+7)/8)
 	var m predictor
 	ss := d.samples
 	if cap(d.vals) < len(ss) {
@@ -567,17 +537,11 @@ func (d *blockDecoder) stageV2(h blockHeader) error {
 			}
 		case 1:
 			for i := range ss {
-				ss[i].Event = int32(vals[i])
-				if v3 {
-					ss[i].Event = m.event(ss[i].Event, true)
-				}
+				ss[i].Event = m.event(int32(vals[i]), true)
 			}
 		case 2:
 			for i := range ss {
-				ss[i].State = int32(vals[i])
-				if v3 {
-					ss[i].State = m.state(ss[i].Event, ss[i].State, true)
-				}
+				ss[i].State = m.state(ss[i].Event, int32(vals[i]), true)
 			}
 		case 3:
 			for i := range ss {

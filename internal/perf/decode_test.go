@@ -10,6 +10,7 @@ import (
 	"hash/crc32"
 	"io"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -203,14 +204,15 @@ func TestFlateSurplusIsNotInflated(t *testing.T) {
 	zw, _ := flate.NewWriter(&zb, flate.BestSpeed)
 	zw.Write(make([]byte, 1<<20))
 	zw.Close()
-	blk := v2BlockFromPayload(0, 0, 0, zb.Bytes()) // no samples, no stacks: nothing to decode
+	blk := v2BlockFromPayload(0, 0, 0, zb.Bytes()) // no samples, no stacks: only the time parameter to decode
 	binary.LittleEndian.PutUint32(blk[8:12], flagV2Flate)
 	d := newBlockDecoder(bufio.NewReader(bytes.NewReader(blk)), 0)
-	if err := d.readBlock(); !errors.Is(err, ErrBadTrace) {
-		t.Fatalf("err = %v, want ErrBadTrace", err)
+	err := d.readBlock()
+	if !errors.Is(err, ErrBadTrace) || !strings.Contains(err.Error(), "payload larger than declared counts") {
+		t.Fatalf("err = %v, want a payload larger than its counts", err)
 	}
-	if d.raw.Len() > 1 {
-		t.Fatalf("inflated %d bytes of a payload whose counts need none", d.raw.Len())
+	if need := 1; d.raw.Len() > need+1 {
+		t.Fatalf("inflated %d bytes of a payload whose counts need %d", d.raw.Len(), need)
 	}
 }
 

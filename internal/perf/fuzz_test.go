@@ -67,7 +67,7 @@ func FuzzReadTrace(f *testing.F) {
 	// Run-coded seeds: a block whose columns are long runs, and runs
 	// broken by joins with stacks and by region deltas that need the run
 	// word's top bits, plain and deflated; the same block with its first
-	// run stretched past the sample count; and a version-1 block.
+	// run stretched past the sample count; and a version-4 stream.
 	runs := NewTraceBuffer(0, 0)
 	for i := 0; i < 40; i++ {
 		s := Sample{Time: int64(i * 10), Thread: 3, Event: int32(i % 2), State: 1, Region: uint64(i / 8), Site: 0x401000, StackID: NoStack}
@@ -95,7 +95,6 @@ func FuzzReadTrace(f *testing.F) {
 	payload := append([]byte(nil), one.Bytes()[v2HeaderLen:]...)
 	payload[timeColumnEnd(payload, runs.Len())+1]++ // the thread column's one run, one sample longer
 	stretched := v2BlockFromPayload(uint64(runs.Len()), uint64(runs.NumStacks()), 0, payload)
-	binary.LittleEndian.PutUint32(stretched[4:8], traceV2Version)
 	f.Add(stretched)
 	// Version 4's time column at its edges: a valid k = 0 block, one
 	// declaring k out of range, and a unary part the payload cuts off.
@@ -103,11 +102,11 @@ func FuzzReadTrace(f *testing.F) {
 	f.Add(valid4)
 	f.Add(badK)
 	f.Add(cut)
-	version1, err := os.ReadFile(filepath.Join("testdata", "psx2-version1.psxt"))
+	version4, err := os.ReadFile(filepath.Join("testdata", "psx2-version4.psxt"))
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(version1)
+	f.Add(version4)
 	// A stream whose blocks, one of each encoding, repeat one path.
 	var repeats bytes.Buffer
 	for _, enc := range []Encoding{{}, {V2: true}, {V2: true, Flate: true}} {

@@ -28,7 +28,7 @@ import (
 //
 // Layout (little-endian):
 //
-//	magic "PSX2", version uint32 (5; versions 1 to 4 are read, never written)
+//	magic "PSX2", version uint32 (5; version 4 is read, never written)
 //	flags uint32 (bit 0: payload is flate-compressed)
 //	nsamples uint64, nstacks uint64 (dictionary entries), dropped uint64
 //	payloadLen uint64, payloadCRC uint32 (IEEE, over the stored bytes)
@@ -89,12 +89,8 @@ import (
 //
 // Version 4 wrote one run word of zigzag(v)<<1 | more (no repeats), one
 // stack ID column of an index or -1 a sample, and every dictionary PC.
-// Version 3 also wrote each time delta as a plain uvarint. Version 2
-// also wrote the runs with no predictions: events and states as
-// themselves, and each time delta as uvarint(zigzag(delta)). Version 1
-// also wrote every other column as nsamples × uvarint(zigzag(value or
-// delta of previous sample)): the same columns with every run of length
-// one and no flag bits. The reader still decodes all four.
+// The readers decode the version written and the one before it
+// (v2Decodable) and refuse every other.
 //
 // Unlike v1, the header states the payload's exact byte extent and its
 // checksum, so a block whose declared counts disagree with its bytes
@@ -192,10 +188,10 @@ func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // v2Decodable reports whether the readers decode PSX2 blocks of version
-// ver: the version written and the versions 1 to 4 before it. The skim
-// counts no other, so psxd never acks, stores or recovers a block no
-// reader opens.
-func v2Decodable(ver uint32) bool { return ver >= 1 && ver <= traceV2Version }
+// ver: the version written and the one before it, and no other. It is
+// the one place that window is stated. The skim counts no other
+// version, so psxd never acks or stores a block no reader opens.
+func v2Decodable(ver uint32) bool { return ver == traceV2Version || ver == traceV2Version-1 }
 
 func errV2Version(ver uint32) error { return fmt.Errorf("perf: unsupported v2 trace version %d", ver) }
 
@@ -589,9 +585,8 @@ func CountStreamSamples(r io.Reader) (uint64, error) {
 // it counts a v2 block's samples at most one per payload bit: what
 // ReadTraceStream may size a slab by, which a header alone must not
 // decide. A plain block's samples each take a bit of the time column at
-// least (a byte before version 4); a deflated block may hold more than
-// it counts, and a v1 block's records are all present or the skim
-// fails.
+// least; a deflated block may hold more than it counts, and a v1
+// block's records are all present or the skim fails.
 func skim(br *bufio.Reader, bounded bool) (total uint64, blocks int, err error) {
 	for {
 		if more, err := nextBlock(br); !more {
@@ -651,12 +646,11 @@ var skimReaders = freelist.New(32, func() *skimReader {
 // skimBody consumes the body of the block whose header h readHeader
 // has just consumed, without materializing it: a v2 block's payload,
 // whose checksum it verifies, or a v1 block's records, stack table and
-// dropped count. A plain payload of version 4 or later must also open
-// with a time parameter the decoder takes (a deflated one is not
-// inflated here). It reads through Peek and Discard only, so that the
-// payload is checksummed in the reader's own buffer and counting a
-// block allocates nothing. A body the stream ends inside is
-// ErrCountMismatch.
+// dropped count. A plain payload must also open with a time parameter
+// the decoder takes (a deflated one is not inflated here). It reads
+// through Peek and Discard only, so that the payload is checksummed in
+// the reader's own buffer and counting a block allocates nothing. A
+// body the stream ends inside is ErrCountMismatch.
 func skimBody(br *bufio.Reader, h blockHeader) error {
 	if h.v2 {
 		crc, k := uint32(0), -1
@@ -675,7 +669,7 @@ func skimBody(br *bufio.Reader, h blockHeader) error {
 		if crc != h.crc {
 			return fmt.Errorf("%w: v2 payload checksum mismatch", ErrBadTrace)
 		}
-		if h.ver >= 4 && h.flags&flagV2Flate == 0 && (k < 0 || k > maxRiceK) {
+		if h.flags&flagV2Flate == 0 && (k < 0 || k > maxRiceK) {
 			return errRiceK
 		}
 		return nil

@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -199,13 +200,13 @@ func TestV2CrossRead(t *testing.T) {
 
 // buildMixedStream concatenates ten blocks with distinct sample
 // counts, returning the stream, the per-block end offsets, and the total
-// sample count: v1; PSX2 version 1, the deflated second block of
-// testdata/psx2-version1.psxt, and version 2, the plain first block of
-// psx2-version2.psxt (their five and seven samples are the counts the
-// second and third blocks have); v1 again; then versions 3, 4 and 5,
-// each deflated and plain. The version-3 and version-4 blocks are
-// written blocks rewritten as those versions wrote them (asVersion3,
-// asVersion4).
+// sample count: v1; PSX2 version 4 as the last encoder of version 4
+// wrote it, the deflated second block and then the plain first block of
+// testdata/psx2-version4.psxt (their five and seven samples are the
+// counts the second and third blocks have); v1 again; then versions 5,
+// 4 and 5, deflated and plain, plain and deflated, and plain and
+// deflated. The version-4 blocks past the fixture's are written blocks
+// rewritten as version 4 wrote them (asVersion4).
 func buildMixedStream(t *testing.T) ([]byte, []int, uint64) {
 	t.Helper()
 	fixtureBlock := func(name string, i int) []byte {
@@ -222,7 +223,7 @@ func buildMixedStream(t *testing.T) ([]byte, []int, uint64) {
 	var bounds []int
 	var total uint64
 	plain, deflated := Encoding{V2: true}, Encoding{V2: true, Flate: true}
-	encs := []Encoding{{}, {} /* not used: version 1 */, {} /* not used: version 2 */, {}, deflated, plain, plain, deflated, plain, deflated}
+	encs := []Encoding{{}, {} /* not used: the fixture's */, {} /* not used: the fixture's */, {}, deflated, plain, plain, deflated, plain, deflated}
 	for blk, enc := range encs {
 		n := 3 + blk*2
 		b := NewTraceBuffer(n, 0)
@@ -237,11 +238,9 @@ func buildMixedStream(t *testing.T) ([]byte, []int, uint64) {
 		}
 		switch blk {
 		case 1:
-			out.Write(fixtureBlock("psx2-version1.psxt", 1))
+			out.Write(fixtureBlock("psx2-version4.psxt", 1))
 		case 2:
-			out.Write(fixtureBlock("psx2-version2.psxt", 0))
-		case 4, 5:
-			out.Write(asVersion3(t, one.Bytes()))
+			out.Write(fixtureBlock("psx2-version4.psxt", 0))
 		case 6, 7:
 			out.Write(asVersion4(t, one.Bytes()))
 		default:
@@ -343,19 +342,26 @@ func TestV2CorruptPayloadDetected(t *testing.T) {
 }
 
 // TestV2DictionaryIndexOutOfRange handcrafts a v2 block whose single
-// sample references dictionary entry 5 of a 1-entry dictionary.
+// sample references dictionary entry 5 of a 1-entry dictionary; the
+// same block naming entry 0 reads.
 func TestV2DictionaryIndexOutOfRange(t *testing.T) {
-	var payload []byte
-	putv := func(v int64) { payload = binary.AppendUvarint(payload, zigzag(v)) }
-	putv(10) // time delta
-	for c := 0; c < 5; c++ {
-		payload = appendRunWordV4(payload, zigzag(0), false) // thread, event, state, region, site
+	block := func(index int64) []byte {
+		payload := appendRice(nil, []int64{10}, 0) // time delta
+		for c := 0; c < 5; c++ {
+			payload = appendRuns(payload, []int64{0}, false) // thread, event, state, region, site
+		}
+		payload = appendRuns(payload, []int64{1}, false)        // a stack, where none is predicted
+		payload = appendRuns(payload, []int64{index}, false)    // its dictionary index
+		payload = binary.AppendUvarint(payload, 1)              // the one dictionary stack: depth 1,
+		payload = binary.AppendUvarint(payload, 0)              // no frame shared,
+		payload = binary.AppendUvarint(payload, zigzag(0x1000)) // PC 0x1000
+		return v2BlockFromPayload(1, 1, 0, payload)
 	}
-	payload = appendRunWordV4(payload, zigzag(5), false) // stack index: out of the 1-entry dictionary
-	payload = binary.AppendUvarint(payload, 1)
-	putv(0x1000) // the one dictionary stack: depth 1, PC 0x1000
-	blk := v2BlockFromPayload(1, 1, 0, payload)
-	if _, err := ReadTrace(bytes.NewReader(blk)); !errors.Is(err, ErrBadTrace) {
+	if got, err := ReadTrace(bytes.NewReader(block(0))); err != nil || got.Len() != 1 ||
+		!slices.Equal(got.Stack(got.Samples()[0].StackID), []uintptr{0x1000}) {
+		t.Fatalf("in-range stack index: %v", err)
+	}
+	if _, err := ReadTrace(bytes.NewReader(block(5))); !errors.Is(err, errStackIndex) {
 		t.Fatalf("out-of-dictionary stack index accepted (err=%v)", err)
 	}
 }
@@ -363,7 +369,8 @@ func TestV2DictionaryIndexOutOfRange(t *testing.T) {
 // TestV2SkimRefusesWhatReadersRefuse: the skim behind psxd's per-chunk
 // count (and so behind what psxd acks and stores) refuses a PSX2 block
 // of any version the reader does not decode, though its checksum, which
-// does not cover the version, is intact.
+// does not cover the version, is intact: one past the written version,
+// and every version below the one before it.
 func TestV2SkimRefusesWhatReadersRefuse(t *testing.T) {
 	b := NewTraceBuffer(0, 0)
 	for i := 0; i < 3; i++ {
@@ -377,7 +384,11 @@ func TestV2SkimRefusesWhatReadersRefuse(t *testing.T) {
 	if n, err := BlockSamples(blk); err != nil || n != 3 {
 		t.Fatalf("written block: BlockSamples = %d, %v; want 3", n, err)
 	}
-	for _, ver := range []uint32{0, traceV2Version + 1, 9, math.MaxUint32} {
+	refused := []uint32{0, traceV2Version + 1, 9, math.MaxUint32}
+	for ver := uint32(1); ver < traceV2Version-1; ver++ {
+		refused = append(refused, ver)
+	}
+	for _, ver := range refused {
 		binary.LittleEndian.PutUint32(blk[4:8], ver)
 		want := fmt.Sprintf("unsupported v2 trace version %d", ver)
 		if _, err := ReadTrace(bytes.NewReader(blk)); err == nil || !strings.Contains(err.Error(), want) {
@@ -465,9 +476,10 @@ func TestV2QuickRoundTripExtremes(t *testing.T) {
 	}
 }
 
-// arbitraryBlocks are blocks that the shortcuts of versions 3 and 4 do
-// not fit: times that go back, events and states that are negative or
-// outside 0..255 and so share a table slot with another, and blocks that
+// arbitraryBlocks are blocks that the format's shortcuts, the event and
+// state predictions and the time column's small deltas, do not fit:
+// times that go back, events and states that are negative or outside
+// 0..255 and so share a table slot with another, and blocks that
 // interleave threads. Each follows a protocol-like cycle of events,
 // broken at random, so the predictions both hit and miss.
 func arbitraryBlocks() []*TraceBuffer {
@@ -532,15 +544,6 @@ func checkRoundTrips(t *testing.T, blocks []*TraceBuffer, ver uint32, rewrite fu
 			}
 		}
 	}
-}
-
-// TestV3RoundTripArbitrary: version 3 stores events and states against
-// per-block tables looked up by an event's low byte, and times as
-// unsigned deltas, so it must stay lossless where those shortcuts do
-// not fit (arbitraryBlocks). Version 3 is no longer written, so each
-// block is written and then rewritten as version 3 wrote it.
-func TestV3RoundTripArbitrary(t *testing.T) {
-	checkRoundTrips(t, arbitraryBlocks(), 3, asVersion3)
 }
 
 // TestV4RoundTripArbitrary: version 4 Rice-codes the time column, so on
@@ -705,7 +708,6 @@ func riceEdgeBlocks(tb testing.TB) (valid, badK, cut []byte) {
 	badK[v2HeaderLen] = maxRiceK + 1
 	binary.LittleEndian.PutUint32(badK[44:48], crc32.ChecksumIEEE(badK[v2HeaderLen:]))
 	cut = v2BlockFromPayload(1, 0, 0, []byte{0, 0}) // k = 0, then eight zero bits of quotient
-	binary.LittleEndian.PutUint32(cut[4:8], traceV2Version)
 	return valid, badK, cut
 }
 
@@ -737,7 +739,6 @@ func TestV4TimeColumnEdges(t *testing.T) {
 func TestSkimRefusesBadRiceK(t *testing.T) {
 	_, badK, _ := riceEdgeBlocks(t)
 	empty := v2BlockFromPayload(0, 0, 0, nil)
-	binary.LittleEndian.PutUint32(empty[4:8], traceV2Version)
 	for name, block := range map[string][]byte{"k out of range": badK, "no payload": empty} {
 		_, read := ReadTrace(bytes.NewReader(block))
 		_, count := CountStreamSamples(bytes.NewReader(block))
@@ -745,23 +746,6 @@ func TestSkimRefusesBadRiceK(t *testing.T) {
 			t.Errorf("%s: BlockSamples %v, CountStreamSamples %v, ReadTrace %v; want %v", name, err, count, read, errRiceK)
 		}
 	}
-}
-
-// asVersion3 rewrites a written block as version 3 wrote it: the
-// version-4 block (asVersion4) with each time delta a plain uvarint.
-func asVersion3(t *testing.T, block []byte) []byte {
-	n := int(binary.LittleEndian.Uint64(block[12:20]))
-	out := repackV2(t, asVersion4(t, block), func(raw []byte) []byte {
-		end := timeColumnEnd(raw, n)
-		r := bitReader{buf: raw[1:end]}
-		var col []byte
-		for range n {
-			col = binary.AppendUvarint(col, r.rice(uint(raw[0])))
-		}
-		return append(col, raw[end:]...)
-	})
-	binary.LittleEndian.PutUint32(out[4:8], 3)
-	return out
 }
 
 // asVersion4 rewrites a written (version-5) block as version 4 wrote
@@ -829,9 +813,9 @@ func asVersion4(t *testing.T, block []byte) []byte {
 	return out
 }
 
-// appendRunsV4 appends the column vals as versions 2 to 4 run-coded
-// it: each run one word of zigzag(v)<<1 | more (appendRunWordV4),
-// followed, only when more is set, by uvarint(length − 2).
+// appendRunsV4 appends the column vals as version 4 run-coded it: each
+// run one word of zigzag(v)<<1 | more (appendRunWordV4), followed, only
+// when more is set, by uvarint(length − 2).
 func appendRunsV4(b []byte, vals []int64, delta bool) []byte {
 	var prev int64
 	for i := 0; i < len(vals); {
@@ -854,7 +838,7 @@ func appendRunsV4(b []byte, vals []int64, delta bool) []byte {
 }
 
 // appendRunWordV4 appends the 65-bit uvarint of zig<<1 | more, the run
-// word of versions 2 to 4.
+// word of version 4.
 func appendRunWordV4(b []byte, zig uint64, more bool) []byte {
 	first := byte(zig&0x3f) << 1
 	if more {
@@ -914,9 +898,7 @@ func v5RefusedBlocks(tb testing.TB) map[string][]byte {
 	with := func(col int, change func(c []byte) []byte) []byte {
 		c := change(bytes.Clone(raw[at[col]:at[col+1]]))
 		payload := append(append(bytes.Clone(raw[:at[col]]), c...), raw[at[col+1]:]...)
-		out := v2BlockFromPayload(uint64(b.Len()), 3, 0, payload)
-		binary.LittleEndian.PutUint32(out[4:8], traceV2Version)
-		return out
+		return v2BlockFromPayload(uint64(b.Len()), 3, 0, payload)
 	}
 	set := func(i int, v byte) func([]byte) []byte {
 		return func(c []byte) []byte { c[i] = v; return c }
@@ -982,14 +964,13 @@ func TestV5Refusals(t *testing.T) {
 }
 
 // v2BlockFromPayload frames a raw (uncompressed) payload as a PSX2
-// version-2 block with a correct CRC, for tests that need malformed
-// payloads behind a well-formed header: version 2 stores times zigzagged
-// and events and states as themselves, so a payload is written by hand.
+// block of the written version with a correct CRC, for tests that need
+// malformed payloads behind a well-formed header.
 func v2BlockFromPayload(ns, nst, dropped uint64, payload []byte) []byte {
 	var out bytes.Buffer
 	var hdr [v2HeaderLen]byte
 	copy(hdr[:4], traceV2Magic[:])
-	binary.LittleEndian.PutUint32(hdr[4:8], 2)
+	binary.LittleEndian.PutUint32(hdr[4:8], traceV2Version)
 	binary.LittleEndian.PutUint64(hdr[12:20], ns)
 	binary.LittleEndian.PutUint64(hdr[20:28], nst)
 	binary.LittleEndian.PutUint64(hdr[28:36], dropped)
@@ -1004,17 +985,18 @@ func v2BlockFromPayload(ns, nst, dropped uint64, payload []byte) []byte {
 // content is longer than the declared counts must be rejected — the
 // exact-consumption check, the structural fix for the v1 ambiguity.
 func TestV2PayloadCountDisagreement(t *testing.T) {
-	var payload []byte
-	for i := 0; i < 2; i++ { // two samples' worth of columns...
-		payload = binary.AppendUvarint(payload, zigzag(int64(i)))
-	}
+	payload := appendRice(nil, []int64{0, 0}, 0) // two samples' worth of columns...
 	for c := 0; c < 6; c++ {
 		for i := 0; i < 2; i++ {
-			payload = appendRunWordV4(payload, zigzag(int64(i)), false)
+			payload = appendRunWord(payload, 0, runOne) // each column two runs of one 0, no stack
 		}
 	}
+	if got, err := ReadTrace(bytes.NewReader(v2BlockFromPayload(2, 0, 0, payload))); err != nil || got.Len() != 2 {
+		t.Fatalf("declared as two: %v", err)
+	}
 	blk := v2BlockFromPayload(1, 0, 0, payload) // ...declared as one
-	if _, err := ReadTrace(bytes.NewReader(blk)); !errors.Is(err, ErrBadTrace) {
+	if _, err := ReadTrace(bytes.NewReader(blk)); !errors.Is(err, ErrBadTrace) ||
+		!strings.Contains(err.Error(), "payload larger than declared counts") {
 		t.Fatalf("payload larger than declared counts accepted (err=%v)", err)
 	}
 }

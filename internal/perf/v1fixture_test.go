@@ -3,6 +3,7 @@ package perf
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -70,9 +71,10 @@ func TestV1FixtureStillReads(t *testing.T) {
 	}
 }
 
-// psx2Version1FixtureBlocks are the buffers testdata/psx2-version1.psxt
-// to psx2-version4.psxt were written from, each by
-// the last encoder that wrote its PSX2 version: the first buffer as a
+// psx2Version1FixtureBlocks are the buffers the PSX2 fixtures,
+// testdata/psx2-version4.psxt and the versions before it, were written
+// from, each by the last encoder that wrote its PSX2 version: the first
+// buffer as a
 // plain block, the second deflated. Both carry a stack dictionary (the
 // first one stack twice, which the dictionary collapses), repeated
 // values in every column, and deltas that wrap a uint64.
@@ -99,30 +101,31 @@ func psx2Version1FixtureBlocks() []*TraceBuffer {
 	return []*TraceBuffer{b0, b1}
 }
 
-// TestPSX2Version1FixtureStillReads: PSX2 version 2 replaced version 1
-// as the written layout, so a checked-in version-1 stream stands for
-// every PSX2 trace and psxd data directory written before it. The
-// reader and both skim arms must keep opening it, sample for sample.
-func TestPSX2Version1FixtureStillReads(t *testing.T) {
-	checkPSX2Fixture(t, "psx2-version1.psxt", 1)
-}
-
-// TestPSX2Version2FixtureStillReads: version 3 replaced version 2, whose
-// blocks store times zigzagged and events and states as themselves. A
-// version-2 stream of the same samples, written by the last encoder that
-// wrote version 2, stands for every trace and psxd data directory
-// written before version 3.
-func TestPSX2Version2FixtureStillReads(t *testing.T) {
-	checkPSX2Fixture(t, "psx2-version2.psxt", 2)
-}
-
-// TestPSX2Version3FixtureStillReads: version 4 replaced version 3,
-// whose blocks store each time delta as a plain uvarint. A version-3
-// stream of the same samples, written by the last encoder that wrote
-// version 3, stands for every trace and psxd data directory written
-// before version 4.
-func TestPSX2Version3FixtureStillReads(t *testing.T) {
-	checkPSX2Fixture(t, "psx2-version3.psxt", 3)
+// TestPSX2FixturesMatchWindow: the readers open the written version
+// and the one before it (v2Decodable), and a checked-in stream stands
+// for every trace and psxd data directory of a version they open but
+// nothing writes. So the fixtures are exactly the window's: none of a
+// version the readers refuse, and one of the version before the
+// written one.
+func TestPSX2FixturesMatchWindow(t *testing.T) {
+	names, err := filepath.Glob(filepath.Join("testdata", "psx2-version*.psxt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	have := map[uint32]bool{}
+	for _, name := range names {
+		var ver uint32
+		if _, err := fmt.Sscanf(filepath.Base(name), "psx2-version%d.psxt", &ver); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !v2Decodable(ver) {
+			t.Errorf("%s: version %d is outside the readers' window; retire the fixture and its test", name, ver)
+		}
+		have[ver] = true
+	}
+	if !have[traceV2Version-1] {
+		t.Errorf("no testdata/psx2-version%d.psxt: the version before the written one needs a fixture", traceV2Version-1)
+	}
 }
 
 // TestPSX2Version4FixtureStillReads: version 5 replaced version 4,
