@@ -36,15 +36,16 @@ test: build
 # widths, because a nested region borrows the encountering thread's
 # descriptor across goroutines and the oracle is the program that
 # nests — then the format gate. Nothing in tool or cmd writes v1 any more
-# (every write path is walked block by block), nor PSX2 version 4, so
+# (every write path is walked block by block), nor PSX2 version 5, so
 # they live on only as something the readers must keep opening: the
-# checked-in v1 and PSX2 version-4 fixtures (and no PSX2 fixture outside
-# the readers' window), v1 and PSX2 blocks of versions 4 and 5 mixed in
+# checked-in v1 and PSX2 version-5 fixtures (and no PSX2 fixture outside
+# the readers' window), v1 and PSX2 blocks of versions 5 and 6 mixed in
 # one stream, arbitrary samples (times that go back, events that share a
-# table slot) through versions 4 and 5, the time column at its edges
-# (all-zero deltas, every delta escaping), version 5's stacks on any
-# event and joins without one, its repeats and shared frames, and each
-# of its refusals; every PSX2 version outside the window must be refused
+# table slot) at the nanosecond and rounded to the clock's quantum, the
+# time column at its edges (all-zero deltas, every delta escaping, each
+# block's shift), stacks on any event and joins without one, repeats and
+# shared frames, and each refusal; every PSX2 version outside the window,
+# and every flag bit but the flate bit and the shift's, must be refused
 # by the readers and the skim alike, and every
 # writer/reader pairing must read back through
 # the auto-detecting reader, and no header may make the reader size
@@ -84,7 +85,7 @@ check:
 	GOEXPERIMENT=synctest $(GO) test -race -cpu 1,2,4 ./internal/super ./internal/tool ./internal/degrade ./internal/ingest
 	$(GO) test -race -cpu 1,2,4 -run 'PathOracle' .
 	$(GO) test -count=1 ./internal/faultinject -run 'EveryWritePathWritesPSX2'
-	$(GO) test -count=1 ./internal/perf -run 'V1Fixture|PSX2Version4Fixture|FixturesMatchWindow|SkimRefusesWhatReadersRefuse|V4RoundTrip|V5RoundTrip|V5Refusals|V2CrossRead|MixedStream|V2TornTail|ForgedCount|CountMismatch|AsSkimmed'
+	$(GO) test -count=1 ./internal/perf -run 'V1Fixture|PSX2Version5Fixture|FixturesMatchWindow|SkimRefusesWhatReadersRefuse|V5RoundTrip|V6RoundTrip|V5Refusals|V2CrossRead|MixedStream|V2TornTail|ForgedCount|CountMismatch|AsSkimmed'
 	$(GO) test -count=1 ./internal/omp ./internal/perf ./internal/analysis ./internal/tool ./internal/ingest -run 'Alloc'
 
 # chaos runs the deterministic fault-injection suite — panicking and

@@ -112,6 +112,30 @@ func TestTimelinesMultiThreadSorted(t *testing.T) {
 	}
 }
 
+// TestTimelinesEqualTimesKeepSampleOrder: the counter rounds to
+// perf.ClockQuantum, so a begin and its end often read the same time.
+// A thread's samples out of time order are sorted by time, and samples
+// of equal time keep their order in the trace: every barrier below opens
+// and closes in one quantum, in pairs whose times fall, so the sort has
+// to move every pair and must not swap an end before its begin.
+func TestTimelinesEqualTimesKeepSampleOrder(t *testing.T) {
+	const pairs = 64
+	var samples []perf.Sample
+	for i := pairs; i > 0; i-- {
+		at := int64(i) * int64(perf.ClockQuantum)
+		samples = append(samples, sample(at, 0, collector.EventThrBeginIBar), sample(at, 0, collector.EventThrEndIBar))
+	}
+	tls := Timelines(samples)
+	if len(tls) != 1 || tls[0].Unbalanced != 0 || len(tls[0].Intervals) != pairs {
+		t.Fatalf("timelines = %+v, want %d balanced intervals", tls, pairs)
+	}
+	for i, iv := range tls[0].Intervals {
+		if at := int64(i+1) * int64(perf.ClockQuantum); iv.Start != at || iv.End != at {
+			t.Fatalf("interval %d = [%d, %d], want [%d, %d]", i, iv.Start, iv.End, at, at)
+		}
+	}
+}
+
 // Property: with well-formed nested begin/end sequences, reconstruction
 // is exact — every interval is recovered, none unbalanced.
 func TestTimelineWellFormedProperty(t *testing.T) {

@@ -72,8 +72,10 @@ func TestChunkSampleCountCrossChecked(t *testing.T) {
 // another kind (the hang-report block older tools appended to salvaged
 // traces), PSX2 blocks of versions no reader decodes, one past the
 // written version and one below the readers' window — their checksums
-// intact, for the version is not under them — and a written block whose
-// checksum holds over a time parameter no reader takes are refused with
+// intact, for the version is not under them — a written block with a
+// flag bit no reader knows, also outside the checksum, and a written
+// block whose checksum holds over a time parameter no reader takes are
+// refused with
 // their seq and booked, stored and journaled nowhere; the seq stays
 // open for the real block.
 func TestChunkMustCarrySampleBlocks(t *testing.T) {
@@ -91,6 +93,8 @@ func TestChunkMustCarrySampleBlocks(t *testing.T) {
 	version9[4] = 9
 	version3 := traceBlockV2(t, 0, 5, false)
 	version3[4] = 3
+	badFlag := traceBlockV2(t, 0, 5, false)
+	badFlag[8] |= 1 << 1 // neither the flate bit nor the time shift's
 	badK := traceBlockV2(t, 0, 5, false)
 	badK[48] = 0xff // the payload's first byte, the time parameter
 	binary.LittleEndian.PutUint32(badK[44:48], crc32.ChecksumIEEE(badK[48:]))
@@ -103,6 +107,7 @@ func TestChunkMustCarrySampleBlocks(t *testing.T) {
 		{"report", report, 0},
 		{"version 9", version9, 5},
 		{"version 3", version3, 5},
+		{"unknown flag", badFlag, 5},
 		{"time parameter out of range", badK, 5},
 	} {
 		if ack := tc.send(MsgChunk, EncodeChunk(Chunk{Seq: 1, Thread: 0, Samples: bad.samples, Block: bad.block})); ack.Code != CodeBadFrame || ack.Seq != 1 {

@@ -20,8 +20,9 @@ func GetWtime() float64 {
 }
 
 // GetWtick returns the timer resolution in seconds (omp_get_wtick):
-// the monotonic clock is nanosecond-granular.
-func GetWtick() float64 { return 1e-9 }
+// the counter's quantum, to which every reading GetWtime takes is
+// rounded.
+func GetWtick() float64 { return perf.ClockQuantum.Seconds() }
 
 // MaxThreads returns the value a parallel region without an explicit
 // team size would use (omp_get_max_threads).

@@ -3,6 +3,8 @@ package omp
 import (
 	"testing"
 	"time"
+
+	"goomp/internal/perf"
 )
 
 func TestGetWtime(t *testing.T) {
@@ -15,8 +17,8 @@ func TestGetWtime(t *testing.T) {
 	if b-a < 0.001 || b-a > 1 {
 		t.Errorf("elapsed %v seconds, want ~0.002", b-a)
 	}
-	if GetWtick() != 1e-9 {
-		t.Errorf("wtick = %v", GetWtick())
+	if GetWtick() != perf.ClockQuantum.Seconds() {
+		t.Errorf("wtick = %v, want the counter's quantum %v", GetWtick(), perf.ClockQuantum)
 	}
 }
 

@@ -11,7 +11,8 @@ import (
 // Counter is a hardware-based time counter: the prototype tool of the
 // paper stores "a sample of a hardware-based time counter" in each
 // event callback. Here it is nanoseconds since a process-local epoch,
-// never decreasing on a thread, from one of two sources:
+// never decreasing on a thread, rounded down to a multiple of
+// ClockQuantum, from one of two sources:
 //
 //   - "tsc": on amd64 Linux hosts whose CPU reports an invariant TSC
 //     (CPUID 0x80000007 EDX bit 8) and whose kernel chose the TSC as
@@ -23,8 +24,19 @@ import (
 //     an earlier time; the vDSO orders its own read the same way.
 //   - "monotonic": everywhere else, the Go runtime's monotonic clock
 //     (a vDSO call on Linux).
+//
+// Both sources round the same way, so the counter resolves ClockQuantum
+// on every host: two events less than a quantum apart may read the same
+// time, and whatever orders samples by time keeps equal times in
+// sample order.
 
 var epoch = time.Now()
+
+// ClockQuantum is the counter's resolution, a power of two: 8 ns, about
+// a fifth of one LFENCE; RDTSC read. A reading's bits below it are
+// below what a read can resolve, and a trace block whose times are all
+// multiples of it stores none of them (see the PSX2 layout's shift).
+const ClockQuantum = 8 * time.Nanosecond
 
 // tscClock converts TSC ticks into nanoseconds since epoch: base is
 // the nanosecond reading paired with tick tsc0, and mult the
@@ -107,12 +119,12 @@ func pairedReading() (tsc uint64, ns int64) {
 func monotonic() int64 { return int64(time.Since(epoch)) }
 
 // Cycles returns the current counter value in nanoseconds since the
-// process-local epoch.
+// process-local epoch, rounded down to a multiple of ClockQuantum.
 func Cycles() int64 {
 	if clock.mult != 0 {
-		return clock.at(readTSC())
+		return clock.at(readTSC()) &^ int64(ClockQuantum-1)
 	}
-	return monotonic()
+	return monotonic() &^ int64(ClockQuantum-1)
 }
 
 // ClockSource names what Cycles reads: "tsc" or "monotonic".

@@ -55,6 +55,20 @@ func TestCyclesOrderedAcrossThreads(t *testing.T) {
 	}
 }
 
+// TestCyclesQuantized: ClockQuantum is a power of two, and every
+// reading is a multiple of it, whichever source this host reads.
+func TestCyclesQuantized(t *testing.T) {
+	q := int64(ClockQuantum)
+	if q <= 0 || q&(q-1) != 0 {
+		t.Fatalf("ClockQuantum %v is not a power of two", ClockQuantum)
+	}
+	for i := 0; i < 100000; i++ {
+		if now := Cycles(); now%q != 0 {
+			t.Fatalf("%s clock read %d, not a multiple of %d", ClockSource(), now, q)
+		}
+	}
+}
+
 // TestCyclesDrift compares a second on the counter with the same
 // second on the monotonic clock.
 func TestCyclesDrift(t *testing.T) {

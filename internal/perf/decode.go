@@ -89,8 +89,8 @@ var errTornHeader = fmt.Errorf("%w: truncated block header", ErrBadTrace)
 
 // readHeader is the one parse of a block's fixed header, for the decoder
 // and the skim alike: it peeks the header of the block at the head of
-// br, checks its magic, version and declared bounds, and consumes it
-// only when it is valid. A header torn anywhere past its magic is
+// br, checks its magic, version, flags and declared bounds, and consumes
+// it only when it is valid. A header torn anywhere past its magic is
 // ErrBadTrace, in either format.
 func readHeader(br *bufio.Reader) (h blockHeader, err error) {
 	size := 16
@@ -120,6 +120,9 @@ func readHeader(br *bufio.Reader) (h blockHeader, err error) {
 		h.dropped = binary.LittleEndian.Uint64(b[28:36])
 		h.plen = binary.LittleEndian.Uint64(b[36:44])
 		h.crc = binary.LittleEndian.Uint32(b[44:48])
+		if h.flags&^(flagV2Flate|flagV2Shift) != 0 {
+			return h, errV2Flags
+		}
 	}
 	if h.ns > maxReasonable || h.nst > maxReasonable || h.plen > maxV2Payload {
 		return h, ErrBadTrace
@@ -283,9 +286,6 @@ func (d *blockDecoder) stageV1(h blockHeader) error {
 type varints struct {
 	buf []byte
 	off int
-	// flag is the width of the kind in front of a run-coded column's
-	// values: 2 in version 5, 1 (the more flag) in version 4.
-	flag uint8
 }
 
 // uvarint decodes the next value as it is stored; ok is false when the
@@ -303,9 +303,9 @@ func (p *varints) uvarint() (u uint64, ok bool) {
 // byte, which takes no call; ok is false, and nothing is consumed,
 // otherwise.
 func (p *varints) single() (v int64, ok bool) {
-	if p.off < len(p.buf) && p.buf[p.off]&(0x80|(1<<p.flag-1)) == 0 {
+	if p.off < len(p.buf) && p.buf[p.off]&(0x80|3) == 0 {
 		p.off++
-		return unzigzag(uint64(p.buf[p.off-1] >> p.flag)), true
+		return unzigzag(uint64(p.buf[p.off-1] >> 2)), true
 	}
 	return 0, false
 }
@@ -332,24 +332,24 @@ func (p *varints) next() (v int64, ok bool) {
 // most left samples. A repeat of the column's last run, whose length is
 // last (0 before the first run), comes back with length 0.
 func (p *varints) run(left, last int) (int64, int, int, error) {
-	// The uvarint of zigzag(v)<<flag | kind (appendRunWord).
+	// The uvarint of zigzag(v)<<2 | kind (appendRunWord).
 	if p.off >= len(p.buf) {
 		return 0, 0, 0, errTruncatedV2
 	}
 	first := p.buf[p.off]
 	p.off++
-	zig := uint64(first&0x7f) >> p.flag
+	zig := uint64(first&0x7f) >> 2
 	if first >= 0x80 {
 		rest, ok := p.oneByte()
 		if !ok {
 			rest, ok = p.uvarint()
 		}
-		if !ok || rest>>(57+p.flag) != 0 {
+		if !ok || rest>>59 != 0 {
 			return 0, 0, 0, errTruncatedV2
 		}
-		zig |= rest << (7 - p.flag)
+		zig |= rest << 5
 	}
-	kind := first & (1<<p.flag - 1)
+	kind := first & 3
 	if kind == runOne {
 		return unzigzag(zig), 1, 1, nil
 	}
@@ -413,6 +413,7 @@ var (
 	errRiceK        = fmt.Errorf("%w: v2 time parameter missing or out of range", ErrBadTrace)
 	errBadRun       = fmt.Errorf("%w: bad v2 run word", ErrBadTrace)
 	errStackIndex   = fmt.Errorf("%w: v2 stack index out of dictionary range", ErrBadTrace)
+	errV2Flags      = fmt.Errorf("%w: unknown v2 block flags", ErrBadTrace)
 )
 
 // bitReader reads the Rice-coded time column: the bits of buf
@@ -467,10 +468,7 @@ func (d *blockDecoder) stageV2(h blockHeader) error {
 	if crc32.ChecksumIEEE(d.stored.Bytes()) != h.crc {
 		return fmt.Errorf("%w: v2 payload checksum mismatch", ErrBadTrace)
 	}
-	p := varints{buf: d.stored.Bytes(), flag: 1}
-	if h.ver >= 5 {
-		p.flag = 2
-	}
+	p := varints{buf: d.stored.Bytes()}
 	if h.flags&flagV2Flate != 0 {
 		// The inflater holds nothing but memory, so it is reused and
 		// never closed. Inflation stops one byte past the longest
@@ -504,16 +502,15 @@ func (d *blockDecoder) stageV2(h blockHeader) error {
 	// samples; the time column sizes the scratch. The run-coded ones
 	// follow in the order BlockEncoder.encode writes them, each decoded
 	// into vals (runs, the mirror of appendRuns) and set from there.
-	// In version 4 a sample's stack is one column of an index or -1, and
-	// a dictionary entry shares no frames.
 	if len(p.buf) == 0 || p.buf[0] > maxRiceK {
 		return errRiceK
 	}
 	d.samples = d.samples[:0]
 	var t int64
 	k, r := uint(p.buf[0]), bitReader{buf: p.buf[1:]}
+	shift := uint(h.flags&flagV2Shift) >> flagV2ShiftAt
 	for i := uint64(0); i < h.ns; i++ {
-		t += int64(r.rice(k))
+		t += int64(r.rice(k) << shift)
 		if r.at > 8*uint64(len(r.buf)) {
 			return errTruncatedV2
 		}
@@ -552,30 +549,18 @@ func (d *blockDecoder) stageV2(h blockHeader) error {
 				ss[i].Site = uint64(vals[i])
 			}
 		case 5:
-			if h.ver >= 5 {
-				if err := d.stageStackIDs(&p, &m, vals, h.nst); err != nil {
-					return err
-				}
-				break
-			}
-			for i, v := range vals {
-				if v != int64(NoStack) && (v < 0 || uint64(v) >= h.nst) {
-					return errStackIndex
-				}
-				ss[i].StackID = int32(v)
+			if err := d.stageStackIDs(&p, &m, vals, h.nst); err != nil {
+				return err
 			}
 		}
 	}
 
 	d.pcs, d.ends = d.pcs[:0], d.ends[:0]
-	var prev []uintptr // the entry before, whose outer frames a version-5 entry may share
+	var prev []uintptr // the entry before, whose outer frames an entry may share
 	for i := uint64(0); i < h.nst; i++ {
 		depth, ok := p.uvarint()
-		shared := uint64(0)
-		if ok && h.ver >= 5 {
-			shared, ok = p.uvarint()
-		}
-		if !ok || depth > maxStackDepth || shared > depth || shared > uint64(len(prev)) {
+		shared, ok2 := p.uvarint()
+		if !ok || !ok2 || depth > maxStackDepth || shared > depth || shared > uint64(len(prev)) {
 			return fmt.Errorf("%w: bad v2 stack entry", ErrBadTrace)
 		}
 		start := len(d.pcs)
@@ -598,11 +583,11 @@ func (d *blockDecoder) stageV2(h blockHeader) error {
 	return nil
 }
 
-// stageStackIDs sets the staged samples' stacks from a version-5
-// block's two stack columns, whose first, each sample's stack presence
-// against its prediction, is decoded into vals: it decodes the second,
-// an index into the dictionary of nst entries for each sample that has
-// a stack, into the front of vals.
+// stageStackIDs sets the staged samples' stacks from a block's two
+// stack columns, whose first, each sample's stack presence against its
+// prediction, is decoded into vals: it decodes the second, an index
+// into the dictionary of nst entries for each sample that has a stack,
+// into the front of vals.
 func (d *blockDecoder) stageStackIDs(p *varints, m *predictor, vals []int64, nst uint64) error {
 	ss, stacked := d.samples, 0
 	for i, v := range vals {

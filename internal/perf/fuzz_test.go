@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -67,7 +68,7 @@ func FuzzReadTrace(f *testing.F) {
 	// Run-coded seeds: a block whose columns are long runs, and runs
 	// broken by joins with stacks and by region deltas that need the run
 	// word's top bits, plain and deflated; the same block with its first
-	// run stretched past the sample count; and a version-4 stream.
+	// run stretched past the sample count; and a version-5 stream.
 	runs := NewTraceBuffer(0, 0)
 	for i := 0; i < 40; i++ {
 		s := Sample{Time: int64(i * 10), Thread: 3, Event: int32(i % 2), State: 1, Region: uint64(i / 8), Site: 0x401000, StackID: NoStack}
@@ -96,17 +97,17 @@ func FuzzReadTrace(f *testing.F) {
 	payload[timeColumnEnd(payload, runs.Len())+1]++ // the thread column's one run, one sample longer
 	stretched := v2BlockFromPayload(uint64(runs.Len()), uint64(runs.NumStacks()), 0, payload)
 	f.Add(stretched)
-	// Version 4's time column at its edges: a valid k = 0 block, one
-	// declaring k out of range, and a unary part the payload cuts off.
-	valid4, badK, cut := riceEdgeBlocks(f)
-	f.Add(valid4)
+	// The time column at its edges: a valid k = 0 block, one declaring
+	// k out of range, and a unary part the payload cuts off.
+	validK, badK, cut := riceEdgeBlocks(f)
+	f.Add(validK)
 	f.Add(badK)
 	f.Add(cut)
-	version4, err := os.ReadFile(filepath.Join("testdata", "psx2-version4.psxt"))
+	version5, err := os.ReadFile(filepath.Join("testdata", "psx2-version5.psxt"))
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(version4)
+	f.Add(version5)
 	// A stream whose blocks, one of each encoding, repeat one path.
 	var repeats bytes.Buffer
 	for _, enc := range []Encoding{{}, {V2: true}, {V2: true, Flate: true}} {
@@ -135,6 +136,18 @@ func FuzzReadTrace(f *testing.F) {
 	}
 	for _, block := range v5StackBlocks(f) {
 		f.Add(block)
+	}
+	// Version 6's shift: a block of shift 3, plain and deflated, and the
+	// same with a flag bit set that is neither the flate bit nor the
+	// shift's, which every reader refuses.
+	flags := v6FlagBlocks(f)
+	names := make([]string, 0, len(flags))
+	for name := range flags {
+		names = append(names, name)
+	}
+	slices.Sort(names) // seeds in a fixed order
+	for _, name := range names {
+		f.Add(flags[name])
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -93,8 +93,9 @@ func TestReadTraceStreamForgedCountAllocatesLittle(t *testing.T) {
 	}
 }
 
-// TestV4ZeroBlockSlabSizedOnce: from version 4 on a sample may take one
-// bit of the payload, so the skim's bound on a plain block is one sample
+// TestV4ZeroBlockSlabSizedOnce: since the time column is Rice-coded
+// (version 4 on) a sample of the written version may take one bit of
+// the payload, so the skim's bound on a plain block is one sample
 // per payload bit, and a legal block of 256 samples in a few dozen
 // bytes is read into a slab made once, at the skim's count.
 func TestV4ZeroBlockSlabSizedOnce(t *testing.T) {

@@ -28,15 +28,15 @@ import (
 //
 // Layout (little-endian):
 //
-//	magic "PSX2", version uint32 (5; version 4 is read, never written)
-//	flags uint32 (bit 0: payload is flate-compressed)
+//	magic "PSX2", version uint32 (6; version 5 is read, never written)
+//	flags uint32 (bit 0: payload is flate-compressed; bits 8–13: shift)
 //	nsamples uint64, nstacks uint64 (dictionary entries), dropped uint64
 //	payloadLen uint64, payloadCRC uint32 (IEEE, over the stored bytes)
 //	payloadLen bytes of payload
 //
 // The payload (after decompression when flagged) is columnar:
 //
-//	times    k byte, then nsamples Rice codes (delta of previous, starting 0)
+//	times    k byte, then nsamples Rice codes (delta of previous, starting 0, >> shift)
 //	threads  runs of equal values, each the delta of the previous run's
 //	events   runs of equal values, each the event XOR its prediction
 //	states   runs of equal values, each the state XOR its prediction
@@ -48,13 +48,18 @@ import (
 //
 // A time delta is two's-complement: a thread's clock never goes back,
 // so a delta is small and positive, and one that is negative still
-// round-trips, as an escape. The time column is Rice-coded, bit-packed
-// LSB-first and padded to a byte: a delta d is its quotient q = d>>k as
-// q zero bits and a one bit, then d's k low bits. A quotient of
-// riceEscape or more is written as riceEscape zero bits, six bits of
-// d's bit length less one, and then that many bits of d: the block's
-// first time, a negative delta and an outlier escape. The encoder picks
-// k, at most maxRiceK, for the block (riceK).
+// round-trips, as an escape. Every delta of the block is a multiple of
+// 2^shift, and the column stores d = uint64(delta) >> shift: shift is
+// the trailing zeros of the OR of the block's deltas, or 0 when none is
+// non-zero, so a clock that rounds to ClockQuantum stores none of the
+// bits it rounded off, and any times still round-trip. The time column
+// is Rice-coded, bit-packed LSB-first and padded to a byte: d is its
+// quotient q = d>>k as q zero bits and a one bit, then d's k low bits. A
+// quotient of riceEscape or more is written as riceEscape zero bits,
+// six bits of d's bit length less one, and then that many bits of d:
+// the block's first time, a negative delta and an outlier escape. The
+// encoder picks k, at most maxRiceK, for the block (riceK). The other
+// flag bits are refused.
 //
 // An event is predicted to be the event that last followed the event
 // before it in the block, a state to be the state that last came with
@@ -87,10 +92,9 @@ import (
 // shared is at most depth and the previous entry's depth (0 for the
 // first entry).
 //
-// Version 4 wrote one run word of zigzag(v)<<1 | more (no repeats), one
-// stack ID column of an index or -1 a sample, and every dictionary PC.
-// The readers decode the version written and the one before it
-// (v2Decodable) and refuse every other.
+// Version 5 wrote no shift, so its bits 8–13 are 0, and it is read as
+// a version-6 block of shift 0. The readers decode the version written
+// and the one before it (v2Decodable) and refuse every other.
 //
 // Unlike v1, the header states the payload's exact byte extent and its
 // checksum, so a block whose declared counts disagree with its bytes
@@ -105,7 +109,7 @@ var traceV2Magic = [4]byte{'P', 'S', 'X', '2'}
 const (
 	// traceV2Version is the layout every PSX2 block is written in;
 	// v2Decodable says which versions the readers decode.
-	traceV2Version = 5
+	traceV2Version = 6
 
 	// riceEscape is the quotient from which a time delta is
 	// escaped, and maxRiceK the largest parameter a block may declare: a
@@ -114,8 +118,11 @@ const (
 	riceEscape = 16
 	maxRiceK   = 40
 
-	// flagV2Flate marks a flate-compressed payload.
-	flagV2Flate = 1 << 0
+	// flagV2Flate marks a flate-compressed payload, and the six bits of
+	// flagV2Shift from flagV2ShiftAt on hold the time column's shift.
+	flagV2Flate   = 1 << 0
+	flagV2ShiftAt = 8
+	flagV2Shift   = 63 << flagV2ShiftAt
 
 	// maxReasonable caps header-declared sample/stack counts, shared
 	// with the v1 reader: a corrupt header must not drive a huge
@@ -195,11 +202,11 @@ func v2Decodable(ver uint32) bool { return ver == traceV2Version || ver == trace
 
 func errV2Version(ver uint32) error { return fmt.Errorf("perf: unsupported v2 trace version %d", ver) }
 
-// predictor is the model of a block's event, state and (from version
-// 5) stack presence columns (see the layout above), the writer's and
-// the reader's alike: the event that last followed each event, the
-// state each event last carried and whether its last sample had a
-// stack, all looked up by the event's low byte. A block starts it from
+// predictor is the model of a block's event, state and stack presence
+// columns (see the layout above), the writer's and the reader's alike:
+// the event that last followed each event, the state each event last
+// carried and whether its last sample had a stack, all looked up by the
+// event's low byte. A block starts it from
 // zero, so every block still decodes alone.
 type predictor struct {
 	prev    int32
@@ -312,7 +319,7 @@ func appendRunWord(b []byte, zig uint64, kind byte) []byte {
 // is 5 or more, the escape's riceEscape+6 bits and its own length.
 // Costs are doubled to stay whole, and lengths that escape at every k
 // tried, which cost the same at each, are left out.
-func riceK(hist *[65]int, n int) uint {
+func riceK(hist []int, n int) uint {
 	med := 0
 	for seen := hist[0]; 2*seen < n; seen += hist[med] {
 		med++
@@ -334,15 +341,17 @@ func riceK(hist *[65]int, n int) uint {
 	return uint(best)
 }
 
-// appendRice appends the time column of the deltas ds for parameter k
-// (see the layout above), padded to a byte.
-func appendRice(b []byte, ds []int64, k uint) []byte {
+// appendRice appends the time column of the deltas ds, each shifted
+// down by shift, for parameter k (see the layout above), padded to a
+// byte.
+func appendRice(b []byte, ds []int64, k, shift uint) []byte {
 	b = slices.Grow(append(b, byte(k)), 11*len(ds)+8) // at most 86 bits a code, and a word to spare
 	at, out := len(b), b[:cap(b)]
 	var acc uint64 // the n < 8 bits not yet past out[at], the oldest lowest
 	var n uint
 	for _, d := range ds {
-		u, q := uint64(d), uint64(d)>>(k&63) // counts masked: each shift one instruction
+		u := uint64(d) >> (shift & 63) // counts masked: each shift one instruction
+		q := u >> (k & 63)
 		v, w := u&(1<<(k&63)-1)<<((q+1)&63)|1<<(q&63), uint(q)+1+k
 		if q >= riceEscape { // the escape, its length and low 32 bits, then the rest
 			l := uint(bits.Len64(u))
@@ -441,15 +450,15 @@ func (e *BlockEncoder) encode(views []chunkView, base0 int32, dropped uint64, de
 
 	raw := append(e.raw[:0], traceV2Magic[:]...)
 	raw = binary.LittleEndian.AppendUint32(raw, traceV2Version)
-	raw = binary.LittleEndian.AppendUint32(raw, 0) // flags
+	raw = binary.LittleEndian.AppendUint32(raw, 0) // flags: the shift is known after the times
 	raw = binary.LittleEndian.AppendUint64(raw, nsamples)
 	raw = binary.LittleEndian.AppendUint64(raw, uint64(len(e.dict.paths)))
 	raw = binary.LittleEndian.AppendUint64(raw, dropped)
 	raw = append(raw, make([]byte, 12)...) // payload length and CRC: known at the end
 	// One pass per column, each gathered into one scratch slice first:
 	// within a column the deltas stay small, so each code stays short,
-	// and equal neighbours fall into one run. The time deltas' bit
-	// lengths choose the block's Rice parameter.
+	// and equal neighbours fall into one run. The time deltas' OR gives
+	// the block's shift, and their bit lengths its Rice parameter.
 	n := int(nsamples)
 	if cap(e.vals) < n {
 		e.vals = make([]int64, n)
@@ -457,16 +466,24 @@ func (e *BlockEncoder) encode(views []chunkView, base0 int32, dropped uint64, de
 	vals := e.vals[:n]
 	var hist [65]int
 	var prev int64
+	var or uint64
 	j := 0
 	for _, v := range views {
 		for i := range v.c.samples[:v.n] {
 			t := v.c.samples[i].Time
 			vals[j], prev = t-prev, t
+			or |= uint64(vals[j])
 			hist[bits.Len64(uint64(vals[j]))]++
 			j++
 		}
 	}
-	raw = appendRice(raw, vals, riceK(&hist, n))
+	shift := bits.TrailingZeros64(or) & 63 // 64, so 0, when no delta is non-zero
+	binary.LittleEndian.PutUint32(raw[8:12], uint32(shift)<<flagV2ShiftAt)
+	// A delta that is not zero is at least shift+1 bits long and is
+	// stored shift bits shorter, so the stored deltas' histogram is
+	// hist[shift:] once the zero deltas' count is moved to its front.
+	hist[0], hist[shift] = 0, hist[0]
+	raw = appendRice(raw, vals, riceK(hist[shift:], n), uint(shift))
 	// The run-coded columns, a loop over plain values each. Events,
 	// states and whether a sample has a stack are stored against their
 	// predictions, which the block's first samples teach a zeroed model.
@@ -546,7 +563,7 @@ func (e *BlockEncoder) encode(views []chunkView, base0 int32, dropped uint64, de
 			return nil, err
 		}
 		block = e.z.Bytes()
-		binary.LittleEndian.PutUint32(block[8:12], flagV2Flate)
+		block[8] |= flagV2Flate // the header before the deflated payload is raw's, shift and all
 	}
 	stored := block[v2HeaderLen:]
 	binary.LittleEndian.PutUint64(block[36:44], uint64(len(stored)))

@@ -200,13 +200,14 @@ func TestV2CrossRead(t *testing.T) {
 
 // buildMixedStream concatenates ten blocks with distinct sample
 // counts, returning the stream, the per-block end offsets, and the total
-// sample count: v1; PSX2 version 4 as the last encoder of version 4
+// sample count: v1; PSX2 version 5 as the last encoder of version 5
 // wrote it, the deflated second block and then the plain first block of
-// testdata/psx2-version4.psxt (their five and seven samples are the
-// counts the second and third blocks have); v1 again; then versions 5,
-// 4 and 5, deflated and plain, plain and deflated, and plain and
-// deflated. The version-4 blocks past the fixture's are written blocks
-// rewritten as version 4 wrote them (asVersion4).
+// testdata/psx2-version5.psxt (their five and seven samples are the
+// counts the second and third blocks have); v1 again; then versions 6,
+// 5 and 6, deflated and plain, plain and deflated, and plain and
+// deflated. The version-5 blocks past the fixture's are written blocks
+// of shift 0, which version 5 wrote the same but for the version word
+// (asVersion5).
 func buildMixedStream(t *testing.T) ([]byte, []int, uint64) {
 	t.Helper()
 	fixtureBlock := func(name string, i int) []byte {
@@ -238,11 +239,11 @@ func buildMixedStream(t *testing.T) ([]byte, []int, uint64) {
 		}
 		switch blk {
 		case 1:
-			out.Write(fixtureBlock("psx2-version4.psxt", 1))
+			out.Write(fixtureBlock("psx2-version5.psxt", 1))
 		case 2:
-			out.Write(fixtureBlock("psx2-version4.psxt", 0))
+			out.Write(fixtureBlock("psx2-version5.psxt", 0))
 		case 6, 7:
-			out.Write(asVersion4(t, one.Bytes()))
+			out.Write(asVersion5(t, one.Bytes()))
 		default:
 			out.Write(one.Bytes())
 		}
@@ -346,7 +347,7 @@ func TestV2CorruptPayloadDetected(t *testing.T) {
 // same block naming entry 0 reads.
 func TestV2DictionaryIndexOutOfRange(t *testing.T) {
 	block := func(index int64) []byte {
-		payload := appendRice(nil, []int64{10}, 0) // time delta
+		payload := appendRice(nil, []int64{10}, 0, 0) // time delta
 		for c := 0; c < 5; c++ {
 			payload = appendRuns(payload, []int64{0}, false) // thread, event, state, region, site
 		}
@@ -370,8 +371,19 @@ func TestV2DictionaryIndexOutOfRange(t *testing.T) {
 // count (and so behind what psxd acks and stores) refuses a PSX2 block
 // of any version the reader does not decode, though its checksum, which
 // does not cover the version, is intact: one past the written version,
-// and every version below the one before it.
+// and every version below the one before it. Both refuse a block whose
+// flags set a bit other than the flate bit and the shift's, in either
+// version they read, and both read a block whose shift is set.
 func TestV2SkimRefusesWhatReadersRefuse(t *testing.T) {
+	for name, block := range v6FlagBlocks(t) {
+		_, read := ReadTrace(bytes.NewReader(block))
+		n, count := BlockSamples(block)
+		refused := strings.HasPrefix(name, "refused")
+		if refused && (read != errV2Flags || count != errV2Flags) || !refused && (read != nil || count != nil || n == 0) {
+			t.Errorf("%s: ReadTrace %v, BlockSamples %d, %v", name, read, n, count)
+		}
+	}
+
 	b := NewTraceBuffer(0, 0)
 	for i := 0; i < 3; i++ {
 		b.Append(Sample{Time: int64(i), Event: 1, State: -1, StackID: NoStack})
@@ -400,32 +412,23 @@ func TestV2SkimRefusesWhatReadersRefuse(t *testing.T) {
 	}
 }
 
-// TestV2RunWordIs65Bits pins the run word at its widest: a region
-// delta of 2^63 has a zigzag image of 2^64 − 1, so version 4's word
-// needs all 65 bits and version 5's all 66 — ten bytes either way — and
-// a bit more is refused, not wrapped.
-func TestV2RunWordIs65Bits(t *testing.T) {
-	for _, c := range []struct {
-		flag uint8
-		word []byte
-		last byte // the tenth byte
-	}{
-		{1, appendRunWordV4(nil, math.MaxUint64, true), 0x03},
-		{2, appendRunWord(nil, math.MaxUint64, runMore), 0x07},
-	} {
-		word := c.word
-		if len(word) != binary.MaxVarintLen64 || word[0] != 0xff^(1<<c.flag-1)|1 || word[9] != c.last {
-			t.Fatalf("word = % x, want ten bytes ending in %02x", word, c.last)
-		}
-		p := varints{buf: append(word, 0), flag: c.flag}
-		if v, n, reps, err := p.run(2, 0); err != nil || v != math.MinInt64 || n != 2 || reps != 1 || p.off != len(p.buf) {
-			t.Fatalf("run = %d×%d, %v at %d; want %d×2 over all %d bytes", v, n, err, p.off, int64(math.MinInt64), len(p.buf))
-		}
-		word[9] = c.last + 1 // a bit more
-		p = varints{buf: append(word, 0), flag: c.flag}
-		if _, _, _, err := p.run(2, 0); !errors.Is(err, ErrBadTrace) {
-			t.Fatalf("a word past %d bits decoded (err=%v)", 64+c.flag, err)
-		}
+// TestV2RunWordIs66Bits pins the run word at its widest: a region
+// delta of 2^63 has a zigzag image of 2^64 − 1, so the word needs all 66
+// bits of the value and its kind — ten bytes — and a bit more is
+// refused, not wrapped.
+func TestV2RunWordIs66Bits(t *testing.T) {
+	word := appendRunWord(nil, math.MaxUint64, runMore)
+	if len(word) != binary.MaxVarintLen64 || word[0] != 0xfc|runMore || word[9] != 0x07 {
+		t.Fatalf("word = % x, want ten bytes ending in 07", word)
+	}
+	p := varints{buf: append(word, 0)}
+	if v, n, reps, err := p.run(2, 0); err != nil || v != math.MinInt64 || n != 2 || reps != 1 || p.off != len(p.buf) {
+		t.Fatalf("run = %d×%d, %v at %d; want %d×2 over all %d bytes", v, n, err, p.off, int64(math.MinInt64), len(p.buf))
+	}
+	word[9] = 0x08 // a bit more
+	p = varints{buf: append(word, 0)}
+	if _, _, _, err := p.run(2, 0); !errors.Is(err, ErrBadTrace) {
+		t.Fatalf("a word past 66 bits decoded (err=%v)", err)
 	}
 }
 
@@ -546,55 +549,14 @@ func checkRoundTrips(t *testing.T, blocks []*TraceBuffer, ver uint32, rewrite fu
 	}
 }
 
-// TestV4RoundTripArbitrary: version 4 Rice-codes the time column, so on
-// top of arbitraryBlocks it must round-trip the column's edges: deltas
-// all zero (k = 0, one bit a sample), every delta escaping, quotients
-// on either side of the escape, negative deltas down to math.MinInt64,
-// one-sample blocks, and threads mixed in one block. Version 4 is no
-// longer written, so each block is written and then rewritten as
-// version 4 wrote it; version 5 writes the same time column.
-func TestV4RoundTripArbitrary(t *testing.T) {
-	blocks, zeros, escaping := timeEdgeBlocks()
-	checkRoundTrips(t, blocks, 4, asVersion4)
-
-	// The zero block is the column's least: k = 0 and one bit a sample.
-	// In the escaping one, each delta costs the escape's 22 bits and its
-	// own length.
-	escBits, prev := 0, int64(0)
-	for _, s := range escaping.Samples() {
-		escBits += riceEscape + 6 + bits.Len64(uint64(s.Time-prev))
-		prev = s.Time
-	}
-	for _, c := range []struct {
-		b         *TraceBuffer
-		wantBytes int
-	}{{zeros, 1 + zeros.Len()/8}, {escaping, 1 + (escBits+7)/8}} {
-		var out bytes.Buffer
-		if err := WriteTraceEnc(&out, c.b, Encoding{V2: true}); err != nil {
-			t.Fatal(err)
-		}
-		raw := out.Bytes()[v2HeaderLen:]
-		if end := timeColumnEnd(raw, c.b.Len()); end != c.wantBytes || c.b == zeros && raw[0] != 0 {
-			t.Fatalf("time column of %d samples: %d bytes, k = %d; want %d bytes", c.b.Len(), end, raw[0], c.wantBytes)
-		}
-	}
-}
-
 // timeEdgeBlocks returns arbitraryBlocks and the time column's edges
-// (TestV4RoundTripArbitrary), and among those the block whose deltas
+// (TestV6RoundTripArbitrary), and among those the block whose deltas
 // are all zero and the one whose every delta escapes.
 func timeEdgeBlocks() (blocks []*TraceBuffer, zeros, escaping *TraceBuffer) {
-	block := func(times ...int64) *TraceBuffer {
-		b := NewTraceBuffer(0, 0)
-		for i, tm := range times {
-			b.Append(Sample{Time: tm, Thread: int32(i % 3), Event: int32(i % 4), State: -1, StackID: NoStack})
-		}
-		return b
-	}
 	var esc, negative, mixed, edge []int64
 	var now int64
 	for i := range 100 {
-		esc = append(esc, int64(i+1)<<45*int64(1-2*(i%2))) // every delta 2^44 or more: past the escape at any k
+		esc = append(esc, int64(i+1)<<45*int64(1-2*(i%2))+1) // every delta 2^44 or more: past the escape at any k, and shift 0
 		negative = append(negative, []int64{0, math.MinInt64, -1, math.MaxInt64, 5, 4}[i%6])
 		mixed = append(mixed, int64(i%3)*1e9+int64(i)*250)
 		// Deltas of 11 bits, so k is 10, 11 or 12, and at each of those
@@ -607,19 +569,117 @@ func timeEdgeBlocks() (blocks []*TraceBuffer, zeros, escaping *TraceBuffer) {
 		now += d
 		edge = append(edge, now)
 	}
-	zeros, escaping = block(make([]int64, 256)...), block(esc...)
-	blocks = append(arbitraryBlocks(), zeros, escaping, block(negative...), block(mixed...), block(edge...),
-		block(0), block(math.MinInt64), block(math.MaxInt64), block(-1))
+	zeros, escaping = timeBlock(make([]int64, 256)...), timeBlock(esc...)
+	blocks = append(arbitraryBlocks(), zeros, escaping, timeBlock(negative...), timeBlock(mixed...), timeBlock(edge...),
+		timeBlock(0), timeBlock(math.MinInt64), timeBlock(math.MaxInt64), timeBlock(-1))
 	return blocks, zeros, escaping
 }
 
-// TestV5RoundTripArbitrary: version 5 stores whether a sample has a
-// stack against whether the last sample of its event had one, repeats
-// runs and shares the dictionary's outer frames, so on top of the time
-// column's edges it must round-trip stacks on any event, joins without
-// one, periodic and aperiodic runs, a column that is one long repeat,
-// and dictionaries whose paths share every, some or none of their
-// frames.
+// timeBlock is a block of three threads' samples, in turn, whose times
+// are times.
+func timeBlock(times ...int64) *TraceBuffer {
+	b := NewTraceBuffer(0, 0)
+	for i, tm := range times {
+		b.Append(Sample{Time: tm, Thread: int32(i % 3), Event: int32(i % 4), State: -1, StackID: NoStack})
+	}
+	return b
+}
+
+// quantized returns a copy of b whose times are rounded down to a
+// multiple of ClockQuantum, as Cycles rounds them.
+func quantized(b *TraceBuffer) *TraceBuffer {
+	q := NewTraceBuffer(0, 0)
+	for _, s := range b.Samples() {
+		s.Time &^= int64(ClockQuantum - 1)
+		if s.StackID == NoStack {
+			q.Append(s)
+		} else {
+			q.AppendStacked(s, b.Stack(s.StackID))
+		}
+	}
+	return q
+}
+
+// blockShift returns the time column's shift from a PSX2 block's flags.
+func blockShift(block []byte) int {
+	return int(binary.LittleEndian.Uint32(block[8:12])&flagV2Shift) >> flagV2ShiftAt
+}
+
+// TestV6RoundTripArbitrary: version 6 stores each time delta shifted
+// down by the block's shift, the trailing zeros of the OR of its deltas.
+// On top of the time column's edges it must round-trip arbitraryBlocks
+// at the nanosecond (shift 0) and rounded to ClockQuantum (shift 3), an
+// empty block and all-equal times (no delta that is not zero: shift 0),
+// a negative delta, which escapes, in a shifted block, and one sample
+// whose time is a large power of two (its shift is the power), plain and
+// deflated, each declaring the shift its deltas have. The zero block's
+// time column is one bit a sample, the escaping block's each delta's
+// escape and length, and a block of steps of one quantum two bits a
+// sample, where shift 0 would spend five.
+func TestV6RoundTripArbitrary(t *testing.T) {
+	blocks, zeros, escaping := timeEdgeBlocks()
+	arbitrary := arbitraryBlocks()
+	for _, b := range arbitrary {
+		blocks = append(blocks, quantized(b))
+	}
+	steps := make([]int64, 256)
+	for i := range steps {
+		steps[i] = int64(i+1) * int64(ClockQuantum)
+	}
+	named := []struct {
+		b     *TraceBuffer
+		shift int
+	}{
+		{arbitrary[0], 0},
+		{quantized(arbitrary[0]), 3},
+		{timeBlock(), 0},
+		{zeros, 0},
+		{timeBlock(42, 42, 42), 1}, // the first delta is the first time
+		{escaping, 0},
+		{timeBlock(800, 8, 16), 3}, // −792 escapes
+		{timeBlock(1 << 62), 62},
+		{timeBlock(math.MinInt64), 63},
+		{timeBlock(steps...), 3},
+	}
+	for _, c := range named {
+		blocks = append(blocks, c.b)
+	}
+	checkRoundTrips(t, blocks, traceV2Version, func(_ *testing.T, b []byte) []byte { return b })
+
+	escBits, prev := 0, int64(0)
+	for _, s := range escaping.Samples() {
+		escBits += riceEscape + 6 + bits.Len64(uint64(s.Time-prev))
+		prev = s.Time
+	}
+	columnBytes := map[*TraceBuffer]int{zeros: 1 + zeros.Len()/8, escaping: 1 + (escBits+7)/8, named[len(named)-1].b: 1 + 2*len(steps)/8}
+	for i, c := range named {
+		for _, enc := range []Encoding{{V2: true}, {V2: true, Flate: true}} {
+			var out bytes.Buffer
+			if err := WriteTraceEnc(&out, c.b, enc); err != nil {
+				t.Fatal(err)
+			}
+			if got := blockShift(out.Bytes()); got != c.shift {
+				t.Errorf("block %d %+v: shift %d, want %d", i, enc, got, c.shift)
+			}
+			want, ok := columnBytes[c.b]
+			if !ok || enc.Flate {
+				continue
+			}
+			raw := out.Bytes()[v2HeaderLen:]
+			if end := timeColumnEnd(raw, c.b.Len()); end != want || c.b == zeros && raw[0] != 0 {
+				t.Errorf("block %d: time column of %d samples is %d bytes, k = %d; want %d bytes", i, c.b.Len(), end, raw[0], want)
+			}
+		}
+	}
+}
+
+// TestV5RoundTripArbitrary: from version 5 a block stores whether a
+// sample has a stack against whether the last sample of its event had
+// one, repeats runs and shares the dictionary's outer frames, so on
+// top of the time column's edges it must round-trip stacks on any
+// event, joins without one, periodic and aperiodic runs, a column
+// that is one long repeat, and dictionaries whose paths share every,
+// some or none of their frames.
 func TestV5RoundTripArbitrary(t *testing.T) {
 	blocks, _, _ := timeEdgeBlocks()
 	rng := rand.New(rand.NewSource(5))
@@ -666,7 +726,7 @@ func TestV5RoundTripArbitrary(t *testing.T) {
 // dictionary and the payload's end.
 func v5ColumnsAt(tb testing.TB, raw []byte, n, stacked int) []int {
 	tb.Helper()
-	p := varints{buf: raw, flag: 2, off: timeColumnEnd(raw, n)}
+	p := varints{buf: raw, off: timeColumnEnd(raw, n)}
 	at := []int{p.off}
 	for c := range 7 {
 		if c == 6 {
@@ -681,7 +741,7 @@ func v5ColumnsAt(tb testing.TB, raw []byte, n, stacked int) []int {
 }
 
 // timeColumnEnd returns where the time column of n samples ends in a
-// version-4 payload.
+// payload.
 func timeColumnEnd(raw []byte, n int) int {
 	r := bitReader{buf: raw[1:]}
 	for range n {
@@ -690,10 +750,10 @@ func timeColumnEnd(raw []byte, n int) int {
 	return 1 + int((r.at+7)/8)
 }
 
-// riceEdgeBlocks returns version-4 blocks at the edges of the time
-// column: a valid block of 256 equal times (k = 0, one bit a sample),
-// the same block declaring k out of range, and a one-sample block whose
-// unary part the payload's end cuts off.
+// riceEdgeBlocks returns blocks of the written version at the edges
+// of the time column: a valid block of 256 equal times (k = 0, one
+// bit a sample), the same block declaring k out of range, and a
+// one-sample block whose unary part the payload's end cuts off.
 func riceEdgeBlocks(tb testing.TB) (valid, badK, cut []byte) {
 	b := NewTraceBuffer(0, 0)
 	for range 256 {
@@ -733,9 +793,9 @@ func TestV4TimeColumnEdges(t *testing.T) {
 	}
 }
 
-// TestSkimRefusesBadRiceK: the skim refuses a plain version-4 block
-// whose time parameter is out of range or missing, as the decoder
-// does, so psxd's count check acks no block every reader stops at.
+// TestSkimRefusesBadRiceK: the skim refuses a plain block whose time
+// parameter is out of range or missing, as the decoder does, so
+// psxd's count check acks no block every reader stops at.
 func TestSkimRefusesBadRiceK(t *testing.T) {
 	_, badK, _ := riceEdgeBlocks(t)
 	empty := v2BlockFromPayload(0, 0, 0, nil)
@@ -748,106 +808,16 @@ func TestSkimRefusesBadRiceK(t *testing.T) {
 	}
 }
 
-// asVersion4 rewrites a written (version-5) block as version 4 wrote
-// it: the same time column, runs with a one-bit flag and no repeats
-// (appendRunsV4), one stack column of a dictionary index or -1 a
-// sample, and each dictionary entry's frames written whole.
-func asVersion4(t *testing.T, block []byte) []byte {
+// asVersion5 rewrites a written block of shift 0 as version 5 wrote
+// it, which differs only in its version word.
+func asVersion5(t *testing.T, block []byte) []byte {
 	t.Helper()
-	n := int(binary.LittleEndian.Uint64(block[12:20]))
-	nst := binary.LittleEndian.Uint64(block[20:28])
-	out := repackV2(t, block, func(raw []byte) []byte {
-		p := varints{buf: raw, flag: 2, off: timeColumnEnd(raw, n)}
-		out := append([]byte(nil), raw[:p.off]...)
-		var m predictor
-		events, vals := make([]int32, n), make([]int64, n)
-		for c := range 6 {
-			if err := p.runs(vals, c == 0 || c == 3 || c == 4); err != nil {
-				t.Fatalf("column %d: %v", c, err)
-			}
-			switch c {
-			case 1:
-				for i, v := range vals {
-					events[i] = m.event(int32(v), true)
-				}
-			case 5: // stack presence, then the IDs, to one index or -1 a sample
-				var ids []int64
-				for i, v := range vals {
-					vals[i] = int64(NoStack)
-					if _, has := m.stack(events[i], int32(v), true); has == 1 {
-						ids = append(ids, int64(i))
-					}
-				}
-				at := append([]int64(nil), ids...)
-				if err := p.runs(ids, false); err != nil {
-					t.Fatalf("stack IDs: %v", err)
-				}
-				for j, i := range at {
-					vals[i] = ids[j]
-				}
-			}
-			out = appendRunsV4(out, vals, c == 0 || c == 3 || c == 4)
-		}
-		var prev []uintptr
-		for range nst {
-			depth, _ := p.uvarint()
-			shared, _ := p.uvarint()
-			var st []uintptr
-			var pc uint64
-			for range depth - shared {
-				v, _ := p.next()
-				pc += uint64(v)
-				st = append(st, uintptr(pc))
-			}
-			st = append(st, prev[uint64(len(prev))-shared:]...)
-			out, pc = binary.AppendUvarint(out, depth), 0
-			for _, f := range st {
-				out = binary.AppendUvarint(out, zigzag(int64(uint64(f)-pc)))
-				pc = uint64(f)
-			}
-			prev = st
-		}
-		return out
-	})
-	binary.LittleEndian.PutUint32(out[4:8], 4)
+	if blockShift(block) != 0 {
+		t.Fatalf("a block of shift %d has no version-5 twin", blockShift(block))
+	}
+	out := bytes.Clone(block)
+	binary.LittleEndian.PutUint32(out[4:8], 5)
 	return out
-}
-
-// appendRunsV4 appends the column vals as version 4 run-coded it: each
-// run one word of zigzag(v)<<1 | more (appendRunWordV4), followed, only
-// when more is set, by uvarint(length − 2).
-func appendRunsV4(b []byte, vals []int64, delta bool) []byte {
-	var prev int64
-	for i := 0; i < len(vals); {
-		v := vals[i]
-		j := i + 1
-		for j < len(vals) && vals[j] == v {
-			j++
-		}
-		w := v
-		if delta {
-			w, prev = v-prev, v
-		}
-		b = appendRunWordV4(b, zigzag(w), j-i > 1)
-		if j-i > 1 {
-			b = binary.AppendUvarint(b, uint64(j-i-2))
-		}
-		i = j
-	}
-	return b
-}
-
-// appendRunWordV4 appends the 65-bit uvarint of zig<<1 | more, the run
-// word of version 4.
-func appendRunWordV4(b []byte, zig uint64, more bool) []byte {
-	first := byte(zig&0x3f) << 1
-	if more {
-		first |= 1
-	}
-	if rest := zig >> 6; rest != 0 {
-		return binary.AppendUvarint(append(b, first|0x80), rest)
-	}
-	return append(b, first)
 }
 
 // stackedBlock is 32 samples of one thread in eight regions of four
@@ -918,6 +888,33 @@ func v5RefusedBlocks(tb testing.TB) map[string][]byte {
 	}
 }
 
+// v6FlagBlocks returns blocks of times 8 ns apart, so of shift 3, plain
+// and deflated, and the same blocks with a flag bit other than the
+// flate bit and the shift's set, named "refused …", in the written
+// version and in version 5; every reader refuses those and reads the
+// others. The flags are outside the checksum, so none is mended.
+func v6FlagBlocks(tb testing.TB) map[string][]byte {
+	tb.Helper()
+	out := map[string][]byte{}
+	for _, enc := range []Encoding{{V2: true}, {V2: true, Flate: true}} {
+		var w bytes.Buffer
+		if err := WriteTraceEnc(&w, timeBlock(8, 16, 24, 800), enc); err != nil {
+			tb.Fatal(err)
+		}
+		name := fmt.Sprintf("shift 3, flate %v", enc.Flate)
+		out[name] = w.Bytes()
+		for _, bit := range []int{1, 7, 14, 31} {
+			for _, ver := range []uint32{traceV2Version, traceV2Version - 1} {
+				block := bytes.Clone(w.Bytes())
+				binary.LittleEndian.PutUint32(block[4:8], ver)
+				binary.LittleEndian.PutUint32(block[8:12], binary.LittleEndian.Uint32(block[8:12])|1<<bit)
+				out[fmt.Sprintf("refused bit %d, version %d, %s", bit, ver, name)] = block
+			}
+		}
+	}
+	return out
+}
+
 // v5StackBlocks returns plain and deflated blocks whose stacks are not
 // where the tool puts them: on an event that never otherwise has one,
 // and missing from a join (event 2) that otherwise has one.
@@ -985,7 +982,7 @@ func v2BlockFromPayload(ns, nst, dropped uint64, payload []byte) []byte {
 // content is longer than the declared counts must be rejected — the
 // exact-consumption check, the structural fix for the v1 ambiguity.
 func TestV2PayloadCountDisagreement(t *testing.T) {
-	payload := appendRice(nil, []int64{0, 0}, 0) // two samples' worth of columns...
+	payload := appendRice(nil, []int64{0, 0}, 0, 0) // two samples' worth of columns...
 	for c := 0; c < 6; c++ {
 		for i := 0; i < 2; i++ {
 			payload = appendRunWord(payload, 0, runOne) // each column two runs of one 0, no stack

@@ -72,7 +72,7 @@ func TestV1FixtureStillReads(t *testing.T) {
 }
 
 // psx2Version1FixtureBlocks are the buffers the PSX2 fixtures,
-// testdata/psx2-version4.psxt and the versions before it, were written
+// testdata/psx2-version5.psxt and the versions before it, were written
 // from, each by the last encoder that wrote its PSX2 version: the first
 // buffer as a
 // plain block, the second deflated. Both carry a stack dictionary (the
@@ -128,14 +128,13 @@ func TestPSX2FixturesMatchWindow(t *testing.T) {
 	}
 }
 
-// TestPSX2Version4FixtureStillReads: version 5 replaced version 4,
-// whose blocks write runs with a one-bit flag and no repeats, one stack
-// column of an index or -1 a sample, and every dictionary frame. A
-// version-4 stream of the same samples, written by the last encoder
-// that wrote version 4, stands for every trace and psxd data directory
-// written before version 5.
-func TestPSX2Version4FixtureStillReads(t *testing.T) {
-	checkPSX2Fixture(t, "psx2-version4.psxt", 4)
+// TestPSX2Version5FixtureStillReads: version 6 replaced version 5,
+// whose blocks store each time delta unshifted and set no flag but the
+// flate bit. A version-5 stream of the same samples, written by the last
+// encoder that wrote version 5, stands for every trace and psxd data
+// directory written before version 6.
+func TestPSX2Version5FixtureStillReads(t *testing.T) {
+	checkPSX2Fixture(t, "psx2-version5.psxt", 5)
 }
 
 // checkPSX2Fixture reads testdata/name, which must hold
