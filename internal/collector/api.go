@@ -74,11 +74,6 @@ type Collector struct {
 	threadMu sync.RWMutex
 	threads  map[int32]*atomic.Pointer[ThreadInfo]
 
-	// bindHook, when set by an attached tool, is invoked after every
-	// BindThread so the tool can pin per-thread measurement state
-	// (the trace buffer) into the descriptor.
-	bindHook atomic.Pointer[func(*ThreadInfo)]
-
 	// handles resolves the callback handles carried in ReqRegister
 	// payloads (wire messages cannot carry Go funcs).
 	handleMu   sync.Mutex
@@ -128,8 +123,8 @@ func (c *Collector) Paused() bool { return c.paused.Load() }
 // number. The runtime calls this when threads are created and when the
 // master switches between its serial and parallel descriptors; the
 // per-region rebind is the fast path (read lock plus an atomic slot
-// store). An attached tool's bind hook runs after the binding is
-// visible.
+// store), and the slot store is all it does: binding never touches the
+// descriptor's trace buffer, which only an attached tool sets.
 func (c *Collector) BindThread(ti *ThreadInfo) {
 	c.threadMu.RLock()
 	slot := c.threads[ti.ID]
@@ -144,9 +139,6 @@ func (c *Collector) BindThread(ti *ThreadInfo) {
 		c.threadMu.Unlock()
 	}
 	slot.Store(ti)
-	if h := c.bindHook.Load(); h != nil {
-		(*h)(ti)
-	}
 }
 
 // UnbindThread removes the descriptor binding for thread id.
@@ -168,8 +160,9 @@ func (c *Collector) Thread(id int32) *ThreadInfo {
 }
 
 // Threads returns a snapshot of every currently bound descriptor. A
-// tool attaching mid-run uses it to pin measurement state into
-// descriptors bound before its bind hook was installed.
+// tool attaching mid-run uses it to register a trace buffer for each
+// thread number already bound, so a thread that records nothing still
+// has one.
 func (c *Collector) Threads() []*ThreadInfo {
 	c.threadMu.RLock()
 	defer c.threadMu.RUnlock()
@@ -180,17 +173,6 @@ func (c *Collector) Threads() []*ThreadInfo {
 		}
 	}
 	return out
-}
-
-// SetBindHook installs (or, with nil, removes) the function invoked
-// after every BindThread. Only one tool may attach at a time, so the
-// hook is a single slot.
-func (c *Collector) SetBindHook(h func(*ThreadInfo)) {
-	if h == nil {
-		c.bindHook.Store(nil)
-		return
-	}
-	c.bindHook.Store(&h)
 }
 
 // Event dispatches an event notification for thread t. This is the

@@ -83,8 +83,9 @@ type ThreadInfo struct {
 
 	// buffer is the descriptor-pinned trace buffer of an attached
 	// tool's measurement hot path: the tool installs the thread's
-	// single-writer buffer here at bind time, so recording an event
-	// costs one pointer load and one append — no map lookup, no lock.
+	// single-writer buffer here at the descriptor's first event, so
+	// each later event costs one pointer load and one append — no map
+	// lookup, no lock.
 	buffer atomic.Pointer[perf.TraceBuffer]
 
 	dispatch dispatchSlot
@@ -119,8 +120,8 @@ type dispatchSlot struct {
 const cacheLinePad = 64
 
 // SetTraceBuffer pins (or, with nil, unpins) a trace buffer on the
-// descriptor. Called by the attached tool from the collector's bind
-// hook and at detach.
+// descriptor. The attached tool pins from its callback, on the
+// descriptor's own thread at its first event, and unpins at detach.
 func (t *ThreadInfo) SetTraceBuffer(b *perf.TraceBuffer) { t.buffer.Store(b) }
 
 // TraceBuffer returns the pinned trace buffer, or nil when no tool has

@@ -413,8 +413,8 @@ func (r *RT) fork(parent *ThreadCtx, site uintptr, n int, fn func(tc *ThreadCtx)
 		// The master switches to its parallel-mode descriptor and runs
 		// the region as thread 0. This per-region rebind is on the fork
 		// hot path: BindThread stores into an existing descriptor slot
-		// under a read lock, and an attached tool's bind hook
-		// re-validates its pinned trace buffer with a single atomic load.
+		// under a read lock and does nothing else (an attached tool pins
+		// a descriptor's trace buffer from its own callback).
 		td = r.masterParallel
 		td.SetState(collector.StateOverhead)
 		td.SetTeam(info)

@@ -55,7 +55,10 @@ type Options struct {
 	// caller.
 	JoinStacks bool
 
-	// BufferCap preallocates each per-thread trace buffer (samples).
+	// BufferCap preallocates the trace buffer of each thread bound at
+	// attach (samples). A buffer first made inside a callback, at a
+	// thread's first event, starts at one chunk and grows a chunk at a
+	// time, so no callback pays for BufferCap samples at once.
 	BufferCap int
 
 	// BufferLimit bounds each per-thread buffer; 0 means unlimited.
@@ -241,16 +244,17 @@ type Tool struct {
 
 	// Buffer registry. The measurement hot path never touches it:
 	// callbacks read the buffer pinned into the event's ThreadInfo
-	// descriptor at bind time. byID holds the buffer for each bound
-	// thread number, copy-on-write so the bind hook's already-pinned
-	// check is one atomic load; extras holds private buffers adopted
-	// by transient descriptors (true-nested team threads reuse bound
-	// thread numbers concurrently, and buffers are single-writer, so
-	// they must not share by ID). bufMu serializes registry growth and
-	// pinned tracks every descriptor holding one of our buffers so
-	// Detach can unpin them.
+	// descriptor, which the callback itself pins at the descriptor's
+	// first event (adoptDescriptor). byID holds the shared buffer of
+	// each bound thread number; extras holds the governor's buffer and
+	// the private ones of transient descriptors (true-nested team
+	// threads reuse bound thread numbers concurrently, and buffers are
+	// single-writer, so they must not share by ID). pinned lists every
+	// descriptor holding one of our buffers so Detach can unpin them;
+	// Detach then sets it to nil, and nothing is pinned after that.
+	// bufMu guards all four.
 	bufMu  sync.Mutex
-	byID   atomic.Pointer[[]*perf.TraceBuffer]
+	byID   []*perf.TraceBuffer
 	extras []threadBuf
 	pinned map[*collector.ThreadInfo]struct{}
 
@@ -328,8 +332,6 @@ func AttachCollector(col *collector.Collector, opts Options) (*Tool, error) {
 		throttle:   newSiteThrottle(opts.MaxSamplesPerSite),
 		pinned:     make(map[*collector.ThreadInfo]struct{}),
 	}
-	empty := make([]*perf.TraceBuffer, 0)
-	t.byID.Store(&empty)
 	if ec := collector.Control(t.q, collector.ReqStart); ec != collector.ErrOK {
 		return nil, fmt.Errorf("tool: start request failed: %v", ec)
 	}
@@ -356,13 +358,16 @@ func AttachCollector(col *collector.Collector, opts Options) (*Tool, error) {
 		}
 		t.stream = st
 	}
-	// Pin a buffer into every descriptor bound so far, and into each
-	// one bound from now on, before any event can be dispatched: the
-	// callback then finds its buffer with a single descriptor load.
-	col.SetBindHook(t.pinDescriptor)
+	// Register a buffer for every thread number bound so far, so a
+	// thread that records nothing still has a trace. Nothing is pinned
+	// here: each descriptor pins its own at its first event.
+	t.bufMu.Lock()
 	for _, ti := range col.Threads() {
-		t.pinDescriptor(ti)
+		if ti.ID >= 0 {
+			t.boundBufferLocked(ti.ID, opts.BufferCap)
+		}
 	}
+	t.bufMu.Unlock()
 	events := opts.Events
 	if events == nil {
 		events = DefaultEvents()
@@ -453,9 +458,11 @@ func (t *Tool) callback(e collector.Event, ti *collector.ThreadInfo) {
 	now := perf.Cycles()
 	buf := ti.TraceBuffer()
 	if buf == nil {
-		// Unbound descriptor: a transient thread of a true-nested
-		// team. Adopt it once; subsequent events hit the pinned path.
-		buf = t.adoptDescriptor(ti)
+		// The descriptor's first event under this tool: pin its buffer
+		// once; subsequent events hit the pinned path.
+		if buf = t.adoptDescriptor(ti); buf == nil {
+			return // detached
+		}
 	}
 	sample := perf.Sample{
 		Time:    now,
@@ -515,7 +522,7 @@ func (t *Tool) governorTransition(tr degrade.Transition) {
 	buf := t.govBuf
 	if buf == nil {
 		t.bufMu.Lock()
-		buf = t.newBuffer(govThread)
+		buf = t.newBuffer(govThread, t.opts.BufferCap)
 		t.extras = append(t.extras, threadBuf{id: govThread, buf: buf})
 		t.bufMu.Unlock()
 		t.govBuf = buf
@@ -534,70 +541,47 @@ func (t *Tool) governorTransition(tr degrade.Transition) {
 // govThread is the pseudo-thread number governor samples record under.
 const govThread int32 = -1
 
-// pinDescriptor is the collector's bind hook: it installs the thread's
-// trace buffer in the descriptor. The master rebinds on every region
-// fork and join, so the already-pinned check must stay lock-free — it
-// is one descriptor load plus one atomic registry load. The check
-// verifies the pin against this tool's registry rather than trusting
-// any non-nil pin, so a stale pin from a previous tool (or a bind that
-// raced a detach) is always replaced.
-func (t *Tool) pinDescriptor(ti *collector.ThreadInfo) {
-	id := ti.ID
-	if id >= 0 {
-		bufs := *t.byID.Load()
-		if cur := ti.TraceBuffer(); cur != nil && int(id) < len(bufs) && bufs[id] == cur {
-			return
-		}
-	}
-	t.bufMu.Lock()
-	defer t.bufMu.Unlock()
-	var b *perf.TraceBuffer
-	if id >= 0 {
-		b = t.boundBufferLocked(id)
-	} else {
-		b = t.newBuffer(id)
-		t.extras = append(t.extras, threadBuf{id: id, buf: b})
-	}
-	ti.SetTraceBuffer(b)
-	t.pinned[ti] = struct{}{}
-}
-
 // boundBufferLocked returns the shared buffer for bound thread id,
 // growing the dense registry if needed. All descriptors bound to one
 // thread number share its buffer — the master's serial and parallel
 // descriptors both carry ID 0 and run on the same goroutine, so the
 // buffer keeps a single writer and thread 0's fork and join samples
-// land in one stream.
-func (t *Tool) boundBufferLocked(id int32) *perf.TraceBuffer {
-	bufs := *t.byID.Load()
-	if int(id) < len(bufs) && bufs[id] != nil {
-		return bufs[id]
+// land in one stream. A buffer made here holds capacity samples before
+// it grows.
+func (t *Tool) boundBufferLocked(id int32, capacity int) *perf.TraceBuffer {
+	if int(id) >= len(t.byID) {
+		t.byID = append(t.byID, make([]*perf.TraceBuffer, int(id)+1-len(t.byID))...)
 	}
-	n := len(bufs)
-	if int(id)+1 > n {
-		n = int(id) + 1
+	if t.byID[id] == nil {
+		t.byID[id] = t.newBuffer(id, capacity)
 	}
-	grown := make([]*perf.TraceBuffer, n)
-	copy(grown, bufs)
-	b := t.newBuffer(id)
-	grown[id] = b
-	t.byID.Store(&grown)
-	return b
+	return t.byID[id]
 }
 
-// adoptDescriptor gives an unbound descriptor its own private buffer.
-// Transient descriptors of true-nested teams reuse the bound threads'
-// numbers while running concurrently with them; sharing the bound
-// buffer would put two writers on a single-writer buffer, so each
-// transient descriptor records into its own.
+// adoptDescriptor pins a buffer into ti and returns it. The callback
+// calls it at ti's first event under this tool, on ti's own thread, so
+// the descriptor's slot has one writer while the tool is attached;
+// once Detach has unpinned, it pins nothing and returns nil. A
+// descriptor bound to its thread number takes that number's shared
+// buffer. Any other — a transient thread of a true-nested team, which
+// reuses a bound thread's number while running concurrently with it —
+// takes a private one: sharing would put two writers on a
+// single-writer buffer. A buffer made here starts at one chunk: this
+// runs inside the callback the watchdog times, and preallocating the
+// default BufferCap takes tens to hundreds of microseconds.
 func (t *Tool) adoptDescriptor(ti *collector.ThreadInfo) *perf.TraceBuffer {
 	t.bufMu.Lock()
 	defer t.bufMu.Unlock()
-	if b := ti.TraceBuffer(); b != nil {
-		return b
+	if t.pinned == nil {
+		return nil
 	}
-	b := t.newBuffer(ti.ID)
-	t.extras = append(t.extras, threadBuf{id: ti.ID, buf: b})
+	var b *perf.TraceBuffer
+	if ti.ID >= 0 && t.col.Thread(ti.ID) == ti {
+		b = t.boundBufferLocked(ti.ID, perf.ChunkSamples)
+	} else {
+		b = t.newBuffer(ti.ID, perf.ChunkSamples)
+		t.extras = append(t.extras, threadBuf{id: ti.ID, buf: b})
+	}
 	t.pinned[ti] = struct{}{}
 	ti.SetTraceBuffer(b)
 	return b
@@ -606,12 +590,12 @@ func (t *Tool) adoptDescriptor(ti *collector.ThreadInfo) *perf.TraceBuffer {
 // newBuffer creates one per-thread trace buffer. While streaming, the
 // buffer holds a single chunk and relays filled chunks to the
 // streamer, so in-memory residue stays bounded by one chunk per
-// thread.
-func (t *Tool) newBuffer(id int32) *perf.TraceBuffer {
+// thread; otherwise it preallocates capacity samples.
+func (t *Tool) newBuffer(id int32, capacity int) *perf.TraceBuffer {
 	if t.stream != nil {
 		return perf.NewRelayBuffer(t.stream.relay, id, t.opts.BufferLimit)
 	}
-	return perf.NewTraceBuffer(t.opts.BufferCap, t.opts.BufferLimit)
+	return perf.NewTraceBuffer(capacity, t.opts.BufferLimit)
 }
 
 // snapshotBuffers returns every registered buffer with its thread
@@ -619,9 +603,8 @@ func (t *Tool) newBuffer(id int32) *perf.TraceBuffer {
 func (t *Tool) snapshotBuffers() []threadBuf {
 	t.bufMu.Lock()
 	defer t.bufMu.Unlock()
-	bufs := *t.byID.Load()
-	out := make([]threadBuf, 0, len(bufs)+len(t.extras))
-	for id, b := range bufs {
+	out := make([]threadBuf, 0, len(t.byID)+len(t.extras))
+	for id, b := range t.byID {
 		if b != nil {
 			out = append(out, threadBuf{id: int32(id), buf: b})
 		}
@@ -693,7 +676,6 @@ func (t *Tool) detach() {
 	for _, e := range t.events {
 		collector.Unregister(t.q, e)
 	}
-	t.col.SetBindHook(nil)
 	d := t.opts.DetachTimeout
 	if b := t.detachBound.Load(); b > 0 && (d == 0 || time.Duration(b) < d) {
 		// The hang handler bounds an otherwise unbounded quiesce: the
@@ -719,12 +701,15 @@ func (t *Tool) detach() {
 	for _, h := range t.handles {
 		t.col.ReleaseCallbackHandle(h)
 	}
-	collector.Control(t.q, collector.ReqStop)
+	// Unpin before the stop request: the next tool's start request
+	// fails until then, so no pin of ours outlives the attachment.
 	t.bufMu.Lock()
 	for ti := range t.pinned {
 		ti.SetTraceBuffer(nil)
 	}
+	t.pinned = nil
 	t.bufMu.Unlock()
+	collector.Control(t.q, collector.ReqStop)
 }
 
 // StreamError returns the first error the streaming storage hit, if
