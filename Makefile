@@ -88,7 +88,7 @@ check:
 	$(GO) test -race -cpu 1,2,4 -run 'PathOracle' .
 	$(GO) test -race -cpu 1,2,4 -count=50 -run 'TestEveryJoinStoredWhileAttachingAndDetaching$$' ./internal/tool
 	$(GO) test -count=1 ./internal/faultinject -run 'EveryWritePathWritesPSX2'
-	$(GO) test -count=1 ./internal/perf -run 'V1Fixture|PSX2Version5Fixture|FixturesMatchWindow|SkimRefusesWhatReadersRefuse|V5RoundTrip|V6RoundTrip|V5Refusals|V2CrossRead|MixedStream|V2TornTail|ForgedCount|CountMismatch|AsSkimmed'
+	$(GO) test -count=1 ./internal/perf . -run 'V1Fixture|PSX2Version5Fixture|FixturesMatchWindow|SkimRefusesWhatReadersRefuse|V5RoundTrip|V6RoundTrip|V5Refusals|V2CrossRead|MixedStream|V2TornTail|ForgedCount|CountMismatch|AsSkimmed|FixtureReportGolden'
 	$(GO) test -count=1 ./internal/omp ./internal/perf ./internal/analysis ./internal/tool ./internal/ingest -run 'Alloc'
 
 # chaos runs the deterministic fault-injection suite — panicking and

@@ -224,6 +224,30 @@ func TestCLISamplesSalvageRule(t *testing.T) {
 	}
 }
 
+// TestCLIFixtureReportGolden: ompreport's report and its -samples dump
+// of the checked-in reader fixtures are byte for byte the text in
+// testdata/ompreport, which `go run ./cmd/ompreport [-samples] FILE`
+// from the repository root wrote. A change to the readers or to the
+// report that moves any of it shows here.
+func TestCLIFixtureReportGolden(t *testing.T) {
+	for _, fixture := range []string{"v1", "psx2-version5"} {
+		path := "internal/perf/testdata/" + fixture + ".psxt"
+		for _, mode := range []string{"report", "samples"} {
+			args := []string{path}
+			if mode == "samples" {
+				args = []string{"-samples", path}
+			}
+			want, err := os.ReadFile(filepath.Join("testdata", "ompreport", fixture+"."+mode))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := run(t, "ompreport", args...); got != string(want) {
+				t.Errorf("ompreport %s:\n%s\nwant:\n%s", strings.Join(args, " "), got, want)
+			}
+		}
+	}
+}
+
 func TestCLIOmpprofNPBWorkload(t *testing.T) {
 	out := run(t, "ompprof", "-workload", "EP", "-class", "S", "-threads", "2")
 	mustContain(t, out, "EP.S", "collector tool report")

@@ -64,7 +64,7 @@ func main() {
 		}
 		paths = append(paths, expanded...)
 	}
-	var bufs []*perf.TraceBuffer
+	var traces []*perf.Trace
 	var dropped uint64
 	var hangReports []string
 	truncated := 0
@@ -101,28 +101,28 @@ func main() {
 		}
 		// Streamed traces are chunk-block sequences; a torn file still
 		// yields its gap-free prefix, which is worth analyzing.
-		buf, err := perf.ReadTraceStream(f)
+		tr, err := perf.ReadTraceStream(f)
 		f.Close()
 		if err != nil {
-			if !errors.Is(err, perf.ErrBadTrace) || buf == nil {
+			if !errors.Is(err, perf.ErrBadTrace) {
 				fmt.Fprintf(os.Stderr, "ompreport: %s: %v\n", path, err)
 				os.Exit(1)
 			}
 			truncated++
 			fmt.Fprintf(os.Stderr, "ompreport: warning: %s: %v; using the intact prefix (%d samples)\n",
-				path, err, buf.Len())
+				path, err, tr.Len())
 		}
 		if *dump {
-			dumpSamples(path, buf, fresh && quarantinedDirs[dir], fresh && salvagedDirs[dir], hang)
+			dumpSamples(path, tr, fresh && quarantinedDirs[dir], fresh && salvagedDirs[dir], hang)
 			continue
 		}
-		dropped += buf.Dropped()
-		bufs = append(bufs, buf)
+		dropped += tr.Dropped()
+		traces = append(traces, tr)
 	}
 	if *dump {
 		return
 	}
-	samples := concat(bufs)
+	samples := concat(traces)
 	fmt.Printf("%d samples from %d trace files", len(samples), len(paths))
 	if dropped > 0 {
 		fmt.Printf(" (%d samples dropped at capture)", dropped)
@@ -193,10 +193,10 @@ func main() {
 // its salvage or quarantine marker and its hang report, which the
 // caller passes only for the first file read from that directory —
 // follows the header.
-func dumpSamples(path string, buf *perf.TraceBuffer, quarantined, salvaged bool, hang string) {
-	samples := buf.Samples()
+func dumpSamples(path string, tr *perf.Trace, quarantined, salvaged bool, hang string) {
+	samples := tr.Samples()
 	fmt.Printf("%s: %d samples, %d distinct stacks, %d dropped\n",
-		path, len(samples), buf.NumStacks(), buf.Dropped())
+		path, len(samples), tr.NumStacks(), tr.Dropped())
 	if quarantined {
 		fmt.Printf("  WARNING: quarantined run — the ingest daemon's storage failed before this run was sealed; the tail past the journaled prefix may be torn or missing\n")
 	} else if salvaged {
@@ -218,7 +218,7 @@ func dumpSamples(path string, buf *perf.TraceBuffer, quarantined, salvaged bool,
 		fmt.Printf("  [%6d] t=%-14v thr=%-3d %-28s %-18s region=%-6d",
 			i, time.Duration(s.Time), s.Thread, ev, st, s.Region)
 		if s.StackID != perf.NoStack {
-			fmt.Printf(" stack=%d(%d frames)", s.StackID, len(buf.Stack(s.StackID)))
+			fmt.Printf(" stack=%d(%d frames)", s.StackID, len(tr.Stack(s.StackID)))
 		}
 		fmt.Println()
 	}
@@ -231,20 +231,20 @@ func printHangReport(rep string) {
 	}
 }
 
-// concat returns the samples of every buffer, in order. A single
-// buffer's are its own, handed over without a copy; several are copied
+// concat returns the samples of every trace, in order. A single
+// trace's are its own, handed over without a copy; several are copied
 // once, into a slice of their summed length.
-func concat(bufs []*perf.TraceBuffer) []perf.Sample {
-	if len(bufs) == 1 {
-		return bufs[0].Samples()
+func concat(traces []*perf.Trace) []perf.Sample {
+	if len(traces) == 1 {
+		return traces[0].Samples()
 	}
 	n := 0
-	for _, b := range bufs {
-		n += b.Len()
+	for _, tr := range traces {
+		n += tr.Len()
 	}
 	out := make([]perf.Sample, 0, n)
-	for _, b := range bufs {
-		out = append(out, b.Samples()...)
+	for _, tr := range traces {
+		out = append(out, tr.Samples()...)
 	}
 	return out
 }

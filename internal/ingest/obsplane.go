@@ -152,12 +152,9 @@ func (s *Server) handleProfile(w http.ResponseWriter, req *http.Request) {
 			}
 			// The salvage contract covers a concurrently appended tail:
 			// a partial final block yields the gap-free prefix.
-			buf, _ := perf.ReadTraceStream(f)
+			tr, _ := perf.ReadTraceStream(f)
 			f.Close()
-			if buf == nil {
-				continue
-			}
-			samples := buf.Samples()
+			samples := tr.Samples()
 			resp.Files++
 			resp.Samples += len(samples)
 			bySite.Merge(perf.RegionProfileBySite(samples,

@@ -113,7 +113,7 @@ func BenchmarkWriteTraceEnc(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		chunks = append(chunks, buf)
+		chunks = append(chunks, recorded(buf))
 		read += buf.Len()
 	}
 	if read != n {

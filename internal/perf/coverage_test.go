@@ -28,8 +28,9 @@ func (f *failingWriter) Write(p []byte) (int, error) {
 
 func fullBuffer() *TraceBuffer {
 	b := NewTraceBuffer(0, 0)
-	sid := b.InternStack([]uintptr{1, 2, 3})
-	for i := 0; i < 10; i++ {
+	b.AppendStacked(Sample{Time: 0, Thread: 1, Event: 2, State: 3, Region: 4}, []uintptr{1, 2, 3})
+	sid := b.Samples()[0].StackID
+	for i := 1; i < 10; i++ {
 		b.Append(Sample{Time: int64(i), Thread: 1, Event: 2, State: 3, Region: 4, StackID: sid})
 	}
 	return b
@@ -76,12 +77,15 @@ func TestReadTraceAbsurdCounts(t *testing.T) {
 		t.Error("absurd sample count accepted")
 	}
 
-	// Absurd stack depth.
-	b := NewTraceBuffer(0, 0)
+	// Absurd stack depth, in a block whose one stack no sample names:
+	// no writer makes one, but a reader accepts it.
 	var good bytes.Buffer
-	b.InternStack([]uintptr{1})
-	if err := WriteTrace(&good, b); err != nil {
-		t.Fatal(err)
+	good.Write(traceMagic[:])
+	for _, v := range []any{uint32(traceVersion), uint64(0), uint64(1), uint32(1), uint64(1), uint64(0)} {
+		binary.Write(&good, binary.LittleEndian, v) // nsamples, nstacks, depth, its PC, dropped
+	}
+	if tr, err := ReadTrace(bytes.NewReader(good.Bytes())); err != nil || tr.NumStacks() != 1 {
+		t.Fatalf("a block with an unnamed stack: %v", err)
 	}
 	data := good.Bytes()
 	// Layout: magic(4) version(4) nsamples(8)=0 nstacks(8)=1 depth(4)...
@@ -187,15 +191,13 @@ func TestReadTraceStreamMergesChunks(t *testing.T) {
 	var stream bytes.Buffer
 	// Chunk 1: one sample with stack 0.
 	c1 := NewTraceBuffer(0, 0)
-	s1 := c1.InternStack([]uintptr{0xA})
-	c1.Append(Sample{Time: 1, StackID: s1})
+	c1.AppendStacked(Sample{Time: 1}, []uintptr{0xA})
 	if err := WriteTrace(&stream, c1); err != nil {
 		t.Fatal(err)
 	}
 	// Chunk 2: sample with its own (chunk-local) stack 0 and one without.
 	c2 := NewTraceBuffer(0, 0)
-	s2 := c2.InternStack([]uintptr{0xB, 0xC})
-	c2.Append(Sample{Time: 2, StackID: s2})
+	c2.AppendStacked(Sample{Time: 2}, []uintptr{0xB, 0xC})
 	c2.Append(Sample{Time: 3, StackID: NoStack})
 	if err := WriteTrace(&stream, c2); err != nil {
 		t.Fatal(err)

@@ -9,9 +9,10 @@ import (
 	"hash/crc32"
 	"io"
 	"math/bits"
+	"slices"
 )
 
-// blockDecoder reads the trace blocks of one stream into one buffer.
+// blockDecoder reads the trace blocks of one stream into one Trace.
 // Reading a block has two halves that never overlap: the stage
 // functions parse and validate the whole block into scratch the decoder
 // owns and reuses from block to block, touching nothing committed;
@@ -19,7 +20,7 @@ import (
 // staged stacks to the stack table and the staged samples to the slab.
 // A block that fails therefore leaves the slab and the table exactly as
 // the blocks before it made them — the salvage contract of
-// ReadTraceStream — and buffer hands the two over as they are.
+// ReadTraceStream — and trace hands the two over as they are.
 type blockDecoder struct {
 	br *bufio.Reader // the stream; blocks are consumed from it in order
 
@@ -151,7 +152,7 @@ func nextBlock(br *bufio.Reader) (bool, error) {
 // commit adds the staged block to what is committed: its stacks to the
 // table first, each one a path the table already holds or a copy into
 // the arena, then its samples to the slab, each stack ID rewritten from
-// the block's table to the buffer's. A slab the samples outgrow doubles,
+// the block's table to the Trace's. A slab the samples outgrow doubles,
 // so a stream nobody could count first is copied a bounded number of
 // times. A v1 block's samples may name a stack its table does not have;
 // such a sample keeps no stack, as the writers would have given it.
@@ -196,21 +197,45 @@ func (d *blockDecoder) intern(pcs []uintptr) int32 {
 	return d.stacks.add(h, d.arena[at:len(d.arena):len(d.arena)])
 }
 
-// buffer returns what has been committed as a TraceBuffer of one chunk:
-// the slab, exactly the committed samples, and the table of distinct
-// stacks. The chunk is full, so the buffer's first append seals it and
-// goes on in a chunk of its own, and Samples hands the slab out without
-// a copy until then.
-func (d *blockDecoder) buffer() *TraceBuffer {
+// trace returns what has been committed: the slab, exactly the
+// committed samples, and the table of distinct stacks.
+func (d *blockDecoder) trace() *Trace {
 	n, nst := len(d.slab), len(d.stacks.paths)
-	c := &chunk{samples: d.slab[:n:n], stacks: d.stacks.paths[:nst:nst], wn: int32(n), wns: int32(nst), slab: true}
-	c.n.Store(c.wn)
-	c.nStacks.Store(c.wns)
-	b := &TraceBuffer{active: c, retained: n + nst}
-	b.state.Store(&bufState{chunks: []*chunk{c}})
-	b.dropped.Store(d.lost)
-	return b
+	return &Trace{samples: d.slab[:n:n], stacks: d.stacks.paths[:nst:nst], dropped: d.lost}
 }
+
+// Trace is a decoded trace, as ReadTrace and ReadTraceStream return it:
+// every sample in one slab, each distinct call path once, and how many
+// samples the writers dropped. It is never written after the reader
+// returns it, so any number of goroutines may read it.
+type Trace struct {
+	samples []Sample    // the samples' StackIDs index stacks
+	stacks  [][]uintptr // sub-slices of the decoder's arena
+	dropped uint64
+}
+
+// Samples returns the samples themselves, without a copy. They are
+// read-only; the slice's capacity is its length, so an append to it
+// copies.
+func (t *Trace) Samples() []Sample { return t.samples }
+
+// Len returns the number of samples.
+func (t *Trace) Len() int { return len(t.samples) }
+
+// Stack returns a copy of the callstack for id, or nil.
+func (t *Trace) Stack(id int32) []uintptr {
+	if id < 0 || int(id) >= len(t.stacks) {
+		return nil
+	}
+	return slices.Clone(t.stacks[id])
+}
+
+// NumStacks returns the number of distinct callstacks.
+func (t *Trace) NumStacks() int { return len(t.stacks) }
+
+// Dropped returns how many samples the writers of the trace's blocks
+// dropped at capture.
+func (t *Trace) Dropped() uint64 { return t.dropped }
 
 // u32 and u64 consume one little-endian v1 field. Past its header a
 // v1 block has no finer diagnosis than "malformed".

@@ -31,8 +31,7 @@ func FuzzReadTrace(f *testing.F) {
 	// Seeds: a valid trace with samples and stacks, an empty trace,
 	// and corrupt variants.
 	b := NewTraceBuffer(0, 0)
-	sid := b.InternStack([]uintptr{0x10, 0x20})
-	b.Append(Sample{Time: 5, Thread: 1, Event: 2, State: 3, Region: 4, Site: 9, StackID: sid})
+	b.AppendStacked(Sample{Time: 5, Thread: 1, Event: 2, State: 3, Region: 4, Site: 9}, []uintptr{0x10, 0x20})
 	var valid bytes.Buffer
 	if err := WriteTrace(&valid, b); err != nil {
 		f.Fatal(err)
@@ -177,7 +176,7 @@ func FuzzReadTrace(f *testing.F) {
 			return
 		}
 		var out bytes.Buffer
-		if err := WriteTrace(&out, got); err != nil {
+		if err := WriteTrace(&out, recorded(got)); err != nil {
 			t.Fatalf("accepted trace failed to re-serialize: %v", err)
 		}
 		again, err := ReadTrace(&out)
@@ -190,7 +189,7 @@ func FuzzReadTrace(f *testing.F) {
 		// Whatever was accepted, the run coder writes and reads back
 		// sample for sample.
 		out.Reset()
-		if err := WriteTraceEnc(&out, got, Encoding{V2: true}); err != nil {
+		if err := WriteTraceEnc(&out, recorded(got), Encoding{V2: true}); err != nil {
 			t.Fatalf("accepted trace failed to encode as PSX2: %v", err)
 		}
 		if v2, err := ReadTrace(&out); err != nil || !sameResolved(resolve(v2), resolve(got)) {

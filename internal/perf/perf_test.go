@@ -124,7 +124,8 @@ func TestTraceBufferAppendAndLimit(t *testing.T) {
 func TestTraceBufferStackInterning(t *testing.T) {
 	b := NewTraceBuffer(0, 0)
 	pcs := []uintptr{1, 2, 3}
-	id := b.InternStack(pcs)
+	b.AppendStacked(Sample{}, pcs)
+	id := b.Samples()[0].StackID
 	pcs[0] = 99 // the buffer must have copied
 	got := b.Stack(id)
 	if len(got) != 3 || got[0] != 1 {
@@ -137,8 +138,7 @@ func TestTraceBufferStackInterning(t *testing.T) {
 
 func TestTraceRoundTrip(t *testing.T) {
 	b := NewTraceBuffer(0, 0)
-	sid := b.InternStack([]uintptr{0x1000, 0x2000})
-	b.Append(Sample{Time: 5, Thread: 1, Event: 0, State: 3, Region: 7, StackID: sid})
+	b.AppendStacked(Sample{Time: 5, Thread: 1, Event: 0, State: 3, Region: 7}, []uintptr{0x1000, 0x2000})
 	b.Append(Sample{Time: 9, Thread: 2, Event: 1, State: -1, Region: 7, StackID: NoStack})
 	b.dropped.Store(4)
 
@@ -168,28 +168,33 @@ func TestTraceRoundTripProperty(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		b := NewTraceBuffer(0, 0)
-		stacks := int(n % 8)
-		for i := 0; i < stacks; i++ {
+		stacks := make([][]uintptr, n%8)
+		for i := range stacks {
 			depth := rng.Intn(20)
-			pcs := make([]uintptr, depth)
-			for j := range pcs {
-				pcs[j] = uintptr(rng.Uint64())
+			stacks[i] = make([]uintptr, depth)
+			for j := range stacks[i] {
+				stacks[i][j] = uintptr(rng.Uint64())
 			}
-			b.InternStack(pcs)
 		}
 		for i := 0; i < int(n); i++ {
-			sid := NoStack
-			if stacks > 0 && rng.Intn(2) == 0 {
-				sid = int32(rng.Intn(stacks))
-			}
-			b.Append(Sample{
+			s := Sample{
 				Time:    rng.Int63(),
 				Thread:  int32(rng.Intn(64)),
 				Event:   int32(rng.Intn(30)) - 1,
 				State:   int32(rng.Intn(12)) - 1,
 				Region:  rng.Uint64(),
-				StackID: sid,
-			})
+				StackID: NoStack,
+			}
+			if len(stacks) > 0 && rng.Intn(2) == 0 {
+				// Stored once per chunk, so samples drawing the same
+				// stack share its ID in the written block.
+				b.appendPath(s, stacks[rng.Intn(len(stacks))])
+			} else {
+				b.Append(s)
+			}
+		}
+		if b.NumStacks() > len(stacks) {
+			return false
 		}
 		var buf bytes.Buffer
 		if err := WriteTrace(&buf, b); err != nil {

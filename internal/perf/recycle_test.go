@@ -37,7 +37,7 @@ func nest(depth int, f func()) {
 // evStacked stack equal to {Time}, and an evPath stack exactly as much
 // longer than the shortest path as its sample says (an arena seen while
 // it is refilled holds another path's PCs, or zeros).
-func checkSnapshot(tb *TraceBuffer, pathBase *int) error {
+func checkSnapshot(tb *Trace, pathBase *int) error {
 	last := int64(-1)
 	for _, s := range tb.Samples() {
 		if s.Time <= last {

@@ -7,12 +7,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"slices"
 	"testing"
 )
 
 // paths is the set of call paths a buffer's stack table holds.
-func paths(b *TraceBuffer) map[string]bool {
+func paths(b traceView) map[string]bool {
 	out := make(map[string]bool)
 	for id := 0; id < b.NumStacks(); id++ {
 		out[fmt.Sprint(b.Stack(int32(id)))] = true
@@ -71,7 +70,7 @@ func TestReadTraceStreamForgedCountAllocatesLittle(t *testing.T) {
 				{"unsized", func() io.Reader { return struct{ io.Reader }{bytes.NewReader(stream)} }},
 			} {
 				name := fmt.Sprintf("%s/%d bytes/%s", f.name, len(stream), src.name)
-				var buf *TraceBuffer
+				var buf *Trace
 				var err error
 				r := src.r()
 				got := allocatedBytes(func() { buf, err = ReadTraceStream(r) })
@@ -114,10 +113,8 @@ func TestV4ZeroBlockSlabSizedOnce(t *testing.T) {
 	}
 }
 
-// TestSamplesHandsOverTheSlab: a decoded buffer's Samples is its slab,
-// with no copy and no room to append into; writing to the buffer after
-// that goes to a chunk of its own, and the slice handed out never
-// changes.
+// TestSamplesHandsOverTheSlab: a decoded Trace's Samples is its slab,
+// with no copy and no room to append into.
 func TestSamplesHandsOverTheSlab(t *testing.T) {
 	buf, err := ReadTraceStream(bytes.NewReader(allocStream(t, 3)))
 	if err != nil {
@@ -134,45 +131,6 @@ func TestSamplesHandsOverTheSlab(t *testing.T) {
 	}
 	if again := buf.Samples(); &again[0] != &out[0] {
 		t.Fatal("Samples of a decoded buffer copied it")
-	}
-	before := slices.Clone(out)
-	stacks := buf.NumStacks()
-
-	added := []Sample{
-		{Time: 1, Thread: 9, Event: 1, StackID: NoStack},
-		{Time: 2, Thread: 9, Event: 2},
-		{Time: 3, Thread: 9, Event: 3},
-	}
-	buf.Append(added[0])
-	buf.AppendStacked(added[1], []uintptr{0x7000, 0x7008})
-	id := buf.InternStack([]uintptr{0x7010})
-	added[2].StackID = id
-	buf.Append(added[2])
-
-	if !slices.Equal(out, before) {
-		t.Fatal("writing to the buffer changed the slice Samples handed out")
-	}
-	after := buf.Samples()
-	if buf.Len() != len(before)+3 || len(after) != len(before)+3 || !slices.Equal(after[:len(before)], before) {
-		t.Fatalf("after three writes: Len %d, Samples %d; want %d of which the first %d unchanged",
-			buf.Len(), len(after), len(before)+3, len(before))
-	}
-	if &after[0] == &out[0] {
-		t.Fatal("Samples of a buffer written since decoding is not a copy")
-	}
-	if buf.NumStacks() != stacks+2 {
-		t.Fatalf("%d stacks, want %d", buf.NumStacks(), stacks+2)
-	}
-	tail := after[len(before):]
-	for i, want := range [][]uintptr{nil, {0x7000, 0x7008}, {0x7010}} {
-		if got := buf.Stack(tail[i].StackID); !slices.Equal(got, want) {
-			t.Fatalf("written sample %d resolves to %#x, want %#x", i, got, want)
-		}
-		s, w := tail[i], added[i]
-		s.StackID, w.StackID = 0, 0
-		if s != w {
-			t.Fatalf("written sample %d = %+v, want %+v", i, s, w)
-		}
 	}
 }
 

@@ -61,8 +61,8 @@ const cacheLinePad = 64
 // buffer's consumer has encoded one and Release has shown that no
 // reader can still hold it; then it is reset and filled again.
 type chunk struct {
-	samples []Sample    // len == ChunkSamples, allocated at creation; a slab's: what it holds
-	stacks  [][]uintptr // len == ChunkSamples, allocated with a reserve chunk or on first stack; a slab's: what it holds
+	samples []Sample    // len == ChunkSamples, allocated at creation
+	stacks  [][]uintptr // len == ChunkSamples, allocated with a reserve chunk or on first stack
 
 	// stackBase is the global stack ID of stacks[0]. The writer sets it
 	// when it activates the chunk, before publishing any stack, so
@@ -71,12 +71,6 @@ type chunk struct {
 	stackBase int32
 
 	wn, wns int32 // writer-private cursors; nobody else reads these
-
-	// slab marks the one chunk the trace reader builds a buffer of
-	// (see blockDecoder.buffer): full from the start, so never written,
-	// and the slice Samples hands out while it is the buffer's only
-	// chunk.
-	slab bool
 
 	// Keep the published counters off the writer's cursor line: the
 	// owning thread stores wn/wns every append while snapshot readers
@@ -124,10 +118,9 @@ func newRelayChunk() *chunk {
 }
 
 // full reports whether the chunk can take no further sample or no
-// further stack. Samples are counted against the chunk's own length:
-// the reader's slab is as long as what it decoded, and always full.
+// further stack.
 func (c *chunk) full() bool {
-	return int(c.wn) == len(c.samples) || c.wns == ChunkSamples
+	return c.wn == ChunkSamples || c.wns == ChunkSamples
 }
 
 // stackTable returns the chunk's stack table, made on the first stack.
@@ -141,7 +134,7 @@ func (c *chunk) stackTable() [][]uintptr {
 // pathTable is how AppendCallstack stores a call path once per chunk:
 // its stacks are sub-slices of the arena pcs, and sums[i], the top half
 // of hashPCs of stacks[i], goes in front of the comparison (an
-// AppendStacked or InternStack entry has none and is never matched).
+// AppendStacked entry has none and is never matched).
 type pathTable struct {
 	pcs  []uintptr
 	sums [ChunkSamples]uint32
@@ -160,7 +153,7 @@ func hashPCs(pcs []uintptr) uint64 {
 // pathSet holds call paths, each once, in the order they were added,
 // and finds one by hashPCs; a hash another path has taken is stepped.
 // The block encoder's dictionary is one, and so is the table the trace
-// reader keeps a buffer's stacks in.
+// reader keeps a Trace's stacks in.
 type pathSet struct {
 	paths [][]uintptr
 	ids   map[uint64]int32 // hashPCs, stepped past collisions → index in paths
@@ -285,7 +278,7 @@ func (s *SealedChunk) Release() {
 // TraceBuffer stores samples and interned callstacks for one thread.
 //
 // Buffers are strictly single-writer: only the owning thread may call
-// Append, AppendStacked, AppendCallstack or InternStack. The hot path
+// Append, AppendStacked or AppendCallstack. The hot path
 // is wait-free — a limit check, a cursor bump, and one release-store;
 // no lock and no allocation until a chunk fills. Readers (Samples,
 // Stack, Len, WriteTrace, the streamer) take a consistent snapshot
@@ -374,7 +367,7 @@ func (b *TraceBuffer) Append(s Sample) {
 		return
 	}
 	c := b.active
-	if int(c.wn) == len(c.samples) {
+	if c.wn == ChunkSamples {
 		c = b.seal()
 	}
 	c.samples[c.wn] = s
@@ -480,32 +473,6 @@ func (b *TraceBuffer) publishStacked(c *chunk, s Sample, st []uintptr) {
 	b.retained += 2
 }
 
-// InternStack stores a callstack and returns its (global) stack ID for
-// use in subsequent samples; the buffer copies pcs. A chunk with no room
-// for a sample is sealed first, so the stack lands in the chunk the
-// next sample does. At the retention
-// limit it records nothing and returns NoStack. Owning thread only.
-// Callers that pair a stack with one sample should prefer
-// AppendStacked, which keeps the pair in one chunk and cannot leak the
-// stack when the sample is dropped.
-func (b *TraceBuffer) InternStack(pcs []uintptr) int32 {
-	if b.limit > 0 && b.retained >= b.limit {
-		return NoStack
-	}
-	c := b.active
-	if c.full() {
-		c = b.seal()
-	}
-	cp := make([]uintptr, len(pcs))
-	copy(cp, pcs)
-	c.stackTable()[c.wns] = cp
-	id := c.stackBase + c.wns
-	c.wns++
-	c.nStacks.Store(c.wns)
-	b.retained++
-	return id
-}
-
 // seal retires the active chunk and returns a fresh active chunk. With
 // a relay configured that one comes off the reserve and the full chunk
 // is handed to the consumer (or dropped, with accounting, if the
@@ -602,18 +569,9 @@ func snapshot(st *bufState) ([]chunkView, int32) {
 
 // Samples returns a snapshot copy of the recorded samples; it is safe
 // to call while the owning thread is still appending.
-//
-// A buffer ReadTrace or ReadTraceStream returned is the exception, for
-// as long as nothing has been appended to it: its samples are one slab
-// the buffer never writes again, and Samples returns that slab itself,
-// without a copy. The result is then read-only; its capacity is its
-// length, so an append to it copies.
 func (b *TraceBuffer) Samples() []Sample {
 	st := b.enter()
 	defer b.exit()
-	if c := st.chunks[0]; len(st.chunks) == 1 && c.slab {
-		return c.samples[:len(c.samples):len(c.samples)]
-	}
 	total := 0
 	ns := make([]int32, len(st.chunks))
 	for i, c := range st.chunks {
@@ -706,10 +664,11 @@ func (b *TraceBuffer) Retire() {
 	b.relay = nil
 }
 
-// retired is the chunk list of every retired buffer: one chunk with no
-// room, so never written (a write seals it first, into a chunk of the
-// buffer's own), and a list with no room, so never extended in place.
-var retired = bufState{chunks: []*chunk{{}}}
+// retired is the chunk list of every retired buffer: one chunk whose
+// cursor says full, so never written (a write seals it first, into a
+// chunk of the buffer's own), and a list with no room, so never
+// extended in place.
+var retired = bufState{chunks: []*chunk{{wn: ChunkSamples}}}
 
 func (b *TraceBuffer) reset(nchunks int) {
 	chunks := make([]*chunk, nchunks)
@@ -849,10 +808,10 @@ func writeBlock(w io.Writer, views []chunkView, base0 int32, dropped uint64) err
 // format (fixed-width v1 "PSXT" or compact v2 "PSX2") from its magic.
 // A caller reading block after block passes a *bufio.Reader (of the
 // default size or more), which is then read directly and left at the
-// next block. The buffer is made as ReadTraceStream makes its own: one
+// next block. The Trace is made as ReadTraceStream makes its own: one
 // slab of samples, each distinct stack once. A stream with no byte left
 // is io.EOF; a block torn anywhere, its header included, is ErrBadTrace.
-func ReadTrace(r io.Reader) (*TraceBuffer, error) {
+func ReadTrace(r io.Reader) (*Trace, error) {
 	d := newBlockDecoder(bufio.NewReader(r), 0)
 	if more, err := nextBlock(d.br); !more {
 		if err == nil {
@@ -863,5 +822,5 @@ func ReadTrace(r io.Reader) (*TraceBuffer, error) {
 	if err := d.readBlock(); err != nil {
 		return nil, err
 	}
-	return d.buffer(), nil
+	return d.trace(), nil
 }

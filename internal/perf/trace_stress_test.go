@@ -220,24 +220,30 @@ func TestAppendStackedAtLimitDoesNotLeakStacks(t *testing.T) {
 	if got := b.Dropped(); got != 98 {
 		t.Errorf("dropped = %d, want 98", got)
 	}
-	// InternStack at the limit records nothing.
-	if id := b.InternStack([]uintptr{9}); id != NoStack {
-		t.Errorf("InternStack at limit = %d, want NoStack", id)
-	}
-	if got := b.NumStacks(); got != 2 {
-		t.Errorf("stacks after limited intern = %d, want 2", got)
-	}
 }
 
 // TestStackReturnsCopy is the regression test for Stack leaking its
 // internal slice: mutating the returned slice must not corrupt the
-// interned stack.
+// interned stack, in a recording buffer or in a decoded Trace.
 func TestStackReturnsCopy(t *testing.T) {
 	b := NewTraceBuffer(0, 0)
-	id := b.InternStack([]uintptr{10, 20, 30})
+	b.AppendStacked(Sample{}, []uintptr{10, 20, 30})
+	id := b.Samples()[0].StackID
 	got := b.Stack(id)
 	got[0] = 99
 	if again := b.Stack(id); again[0] != 10 {
 		t.Errorf("interned stack corrupted through Stack's return value: %v", again)
+	}
+	var out bytes.Buffer
+	if err := WriteTraceEnc(&out, b, Encoding{V2: true}); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := ReadTrace(&out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Stack(0)[0] = 99
+	if again := tr.Stack(0); again[0] != 10 {
+		t.Errorf("decoded stack corrupted through Stack's return value: %v", again)
 	}
 }

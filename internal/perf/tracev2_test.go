@@ -26,7 +26,16 @@ type resolvedSample struct {
 	stack []uintptr
 }
 
-func resolve(b *TraceBuffer) []resolvedSample {
+// traceView is what the checks read of a recording buffer and of a
+// decoded Trace alike.
+type traceView interface {
+	Len() int
+	Samples() []Sample
+	Stack(id int32) []uintptr
+	NumStacks() int
+}
+
+func resolve(b traceView) []resolvedSample {
 	out := make([]resolvedSample, 0, b.Len())
 	for _, s := range b.Samples() {
 		rs := resolvedSample{s: s, stack: b.Stack(s.StackID)}
@@ -34,6 +43,22 @@ func resolve(b *TraceBuffer) []resolvedSample {
 		out = append(out, rs)
 	}
 	return out
+}
+
+// recorded records tr into a recording buffer, for the APIs that take
+// what a thread records: each sample in order, each of its paths stored
+// once per chunk, and tr's drop count.
+func recorded(tr *Trace) *TraceBuffer {
+	b := NewTraceBuffer(tr.Len(), 0)
+	for _, s := range tr.Samples() {
+		if s.StackID == NoStack {
+			b.Append(s)
+		} else {
+			b.appendPath(s, tr.stacks[s.StackID])
+		}
+	}
+	b.dropped.Store(tr.Dropped())
+	return b
 }
 
 func sameResolved(a, b []resolvedSample) bool {
@@ -56,7 +81,7 @@ func sameResolved(a, b []resolvedSample) bool {
 	return true
 }
 
-func roundTripV2(t *testing.T, b *TraceBuffer, enc Encoding) *TraceBuffer {
+func roundTripV2(t *testing.T, b *TraceBuffer, enc Encoding) *Trace {
 	t.Helper()
 	var out bytes.Buffer
 	if err := WriteTraceEnc(&out, b, enc); err != nil {
@@ -71,11 +96,10 @@ func roundTripV2(t *testing.T, b *TraceBuffer, enc Encoding) *TraceBuffer {
 
 func TestV2RoundTripBasic(t *testing.T) {
 	b := NewTraceBuffer(0, 0)
-	sid := b.InternStack([]uintptr{0x400010, 0x400120, 0x7f000000})
-	b.Append(Sample{Time: 100, Thread: 0, Event: 2, State: 3, Region: 7, Site: 0x400010, StackID: sid})
+	b.AppendStacked(Sample{Time: 100, Thread: 0, Event: 2, State: 3, Region: 7, Site: 0x400010}, []uintptr{0x400010, 0x400120, 0x7f000000})
 	b.Append(Sample{Time: 90, Thread: 1, Event: -1, State: -1, Region: 7, Site: 0x400010, StackID: NoStack})
-	sid2 := b.InternStack([]uintptr{0x400010, 0x400120, 0x7f000000}) // duplicate: dictionary collapses it
-	b.Append(Sample{Time: 5000, Thread: 1, Event: 0, State: 1, Region: 8, Site: 0x400300, StackID: sid2})
+	b.AppendStacked(Sample{Time: 5000, Thread: 1, Event: 0, State: 1, Region: 8, Site: 0x400300},
+		[]uintptr{0x400010, 0x400120, 0x7f000000}) // duplicate: dictionary collapses it
 	b.dropped.Store(17)
 
 	for _, enc := range []Encoding{{V2: true}, {V2: true, Flate: true}} {

@@ -47,9 +47,10 @@ func TestV1FixtureStillReads(t *testing.T) {
 		}
 		for _, s := range b.Samples() {
 			if s.StackID != NoStack {
-				s.StackID = want.InternStack(b.Stack(s.StackID))
+				want.AppendStacked(s, b.Stack(s.StackID))
+			} else {
+				want.Append(s)
 			}
-			want.Append(s)
 		}
 	}
 	if !bytes.Equal(rewritten.Bytes(), fixture) {
@@ -152,9 +153,10 @@ func checkPSX2Fixture(t *testing.T, name string, ver uint32) {
 	for _, b := range psx2Version1FixtureBlocks() {
 		for _, s := range b.Samples() {
 			if s.StackID != NoStack {
-				s.StackID = want.InternStack(b.Stack(s.StackID))
+				want.AppendStacked(s, b.Stack(s.StackID))
+			} else {
+				want.Append(s)
 			}
-			want.Append(s)
 		}
 		wantDropped += b.Dropped()
 	}

@@ -91,7 +91,7 @@ func (o *pathOracle) wrap(next collector.Callback) collector.Callback {
 // check holds every join the tool stored against the reference taken
 // at it: each join the oracle saw is stored once, with a stack that
 // starts at the region's site and whose user model is the reference's.
-func (o *pathOracle) check(t *testing.T, bufs []*perf.TraceBuffer) {
+func (o *pathOracle) check(t *testing.T, bufs []*perf.Trace) {
 	t.Helper()
 	joins, disagree := 0, 0
 	for _, b := range bufs {
@@ -117,7 +117,7 @@ func (o *pathOracle) check(t *testing.T, bufs []*perf.TraceBuffer) {
 // underOracle runs program under a full-measurement tool attached to
 // its runtime before it starts, with the oracle in front of the tool,
 // and returns the traces the tool kept and the oracle.
-func underOracle(t *testing.T, cfg omp.Config, program func(rt *omp.RT)) ([]*perf.TraceBuffer, *pathOracle) {
+func underOracle(t *testing.T, cfg omp.Config, program func(rt *omp.RT)) ([]*perf.Trace, *pathOracle) {
 	t.Helper()
 	return oracleRun(t, cfg, func(rt *omp.RT, opts tool.Options) *tool.Tool {
 		tl, err := tool.AttachRuntime(rt, opts)
@@ -132,7 +132,7 @@ func underOracle(t *testing.T, cfg omp.Config, program func(rt *omp.RT)) ([]*per
 // oracleRun is underOracle for a run that attaches the tool itself:
 // run attaches it with opts, which put the oracle in front of it,
 // wherever its program needs, and returns it when the program is done.
-func oracleRun(t *testing.T, cfg omp.Config, run func(rt *omp.RT, opts tool.Options) *tool.Tool) ([]*perf.TraceBuffer, *pathOracle) {
+func oracleRun(t *testing.T, cfg omp.Config, run func(rt *omp.RT, opts tool.Options) *tool.Tool) ([]*perf.Trace, *pathOracle) {
 	t.Helper()
 	rt := omp.New(cfg)
 	defer rt.Close()
@@ -148,7 +148,7 @@ func oracleRun(t *testing.T, cfg omp.Config, run func(rt *omp.RT, opts tool.Opti
 
 // memoryTraces reads a memory-only tool's traces back the way a report
 // reads a run directory's.
-func memoryTraces(t *testing.T, tl *tool.Tool) []*perf.TraceBuffer {
+func memoryTraces(t *testing.T, tl *tool.Tool) []*perf.Trace {
 	t.Helper()
 	streams := map[int32]*bytes.Buffer{}
 	var order []int32
@@ -160,7 +160,7 @@ func memoryTraces(t *testing.T, tl *tool.Tool) []*perf.TraceBuffer {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out []*perf.TraceBuffer
+	var out []*perf.Trace
 	for _, id := range order {
 		buf, err := perf.ReadTraceStream(streams[id])
 		if err != nil {
@@ -171,10 +171,24 @@ func memoryTraces(t *testing.T, tl *tool.Tool) []*perf.TraceBuffer {
 	return out
 }
 
+// recordingBuffer records tr's samples, each with its stack, into a
+// buffer of its own, for the APIs that take what a tool records.
+func recordingBuffer(tr *perf.Trace) *perf.TraceBuffer {
+	b := perf.NewTraceBuffer(tr.Len(), 0)
+	for _, s := range tr.Samples() {
+		if s.StackID == perf.NoStack {
+			b.Append(s)
+		} else {
+			b.AppendStacked(s, tr.Stack(s.StackID))
+		}
+	}
+	return b
+}
+
 // userModelTable is the stack-derived table of a profile: every
 // distinct user-model call path a join was recorded against, with the
 // number of joins that took it.
-func userModelTable(bufs []*perf.TraceBuffer) string {
+func userModelTable(bufs []*perf.Trace) string {
 	strip := perf.NewStripper("goomp_test.(*pathOracle).")
 	counts := map[string]int{}
 	for _, b := range bufs {
@@ -447,7 +461,7 @@ func TestUserModelTablesIdenticalEitherRoute(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var bufs []*perf.TraceBuffer
+		var bufs []*perf.Trace
 		for _, path := range files {
 			f, err := os.Open(path)
 			if err != nil {
@@ -464,7 +478,7 @@ func TestUserModelTablesIdenticalEitherRoute(t *testing.T) {
 		var leaves strings.Builder
 		strip := perf.NewStripper()
 		for _, b := range bufs {
-			for _, sp := range perf.SiteProfiles(b, strip) {
+			for _, sp := range perf.SiteProfiles(recordingBuffer(b), strip) {
 				fmt.Fprintf(&leaves, "join site %s:%d (%s) ×%d\n", sp.Leaf.File, sp.Leaf.Line, sp.Leaf.Func, sp.Count)
 			}
 		}
