@@ -89,7 +89,7 @@ check:
 	$(GO) test -race -cpu 1,2,4 -count=50 -run 'TestEveryJoinStoredWhileAttachingAndDetaching$$' ./internal/tool
 	$(GO) test -count=1 ./internal/faultinject -run 'EveryWritePathWritesPSX2'
 	$(GO) test -count=1 ./internal/perf . -run 'V1Fixture|PSX2Version5Fixture|FixturesMatchWindow|SkimRefusesWhatReadersRefuse|V5RoundTrip|V6RoundTrip|V5Refusals|V2CrossRead|MixedStream|V2TornTail|ForgedCount|CountMismatch|AsSkimmed|FixtureReportGolden'
-	$(GO) test -count=1 ./internal/omp ./internal/perf ./internal/analysis ./internal/tool ./internal/ingest -run 'Alloc'
+	$(GO) test -count=1 ./internal/omp ./internal/perf ./internal/analysis ./internal/tool ./internal/ingest ./cmd/ompreport -run 'Alloc'
 
 # chaos runs the deterministic fault-injection suite — panicking and
 # hung callbacks, failing/torn trace writes, forced chunk drops —
@@ -146,11 +146,11 @@ chaos-load:
 	$(GO) test -race -count=1 -timeout 120s ./internal/ingest -run 'Overload|Heartbeat'
 
 # fuzz-read fuzzes the trace readers for half a minute past the seed
-# corpus: ReadTrace's round trips, ReadTraceStream's slab and
-# one-table-per-buffer commit against the blocks read one at a time, and
-# the skim against the decoder: a stream read after its skim and one
-# read without it agree, and CountStreamSamples counts whatever the
-# reader reads. -fuzzminimizetime 0 turns off input minimisation, which
+# corpus: ReadTraceStream's slab and one-table-per-trace commit against
+# a TraceReader's blocks, sample for sample and error for error, the
+# round trips of whatever it reads whole, and the skim against the
+# decoder: a stream read after its skim and one read without it agree,
+# and CountStreamSamples counts whatever the reader reads. -fuzzminimizetime 0 turns off input minimisation, which
 # stalled the run at 0 execs/s for much of its budget; a crashing input
 # is still saved, only unminimised.
 fuzz-read:

@@ -46,8 +46,7 @@ func main() {
 	flag.Parse()
 	if *follow != "" {
 		if err := followPlane(*follow, *interval, *polls); err != nil {
-			fmt.Fprintln(os.Stderr, "ompreport:", err)
-			os.Exit(1)
+			fail(err)
 		}
 		return
 	}
@@ -59,15 +58,11 @@ func main() {
 	for _, arg := range flag.Args() {
 		expanded, err := perf.FindTraceFiles(arg)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "ompreport:", err)
-			os.Exit(1)
+			fail(err)
 		}
 		paths = append(paths, expanded...)
 	}
-	var traces []*perf.Trace
-	var dropped uint64
 	var hangReports []string
-	truncated := 0
 	seenDirs := map[string]bool{}
 	salvagedDirs := map[string]bool{}
 	quarantinedDirs := map[string]bool{}
@@ -94,35 +89,18 @@ func main() {
 				hangReports = append(hangReports, hang)
 			}
 		}
-		f, err := os.Open(path)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ompreport:", err)
-			os.Exit(1)
-		}
-		// Streamed traces are chunk-block sequences; a torn file still
-		// yields its gap-free prefix, which is worth analyzing.
-		tr, err := perf.ReadTraceStream(f)
-		f.Close()
-		if err != nil {
-			if !errors.Is(err, perf.ErrBadTrace) {
-				fmt.Fprintf(os.Stderr, "ompreport: %s: %v\n", path, err)
-				os.Exit(1)
-			}
-			truncated++
-			fmt.Fprintf(os.Stderr, "ompreport: warning: %s: %v; using the intact prefix (%d samples)\n",
-				path, err, tr.Len())
-		}
 		if *dump {
+			f := open(path)
+			tr, err := perf.ReadTraceStream(f)
+			f.Close()
+			salvaged(path, err, tr.Len())
 			dumpSamples(path, tr, fresh && quarantinedDirs[dir], fresh && salvagedDirs[dir], hang)
-			continue
 		}
-		dropped += tr.Dropped()
-		traces = append(traces, tr)
 	}
 	if *dump {
 		return
 	}
-	samples := concat(traces)
+	samples, dropped, truncated := readSamples(paths)
 	fmt.Printf("%d samples from %d trace files", len(samples), len(paths))
 	if dropped > 0 {
 		fmt.Printf(" (%d samples dropped at capture)", dropped)
@@ -231,22 +209,63 @@ func printHangReport(rep string) {
 	}
 }
 
-// concat returns the samples of every trace, in order. A single
-// trace's are its own, handed over without a copy; several are copied
-// once, into a slice of their summed length.
-func concat(traces []*perf.Trace) []perf.Sample {
-	if len(traces) == 1 {
-		return traces[0].Samples()
-	}
+// readSamples reads the samples of every file, in order, into one
+// slice, and sums the drops their writers counted. Each file is read
+// block by block, its samples copied once, into a slice made by the
+// files' summed skim counts, which their bytes bound whatever their
+// headers declare. Streamed traces are chunk-block sequences; a torn
+// file still yields its gap-free prefix, which is worth analyzing, and
+// counts as truncated. A file that cannot be opened or read ends the
+// program.
+func readSamples(paths []string) (samples []perf.Sample, dropped uint64, truncated int) {
+	readers := make([]*perf.TraceReader, len(paths))
 	n := 0
-	for _, tr := range traces {
-		n += tr.Len()
+	for i, path := range paths {
+		f := open(path)
+		defer f.Close()
+		readers[i] = perf.NewTraceReader(f)
+		n += readers[i].Bound()
 	}
-	out := make([]perf.Sample, 0, n)
-	for _, tr := range traces {
-		out = append(out, tr.Samples()...)
+	samples = make([]perf.Sample, 0, n)
+	for i, r := range readers {
+		at := len(samples)
+		for r.Next() {
+			samples = append(samples, r.Samples()...)
+			dropped += r.Dropped()
+		}
+		if salvaged(paths[i], r.Err(), len(samples)-at) {
+			truncated++
+		}
 	}
-	return out
+	return samples, dropped, truncated
+}
+
+// salvaged reports whether the read of the file at path stopped at a
+// malformed block, warning that the intact prefix, its first n samples,
+// is used. Any other error ends the program.
+func salvaged(path string, err error, n int) bool {
+	if err != nil && !errors.Is(err, perf.ErrBadTrace) {
+		fail(fmt.Errorf("%s: %w", path, err))
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "ompreport: warning: %s: %v; using the intact prefix (%d samples)\n", path, err, n)
+	}
+	return err != nil
+}
+
+// open opens the file at path, or ends the program.
+func open(path string) *os.File {
+	f, err := os.Open(path)
+	if err != nil {
+		fail(err)
+	}
+	return f
+}
+
+// fail ends the program over err.
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "ompreport:", err)
+	os.Exit(1)
 }
 
 // printDegradationSummary renders the degradation & loss summary: what

@@ -229,7 +229,7 @@ func TestEndToEndWithRealTool(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, b := range bufs {
-		tb, err := perf.ReadTrace(bytes.NewReader(b.Bytes()))
+		tb, err := perf.ReadTraceStream(bytes.NewReader(b.Bytes()))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -38,7 +38,10 @@ func requireV2Files(t *testing.T, dir string) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The reader reads from br itself (bufio.NewReader returns a
+		// reader of its size as it is), so br's head is the next block's.
 		br := bufio.NewReader(f)
+		r := perf.NewTraceReader(br)
 		blocks := 0
 		for {
 			head, _ := br.Peek(4)
@@ -49,8 +52,8 @@ func requireV2Files(t *testing.T, dir string) {
 				t.Errorf("%s: block %d starts %q, not a PSX2 block", path, blocks, head)
 				break
 			}
-			if _, err := perf.ReadTrace(br); err != nil {
-				t.Errorf("%s: block %d: %v", path, blocks, err)
+			if !r.Next() {
+				t.Errorf("%s: block %d: %v", path, blocks, r.Err())
 				break
 			}
 			blocks++

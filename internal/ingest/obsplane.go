@@ -129,10 +129,12 @@ func (s *Server) handleRuns(w http.ResponseWriter, _ *http.Request) {
 // merged over every run's ingested traces (or one run with ?run=ID).
 // Each per-thread file is paired fork→join on its own — one file is
 // one descriptor's time-ordered stream — and the per-site aggregates
-// are merged across files and runs.
+// are merged across files and runs. A file's samples are read block by
+// block into one slice, which every file of the request reuses.
 func (s *Server) handleProfile(w http.ResponseWriter, req *http.Request) {
 	want := req.URL.Query().Get("run")
 	bySite := make(perf.RegionSiteSet)
+	var samples []perf.Sample
 	resp := struct {
 		Runs    int              `json:"runs"`
 		Files   int              `json:"files"`
@@ -152,9 +154,11 @@ func (s *Server) handleProfile(w http.ResponseWriter, req *http.Request) {
 			}
 			// The salvage contract covers a concurrently appended tail:
 			// a partial final block yields the gap-free prefix.
-			tr, _ := perf.ReadTraceStream(f)
+			samples = samples[:0]
+			for r := perf.NewTraceReader(f); r.Next(); {
+				samples = append(samples, r.Samples()...)
+			}
 			f.Close()
-			samples := tr.Samples()
 			resp.Files++
 			resp.Samples += len(samples)
 			bySite.Merge(perf.RegionProfileBySite(samples,

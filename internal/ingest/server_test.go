@@ -10,11 +10,14 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"goomp/internal/collector"
+	"goomp/internal/obs"
 	"goomp/internal/perf"
 )
 
@@ -423,5 +426,70 @@ func TestServerObsPlaneMergesRuns(t *testing.T) {
 	}
 	if prof.Runs != 1 || prof.Samples != 4 {
 		t.Fatalf("/profile?run=alpha = %+v, want 1 run, 4 samples", prof)
+	}
+
+	// A run of two thread files of three blocks each, whose regions of
+	// five samples straddle the blocks: the fork of one falls in a block
+	// and its join in the next. /profile reads each file block by block
+	// into a slice the next file reuses, and must pair it as the file
+	// read whole does.
+	tc, _ := dialClient(t, srv.Addr(), "gamma")
+	seq := uint64(0)
+	for th := int32(0); th < 2; th++ {
+		for blk := 0; blk < 3; blk++ {
+			buf := perf.NewTraceBuffer(8, 0)
+			for i := blk * 8; i < blk*8+8; i++ {
+				ev := collector.EventThrBeginIBar
+				switch i % 5 {
+				case 0:
+					ev = collector.EventFork
+				case 4:
+					ev = collector.EventJoin
+				}
+				buf.Append(perf.Sample{Time: int64(i*100 + i*i*int(th+1)), Thread: th, Event: int32(ev), State: -1,
+					Region: uint64(i/5 + 1), Site: uint64(0x401000 + i/5%2*64), StackID: perf.NoStack})
+			}
+			var out bytes.Buffer
+			if err := perf.WriteTraceEnc(&out, buf, perf.Encoding{V2: true}); err != nil {
+				t.Fatal(err)
+			}
+			seq++
+			if ack := tc.send(MsgChunk, EncodeChunk(Chunk{Seq: seq, Thread: th, Samples: 8, Block: out.Bytes()})); ack.Code != CodeOK {
+				t.Fatalf("gamma chunk %d ack = %+v", seq, ack)
+			}
+		}
+	}
+	tc.close()
+	waitFor(t, "gamma landing", func() bool {
+		runs := srv.Runs()
+		return len(runs) == 3 && runs[2].Chunks == 6
+	})
+	files, _ := filepath.Glob(filepath.Join(srv.Runs()[2].Dir, "*.psxt"))
+	want := make(perf.RegionSiteSet)
+	for _, path := range files {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := perf.ReadTraceStream(f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Merge(perf.RegionProfileBySite(tr.Samples(), int32(collector.EventFork), int32(collector.EventJoin)))
+	}
+	var wantSites []obs.RegionSite
+	for _, st := range want.Sorted() {
+		wantSites = append(wantSites, obs.NewRegionSite(st.Site, st.Calls, st.TotalTime, st.MinTime, st.MaxTime))
+	}
+	var gamma struct {
+		Files, Samples int
+		Sites          []obs.RegionSite
+	}
+	if err := json.Unmarshal(get("/profile?run=gamma"), &gamma); err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != 2 || gamma.Files != 2 || gamma.Samples != 48 || len(wantSites) != 2 || !reflect.DeepEqual(gamma.Sites, wantSites) {
+		t.Fatalf("/profile?run=gamma = %+v over %d files; want 2 files, 48 samples and sites %+v", gamma, len(files), wantSites)
 	}
 }

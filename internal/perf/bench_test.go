@@ -1,7 +1,6 @@
 package perf
 
 import (
-	"bufio"
 	"bytes"
 	"math/rand"
 	"runtime"
@@ -100,21 +99,13 @@ func BenchmarkReadTraceStream(b *testing.B) {
 // reports the cost and the size per sample written.
 func BenchmarkWriteTraceEnc(b *testing.B) {
 	stream, n := reportStream(b, 20000)
-	br := bufio.NewReader(bytes.NewReader(stream))
 	var chunks []*TraceBuffer
 	read := 0
-	for {
-		if more, err := nextBlock(br); err != nil {
-			b.Fatal(err)
-		} else if !more {
-			break
-		}
-		buf, err := ReadTrace(br)
-		if err != nil {
-			b.Fatal(err)
-		}
-		chunks = append(chunks, recorded(buf))
-		read += buf.Len()
+	for r := NewTraceReader(bytes.NewReader(stream)); r.Next(); {
+		var one traceBuilder
+		one.commit(r)
+		chunks = append(chunks, recorded(one.trace()))
+		read += len(r.Samples())
 	}
 	if read != n {
 		b.Fatalf("read %d of %d samples back", read, n)

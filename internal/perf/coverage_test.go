@@ -60,7 +60,7 @@ func TestReadTraceVersionMismatch(t *testing.T) {
 	}
 	data := buf.Bytes()
 	binary.LittleEndian.PutUint32(data[4:], 99) // corrupt version
-	if _, err := ReadTrace(bytes.NewReader(data)); err == nil {
+	if _, err := ReadTraceStream(bytes.NewReader(data)); err == nil {
 		t.Error("version 99 accepted")
 	}
 }
@@ -73,7 +73,7 @@ func TestReadTraceAbsurdCounts(t *testing.T) {
 	buf.Write(w[:4])
 	binary.LittleEndian.PutUint64(w[:], 1<<40) // absurd sample count
 	buf.Write(w[:])
-	if _, err := ReadTrace(&buf); err == nil {
+	if _, err := ReadTraceStream(&buf); err == nil {
 		t.Error("absurd sample count accepted")
 	}
 
@@ -84,13 +84,13 @@ func TestReadTraceAbsurdCounts(t *testing.T) {
 	for _, v := range []any{uint32(traceVersion), uint64(0), uint64(1), uint32(1), uint64(1), uint64(0)} {
 		binary.Write(&good, binary.LittleEndian, v) // nsamples, nstacks, depth, its PC, dropped
 	}
-	if tr, err := ReadTrace(bytes.NewReader(good.Bytes())); err != nil || tr.NumStacks() != 1 {
+	if tr, err := ReadTraceStream(bytes.NewReader(good.Bytes())); err != nil || tr.NumStacks() != 1 {
 		t.Fatalf("a block with an unnamed stack: %v", err)
 	}
 	data := good.Bytes()
 	// Layout: magic(4) version(4) nsamples(8)=0 nstacks(8)=1 depth(4)...
 	binary.LittleEndian.PutUint32(data[24:], 1<<20)
-	if _, err := ReadTrace(bytes.NewReader(data)); err == nil {
+	if _, err := ReadTraceStream(bytes.NewReader(data)); err == nil {
 		t.Error("absurd stack depth accepted")
 	}
 }
@@ -106,7 +106,7 @@ func TestReadTraceTruncatedMidSamples(t *testing.T) {
 		if cut >= len(data) {
 			continue
 		}
-		if _, err := ReadTrace(bytes.NewReader(data[:cut])); err == nil {
+		if _, err := ReadTraceStream(bytes.NewReader(data[:cut])); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
 	}
@@ -178,7 +178,7 @@ func TestTraceRoundTripPreservesSite(t *testing.T) {
 	if err := WriteTrace(&buf, b); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadTrace(&buf)
+	got, err := ReadTraceStream(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

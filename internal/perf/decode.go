@@ -12,28 +12,29 @@ import (
 	"slices"
 )
 
-// blockDecoder reads the trace blocks of one stream into one Trace.
-// Reading a block has two halves that never overlap: the stage
-// functions parse and validate the whole block into scratch the decoder
-// owns and reuses from block to block, touching nothing committed;
-// commit, reached only by a block that passed every check, adds the
-// staged stacks to the stack table and the staged samples to the slab.
-// A block that fails therefore leaves the slab and the table exactly as
-// the blocks before it made them — the salvage contract of
-// ReadTraceStream — and trace hands the two over as they are.
-type blockDecoder struct {
-	br *bufio.Reader // the stream; blocks are consumed from it in order
+// TraceReader reads a stream of trace blocks (v1 "PSXT" and v2 "PSX2"
+// in any mix) one block at a time. It is the staging half of reading a
+// trace: Next parses and validates the whole next block into scratch
+// the reader owns and reuses from block to block, and Samples hands out
+// what it staged. ReadTraceStream is the committing half, which gathers
+// the blocks into one Trace; a caller with no use for a trace-wide
+// stack table reads the blocks itself, and copies their samples once.
+//
+// When the stream can also seek (a regular file, a byte reader), it is
+// skimmed first, as CountStreamSamples walks it, and the skim decides
+// the prefix: Next gives at most the blocks the skim accepted, and Err
+// then returns what stopped the skim. A last block whose header parses
+// but whose body runs past the end of the stream is therefore the typed
+// ErrCountMismatch rather than whatever its misaligned bytes would parse
+// as, and a file that grows while it is read is read as it stood at the
+// skim. Other streams are read to their end.
+type TraceReader struct {
+	br    *bufio.Reader // the stream; blocks are consumed from it in order
+	left  int           // blocks still to read: the skim's count, or -1 to the end
+	stop  error         // what ends the stream once left is 0
+	bound int           // the skim's count
 
-	// What the committed blocks made. Every sample lies in the one slab
-	// and names its stack by an index into stacks, which holds each
-	// distinct path once, however many blocks carried it.
-	slab   []Sample
-	stacks pathSet   // sub-slices of arena, in order of first commit
-	arena  []uintptr // a full one is left to the stacks it holds
-	remap  []int32   // the committing block's stack i → stacks entry
-	lost   uint64    // the committed blocks' dropped counts
-
-	// The staged block, valid from a successful stage to its commit.
+	// The staged block, valid from a successful Next to the next call.
 	samples []Sample  // stack IDs index the block's own stack table
 	pcs     []uintptr // the block's stacks, end to end
 	ends    []int     // stack i is pcs[ends[i-1]:ends[i]]
@@ -48,29 +49,79 @@ type blockDecoder struct {
 	raw      bytes.Buffer     // the inflated payload of a flate block
 }
 
-// newBlockDecoder returns a decoder over br whose slab starts with room
-// for n samples: the bounded count of a stream it could skim first, or
-// 0, from which the slab grows as blocks commit.
-func newBlockDecoder(br *bufio.Reader, n int) *blockDecoder {
-	return &blockDecoder{br: br, slab: make([]Sample, 0, n)}
+// NewTraceReader returns a reader of the blocks of r, which it skims
+// first when r can seek.
+func NewTraceReader(r io.Reader) *TraceReader {
+	d := &TraceReader{left: -1}
+	if rs, ok := r.(io.ReadSeeker); ok {
+		if at, err := rs.Seek(0, io.SeekCurrent); err == nil {
+			n, blocks, err := skim(bufio.NewReader(rs), true)
+			d.bound, d.left, d.stop = int(n), blocks, err
+			if _, err := rs.Seek(at, io.SeekStart); err != nil {
+				d.bound, d.left, d.stop = 0, 0, err
+			}
+		}
+	}
+	d.br = bufio.NewReader(r)
+	return d
 }
 
-// readBlock consumes the block at the head of the stream, whose four
-// magic bytes the caller has seen buffered, and commits it.
-func (d *blockDecoder) readBlock() error {
+// Next stages the next block and reports whether it read whole. It
+// returns false at the end of the stream and at the first block that
+// fails, and from then on.
+func (d *TraceReader) Next() bool {
+	if d.left == 0 {
+		return false
+	}
+	more, err := nextBlock(d.br)
+	if more {
+		if err = d.readBlock(); err == nil {
+			d.left--
+			return true
+		}
+	}
+	d.left, d.stop = 0, err
+	return false
+}
+
+// Samples returns the staged block's samples, valid until the next call
+// of Next, which reuses them. Their stack IDs index the block's own
+// stack table, which only ReadTraceStream resolves.
+func (d *TraceReader) Samples() []Sample { return d.samples }
+
+// Dropped returns how many samples the writer of the staged block
+// dropped at capture.
+func (d *TraceReader) Dropped() uint64 { return d.dropped }
+
+// Err returns what stopped the reader once Next has returned false: nil
+// at a clean end of the stream, an error wrapping ErrBadTrace at a torn
+// or corrupt block, or the stream's own read error. The blocks before
+// it are the stream's gap-free prefix.
+func (d *TraceReader) Err() error {
+	if d.left != 0 {
+		return nil
+	}
+	return d.stop
+}
+
+// Bound returns the skim's count of the stream's samples, or 0 for a
+// stream that was not skimmed. The skim counts a v2 block's samples at
+// most one per bit of its payload, so the stream's bytes bound the count
+// whatever its headers declare, and a slab of the samples may be made by
+// it. Only a deflated block may give more samples than it counts.
+func (d *TraceReader) Bound() int { return d.bound }
+
+// readBlock stages the block at the head of the stream, whose four
+// magic bytes the caller has seen buffered.
+func (d *TraceReader) readBlock() error {
 	h, err := readHeader(d.br)
 	if err != nil {
 		return err
 	}
 	if h.v2 {
-		err = d.stageV2(h)
-	} else {
-		err = d.stageV1(h)
+		return d.stageV2(h)
 	}
-	if err == nil {
-		d.commit()
-	}
-	return err
+	return d.stageV1(h)
 }
 
 // blockHeader is the fixed header of one block, v1 or v2, as readHeader
@@ -149,27 +200,43 @@ func nextBlock(br *bufio.Reader) (bool, error) {
 	return false, nil
 }
 
-// commit adds the staged block to what is committed: its stacks to the
-// table first, each one a path the table already holds or a copy into
-// the arena, then its samples to the slab, each stack ID rewritten from
-// the block's table to the Trace's. A slab the samples outgrow doubles,
-// so a stream nobody could count first is copied a bounded number of
+// traceBuilder is the committing half of reading a trace: commit, which
+// only a block that staged whole reaches, adds the block's stacks to one
+// table and its samples to one slab, and trace hands the two over as
+// they are. A block that fails therefore leaves both exactly as the
+// blocks before it made them: the salvage contract of ReadTraceStream.
+// Every sample lies in the one slab and names its stack by an index into
+// stacks, which holds each distinct path once, however many blocks
+// carried it.
+type traceBuilder struct {
+	slab   []Sample
+	stacks pathSet   // sub-slices of arena, in order of first commit
+	arena  []uintptr // a full one is left to the stacks it holds
+	remap  []int32   // the committing block's stack i → stacks entry
+	lost   uint64    // the committed blocks' dropped counts
+}
+
+// commit adds the block r has staged: its stacks to the table first,
+// each one a path the table already holds or a copy into the arena,
+// then its samples to the slab, each stack ID rewritten from the
+// block's table to the Trace's. A slab the samples outgrow doubles, so
+// a stream nobody could count first is copied a bounded number of
 // times. A v1 block's samples may name a stack its table does not have;
 // such a sample keeps no stack, as the writers would have given it.
-func (d *blockDecoder) commit() {
+func (d *traceBuilder) commit(r *TraceReader) {
 	d.remap = d.remap[:0]
 	start := 0
-	for _, end := range d.ends {
-		d.remap = append(d.remap, d.intern(d.pcs[start:end]))
+	for _, end := range r.ends {
+		d.remap = append(d.remap, d.intern(r.pcs[start:end]))
 		start = end
 	}
 	at := len(d.slab)
-	if need := at + len(d.samples); need > cap(d.slab) {
+	if need := at + len(r.samples); need > cap(d.slab) {
 		grown := make([]Sample, at, max(need, 2*cap(d.slab)))
 		copy(grown, d.slab)
 		d.slab = grown
 	}
-	d.slab = append(d.slab, d.samples...)
+	d.slab = append(d.slab, r.samples...)
 	for i := at; i < len(d.slab); i++ {
 		if id := d.slab[i].StackID; id != NoStack {
 			if uint32(id) < uint32(len(d.remap)) {
@@ -179,12 +246,12 @@ func (d *blockDecoder) commit() {
 			}
 		}
 	}
-	d.lost += d.dropped
+	d.lost += r.dropped
 }
 
 // intern returns the table's ID for the path pcs, adding a copy of it
 // if the table does not hold it yet.
-func (d *blockDecoder) intern(pcs []uintptr) int32 {
+func (d *traceBuilder) intern(pcs []uintptr) int32 {
 	id, h, ok := d.stacks.find(pcs)
 	if ok {
 		return id
@@ -199,13 +266,13 @@ func (d *blockDecoder) intern(pcs []uintptr) int32 {
 
 // trace returns what has been committed: the slab, exactly the
 // committed samples, and the table of distinct stacks.
-func (d *blockDecoder) trace() *Trace {
+func (d *traceBuilder) trace() *Trace {
 	n, nst := len(d.slab), len(d.stacks.paths)
 	return &Trace{samples: d.slab[:n:n], stacks: d.stacks.paths[:nst:nst], dropped: d.lost}
 }
 
-// Trace is a decoded trace, as ReadTrace and ReadTraceStream return it:
-// every sample in one slab, each distinct call path once, and how many
+// Trace is a decoded trace, as ReadTraceStream returns it: every
+// sample in one slab, each distinct call path once, and how many
 // samples the writers dropped. It is never written after the reader
 // returns it, so any number of goroutines may read it.
 type Trace struct {
@@ -237,31 +304,22 @@ func (t *Trace) NumStacks() int { return len(t.stacks) }
 // dropped at capture.
 func (t *Trace) Dropped() uint64 { return t.dropped }
 
-// u32 and u64 consume one little-endian v1 field. Past its header a
-// v1 block has no finer diagnosis than "malformed".
-func (d *blockDecoder) u32() (uint32, error) {
-	b, err := d.br.Peek(4)
+// field consumes one little-endian v1 field of n bytes, 4 or 8. Past
+// its header a v1 block has no finer diagnosis than "malformed".
+func (d *TraceReader) field(n int) (uint64, error) {
+	b, err := d.br.Peek(n)
 	if err != nil {
 		return 0, ErrBadTrace
 	}
-	v := binary.LittleEndian.Uint32(b)
-	d.br.Discard(4)
-	return v, nil
-}
-
-func (d *blockDecoder) u64() (uint64, error) {
-	b, err := d.br.Peek(8)
-	if err != nil {
-		return 0, ErrBadTrace
-	}
-	v := binary.LittleEndian.Uint64(b)
-	d.br.Discard(8)
-	return v, nil
+	var v [8]byte
+	copy(v[:], b)
+	d.br.Discard(n)
+	return binary.LittleEndian.Uint64(v[:]), nil
 }
 
 // stageV1 parses the rest of a fixed-width PSXT block, past the header
 // h; anything missing or malformed there is ErrBadTrace.
-func (d *blockDecoder) stageV1(h blockHeader) error {
+func (d *TraceReader) stageV1(h blockHeader) error {
 	// The declared counts are untrusted until the records actually
 	// parse, so the scratch grows with the bytes present, never from a
 	// header (a truncated stream fails fast below).
@@ -282,18 +340,18 @@ func (d *blockDecoder) stageV1(h blockHeader) error {
 		})
 		d.br.Discard(sampleRecordLen)
 	}
-	nst, err := d.u64()
+	nst, err := d.field(8)
 	if err != nil || nst > maxReasonable {
 		return ErrBadTrace
 	}
 	d.pcs, d.ends = d.pcs[:0], d.ends[:0]
 	for i := uint64(0); i < nst; i++ {
-		depth, err := d.u32()
+		depth, err := d.field(4)
 		if err != nil || depth > maxStackDepth {
 			return ErrBadTrace
 		}
-		for j := uint32(0); j < depth; j++ {
-			pc, err := d.u64()
+		for j := uint64(0); j < depth; j++ {
+			pc, err := d.field(8)
 			if err != nil {
 				return err
 			}
@@ -301,7 +359,7 @@ func (d *blockDecoder) stageV1(h blockHeader) error {
 		}
 		d.ends = append(d.ends, len(d.pcs))
 	}
-	d.dropped, err = d.u64()
+	d.dropped, err = d.field(8)
 	return err
 }
 
@@ -483,7 +541,7 @@ func (r *bitReader) rice(k uint) uint64 {
 // the declared sample and stack counts, every stack index inside the
 // dictionary. Nothing is sized from the header: the scratch grows with
 // the bytes that actually arrive.
-func (d *blockDecoder) stageV2(h blockHeader) error {
+func (d *TraceReader) stageV2(h blockHeader) error {
 	d.dropped = h.dropped
 	d.stored.Reset()
 	d.limit = io.LimitedReader{R: d.br, N: int64(h.plen)}
@@ -613,7 +671,7 @@ func (d *blockDecoder) stageV2(h blockHeader) error {
 // prediction, is decoded into vals: it decodes the second, an index
 // into the dictionary of nst entries for each sample that has a stack,
 // into the front of vals.
-func (d *blockDecoder) stageStackIDs(p *varints, m *predictor, vals []int64, nst uint64) error {
+func (d *TraceReader) stageStackIDs(p *varints, m *predictor, vals []int64, nst uint64) error {
 	ss, stacked := d.samples, 0
 	for i, v := range vals {
 		if uint64(v) > 1 {

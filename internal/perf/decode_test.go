@@ -1,7 +1,6 @@
 package perf
 
 import (
-	"bufio"
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
@@ -206,8 +205,9 @@ func TestFlateSurplusIsNotInflated(t *testing.T) {
 	zw.Close()
 	blk := v2BlockFromPayload(0, 0, 0, zb.Bytes()) // no samples, no stacks: only the time parameter to decode
 	binary.LittleEndian.PutUint32(blk[8:12], flagV2Flate)
-	d := newBlockDecoder(bufio.NewReader(bytes.NewReader(blk)), 0)
-	err := d.readBlock()
+	d := NewTraceReader(bytes.NewReader(blk))
+	d.Next()
+	err := d.Err()
 	if !errors.Is(err, ErrBadTrace) || !strings.Contains(err.Error(), "payload larger than declared counts") {
 		t.Fatalf("err = %v, want a payload larger than its counts", err)
 	}
@@ -217,8 +217,8 @@ func TestFlateSurplusIsNotInflated(t *testing.T) {
 }
 
 // TestMixedStreamEqualsPerBlockReads: a stream mixing all three
-// encodings reads back as the blocks read one by one with ReadTrace
-// would merge by hand.
+// encodings reads back as its blocks, each read as a stream of its
+// own, would merge by hand.
 func TestMixedStreamEqualsPerBlockReads(t *testing.T) {
 	encs := []Encoding{{}, {V2: true}, {V2: true, Flate: true}, {V2: true}, {}, {V2: true, Flate: true}}
 	var stream bytes.Buffer
@@ -227,7 +227,7 @@ func TestMixedStreamEqualsPerBlockReads(t *testing.T) {
 	for blk, enc := range encs {
 		block := goodBlock(t, blk, 3+blk, enc)
 		stream.Write(block)
-		one, err := ReadTrace(bytes.NewReader(block))
+		one, err := ReadTraceStream(bytes.NewReader(block))
 		if err != nil {
 			t.Fatalf("block %d: %v", blk, err)
 		}

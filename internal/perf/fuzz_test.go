@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -12,10 +13,11 @@ import (
 )
 
 // FuzzReadTrace drives the binary trace readers with arbitrary bytes:
-// they must never panic or over-allocate, anything ReadTrace accepts
-// must re-serialize, and whatever prefix ReadTraceStream reads must
-// resolve, sample for sample, to the frames its blocks give read one
-// at a time, keeping each distinct path once.
+// they must never panic or over-allocate, a stream ReadTraceStream reads
+// whole must re-serialize, and whatever prefix it reads must resolve,
+// sample for sample, to the frames a TraceReader gives block by block,
+// each block's stacks read from its own table, with the same drops and
+// the same error, keeping each distinct path once.
 //
 // It also checks that the skim and the decoder agree. ReadTraceStream
 // skims a stream it can seek and commits at most the blocks the skim
@@ -151,9 +153,22 @@ func FuzzReadTrace(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		all, err := ReadTraceStream(bytes.NewReader(data))
-		want, wantPaths := perBlock(data)
-		if !sameResolved(resolve(all), want) {
+		var want []resolvedSample
+		wantPaths := make(map[string]bool)
+		var dropped uint64
+		r := NewTraceReader(bytes.NewReader(data))
+		for r.Next() {
+			want = append(want, resolve(staged{r})...)
+			for p := range paths(staged{r}) {
+				wantPaths[p] = true
+			}
+			dropped += r.Dropped()
+		}
+		if !sameResolved(resolve(all), want) || all.Dropped() != dropped {
 			t.Fatal("the stream's samples resolve differently from its blocks read one at a time")
+		}
+		if fmt.Sprint(r.Err()) != fmt.Sprint(err) {
+			t.Fatalf("TraceReader stopped at %v; ReadTraceStream at %v", r.Err(), err)
 		}
 		unskimmed, uerr := ReadTraceStream(struct{ io.Reader }{bytes.NewReader(data)})
 		if !sameResolved(resolve(unskimmed), want) {
@@ -171,28 +186,27 @@ func FuzzReadTrace(f *testing.F) {
 				all.NumStacks(), len(paths(all)), len(wantPaths))
 		}
 
-		got, err := ReadTrace(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
 		var out bytes.Buffer
-		if err := WriteTrace(&out, recorded(got)); err != nil {
+		if err := WriteTrace(&out, recorded(all)); err != nil {
 			t.Fatalf("accepted trace failed to re-serialize: %v", err)
 		}
-		again, err := ReadTrace(&out)
+		again, err := ReadTraceStream(&out)
 		if err != nil {
 			t.Fatalf("round trip of accepted trace failed: %v", err)
 		}
-		if len(again.Samples()) != len(got.Samples()) {
+		if len(again.Samples()) != len(all.Samples()) {
 			t.Fatal("round trip changed sample count")
 		}
 		// Whatever was accepted, the run coder writes and reads back
 		// sample for sample.
 		out.Reset()
-		if err := WriteTraceEnc(&out, recorded(got), Encoding{V2: true}); err != nil {
+		if err := WriteTraceEnc(&out, recorded(all), Encoding{V2: true}); err != nil {
 			t.Fatalf("accepted trace failed to encode as PSX2: %v", err)
 		}
-		if v2, err := ReadTrace(&out); err != nil || !sameResolved(resolve(v2), resolve(got)) {
+		if v2, err := ReadTraceStream(&out); err != nil || !sameResolved(resolve(v2), resolve(all)) {
 			t.Fatalf("PSX2 round trip of accepted trace changed it (err=%v)", err)
 		}
 	})

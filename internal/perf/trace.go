@@ -720,32 +720,26 @@ func WriteTrace(w io.Writer, b *TraceBuffer) error {
 // rebased by base0; IDs falling outside the captured stack table (a
 // stack shipped in an earlier block) degrade to NoStack.
 func writeBlock(w io.Writer, views []chunkView, base0 int32, dropped uint64) error {
+	// A bufio.Writer keeps the first error it meets and refuses every
+	// write after it, so the fields go unchecked and Flush reports it.
 	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(traceMagic[:]); err != nil {
-		return err
-	}
+	bw.Write(traceMagic[:])
 	var scratch [8]byte
-	put32 := func(v uint32) error {
+	put32 := func(v uint32) {
 		binary.LittleEndian.PutUint32(scratch[:4], v)
-		_, err := bw.Write(scratch[:4])
-		return err
+		bw.Write(scratch[:4])
 	}
-	put64 := func(v uint64) error {
+	put64 := func(v uint64) {
 		binary.LittleEndian.PutUint64(scratch[:8], v)
-		_, err := bw.Write(scratch[:8])
-		return err
+		bw.Write(scratch[:8])
 	}
-	if err := put32(traceVersion); err != nil {
-		return err
-	}
+	put32(traceVersion)
 	var nsamples, nstacks uint64
 	for _, v := range views {
 		nsamples += uint64(v.n)
 		nstacks += uint64(v.nst)
 	}
-	if err := put64(nsamples); err != nil {
-		return err
-	}
+	put64(nsamples)
 	for _, v := range views {
 		for i := int32(0); i < v.n; i++ {
 			s := &v.c.samples[i]
@@ -758,69 +752,25 @@ func writeBlock(w io.Writer, views []chunkView, base0 int32, dropped uint64) err
 					sid = rel
 				}
 			}
-			if err := put64(uint64(s.Time)); err != nil {
-				return err
-			}
-			if err := put32(uint32(s.Thread)); err != nil {
-				return err
-			}
-			if err := put32(uint32(s.Event)); err != nil {
-				return err
-			}
-			if err := put32(uint32(s.State)); err != nil {
-				return err
-			}
-			if err := put64(s.Region); err != nil {
-				return err
-			}
-			if err := put64(s.Site); err != nil {
-				return err
-			}
-			if err := put32(uint32(sid)); err != nil {
-				return err
-			}
+			put64(uint64(s.Time))
+			put32(uint32(s.Thread))
+			put32(uint32(s.Event))
+			put32(uint32(s.State))
+			put64(s.Region)
+			put64(s.Site)
+			put32(uint32(sid))
 		}
 	}
-	if err := put64(nstacks); err != nil {
-		return err
-	}
+	put64(nstacks)
 	for _, v := range views {
 		for i := int32(0); i < v.nst; i++ {
 			st := v.c.stacks[i]
-			if err := put32(uint32(len(st))); err != nil {
-				return err
-			}
+			put32(uint32(len(st)))
 			for _, pc := range st {
-				if err := put64(uint64(pc)); err != nil {
-					return err
-				}
+				put64(uint64(pc))
 			}
 		}
 	}
-	if err := put64(dropped); err != nil {
-		return err
-	}
+	put64(dropped)
 	return bw.Flush()
-}
-
-// ReadTrace deserializes one trace block written by WriteTrace,
-// WriteTraceEnc or a BlockEncoder, auto-detecting the block
-// format (fixed-width v1 "PSXT" or compact v2 "PSX2") from its magic.
-// A caller reading block after block passes a *bufio.Reader (of the
-// default size or more), which is then read directly and left at the
-// next block. The Trace is made as ReadTraceStream makes its own: one
-// slab of samples, each distinct stack once. A stream with no byte left
-// is io.EOF; a block torn anywhere, its header included, is ErrBadTrace.
-func ReadTrace(r io.Reader) (*Trace, error) {
-	d := newBlockDecoder(bufio.NewReader(r), 0)
-	if more, err := nextBlock(d.br); !more {
-		if err == nil {
-			err = io.EOF // no block at all
-		}
-		return nil, err
-	}
-	if err := d.readBlock(); err != nil {
-		return nil, err
-	}
-	return d.trace(), nil
 }

@@ -238,7 +238,7 @@ func TestStackReturnsCopy(t *testing.T) {
 	if err := WriteTraceEnc(&out, b, Encoding{V2: true}); err != nil {
 		t.Fatal(err)
 	}
-	tr, err := ReadTrace(&out)
+	tr, err := ReadTraceStream(&out)
 	if err != nil {
 		t.Fatal(err)
 	}

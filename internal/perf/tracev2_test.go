@@ -87,9 +87,9 @@ func roundTripV2(t *testing.T, b *TraceBuffer, enc Encoding) *Trace {
 	if err := WriteTraceEnc(&out, b, enc); err != nil {
 		t.Fatalf("WriteTraceEnc(%+v): %v", enc, err)
 	}
-	got, err := ReadTrace(bytes.NewReader(out.Bytes()))
+	got, err := ReadTraceStream(bytes.NewReader(out.Bytes()))
 	if err != nil {
-		t.Fatalf("ReadTrace(%+v): %v", enc, err)
+		t.Fatalf("ReadTraceStream(%+v): %v", enc, err)
 	}
 	return got
 }
@@ -182,7 +182,7 @@ func TestV2QuickRoundTrip(t *testing.T) {
 		if err := WriteTraceEnc(&out, b, Encoding{V2: true, Flate: flate}); err != nil {
 			return false
 		}
-		got, err := ReadTrace(bytes.NewReader(out.Bytes()))
+		got, err := ReadTraceStream(bytes.NewReader(out.Bytes()))
 		if err != nil {
 			return false
 		}
@@ -360,7 +360,7 @@ func TestV2CorruptPayloadDetected(t *testing.T) {
 		}
 		blk := out.Bytes()
 		blk[v2HeaderLen+len(blk[v2HeaderLen:])/2] ^= 0xFF
-		if _, err := ReadTrace(bytes.NewReader(blk)); !errors.Is(err, ErrBadTrace) {
+		if _, err := ReadTraceStream(bytes.NewReader(blk)); !errors.Is(err, ErrBadTrace) {
 			t.Fatalf("%+v: corrupt payload accepted (err=%v)", enc, err)
 		}
 	}
@@ -382,11 +382,11 @@ func TestV2DictionaryIndexOutOfRange(t *testing.T) {
 		payload = binary.AppendUvarint(payload, zigzag(0x1000)) // PC 0x1000
 		return v2BlockFromPayload(1, 1, 0, payload)
 	}
-	if got, err := ReadTrace(bytes.NewReader(block(0))); err != nil || got.Len() != 1 ||
+	if got, err := ReadTraceStream(bytes.NewReader(block(0))); err != nil || got.Len() != 1 ||
 		!slices.Equal(got.Stack(got.Samples()[0].StackID), []uintptr{0x1000}) {
 		t.Fatalf("in-range stack index: %v", err)
 	}
-	if _, err := ReadTrace(bytes.NewReader(block(5))); !errors.Is(err, errStackIndex) {
+	if _, err := ReadTraceStream(bytes.NewReader(block(5))); !errors.Is(err, errStackIndex) {
 		t.Fatalf("out-of-dictionary stack index accepted (err=%v)", err)
 	}
 }
@@ -400,11 +400,11 @@ func TestV2DictionaryIndexOutOfRange(t *testing.T) {
 // version they read, and both read a block whose shift is set.
 func TestV2SkimRefusesWhatReadersRefuse(t *testing.T) {
 	for name, block := range v6FlagBlocks(t) {
-		_, read := ReadTrace(bytes.NewReader(block))
+		_, read := ReadTraceStream(bytes.NewReader(block))
 		n, count := BlockSamples(block)
 		refused := strings.HasPrefix(name, "refused")
 		if refused && (read != errV2Flags || count != errV2Flags) || !refused && (read != nil || count != nil || n == 0) {
-			t.Errorf("%s: ReadTrace %v, BlockSamples %d, %v", name, read, n, count)
+			t.Errorf("%s: ReadTraceStream %v, BlockSamples %d, %v", name, read, n, count)
 		}
 	}
 
@@ -427,8 +427,8 @@ func TestV2SkimRefusesWhatReadersRefuse(t *testing.T) {
 	for _, ver := range refused {
 		binary.LittleEndian.PutUint32(blk[4:8], ver)
 		want := fmt.Sprintf("unsupported v2 trace version %d", ver)
-		if _, err := ReadTrace(bytes.NewReader(blk)); err == nil || !strings.Contains(err.Error(), want) {
-			t.Fatalf("version %d: ReadTrace err = %v, want %q", ver, err, want)
+		if _, err := ReadTraceStream(bytes.NewReader(blk)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("version %d: ReadTraceStream err = %v, want %q", ver, err, want)
 		}
 		if n, err := BlockSamples(blk); err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("version %d: BlockSamples = %d, %v; want %q", ver, n, err, want)
@@ -495,7 +495,7 @@ func TestV2QuickRoundTripExtremes(t *testing.T) {
 		if err := WriteTraceEnc(&out, b, Encoding{V2: true, Flate: flate}); err != nil {
 			return false
 		}
-		got, err := ReadTrace(bytes.NewReader(out.Bytes()))
+		got, err := ReadTraceStream(bytes.NewReader(out.Bytes()))
 		return err == nil && sameResolved(resolve(b), resolve(got))
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
@@ -562,7 +562,7 @@ func checkRoundTrips(t *testing.T, blocks []*TraceBuffer, ver uint32, rewrite fu
 			if v := binary.LittleEndian.Uint32(block[4:8]); v != ver {
 				t.Fatalf("block %d %+v: version %d, want %d", blk, enc, v, ver)
 			}
-			got, err := ReadTrace(bytes.NewReader(block))
+			got, err := ReadTraceStream(bytes.NewReader(block))
 			if err != nil || !sameResolved(resolve(b), resolve(got)) {
 				t.Fatalf("block %d %+v: round trip changed %d samples (err=%v)", blk, enc, b.Len(), err)
 			}
@@ -803,7 +803,7 @@ func TestV4TimeColumnEdges(t *testing.T) {
 	if valid[v2HeaderLen] != 0 {
 		t.Fatalf("256 equal times: k = %d, want 0", valid[v2HeaderLen])
 	}
-	if got, err := ReadTrace(bytes.NewReader(valid)); err != nil || got.Len() != 256 {
+	if got, err := ReadTraceStream(bytes.NewReader(valid)); err != nil || got.Len() != 256 {
 		t.Fatalf("k = 0 block: %v", err)
 	}
 	for _, c := range []struct {
@@ -811,7 +811,7 @@ func TestV4TimeColumnEdges(t *testing.T) {
 		block []byte
 		want  error
 	}{{"k out of range", badK, errRiceK}, {"unary part cut off", cut, errTruncatedV2}} {
-		if _, err := ReadTrace(bytes.NewReader(c.block)); err != c.want || !errors.Is(err, ErrBadTrace) {
+		if _, err := ReadTraceStream(bytes.NewReader(c.block)); err != c.want || !errors.Is(err, ErrBadTrace) {
 			t.Fatalf("%s: err = %v, want %v", c.name, err, c.want)
 		}
 	}
@@ -824,10 +824,10 @@ func TestSkimRefusesBadRiceK(t *testing.T) {
 	_, badK, _ := riceEdgeBlocks(t)
 	empty := v2BlockFromPayload(0, 0, 0, nil)
 	for name, block := range map[string][]byte{"k out of range": badK, "no payload": empty} {
-		_, read := ReadTrace(bytes.NewReader(block))
+		_, read := ReadTraceStream(bytes.NewReader(block))
 		_, count := CountStreamSamples(bytes.NewReader(block))
 		if _, err := BlockSamples(block); err != errRiceK || count != errRiceK || read != errRiceK {
-			t.Errorf("%s: BlockSamples %v, CountStreamSamples %v, ReadTrace %v; want %v", name, err, count, read, errRiceK)
+			t.Errorf("%s: BlockSamples %v, CountStreamSamples %v, ReadTraceStream %v; want %v", name, err, count, read, errRiceK)
 		}
 	}
 }
@@ -973,12 +973,12 @@ func v5StackBlocks(tb testing.TB) [][]byte {
 // stack where the tool puts none, or none where it puts one, reads back.
 func TestV5Refusals(t *testing.T) {
 	for name, block := range v5RefusedBlocks(t) {
-		if _, err := ReadTrace(bytes.NewReader(block)); !errors.Is(err, ErrBadTrace) {
+		if _, err := ReadTraceStream(bytes.NewReader(block)); !errors.Is(err, ErrBadTrace) {
 			t.Errorf("%s: err = %v, want ErrBadTrace", name, err)
 		}
 	}
 	for i, block := range v5StackBlocks(t) {
-		if _, err := ReadTrace(bytes.NewReader(block)); err != nil {
+		if _, err := ReadTraceStream(bytes.NewReader(block)); err != nil {
 			t.Errorf("stack block %d: %v", i, err)
 		}
 	}
@@ -1012,11 +1012,11 @@ func TestV2PayloadCountDisagreement(t *testing.T) {
 			payload = appendRunWord(payload, 0, runOne) // each column two runs of one 0, no stack
 		}
 	}
-	if got, err := ReadTrace(bytes.NewReader(v2BlockFromPayload(2, 0, 0, payload))); err != nil || got.Len() != 2 {
+	if got, err := ReadTraceStream(bytes.NewReader(v2BlockFromPayload(2, 0, 0, payload))); err != nil || got.Len() != 2 {
 		t.Fatalf("declared as two: %v", err)
 	}
 	blk := v2BlockFromPayload(1, 0, 0, payload) // ...declared as one
-	if _, err := ReadTrace(bytes.NewReader(blk)); !errors.Is(err, ErrBadTrace) ||
+	if _, err := ReadTraceStream(bytes.NewReader(blk)); !errors.Is(err, ErrBadTrace) ||
 		!strings.Contains(err.Error(), "payload larger than declared counts") {
 		t.Fatalf("payload larger than declared counts accepted (err=%v)", err)
 	}

@@ -55,7 +55,7 @@ func TestStealAttributionInTrace(t *testing.T) {
 	tl.Detach()
 	var samples []perf.Sample
 	for _, s := range sinks {
-		b, err := perf.ReadTrace(bytes.NewReader(s.Bytes()))
+		b, err := perf.ReadTraceStream(bytes.NewReader(s.Bytes()))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -248,7 +248,7 @@ func TestWriteTracesRoundTrip(t *testing.T) {
 	}
 	total := 0
 	for id, s := range streams {
-		b, err := perf.ReadTrace(bytes.NewReader(s.Bytes()))
+		b, err := perf.ReadTraceStream(bytes.NewReader(s.Bytes()))
 		if err != nil {
 			t.Fatalf("thread %d: %v", id, err)
 		}
