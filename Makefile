@@ -74,9 +74,12 @@ test: build
 # with the experiment on, the only build that compiles
 # internal/faketime/bubble.go, and runs the race line once more with it
 # on for the packages whose tests use bubbles, so that those tests run
-# in-process at each width.
+# in-process at each width. It vets bench/ too, its own module, so a
+# name the harness pins that a change renamed or removed fails here as
+# well as in bench-check.
 check:
 	$(GO) vet ./...
+	$(GO) -C bench vet ./...
 	GOEXPERIMENT=synctest $(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./...
 	GOARCH=386 $(GO) vet ./...
@@ -92,8 +95,8 @@ check:
 	$(GO) test -count=1 ./internal/omp ./internal/perf ./internal/analysis ./internal/tool ./internal/ingest ./cmd/ompreport -run 'Alloc'
 
 # chaos runs the deterministic fault-injection suite — panicking and
-# hung callbacks, failing/torn trace writes, forced chunk drops —
-# under the race detector, bounded to one pass so it stays CI-sized.
+# hung callbacks, failing/torn trace writes and failing opens — under
+# the race detector, bounded to one pass so it stays CI-sized.
 chaos:
 	$(GO) test -race -count=1 ./internal/faultinject ./internal/tool -run 'Chaos|Stream|Truncated'
 	$(GO) test -race -count=1 ./internal/perf -run TraceStream

@@ -184,6 +184,10 @@ func dumpSamples(path string, tr *perf.Trace, quarantined, salvaged bool, hang s
 		fmt.Printf("  WARNING: hang report salvaged with these traces; the samples are the gap-free prefix of a run that did not finish\n")
 		printHangReport(hang)
 	}
+	depths := make([]int, tr.NumStacks()) // each distinct stack measured once
+	for id := range depths {
+		depths[id] = len(tr.Stack(int32(id)))
+	}
 	for i, s := range samples {
 		ev := "-"
 		if s.Event >= 0 {
@@ -196,7 +200,7 @@ func dumpSamples(path string, tr *perf.Trace, quarantined, salvaged bool, hang s
 		fmt.Printf("  [%6d] t=%-14v thr=%-3d %-28s %-18s region=%-6d",
 			i, time.Duration(s.Time), s.Thread, ev, st, s.Region)
 		if s.StackID != perf.NoStack {
-			fmt.Printf(" stack=%d(%d frames)", s.StackID, len(tr.Stack(s.StackID)))
+			fmt.Printf(" stack=%d(%d frames)", s.StackID, depths[s.StackID])
 		}
 		fmt.Println()
 	}

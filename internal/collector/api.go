@@ -79,8 +79,8 @@ type Collector struct {
 	handleMu   sync.Mutex
 	handleSeq  uint64
 	handles    map[uint64]Callback
-	defaultQ   Queue
-	queueMaker func() Queue
+	defaultQ   *Queue
+	queueMaker func() *Queue
 }
 
 // Option configures a Collector.
@@ -93,7 +93,7 @@ type Option func(*Collector)
 func WithGlobalQueue() Option {
 	return func(c *Collector) {
 		global := c.defaultQ
-		c.queueMaker = func() Queue { return global }
+		c.queueMaker = func() *Queue { return global }
 	}
 }
 
@@ -106,7 +106,7 @@ func New(opts ...Option) *Collector {
 	}
 	c.dispatchers.Store(new([]*ThreadInfo))
 	c.defaultQ = newQueue(c)
-	c.queueMaker = func() Queue { return newQueue(c) }
+	c.queueMaker = func() *Queue { return newQueue(c) }
 	for _, opt := range opts {
 		opt(c)
 	}
@@ -298,7 +298,7 @@ func (c *Collector) API(arg []byte) int {
 // thread. Requests submitted to distinct queues contend only on the
 // shared state they actually touch, not on a global queue lock — the
 // design §IV-B adopts to avoid contention.
-func (c *Collector) NewQueue() Queue { return c.queueMaker() }
+func (c *Collector) NewQueue() *Queue { return c.queueMaker() }
 
 // process handles one parsed request and returns its error code.
 func (c *Collector) process(req *Request) ErrorCode {

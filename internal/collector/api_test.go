@@ -7,7 +7,7 @@ import (
 	"testing/quick"
 )
 
-func startCollector(t *testing.T) (*Collector, Queue) {
+func startCollector(t *testing.T) (*Collector, *Queue) {
 	t.Helper()
 	c := New()
 	q := c.NewQueue()

@@ -9,7 +9,7 @@ import (
 
 // attachCallback starts the collector and registers cb for e through
 // the wire protocol, returning the queue for further requests.
-func attachCallback(t *testing.T, c *Collector, e Event, cb Callback) Queue {
+func attachCallback(t *testing.T, c *Collector, e Event, cb Callback) *Queue {
 	t.Helper()
 	q := c.NewQueue()
 	if ec := Control(q, ReqStart); ec != ErrOK {

@@ -14,14 +14,7 @@ import (
 // (or -1 on a framing error). Entries always drain before Submit
 // returns, so the interface stays synchronous while the queue bounds
 // contention to threads sharing the same queue.
-type Queue interface {
-	Submit(arg []byte) int
-	// SubmitRequests processes already-parsed requests, for callers
-	// that build Request values directly rather than wire buffers.
-	SubmitRequests(reqs []Request) int
-}
-
-type queue struct {
+type Queue struct {
 	c       *Collector
 	process func(*Request) ErrorCode // c.process; indirection for tests
 
@@ -31,13 +24,13 @@ type queue struct {
 	draining bool // a drain loop is active on this queue
 }
 
-func newQueue(c *Collector) *queue {
-	q := &queue{c: c}
+func newQueue(c *Collector) *Queue {
+	q := &Queue{c: c}
 	q.process = c.process
 	return q
 }
 
-func (q *queue) Submit(arg []byte) int {
+func (q *Queue) Submit(arg []byte) int {
 	reqs, err := ParseRequests(arg)
 	if err != nil {
 		return -1
@@ -45,7 +38,9 @@ func (q *queue) Submit(arg []byte) int {
 	return q.SubmitRequests(reqs)
 }
 
-// SubmitRequests enqueues reqs and drains the queue. Requests are
+// SubmitRequests processes already-parsed requests, for callers that
+// build Request values directly rather than wire buffers: it enqueues
+// reqs and drains the queue. Requests are
 // processed outside the queue lock, so processing that re-submits to
 // the same queue (re-entrancy) cannot self-deadlock: the inner call
 // finds a drain already active, leaves its entries for the active
@@ -55,7 +50,7 @@ func (q *queue) Submit(arg []byte) int {
 // applies to a concurrent submitter on a shared queue (only the
 // rejected global-queue design shares queues; see WithGlobalQueue),
 // whose entries then complete asynchronously.
-func (q *queue) SubmitRequests(reqs []Request) int {
+func (q *Queue) SubmitRequests(reqs []Request) int {
 	q.mu.Lock()
 	q.pending = append(q.pending, reqs...)
 	if q.draining {
@@ -89,7 +84,7 @@ func (q *queue) SubmitRequests(reqs []Request) int {
 // submits it through the queue, so every use also exercises the binary
 // protocol. They return the per-request error code.
 
-func (q *queue) one(kind RequestKind, memSize int, fill func(mem []byte)) (ErrorCode, []byte) {
+func (q *Queue) one(kind RequestKind, memSize int, fill func(mem []byte)) (ErrorCode, []byte) {
 	buf, mem := AppendRequest(nil, kind, memSize)
 	if fill != nil {
 		fill(mem)
@@ -105,22 +100,22 @@ func (q *queue) one(kind RequestKind, memSize int, fill func(mem []byte)) (Error
 
 // Control issues a payload-free control request (start, stop, pause,
 // resume) through queue q.
-func Control(q Queue, kind RequestKind) ErrorCode {
-	ec, _ := q.(*queue).one(kind, 0, nil)
+func Control(q *Queue, kind RequestKind) ErrorCode {
+	ec, _ := q.one(kind, 0, nil)
 	return ec
 }
 
 // Register issues a ReqRegister for event e with callback handle h.
-func Register(q Queue, e Event, h uint64) ErrorCode {
-	ec, _ := q.(*queue).one(ReqRegister, RegisterPayloadSize, func(mem []byte) {
+func Register(q *Queue, e Event, h uint64) ErrorCode {
+	ec, _ := q.one(ReqRegister, RegisterPayloadSize, func(mem []byte) {
 		EncodeRegister(mem, e, h)
 	})
 	return ec
 }
 
 // Unregister issues a ReqUnregister for event e.
-func Unregister(q Queue, e Event) ErrorCode {
-	ec, _ := q.(*queue).one(ReqUnregister, UnregisterPayloadSize, func(mem []byte) {
+func Unregister(q *Queue, e Event) ErrorCode {
+	ec, _ := q.one(ReqUnregister, UnregisterPayloadSize, func(mem []byte) {
 		EncodeUnregister(mem, e)
 	})
 	return ec
@@ -128,8 +123,8 @@ func Unregister(q Queue, e Event) ErrorCode {
 
 // QueryState issues a ReqState for the given thread and decodes the
 // response.
-func QueryState(q Queue, thread int32) (State, uint64, ErrorCode) {
-	ec, mem := q.(*queue).one(ReqState, StatePayloadSize, func(mem []byte) {
+func QueryState(q *Queue, thread int32) (State, uint64, ErrorCode) {
+	ec, mem := q.one(ReqState, StatePayloadSize, func(mem []byte) {
 		EncodeStateQuery(mem, thread)
 	})
 	if ec != ErrOK {
@@ -155,7 +150,7 @@ type StateObservation struct {
 // reusable buffers from the previous tick (either may be nil); the
 // possibly-grown wire buffer and the observations, in threads order,
 // are returned for the next call.
-func QueryStateBatch(q Queue, threads []int32, wire []byte, out []StateObservation) ([]byte, []StateObservation) {
+func QueryStateBatch(q *Queue, threads []int32, wire []byte, out []StateObservation) ([]byte, []StateObservation) {
 	wire = wire[:0]
 	out = out[:0]
 	if len(threads) == 0 {
@@ -191,8 +186,8 @@ func QueryStateBatch(q Queue, threads []int32, wire []byte, out []StateObservati
 // QueryPRID issues a ReqCurrentPRID or ReqParentPRID for the given
 // thread and decodes the region ID. An ErrSequence code with a zero ID
 // means the thread is outside any parallel region.
-func QueryPRID(q Queue, kind RequestKind, thread int32) (uint64, ErrorCode) {
-	ec, mem := q.(*queue).one(kind, PRIDPayloadSize, func(mem []byte) {
+func QueryPRID(q *Queue, kind RequestKind, thread int32) (uint64, ErrorCode) {
+	ec, mem := q.one(kind, PRIDPayloadSize, func(mem []byte) {
 		EncodePRIDQuery(mem, thread)
 	})
 	id, _ := DecodePRIDResponse(mem)

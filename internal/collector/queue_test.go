@@ -32,7 +32,7 @@ func wireReqs(t *testing.T, kinds ...RequestKind) ([]Request, []byte) {
 // outermost SubmitRequests returns.
 func TestSubmitReentrantNoDeadlock(t *testing.T) {
 	c := New()
-	q := c.NewQueue().(*queue)
+	q := c.NewQueue()
 
 	outer, _ := wireReqs(t, ReqStart, ReqPause)
 	inner, innerBuf := wireReqs(t, ReqResume)
@@ -74,7 +74,7 @@ func TestSubmitReentrantNoDeadlock(t *testing.T) {
 // request payload buffers through the retained pending backing array.
 func TestSubmitReleasesBacking(t *testing.T) {
 	c := New()
-	q := c.NewQueue().(*queue)
+	q := c.NewQueue()
 	reqs, _ := wireReqs(t, ReqStart, ReqPause, ReqResume)
 	if got := q.SubmitRequests(reqs); got != 3 {
 		t.Fatalf("submit: %d completed, want 3", got)
@@ -97,7 +97,7 @@ func TestSubmitReleasesBacking(t *testing.T) {
 // time all submitters have returned.
 func TestSubmitConcurrentSharedQueue(t *testing.T) {
 	c := New(WithGlobalQueue())
-	q := c.NewQueue().(*queue)
+	q := c.NewQueue()
 
 	var processed atomic.Int64
 	real := q.process

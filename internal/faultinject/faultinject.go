@@ -1,12 +1,14 @@
 // Package faultinject provides deterministic, replayable fault plans
 // for exercising the tool↔runtime boundary's fault isolation: callback
 // faults (panic, hang, delay), stream-I/O faults (transient and torn
-// write errors, failing file opens) and forced chunk drops. A Plan is
-// wired into a tool through the tool.Options hooks (WrapCallback,
-// OpenTraceFile, DropChunk); the chaos tests then assert that the
-// application completes with pinned checksums, that every lost sample
-// is accounted for exactly, and that the health report names every
-// injected fault.
+// write errors, failing file opens) and ingest connection faults. A
+// Plan is wired into a tool through the tool.Options hooks that let a
+// test substitute a fake (WrapCallback, OpenTraceFile, DialIngest);
+// the chaos tests then assert that the application completes with
+// pinned checksums, that every lost sample is accounted for exactly,
+// and that the health report names every injected fault. No hook
+// drops a chunk outright: a sample is lost only where a real run can
+// lose it.
 //
 // Determinism: explicit rules fire at exact (event, invocation) or
 // (thread, write-index) coordinates; probabilistic rules hash the
@@ -47,7 +49,6 @@ const (
 	KindWriteError
 	KindTornWrite
 	KindOpenError
-	KindChunkDrop
 	KindMsgDrop
 	KindMsgDelay
 	KindStall
@@ -75,8 +76,6 @@ func (k Kind) String() string {
 		return "torn-write"
 	case KindOpenError:
 		return "open-error"
-	case KindChunkDrop:
-		return "chunk-drop"
 	case KindMsgDrop:
 		return "msg-drop"
 	case KindMsgDelay:
@@ -105,7 +104,7 @@ func (k Kind) String() string {
 
 // Record is one fired fault. Callback faults carry the event and the
 // 1-based invocation number; I/O faults carry the thread and the write
-// index (or chunk sequence / open attempt); message and stall faults
+// index (or open attempt); message and stall faults
 // carry a rendered coordinate in Point.
 type Record struct {
 	Kind   Kind
@@ -166,7 +165,6 @@ type Plan struct {
 	opens         map[int32]int              // open attempts to fail per thread
 	opened        map[int32]int              // open attempts seen per thread
 	writeRate     float64                    // seed-hashed transient-error rate
-	dropEvery     int                        // drop every nth chunk per thread
 	msgs          []msgRule                  // mpi message drop/delay rules
 	stalls        map[string]bool            // armed named stall points
 	dialFails     int                        // ingest dials to fail first
@@ -280,17 +278,9 @@ func (p *Plan) WriteErrorRate(rate float64) {
 	p.writeRate = rate
 }
 
-// DropEveryNth forces every nth streamed chunk (per thread, 1-based)
-// to be discarded.
-func (p *Plan) DropEveryNth(n int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.dropEvery = n
-}
-
 // Apply wires the plan into the tool options: callbacks are wrapped,
-// trace files opened through the fault schedule, and chunk drops
-// forced. Existing hooks are composed, not replaced.
+// and trace files opened and ingest connections dialed through the
+// fault schedule. Existing hooks are composed, not replaced.
 func (p *Plan) Apply(opts *tool.Options) {
 	inner := opts.WrapCallback
 	opts.WrapCallback = func(cb collector.Callback) collector.Callback {
@@ -301,13 +291,6 @@ func (p *Plan) Apply(opts *tool.Options) {
 	}
 	opts.OpenTraceFile = p.Opener(opts.OpenTraceFile)
 	opts.DialIngest = p.Dialer(opts.DialIngest)
-	prevDrop := opts.DropChunk
-	opts.DropChunk = func(thread int32, seq int) bool {
-		if prevDrop != nil && prevDrop(thread, seq) {
-			return true
-		}
-		return p.DropChunk(thread, seq)
-	}
 }
 
 // WrapCallback wraps a collector callback with the plan's callback
@@ -391,19 +374,6 @@ func (p *Plan) openFault(thread int32) bool {
 		return true
 	}
 	return false
-}
-
-// DropChunk consults the forced-drop schedule; it matches the
-// tool.Options.DropChunk signature (seq is the streamer's 0-based
-// per-thread chunk sequence).
-func (p *Plan) DropChunk(thread int32, seq int) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	drop := p.dropEvery > 0 && (seq+1)%p.dropEvery == 0
-	if drop {
-		p.fired = append(p.fired, Record{Kind: KindChunkDrop, Thread: thread, Index: uint64(seq)})
-	}
-	return drop
 }
 
 // Fired returns a copy of every fault that actually fired, in firing

@@ -162,9 +162,6 @@ func (t *Tool) startObs(addr string) (*obs.Server, error) {
 		reg.CounterFunc("goomp_stream_discarded_samples_total",
 			"Samples inside discarded trace blocks.",
 			func() float64 { return samplesOf(s.led.Settled(discarded)) })
-		reg.CounterFunc("goomp_stream_forced_drops_total",
-			"Chunks discarded by the DropChunk fault-injection hook.",
-			func() float64 { return chunksOf(s.led.Settled(forced)) })
 		reg.GaugeFunc("goomp_stream_degraded_threads",
 			"Threads whose trace file failed permanently and fell back to in-memory retention.",
 			func() float64 { return float64(s.degraded.Load()) })

@@ -110,15 +110,17 @@ func (r *reattacher) cycle(tb testing.TB, n int) (chunks, mallocs uint64) {
 	return ri.Chunks, after.Mallocs - before.Mallocs - min(polls*perPoll, after.Mallocs-before.Mallocs)
 }
 
-// warm is a cycle of n regions whose streamer encodes nothing until the
-// last region has run, so that every chunk the cycle seals is out at
-// once: the chunk reserve then holds as many chunks as a cycle of n
-// regions can have out, however its streamer is scheduled, and the
-// blocks reach psxd in one burst.
+// warm is a cycle of n regions whose streamer stores nothing until the
+// last region has run: it also tees to a StreamDir whose first trace
+// file does not open before then, so every chunk the cycle seals after
+// the first is out at once. The chunk reserve then holds as many chunks
+// as a cycle of n regions, less one chunk, can have out, however its
+// streamer is scheduled, and the blocks reach psxd in one burst.
 func (r *reattacher) warm(tb testing.TB, n int) {
 	hold := make(chan struct{})
 	opts := FullMeasurement()
-	opts.DropChunk = func(int32, int) bool { <-hold; return false }
+	opts.StreamDir = tb.TempDir()
+	opts.OpenTraceFile = func(path string) (io.WriteCloser, error) { <-hold; return os.Create(path) }
 	tl, err := r.attach(opts)
 	if err != nil {
 		tb.Fatal(err)
@@ -134,8 +136,8 @@ func (r *reattacher) warm(tb testing.TB, n int) {
 // psxd's frame bodies outlive an attachment and a GC, so a warm cycle's
 // allocations are what attaching and detaching cost, and do not grow
 // with the chunks the cycle streams: 64 chunks and 8 differ by less
-// than one allocation a chunk. One warm cycle of 64 chunks comes
-// first. Each size is taken as the least of three cycles, and the
+// than one allocation a chunk. One warm cycle that has 64 chunks out
+// at once comes first. Each size is taken as the least of three cycles, and the
 // registry reads that wait for the sealed run are counted out, so that
 // how often that wait polls does not count.
 func TestAllocReattach(t *testing.T) {
@@ -147,7 +149,7 @@ func TestAllocReattach(t *testing.T) {
 	const probe = 1000
 	got, _ := r.cycle(t, probe)
 	perChunk := probe / int(got)
-	r.warm(t, 64*perChunk)
+	r.warm(t, 65*perChunk) // the first chunk is encoded before the open holds the streamer
 	measure := func(chunks int) (c, m uint64) {
 		m = ^uint64(0)
 		for range 3 {

@@ -117,13 +117,10 @@ type streamer struct {
 	relay    *perf.Relay
 	enc      perf.BlockEncoder // writer goroutine's; stop's once that has exited
 	files    map[int32]*streamFile
-	seqs     map[int32]int // per-thread chunk sequence, for the drop hook
-
-	open func(path string) (io.WriteCloser, error)
-	drop func(thread int32, seq int) bool
+	open     func(path string) (io.WriteCloser, error)
 
 	// led books every chunk and residue block the streamer takes:
-	// staged == written + discarded + forced (+ passed, when there is no
+	// staged == written + discarded (+ passed, when there is no
 	// file sink and the network sink's own ledger carries the block).
 	led      *ingest.Ledger
 	retries  atomic.Uint64 // transient-error retries performed
@@ -138,7 +135,6 @@ type streamer struct {
 const (
 	written   ingest.Bucket = iota // on disk in the thread's local trace file
 	discarded                      // given up on after retries and the stop-time recovery attempt
-	forced                         // dropped by the DropChunk fault-injection hook
 	passed                         // no file sink configured: the network sink's ledger answers for it
 )
 
@@ -169,10 +165,8 @@ func newStreamer(t *Tool, dir string) (*streamer, error) {
 		fileSink: dir != "",
 		relay:    perf.NewRelay(relayCapacity),
 		files:    make(map[int32]*streamFile),
-		seqs:     make(map[int32]int),
 		open:     t.opts.OpenTraceFile,
-		drop:     t.opts.DropChunk,
-		led:      ingest.NewLedger("stream staged", "written", "discarded", "forced", "passed"),
+		led:      ingest.NewLedger("stream staged", "written", "discarded", "passed"),
 		done:     make(chan struct{}),
 	}
 	if t.gov != nil {
@@ -204,19 +198,12 @@ func (s *streamer) loop() {
 }
 
 // writeChunk encodes one sealed chunk into a pooled buffer and stores
-// it, unless the DropChunk hook claims it first. Either way the chunk
-// goes back to its buffer: the block is the one copy the sinks hold.
+// it. The chunk goes back to its buffer once encoded: the block is the
+// one copy the sinks hold.
 func (s *streamer) writeChunk(sc *perf.SealedChunk) {
 	thread := sc.Thread()
-	seq := s.seqs[thread]
-	s.seqs[thread] = seq + 1
 	samples := uint32(sc.Len())
 	s.led.Take(samples)
-	if s.drop != nil && s.drop(thread, seq) {
-		s.led.Settle(forced, samples)
-		sc.Release()
-		return
-	}
 	block, err := s.enc.AppendChunk(blocks.Get()[:0], sc, s.t.opts.TraceCompress)
 	sc.Release()
 	if err != nil {
@@ -461,12 +448,10 @@ func (s *streamer) stop(quiesced bool) error {
 		seen[tb.id] = true
 	}
 	if s.net != nil {
-		// Seal every thread stream the run touched, say goodbye, and
+		// Seal every thread stream the run touched (every chunk came
+		// from a buffer the snapshot above lists), say goodbye, and
 		// give the sender a bounded grace to flush; what stays unflushed
 		// is dropped with exact accounting inside the sink.
-		for thread := range s.seqs {
-			seen[thread] = true
-		}
 		ids := make([]int32, 0, len(seen))
 		for thread := range seen {
 			ids = append(ids, thread)

@@ -177,12 +177,6 @@ type Options struct {
 	// (fault injection).
 	WrapCallback func(collector.Callback) collector.Callback
 
-	// DropChunk, when set, is consulted with the thread number and
-	// per-thread chunk sequence before each streamed chunk is written;
-	// returning true discards the chunk, counted by the report's
-	// forced-drop counters (fault injection).
-	DropChunk func(thread int32, seq int) bool
-
 	// HangTimeout, when nonzero, starts the hang supervisor at attach:
 	// every blocking wait in omp and mpi registers a wait record, and
 	// after this long with no global progress the watchdog builds the
@@ -237,7 +231,7 @@ func CallbacksOnly() Options {
 // Tool is an attached collector.
 type Tool struct {
 	col  *collector.Collector
-	q    collector.Queue
+	q    *collector.Queue
 	opts Options
 
 	mu sync.Mutex // guards histogram
@@ -270,7 +264,7 @@ type Tool struct {
 	detachBound atomic.Int64 // ns; hang handler's cap on the quiesce wait
 	obsSrv      *obs.Server
 	obsMu       sync.Mutex // serializes obs handlers' protocol requests
-	obsQ        collector.Queue
+	obsQ        *collector.Queue
 	streamErr   atomic.Pointer[error]
 	wedged      atomic.Pointer[[]collector.WedgedEvent]
 	histogram   *perf.StateHistogram
@@ -847,9 +841,9 @@ type Report struct {
 	// retries and the stop-time recovery attempt.
 	StreamDiscardedChunks  uint64
 	StreamDiscardedSamples uint64
-	// ForcedDrops/ForcedDropSamples count chunks discarded by the
-	// DropChunk fault-injection hook.
-	ForcedDrops       uint64
+	// ForcedDropSamples is always zero: no chunk is dropped except for
+	// the losses counted above. It stays only because the pipeline
+	// benchmark (bench/) still adds it to its dropped samples.
 	ForcedDropSamples uint64
 	// DegradedThreads counts threads whose trace file failed
 	// permanently and fell back to in-memory retention.
@@ -944,7 +938,6 @@ func (t *Tool) Report() *Report {
 	if s := t.stream; s != nil {
 		r.StreamRetries = s.retries.Load()
 		r.StreamDiscardedChunks, r.StreamDiscardedSamples = s.led.Settled(discarded)
-		r.ForcedDrops, r.ForcedDropSamples = s.led.Settled(forced)
 		r.DegradedThreads = int(s.degraded.Load())
 		if n := s.net; n != nil {
 			r.IngestProducedChunks, r.IngestProducedSamples = n.led.Taken()
@@ -1030,12 +1023,10 @@ func (r *Report) WriteTo(w io.Writer) (int64, error) {
 	}
 	p("  samples stored: %d (dropped %d)\n", r.Samples, r.Dropped)
 	p("  clock source: %s\n", r.ClockSource)
-	if r.RelayDropped > 0 || r.StreamRetries > 0 || r.StreamDiscardedChunks > 0 ||
-		r.ForcedDrops > 0 || r.DegradedThreads > 0 {
-		p("  stream: %d retries, %d relay-dropped chunks, %d discarded chunks (%d samples), %d forced drops (%d samples), %d degraded threads\n",
+	if r.RelayDropped > 0 || r.StreamRetries > 0 || r.StreamDiscardedChunks > 0 || r.DegradedThreads > 0 {
+		p("  stream: %d retries, %d relay-dropped chunks, %d discarded chunks (%d samples), %d degraded threads\n",
 			r.StreamRetries, r.RelayDropped, r.StreamDiscardedChunks,
-			r.StreamDiscardedSamples, r.ForcedDrops, r.ForcedDropSamples,
-			r.DegradedThreads)
+			r.StreamDiscardedSamples, r.DegradedThreads)
 	}
 	if r.IngestShippedChunks > 0 || r.IngestDroppedChunks > 0 || r.IngestReconnects > 0 {
 		p("  ingest: %d produced chunks, %d shipped, %d dropped (%d samples), %d reconnects, %d overloaded acks\n",

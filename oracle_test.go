@@ -35,7 +35,7 @@ import (
 // collector, as a tool would, for the region's ID and parent.
 type pathOracle struct {
 	strip *perf.Stripper
-	q     collector.Queue
+	q     *collector.Queue
 
 	mu     sync.Mutex
 	memo   map[string]string // reference PCs → their user model
